@@ -213,8 +213,7 @@ fn main() {
         seq_docs_per_sec, par_docs_per_sec, iso_docs_per_sec,
     );
 
-    // Combined scoring throughput (features + predict), comparable to the
-    // pre-split `stage_scan_score_docs_per_sec` baseline key.
+    // Combined scoring throughput (features + predict).
     let scoring_ns: u64 = snapshot
         .histograms
         .iter()

@@ -98,9 +98,11 @@ pub(crate) struct Key {
     policy_fp: u64,
 }
 
-/// Counter deltas captured from the fresh-sink scan of a miss, replayed
-/// verbatim on every later hit. Sorted by counter label at insert so the
-/// canonical serialization is stable.
+/// One document's contribution to the deterministic counters, as
+/// non-zero `(counter, value)` pairs captured from a fresh-sink scan — a
+/// cache miss here, or an isolate worker's result frame — and replayed
+/// into the live sink with [`replay_deltas`]. Cache entries sort theirs
+/// by counter label at insert so the canonical serialization is stable.
 pub(crate) type Deltas = Vec<(Counter, u64)>;
 
 /// One cached decision.

@@ -11,16 +11,17 @@
 //!
 //! # Topology
 //!
-//! One handler thread per worker slot claims input indices from a shared
-//! atomic cursor (one document at a time — a slot never holds more than
-//! one claim, so a dying worker forfeits exactly one document). Each slot
-//! owns one child process; a dedicated reader thread pumps the child's
-//! stdout frames into a channel so the handler can wait with a timeout —
-//! that timeout *is* the heartbeat: a worker that holds a document longer
-//! than the heartbeat deadline is SIGKILLed and treated like any other
-//! worker death. Decided records flow to the single collector (reorder
-//! buffer, one journal writer), exactly like the thread-pool engine, so
-//! reports and journals are byte-compatible across all three engines.
+//! This module is an *executor* for the shared batch engine in
+//! [`super`]: claiming, resume, journaling, drain and input ordering are
+//! the engine's, so reports and journals are byte-identical to the
+//! in-process runs. What is specific here is the [`Slot`]: each scanning
+//! thread owns one, and with it at most one child process. A slot claims
+//! one document at a time, so a dying worker forfeits exactly one
+//! document. A dedicated reader thread pumps the child's stdout frames
+//! into a channel so the slot can wait with a timeout — that timeout *is*
+//! the heartbeat: a worker that holds a document longer than the
+//! heartbeat deadline is SIGKILLed and treated like any other worker
+//! death.
 //!
 //! # Frame protocol
 //!
@@ -56,7 +57,7 @@
 //! # Determinism
 //!
 //! Each worker scans a document under a **fresh** metrics sink and ships
-//! the non-zero counters back in the result frame; the collector merges
+//! the non-zero counters back in the result frame; the engine replays
 //! those deltas in input order and then rolls the outcome in with
 //! [`record_outcome`], which skips [`FailureClass::Fatal`] records
 //! entirely. Net effect: the deterministic counters section equals a
@@ -65,24 +66,20 @@
 //! ([`Stage::IsolateSpawns`], restarts, heartbeat kills, quarantines,
 //! docs-per-worker), which is exempt from the determinism promise.
 
-use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
-use super::cache::{self, PathProbe};
-use super::{interrupt, record_outcome, FailureClass, JournalSink, ScanPolicy};
-use super::{ScanOutcome, ScanRecord, ScanReport};
+use super::cache::{self, Deltas, PathProbe};
+use super::{run_batch, Executor, FailureClass, ScanOutcome, ScanPolicy, ScanReport};
 use crate::detector::Detector;
 use crate::journal::{
     decode_outcome, json_str, outcome_json, parse_json, JournalReplay, Json, ScanJournal,
 };
 use crate::limits::ScanLimits;
-use vbadet_faultpoint::faultpoint;
 use vbadet_metrics::{Counter, MetricsSink, ScanMetrics, Stage};
 use vbadet_ole::OleLimits;
 use vbadet_ovba::OvbaLimits;
@@ -319,9 +316,7 @@ fn result_frame(outcome: &ScanOutcome, snap: &ScanMetrics) -> String {
     )
 }
 
-pub(crate) type CounterDeltas = Vec<(Counter, u64)>;
-
-fn decode_result(j: &Json) -> Result<(ScanOutcome, CounterDeltas), String> {
+fn decode_result(j: &Json) -> Result<(ScanOutcome, Deltas), String> {
     let outcome = decode_outcome(j.get("outcome").ok_or("result without outcome")?)?;
     let mut deltas = Vec::new();
     if let Some(Json::Obj(entries)) = j.get("counters") {
@@ -687,7 +682,7 @@ impl<'a> Slot<'a> {
     }
 
     /// One request/response round against the slot's worker.
-    fn try_scan(&mut self, key: &str) -> Result<(ScanOutcome, CounterDeltas), AttemptError> {
+    fn try_scan(&mut self, key: &str) -> Result<(ScanOutcome, Deltas), AttemptError> {
         self.ensure_worker()?;
         let worker = self.worker.as_mut().expect("ensured above");
         let request = format!("{{\"op\":\"scan\",\"path\":{}}}", json_str(key));
@@ -731,7 +726,7 @@ impl<'a> Slot<'a> {
 
     /// Scans one document with the quarantine protocol: at most two
     /// attempts, the second always in a fresh solo worker.
-    pub(crate) fn scan(&mut self, key: &str) -> (ScanOutcome, CounterDeltas) {
+    pub(crate) fn scan(&mut self, key: &str) -> (ScanOutcome, Deltas) {
         let first = match self.try_scan(key) {
             Ok(done) => return done,
             Err(e) => e,
@@ -792,33 +787,48 @@ pub(crate) fn file_stamp(path: &Path) -> Option<(u64, std::time::SystemTime)> {
     Some((meta.len(), meta.modified().ok()?))
 }
 
-/// One document through the supervisor-side cache: a hit returns the
+/// The isolate executor: one worker [`Slot`] per scanning thread, with
+/// the supervisor-side cache in front of it. A cache hit returns the
 /// stored outcome and deltas without a worker ever seeing the document
 /// (the whole point — cached documents cost no worker round-trip); a miss
 /// dispatches to the slot's worker and stores what comes back. Documents
 /// the supervisor cannot read under the cap bypass the cache entirely so
 /// the worker produces the same typed outcome it would have uncached.
-fn scan_via_cache(
-    bound: Option<&cache::BoundCache>,
-    path: &Path,
-    key: &str,
-    policy: &ScanPolicy,
-    slot: &mut Slot<'_>,
-) -> (ScanOutcome, CounterDeltas) {
-    let Some(bound) = bound else {
-        return slot.scan(key);
-    };
-    match bound.probe_path(path, policy.limits.max_file_size, &policy.metrics) {
-        PathProbe::Hit(outcome, deltas) => (outcome, deltas),
-        PathProbe::Miss(digest) => {
-            let stamp = file_stamp(path);
-            let (outcome, deltas) = slot.scan(key);
-            if stamp.is_some() && stamp == file_stamp(path) {
-                bound.insert(digest, &outcome, &deltas, &policy.metrics);
+struct Isolated<'a> {
+    slot: Slot<'a>,
+    bound: Option<&'a cache::BoundCache>,
+    policy: &'a ScanPolicy,
+}
+
+impl Executor for Isolated<'_> {
+    fn claim_size(_total: usize, _jobs: usize) -> usize {
+        // A slot never holds more than one claim, so a dying worker
+        // forfeits exactly one document.
+        1
+    }
+
+    fn scan(&mut self, _idx: usize, path: &Path) -> (ScanOutcome, Deltas) {
+        let key = path.display().to_string();
+        let Some(bound) = self.bound else {
+            return self.slot.scan(&key);
+        };
+        let policy = self.policy;
+        match bound.probe_path(path, policy.limits.max_file_size, &policy.metrics) {
+            PathProbe::Hit(outcome, deltas) => (outcome, deltas),
+            PathProbe::Miss(digest) => {
+                let stamp = file_stamp(path);
+                let (outcome, deltas) = self.slot.scan(&key);
+                if stamp.is_some() && stamp == file_stamp(path) {
+                    bound.insert(digest, &outcome, &deltas, &policy.metrics);
+                }
+                (outcome, deltas)
             }
-            (outcome, deltas)
+            PathProbe::Unreadable => self.slot.scan(&key),
         }
-        PathProbe::Unreadable => slot.scan(key),
+    }
+
+    fn finish(self) {
+        self.slot.finish();
     }
 }
 
@@ -832,108 +842,28 @@ pub(crate) fn default_heartbeat(policy: &ScanPolicy) -> Duration {
     }
 }
 
-/// The process-isolated batch engine behind [`ScanPolicy::isolate`].
-///
-/// Dispatch mirrors [`super::scan_paths_journaled`]: resume replays are
-/// honoured without consulting a worker, the collector owns the one
-/// journal writer and emits records in input order, and a drain request
-/// (when the policy opts in) stops dispatching and leaves a resumable
-/// journal.
+/// The process-isolated batch path behind [`ScanPolicy::isolate`]: the
+/// shared batch engine driven by one [`Isolated`] executor per scanning
+/// thread. Resume, journaling, drain and ordering are the engine's, so
+/// records and journals are byte-identical to the in-process runs.
 pub(crate) fn scan_paths_isolated(
     detector: &Detector,
-    paths: &[PathBuf],
+    paths: Vec<PathBuf>,
     policy: &ScanPolicy,
     config: &IsolateConfig,
     journal: Option<&mut ScanJournal>,
     resume: Option<&JournalReplay>,
 ) -> ScanReport {
-    let total = paths.len();
-    let jobs = policy.jobs.max(1).min(total.max(1));
     let heartbeat = config
         .heartbeat
         .unwrap_or_else(|| default_heartbeat(policy));
     let hello = hello_frame(detector, policy, 0);
     let bound = cache::BoundCache::bind(detector, policy);
-    let cursor = AtomicUsize::new(0);
-    let mut sink = JournalSink::new(journal, policy.metrics.clone());
-    let mut slots: Vec<Option<ScanRecord>> = vec![None; total];
-    let mut interrupted = false;
-
-    thread::scope(|scope| {
-        let (tx, rx) = mpsc::sync_channel::<(usize, ScanRecord, CounterDeltas)>(jobs * 2);
-        for _ in 0..jobs {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let hello = hello.clone();
-            let bound = bound.as_ref();
-            scope.spawn(move || {
-                let mut slot = Slot::new(config, hello, heartbeat, &policy.metrics);
-                loop {
-                    if policy.drain_on_interrupt && interrupt::drain_requested() {
-                        break;
-                    }
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    if idx >= total {
-                        break;
-                    }
-                    let path = paths[idx].clone();
-                    let key = path.display().to_string();
-                    let (outcome, deltas) = match resume.and_then(|r| r.outcome_for(&key)) {
-                        Some(outcome) => (outcome.clone(), Vec::new()),
-                        None => scan_via_cache(bound, &path, &key, policy, &mut slot),
-                    };
-                    if tx
-                        .send((idx, ScanRecord { path, outcome }, deltas))
-                        .is_err()
-                    {
-                        // Collector gone (drain or panic): abandon claims.
-                        break;
-                    }
-                }
-                slot.finish();
-            });
-        }
-        drop(tx);
-
-        let mut pending: BTreeMap<usize, (ScanRecord, CounterDeltas)> = BTreeMap::new();
-        let mut next = 0usize;
-        'collect: for (idx, record, deltas) in rx {
-            pending.insert(idx, (record, deltas));
-            while pending.contains_key(&next) {
-                if policy.drain_now() {
-                    interrupted = true;
-                    break 'collect;
-                }
-                let (record, deltas) = pending.remove(&next).expect("checked key");
-                faultpoint!("scan::between-docs");
-                let key = record.path.display().to_string();
-                let resumed = resume.and_then(|r| r.outcome_for(&key)).is_some();
-                sink.checkpoint(&record, resumed);
-                // Worker counter deltas merge in input order, then the
-                // outcome rolls in exactly as the in-process engines do —
-                // record_outcome drops Fatal records, so quarantined
-                // documents leave no trace in the deterministic counters.
-                for (counter, n) in deltas {
-                    policy.metrics.count(counter, n);
-                }
-                record_outcome(&policy.metrics, &record.outcome);
-                slots[next] = Some(record);
-                next += 1;
-            }
-        }
-    });
-    sink.sync();
-    debug_assert!(
-        interrupted || slots.iter().all(Option::is_some),
-        "isolated scan lost a record"
-    );
-    let records = slots.into_iter().flatten().collect();
-    ScanReport {
-        records,
-        journal_error: sink.error,
-        metrics: policy.metrics.snapshot(),
-        interrupted,
-    }
+    run_batch(paths, policy, journal, resume, || Isolated {
+        slot: Slot::new(config, hello.clone(), heartbeat, &policy.metrics),
+        bound: bound.as_ref(),
+        policy,
+    })
 }
 
 #[cfg(test)]

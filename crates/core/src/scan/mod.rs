@@ -23,23 +23,26 @@
 //!   share the *same* per-document budget, so the ladder cannot multiply a
 //!   document's time allowance.
 //!
-//! Scanning is embarrassingly parallel at the document level, and
-//! [`ScanPolicy::jobs`] exploits that: with `jobs > 1`, [`scan_paths_with_policy`]
-//! (and [`scan_paths_journaled`], and the explicit [`scan_paths_parallel`])
-//! fan the batch out to a hand-rolled worker pool — an atomic cursor
-//! claims chunks of the input list, each worker scans its documents under
-//! its own per-document budgets and panic containment, and a single
-//! collector thread reassembles results **in input order** and owns the
-//! one journal writer. The parallel engine is proven byte-equivalent to
-//! the sequential one by `tests/parallel_scan.rs`.
+//! Every batch entry point — [`scan_paths_journaled`] and its wrappers,
+//! and the in-memory [`scan_documents_with_policy`] — runs through one
+//! private ordered engine, driven by a per-thread *executor* that scans
+//! one claimed input and returns its outcome plus any counter deltas. The
+//! engine owns everything else: the claim cursor, the resume lookup, the
+//! drain latch, the in-order reorder buffer, the single journal writer,
+//! delta replay and report assembly. With [`ScanPolicy::jobs`] ≤ 1 the
+//! executor runs inline on the calling thread; above that, scoped worker
+//! threads each own one executor and the calling thread collects their
+//! results **in input order**, so reports and journals are byte-identical
+//! whatever the worker count (`tests/parallel_scan.rs`).
 //!
-//! Above the thread pool sits the [`isolate`] supervisor
-//! ([`ScanPolicy::isolate`]): the batch is sharded across child *worker
-//! processes* so the failure modes `catch_unwind` cannot contain — aborts,
-//! stack overflows, the OOM killer — cost one worker, not the batch. A
-//! document that kills its worker is retried exactly once in a fresh solo
-//! worker and, if it kills that too, is recorded as
-//! [`FailureClass::Fatal`] (quarantined) while the batch continues.
+//! There are two executors. The in-process one scans on its own thread
+//! under `catch_unwind`. The [`isolate`] one ([`ScanPolicy::isolate`])
+//! hands each document to a child *worker process*, so the failure modes
+//! `catch_unwind` cannot contain — aborts, stack overflows, the OOM
+//! killer — cost one worker, not the batch. A document that kills its
+//! worker is retried exactly once in a fresh solo worker and, if it kills
+//! that too, is recorded as [`FailureClass::Fatal`] (quarantined) while
+//! the batch continues.
 //!
 //! Finally, [`interrupt`] provides a graceful-drain latch: when a policy
 //! opts in via [`ScanPolicy::drain_on_interrupt`], a drain request (e.g.
@@ -465,11 +468,11 @@ pub struct ScanPolicy {
     /// Whether failed documents descend the degradation ladder
     /// (full → strict → salvage) before being reported as failed.
     pub ladder: bool,
-    /// Worker threads for path batches. `0` and `1` both select the
-    /// sequential in-thread engine; `n > 1` fans documents out to `n`
-    /// workers. Reports, journals and per-document outcomes are identical
-    /// either way — parallelism is an implementation detail the output
-    /// must never betray.
+    /// Scanning threads per batch. `0` and `1` both scan inline on the
+    /// calling thread; `n > 1` fans documents out to `n` workers. Reports,
+    /// journals and per-document outcomes are identical either way —
+    /// parallelism is an implementation detail the output must never
+    /// betray.
     pub jobs: usize,
     /// Observability handle. Disabled (and free) by default; when enabled,
     /// every layer records counters and stage timings into it, and the
@@ -578,9 +581,17 @@ impl ScanPolicy {
         )
     }
 
-    /// Whether this batch should stop dispatching new documents now.
+    /// Whether this batch should stop emitting documents now. Polls the
+    /// injected drain site, so only the engine's single in-order seam
+    /// calls it: the site's hit count is then one per emitted record.
     fn drain_now(&self) -> bool {
         interrupt::poll_injected();
+        self.drain_latched()
+    }
+
+    /// Whether this batch honors a drain that has been requested. A pure
+    /// read, for worker threads deciding whether to claim more input.
+    fn drain_latched(&self) -> bool {
         self.drain_on_interrupt && interrupt::drain_requested()
     }
 }
@@ -646,9 +657,9 @@ fn panic_detail(payload: Box<dyn Any + Send>) -> String {
 }
 
 /// Rolls one decided record into the deterministic outcome counters.
-/// Every batch engine calls this exactly once per record — the sequential
-/// loop directly, the parallel engine from its single collector — so the
-/// sums can never depend on worker scheduling. The resident service
+/// The batch engine calls this exactly once per record, from its single
+/// in-order seam, so the sums can never depend on worker scheduling. The
+/// resident service
 /// ([`crate::serve`]) calls it once per decided request.
 pub(crate) fn record_outcome(metrics: &MetricsSink, outcome: &ScanOutcome) {
     if let ScanOutcome::Failed {
@@ -866,7 +877,9 @@ where
 /// Like [`scan_documents`] but under a full [`ScanPolicy`]. Each document
 /// gets its own fresh budget, so a batch of `n` documents under a
 /// per-document deadline `d` completes in at most `n·d` plus per-document
-/// bookkeeping.
+/// bookkeeping. [`ScanPolicy::jobs`] fans the batch out exactly as for
+/// path batches; the isolate supervisor and the cache apply to path
+/// batches only.
 pub fn scan_documents_with_policy<'a, I>(
     detector: &Detector,
     docs: I,
@@ -875,28 +888,12 @@ pub fn scan_documents_with_policy<'a, I>(
 where
     I: IntoIterator<Item = (&'a str, &'a [u8])>,
 {
-    let _quiet = quiet::QuietPanicGuard::new();
-    let mut records = Vec::new();
-    let mut interrupted = false;
-    for (label, bytes) in docs {
-        if policy.drain_now() {
-            interrupted = true;
-            break;
-        }
-        faultpoint!("scan::between-docs");
-        let outcome = scan_bytes_with_policy(detector, bytes, policy);
-        record_outcome(&policy.metrics, &outcome);
-        records.push(ScanRecord {
-            path: PathBuf::from(label),
-            outcome,
-        });
-    }
-    ScanReport {
-        records,
-        journal_error: None,
-        metrics: policy.metrics.snapshot(),
-        interrupted,
-    }
+    let (labels, docs): (Vec<PathBuf>, Vec<&[u8]>) = docs
+        .into_iter()
+        .map(|(label, bytes)| (PathBuf::from(label), bytes))
+        .unzip();
+    let scan = |idx: usize, _: &Path| scan_bytes_with_policy(detector, docs[idx], policy);
+    run_batch(labels, policy, None, None, || InProcess(&scan))
 }
 
 /// Scans every path in order, never aborting: unreadable files become
@@ -992,13 +989,12 @@ impl<'a> JournalSink<'a> {
         self.record(Counter::JournalSyncs, |j| j.sync());
     }
 
-    /// Checkpoints one decided record: `begin` + `done` for a fresh scan,
-    /// `done` alone for an outcome copied from a resume replay (mirroring
-    /// the sequential engine's journal layout byte for byte).
-    pub(crate) fn checkpoint(&mut self, record: &ScanRecord, resumed: bool) {
-        let key = record.path.display().to_string();
-        if !resumed {
-            self.begin(&key);
+    /// Checkpoints one decided record: `begin` + `done`, or `done` alone
+    /// when `begun` says no `begin` line is due — the inline engine wrote
+    /// it before scanning, or the outcome was copied from a resume replay.
+    pub(crate) fn checkpoint(&mut self, record: &ScanRecord, begun: bool) {
+        if !begun {
+            self.begin(&record.path.display().to_string());
         }
         self.done(record);
     }
@@ -1008,14 +1004,14 @@ impl<'a> JournalSink<'a> {
 /// optional crash-safe checkpointing and resume.
 ///
 /// When `journal` is given, every document is bracketed by a `begin`
-/// record before parsing and a `done` record (with its full outcome)
-/// after, each flushed immediately; a scan killed mid-batch leaves a
-/// journal from which [`replay_journal`](crate::journal::replay_journal)
-/// recovers everything already decided. When `resume` is given, paths the
-/// replay says are complete are *not* rescanned — their recorded outcomes
-/// are copied into the report (and re-checkpointed into the new journal,
-/// so it is self-contained) — while paths that were mid-scan at the crash
-/// are re-attempted.
+/// record and a `done` record (with its full outcome), each flushed
+/// immediately; a scan killed mid-batch leaves a journal from which
+/// [`replay_journal`](crate::journal::replay_journal) recovers everything
+/// already decided. When `resume` is given, paths the replay says are
+/// complete are *not* rescanned — their recorded outcomes are copied into
+/// the report (and re-checkpointed into the new journal, so it is
+/// self-contained) — while paths that were mid-scan at the crash are
+/// re-attempted.
 ///
 /// A journal write failure never aborts the batch: journaling stops, the
 /// scan continues, and the error is surfaced in
@@ -1027,187 +1023,242 @@ pub fn scan_paths_journaled<P: AsRef<Path>>(
     journal: Option<&mut ScanJournal>,
     resume: Option<&JournalReplay>,
 ) -> ScanReport {
-    if let Some(config) = policy.isolate.clone() {
-        let paths: Vec<PathBuf> = paths.iter().map(|p| p.as_ref().to_path_buf()).collect();
-        return isolate::scan_paths_isolated(detector, &paths, policy, &config, journal, resume);
+    let paths: Vec<PathBuf> = paths.iter().map(|p| p.as_ref().to_path_buf()).collect();
+    if let Some(config) = &policy.isolate {
+        return isolate::scan_paths_isolated(detector, paths, policy, config, journal, resume);
     }
-    let jobs = policy.jobs.max(1).min(paths.len().max(1));
-    if jobs > 1 {
-        return scan_paths_parallel_impl(detector, paths, policy, jobs, journal, resume);
-    }
-    let _quiet = quiet::QuietPanicGuard::new();
     let bound = cache::BoundCache::bind(detector, policy);
-    let mut sink = JournalSink::new(journal, policy.metrics.clone());
-    let mut records = Vec::new();
-    let mut interrupted = false;
-    for p in paths {
-        if policy.drain_now() {
-            interrupted = true;
-            break;
-        }
-        faultpoint!("scan::between-docs");
-        let path = p.as_ref().to_path_buf();
-        let key = path.display().to_string();
-        if let Some(outcome) = resume.and_then(|r| r.outcome_for(&key)) {
-            let record = ScanRecord {
-                path,
-                outcome: outcome.clone(),
-            };
-            sink.checkpoint(&record, true);
-            record_outcome(&policy.metrics, &record.outcome);
-            records.push(record);
-            continue;
-        }
-        sink.begin(&key);
-        let record = ScanRecord {
-            outcome: scan_file(detector, &path, policy, bound.as_ref()),
-            path,
-        };
-        sink.done(&record);
-        record_outcome(&policy.metrics, &record.outcome);
-        records.push(record);
-    }
-    sink.sync();
-    ScanReport {
-        records,
-        journal_error: sink.error,
-        metrics: policy.metrics.snapshot(),
-        interrupted,
+    let scan = |_: usize, path: &Path| scan_file(detector, path, policy, bound.as_ref());
+    run_batch(paths, policy, journal, resume, || InProcess(&scan))
+}
+
+/// What the batch engine runs on each scanning thread: it scans one
+/// claimed input at a time and hands back the outcome plus the counter
+/// deltas the collector replays for it. Everything else — claiming,
+/// resume, journaling, drain, ordering, counting — is the engine's.
+trait Executor {
+    /// Inputs one cursor bump claims: a fixed property of the executor
+    /// kind, never a knob.
+    fn claim_size(total: usize, jobs: usize) -> usize;
+
+    /// Scans input `idx`, recorded under `path`.
+    fn scan(&mut self, idx: usize, path: &Path) -> (ScanOutcome, cache::Deltas);
+
+    /// End-of-batch teardown on the thread that owned the executor.
+    fn finish(self)
+    where
+        Self: Sized,
+    {
     }
 }
 
-/// The parallel batch engine behind [`ScanPolicy::jobs`].
+/// The in-process executor: runs a scan function on the engine's own
+/// thread. Counters are recorded live, so it returns no deltas.
+struct InProcess<F>(F);
+
+impl<F: Fn(usize, &Path) -> ScanOutcome> Executor for InProcess<F> {
+    fn claim_size(total: usize, jobs: usize) -> usize {
+        // Chunked claims amortize cursor traffic; small chunks keep the
+        // tail balanced when one document is much slower than its
+        // neighbours.
+        (total / (jobs * 8)).clamp(1, 16)
+    }
+
+    fn scan(&mut self, idx: usize, path: &Path) -> (ScanOutcome, cache::Deltas) {
+        // Belt over suspenders: the scan stack contains panics itself, but
+        // a scanning thread must outlive even a containment bug in it.
+        let outcome =
+            catch_unwind(AssertUnwindSafe(|| (self.0)(idx, path))).unwrap_or_else(|payload| {
+                ScanOutcome::Failed {
+                    class: FailureClass::Panic,
+                    detail: panic_detail(payload),
+                }
+            });
+        (outcome, Vec::new())
+    }
+}
+
+/// One decided document on its way to the in-order seam.
+struct Decided {
+    record: ScanRecord,
+    deltas: cache::Deltas,
+    /// Copied from the resume replay rather than scanned, so it is
+    /// journaled as `done` alone.
+    resumed: bool,
+}
+
+/// Decides input `idx`: the replayed outcome when the resume journal
+/// completed it, otherwise the executor's scan.
+fn decide<E: Executor>(
+    exec: &mut E,
+    idx: usize,
+    path: PathBuf,
+    replayed: Option<&ScanOutcome>,
+) -> Decided {
+    let (outcome, deltas) = match replayed {
+        Some(outcome) => (outcome.clone(), Vec::new()),
+        None => exec.scan(idx, &path),
+    };
+    Decided {
+        record: ScanRecord { path, outcome },
+        deltas,
+        resumed: replayed.is_some(),
+    }
+}
+
+/// The batch engine's single in-order seam: the one journal writer and
+/// the one place records meet the counters and the report.
+struct Collector<'a> {
+    policy: &'a ScanPolicy,
+    sink: JournalSink<'a>,
+    records: Vec<ScanRecord>,
+}
+
+impl Collector<'_> {
+    /// Emits the next record in input order. Replayed deltas merge first,
+    /// then the outcome rolls in; [`record_outcome`] drops Fatal records,
+    /// so a quarantined document leaves no trace in the counters.
+    fn emit(&mut self, decided: Decided, begun: bool) {
+        self.sink.checkpoint(&decided.record, begun);
+        cache::replay_deltas(&self.policy.metrics, &decided.deltas);
+        record_outcome(&self.policy.metrics, &decided.record.outcome);
+        self.records.push(decided.record);
+    }
+
+    fn finish(mut self, total: usize) -> ScanReport {
+        self.sink.sync();
+        // Only a drain stops a batch short: workers stop claiming on the
+        // latch, and the in-order seam stops emitting on it.
+        let interrupted = self.records.len() < total;
+        debug_assert!(
+            !interrupted || self.policy.drain_latched(),
+            "batch engine lost a record"
+        );
+        ScanReport {
+            records: self.records,
+            journal_error: self.sink.error,
+            metrics: self.policy.metrics.snapshot(),
+            interrupted,
+        }
+    }
+}
+
+/// The one batch engine behind every `scan_paths*` and
+/// `scan_documents*` entry point.
 ///
-/// Topology: an atomic cursor over the input list hands out chunks of
-/// indices to `jobs` worker threads; each worker scans its documents —
-/// minting the per-document [`Budget`] locally and containing panics with
-/// its own `catch_unwind` under its own quiet-hook guard — and sends
-/// `(index, record)` through a bounded channel to the collector (the
-/// calling thread). The collector holds early completions back in a
-/// reorder buffer and emits records strictly in input order, so:
+/// With `jobs ≤ 1` the executor runs inline on the calling thread, and
+/// each fresh document's `begin` line is journaled *before* its scan, so a
+/// crash mid-document replays as in flight. With `jobs > 1`, scoped
+/// workers — one executor each — claim inputs from an atomic cursor and
+/// send `(index, decided)` through a bounded channel; the calling thread
+/// holds early finishers in a reorder buffer and emits strictly in input
+/// order. Either way:
 ///
-/// - the final [`ScanReport`] is identical to the sequential engine's,
-///   whatever order workers finish in;
-/// - the journal has exactly one writer, lines are never interleaved, and
-///   a journal from a parallel run is byte-identical to a sequential one.
-fn scan_paths_parallel_impl<P: AsRef<Path>>(
-    detector: &Detector,
-    paths: &[P],
+/// - the report is identical whatever order workers finish in;
+/// - the journal has exactly one writer, so a parallel journal is byte
+///   for byte the inline one;
+/// - the `scan::between-docs` faultpoint and the drain poll run once per
+///   emitted record, at the same seam, so a kill or a drain leaves the
+///   same journal under every engine shape.
+fn run_batch<E: Executor>(
+    paths: Vec<PathBuf>,
     policy: &ScanPolicy,
-    jobs: usize,
     journal: Option<&mut ScanJournal>,
     resume: Option<&JournalReplay>,
+    executor: impl Fn() -> E + Sync,
 ) -> ScanReport {
     let _quiet = quiet::QuietPanicGuard::new();
-    let bound = cache::BoundCache::bind(detector, policy);
-    let paths: Vec<PathBuf> = paths.iter().map(|p| p.as_ref().to_path_buf()).collect();
     let total = paths.len();
-    // Chunked claims amortize cursor traffic; small chunks keep the tail
-    // balanced when one document is much slower than its neighbours.
-    let chunk = (total / (jobs * 8)).clamp(1, 16);
-    let cursor = AtomicUsize::new(0);
-    let mut sink = JournalSink::new(journal, policy.metrics.clone());
-    let mut slots: Vec<Option<ScanRecord>> = vec![None; total];
-    let mut interrupted = false;
+    let jobs = policy.jobs.max(1).min(total.max(1));
+    let lookup = |path: &Path| resume.and_then(|r| r.outcome_for(&path.display().to_string()));
+    let mut out = Collector {
+        policy,
+        sink: JournalSink::new(journal, policy.metrics.clone()),
+        records: Vec::with_capacity(total),
+    };
 
+    if jobs <= 1 {
+        let mut exec = executor();
+        for (idx, path) in paths.into_iter().enumerate() {
+            if policy.drain_now() {
+                break;
+            }
+            faultpoint!("scan::between-docs");
+            let replayed = lookup(&path);
+            if replayed.is_none() {
+                out.sink.begin(&path.display().to_string());
+            }
+            let decided = decide(&mut exec, idx, path, replayed);
+            out.emit(decided, true);
+        }
+        exec.finish();
+        return out.finish(total);
+    }
+
+    let claim = E::claim_size(total, jobs);
+    let cursor = AtomicUsize::new(0);
     thread::scope(|scope| {
         // Bounded: workers stall rather than pile unbounded completions
-        // onto a collector that is slower than the scan (e.g. fsyncing a
-        // journal on a loaded disk). Dropping the receiver unblocks them.
-        let (tx, rx) = mpsc::sync_channel::<(usize, ScanRecord)>(jobs * 2);
+        // onto a collector slower than the scan (e.g. fsyncing a journal
+        // on a loaded disk). Created inside the scope, so a panicking
+        // collector drops the receiver before the join: every blocked
+        // send fails and the workers exit instead of deadlocking.
+        let (tx, rx) = mpsc::sync_channel::<(usize, Decided)>(jobs * 2);
         for _ in 0..jobs {
             let tx = tx.clone();
-            let cursor = &cursor;
-            let paths = &paths;
-            let bound = bound.as_ref();
+            let (cursor, paths, executor, lookup) = (&cursor, &paths, &executor, &lookup);
             scope.spawn(move || {
                 let _quiet = quiet::QuietPanicGuard::new();
+                let mut exec = executor();
                 let mut docs_scanned = 0u64;
-                'claims: loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                // Workers only read the drain latch; the collector alone
+                // polls the injected drain site.
+                'claims: while !policy.drain_latched() {
+                    let start = cursor.fetch_add(claim, Ordering::Relaxed);
                     if start >= total {
                         break;
                     }
-                    let end = (start + chunk).min(total);
-                    for (idx, claimed) in paths[start..end].iter().enumerate() {
-                        let idx = start + idx;
-                        let path = claimed.clone();
-                        let key = path.display().to_string();
-                        let outcome =
-                            match resume.and_then(|r| r.outcome_for(&key)) {
-                                Some(outcome) => outcome.clone(),
-                                // Belt over suspenders: scan_file contains
-                                // panics internally, but a worker must outlive
-                                // even a containment bug in that stack.
-                                None => catch_unwind(AssertUnwindSafe(|| {
-                                    scan_file(detector, &path, policy, bound)
-                                }))
-                                .unwrap_or_else(|payload| ScanOutcome::Failed {
-                                    class: FailureClass::Panic,
-                                    detail: panic_detail(payload),
-                                }),
-                            };
+                    let end = (start + claim).min(total);
+                    for (idx, path) in (start..end).zip(&paths[start..end]) {
+                        let decided = decide(&mut exec, idx, path.clone(), lookup(path));
                         docs_scanned += 1;
                         let sent = {
                             let _wait = policy.metrics.time(Stage::PoolSendWaitNs);
-                            tx.send((idx, ScanRecord { path, outcome }))
+                            tx.send((idx, decided))
                         };
                         if sent.is_err() {
-                            // Collector is gone (it panicked and its
-                            // receiver dropped); abandon remaining work so
-                            // the scope can unwind instead of deadlocking.
+                            // The collector is gone (drain or panic).
                             break 'claims;
                         }
                     }
                 }
                 policy.metrics.record(Stage::PoolWorkerDocs, docs_scanned);
+                exec.finish();
             });
         }
         drop(tx);
 
-        // The collector: single consumer, single journal writer. Early
-        // finishers wait in the reorder buffer until every lower index
-        // has been emitted.
-        let mut pending: BTreeMap<usize, ScanRecord> = BTreeMap::new();
-        let mut next = 0usize;
-        'collect: for (idx, record) in rx {
-            pending.insert(idx, record);
+        // Dropping `rx` on a drain unblocks every worker stalled on the
+        // bounded channel. Whatever sits in the reorder buffer past the
+        // emitted prefix was decided but never journaled — a resume
+        // simply rescans it.
+        let mut pending: BTreeMap<usize, Decided> = BTreeMap::new();
+        'collect: for (idx, decided) in rx {
+            pending.insert(idx, decided);
             policy
                 .metrics
                 .record(Stage::PoolReorderDepth, pending.len() as u64);
-            while pending.contains_key(&next) {
-                // Dropping `rx` on a drain unblocks every worker stalled
-                // on the bounded channel: their next send errors and they
-                // abandon their claims. Whatever sits in the reorder
-                // buffer past `next` was decided but never journaled —
-                // a resume simply rescans it.
+            while let Some(decided) = pending.remove(&out.records.len()) {
                 if policy.drain_now() {
-                    interrupted = true;
                     break 'collect;
                 }
-                let record = pending.remove(&next).expect("checked key");
                 faultpoint!("scan::between-docs");
-                let key = record.path.display().to_string();
-                let resumed = resume.and_then(|r| r.outcome_for(&key)).is_some();
-                sink.checkpoint(&record, resumed);
-                record_outcome(&policy.metrics, &record.outcome);
-                slots[next] = Some(record);
-                next += 1;
+                let begun = decided.resumed;
+                out.emit(decided, begun);
             }
         }
     });
-    sink.sync();
-    debug_assert!(
-        interrupted || slots.iter().all(Option::is_some),
-        "parallel scan lost a record"
-    );
-    let records = slots.into_iter().flatten().collect();
-    ScanReport {
-        records,
-        journal_error: sink.error,
-        metrics: policy.metrics.snapshot(),
-        interrupted,
-    }
+    out.finish(total)
 }
 
 /// Reads one document's bytes under the file-size cap: `stat` first so an
@@ -1269,45 +1320,26 @@ pub(crate) fn scan_file(
     policy: &ScanPolicy,
     bound: Option<&cache::BoundCache>,
 ) -> ScanOutcome {
-    match read_file_checked(path, policy.limits.max_file_size) {
-        Ok(bytes) => scan_bytes_cached(detector, &bytes, policy, bound),
-        Err(outcome) => outcome,
+    let bytes = match read_file_checked(path, policy.limits.max_file_size) {
+        Ok(bytes) => bytes,
+        Err(outcome) => return outcome,
+    };
+    match bound {
+        None => scan_bytes_with_policy(detector, &bytes, policy),
+        Some(bound) => {
+            scan_bytes_cached_digest(detector, &bytes, policy, bound, cache::sha256(&bytes)).0
+        }
     }
 }
 
-/// Scans in-memory bytes through a bound cache: digest, look up, and on a
-/// miss scan under a *fresh* metrics sink whose non-zero counter totals
-/// become the entry's replayable deltas. Both paths then feed the same
-/// deltas into the live sink, which is what keeps the deterministic
-/// counter section identical across cache-off, cold and warm runs. With
-/// no cache bound this is exactly [`scan_bytes_with_policy`].
-pub(crate) fn scan_bytes_cached(
-    detector: &Detector,
-    bytes: &[u8],
-    policy: &ScanPolicy,
-    bound: Option<&cache::BoundCache>,
-) -> ScanOutcome {
-    let Some(bound) = bound else {
-        return scan_bytes_with_policy(detector, bytes, policy);
-    };
-    scan_bytes_cached_deltas(detector, bytes, policy, bound).0
-}
-
-/// [`scan_bytes_cached`] with the document's counter deltas handed back —
-/// the resident service's single-flight needs them so in-flight duplicate
-/// requests can replay the leader's contribution without a cache entry
-/// (uncacheable outcomes are still shared via the flight).
-pub(crate) fn scan_bytes_cached_deltas(
-    detector: &Detector,
-    bytes: &[u8],
-    policy: &ScanPolicy,
-    bound: &cache::BoundCache,
-) -> (ScanOutcome, cache::Deltas) {
-    scan_bytes_cached_digest(detector, bytes, policy, bound, cache::sha256(bytes))
-}
-
-/// [`scan_bytes_cached_deltas`] for callers that already digested the
-/// bytes (the service digests during request resolution).
+/// Scans in-memory bytes through a bound cache, keyed by their
+/// already-computed `digest`: look up, and on a miss scan under a *fresh*
+/// metrics sink whose non-zero counter totals become the entry's
+/// replayable deltas. Both paths then feed the same deltas into the live
+/// sink, which is what keeps the deterministic counter section identical
+/// across cache-off, cold and warm runs. The deltas are handed back too:
+/// the resident service's single-flight replays them for in-flight
+/// duplicates without a cache entry.
 pub(crate) fn scan_bytes_cached_digest(
     detector: &Detector,
     bytes: &[u8],

