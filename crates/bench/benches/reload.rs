@@ -106,7 +106,7 @@ fn phase(
                 let mut reply = String::new();
                 let mut n = 0u64;
                 while Instant::now() < deadline {
-                    let path = if n % 2 == 0 { b } else { a };
+                    let path = if n.is_multiple_of(2) { b } else { a };
                     writer
                         .write_all(format!("reload {}\n", path.display()).as_bytes())
                         .unwrap();

@@ -150,7 +150,7 @@ fn main() {
     }
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let jobs = cores.max(2).min(8);
+    let jobs = cores.clamp(2, 8);
 
     let dir = std::env::temp_dir().join(format!("vbadet-bench-scan-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -28,6 +28,7 @@ use std::path::PathBuf;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use vbadet::json::hex;
 use vbadet::scan::interrupt;
 use vbadet::{serve, Detector, DetectorConfig, Listener, ScanPolicy, ServeConfig};
 use vbadet_corpus::CorpusSpec;
@@ -50,14 +51,6 @@ fn macro_project() -> Vec<u8> {
     let mut b = VbaProjectBuilder::new("P");
     b.add_module("Module1", &format!("Sub Work()\r\n{body}End Sub\r\n"));
     b.build().unwrap()
-}
-
-fn hex(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
 }
 
 /// One client connection driving `REQUESTS_PER_CLIENT` strictly

@@ -44,8 +44,7 @@ fn main() {
     const H: usize = 21;
     let mut grid = vec![vec![' '; W]; H];
     let plot = |grid: &mut Vec<Vec<char>>, roc: &[(f64, f64)], mark: char| {
-        for i in 0..W {
-            let fpr = i as f64 / (W - 1) as f64;
+        for (i, fpr) in (0..W).map(|i| i as f64 / (W - 1) as f64).enumerate() {
             let tpr = sample_curve(roc, &[fpr])[0];
             let row = ((1.0 - tpr) * (H - 1) as f64).round() as usize;
             let cell = &mut grid[row.min(H - 1)][i];

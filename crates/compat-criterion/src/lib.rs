@@ -173,14 +173,9 @@ fn fmt_rate(per_sec: f64, unit: &str) -> String {
 }
 
 /// Benchmark runner.
+#[derive(Default)]
 pub struct Criterion {
     completed: usize,
-}
-
-impl Default for Criterion {
-    fn default() -> Self {
-        Criterion { completed: 0 }
-    }
 }
 
 impl Criterion {

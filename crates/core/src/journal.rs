@@ -17,9 +17,12 @@
 //! `done` is reported as in-flight so the resuming scan re-attempts it.
 //!
 //! The format is deliberately self-describing (a header line names the
-//! format and version) and hand-rolled: one writer, one minimal
-//! recursive-descent parser, no serialization dependency to drag into the
-//! scanning core.
+//! format and version). Lines are written by fixed-shape `format!` calls
+//! and read back with the workspace's one JSON codec,
+//! [`vbadet_metrics::json`]: exact integers, capped nesting, no
+//! serialization dependency to drag into the scanning core. The outcome
+//! encoding here is shared with cache entries, isolate result frames and
+//! serve replies.
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -28,6 +31,7 @@ use std::path::Path;
 
 use crate::detector::{ModuleVerdict, Verdict};
 use crate::scan::{FailureClass, LadderRung, ScanOutcome, ScanRecord};
+use vbadet_metrics::json::{self, json_str, Json};
 
 /// Format name carried by the journal's header line.
 pub const JOURNAL_FORMAT: &str = "vbadet-scan-journal";
@@ -174,7 +178,7 @@ pub fn replay_journal<P: AsRef<Path>>(path: P) -> io::Result<JournalReplay> {
     let mut lines = text.lines();
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
     let header = lines.next().ok_or_else(|| bad("empty journal"))?;
-    let header = parse_json(header).map_err(|e| bad(&format!("bad journal header: {e}")))?;
+    let header = json::parse(header).map_err(|e| bad(&format!("bad journal header: {e}")))?;
     if header.get("format").and_then(Json::as_str) != Some(JOURNAL_FORMAT) {
         return Err(bad("not a vbadet scan journal"));
     }
@@ -184,7 +188,10 @@ pub fn replay_journal<P: AsRef<Path>>(path: P) -> io::Result<JournalReplay> {
     let mut replay = JournalReplay::default();
     let mut pending: Vec<String> = Vec::new();
     for (idx, line) in lines.enumerate() {
-        let record = match parse_json(line).and_then(|j| decode_event(&j)) {
+        let record = match json::parse(line)
+            .map_err(String::from)
+            .and_then(|j| decode_event(&j))
+        {
             Ok(record) => record,
             Err(e) => {
                 // Line numbers are 1-based and the header is line 1.
@@ -353,285 +360,6 @@ pub(crate) fn decode_outcome(j: &Json) -> Result<ScanOutcome, String> {
                 .to_string(),
         }),
         other => Err(format!("unknown outcome kind {other:?}")),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON
-// ---------------------------------------------------------------------------
-
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A parsed JSON value. Just enough for the journal format; objects keep
-/// insertion order in a vector because lookups are tiny.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-pub(crate) fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes at offset {}", p.pos));
-    }
-    Ok(value)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at offset {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at offset {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek().ok_or("unexpected end of input")? {
-            b'n' => self.literal("null", Json::Null),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b'[' => self.array(),
-            b'{' => self.object(),
-            b'-' | b'0'..=b'9' => self.number(),
-            other => Err(format!(
-                "unexpected byte {:?} at offset {}",
-                other as char, self.pos
-            )),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek().ok_or("unterminated string")? {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let high = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&high) {
-                                // Surrogate pair: require the low half.
-                                if self.peek() != Some(b'\\') {
-                                    return Err("lone high surrogate".to_string());
-                                }
-                                self.pos += 1;
-                                self.expect(b'u')?;
-                                let low = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&low) {
-                                    return Err("bad low surrogate".to_string());
-                                }
-                                0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
-                            } else {
-                                high
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| "bad unicode escape".to_string())?,
-                            );
-                        }
-                        other => return Err(format!("bad escape {:?}", other as char)),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (the input came from &str,
-                    // so boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err("truncated unicode escape".to_string());
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| "bad unicode escape".to_string())?;
-        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad unicode escape".to_string())?;
-        self.pos += 4;
-        Ok(code)
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number {text:?} at offset {start}"))
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
-            }
-        }
     }
 }
 
@@ -849,20 +577,25 @@ mod tests {
     }
 
     #[test]
-    fn parser_handles_escapes_and_nesting() {
-        let j = parse_json(
-            "{\"a\": [1, -2.5, true, null], \"b\": {\"c\": \"x\\n\\\"y\\\" \\u00e9 \\ud83d\\ude00\"}}",
-        )
-        .unwrap();
-        assert_eq!(
-            j.get("a").and_then(Json::as_arr).map(<[Json]>::len),
-            Some(4)
-        );
-        assert_eq!(
-            j.get("b").and_then(|b| b.get("c")).and_then(Json::as_str),
-            Some("x\n\"y\" é 😀")
-        );
-        assert!(parse_json("{\"a\":}").is_err());
-        assert!(parse_json("{} trailing").is_err());
+    fn done_lines_are_golden_for_every_outcome_kind() {
+        // Literal bytes, not a round trip: journals written by earlier
+        // builds must still resume, so the line format may not drift.
+        let path = temp_path("golden");
+        let mut journal = ScanJournal::create(&path).unwrap();
+        for r in &sample_records() {
+            journal.done(r).unwrap();
+        }
+        drop(journal);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let want = [
+            r#"{"format":"vbadet-scan-journal","version":1}"#,
+            r#"{"event":"done","path":"a.doc","outcome":{"kind":"clean"}}"#,
+            r#"{"event":"done","path":"dir with spaces/b\"quoted\".docm","outcome":{"kind":"macros","verdicts":[{"module":"Module1","obfuscated":true,"score":1.25},{"module":"Thïs–Dòc","obfuscated":false,"score":-0.0372511234}]}}"#,
+            r#"{"event":"done","path":"c.xls","outcome":{"kind":"salvaged","verdicts":[{"module":"salvaged_1","obfuscated":true,"score":3.5}]}}"#,
+            r#"{"event":"done","path":"d.bin","outcome":{"kind":"recovered","rung":"salvage","verdicts":[{"module":"salvaged_1","obfuscated":false,"score":-0.5}]}}"#,
+            r#"{"event":"done","path":"e.doc","outcome":{"kind":"failed","class":"timeout","detail":"scan budget exceeded: deadline\nsecond line"}}"#,
+        ];
+        assert_eq!(text, want.map(|line| format!("{line}\n")).concat());
     }
 }

@@ -64,4 +64,5 @@ pub use serve::{serve, Listener, ServeConfig, ServeSummary};
 pub use signature::SignatureScanner;
 pub use threshold::{tune_threshold, OperatingPoint, ThresholdPolicy};
 pub use vbadet_faultpoint::{Budget, BudgetExceeded};
+pub use vbadet_metrics::json;
 pub use vbadet_metrics::{Counter, HistogramSnapshot, MetricsSink, ScanMetrics, Stage};

@@ -61,7 +61,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use crate::detector::Detector;
-use crate::journal::{decode_outcome, json_str, outcome_json, parse_json, Json};
+use crate::journal::{decode_outcome, outcome_json};
+use vbadet_metrics::json::{self, hex, json_str, unhex, Json};
 use vbadet_metrics::{Counter, MetricsSink, Stage};
 
 use super::{FailureClass, ScanOutcome, ScanPolicy};
@@ -213,25 +214,6 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-fn hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
-
-fn unhex_digest(s: &str) -> Option<ContentDigest> {
-    if s.len() != 64 {
-        return None;
-    }
-    let mut out = [0u8; 32];
-    for (i, byte) in out.iter_mut().enumerate() {
-        *byte = u8::from_str_radix(&s[i * 2..i * 2 + 2], 16).ok()?;
-    }
-    Some(out)
-}
-
 /// Fingerprint of a trained detector: FNV over its canonical `save()`
 /// text, which covers the feature mode, scaler, weights and seed — any
 /// retrain changes it.
@@ -341,18 +323,13 @@ struct DiskStore {
 /// string from the parsed fields and compares checksums, so any bitflip —
 /// in the digest, the outcome, the deltas, or the checksum — mismatches.
 fn encode_entry_body(key: &Key, entry: &Entry) -> String {
-    let deltas: Vec<String> = entry
-        .deltas
-        .iter()
-        .map(|(c, n)| format!("{}:{n}", json_str(c.label())))
-        .collect();
     format!(
-        "\"digest\":{},\"detector\":{},\"policy\":{},\"outcome\":{},\"counters\":{{{}}}",
+        "\"digest\":{},\"detector\":{},\"policy\":{},\"outcome\":{},\"counters\":{}",
         json_str(&hex(&key.digest)),
         json_str(&format!("{:016x}", key.detector_fp)),
         json_str(&format!("{:016x}", key.policy_fp)),
         outcome_json(&entry.outcome),
-        deltas.join(","),
+        deltas_json(&entry.deltas),
     )
 }
 
@@ -364,10 +341,6 @@ fn encode_entry_line(key: &Key, entry: &Entry) -> String {
     )
 }
 
-fn counter_from_label(label: &str) -> Option<Counter> {
-    Counter::ALL.iter().copied().find(|c| c.label() == label)
-}
-
 /// Decodes one parsed entry line back into `(Key, Entry)`, verifying the
 /// checksum by re-deriving the canonical body. `Err` is a human-readable
 /// damage description.
@@ -375,7 +348,7 @@ fn decode_entry(j: &Json) -> Result<(Key, Entry), String> {
     let digest = j
         .get("digest")
         .and_then(Json::as_str)
-        .and_then(unhex_digest)
+        .and_then(|s| ContentDigest::try_from(unhex(s).ok()?).ok())
         .ok_or("entry without a 64-hex-digit digest")?;
     let fp = |field: &str| -> Result<u64, String> {
         j.get(field)
@@ -389,18 +362,7 @@ fn decode_entry(j: &Json) -> Result<(Key, Entry), String> {
         policy_fp: fp("policy")?,
     };
     let outcome = decode_outcome(j.get("outcome").ok_or("entry without an outcome")?)?;
-    let mut deltas: Vec<(Counter, u64)> = Vec::new();
-    match j.get("counters") {
-        Some(Json::Obj(pairs)) => {
-            for (label, v) in pairs {
-                let counter =
-                    counter_from_label(label).ok_or(format!("unknown counter {label:?}"))?;
-                let n = v.as_u64().ok_or(format!("non-integer counter {label:?}"))?;
-                deltas.push((counter, n));
-            }
-        }
-        _ => return Err("entry without a counters object".to_string()),
-    }
+    let deltas = decode_deltas(j)?;
     let entry = Entry { outcome, deltas };
     let sum = j
         .get("sum")
@@ -537,7 +499,7 @@ impl ScanCache {
         let mut lines = text.split_inclusive('\n');
         let header_ok = lines.next().is_some_and(|line| {
             line.ends_with('\n')
-                && parse_json(line.trim_end()).is_ok_and(|j| {
+                && json::parse(line.trim_end()).is_ok_and(|j| {
                     j.get("format").and_then(Json::as_str) == Some(CACHE_FORMAT)
                         && j.get("version").and_then(Json::as_u64) == Some(CACHE_VERSION)
                 })
@@ -563,7 +525,7 @@ impl ScanCache {
                 ));
                 return;
             }
-            let decoded = parse_json(line.trim_end())
+            let decoded = json::parse(line.trim_end())
                 .map_err(|e| format!("unparseable: {e}"))
                 .and_then(|j| decode_entry(&j));
             match decoded {
@@ -818,6 +780,45 @@ pub(crate) fn deltas_from_sink(sink: &MetricsSink) -> Deltas {
         .filter_map(|&c| {
             let n = snapshot.counter(c.label());
             (n > 0).then_some((c, n))
+        })
+        .collect()
+}
+
+/// The one counter-delta encoding, `{"label":n,…}` in the deltas' own
+/// order: cache entry bodies (sorted by label at insert) and isolate
+/// result frames (declaration order, from [`deltas_from_sink`]) both
+/// write it, and [`decode_deltas`] reads it back.
+pub(crate) fn deltas_json(deltas: &[(Counter, u64)]) -> String {
+    let mut out = String::from("{");
+    for (i, (counter, n)) in deltas.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&json_str(counter.label()));
+        out.push(':');
+        out.push_str(&n.to_string());
+    }
+    out.push('}');
+    out
+}
+
+/// Reads the `counters` object of a cache entry or result frame. Both
+/// ends are one binary, so an unknown label or a non-integer count is
+/// damage, never a delta to drop.
+pub(crate) fn decode_deltas(record: &Json) -> Result<Deltas, String> {
+    record
+        .get("counters")
+        .and_then(Json::as_obj)
+        .ok_or("record without a counters object")?
+        .iter()
+        .map(|(label, n)| {
+            let counter = Counter::ALL
+                .iter()
+                .copied()
+                .find(|c| c.label() == label)
+                .ok_or(format!("unknown counter {label:?}"))?;
+            let n = n.as_u64().ok_or(format!("non-integer counter {label:?}"))?;
+            Ok((counter, n))
         })
         .collect()
 }
@@ -1110,10 +1111,59 @@ mod tests {
             deltas: vec![(Counter::ScanDocs, 1), (Counter::ZipParses, 3)],
         };
         let line = encode_entry_line(&key(9), &entry);
-        let parsed = parse_json(line.trim_end()).unwrap();
+        let parsed = json::parse(line.trim_end()).unwrap();
         let (k, e) = decode_entry(&parsed).unwrap();
         assert_eq!(k, key(9));
         assert_eq!(e, entry);
         assert_eq!(encode_entry_line(&k, &e), line);
+    }
+
+    #[test]
+    fn entry_line_bytes_are_golden() {
+        // Literal bytes, not a round trip: the loader re-derives this body
+        // to verify `sum`, so any drift would cold every stored segment.
+        let entry = Entry {
+            outcome: macro_outcome(),
+            deltas: vec![(Counter::ScanDocs, 1), (Counter::ZipParses, 3)],
+        };
+        assert_eq!(
+            encode_entry_line(&key(9), &entry),
+            concat!(
+                r#"{"digest":"2b4c342f5433ebe591a1da77e013d1b72475562d48578dca8b84bac6651c3cb9","#,
+                r#""detector":"0000000000001111","policy":"0000000000002222","#,
+                r#""outcome":{"kind":"macros","verdicts":[{"module":"Module1","obfuscated":true,"score":0.875}]},"#,
+                r#""counters":{"scan.docs":1,"zip.parses":3},"sum":"38adf65815cb4328"}"#,
+                "\n"
+            )
+        );
+    }
+
+    #[test]
+    fn damaged_digests_and_counters_are_typed_not_panics() {
+        let entry = Entry {
+            outcome: ScanOutcome::Clean,
+            deltas: vec![(Counter::ScanDocs, 1)],
+        };
+        let line = encode_entry_line(&key(3), &entry);
+        let digest = hex(&key(3).digest);
+        // Three-byte characters straddle every two-byte digit pair.
+        let wide = "€".repeat(21) + "a";
+        for (damaged, why) in [
+            (line.replace(&digest, &wide), "64-hex-digit digest"),
+            (line.replace(&digest, &digest[..62]), "64-hex-digit digest"),
+            (
+                line.replace("\"scan.docs\"", "\"scan.nope\""),
+                "unknown counter",
+            ),
+            (line.replace(":1}", ":1.0}"), "non-integer counter"),
+            (
+                line.replace(",\"counters\":{\"scan.docs\":1}", ""),
+                "counters object",
+            ),
+        ] {
+            let j = json::parse(damaged.trim_end()).unwrap();
+            let err = decode_entry(&j).unwrap_err();
+            assert!(err.contains(why), "{damaged}: {err}");
+        }
     }
 }

@@ -76,11 +76,10 @@ use std::time::Duration;
 use super::cache::{self, Deltas, PathProbe};
 use super::{run_batch, Executor, FailureClass, ScanOutcome, ScanPolicy, ScanReport};
 use crate::detector::Detector;
-use crate::journal::{
-    decode_outcome, json_str, outcome_json, parse_json, JournalReplay, Json, ScanJournal,
-};
+use crate::journal::{decode_outcome, outcome_json, JournalReplay, ScanJournal};
 use crate::limits::ScanLimits;
-use vbadet_metrics::{Counter, MetricsSink, ScanMetrics, Stage};
+use vbadet_metrics::json::{self, json_str, Json};
+use vbadet_metrics::{Counter, MetricsSink, Stage};
 use vbadet_ole::OleLimits;
 use vbadet_ovba::OvbaLimits;
 use vbadet_zip::ZipLimits;
@@ -297,39 +296,20 @@ fn decode_hello(j: &Json) -> Result<(Detector, ScanPolicy, u64), String> {
     Ok((detector, policy, generation))
 }
 
-fn result_frame(outcome: &ScanOutcome, snap: &ScanMetrics) -> String {
-    let mut counters = String::new();
-    for c in Counter::ALL {
-        let v = snap.counter(c.label());
-        if v != 0 {
-            if !counters.is_empty() {
-                counters.push(',');
-            }
-            counters.push_str(&json_str(c.label()));
-            counters.push(':');
-            counters.push_str(&v.to_string());
-        }
-    }
+fn result_frame(outcome: &ScanOutcome, deltas: &[(Counter, u64)]) -> String {
     format!(
-        "{{\"op\":\"result\",\"outcome\":{},\"counters\":{{{counters}}}}}",
-        outcome_json(outcome)
+        "{{\"op\":\"result\",\"outcome\":{},\"counters\":{}}}",
+        outcome_json(outcome),
+        cache::deltas_json(deltas)
     )
 }
 
+/// Decodes a worker's result frame with the cache's counter-delta codec.
+/// Both ends are one binary, so an unknown counter label is a protocol
+/// error that buries the worker, like any other garbage frame.
 fn decode_result(j: &Json) -> Result<(ScanOutcome, Deltas), String> {
     let outcome = decode_outcome(j.get("outcome").ok_or("result without outcome")?)?;
-    let mut deltas = Vec::new();
-    if let Some(Json::Obj(entries)) = j.get("counters") {
-        for (label, value) in entries {
-            let n = value.as_u64().ok_or("counter delta is not a number")?;
-            // Labels both ends agree on — the binary is the same — but a
-            // stray label degrades to a dropped delta, not a dead worker.
-            if let Some(c) = Counter::ALL.iter().find(|c| c.label() == label.as_str()) {
-                deltas.push((*c, n));
-            }
-        }
-    }
-    Ok((outcome, deltas))
+    Ok((outcome, cache::decode_deltas(j)?))
 }
 
 // ---------------------------------------------------------------------------
@@ -357,9 +337,9 @@ pub fn worker_main() -> i32 {
         Ok(None) => return 0,
         Err(e) => return proto_err("hello read", e.to_string()),
     };
-    let hello = match parse_json(&hello) {
+    let hello = match json::parse(&hello) {
         Ok(j) => j,
-        Err(e) => return proto_err("hello parse", e),
+        Err(e) => return proto_err("hello parse", e.into()),
     };
     if hello.get("op").and_then(Json::as_str) != Some("hello") {
         return proto_err("handshake", "first frame is not hello".to_string());
@@ -378,9 +358,9 @@ pub fn worker_main() -> i32 {
             Ok(None) => return 0,
             Err(e) => return proto_err("request read", e.to_string()),
         };
-        let request = match parse_json(&frame) {
+        let request = match json::parse(&frame) {
             Ok(j) => j,
-            Err(e) => return proto_err("request parse", e),
+            Err(e) => return proto_err("request parse", e.into()),
         };
         match request.get("op").and_then(Json::as_str) {
             Some("exit") => return 0,
@@ -401,8 +381,8 @@ pub fn worker_main() -> i32 {
                 // *before* dispatching, so a worker request is always a
                 // real scan.
                 let outcome = super::scan_file(&detector, Path::new(path), &policy, None);
-                let snap = metrics.snapshot().expect("enabled sink snapshots");
-                if let Err(e) = write_frame(&mut output, &result_frame(&outcome, &snap)) {
+                let deltas = cache::deltas_from_sink(&metrics);
+                if let Err(e) = write_frame(&mut output, &result_frame(&outcome, &deltas)) {
                     return proto_err("result write", e.to_string());
                 }
             }
@@ -536,12 +516,12 @@ fn spawn_worker(
     // The generation the hello carries is the one the worker must echo:
     // a mismatch means the two ends disagree about which detector scores
     // documents, and the worker is buried rather than trusted.
-    let expected_generation = parse_json(hello)
+    let expected_generation = json::parse(hello)
         .ok()
         .and_then(|j| j.get("generation").and_then(Json::as_u64))
         .unwrap_or(0);
     match worker.rx.recv_timeout(heartbeat) {
-        Ok(Ok(frame)) => match parse_json(&frame) {
+        Ok(Ok(frame)) => match json::parse(&frame) {
             Ok(j) if j.get("op").and_then(Json::as_str) == Some("ready") => {
                 let echoed = j.get("generation").and_then(Json::as_u64).unwrap_or(0);
                 if echoed == expected_generation {
@@ -694,7 +674,9 @@ impl<'a> Slot<'a> {
         }
         match worker.rx.recv_timeout(self.heartbeat) {
             Ok(Ok(frame)) => {
-                let decoded = parse_json(&frame).and_then(|j| decode_result(&j));
+                let decoded = json::parse(&frame)
+                    .map_err(String::from)
+                    .and_then(|j| decode_result(&j));
                 match decoded {
                     Ok((outcome, deltas)) => {
                         self.docs_on_worker += 1;
@@ -911,7 +893,7 @@ mod tests {
             .with_ladder()
             .max_scan_mem_bytes(5 << 20);
         let frame = hello_frame(&detector, &policy, 7);
-        let (loaded, decoded, generation) = decode_hello(&parse_json(&frame).unwrap()).unwrap();
+        let (loaded, decoded, generation) = decode_hello(&json::parse(&frame).unwrap()).unwrap();
         assert_eq!(generation, 7);
         assert_eq!(decoded.limits, policy.limits);
         assert_eq!(decoded.deadline_per_doc, policy.deadline_per_doc);
@@ -928,18 +910,56 @@ mod tests {
         let sink = MetricsSink::enabled();
         sink.count(Counter::ScanDocs, 3);
         sink.count(Counter::OleParses, 2);
-        let snap = sink.snapshot().unwrap();
         let outcome = ScanOutcome::Failed {
             class: FailureClass::Timeout,
             detail: "deadline exceeded".to_string(),
         };
-        let frame = result_frame(&outcome, &snap);
-        let (decoded, deltas) = decode_result(&parse_json(&frame).unwrap()).unwrap();
+        let frame = result_frame(&outcome, &cache::deltas_from_sink(&sink));
+        let (decoded, deltas) = decode_result(&json::parse(&frame).unwrap()).unwrap();
         assert_eq!(decoded, outcome);
         let mut deltas = deltas;
         deltas.sort_by_key(|(c, _)| c.label());
         assert!(deltas.contains(&(Counter::ScanDocs, 3)));
         assert!(deltas.contains(&(Counter::OleParses, 2)));
         assert_eq!(deltas.len(), 2);
+    }
+
+    #[test]
+    fn result_frame_bytes_are_golden() {
+        // Literal bytes, not a round trip: counters go out in declaration
+        // order, exact past 2^53.
+        let sink = MetricsSink::enabled();
+        sink.count(Counter::ScanDocs, 1);
+        sink.count(Counter::OleParses, 1);
+        sink.count(Counter::OleSectors, 9_007_199_254_740_993);
+        sink.count(Counter::ScanModulesScored, 2);
+        let outcome = ScanOutcome::Macros(vec![crate::detector::ModuleVerdict {
+            module_name: "Module1".to_string(),
+            verdict: crate::detector::Verdict {
+                obfuscated: true,
+                score: 0.875,
+            },
+        }]);
+        let deltas = cache::deltas_from_sink(&sink);
+        let frame = result_frame(&outcome, &deltas);
+        assert_eq!(
+            frame,
+            concat!(
+                r#"{"op":"result","outcome":{"kind":"macros","verdicts":[{"module":"Module1","obfuscated":true,"score":0.875}]},"#,
+                r#""counters":{"ole.parses":1,"ole.sectors":9007199254740993,"scan.docs":1,"scan.modules_scored":2}}"#
+            )
+        );
+        assert_eq!(
+            decode_result(&json::parse(&frame).unwrap()).unwrap().1,
+            deltas
+        );
+    }
+
+    #[test]
+    fn result_frame_with_an_unknown_counter_is_a_protocol_error() {
+        let frame = result_frame(&ScanOutcome::Clean, &[(Counter::ScanDocs, 1)])
+            .replace("scan.docs", "scan.unheard_of");
+        let err = decode_result(&json::parse(&frame).unwrap()).unwrap_err();
+        assert!(err.contains("unknown counter"), "{err}");
     }
 }

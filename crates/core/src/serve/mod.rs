@@ -52,13 +52,14 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::detector::Detector;
-use crate::journal::{json_str, outcome_json, ScanJournal};
+use crate::journal::{outcome_json, ScanJournal};
 use crate::scan::cache;
 use crate::scan::isolate::{default_heartbeat, file_stamp, hello_frame, Slot};
 use crate::scan::{
     interrupt, read_file_checked, record_outcome, scan_bytes_cached_digest, scan_bytes_with_policy,
     scan_file, FailureClass, JournalSink, ScanOutcome, ScanPolicy, ScanRecord,
 };
+use vbadet_metrics::json::json_str;
 use vbadet_metrics::{MetricsSink, ScanMetrics, Stage};
 
 mod breaker;

@@ -9,11 +9,14 @@
 //!   integer) the server echoes into the response, so a client
 //!   multiplexing requests on one connection can correlate replies.
 //!
-//! Parsing is total: any line that is not a well-formed request yields a
-//! typed error message, never a panic — the fuzz harness in
-//! `tests/hostile_inputs.rs` holds the parser to that.
+//! JSON lines decode with the workspace's one codec,
+//! [`vbadet_metrics::json`]: an integer id is exact to the last digit,
+//! and bracket nesting past its depth cap is a `bad-request`, not a
+//! stack overflow. Parsing is total: any line that is not a well-formed
+//! request yields a typed error message, never a panic — the fuzz
+//! harness in `tests/hostile_inputs.rs` holds the parser to that.
 
-use crate::journal::{parse_json, Json};
+use vbadet_metrics::json::{self, Json};
 
 /// Hard cap on one request line. The connection reader enforces this
 /// *before* parsing (an unbounded line would otherwise buffer forever);
@@ -110,14 +113,12 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 }
 
 fn parse_json_request(line: &str) -> Result<Request, String> {
-    let j = parse_json(line).map_err(|e| format!("bad json: {e}"))?;
+    let j = json::parse(line).map_err(|e| format!("bad json: {e}"))?;
     let id = match j.get("id") {
         None => None,
         Some(Json::Str(s)) => Some(s.clone()),
-        Some(v) => match v.as_u64() {
-            Some(n) => Some(n.to_string()),
-            None => return Err("id must be a string or a non-negative integer".to_string()),
-        },
+        Some(Json::Int(n)) => Some(n.to_string()),
+        Some(_) => return Err("id must be a string or a non-negative integer".to_string()),
     };
     let op = j
         .get("op")
@@ -142,33 +143,15 @@ fn parse_json_request(line: &str) -> Result<Request, String> {
                 }
                 (Some(p), None) if !p.is_empty() => Verb::Scan(ScanTarget::Path(p.to_string())),
                 (Some(_), None) => return Err("scan with an empty path".to_string()),
-                (None, Some(h)) => Verb::Scan(ScanTarget::Bytes(decode_hex(h)?)),
+                (None, Some(h)) => Verb::Scan(ScanTarget::Bytes(
+                    json::unhex(h).map_err(|e| format!("bytes_hex: {e}"))?,
+                )),
                 (None, None) => return Err("scan without path or bytes_hex".to_string()),
             }
         }
         other => return Err(format!("unknown op {other:?}")),
     };
     Ok(Request { verb, id })
-}
-
-fn decode_hex(hex: &str) -> Result<Vec<u8>, String> {
-    let bytes = hex.as_bytes();
-    if !bytes.len().is_multiple_of(2) {
-        return Err("bytes_hex has an odd number of digits".to_string());
-    }
-    let nibble = |b: u8| -> Result<u8, String> {
-        match b {
-            b'0'..=b'9' => Ok(b - b'0'),
-            b'a'..=b'f' => Ok(b - b'a' + 10),
-            b'A'..=b'F' => Ok(b - b'A' + 10),
-            other => Err(format!("bytes_hex has a non-hex byte {:?}", other as char)),
-        }
-    };
-    let mut out = Vec::with_capacity(bytes.len() / 2);
-    for pair in bytes.chunks_exact(2) {
-        out.push((nibble(pair[0])? << 4) | nibble(pair[1])?);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -224,14 +207,19 @@ mod tests {
             r.verb,
             Verb::Scan(ScanTarget::Bytes(vec![0xd0, 0xcf, 0x11, 0xe0]))
         );
-    }
-
-    #[test]
-    fn hex_decoding_is_strict() {
-        assert!(decode_hex("").unwrap().is_empty());
-        assert_eq!(decode_hex("00ffAB").unwrap(), vec![0, 0xff, 0xab]);
-        assert!(decode_hex("abc").is_err(), "odd length");
-        assert!(decode_hex("zz").is_err(), "non-hex digit");
+        // Integer ids echo digit-exact, past 2^53 and up to u64::MAX.
+        for id in ["9007199254740993", "18446744073709551615"] {
+            let r = parse_request(&format!("{{\"op\":\"health\",\"id\":{id}}}")).unwrap();
+            assert_eq!(r.id.as_deref(), Some(id));
+        }
+        // Anything else numeric is not an id: no rounding, no saturating.
+        for id in ["1e30", "-1", "1.5", "1.0", "18446744073709551616"] {
+            let err = parse_request(&format!("{{\"op\":\"health\",\"id\":{id}}}")).unwrap_err();
+            assert_eq!(
+                err, "id must be a string or a non-negative integer",
+                "id {id}"
+            );
+        }
     }
 
     #[test]
@@ -258,6 +246,7 @@ mod tests {
             "{\"op\":\"scan\",\"path\":\"a\",\"id\":[1]}",
             "{\"op\":\"scan\",\"path\":\"a\",\"id\":-3}",
             "{\"op\":17}",
+            "{\"op\":\"scan\",\"bytes_hex\":\"abc\"}",
         ] {
             assert!(parse_request(bad).is_err(), "should reject {bad:?}");
         }

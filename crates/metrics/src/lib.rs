@@ -18,9 +18,11 @@
 //!   timers and pool-shape histograms, and are explicitly *not* covered
 //!   by that promise.
 //! - [`ScanMetrics`]: an immutable snapshot of a sink, with a stable
-//!   sorted JSON rendering ([`ScanMetrics::to_json`]), a hand-rolled
-//!   parser ([`ScanMetrics::from_json`]) and a human-readable table
-//!   ([`ScanMetrics::render_text`]).
+//!   sorted JSON rendering ([`ScanMetrics::to_json`]), a parser over the
+//!   shared [`json`] codec ([`ScanMetrics::from_json`]) and a
+//!   human-readable table ([`ScanMetrics::render_text`]).
+//! - [`json`]: the one JSON codec every wire and disk format of the
+//!   scanner decodes with.
 //!
 //! Timers use log2-bucketed histograms: recording is one `Instant` pair
 //! per *stage entry* (never per byte or per loop iteration) plus three
@@ -33,6 +35,10 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+pub mod json;
+
+use json::{json_str, Json};
 
 /// Number of log2 buckets per histogram. Bucket `i` holds values `v` with
 /// `floor(log2(v)) == i` (bucket 0 also holds `v == 0`); the last bucket
@@ -534,7 +540,28 @@ impl ScanMetrics {
     /// Returns a description of the first syntax problem, a wrong
     /// format/version header, or a malformed section.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        parse::snapshot(text)
+        let mut format = None;
+        let mut version = None;
+        let mut snapshot = ScanMetrics::default();
+        let root = json::parse(text)?;
+        for (key, value) in object(&root, "snapshot")? {
+            match key.as_str() {
+                "format" => format = value.as_str(),
+                "version" => version = value.as_u64(),
+                "counters" => {
+                    snapshot.counters = section(value, "counters", |v| integer(v, "counter"))?;
+                }
+                "histograms" => snapshot.histograms = section(value, "histograms", histogram)?,
+                other => return Err(format!("unknown top-level key {other:?}")),
+            }
+        }
+        if format != Some(METRICS_FORMAT) {
+            return Err("not a vbadet scan-metrics snapshot".to_string());
+        }
+        if version != Some(METRICS_VERSION) {
+            return Err("unsupported scan-metrics version".to_string());
+        }
+        Ok(snapshot)
     }
 
     /// Human-readable table for `vbadet scan --stats`.
@@ -571,6 +598,48 @@ impl ScanMetrics {
     }
 }
 
+fn object<'a>(j: &'a Json, what: &str) -> Result<&'a [(String, Json)], String> {
+    j.as_obj().ok_or_else(|| format!("{what} is not an object"))
+}
+
+fn integer(j: &Json, what: &str) -> Result<u64, String> {
+    j.as_u64()
+        .ok_or_else(|| format!("{what} is not a non-negative integer"))
+}
+
+/// One named section of the snapshot: an object whose values all decode
+/// with `item`.
+fn section<T>(
+    j: &Json,
+    what: &str,
+    item: impl Fn(&Json) -> Result<T, String>,
+) -> Result<BTreeMap<String, T>, String> {
+    object(j, what)?
+        .iter()
+        .map(|(name, v)| Ok((name.clone(), item(v)?)))
+        .collect()
+}
+
+fn histogram(j: &Json) -> Result<HistogramSnapshot, String> {
+    let mut h = HistogramSnapshot::default();
+    for (key, v) in object(j, "histogram")? {
+        match key.as_str() {
+            "count" => h.count = integer(v, "histogram count")?,
+            "total" => h.total = integer(v, "histogram total")?,
+            "buckets" => {
+                h.buckets = v
+                    .as_arr()
+                    .ok_or("histogram buckets are not an array")?
+                    .iter()
+                    .map(|b| integer(b, "histogram bucket"))
+                    .collect::<Result<_, _>>()?;
+            }
+            other => return Err(format!("unknown histogram key {other:?}")),
+        }
+    }
+    Ok(h)
+}
+
 /// Compact duration formatting for the text report.
 fn fmt_ns(ns: u64) -> String {
     match ns {
@@ -578,206 +647,6 @@ fn fmt_ns(ns: u64) -> String {
         10_000..=9_999_999 => format!("{:.1}µs", ns as f64 / 1e3),
         10_000_000..=9_999_999_999 => format!("{:.1}ms", ns as f64 / 1e6),
         _ => format!("{:.2}s", ns as f64 / 1e9),
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Hand-rolled parser for the snapshot format: JSON restricted to string
-/// keys, unsigned integers, one level of histogram objects and flat bucket
-/// arrays — everything [`ScanMetrics::to_json`] can emit, nothing more.
-mod parse {
-    use super::{HistogramSnapshot, ScanMetrics, METRICS_FORMAT, METRICS_VERSION};
-    use std::collections::BTreeMap;
-
-    pub(super) fn snapshot(text: &str) -> Result<ScanMetrics, String> {
-        let mut p = Cursor {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.expect(b'{')?;
-        let mut format = None;
-        let mut version = None;
-        let mut counters = BTreeMap::new();
-        let mut histograms = BTreeMap::new();
-        loop {
-            if p.eat(b'}') {
-                break;
-            }
-            let key = p.string()?;
-            p.expect(b':')?;
-            match key.as_str() {
-                "format" => format = Some(p.string()?),
-                "version" => version = Some(p.integer()?),
-                "counters" => {
-                    p.expect(b'{')?;
-                    while !p.eat(b'}') {
-                        let name = p.string()?;
-                        p.expect(b':')?;
-                        counters.insert(name, p.integer()?);
-                        p.eat(b',');
-                    }
-                }
-                "histograms" => {
-                    p.expect(b'{')?;
-                    while !p.eat(b'}') {
-                        let name = p.string()?;
-                        p.expect(b':')?;
-                        histograms.insert(name, histogram(&mut p)?);
-                        p.eat(b',');
-                    }
-                }
-                other => return Err(format!("unknown top-level key {other:?}")),
-            }
-            p.eat(b',');
-        }
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
-        if format.as_deref() != Some(METRICS_FORMAT) {
-            return Err("not a vbadet scan-metrics snapshot".to_string());
-        }
-        if version != Some(METRICS_VERSION) {
-            return Err("unsupported scan-metrics version".to_string());
-        }
-        Ok(ScanMetrics {
-            counters,
-            histograms,
-        })
-    }
-
-    fn histogram(p: &mut Cursor<'_>) -> Result<HistogramSnapshot, String> {
-        let mut h = HistogramSnapshot::default();
-        p.expect(b'{')?;
-        while !p.eat(b'}') {
-            let key = p.string()?;
-            p.expect(b':')?;
-            match key.as_str() {
-                "count" => h.count = p.integer()?,
-                "total" => h.total = p.integer()?,
-                "buckets" => {
-                    p.expect(b'[')?;
-                    while !p.eat(b']') {
-                        h.buckets.push(p.integer()?);
-                        p.eat(b',');
-                    }
-                }
-                other => return Err(format!("unknown histogram key {other:?}")),
-            }
-            p.eat(b',');
-        }
-        Ok(h)
-    }
-
-    struct Cursor<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Cursor<'_> {
-        fn skip_ws(&mut self) {
-            while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            self.skip_ws();
-            if self.bytes.get(self.pos) == Some(&b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected {:?} at offset {}", b as char, self.pos))
-            }
-        }
-
-        fn eat(&mut self, b: u8) -> bool {
-            self.skip_ws();
-            if self.bytes.get(self.pos) == Some(&b) {
-                self.pos += 1;
-                true
-            } else {
-                false
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self
-                    .bytes
-                    .get(self.pos)
-                    .copied()
-                    .ok_or("unterminated string")?
-                {
-                    b'"' => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    b'\\' => {
-                        self.pos += 1;
-                        match self
-                            .bytes
-                            .get(self.pos)
-                            .copied()
-                            .ok_or("unterminated escape")?
-                        {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'u' => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos + 1..self.pos + 5)
-                                    .ok_or("truncated unicode escape")?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex).map_err(|_| "bad unicode escape")?,
-                                    16,
-                                )
-                                .map_err(|_| "bad unicode escape")?;
-                                out.push(char::from_u32(code).ok_or("bad unicode escape")?);
-                                self.pos += 4;
-                            }
-                            other => return Err(format!("bad escape {:?}", other as char)),
-                        }
-                        self.pos += 1;
-                    }
-                    _ => {
-                        let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                            .map_err(|_| "invalid utf-8".to_string())?;
-                        let c = rest.chars().next().ok_or("unterminated string")?;
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn integer(&mut self) -> Result<u64, String> {
-            self.skip_ws();
-            let start = self.pos;
-            while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| format!("expected integer at offset {start}"))
-        }
     }
 }
 
@@ -882,6 +751,55 @@ mod tests {
         let good = sink.snapshot().unwrap().to_json();
         assert!(ScanMetrics::from_json(&good[..good.len() / 2]).is_err());
         assert!(ScanMetrics::from_json(&format!("{good} trailing")).is_err());
+        // Every comma dropped: still well-formed tokens, not JSON.
+        let sink = MetricsSink::enabled();
+        sink.count(Counter::ScanDocs, 3);
+        sink.count(Counter::ZipParses, 2);
+        sink.record(Stage::DocNs, 9);
+        let commaless = sink.snapshot().unwrap().to_json().replace(',', " ");
+        assert!(
+            ScanMetrics::from_json(&commaless).is_err(),
+            "accepted {commaless}"
+        );
+        // Integers only: floats and negatives are damage, not counts.
+        for bad in ["3.0", "-3", "1e2"] {
+            let damaged = good.replace("3\n", &format!("{bad}\n"));
+            assert_ne!(damaged, good);
+            assert!(ScanMetrics::from_json(&damaged).is_err(), "{damaged}");
+        }
+    }
+
+    #[test]
+    fn to_json_bytes_are_golden() {
+        // Literal bytes, not a round trip: saved `--metrics-json` files
+        // and the serve `metrics` reply are this exact rendering.
+        let sink = MetricsSink::enabled();
+        sink.count(Counter::ScanDocs, 42);
+        sink.count(Counter::ZipBytesInflated, u64::MAX / 2);
+        sink.record(Stage::PoolReorderDepth, 0);
+        sink.record(Stage::PoolReorderDepth, 7);
+        sink.record(Stage::DocNs, 1_500_000);
+        assert_eq!(
+            sink.snapshot().unwrap().to_json(),
+            r#"{
+  "format": "vbadet-scan-metrics",
+  "version": 1,
+  "counters": {
+    "scan.docs": 42,
+    "zip.bytes_inflated": 9223372036854775807
+  },
+  "histograms": {
+    "pool.reorder_depth": {"count": 2, "total": 7, "buckets": [1,0,1]},
+    "scan.doc_ns": {"count": 1, "total": 1500000, "buckets": [0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1]}
+  }
+}
+"#
+        );
+        assert_eq!(
+            MetricsSink::enabled().snapshot().unwrap().to_json(),
+            "{\n  \"format\": \"vbadet-scan-metrics\",\n  \"version\": 1,\n  \
+             \"counters\": {},\n  \"histograms\": {}\n}\n"
+        );
     }
 
     #[test]

@@ -102,9 +102,7 @@ mod tests {
         let mut a = vec![vec![0.0; n]; n];
         for i in 0..n {
             for j in 0..n {
-                for k in 0..n {
-                    a[i][j] += m[i][k] * m[j][k];
-                }
+                a[i][j] += m[i].iter().zip(&m[j]).map(|(x, y)| x * y).sum::<f64>();
             }
             a[i][i] += 1.0;
         }

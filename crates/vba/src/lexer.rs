@@ -925,7 +925,7 @@ mod tests {
         ] {
             let lower = w.to_ascii_lowercase();
             for k in ["dim", "do", "a", "zz"] {
-                assert_eq!(cmp_ascii_fold(k, w), k.cmp(&lower.as_str()), "{k} vs {w}");
+                assert_eq!(cmp_ascii_fold(k, w), k.cmp(lower.as_str()), "{k} vs {w}");
             }
         }
     }

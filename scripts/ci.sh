@@ -405,7 +405,7 @@ stage isolation isolation_tests
 stage serve serve_tests
 stage serve-soak serve_soak
 stage reload-soak reload_soak
-stage clippy cargo clippy --offline --all-targets -- -D warnings
+stage clippy cargo clippy --offline --workspace --all-targets -- -D warnings
 stage clippy-faultpoints cargo clippy --offline -p vbadet-faultpoint --features faultpoints --all-targets -- -D warnings
 stage bench cargo bench --offline -p vbadet-bench --bench scan_parallel
 stage bench-features cargo bench --offline -p vbadet-bench --bench features

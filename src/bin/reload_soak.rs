@@ -36,6 +36,7 @@ use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use vbadet::json::{self, Json};
 use vbadet::{Detector, DetectorConfig, ScanMetrics};
 use vbadet_corpus::CorpusSpec;
 use vbadet_ovba::VbaProjectBuilder;
@@ -87,28 +88,24 @@ impl Client {
     }
 }
 
-fn field_u64(line: &str, key: &str) -> u64 {
-    let tag = format!("\"{key}\":");
-    let at = line
-        .find(&tag)
-        .unwrap_or_else(|| panic!("no {key} in {line}"));
-    line[at + tag.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap()
+/// Parses one reply line; every reply the daemon writes is one JSON object.
+fn reply(line: &str) -> Json {
+    json::parse(line).unwrap_or_else(|e| panic!("reply is not JSON ({e}): {line}"))
 }
 
-fn field_str(line: &str, key: &str) -> String {
-    let tag = format!("\"{key}\":\"");
-    let at = line
-        .find(&tag)
-        .unwrap_or_else(|| panic!("no {key} in {line}"));
-    line[at + tag.len()..]
-        .chars()
-        .take_while(|&c| c != '"')
-        .collect()
+/// The generation a reply is stamped with, 0 when it carries none.
+fn generation(line: &str) -> u64 {
+    reply(line)
+        .get("generation")
+        .and_then(Json::as_u64)
+        .unwrap_or(0)
+}
+
+fn fingerprint(line: &str) -> Option<String> {
+    reply(line)
+        .get("fingerprint")
+        .and_then(Json::as_str)
+        .map(str::to_string)
 }
 
 /// One scan client: hammers the daemon until the reload churn ends,
@@ -152,7 +149,7 @@ fn client_load(
         // Every response — scan or model — is stamped with the generation
         // it was served under; admission pinning makes that stamp
         // monotone per connection.
-        let generation = field_u64(&reply, "generation");
+        let generation = generation(&reply);
         assert!(generation >= 1, "generation 0 in {reply}");
         assert!(
             generation >= last_generation,
@@ -197,7 +194,7 @@ fn reload_churn(sock: &Path, tally: &Tally, good: [&Path; 2], garbage: &Path, ta
                 path != garbage,
                 "the garbage model loaded successfully: {reply}"
             );
-            let generation = field_u64(&reply, "generation");
+            let generation = generation(&reply);
             assert_eq!(
                 generation,
                 last_generation + 1,
@@ -233,15 +230,17 @@ fn count_orphan_workers() -> usize {
 }
 
 fn cache_counts(metrics_line: &str) -> (u64, u64) {
-    let hits = metrics_line
-        .find("\"cache.hits\"")
-        .map(|at| field_u64(&metrics_line[at..], "total"))
-        .unwrap_or(0);
-    let misses = metrics_line
-        .find("\"cache.misses\"")
-        .map(|at| field_u64(&metrics_line[at..], "total"))
-        .unwrap_or(0);
-    (hits, misses)
+    let reply = reply(metrics_line);
+    let total = |name: &str| {
+        reply
+            .get("metrics")
+            .and_then(|m| m.get("histograms"))
+            .and_then(|h| h.get(name))
+            .and_then(|h| h.get("total"))
+            .and_then(Json::as_u64)
+            .unwrap_or(0)
+    };
+    (total("cache.hits"), total("cache.misses"))
 }
 
 fn main() {
@@ -299,7 +298,7 @@ fn main() {
     std::fs::write(&doc, &doc_bytes).unwrap();
     let junk = dir.join("junk.txt");
     std::fs::write(&junk, b"not a document, never parses").unwrap();
-    let hex: String = doc_bytes.iter().map(|b| format!("{b:02x}")).collect();
+    let hex = vbadet::json::hex(&doc_bytes);
 
     let sock = dir.join("serve.sock");
     let metrics_path = dir.join("metrics.json");
@@ -348,7 +347,7 @@ fn main() {
     {
         let mut c = Client::connect(&sock);
         let first = c.roundtrip(&tally, "model");
-        assert_eq!(field_u64(&first, "generation"), 1, "{first}");
+        assert_eq!(generation(&first), 1, "{first}");
         tally.other_ok.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -388,12 +387,12 @@ fn main() {
     let serving = c.roundtrip(&tally, "model");
     tally.other_ok.fetch_add(1, Ordering::Relaxed);
     let mut probe_generation = final_generation;
-    let mut probe_fingerprint = String::new();
+    let mut probe_fingerprint = None;
     while probe_generation == final_generation {
         let reply = c.roundtrip(&tally, &format!("reload {}", model_c.display()));
         if reply.contains("\"ok\":true") {
-            probe_generation = field_u64(&reply, "generation");
-            probe_fingerprint = field_str(&reply, "fingerprint");
+            probe_generation = generation(&reply);
+            probe_fingerprint = fingerprint(&reply);
             tally.reload_ok.fetch_add(1, Ordering::Relaxed);
         } else {
             tally.reload_failed.fetch_add(1, Ordering::Relaxed);
@@ -401,11 +400,11 @@ fn main() {
     }
     assert_ne!(
         probe_fingerprint,
-        field_str(&serving, "fingerprint"),
+        fingerprint(&serving),
         "model C must fingerprint apart from the serving model"
     );
     let warm = c.roundtrip(&tally, &line);
-    assert_eq!(field_u64(&warm, "generation"), probe_generation, "{warm}");
+    assert_eq!(generation(&warm), probe_generation, "{warm}");
     tally.ok_scan.fetch_add(1, Ordering::Relaxed);
     let (_, misses_after) = cache_counts(&c.roundtrip(&tally, "metrics"));
     tally.other_ok.fetch_add(1, Ordering::Relaxed);

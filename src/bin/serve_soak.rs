@@ -188,7 +188,7 @@ fn main() {
     std::fs::write(&doc, &doc_bytes).unwrap();
     let junk = dir.join("junk.txt");
     std::fs::write(&junk, b"not a document, never parses").unwrap();
-    let hex: String = doc_bytes.iter().map(|b| format!("{b:02x}")).collect();
+    let hex = vbadet::json::hex(&doc_bytes);
 
     let sock = dir.join("serve.sock");
     let metrics_path = dir.join("metrics.json");

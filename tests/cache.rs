@@ -24,6 +24,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 
+use vbadet::json::hex;
 use vbadet::{
     scan_paths_with_policy, Detector, DetectorConfig, IsolateConfig, Listener, MetricsSink,
     ScanCache, ScanMetrics, ScanPolicy, ServeConfig, ServeSummary,
@@ -402,10 +403,6 @@ impl Client {
         self.reader.read_line(&mut line).unwrap();
         line.trim().to_string()
     }
-}
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 #[test]

@@ -279,8 +279,23 @@ fn mutated_service_requests_never_panic_the_protocol_parser() {
 /// warnings — zero panics, zero `Err`s — and whatever survives must be a
 /// subset of what was written. A corrupted store may forget verdicts; it
 /// must never invent or alter one.
+///
+/// One extra mutant appends a bracket bomb: a 400 KB entry line nested
+/// far past the JSON codec's depth cap, which a recursing parser would
+/// need tens of megabytes of stack for. The whole fuzz runs on a thread
+/// with an explicit 2 MiB stack, so a larger `RUST_MIN_STACK` cannot hide
+/// a recursion.
 #[test]
 fn mutated_cache_stores_load_typed_and_never_serve_an_altered_verdict() {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(fuzz_cache_store)
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+fn fuzz_cache_store() {
     use std::collections::BTreeMap;
     use std::sync::Arc;
     use vbadet::{scan_paths_with_policy, ScanCache, ScanPolicy};
@@ -333,28 +348,44 @@ fn mutated_cache_stores_load_typed_and_never_serve_an_altered_verdict() {
         line
     };
 
+    // A pristine store with a bracket bomb appended, under the line cap.
+    const BOMB_CASE: usize = 300;
+    let bomb = {
+        let depth = 200_000;
+        let mut out = pristine.clone();
+        out.extend_from_slice(b"{\"digest\":");
+        out.extend(std::iter::repeat_n(b'[', depth));
+        out.extend(std::iter::repeat_n(b']', depth));
+        out.extend_from_slice(b"}\n");
+        out
+    };
+
     let scratch = dir.join("scratch");
     let mut rng = StdRng::seed_from_u64(0xCAC4E5EED);
     let mut damaged_loads = 0usize;
     let mut entries_lost = 0usize;
-    for case in 0..300 {
-        let mutant: Vec<u8> = match case % 5 {
-            // Bit flips anywhere: header, digest hex, checksum, payload.
-            0 => flip_bytes(&pristine, &mut rng),
-            // Torn tail / truncated segment (including mid-header).
-            1 => truncate(&pristine, &mut rng),
-            // Lines spliced over each other.
-            2 => splice(&pristine, &pristine, &mut rng),
-            // A pristine store with an oversized entry appended.
-            3 => {
-                let mut out = pristine.clone();
-                out.extend_from_slice(&oversized);
-                out
+    for case in 0..=BOMB_CASE {
+        let mutant: Vec<u8> = if case == BOMB_CASE {
+            bomb.clone()
+        } else {
+            match case % 5 {
+                // Bit flips anywhere: header, digest hex, checksum, payload.
+                0 => flip_bytes(&pristine, &mut rng),
+                // Torn tail / truncated segment (including mid-header).
+                1 => truncate(&pristine, &mut rng),
+                // Lines spliced over each other.
+                2 => splice(&pristine, &pristine, &mut rng),
+                // A pristine store with an oversized entry appended.
+                3 => {
+                    let mut out = pristine.clone();
+                    out.extend_from_slice(&oversized);
+                    out
+                }
+                // Pure garbage the length of a small segment.
+                _ => (0..rng.gen_range(1..4096usize))
+                    .map(|_| rng.gen())
+                    .collect(),
             }
-            // Pure garbage the length of a small segment.
-            _ => (0..rng.gen_range(1..4096usize))
-                .map(|_| rng.gen())
-                .collect(),
         };
         let _ = std::fs::remove_dir_all(&scratch);
         std::fs::create_dir_all(&scratch).unwrap();
@@ -373,6 +404,19 @@ fn mutated_cache_stores_load_typed_and_never_serve_an_altered_verdict() {
                 ),
                 None => panic!("mutant store {case} invented an entry for {digest}"),
             }
+        }
+        if case == BOMB_CASE {
+            // The bomb line is one damaged entry: a typed warning, and
+            // every pristine entry before it still loads.
+            assert!(
+                cache
+                    .load_warnings()
+                    .iter()
+                    .any(|w| w.contains("nesting deeper than")),
+                "{:?}",
+                cache.load_warnings()
+            );
+            assert_eq!(cache.len(), baseline.len());
         }
         if !cache.load_warnings().is_empty() {
             damaged_loads += 1;

@@ -22,6 +22,7 @@ use std::thread;
 #[cfg(feature = "faultpoints")]
 use std::time::Duration;
 
+use vbadet::json::{self, hex, Json};
 use vbadet::{Detector, DetectorConfig, Listener, ScanPolicy, ServeConfig, ServeSummary};
 use vbadet_corpus::CorpusSpec;
 use vbadet_ovba::VbaProjectBuilder;
@@ -132,34 +133,11 @@ impl Client {
     }
 }
 
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-/// Extracts a bare numeric field (`"key":N`) from a one-line response.
-fn field_u64(line: &str, key: &str) -> u64 {
-    let tag = format!("\"{key}\":");
-    let at = line
-        .find(&tag)
-        .unwrap_or_else(|| panic!("no {key} in {line}"));
-    line[at + tag.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap()
-}
-
-/// Extracts a string field (`"key":"value"`) from a one-line response.
-fn field_str(line: &str, key: &str) -> String {
-    let tag = format!("\"{key}\":\"");
-    let at = line
-        .find(&tag)
-        .unwrap_or_else(|| panic!("no {key} in {line}"));
-    line[at + tag.len()..]
-        .chars()
-        .take_while(|&c| c != '"')
-        .collect()
+/// Parses one reply line: every reply the service writes is one JSON
+/// object, so fields are read through the shared codec, never probed as
+/// substrings.
+fn reply(line: &str) -> Json {
+    json::parse(line).unwrap_or_else(|e| panic!("reply is not JSON ({e}): {line}"))
 }
 
 #[test]
@@ -222,6 +200,44 @@ fn every_verb_answers_and_the_drain_accounts_for_every_response() {
     assert!(!snapshot.counters_json().contains("serve."));
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A bracket bomb well under the line cap: a parser recursing once per
+/// level would need tens of megabytes of stack for it. The daemon must
+/// reject the line as a bad request and keep serving. The whole exchange
+/// runs on a thread with an explicit 2 MiB stack, so a larger
+/// `RUST_MIN_STACK` cannot hide a recursion.
+#[test]
+fn a_nesting_bomb_is_a_bad_request_and_the_daemon_keeps_serving() {
+    let depth = 200_000;
+    let bomb = format!(
+        "{{\"op\":\"scan\",\"x\":{}{}}}",
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    assert!(bomb.len() < vbadet::serve::MAX_REQUEST_LINE_BYTES);
+    thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            let _guard = global_guard();
+            let detail = vbadet::serve::parse_request(&bomb).unwrap_err();
+            assert!(detail.contains("nesting deeper than"), "{detail}");
+
+            let det = tiny_detector();
+            let config = ServeConfig::new(ScanPolicy::default());
+            let (summary, ()) = with_server(&det, &config, |addr| {
+                let mut c = Client::connect(addr);
+                let bad = reply(&c.roundtrip(&bomb));
+                assert_eq!(bad.get("ok"), Some(&Json::Bool(false)));
+                assert_eq!(bad.get("error").and_then(Json::as_str), Some("bad-request"));
+                let health = reply(&c.roundtrip("health"));
+                assert_eq!(health.get("ok"), Some(&Json::Bool(true)), "{health:?}");
+            });
+            assert_eq!(summary.responses, 2);
+        })
+        .unwrap()
+        .join()
+        .unwrap();
 }
 
 #[cfg(unix)]
@@ -343,36 +359,54 @@ fn a_reload_swaps_generations_and_old_cache_entries_become_misses() {
         let mut c = Client::connect(addr);
         let line = format!("scan {}", doc.display());
 
-        let before = c.roundtrip("model");
-        assert_eq!(field_u64(&before, "generation"), 1);
-        assert_eq!(field_str(&before, "version"), "startup");
-        let old_fp = field_str(&before, "fingerprint");
+        let before = reply(&c.roundtrip("model"));
+        assert_eq!(before.get("generation"), Some(&Json::Int(1)));
+        assert_eq!(
+            before.get("version").and_then(Json::as_str),
+            Some("startup")
+        );
 
         // Two identical scans under generation 1: a miss, then a hit.
         for _ in 0..2 {
             let scan = c.roundtrip(&line);
-            assert_eq!(field_u64(&scan, "generation"), 1, "{scan}");
+            assert_eq!(
+                reply(&scan).get("generation"),
+                Some(&Json::Int(1)),
+                "{scan}"
+            );
             assert!(scan.contains("\"kind\":\"macros\""), "{scan}");
         }
 
         let reload = c.roundtrip(&format!("reload {}", model.display()));
         assert!(reload.contains("\"ok\":true"), "{reload}");
         assert!(reload.contains("\"op\":\"reload\""), "{reload}");
-        assert_eq!(field_u64(&reload, "generation"), 2);
-        let new_fp = field_str(&reload, "fingerprint");
-        assert_ne!(new_fp, old_fp, "distinct models must fingerprint apart");
+        let reload = reply(&reload);
+        assert_eq!(reload.get("generation"), Some(&Json::Int(2)));
+        let new_fp = reload.get("fingerprint");
+        assert_ne!(
+            new_fp,
+            before.get("fingerprint"),
+            "distinct models must fingerprint apart"
+        );
 
-        let after = c.roundtrip("model");
-        assert_eq!(field_u64(&after, "generation"), 2);
-        assert_eq!(field_str(&after, "fingerprint"), new_fp);
-        assert_eq!(field_str(&after, "version"), model.display().to_string());
+        let after = reply(&c.roundtrip("model"));
+        assert_eq!(after.get("generation"), Some(&Json::Int(2)));
+        assert_eq!(after.get("fingerprint"), new_fp);
+        assert_eq!(
+            after.get("version").and_then(Json::as_str),
+            Some(model.display().to_string().as_str())
+        );
 
         // The same document again: generation 1's cache entry must be a
         // clean miss for generation 2 (the key embeds the fingerprint),
         // then the re-scan's insert serves the final request.
         for _ in 0..2 {
             let scan = c.roundtrip(&line);
-            assert_eq!(field_u64(&scan, "generation"), 2, "{scan}");
+            assert_eq!(
+                reply(&scan).get("generation"),
+                Some(&Json::Int(2)),
+                "{scan}"
+            );
             assert!(scan.contains("\"kind\":\"macros\""), "{scan}");
         }
     });
@@ -418,9 +452,13 @@ fn a_malformed_model_is_rejected_typed_and_the_old_generation_serves() {
 
         // The old generation never stopped serving.
         let model = c.roundtrip("model");
-        assert_eq!(field_u64(&model, "generation"), 1);
+        assert_eq!(reply(&model).get("generation"), Some(&Json::Int(1)));
         let scan = c.roundtrip(&format!("scan {}", doc.display()));
-        assert_eq!(field_u64(&scan, "generation"), 1, "{scan}");
+        assert_eq!(
+            reply(&scan).get("generation"),
+            Some(&Json::Int(1)),
+            "{scan}"
+        );
         assert!(scan.contains("\"kind\":\"macros\""), "{scan}");
     });
 
@@ -459,25 +497,18 @@ fn concurrent_reloads_serialize_and_the_last_swap_wins() {
         for reply in &replies {
             assert!(reply.contains("\"ok\":true"), "{reply}");
         }
-        let winner = replies
-            .iter()
-            .max_by_key(|r| field_u64(r, "generation"))
-            .unwrap();
-        let model = Client::connect(addr).roundtrip("model");
+        let replies: Vec<Json> = replies.iter().map(|r| reply(r)).collect();
+        let generation = |r: &Json| r.get("generation").and_then(Json::as_u64).unwrap();
+        let winner = replies.iter().max_by_key(|r| generation(r)).unwrap();
+        let model = reply(&Client::connect(addr).roundtrip("model"));
         // Last-wins: whichever reload minted the highest generation is
         // the one still serving after the dust settles.
-        assert_eq!(
-            field_u64(&model, "generation"),
-            field_u64(winner, "generation")
-        );
+        assert_eq!(generation(&model), generation(winner));
         (
-            replies
-                .iter()
-                .map(|r| field_u64(r, "generation"))
-                .collect::<Vec<u64>>(),
+            replies.iter().map(generation).collect::<Vec<u64>>(),
             (
-                field_str(&model, "fingerprint"),
-                field_str(winner, "fingerprint"),
+                model.get("fingerprint").cloned(),
+                winner.get("fingerprint").cloned(),
             ),
         )
     });
@@ -504,7 +535,10 @@ fn a_sighup_style_reload_request_is_equivalent_to_the_wire_verb() {
     config.reload_path = Some(model.clone());
     let (_, ()) = with_server(&det, &config, |addr| {
         let mut c = Client::connect(addr);
-        assert_eq!(field_u64(&c.roundtrip("model"), "generation"), 1);
+        assert_eq!(
+            reply(&c.roundtrip("model")).get("generation"),
+            Some(&Json::Int(1))
+        );
 
         // What the SIGHUP handler does — the accept loop consumes the
         // latch on its next tick and reloads from `reload_path`.
@@ -512,7 +546,7 @@ fn a_sighup_style_reload_request_is_equivalent_to_the_wire_verb() {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         let signal_reload = loop {
             let model = c.roundtrip("model");
-            if field_u64(&model, "generation") == 2 {
+            if reply(&model).get("generation") == Some(&Json::Int(2)) {
                 break model;
             }
             assert!(
@@ -525,14 +559,15 @@ fn a_sighup_style_reload_request_is_equivalent_to_the_wire_verb() {
         // The wire verb against the same path: one generation further,
         // same fingerprint — the two paths load the identical model.
         let wire_reload = c.roundtrip(&format!("reload {}", model.display()));
-        assert_eq!(field_u64(&wire_reload, "generation"), 3);
+        let (wire_reload, signal_reload) = (reply(&wire_reload), reply(&signal_reload));
+        assert_eq!(wire_reload.get("generation"), Some(&Json::Int(3)));
         assert_eq!(
-            field_str(&wire_reload, "fingerprint"),
-            field_str(&signal_reload, "fingerprint")
+            wire_reload.get("fingerprint"),
+            signal_reload.get("fingerprint")
         );
         assert_eq!(
-            field_str(&signal_reload, "version"),
-            model.display().to_string()
+            signal_reload.get("version").and_then(Json::as_str),
+            Some(model.display().to_string().as_str())
         );
     });
 
@@ -773,7 +808,11 @@ mod faults {
         // The in-flight scan still finished under its admitted
         // generation; the reload was refused, not half-applied.
         assert!(scan.contains("\"kind\":\"macros\""), "{scan}");
-        assert_eq!(field_u64(&scan, "generation"), 1, "{scan}");
+        assert_eq!(
+            reply(&scan).get("generation"),
+            Some(&Json::Int(1)),
+            "{scan}"
+        );
         assert!(reload.contains("\"ok\":false"), "{reload}");
         assert!(reload.contains("\"error\":\"draining\""), "{reload}");
         assert!(
@@ -822,13 +861,17 @@ mod faults {
             // everyone, no cooldown, no probe.
             let reload = c.roundtrip(&format!("reload {}", model.display()));
             assert!(reload.contains("\"ok\":true"), "{reload}");
-            assert_eq!(field_u64(&reload, "generation"), 2);
+            assert_eq!(reply(&reload).get("generation"), Some(&Json::Int(2)));
             let health = c.roundtrip("health");
             assert!(health.contains("\"breaker\":\"closed\""), "{health}");
 
             // Traffic flows immediately under the new generation.
             let scan = c.roundtrip(&line);
-            assert_eq!(field_u64(&scan, "generation"), 2, "{scan}");
+            assert_eq!(
+                reply(&scan).get("generation"),
+                Some(&Json::Int(2)),
+                "{scan}"
+            );
             assert!(scan.contains("\"kind\":\"macros\""), "{scan}");
         });
 
