@@ -768,20 +768,11 @@ pub(crate) enum PathProbe {
     Unreadable,
 }
 
-/// Captures the non-zero counter values from a fresh sink's snapshot as
-/// replayable deltas. The fresh sink saw exactly one document, so its
-/// totals *are* that document's contribution.
+/// Takes the non-zero counters of a sink that saw exactly one document
+/// since it was created or last taken, in declaration order, as that
+/// document's replayable deltas. Resets the sink's counters.
 pub(crate) fn deltas_from_sink(sink: &MetricsSink) -> Deltas {
-    let Some(snapshot) = sink.snapshot() else {
-        return Vec::new();
-    };
-    Counter::ALL
-        .iter()
-        .filter_map(|&c| {
-            let n = snapshot.counter(c.label());
-            (n > 0).then_some((c, n))
-        })
-        .collect()
+    sink.take_counters()
 }
 
 /// The one counter-delta encoding, `{"label":n,…}` in the deltas' own
@@ -812,11 +803,7 @@ pub(crate) fn decode_deltas(record: &Json) -> Result<Deltas, String> {
         .ok_or("record without a counters object")?
         .iter()
         .map(|(label, n)| {
-            let counter = Counter::ALL
-                .iter()
-                .copied()
-                .find(|c| c.label() == label)
-                .ok_or(format!("unknown counter {label:?}"))?;
+            let counter = Counter::from_label(label).ok_or(format!("unknown counter {label:?}"))?;
             let n = n.as_u64().ok_or(format!("non-integer counter {label:?}"))?;
             Ok((counter, n))
         })

@@ -15,25 +15,35 @@
 //! [`super`]: claiming, resume, journaling, drain and input ordering are
 //! the engine's, so reports and journals are byte-identical to the
 //! in-process runs. What is specific here is the [`Slot`]: each scanning
-//! thread owns one, and with it at most one child process. A slot claims
-//! one document at a time, so a dying worker forfeits exactly one
-//! document. A dedicated reader thread pumps the child's stdout frames
-//! into a channel so the slot can wait with a timeout — that timeout *is*
-//! the heartbeat: a worker that holds a document longer than the
-//! heartbeat deadline is SIGKILLed and treated like any other worker
-//! death.
+//! thread owns one, and with it at most one child process. When the
+//! engine hands the executor a claim, the cache misses among its fresh
+//! documents are sent to the worker in one write, and their results are
+//! read back in order, so the worker never waits on the supervisor
+//! between documents. A death while the supervisor awaits a document
+//! forfeits only that document (see Quarantine); the claim's documents
+//! that got no reply are re-sent to the next worker. A dedicated reader
+//! thread pumps the child's stdout frames into a channel so the slot can
+//! wait with a timeout — that timeout *is* the heartbeat: a worker that
+//! holds a document longer than the heartbeat deadline is SIGKILLed and
+//! treated like any other worker death.
 //!
 //! # Frame protocol
 //!
 //! Frames are a `u32` little-endian byte length followed by that many
-//! bytes of UTF-8 JSON, over the child's stdin/stdout. The conversation:
+//! bytes of UTF-8 JSON, over the child's stdin/stdout, each written in
+//! one write. The conversation:
 //!
 //! ```text
 //! supervisor → worker   {"op":"hello","detector":…,"limits":[…],…}
 //! worker → supervisor   {"op":"ready"}
-//! supervisor → worker   {"op":"scan","path":"…"}        (repeated)
+//! supervisor → worker   {"op":"scan","path":"…"}   (a claim's documents,
+//!                       {"op":"scan","path":"…"}    back to back in one
+//!                       …                           write)
 //! worker → supervisor   {"op":"result","outcome":…,"counters":{…}}
+//!                       …                           (one per scan, in order)
 //! supervisor → worker   {"op":"exit"}
+//! worker                closes stdout and exits; the supervisor sees the
+//!                       hang-up and reaps it
 //! ```
 //!
 //! The protocol is strictly private to one binary version — both ends are
@@ -45,7 +55,9 @@
 //! A document whose worker dies (by signal, unexpected exit, or heartbeat
 //! kill) is retried **exactly once**, as the *first* document of a fresh
 //! worker — a solo retry, so a crash there is unambiguously the
-//! document's fault. A second death quarantines the document: it is
+//! document's fault. The documents the dead worker had been sent but
+//! had not answered are not charged: they go to the next worker after
+//! the retry. A second death quarantines the document: it is
 //! recorded as [`FailureClass::Fatal`] with both death reasons in the
 //! detail, the batch continues, and the quarantined outcome is journaled
 //! (a resume will *not* re-scan a quarantined document). Worker deaths
@@ -56,9 +68,11 @@
 //!
 //! # Determinism
 //!
-//! Each worker scans a document under a **fresh** metrics sink and ships
-//! the non-zero counters back in the result frame; the engine replays
-//! those deltas in input order and then rolls the outcome in with
+//! Each worker scans under one metrics sink for its life and, after each
+//! document, takes the sink's non-zero counters
+//! ([`MetricsSink::take_counters`]) and ships them back in the result
+//! frame as that document's delta; the engine replays those deltas in
+//! input order and then rolls the outcome in with
 //! [`record_outcome`], which skips [`FailureClass::Fatal`] records
 //! entirely. Net effect: the deterministic counters section equals a
 //! clean in-process run over the surviving documents, whatever workers
@@ -66,12 +80,13 @@
 //! ([`Stage::IsolateSpawns`], restarts, heartbeat kills, quarantines,
 //! docs-per-worker), which is exempt from the determinism promise.
 
-use std::io::{self, Read, Write};
+use std::collections::VecDeque;
+use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant, SystemTime};
 
 use super::cache::{self, Deltas, PathProbe};
 use super::{run_batch, Executor, FailureClass, ScanOutcome, ScanPolicy, ScanReport};
@@ -164,10 +179,20 @@ impl IsolateConfig {
 /// memory, never the whole claimed length up front.
 const FRAME_READ_CHUNK: usize = 64 << 10;
 
-/// Writes one length-prefixed frame. Public so the hostile-input fuzz
-/// harness can construct valid frames to mutate; a payload over
-/// [`MAX_FRAME_BYTES`] is refused before a byte is written.
+/// Writes one length-prefixed frame, prefix and payload in a single
+/// `write_all`. Public so the hostile-input fuzz harness can construct
+/// valid frames to mutate; a payload over [`MAX_FRAME_BYTES`] is refused
+/// before a byte is written.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
+    let mut buf = Vec::with_capacity(4 + payload.len());
+    push_frame(&mut buf, payload)?;
+    w.write_all(&buf)?;
+    w.flush()
+}
+
+/// Appends one length-prefixed frame to `buf`, so several frames can go
+/// out in one write.
+fn push_frame(buf: &mut Vec<u8>, payload: &str) -> io::Result<()> {
     let bytes = payload.as_bytes();
     if bytes.len() > MAX_FRAME_BYTES {
         return Err(io::Error::new(
@@ -175,9 +200,9 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
             "frame too large",
         ));
     }
-    w.write_all(&(bytes.len() as u32).to_le_bytes())?;
-    w.write_all(bytes)?;
-    w.flush()
+    buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    buf.extend_from_slice(bytes);
+    Ok(())
 }
 
 /// Reads one frame; `Ok(None)` is a clean EOF at a frame boundary (the
@@ -325,12 +350,14 @@ fn decode_result(j: &Json) -> Result<(ScanOutcome, Deltas), String> {
 /// policy's memory ceiling can actually trip.
 pub fn worker_main() -> i32 {
     let stdin = io::stdin();
-    let stdout = io::stdout();
     let mut input = stdin.lock();
-    let mut output = stdout.lock();
     let proto_err = |what: &str, detail: String| -> i32 {
         eprintln!("vbadet worker: {what}: {detail}");
         2
+    };
+    let mut output = match frame_output() {
+        Ok(output) => output,
+        Err(e) => return proto_err("stdout", e.to_string()),
     };
     let hello = match read_frame(&mut input) {
         Ok(Some(frame)) => frame,
@@ -352,6 +379,13 @@ pub fn worker_main() -> i32 {
     if let Err(e) = write_frame(&mut output, &ready) {
         return proto_err("ready write", e.to_string());
     }
+    // One sink for the worker's life: taking its counters after each
+    // document yields exactly that document's delta.
+    let metrics = MetricsSink::enabled();
+    let policy = ScanPolicy {
+        metrics: metrics.clone(),
+        ..base
+    };
     loop {
         let frame = match read_frame(&mut input) {
             Ok(Some(frame)) => frame,
@@ -368,14 +402,6 @@ pub fn worker_main() -> i32 {
                 let Some(path) = request.get("path").and_then(Json::as_str) else {
                     return proto_err("scan request", "missing path".to_string());
                 };
-                // A fresh sink per document: the snapshot's non-zero
-                // counters ARE this document's delta, no subtraction
-                // needed, and a crashed predecessor can leak nothing in.
-                let metrics = MetricsSink::enabled();
-                let policy = ScanPolicy {
-                    metrics: metrics.clone(),
-                    ..base.clone()
-                };
                 // Workers never see the supervisor's cache (the hello
                 // frame does not carry one): the supervisor consults it
                 // *before* dispatching, so a worker request is always a
@@ -391,9 +417,25 @@ pub fn worker_main() -> i32 {
     }
 }
 
+/// The worker's frame output: stdout without `Stdout`'s line buffering,
+/// which would split a frame at a 0x0A byte of its length prefix.
+#[cfg(unix)]
+fn frame_output() -> io::Result<std::fs::File> {
+    use std::os::fd::AsFd;
+    Ok(io::stdout().as_fd().try_clone_to_owned()?.into())
+}
+
+#[cfg(not(unix))]
+fn frame_output() -> io::Result<io::StdoutLock<'static>> {
+    Ok(io::stdout().lock())
+}
+
 // ---------------------------------------------------------------------------
 // Supervisor side
 // ---------------------------------------------------------------------------
+
+/// How long a retiring worker has to hang up after its `exit` frame.
+const SHUTDOWN_GRACE: Duration = Duration::from_millis(500);
 
 /// One live child process: its handles plus the channel its reader
 /// thread pumps stdout frames into. Dropping a `Worker` kills and reaps
@@ -426,14 +468,25 @@ impl Worker {
         }
     }
 
-    /// Graceful retirement: ask the worker to exit, give it a moment,
-    /// then fall back to the kill-on-drop guarantee.
+    /// Graceful retirement: ask the worker to exit and wait, at most
+    /// [`SHUTDOWN_GRACE`], for it to hang up its stdout, then reap it.
+    /// Results still in flight (documents sent ahead of a drain) are
+    /// discarded on the way. A worker that does not hang up in time falls
+    /// to the kill-on-drop guarantee.
     fn shutdown(mut self) {
-        let _ = write_frame(&mut self.stdin, "{\"op\":\"exit\"}");
-        for _ in 0..100 {
-            match self.child.try_wait() {
-                Ok(Some(_)) | Err(_) => return,
-                Ok(None) => thread::sleep(Duration::from_millis(5)),
+        if write_frame(&mut self.stdin, "{\"op\":\"exit\"}").is_err() {
+            return;
+        }
+        let deadline = Instant::now() + SHUTDOWN_GRACE;
+        while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+            match self.rx.recv_timeout(left) {
+                Ok(_) => {}
+                Err(mpsc::RecvTimeoutError::Timeout) => return,
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    // The reader saw EOF: the worker is exiting.
+                    let _ = self.child.wait();
+                    return;
+                }
             }
         }
     }
@@ -491,7 +544,7 @@ fn spawn_worker(
         .spawn()
         .map_err(|e| format!("spawn {program}: {e}"))?;
     let stdin = child.stdin.take().expect("piped stdin");
-    let mut stdout = child.stdout.take().expect("piped stdout");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
     let (tx, rx) = mpsc::channel();
     // The reader owns the child's stdout for its lifetime; it exits on
     // EOF (child died) or when the supervisor drops the receiver.
@@ -560,10 +613,16 @@ pub(crate) enum AttemptError {
     Unavailable(String),
 }
 
-/// One worker slot: owns at most one child process, claims one document
-/// at a time, and implements restart backoff, crash-loop cutoff, and the
-/// retry-once-then-quarantine protocol. Shared with [`crate::serve`],
-/// whose resident worker threads each own one slot.
+/// One worker slot: owns at most one child process, keeps a queue of
+/// documents whose results are owed in order, and implements restart
+/// backoff, crash-loop cutoff, and the retry-once-then-quarantine
+/// protocol. Everything queued goes to the worker in one write, so the
+/// worker scans document after document without waiting on the
+/// supervisor. A death while the supervisor awaits a document forfeits
+/// only that document: it gets the solo retry, and the queue's other
+/// unanswered documents are re-sent to the next worker. Shared with
+/// [`crate::serve`], whose resident worker threads each own one slot and
+/// queue one document at a time.
 pub(crate) struct Slot<'a> {
     config: &'a IsolateConfig,
     /// Owned, not borrowed: the serve engine rebuilds slots with a fresh
@@ -574,6 +633,11 @@ pub(crate) struct Slot<'a> {
     metrics: &'a MetricsSink,
     worker: Option<Worker>,
     docs_on_worker: u64,
+    /// Documents queued and not yet answered, oldest first.
+    pending: VecDeque<String>,
+    /// How many of `pending`, from the front, the current worker has been
+    /// sent; 0 whenever there is no worker.
+    sent: usize,
     /// Exponent of the respawn backoff; reset by a successful result.
     backoff_exp: u32,
     /// Consecutive spawn/handshake failures; reaching the crash-loop
@@ -597,6 +661,8 @@ impl<'a> Slot<'a> {
             metrics,
             worker: None,
             docs_on_worker: 0,
+            pending: VecDeque::new(),
+            sent: 0,
             backoff_exp: 0,
             spawn_failures: 0,
             ever_spawned: false,
@@ -655,22 +721,42 @@ impl<'a> Slot<'a> {
         self.metrics
             .record(Stage::IsolateWorkerDocs, self.docs_on_worker);
         self.backoff_exp += 1;
+        self.sent = 0;
         match self.worker.take() {
             Some(w) => format!("{prefix}worker {}", w.reap()),
             None => format!("{prefix}worker already gone"),
         }
     }
 
-    /// One request/response round against the slot's worker.
-    fn try_scan(&mut self, key: &str) -> Result<(ScanOutcome, Deltas), AttemptError> {
+    /// Queues a document, by path, for [`next`](Self::next) to answer in
+    /// order. Queued documents go to the worker when the first of them is
+    /// awaited.
+    pub(crate) fn queue(&mut self, key: String) {
+        self.pending.push_back(key);
+    }
+
+    /// One attempt at the oldest queued document. Sends the worker every
+    /// queued document it has not been sent — or, for a `solo` retry,
+    /// only the awaited one, as the first document of a fresh worker —
+    /// then waits out the heartbeat for the next result frame.
+    fn try_next(&mut self, solo: bool) -> Result<(ScanOutcome, Deltas), AttemptError> {
         self.ensure_worker()?;
+        let upto = if solo { 1 } else { self.pending.len() };
+        debug_assert!(
+            !solo || self.sent == 0,
+            "a solo retry runs on a fresh worker"
+        );
         let worker = self.worker.as_mut().expect("ensured above");
-        let request = format!("{{\"op\":\"scan\",\"path\":{}}}", json_str(key));
-        if let Err(e) = write_frame(&mut worker.stdin, &request) {
-            // The pipe broke between documents: the worker died idle.
-            return Err(AttemptError::Death(
-                self.bury_worker(&format!("request write failed ({e}); ")),
-            ));
+        if self.sent < upto {
+            let written = scan_frames(self.pending.range(self.sent..upto))
+                .and_then(|frames| worker.stdin.write_all(&frames));
+            if let Err(e) = written {
+                // The pipe broke between documents: the worker died idle.
+                return Err(AttemptError::Death(
+                    self.bury_worker(&format!("request write failed ({e}); ")),
+                ));
+            }
+            self.sent = upto;
         }
         match worker.rx.recv_timeout(self.heartbeat) {
             Ok(Ok(frame)) => {
@@ -679,6 +765,8 @@ impl<'a> Slot<'a> {
                     .and_then(|j| decode_result(&j));
                 match decoded {
                     Ok((outcome, deltas)) => {
+                        self.pending.pop_front();
+                        self.sent -= 1;
                         self.docs_on_worker += 1;
                         self.backoff_exp = 0;
                         Ok((outcome, deltas))
@@ -706,46 +794,50 @@ impl<'a> Slot<'a> {
         }
     }
 
-    /// Scans one document with the quarantine protocol: at most two
-    /// attempts, the second always in a fresh solo worker.
-    pub(crate) fn scan(&mut self, key: &str) -> (ScanOutcome, Deltas) {
-        let first = match self.try_scan(key) {
+    /// The result for the oldest queued document, under the quarantine
+    /// protocol: at most two attempts, the second always in a fresh solo
+    /// worker.
+    pub(crate) fn next(&mut self) -> (ScanOutcome, Deltas) {
+        let first = match self.try_next(false) {
             Ok(done) => return done,
             Err(e) => e,
         };
-        match first {
-            AttemptError::Unavailable(detail) => (
-                ScanOutcome::Failed {
-                    class: FailureClass::Fatal,
-                    detail,
-                },
-                Vec::new(),
-            ),
+        let detail = match first {
+            AttemptError::Unavailable(detail) => detail,
             AttemptError::Death(first_death) => {
-                // Solo retry: `try_scan` spawns a fresh worker (the old
-                // one was buried), and this document is its first — so a
+                // Solo retry: `try_next` spawns a fresh worker (the old
+                // one was buried) and sends it this document alone — so a
                 // second death is unambiguously this document's doing.
-                match self.try_scan(key) {
-                    Ok(done) => done,
+                match self.try_next(true) {
+                    Ok(done) => return done,
                     Err(retry) => {
                         let retry_detail = match retry {
                             AttemptError::Death(d) => d,
                             AttemptError::Unavailable(d) => d,
                         };
                         self.metrics.record(Stage::IsolateQuarantines, 1);
-                        (
-                            ScanOutcome::Failed {
-                                class: FailureClass::Fatal,
-                                detail: format!(
-                                    "quarantined: {first_death}; solo retry: {retry_detail}"
-                                ),
-                            },
-                            Vec::new(),
-                        )
+                        format!("quarantined: {first_death}; solo retry: {retry_detail}")
                     }
                 }
             }
-        }
+        };
+        // No worker holds the document now (`sent` is 0), so dropping it
+        // leaves the rest of the queue to go to the next worker.
+        self.pending.pop_front();
+        (
+            ScanOutcome::Failed {
+                class: FailureClass::Fatal,
+                detail,
+            },
+            Vec::new(),
+        )
+    }
+
+    /// Scans one document: [`queue`](Self::queue) it alone, then
+    /// [`next`](Self::next).
+    pub(crate) fn scan(&mut self, key: &str) -> (ScanOutcome, Deltas) {
+        self.queue(key.to_string());
+        self.next()
     }
 
     /// Clean end-of-batch teardown for the slot's surviving worker.
@@ -758,54 +850,94 @@ impl<'a> Slot<'a> {
     }
 }
 
+/// The `scan` request frames for `keys`, back to back in one buffer.
+fn scan_frames<'k>(keys: impl Iterator<Item = &'k String>) -> io::Result<Vec<u8>> {
+    let mut frames = Vec::new();
+    for key in keys {
+        push_frame(
+            &mut frames,
+            &format!("{{\"op\":\"scan\",\"path\":{}}}", json_str(key)),
+        )?;
+    }
+    Ok(frames)
+}
+
 /// `(size, mtime)` guard for the supervisor-side cache insert: a miss is
 /// digested from the *supervisor's* read but scanned from the *worker's*,
 /// and a racing writer could slip different bytes between the two. If the
 /// file changed while the worker held it, the result is not inserted —
 /// a lost insert is cheap, a digest pointing at someone else's verdict
 /// is not.
-pub(crate) fn file_stamp(path: &Path) -> Option<(u64, std::time::SystemTime)> {
+pub(crate) fn file_stamp(path: &Path) -> Option<(u64, SystemTime)> {
     let meta = std::fs::metadata(path).ok()?;
     Some((meta.len(), meta.modified().ok()?))
 }
 
 /// The isolate executor: one worker [`Slot`] per scanning thread, with
-/// the supervisor-side cache in front of it. A cache hit returns the
-/// stored outcome and deltas without a worker ever seeing the document
-/// (the whole point — cached documents cost no worker round-trip); a miss
-/// dispatches to the slot's worker and stores what comes back. Documents
-/// the supervisor cannot read under the cap bypass the cache entirely so
-/// the worker produces the same typed outcome it would have uncached.
+/// the supervisor-side cache in front of it. At claim time each fresh
+/// document is probed: a cache hit keeps the stored outcome and deltas
+/// without a worker ever seeing the document (the whole point — cached
+/// documents cost no worker round-trip), and every other document is
+/// queued on the slot, so the whole claim's misses reach the worker in
+/// one write. A miss's result is stored as it comes back. Documents the
+/// supervisor cannot read under the cap bypass the cache entirely so the
+/// worker produces the same typed outcome it would have uncached.
 struct Isolated<'a> {
     slot: Slot<'a>,
     bound: Option<&'a cache::BoundCache>,
     policy: &'a ScanPolicy,
+    /// The claimed documents not yet scanned, in order, with what claim
+    /// time decided for each.
+    planned: VecDeque<(usize, Planned)>,
+}
+
+/// What claim time decided for one document.
+enum Planned {
+    /// Cached: the stored outcome and its replayable counter deltas.
+    Hit(ScanOutcome, Deltas),
+    /// Queued on the slot; for a cache miss with a readable stamp, the
+    /// digest to insert the result under and the stamp at probe time.
+    Queued(Option<(cache::ContentDigest, (u64, SystemTime))>),
 }
 
 impl Executor for Isolated<'_> {
-    fn claim_size(_total: usize, _jobs: usize) -> usize {
-        // A slot never holds more than one claim, so a dying worker
-        // forfeits exactly one document.
-        1
+    fn claim<'p>(&mut self, fresh: impl Iterator<Item = (usize, &'p Path)>) {
+        let policy = self.policy;
+        for (idx, path) in fresh {
+            let probe = self
+                .bound
+                .map(|bound| bound.probe_path(path, policy.limits.max_file_size, &policy.metrics));
+            let plan = match probe {
+                Some(PathProbe::Hit(outcome, deltas)) => Planned::Hit(outcome, deltas),
+                Some(PathProbe::Miss(digest)) => {
+                    Planned::Queued(file_stamp(path).map(|stamp| (digest, stamp)))
+                }
+                Some(PathProbe::Unreadable) | None => Planned::Queued(None),
+            };
+            if matches!(plan, Planned::Queued(_)) {
+                self.slot.queue(path.display().to_string());
+            }
+            self.planned.push_back((idx, plan));
+        }
     }
 
-    fn scan(&mut self, _idx: usize, path: &Path) -> (ScanOutcome, Deltas) {
-        let key = path.display().to_string();
-        let Some(bound) = self.bound else {
-            return self.slot.scan(&key);
-        };
-        let policy = self.policy;
-        match bound.probe_path(path, policy.limits.max_file_size, &policy.metrics) {
-            PathProbe::Hit(outcome, deltas) => (outcome, deltas),
-            PathProbe::Miss(digest) => {
-                let stamp = file_stamp(path);
-                let (outcome, deltas) = self.slot.scan(&key);
-                if stamp.is_some() && stamp == file_stamp(path) {
-                    bound.insert(digest, &outcome, &deltas, &policy.metrics);
+    fn scan(&mut self, idx: usize, path: &Path) -> (ScanOutcome, Deltas) {
+        let (claimed, plan) = self
+            .planned
+            .pop_front()
+            .expect("the engine scans only documents it claimed");
+        debug_assert_eq!(claimed, idx, "claimed documents are scanned in order");
+        match plan {
+            Planned::Hit(outcome, deltas) => (outcome, deltas),
+            Planned::Queued(insert) => {
+                let (outcome, deltas) = self.slot.next();
+                if let (Some(bound), Some((digest, stamp))) = (self.bound, insert) {
+                    if file_stamp(path) == Some(stamp) {
+                        bound.insert(digest, &outcome, &deltas, &self.policy.metrics);
+                    }
                 }
                 (outcome, deltas)
             }
-            PathProbe::Unreadable => self.slot.scan(&key),
         }
     }
 
@@ -845,6 +977,7 @@ pub(crate) fn scan_paths_isolated(
         slot: Slot::new(config, hello.clone(), heartbeat, &policy.metrics),
         bound: bound.as_ref(),
         policy,
+        planned: VecDeque::new(),
     })
 }
 

@@ -1037,9 +1037,10 @@ pub fn scan_paths_journaled<P: AsRef<Path>>(
 /// deltas the collector replays for it. Everything else — claiming,
 /// resume, journaling, drain, ordering, counting — is the engine's.
 trait Executor {
-    /// Inputs one cursor bump claims: a fixed property of the executor
-    /// kind, never a knob.
-    fn claim_size(total: usize, jobs: usize) -> usize;
+    /// Announces a claim's fresh (not resume-replayed) inputs, once and in
+    /// order, before the engine scans them in that order. An executor that
+    /// can work ahead of [`scan`](Self::scan) starts them here.
+    fn claim<'p>(&mut self, _fresh: impl Iterator<Item = (usize, &'p Path)>) {}
 
     /// Scans input `idx`, recorded under `path`.
     fn scan(&mut self, idx: usize, path: &Path) -> (ScanOutcome, cache::Deltas);
@@ -1057,13 +1058,6 @@ trait Executor {
 struct InProcess<F>(F);
 
 impl<F: Fn(usize, &Path) -> ScanOutcome> Executor for InProcess<F> {
-    fn claim_size(total: usize, jobs: usize) -> usize {
-        // Chunked claims amortize cursor traffic; small chunks keep the
-        // tail balanced when one document is much slower than its
-        // neighbours.
-        (total / (jobs * 8)).clamp(1, 16)
-    }
-
     fn scan(&mut self, idx: usize, path: &Path) -> (ScanOutcome, cache::Deltas) {
         // Belt over suspenders: the scan stack contains panics itself, but
         // a scanning thread must outlive even a containment bug in it.
@@ -1085,6 +1079,28 @@ struct Decided {
     /// Copied from the resume replay rather than scanned, so it is
     /// journaled as `done` alone.
     resumed: bool,
+}
+
+/// Opens the claim of `paths`, the inputs from index `start` on: looks up
+/// each one's resume outcome and announces the fresh ones to the
+/// executor.
+fn open_claim<'p, 'r, E: Executor>(
+    exec: &mut E,
+    start: usize,
+    paths: &'p [PathBuf],
+    lookup: impl Fn(&Path) -> Option<&'r ScanOutcome>,
+) -> Vec<(usize, &'p PathBuf, Option<&'r ScanOutcome>)> {
+    let claim: Vec<_> = (start..)
+        .zip(paths)
+        .map(|(idx, path)| (idx, path, lookup(path)))
+        .collect();
+    exec.claim(
+        claim
+            .iter()
+            .filter(|(_, _, replayed)| replayed.is_none())
+            .map(|&(idx, path, _)| (idx, path.as_path())),
+    );
+    claim
 }
 
 /// Decides input `idx`: the replayed outcome when the resume journal
@@ -1146,9 +1162,16 @@ impl Collector<'_> {
 /// The one batch engine behind every `scan_paths*` and
 /// `scan_documents*` entry point.
 ///
+/// Inputs are claimed in runs of `(total / (jobs × 8)).clamp(1, 16)`:
+/// large enough to amortize the claim (the cursor bump, and for the
+/// isolate executor one write of the run's requests), small enough that a
+/// tail of expensive documents still spreads across workers. Each claim's
+/// fresh inputs go to [`Executor::claim`] before the first of them is
+/// scanned.
+///
 /// With `jobs ≤ 1` the executor runs inline on the calling thread, and
-/// each fresh document's `begin` line is journaled *before* its scan, so a
-/// crash mid-document replays as in flight. With `jobs > 1`, scoped
+/// each fresh document's `begin` line is journaled *before* the executor
+/// decides it, so a crash mid-document replays as in flight. With `jobs > 1`, scoped
 /// workers — one executor each — claim inputs from an atomic cursor and
 /// send `(index, decided)` through a bounded channel; the calling thread
 /// holds early finishers in a reorder buffer and emits strictly in input
@@ -1170,6 +1193,7 @@ fn run_batch<E: Executor>(
     let _quiet = quiet::QuietPanicGuard::new();
     let total = paths.len();
     let jobs = policy.jobs.max(1).min(total.max(1));
+    let claim = (total / (jobs * 8)).clamp(1, 16);
     let lookup = |path: &Path| resume.and_then(|r| r.outcome_for(&path.display().to_string()));
     let mut out = Collector {
         policy,
@@ -1179,23 +1203,24 @@ fn run_batch<E: Executor>(
 
     if jobs <= 1 {
         let mut exec = executor();
-        for (idx, path) in paths.into_iter().enumerate() {
-            if policy.drain_now() {
-                break;
+        'claims: for start in (0..total).step_by(claim) {
+            let end = (start + claim).min(total);
+            for (idx, path, replayed) in open_claim(&mut exec, start, &paths[start..end], lookup) {
+                if policy.drain_now() {
+                    break 'claims;
+                }
+                faultpoint!("scan::between-docs");
+                if replayed.is_none() {
+                    out.sink.begin(&path.display().to_string());
+                }
+                let decided = decide(&mut exec, idx, path.clone(), replayed);
+                out.emit(decided, true);
             }
-            faultpoint!("scan::between-docs");
-            let replayed = lookup(&path);
-            if replayed.is_none() {
-                out.sink.begin(&path.display().to_string());
-            }
-            let decided = decide(&mut exec, idx, path, replayed);
-            out.emit(decided, true);
         }
         exec.finish();
         return out.finish(total);
     }
 
-    let claim = E::claim_size(total, jobs);
     let cursor = AtomicUsize::new(0);
     thread::scope(|scope| {
         // Bounded: workers stall rather than pile unbounded completions
@@ -1219,8 +1244,10 @@ fn run_batch<E: Executor>(
                         break;
                     }
                     let end = (start + claim).min(total);
-                    for (idx, path) in (start..end).zip(&paths[start..end]) {
-                        let decided = decide(&mut exec, idx, path.clone(), lookup(path));
+                    for (idx, path, replayed) in
+                        open_claim(&mut exec, start, &paths[start..end], lookup)
+                    {
+                        let decided = decide(&mut exec, idx, path.clone(), replayed);
                         docs_scanned += 1;
                         let sent = {
                             let _wait = policy.metrics.time(Stage::PoolSendWaitNs);

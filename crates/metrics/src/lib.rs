@@ -64,6 +64,15 @@ macro_rules! metric_enum {
                 }
             }
 
+            /// Inverse of [`label`](Self::label); `None` for a label this
+            /// build does not know.
+            pub fn from_label(label: &str) -> Option<Self> {
+                match label {
+                    $($label => Some($name::$variant),)+
+                    _ => None,
+                }
+            }
+
             #[inline]
             fn idx(self) -> usize {
                 self as usize
@@ -367,6 +376,23 @@ impl MetricsSink {
         StageTimer {
             armed: self.0.clone().map(|core| (core, stage, Instant::now())),
         }
+    }
+
+    /// Resets every counter to zero and returns the non-zero values it
+    /// held, in declaration order; empty for a disabled sink. A sink
+    /// taken after each document yields that document's counter delta
+    /// without a registry per document.
+    pub fn take_counters(&self) -> Vec<(Counter, u64)> {
+        let Some(core) = self.0.as_deref() else {
+            return Vec::new();
+        };
+        Counter::ALL
+            .iter()
+            .filter_map(|&c| {
+                let n = core.counters[c.idx()].swap(0, Ordering::Relaxed);
+                (n != 0).then_some((c, n))
+            })
+            .collect()
     }
 
     /// Snapshots the registry into an immutable [`ScanMetrics`], or `None`
@@ -824,6 +850,7 @@ mod tests {
                 "duplicate counter label {}",
                 c.label()
             );
+            assert_eq!(Counter::from_label(c.label()), Some(c));
         }
         let mut seen = std::collections::HashSet::new();
         for &s in Stage::ALL {
@@ -832,7 +859,27 @@ mod tests {
                 "duplicate stage label {}",
                 s.label()
             );
+            assert_eq!(Stage::from_label(s.label()), Some(s));
         }
+        assert_eq!(Counter::from_label("scan.unheard_of"), None);
+    }
+
+    #[test]
+    fn take_counters_returns_nonzero_counters_in_declaration_order_and_resets() {
+        let sink = MetricsSink::enabled();
+        sink.count(Counter::ScanDocs, 1);
+        sink.count(Counter::ZipParses, 2);
+        sink.record(Stage::DocNs, 7);
+        assert_eq!(
+            sink.take_counters(),
+            vec![(Counter::ZipParses, 2), (Counter::ScanDocs, 1)]
+        );
+        assert_eq!(sink.take_counters(), Vec::new());
+        sink.count(Counter::ScanDocs, 4);
+        assert_eq!(sink.take_counters(), vec![(Counter::ScanDocs, 4)]);
+        // Histograms are not counters: taking leaves them alone.
+        assert_eq!(sink.snapshot().unwrap().histograms["scan.doc_ns"].count, 1);
+        assert_eq!(MetricsSink::disabled().take_counters(), Vec::new());
     }
 
     #[test]

@@ -206,12 +206,12 @@ gate_check() {
 #   1. core-aware parallel speedup floor (2x on 4+ cores, parity on 2-3,
 #      0.5x on a single core where the pool is pure overhead),
 #   2. metrics overhead <= 5%,
-#   3. isolate throughput at least half the thread pool at the same job
+#   3. isolate throughput at least 0.6x the thread pool at the same job
 #      count (process isolation must stay cheap enough to default to in
-#      hostile-input triage; the fused scoring path cut per-document
-#      compute ~4x, so the fixed per-document IPC tax is now a larger
-#      slice of the ratio — absolute isolate regressions are caught by
-#      the baseline loop in gate 4),
+#      hostile-input triage; since isolate slots send a whole claim's
+#      requests ahead, the lowest of ten bench runs read 0.75 on 2 cores,
+#      so the floor sits below that spread — absolute isolate regressions
+#      are caught by the baseline loop in gate 4),
 #   4. no >20% docs/sec regression — overall or per stage — against the
 #      committed baseline. A stage key missing from the fresh results
 #      means it dropped below the bench's noise floor (i.e. got faster)
@@ -236,8 +236,8 @@ run_gates() {
     gate_check "$(json_num "$BENCH" metrics_overhead_pct)" le 5.0 \
         "metrics overhead pct" || return 1
     gates_par=$(json_num "$BENCH" parallel_docs_per_sec)
-    gate_check "$(json_num "$BENCH" isolate_docs_per_sec)" ge "$(num_mul "$gates_par" 0.5)" \
-        "isolate throughput within 50% of --jobs N ($gates_par docs/s)" || return 1
+    gate_check "$(json_num "$BENCH" isolate_docs_per_sec)" ge "$(num_mul "$gates_par" 0.6)" \
+        "isolate throughput >= 0.6x --jobs N ($gates_par docs/s)" || return 1
 
     gates_cache_bench=${CI_CACHE_BENCH:-$CACHE_BENCH}
     if [ ! -f "$gates_cache_bench" ]; then

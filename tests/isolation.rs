@@ -10,8 +10,10 @@
 //!
 //! The `faultpoints`-gated tests kill workers for real — `abort()` inside
 //! the OLE parser, a wedged decompressor past the heartbeat — and prove
-//! the quarantine protocol (exactly one solo retry), journal resume
-//! equality after a mid-batch kill, and the graceful drain path.
+//! the quarantine protocol (exactly one solo retry, also for a death in
+//! the middle of a claim whose later documents were already sent),
+//! journal resume equality after a mid-batch kill, and the graceful
+//! drain path.
 //!
 //! The faultpoint registry is process-global and Rust runs integration
 //! tests in parallel threads, so every test serializes on `TEST_LOCK`.
@@ -381,6 +383,99 @@ mod faults {
     }
 
     #[test]
+    fn a_worker_death_mid_claim_forfeits_one_document_and_the_claim_is_resent() {
+        let _guard = global_guard();
+        let det = &tiny_detector();
+        let dir = fresh_dir("mid-claim");
+
+        // 64 inputs at jobs 2 are claimed four at a time (eight at a time
+        // under jobs 1), so the poison at index 33 kills its worker in the
+        // middle of a claim, with the claim's later documents already sent
+        // to that worker. Survivors never reach the OLE parser: junk, and
+        // OOXML without a VBA part.
+        let poison_idx = 33;
+        let paths: Vec<PathBuf> = (0..64)
+            .map(|i| {
+                let p = dir.join(format!("doc{i:02}.bin"));
+                let bytes = if i == poison_idx {
+                    macro_document()
+                } else if i % 2 == 0 {
+                    let mut zip = ZipWriter::new();
+                    zip.add_file(
+                        "[Content_Types].xml",
+                        format!("<Types n=\"{i}\"/>").as_bytes(),
+                        CompressionMethod::Deflate,
+                    )
+                    .unwrap();
+                    zip.finish()
+                } else {
+                    format!("plain junk payload {i}").into_bytes()
+                };
+                std::fs::write(&p, bytes).unwrap();
+                p
+            })
+            .collect();
+        let policy = |jobs: usize| {
+            ScanPolicy::default()
+                .jobs(jobs)
+                .isolated(worker_config().env("VBADET_FAULTPOINTS", "ole::parse=abort"))
+        };
+
+        let report = scan_paths_with_policy(det, &paths, &metered(policy(2)));
+        assert_eq!(report.scanned(), paths.len());
+        match &report.records[poison_idx].outcome {
+            ScanOutcome::Failed {
+                class: FailureClass::Fatal,
+                detail,
+            } => {
+                assert!(detail.contains("SIGABRT"), "detail was {detail:?}");
+                assert!(detail.contains("solo retry"), "detail was {detail:?}");
+            }
+            other => panic!("expected the poison document quarantined, got {other:?}"),
+        }
+        let snapshot = report.metrics.unwrap();
+        assert_eq!(snapshot.histograms["isolate.quarantines"].total, 1);
+
+        // The death forfeited the poison alone: every survivor — the
+        // claim's re-sent documents included — and the deterministic
+        // counters equal a clean in-process run over the survivors.
+        let survivors: Vec<PathBuf> = paths
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| *i != poison_idx)
+            .map(|(_, p)| p.clone())
+            .collect();
+        let reference = scan_paths_with_policy(det, &survivors, &metered(ScanPolicy::default()));
+        let surviving_records: Vec<_> = report
+            .records
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| *i != poison_idx)
+            .map(|(_, r)| r.clone())
+            .collect();
+        assert_eq!(surviving_records, reference.records);
+        assert_eq!(
+            snapshot.counters_json(),
+            reference.metrics.unwrap().counters_json()
+        );
+
+        // The journal is the sequential (jobs 1) journal byte for byte.
+        let journal_for = |jobs: usize| {
+            let journal_path = dir.join(format!("jobs{jobs}.jsonl"));
+            let mut journal = ScanJournal::create(&journal_path).unwrap();
+            let journaled =
+                scan_paths_journaled(det, &paths, &policy(jobs), Some(&mut journal), None);
+            drop(journal);
+            assert!(journaled.journal_error.is_none());
+            assert_eq!(journaled.records, report.records, "jobs {jobs}");
+            std::fs::read(&journal_path).unwrap()
+        };
+        assert_eq!(journal_for(2), journal_for(1));
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn a_wedged_worker_is_heartbeat_killed_and_the_document_quarantined() {
         let _guard = global_guard();
         let det = &tiny_detector();
@@ -515,7 +610,9 @@ mod faults {
         let _guard = global_guard();
         let det = &tiny_detector();
         let dir = fresh_dir("drain-shapes");
-        let paths = mixed_corpus(&dir, 8);
+        // 64 inputs: isolate jobs 2 claims four at a time, so its workers
+        // have documents in flight past the drain point.
+        let paths = mixed_corpus(&dir, 64);
         let reference = scan_paths_journaled(det, &paths, &ScanPolicy::default(), None, None);
 
         let shapes = [
@@ -527,11 +624,12 @@ mod faults {
             ),
         ];
         let mut journals = Vec::new();
+        let mut counters = Vec::new();
         for (shape, policy) in shapes {
             configure("scan::request-drain", "return@3").unwrap();
             let journal_path = dir.join(format!("{}.jsonl", shape.replace(' ', "-")));
             let mut journal = ScanJournal::create(&journal_path).unwrap();
-            let drained = policy.clone().drain_on_interrupt();
+            let drained = metered(policy.clone()).drain_on_interrupt();
             let report = scan_paths_journaled(det, &paths, &drained, Some(&mut journal), None);
             // Only the in-order seam polls the injected drain: one hit per
             // emitted record plus the one that trips, whatever the workers
@@ -558,11 +656,19 @@ mod faults {
             );
 
             journals.push((shape, std::fs::read(&journal_path).unwrap()));
+            counters.push(report.metrics.unwrap().counters_json());
         }
         let (_, first) = &journals[0];
         for (shape, bytes) in &journals[1..] {
             assert_eq!(bytes, first, "{shape}: journal differs from jobs 1");
         }
+        // Isolate deltas replay only at the seam, so documents a worker
+        // scanned past the drain point leave no counter trace. (In-process
+        // pool workers count live, so `jobs 4` may count past it.)
+        assert_eq!(
+            counters[2], counters[0],
+            "isolate counters differ from jobs 1"
+        );
 
         let _ = std::fs::remove_dir_all(&dir);
     }
