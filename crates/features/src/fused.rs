@@ -7,7 +7,7 @@
 //! extractors iterated it, keeping every derived `f64` bit-identical to
 //! the reference implementation (see `crate::reference`).
 
-use vbadet_vba::{functions, FunctionCategory, MacroAnalysis, SpanKind, SpanToken};
+use vbadet_vba::{MacroAnalysis, SpanKind, SpanToken, WordClass};
 
 /// Reusable buffers for the token passes (cleared per document, capacity
 /// retained).
@@ -40,20 +40,11 @@ fn is_significant(t: &SpanToken) -> bool {
     !matches!(t.kind, SpanKind::Comment(_) | SpanKind::Newline)
 }
 
-/// Whether the *previous significant token* makes an identifier a
-/// declaration name rather than a call.
-fn is_decl_keyword(k: &str) -> bool {
-    ["sub", "function", "property", "dim", "const", "as"]
-        .iter()
-        .any(|d| k.eq_ignore_ascii_case(d))
-}
-
 /// One pass over the tokens: call sites + categories, string operators,
 /// procedure bodies. Streaming equivalent of the `call_sites()` /
-/// `string_operator_count()` / `procedure_body_spans()` views.
+/// `string_operator_count()` / `procedure_body_spans()` views, reading
+/// the word class the lexer stored on each token.
 pub(crate) fn token_derived(analysis: &MacroAnalysis) -> TokenDerived {
-    let source = analysis.source();
-    let text = |t: &SpanToken| &source[t.start..t.end];
     // `iter::Sum for f64` folds from -0.0, so the reference's body-char
     // sum is -0.0 when no body exists — and that sign bit survives into
     // J19. Start from the same identity to stay bit-identical.
@@ -63,22 +54,14 @@ pub(crate) fn token_derived(analysis: &MacroAnalysis) -> TokenDerived {
     };
     // Call-site machine: an identifier is "pending" until the next
     // significant token decides paren-call vs statement-position builtin.
-    let mut pending: Option<SpanToken> = None;
-    let mut prev_sig: Option<SpanToken> = None;
+    let mut pending: Option<WordClass> = None;
+    let mut prev_kw = WordClass::default();
     let mut open_body: Option<usize> = None;
 
-    let resolve = |d: &mut TokenDerived, p: SpanToken, followed_by_paren: bool| {
-        let name = &source[p.start..p.end];
-        if followed_by_paren || functions::is_builtin(name) {
+    let resolve = |d: &mut TokenDerived, class: WordClass, followed_by_paren: bool| {
+        if followed_by_paren || class.is_builtin() {
             d.call_count += 1;
-            if let Some(cat) = functions::categorize(name) {
-                let idx = match cat {
-                    FunctionCategory::Text => 0,
-                    FunctionCategory::Arithmetic => 1,
-                    FunctionCategory::TypeConversion => 2,
-                    FunctionCategory::Financial => 3,
-                    FunctionCategory::Rich => 4,
-                };
+            if let Some(idx) = class.category_index() {
                 d.cat_counts[idx] += 1.0;
             }
         }
@@ -95,37 +78,31 @@ pub(crate) fn token_derived(analysis: &MacroAnalysis) -> TokenDerived {
             resolve(&mut d, p, matches!(t.kind, SpanKind::Operator("(")));
         }
         match t.kind {
-            SpanKind::Identifier => {
-                let declared = matches!(prev_sig, Some(p) if matches!(p.kind, SpanKind::Keyword)
-                    && is_decl_keyword(text(&p)));
-                if !declared {
-                    pending = Some(*t);
-                }
+            SpanKind::Identifier(class) if !prev_kw.names_declaration() => {
+                pending = Some(class);
             }
-            SpanKind::Keyword => {
-                let k = text(t);
-                if k.eq_ignore_ascii_case("sub") || k.eq_ignore_ascii_case("function") {
-                    let prev_is = |name: &str| {
-                        matches!(prev_sig, Some(p) if matches!(p.kind, SpanKind::Keyword)
-                            && text(&p).eq_ignore_ascii_case(name))
-                    };
-                    if prev_is("declare") {
-                        // Prototype, not a body.
-                    } else if prev_is("end") {
-                        if let Some(start) = open_body.take() {
-                            d.body_count += 1;
-                            d.body_chars += (t.char_end - start) as f64;
-                        }
-                    } else if prev_is("exit") {
-                        // `Exit Sub` keeps the procedure open.
-                    } else if open_body.is_none() {
-                        open_body = Some(t.char_start);
+            SpanKind::Keyword(k) if k.opens_procedure() => {
+                if prev_kw.is_declare() {
+                    // Prototype, not a body.
+                } else if prev_kw.is_end() {
+                    if let Some(start) = open_body.take() {
+                        d.body_count += 1;
+                        d.body_chars += (t.char_end - start) as f64;
                     }
+                } else if prev_kw.is_exit() {
+                    // `Exit Sub` keeps the procedure open.
+                } else if open_body.is_none() {
+                    open_body = Some(t.char_start);
                 }
             }
             _ => {}
         }
-        prev_sig = Some(*t);
+        // The class of the previous significant token when it is a
+        // keyword, else a plain word (no role).
+        prev_kw = match t.kind {
+            SpanKind::Keyword(k) => k,
+            _ => WordClass::default(),
+        };
     }
     if let Some(p) = pending.take() {
         resolve(&mut d, p, false);
@@ -149,7 +126,7 @@ pub(crate) fn arg_length_stats(
     let (mut sum, mut count) = (0.0f64, 0usize);
     let mut i = 0usize;
     while i < tokens.len() {
-        let is_call_open = matches!(tokens[i].kind, SpanKind::Identifier)
+        let is_call_open = matches!(tokens[i].kind, SpanKind::Identifier(_))
             && matches!(
                 tokens.get(i + 1).map(|t| t.kind),
                 Some(SpanKind::Operator("("))
@@ -224,10 +201,11 @@ pub(crate) fn ident_lengths<'s>(
     scratch.ident_first.clear();
     scratch.ident_lengths.clear();
     for (i, t) in tokens.iter().enumerate() {
-        if matches!(t.kind, SpanKind::Identifier) {
-            let name = &source[t.start..t.end];
-            if !functions::is_builtin(name) {
-                scratch.ident_cand.push((folded_hash(name), i as u32));
+        if let SpanKind::Identifier(class) = t.kind {
+            if !class.is_builtin() {
+                scratch
+                    .ident_cand
+                    .push((folded_hash(&source[t.start..t.end]), i as u32));
             }
         }
     }

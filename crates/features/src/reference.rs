@@ -243,7 +243,7 @@ fn argument_lengths(analysis: &MacroAnalysis) -> Vec<f64> {
     let mut out = Vec::new();
     let mut i = 0usize;
     while i < tokens.len() {
-        let is_call_open = matches!(tokens[i].kind, SpanKind::Identifier)
+        let is_call_open = matches!(tokens[i].kind, SpanKind::Identifier(_))
             && matches!(
                 tokens.get(i + 1).map(|t| t.kind),
                 Some(SpanKind::Operator("("))

@@ -57,8 +57,8 @@ proptest! {
         let after = vbadet_vba::MacroAnalysis::new(&out);
         prop_assert_eq!(before.strings(), after.strings());
         prop_assert_eq!(
-            before.tokens().iter().filter(|t| matches!(t.kind, vbadet_vba::SpanKind::Keyword)).count(),
-            after.tokens().iter().filter(|t| matches!(t.kind, vbadet_vba::SpanKind::Keyword)).count()
+            before.tokens().iter().filter(|t| matches!(t.kind, vbadet_vba::SpanKind::Keyword(_))).count(),
+            after.tokens().iter().filter(|t| matches!(t.kind, vbadet_vba::SpanKind::Keyword(_))).count()
         );
         // Entry point survives.
         prop_assert!(out.contains("Document_Open"));
@@ -91,7 +91,7 @@ proptest! {
             .tokens()
             .iter()
             .filter(|t| {
-                matches!(t.kind, vbadet_vba::SpanKind::Keyword)
+                matches!(t.kind, vbadet_vba::SpanKind::Keyword(_))
                     && analysis.token_text(t).eq_ignore_ascii_case("sub")
             })
             .count();

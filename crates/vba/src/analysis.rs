@@ -4,16 +4,17 @@
 //!
 //! [`MacroAnalysis`] borrows the source: tokens are [`SpanToken`]s whose
 //! text is a slice of the input, string values and comment bodies live in
-//! side tables (borrowed spans except for the rare `""`-escaped literal),
+//! side tables (borrowed spans except for the rare `""`-escaped literal,
+//! whose value is a range of one reusable decoded-text buffer),
 //! and the per-character statistics every J/V feature needs were already
 //! accumulated by the lexer's single pass ([`SourceStats`]). The scan hot
 //! path reuses one [`LexScratch`] per worker so steady-state analysis
 //! performs no per-document buffer allocation.
 
-use crate::functions;
 use crate::lexer::{lex_spans, CommentInfo, StrRepr, StringInfo};
 use crate::stats::SourceStats;
 use crate::token::{SpanKind, SpanToken};
+use crate::words::WordClass;
 use std::collections::BTreeSet;
 
 /// Reusable lexing buffers: cleared per document, capacity retained.
@@ -27,7 +28,7 @@ pub struct LexScratch {
     tokens: Vec<SpanToken>,
     strings: Vec<StringInfo>,
     comments: Vec<CommentInfo>,
-    decoded: Vec<String>,
+    decoded: String,
     stats: SourceStats,
 }
 
@@ -46,7 +47,7 @@ pub struct MacroAnalysis<'a> {
     tokens: Vec<SpanToken>,
     strings: Vec<StringInfo>,
     comments: Vec<CommentInfo>,
-    decoded: Vec<String>,
+    decoded: String,
     stats: SourceStats,
 }
 
@@ -123,7 +124,7 @@ impl<'a> MacroAnalysis<'a> {
     pub fn string_value(&self, i: usize) -> &str {
         match self.strings[i].repr {
             StrRepr::Span(s, e) => &self.source[s..e],
-            StrRepr::Decoded(d) => &self.decoded[d],
+            StrRepr::Decoded(s, e) => &self.decoded[s..e],
         }
     }
 
@@ -188,11 +189,11 @@ impl<'a> MacroAnalysis<'a> {
         let mut seen: BTreeSet<String> = BTreeSet::new();
         let mut out = Vec::new();
         for t in &self.tokens {
-            if matches!(t.kind, SpanKind::Identifier) {
-                let name = &self.source[t.start..t.end];
-                if functions::is_builtin(name) {
+            if let SpanKind::Identifier(class) = t.kind {
+                if class.is_builtin() {
                     continue;
                 }
+                let name = &self.source[t.start..t.end];
                 if seen.insert(name.to_ascii_lowercase()) {
                     out.push(name);
                 }
@@ -205,7 +206,7 @@ impl<'a> MacroAnalysis<'a> {
     pub fn identifier_occurrences(&self) -> Vec<&str> {
         self.tokens
             .iter()
-            .filter(|t| matches!(t.kind, SpanKind::Identifier))
+            .filter(|t| matches!(t.kind, SpanKind::Identifier(_)))
             .map(|t| &self.source[t.start..t.end])
             .collect()
     }
@@ -221,26 +222,21 @@ impl<'a> MacroAnalysis<'a> {
             .collect();
         let mut out = Vec::new();
         for (pos, token) in significant.iter().enumerate() {
-            if !matches!(token.kind, SpanKind::Identifier) {
+            let SpanKind::Identifier(class) = token.kind else {
                 continue;
-            }
-            let name = &self.source[token.start..token.end];
-            // Skip declaration names: `Sub X`, `Function X`, `Property Get X`.
-            if pos > 0 && matches!(significant[pos - 1].kind, SpanKind::Keyword) {
-                let k = &self.source[significant[pos - 1].start..significant[pos - 1].end];
-                if ["sub", "function", "property", "dim", "const", "as"]
-                    .iter()
-                    .any(|d| k.eq_ignore_ascii_case(d))
-                {
-                    continue;
-                }
+            };
+            // Skip declaration names: `Sub X`, `Function X`, `Dim X`, `As X`.
+            if pos > 0
+                && matches!(significant[pos - 1].kind, SpanKind::Keyword(k) if k.names_declaration())
+            {
+                continue;
             }
             let followed_by_paren = matches!(
                 significant.get(pos + 1).map(|t| t.kind),
                 Some(SpanKind::Operator("("))
             );
-            if followed_by_paren || functions::is_builtin(name) {
-                out.push(name);
+            if followed_by_paren || class.is_builtin() {
+                out.push(&self.source[token.start..token.end]);
             }
         }
         out
@@ -318,13 +314,10 @@ impl<'a> MacroAnalysis<'a> {
             .filter(|t| !matches!(t.kind, SpanKind::Newline | SpanKind::Comment(_)))
             .collect();
         for window in toks.windows(2) {
-            if matches!(window[0].kind, SpanKind::Keyword)
-                && matches!(window[1].kind, SpanKind::Identifier)
+            if matches!(window[0].kind, SpanKind::Keyword(k) if k.opens_procedure())
+                && matches!(window[1].kind, SpanKind::Identifier(_))
             {
-                let k = &self.source[window[0].start..window[0].end];
-                if k.eq_ignore_ascii_case("sub") || k.eq_ignore_ascii_case("function") {
-                    out.push(&self.source[window[1].start..window[1].end]);
-                }
+                out.push(&self.source[window[1].start..window[1].end]);
             }
         }
         out
@@ -336,35 +329,24 @@ impl<'a> MacroAnalysis<'a> {
     pub fn procedure_body_spans(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         let toks = &self.tokens;
-        let kw_text = |t: &SpanToken| &self.source[t.start..t.end];
         let mut open: Option<usize> = None;
         let mut i = 0usize;
         while i < toks.len() {
-            let is_proc_kw = matches!(toks[i].kind, SpanKind::Keyword) && {
-                let k = kw_text(&toks[i]);
-                k.eq_ignore_ascii_case("sub") || k.eq_ignore_ascii_case("function")
-            };
-            if is_proc_kw {
+            if matches!(toks[i].kind, SpanKind::Keyword(k) if k.opens_procedure()) {
                 // `End Sub` is handled below; `Exit Sub` should not open.
                 let prev_kw = toks[..i]
                     .iter()
                     .rev()
                     .find(|t| !matches!(t.kind, SpanKind::Newline | SpanKind::Comment(_)));
-                let prev_kw_is = |name: &str| {
-                    matches!(
-                        prev_kw,
-                        Some(p) if matches!(p.kind, SpanKind::Keyword)
-                            && kw_text(p).eq_ignore_ascii_case(name)
-                    )
-                };
+                let prev_kw_is = |role: fn(WordClass) -> bool| matches!(prev_kw, Some(p) if matches!(p.kind, SpanKind::Keyword(k) if role(k)));
                 // `Declare Function X Lib …` is a prototype, not a body.
-                if prev_kw_is("declare") {
+                if prev_kw_is(WordClass::is_declare) {
                     i += 1;
                     continue;
                 }
-                if prev_kw_is("end") || prev_kw_is("exit") {
+                if prev_kw_is(WordClass::is_end) || prev_kw_is(WordClass::is_exit) {
                     if let Some(start) = open.take() {
-                        if prev_kw_is("end") {
+                        if prev_kw_is(WordClass::is_end) {
                             out.push((start, toks[i].end));
                         } else {
                             // `Exit Sub` keeps the procedure open.

@@ -129,54 +129,18 @@ pub const RICH_FUNCTIONS: &[&str] = &[
 /// assert_eq!(functions::categorize("MyHelper"), None);
 /// ```
 pub fn categorize(name: &str) -> Option<FunctionCategory> {
-    // The tables are lowercase and sorted; folding the probe byte-wise
-    // during the comparison gives the same ordering as lowercasing the
-    // name up front, without allocating the lowercase copy.
-    let stripped = name.trim_end_matches(['$', '%', '&', '!', '#', '@']);
-    let search = |table: &[&str]| {
-        table
-            .binary_search_by(|entry| crate::lexer::cmp_ascii_fold(entry, stripped))
-            .is_ok()
-    };
-    if search(TEXT_FUNCTIONS) {
-        Some(FunctionCategory::Text)
-    } else if search(ARITHMETIC_FUNCTIONS) {
-        Some(FunctionCategory::Arithmetic)
-    } else if search(CONVERSION_FUNCTIONS) {
-        Some(FunctionCategory::TypeConversion)
-    } else if search(FINANCIAL_FUNCTIONS) {
-        Some(FunctionCategory::Financial)
-    } else if search(RICH_FUNCTIONS) {
-        Some(FunctionCategory::Rich)
-    } else {
-        None
-    }
+    crate::words::classify(name).category()
 }
 
 /// Whether `name` is any known built-in (used by call-site detection for
 /// paren-less statement calls like `Shell prog, 1`).
 pub fn is_builtin(name: &str) -> bool {
-    categorize(name).is_some()
+    crate::words::classify(name).is_builtin()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tables_are_sorted_for_binary_search() {
-        for table in [
-            TEXT_FUNCTIONS,
-            ARITHMETIC_FUNCTIONS,
-            CONVERSION_FUNCTIONS,
-            FINANCIAL_FUNCTIONS,
-            RICH_FUNCTIONS,
-        ] {
-            let mut sorted = table.to_vec();
-            sorted.sort_unstable();
-            assert_eq!(sorted, table);
-        }
-    }
 
     #[test]
     fn tables_are_disjoint() {

@@ -8,179 +8,32 @@
 //! top and produces byte-identical output to the historical
 //! `Vec<char>`-indexed implementation (kept as a reference oracle under
 //! the `reference` feature).
+//!
+//! The loop is driven by bytes: every token starts at an ASCII byte or at
+//! the first byte of a non-ASCII `char` (which always starts an
+//! identifier), so dispatch, run scanning and the [`CLASS`] table work on
+//! bytes, and whitespace, identifier, comment-body and string-body runs
+//! are handed to [`SourceStats`] whole. Each word is classified once,
+//! through [`words`](crate::words), and the class rides on its token.
 
-use crate::stats::SourceStats;
+use crate::stats::{class, run_end, SourceStats, IDENT_START, WORD};
 use crate::token::{SpanKind, SpanToken, Token, TokenKind};
-
-/// VBA reserved words (MS-VBAL §3.3.5), lowercase.
-const KEYWORDS: &[&str] = &[
-    "addressof",
-    "alias",
-    "and",
-    "as",
-    "attribute",
-    "base",
-    "boolean",
-    "byref",
-    "byte",
-    "byval",
-    "call",
-    "case",
-    "cdecl",
-    "compare",
-    "const",
-    "currency",
-    "date",
-    "decimal",
-    "declare",
-    "defbool",
-    "defbyte",
-    "defcur",
-    "defdate",
-    "defdbl",
-    "defint",
-    "deflng",
-    "defobj",
-    "defsng",
-    "defstr",
-    "defvar",
-    "dim",
-    "do",
-    "double",
-    "each",
-    "else",
-    "elseif",
-    "empty",
-    "end",
-    "enum",
-    "eqv",
-    "erase",
-    "error",
-    "event",
-    "exit",
-    "explicit",
-    "false",
-    "for",
-    "friend",
-    "function",
-    "get",
-    "gosub",
-    "goto",
-    "if",
-    "imp",
-    "implements",
-    "in",
-    "integer",
-    "is",
-    "let",
-    "lib",
-    "like",
-    "line",
-    "lock",
-    "long",
-    "longlong",
-    "longptr",
-    "loop",
-    "lset",
-    "mod",
-    "new",
-    "next",
-    "not",
-    "nothing",
-    "null",
-    "object",
-    "on",
-    "option",
-    "optional",
-    "or",
-    "paramarray",
-    "preserve",
-    "print",
-    "private",
-    "property",
-    "public",
-    "put",
-    "raiseevent",
-    "randomize",
-    "redim",
-    "resume",
-    "return",
-    "rset",
-    "seek",
-    "select",
-    "set",
-    "single",
-    "static",
-    "step",
-    "stop",
-    "string",
-    "sub",
-    "then",
-    "to",
-    "true",
-    "type",
-    "typeof",
-    "until",
-    "variant",
-    "wend",
-    "while",
-    "with",
-    "withevents",
-    "write",
-    "xor",
-];
-
-/// Compares a lowercase table entry against the ASCII-lowercase folding
-/// of `word`, byte-wise — the same ordering as
-/// `entry.cmp(&word.to_ascii_lowercase())` without allocating the folded
-/// copy (string comparison is bytewise-lexicographic, and ASCII folding
-/// maps byte-for-byte).
-pub(crate) fn cmp_ascii_fold(entry: &str, word: &str) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
-    let mut e = entry.bytes();
-    let mut w = word.bytes().map(|b| b.to_ascii_lowercase());
-    loop {
-        match (e.next(), w.next()) {
-            (None, None) => return Ordering::Equal,
-            (None, Some(_)) => return Ordering::Less,
-            (Some(_), None) => return Ordering::Greater,
-            (Some(a), Some(b)) => match a.cmp(&b) {
-                Ordering::Equal => continue,
-                other => return other,
-            },
-        }
-    }
-}
-
-/// Whether `word` is a VBA reserved word (case-insensitive, no allocation).
-pub(crate) fn is_keyword(word: &str) -> bool {
-    KEYWORDS
-        .binary_search_by(|k| cmp_ascii_fold(k, word))
-        .is_ok()
-}
+use crate::words;
 
 /// Type-declaration suffix characters that may trail an identifier.
-fn is_type_suffix(c: char) -> bool {
-    matches!(c, '$' | '%' | '&' | '!' | '#' | '@')
-}
-
-fn is_ident_start(c: char) -> bool {
-    c.is_ascii_alphabetic() || c == '_' || !c.is_ascii()
-}
-
-fn is_ident_continue(c: char) -> bool {
-    c.is_ascii_alphanumeric() || c == '_' || !c.is_ascii()
+fn is_suffix_byte(b: u8) -> bool {
+    matches!(b, b'$' | b'%' | b'&' | b'!' | b'#' | b'@')
 }
 
 /// How a string literal's decoded value is stored: as a borrowed span of
 /// the source (the common case) or, when `""` escapes force a rewrite, as
-/// an index into the decoded-string arena.
+/// a byte range of the module's decoded-text buffer.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum StrRepr {
     /// Byte range of the value in the source (quotes excluded).
     Span(usize, usize),
-    /// Index into the decoded arena.
-    Decoded(usize),
+    /// Byte range in the decoded-text buffer.
+    Decoded(usize, usize),
 }
 
 /// Side-table record for one string literal.
@@ -201,52 +54,16 @@ pub(crate) struct CommentInfo {
     pub body_end: usize,
 }
 
-struct Cursor<'a> {
-    src: &'a str,
-    pos: usize,
-    cpos: usize,
-    prev: Option<char>,
-}
-
-impl<'a> Cursor<'a> {
-    #[inline]
-    fn peek(&self) -> Option<char> {
-        self.src[self.pos..].chars().next()
-    }
-
-    #[inline]
-    fn byte_at(&self, i: usize) -> Option<u8> {
-        self.src.as_bytes().get(i).copied()
-    }
-
-    /// Consumes the (already peeked) character `c`, routing it through
-    /// the statistics accumulators exactly once.
-    #[inline]
-    fn bump(&mut self, c: char, stats: &mut SourceStats, masked: bool) {
-        self.pos += c.len_utf8();
-        self.cpos += 1;
-        self.prev = Some(c);
-        stats.visit(c, masked);
-    }
-
-    /// Consumes a comment-body character: masked, and additionally fed to
-    /// the comment-word machine.
-    #[inline]
-    fn bump_comment(&mut self, c: char, stats: &mut SourceStats) {
-        self.bump(c, stats, true);
-        stats.visit_comment_word(c);
-    }
-}
-
 /// The single fused pass: tokenizes `source` into `tokens` (+ string and
-/// comment side tables) while filling `stats`. All output vectors are
-/// cleared first; capacity is retained.
+/// comment side tables, `""`-decoded string values appended to `decoded`)
+/// while filling `stats`. All outputs are cleared first; capacity is
+/// retained.
 pub(crate) fn lex_spans(
     source: &str,
     tokens: &mut Vec<SpanToken>,
     strings: &mut Vec<StringInfo>,
     comments: &mut Vec<CommentInfo>,
-    decoded: &mut Vec<String>,
+    decoded: &mut String,
     stats: &mut SourceStats,
 ) {
     tokens.clear();
@@ -255,373 +72,268 @@ pub(crate) fn lex_spans(
     decoded.clear();
     stats.reset();
 
-    let mut cur = Cursor {
-        src: source,
-        pos: 0,
-        cpos: 0,
-        prev: None,
+    let bytes = source.as_bytes();
+    let n = bytes.len();
+    let (mut pos, mut cpos) = (0usize, 0usize);
+    let push = |tokens: &mut Vec<SpanToken>, kind, start, end, char_start, char_end| {
+        tokens.push(SpanToken {
+            kind,
+            start,
+            end,
+            char_start,
+            char_end,
+        })
     };
-    let n = source.len();
 
-    while let Some(c) = cur.peek() {
-        let start = cur.pos;
-        let cstart = cur.cpos;
+    while pos < n {
+        let (start, cstart) = (pos, cpos);
+        let b = bytes[pos];
 
         // Line continuation: whitespace, '_', optional spaces, line break.
-        if c == '_' && matches!(cur.prev, None | Some(' ') | Some('\t')) {
-            let mut j = cur.pos + 1;
-            while j < n && matches!(cur.byte_at(j), Some(b' ') | Some(b'\t') | Some(b'\r')) {
-                j += 1;
-            }
-            if j < n && cur.byte_at(j) == Some(b'\n') {
+        if b == b'_' && (pos == 0 || matches!(bytes[pos - 1], b' ' | b'\t')) {
+            let j = run_end(bytes, pos + 1, |b| matches!(b, b' ' | b'\t' | b'\r'));
+            if j < n && bytes[j] == b'\n' {
                 // Splice: consume through the newline, no Newline token.
-                while cur.pos <= j {
-                    let ch = cur.peek().unwrap();
-                    cur.bump(ch, stats, false);
-                }
+                stats.code_ascii(&bytes[pos..=j]);
+                cpos += j + 1 - pos;
+                stats.newline(cpos - 1, bytes[j - 1] == b'\r');
+                pos = j + 1;
                 continue;
             }
         }
 
-        match c {
-            ' ' | '\t' | '\r' => {
-                cur.bump(c, stats, false);
+        match b {
+            b' ' | b'\t' | b'\r' => {
+                pos = run_end(bytes, pos, |b| matches!(b, b' ' | b'\t' | b'\r'));
+                stats.end_code_word();
+                cpos += pos - start;
             }
-            '\n' => {
-                cur.bump(c, stats, false);
-                tokens.push(SpanToken {
-                    kind: SpanKind::Newline,
-                    start,
-                    end: cur.pos,
-                    char_start: cstart,
-                    char_end: cur.cpos,
-                });
+            b'\n' => {
+                stats.end_code_word();
+                cpos += 1;
+                stats.newline(cstart, pos > 0 && bytes[pos - 1] == b'\r');
+                pos += 1;
+                push(tokens, SpanKind::Newline, start, pos, cstart, cpos);
             }
-            '\'' => {
-                cur.bump(c, stats, true); // the marker
-                let body_start = cur.pos;
-                let body_cstart = cur.cpos;
-                while let Some(ch) = cur.peek() {
-                    if ch == '\n' {
-                        break;
-                    }
-                    cur.bump_comment(ch, stats);
-                }
+            b'\'' => {
+                stats.end_code_word();
+                cpos += 1;
+                pos += 1;
+                let body_start = pos;
+                pos = run_end(bytes, pos, |b| b != b'\n');
+                let raw = &source[body_start..pos];
+                let raw_chars = stats.comment(raw);
+                cpos += raw_chars;
                 stats.end_comment_word();
-                let raw = &source[body_start..cur.pos];
                 let body = raw.trim_end_matches('\r');
                 // Every trimmed byte is one '\r' character.
-                let body_chars = (cur.cpos - body_cstart) - (raw.len() - body.len());
+                stats.comment_body_chars += raw_chars - (raw.len() - body.len());
+                stats.comment_span_chars += cpos - cstart;
                 comments.push(CommentInfo {
                     body_start,
                     body_end: body_start + body.len(),
                 });
-                stats.comment_body_chars += body_chars;
-                stats.comment_span_chars += cur.cpos - cstart;
-                tokens.push(SpanToken {
-                    kind: SpanKind::Comment((comments.len() - 1) as u32),
-                    start,
-                    end: cur.pos,
-                    char_start: cstart,
-                    char_end: cur.cpos,
-                });
+                let kind = SpanKind::Comment((comments.len() - 1) as u32);
+                push(tokens, kind, start, pos, cstart, cpos);
             }
-            '"' => {
-                cur.bump(c, stats, true); // opening quote
-                let val_start = cur.pos;
-                let val_end;
+            b'"' => {
+                stats.end_code_word();
+                cpos += 1;
+                pos += 1;
+                let val_start = pos;
+                // Start of the value in `decoded`, once a `""` escape
+                // forces a rewrite.
+                let mut rewritten: Option<usize> = None;
                 let mut char_len = 0usize;
-                let mut buf: Option<String> = None;
-                loop {
-                    match cur.peek() {
-                        None => {
-                            val_end = cur.pos; // unterminated: tolerate
-                            break;
-                        }
-                        Some('"') => {
-                            if cur.byte_at(cur.pos + 1) == Some(b'"') {
-                                // Escaped quote: decode lazily.
-                                if buf.is_none() {
-                                    buf = Some(source[val_start..cur.pos].to_string());
-                                }
-                                cur.bump('"', stats, true);
-                                cur.bump('"', stats, true);
-                                buf.as_mut().unwrap().push('"');
-                                char_len += 1;
-                            } else {
-                                val_end = cur.pos;
-                                cur.bump('"', stats, true);
-                                break;
-                            }
-                        }
-                        Some('\n') => {
-                            val_end = cur.pos; // strings do not span lines
-                            break;
-                        }
-                        Some(ch) => {
-                            if let Some(b) = &mut buf {
-                                b.push(ch);
-                            }
-                            char_len += 1;
-                            cur.bump(ch, stats, true);
-                        }
+                let val_end = loop {
+                    let j = run_end(bytes, pos, |b| b != b'"' && b != b'\n');
+                    let chars = stats.masked(&source[pos..j]);
+                    cpos += chars;
+                    char_len += chars;
+                    if rewritten.is_some() {
+                        decoded.push_str(&source[pos..j]);
                     }
-                }
-                let repr = match buf {
-                    Some(s) => {
-                        decoded.push(s);
-                        StrRepr::Decoded(decoded.len() - 1)
+                    pos = j;
+                    if j == n || bytes[j] == b'\n' {
+                        // Unterminated: tolerated; strings do not span lines.
+                        break j;
                     }
+                    if bytes.get(j + 1) == Some(&b'"') {
+                        if rewritten.is_none() {
+                            rewritten = Some(decoded.len());
+                            decoded.push_str(&source[val_start..j]);
+                        }
+                        decoded.push('"');
+                        cpos += 2;
+                        char_len += 1;
+                        pos += 2;
+                    } else {
+                        cpos += 1;
+                        pos += 1;
+                        break j;
+                    }
+                };
+                let repr = match rewritten {
+                    Some(from) => StrRepr::Decoded(from, decoded.len()),
                     None => StrRepr::Span(val_start, val_end),
                 };
                 strings.push(StringInfo { repr, char_len });
                 stats.string_chars += char_len;
                 stats.string_len_sum += char_len as f64;
-                tokens.push(SpanToken {
-                    kind: SpanKind::StringLit((strings.len() - 1) as u32),
-                    start,
-                    end: cur.pos,
-                    char_start: cstart,
-                    char_end: cur.cpos,
-                });
+                let kind = SpanKind::StringLit((strings.len() - 1) as u32);
+                push(tokens, kind, start, pos, cstart, cpos);
             }
-            '&' if matches!(
-                cur.byte_at(cur.pos + 1),
-                Some(b'H') | Some(b'h') | Some(b'O') | Some(b'o')
-            ) =>
-            {
+            b'&' if matches!(bytes.get(pos + 1), Some(b'H' | b'h' | b'O' | b'o')) => {
                 // &H / &O numeric literal (falls back to operator + ident
                 // when no digits follow).
-                let radix_hex = matches!(cur.byte_at(cur.pos + 1), Some(b'H') | Some(b'h'));
-                let mut j = cur.pos + 2;
-                while j < n {
-                    let Some(b) = cur.byte_at(j) else { break };
-                    let ok = (b.is_ascii_hexdigit() && radix_hex)
-                        || ((b'0'..=b'7').contains(&b) && !radix_hex);
-                    if !ok {
-                        break;
-                    }
-                    j += 1;
-                }
-                if j > cur.pos + 2 {
-                    if j < n && cur.byte_at(j).map(|b| is_type_suffix(b as char)) == Some(true) {
-                        j += 1;
-                    }
-                    while cur.pos < j {
-                        let ch = cur.peek().unwrap();
-                        cur.bump(ch, stats, false);
-                    }
-                    tokens.push(SpanToken {
-                        kind: SpanKind::Number,
-                        start,
-                        end: cur.pos,
-                        char_start: cstart,
-                        char_end: cur.cpos,
-                    });
+                let j = if matches!(bytes[pos + 1], b'H' | b'h') {
+                    run_end(bytes, pos + 2, |b| b.is_ascii_hexdigit())
                 } else {
-                    cur.bump(c, stats, false);
-                    tokens.push(SpanToken {
-                        kind: SpanKind::Operator("&"),
-                        start,
-                        end: cur.pos,
-                        char_start: cstart,
-                        char_end: cur.cpos,
-                    });
+                    run_end(bytes, pos + 2, |b| (b'0'..=b'7').contains(&b))
+                };
+                if j > pos + 2 {
+                    pos = j + usize::from(j < n && is_suffix_byte(bytes[j]));
+                    stats.code_ascii(&bytes[start..pos]);
+                    cpos += pos - start;
+                    push(tokens, SpanKind::Number, start, pos, cstart, cpos);
+                } else {
+                    pos += 1;
+                    stats.end_code_word();
+                    cpos += 1;
+                    push(tokens, SpanKind::Operator("&"), start, pos, cstart, cpos);
                 }
             }
-            '0'..='9' => {
-                while let Some(ch) = cur.peek() {
-                    if !ch.is_ascii_digit() {
-                        break;
-                    }
-                    cur.bump(ch, stats, false);
+            b'0'..=b'9' => {
+                let digits = |from| run_end(bytes, from, |b| b.is_ascii_digit());
+                pos = digits(pos);
+                if bytes.get(pos) == Some(&b'.') {
+                    pos = digits(pos + 1);
                 }
-                if cur.peek() == Some('.') {
-                    cur.bump('.', stats, false);
-                    while let Some(ch) = cur.peek() {
-                        if !ch.is_ascii_digit() {
-                            break;
-                        }
-                        cur.bump(ch, stats, false);
-                    }
-                }
-                if matches!(cur.peek(), Some('e') | Some('E')) {
+                if matches!(bytes.get(pos), Some(b'e' | b'E')) {
                     // Only consume the exponent when digits follow.
-                    let mut j = cur.pos + 1;
-                    if matches!(cur.byte_at(j), Some(b'+') | Some(b'-')) {
+                    let mut j = pos + 1;
+                    if matches!(bytes.get(j), Some(b'+' | b'-')) {
                         j += 1;
                     }
-                    if cur.byte_at(j).map(|b| b.is_ascii_digit()) == Some(true) {
-                        while cur.pos < j {
-                            let ch = cur.peek().unwrap();
-                            cur.bump(ch, stats, false);
-                        }
-                        while let Some(ch) = cur.peek() {
-                            if !ch.is_ascii_digit() {
-                                break;
-                            }
-                            cur.bump(ch, stats, false);
-                        }
+                    if bytes.get(j).is_some_and(u8::is_ascii_digit) {
+                        pos = digits(j);
                     }
                 }
-                if cur.peek().map(is_type_suffix) == Some(true) {
-                    let ch = cur.peek().unwrap();
-                    cur.bump(ch, stats, false);
+                if bytes.get(pos).copied().is_some_and(is_suffix_byte) {
+                    pos += 1;
                 }
-                tokens.push(SpanToken {
-                    kind: SpanKind::Number,
-                    start,
-                    end: cur.pos,
-                    char_start: cstart,
-                    char_end: cur.cpos,
-                });
+                stats.code_ascii(&bytes[start..pos]);
+                cpos += pos - start;
+                push(tokens, SpanKind::Number, start, pos, cstart, cpos);
             }
-            _ if is_ident_start(c) => {
-                // Snapshot the word machine: if this turns out to be a
-                // `Rem` comment the speculatively-fed chars are rewound
-                // (the whole comment span is masked, marker included).
-                let snap = stats.word_snapshot();
-                while let Some(ch) = cur.peek() {
-                    if !is_ident_continue(ch) {
-                        break;
-                    }
-                    cur.bump(ch, stats, false);
+            _ if b >= 0x80 || class(b) & IDENT_START != 0 => {
+                // Identifier characters: ASCII word bytes, and every byte
+                // of a non-ASCII char.
+                pos = run_end(bytes, pos, |b| b < 0x80 && class(b) & WORD != 0);
+                let ascii = pos == n || bytes[pos] < 0x80;
+                if !ascii {
+                    pos = run_end(bytes, pos, |b| b >= 0x80 || class(b) & WORD != 0);
                 }
-                let word = &source[start..cur.pos];
-                if word.eq_ignore_ascii_case("rem") {
-                    // Rem comment: swallow the rest of the line.
-                    stats.word_rewind(snap);
-                    let body_raw_start = cur.pos;
-                    let body_cstart = cur.cpos;
-                    while let Some(ch) = cur.peek() {
-                        if ch == '\n' {
-                            break;
-                        }
-                        cur.bump_comment(ch, stats);
-                    }
+                let word = words::classify_bytes(&bytes[start..pos]);
+                if word.is_rem() {
+                    // Rem comment: the whole span is masked, marker
+                    // included; swallow the rest of the line.
+                    stats.end_code_word();
+                    cpos += pos - start;
+                    let body_raw_start = pos;
+                    pos = run_end(bytes, pos, |b| b != b'\n');
+                    let raw = &source[body_raw_start..pos];
+                    let raw_chars = stats.comment(raw);
+                    cpos += raw_chars;
                     stats.end_comment_word();
-                    let raw = &source[body_raw_start..cur.pos];
                     let after_r = raw.trim_end_matches('\r');
                     let body = after_r.trim_start();
                     let prefix = &after_r[..after_r.len() - body.len()];
-                    let body_chars = (cur.cpos - body_cstart)
-                        - (raw.len() - after_r.len())
-                        - prefix.chars().count();
-                    let body_start = body_raw_start + (after_r.len() - body.len());
+                    stats.comment_body_chars +=
+                        raw_chars - (raw.len() - after_r.len()) - prefix.chars().count();
+                    stats.comment_span_chars += cpos - cstart;
+                    let body_start = body_raw_start + prefix.len();
                     comments.push(CommentInfo {
                         body_start,
                         body_end: body_start + body.len(),
                     });
-                    stats.comment_body_chars += body_chars;
-                    stats.comment_span_chars += cur.cpos - cstart;
-                    tokens.push(SpanToken {
-                        kind: SpanKind::Comment((comments.len() - 1) as u32),
-                        start,
-                        end: cur.pos,
-                        char_start: cstart,
-                        char_end: cur.cpos,
-                    });
-                } else if is_keyword(word) {
-                    tokens.push(SpanToken {
-                        kind: SpanKind::Keyword,
-                        start,
-                        end: cur.pos,
-                        char_start: cstart,
-                        char_end: cur.cpos,
-                    });
+                    let kind = SpanKind::Comment((comments.len() - 1) as u32);
+                    push(tokens, kind, start, pos, cstart, cpos);
                 } else {
-                    if cur.peek().map(is_type_suffix) == Some(true) {
-                        let ch = cur.peek().unwrap();
-                        cur.bump(ch, stats, false);
+                    let kind = if word.is_keyword() {
+                        SpanKind::Keyword(word)
+                    } else {
+                        pos += usize::from(bytes.get(pos).copied().is_some_and(is_suffix_byte));
+                        SpanKind::Identifier(word)
+                    };
+                    if ascii {
+                        stats.code_ascii(&bytes[start..pos]);
+                        cpos += pos - start;
+                    } else {
+                        cpos += stats.code(&source[start..pos]);
                     }
-                    tokens.push(SpanToken {
-                        kind: SpanKind::Identifier,
-                        start,
-                        end: cur.pos,
-                        char_start: cstart,
-                        char_end: cur.cpos,
-                    });
+                    push(tokens, kind, start, pos, cstart, cpos);
                 }
             }
             _ => {
                 // Operators and punctuation, multi-character first.
-                let two: Option<&'static str> = match (c, cur.byte_at(cur.pos + 1)) {
-                    ('<', Some(b'>')) => Some("<>"),
-                    ('<', Some(b'=')) => Some("<="),
-                    ('>', Some(b'=')) => Some(">="),
-                    (':', Some(b'=')) => Some(":="),
+                let op: Option<&'static str> = match (b, bytes.get(pos + 1)) {
+                    (b'<', Some(b'>')) => Some("<>"),
+                    (b'<', Some(b'=')) => Some("<="),
+                    (b'>', Some(b'=')) => Some(">="),
+                    (b':', Some(b'=')) => Some(":="),
+                    (b'&', _) => Some("&"),
+                    (b'+', _) => Some("+"),
+                    (b'-', _) => Some("-"),
+                    (b'*', _) => Some("*"),
+                    (b'/', _) => Some("/"),
+                    (b'\\', _) => Some("\\"),
+                    (b'^', _) => Some("^"),
+                    (b'=', _) => Some("="),
+                    (b'<', _) => Some("<"),
+                    (b'>', _) => Some(">"),
+                    (b'.', _) => Some("."),
+                    (b',', _) => Some(","),
+                    (b';', _) => Some(";"),
+                    (b':', _) => Some(":"),
+                    (b'(', _) => Some("("),
+                    (b')', _) => Some(")"),
+                    (b'#', _) => Some("#"),
+                    (b'@', _) => Some("@"),
+                    (b'!', _) => Some("!"),
+                    (b'$', _) => Some("$"),
+                    (b'%', _) => Some("%"),
+                    (b'?', _) => Some("?"),
+                    (b'[', _) => Some("["),
+                    (b']', _) => Some("]"),
+                    (b'{', _) => Some("{"),
+                    (b'}', _) => Some("}"),
+                    // Unknown characters are skipped (total lexer).
                     _ => None,
                 };
-                if let Some(op) = two {
-                    cur.bump(c, stats, false);
-                    let ch = cur.peek().unwrap();
-                    cur.bump(ch, stats, false);
-                    tokens.push(SpanToken {
-                        kind: SpanKind::Operator(op),
-                        start,
-                        end: cur.pos,
-                        char_start: cstart,
-                        char_end: cur.cpos,
-                    });
-                    continue;
-                }
-                let op: Option<&'static str> = match c {
-                    '&' => Some("&"),
-                    '+' => Some("+"),
-                    '-' => Some("-"),
-                    '*' => Some("*"),
-                    '/' => Some("/"),
-                    '\\' => Some("\\"),
-                    '^' => Some("^"),
-                    '=' => Some("="),
-                    '<' => Some("<"),
-                    '>' => Some(">"),
-                    '.' => Some("."),
-                    ',' => Some(","),
-                    ';' => Some(";"),
-                    ':' => Some(":"),
-                    '(' => Some("("),
-                    ')' => Some(")"),
-                    '#' => Some("#"),
-                    '@' => Some("@"),
-                    '!' => Some("!"),
-                    '$' => Some("$"),
-                    '%' => Some("%"),
-                    '?' => Some("?"),
-                    '[' => Some("["),
-                    ']' => Some("]"),
-                    '{' => Some("{"),
-                    '}' => Some("}"),
-                    _ => None,
-                };
-                cur.bump(c, stats, false);
+                pos += op.map_or(1, str::len);
+                stats.end_code_word();
+                cpos += pos - start;
                 if let Some(op) = op {
-                    tokens.push(SpanToken {
-                        kind: SpanKind::Operator(op),
-                        start,
-                        end: cur.pos,
-                        char_start: cstart,
-                        char_end: cur.cpos,
-                    });
+                    push(tokens, SpanKind::Operator(op), start, pos, cstart, cpos);
                 }
-                // Unknown characters are skipped (total lexer).
             }
         }
     }
-    stats.finish();
+    stats.finish(source, cpos);
 }
 
 /// Tokenizes VBA source code.
 ///
-/// The lexer is *total*: any input produces a token stream (unrecognized
-/// bytes become one-character [`TokenKind::Operator`]-like fallbacks are
-/// skipped), which matters because obfuscated macros frequently contain
-/// deliberately broken code (§VI.B of the paper).
+/// The lexer is *total*: any input produces a token stream (characters
+/// that start no token are skipped), which matters because obfuscated
+/// macros frequently contain deliberately broken code (§VI.B of the
+/// paper).
 pub fn tokenize(source: &str) -> Vec<Token> {
     let mut tokens = Vec::new();
     let mut strings = Vec::new();
     let mut comments = Vec::new();
-    let mut decoded = Vec::new();
+    let mut decoded = String::new();
     let mut stats = SourceStats::default();
     lex_spans(
         source,
@@ -635,14 +347,16 @@ pub fn tokenize(source: &str) -> Vec<Token> {
         .iter()
         .map(|t| {
             let kind = match t.kind {
-                SpanKind::Identifier => TokenKind::Identifier(source[t.start..t.end].to_string()),
-                SpanKind::Keyword => TokenKind::Keyword(source[t.start..t.end].to_string()),
+                SpanKind::Identifier(_) => {
+                    TokenKind::Identifier(source[t.start..t.end].to_string())
+                }
+                SpanKind::Keyword(_) => TokenKind::Keyword(source[t.start..t.end].to_string()),
                 SpanKind::Number => TokenKind::Number(source[t.start..t.end].to_string()),
                 SpanKind::StringLit(i) => {
                     let info = &strings[i as usize];
                     TokenKind::StringLit(match info.repr {
                         StrRepr::Span(s, e) => source[s..e].to_string(),
-                        StrRepr::Decoded(d) => decoded[d].clone(),
+                        StrRepr::Decoded(s, e) => decoded[s..e].to_string(),
                     })
                 }
                 SpanKind::Comment(i) => {
@@ -659,6 +373,21 @@ pub fn tokenize(source: &str) -> Vec<Token> {
             }
         })
         .collect()
+}
+
+#[cfg(any(test, feature = "reference"))]
+fn is_type_suffix(c: char) -> bool {
+    matches!(c, '$' | '%' | '&' | '!' | '#' | '@')
+}
+
+#[cfg(any(test, feature = "reference"))]
+fn is_ident_start(c: char) -> bool {
+    c.is_ascii_alphabetic() || c == '_' || !c.is_ascii()
+}
+
+#[cfg(any(test, feature = "reference"))]
+fn is_ident_continue(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_' || !c.is_ascii()
 }
 
 /// The historical `Vec<char>`-indexed tokenizer, kept verbatim as the
@@ -825,7 +554,7 @@ pub fn reference_tokenize(source: &str) -> Vec<Token> {
                         start,
                         i,
                     );
-                } else if is_keyword(&word) {
+                } else if crate::words::KEYWORDS.contains(&word.to_ascii_lowercase().as_str()) {
                     push(&mut tokens, TokenKind::Keyword(word), start, i);
                 } else {
                     let mut word = word;
@@ -901,33 +630,6 @@ mod tests {
 
     fn kinds(src: &str) -> Vec<TokenKind> {
         tokenize(src).into_iter().map(|t| t.kind).collect()
-    }
-
-    #[test]
-    fn keywords_are_sorted_for_binary_search() {
-        let mut sorted = KEYWORDS.to_vec();
-        sorted.sort_unstable();
-        assert_eq!(sorted, KEYWORDS, "KEYWORDS must stay sorted");
-    }
-
-    #[test]
-    fn fold_compare_matches_allocating_compare() {
-        for w in [
-            "Dim",
-            "DIM",
-            "dim",
-            "dio",
-            "di",
-            "dimm",
-            "zzz",
-            "",
-            "Caf\u{e9}",
-        ] {
-            let lower = w.to_ascii_lowercase();
-            for k in ["dim", "do", "a", "zz"] {
-                assert_eq!(cmp_ascii_fold(k, w), k.cmp(lower.as_str()), "{k} vs {w}");
-            }
-        }
     }
 
     #[test]

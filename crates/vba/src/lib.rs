@@ -5,7 +5,9 @@
 //! operator frequencies, function-call category ratios, comment/code splits.
 //! This crate provides the tokenizer and token-stream views those extractors
 //! are built on, plus the VBA built-in-function category tables from the
-//! language specification (used by features V8–V12).
+//! language specification (used by features V8–V12), merged with the
+//! reserved words into one word table ([`words`]) that the lexer reads
+//! once per word.
 //!
 //! # Examples
 //!
@@ -22,6 +24,7 @@ pub mod functions;
 mod lexer;
 mod stats;
 mod token;
+pub mod words;
 
 pub use analysis::{LexScratch, MacroAnalysis};
 pub use functions::FunctionCategory;
@@ -30,3 +33,4 @@ pub use lexer::reference_tokenize;
 pub use lexer::tokenize;
 pub use stats::SourceStats;
 pub use token::{SpanKind, SpanToken, Token, TokenKind};
+pub use words::WordClass;

@@ -7,6 +7,13 @@
 //! [`SourceStats`] replaces all of those with counters fed exactly once
 //! per character while the lexer is already looking at it.
 //!
+//! The lexer hands over runs of source, not single characters: ASCII
+//! bytes are classified through one 128-entry table ([`CLASS`]) and a
+//! `char` is decoded only for bytes ≥ 0x80. Counts that the histogram
+//! already holds (characters, ASCII whitespace, backslashes) are read off
+//! it in [`SourceStats::finish`] instead of being kept per character, and
+//! the line machine runs once per `'\n'`.
+//!
 //! Equivalence with the old multi-pass computation is bit-level: every
 //! floating-point quantity that the extractors derive from these counters
 //! is accumulated in the same order the reference code iterated
@@ -14,7 +21,61 @@
 //! ascending character order for the entropy histogram), so the fused
 //! path reproduces the exact `f64` bit patterns of the original.
 
-use std::collections::BTreeMap;
+/// `char::is_whitespace`.
+pub(crate) const WS: u8 = 1;
+/// A word character (paper §IV.C.4): alphanumeric or `_`. For ASCII this
+/// is also "may continue an identifier".
+pub(crate) const WORD: u8 = 2;
+/// May start an identifier: a letter or `_`.
+pub(crate) const IDENT_START: u8 = 4;
+/// An ASCII letter.
+const ALPHA: u8 = 8;
+/// A vowel, either case (J5 readability).
+const VOWEL: u8 = 16;
+
+/// Classes of the 128 ASCII bytes; every byte ≥ 0x80 belongs to a
+/// multi-byte `char` and is classified by decoding it.
+pub(crate) static CLASS: [u8; 128] = {
+    let mut t = [0u8; 128];
+    let mut b = 0;
+    while b < 128 {
+        let c = b as u8;
+        let mut k = 0;
+        if matches!(c, b'\t' | b'\n' | 0x0b | 0x0c | b'\r' | b' ') {
+            k |= WS;
+        }
+        if c.is_ascii_alphanumeric() || c == b'_' {
+            k |= WORD;
+        }
+        if c.is_ascii_alphabetic() || c == b'_' {
+            k |= IDENT_START;
+        }
+        if c.is_ascii_alphabetic() {
+            k |= ALPHA;
+        }
+        if matches!(c.to_ascii_lowercase(), b'a' | b'e' | b'i' | b'o' | b'u') {
+            k |= VOWEL;
+        }
+        t[b] = k;
+        b += 1;
+    }
+    t
+};
+
+/// End of the run starting at `from` in which every byte satisfies `keep`.
+#[inline]
+pub(crate) fn run_end(bytes: &[u8], from: usize, keep: impl Fn(u8) -> bool) -> usize {
+    bytes[from..]
+        .iter()
+        .position(|&b| !keep(b))
+        .map_or(bytes.len(), |i| from + i)
+}
+
+/// The class bits of an ASCII byte.
+#[inline]
+pub(crate) fn class(b: u8) -> u8 {
+    CLASS[usize::from(b & 0x7f)]
+}
 
 /// In-flight state of one "word": a maximal run of alphanumeric or `_`
 /// characters outside comments and string literals (paper §IV.C.4), plus
@@ -33,7 +94,7 @@ pub(crate) struct WordRun {
 
 impl WordRun {
     #[inline]
-    fn feed(&mut self, c: char) {
+    fn begin(&mut self) {
         if !self.active {
             *self = WordRun {
                 active: true,
@@ -42,21 +103,43 @@ impl WordRun {
                 ..WordRun::default()
             };
         }
+    }
+
+    /// Feeds a run of ASCII word bytes. Branch-free per byte: the
+    /// consonant-run counter resets on a vowel, grows on a consonant and
+    /// holds on a digit or `_`, and `runs_ok` latches false once it
+    /// passes 4.
+    #[inline]
+    fn feed_run(&mut self, run: &[u8]) {
+        self.begin();
+        self.char_len += run.len();
+        self.byte_len += run.len();
+        let (mut all_alpha, mut has_vowel) = (self.all_alpha, self.has_vowel);
+        let (mut cons_run, mut runs_ok) = (self.cons_run, self.runs_ok);
+        for &b in run {
+            let k = class(b);
+            let alpha = k & ALPHA != 0;
+            let vowel = k & VOWEL != 0;
+            all_alpha &= alpha;
+            has_vowel |= vowel;
+            cons_run = if vowel {
+                0
+            } else {
+                cons_run + usize::from(alpha)
+            };
+            runs_ok &= cons_run <= 4;
+        }
+        (self.all_alpha, self.has_vowel) = (all_alpha, has_vowel);
+        (self.cons_run, self.runs_ok) = (cons_run, runs_ok);
+    }
+
+    /// Feeds a non-ASCII alphanumeric character.
+    #[inline]
+    fn feed_char(&mut self, c: char) {
+        self.begin();
         self.char_len += 1;
         self.byte_len += c.len_utf8();
-        if c.is_ascii_alphabetic() {
-            if matches!(c.to_ascii_lowercase(), 'a' | 'e' | 'i' | 'o' | 'u') {
-                self.has_vowel = true;
-                self.cons_run = 0;
-            } else {
-                self.cons_run += 1;
-                if self.cons_run > 4 {
-                    self.runs_ok = false;
-                }
-            }
-        } else {
-            self.all_alpha = false;
-        }
+        self.all_alpha = false;
     }
 
     #[inline]
@@ -69,9 +152,15 @@ impl WordRun {
     }
 }
 
-#[inline]
-fn is_word_char(c: char) -> bool {
-    c.is_alphanumeric() || c == '_'
+/// Where a run of source sits, which decides the word machines it feeds.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Zone {
+    /// Outside comments and strings: feeds the code-word machine.
+    Code,
+    /// A string literal or a comment marker: ends any code word.
+    Masked,
+    /// A comment body: ends any code word, feeds the comment-word machine.
+    Comment,
 }
 
 /// Character-level statistics of one macro source, filled by the lexer in
@@ -111,17 +200,17 @@ pub struct SourceStats {
     /// Total full comment-span characters, marker included (V1).
     pub comment_span_chars: usize,
 
-    // Entropy histogram: dense ASCII lane plus an ordered map for the
-    // (rare) rest. Iterating ASCII ascending then the map ascending
-    // reproduces the old full-`BTreeMap` term order exactly.
+    // Entropy histogram: a dense ASCII lane plus a sorted lane for the
+    // (rare) rest, which keeps its capacity across modules. Iterating
+    // ASCII ascending then the sorted lane reproduces the old
+    // full-`BTreeMap` term order exactly.
     ascii_counts: [u64; 128],
-    other_counts: BTreeMap<char, u64>,
+    other_counts: Vec<(char, u64)>,
 
     // Lexer-pass machines (meaningless after `finish`).
     code_run: WordRun,
     comment_run: WordRun,
-    cur_line_chars: usize,
-    last_was_cr: bool,
+    line_start: usize,
 }
 
 impl Default for SourceStats {
@@ -141,98 +230,144 @@ impl Default for SourceStats {
             comment_body_chars: 0,
             comment_span_chars: 0,
             ascii_counts: [0; 128],
-            other_counts: BTreeMap::new(),
+            other_counts: Vec::new(),
             code_run: WordRun::default(),
             comment_run: WordRun::default(),
-            cur_line_chars: 0,
-            last_was_cr: false,
+            line_start: 0,
         }
     }
 }
 
 impl SourceStats {
-    /// Clears all counters while keeping `word_lengths` capacity.
+    /// Clears all counters while keeping the capacity of the word-length
+    /// and non-ASCII lanes.
     pub(crate) fn reset(&mut self) {
         let mut word_lengths = std::mem::take(&mut self.word_lengths);
+        let mut other_counts = std::mem::take(&mut self.other_counts);
         word_lengths.clear();
+        other_counts.clear();
         *self = SourceStats {
             word_lengths,
+            other_counts,
             ..SourceStats::default()
         };
     }
 
-    /// One call per source character, in order. `masked` is true inside
-    /// comment and string-literal token spans (marker/quotes included),
-    /// mirroring the span mask the old `words()` view applied.
+    /// Source outside comments and strings; returns its character count.
     #[inline]
-    pub(crate) fn visit(&mut self, c: char, masked: bool) {
-        self.char_len += 1;
-        if c.is_whitespace() {
-            self.whitespace += 1;
+    pub(crate) fn code(&mut self, text: &str) -> usize {
+        self.run(text, Zone::Code)
+    }
+
+    /// ASCII source outside comments and strings.
+    #[inline]
+    pub(crate) fn code_ascii(&mut self, bytes: &[u8]) {
+        debug_assert!(bytes.is_ascii());
+        self.words(bytes, Zone::Code);
+    }
+
+    /// A run inside a string literal; returns its character count.
+    #[inline]
+    pub(crate) fn masked(&mut self, text: &str) -> usize {
+        self.run(text, Zone::Masked)
+    }
+
+    /// A comment body (after the marker); returns the character count.
+    /// Call [`end_comment_word`](Self::end_comment_word) at the comment's
+    /// end.
+    #[inline]
+    pub(crate) fn comment(&mut self, text: &str) -> usize {
+        self.run(text, Zone::Comment)
+    }
+
+    #[inline]
+    fn run(&mut self, text: &str, zone: Zone) -> usize {
+        if zone != Zone::Code {
+            self.end_code_word();
         }
-        if c == '\\' {
-            self.backslashes += 1;
+        if !text.is_ascii() {
+            return self.run_chars(text, zone);
         }
-        let u = c as u32;
-        if u < 128 {
-            self.ascii_counts[u as usize] += 1;
-        } else {
-            *self.other_counts.entry(c).or_insert(0) += 1;
+        if zone != Zone::Masked {
+            self.words(text.as_bytes(), zone);
         }
-        // Line machine: `str::lines` counts a line per '\n' (stripping one
-        // '\r' before it) plus a final unterminated line if non-empty.
-        if c == '\n' {
-            let len = self.cur_line_chars - usize::from(self.last_was_cr);
-            if len > 150 {
-                self.long_lines += 1;
+        text.len()
+    }
+
+    /// Feeds ASCII `bytes` to the zone's word machine: word runs whole,
+    /// each non-word run as one flush, so the per-byte work carries no
+    /// data-dependent branch.
+    #[inline]
+    fn words(&mut self, bytes: &[u8], zone: Zone) {
+        let mut i = 0;
+        while i < bytes.len() {
+            let word_end = run_end(bytes, i, |b| class(b) & WORD != 0);
+            if word_end > i {
+                self.machine(zone).feed_run(&bytes[i..word_end]);
             }
-            self.line_count += 1;
-            self.cur_line_chars = 0;
-        } else {
-            self.cur_line_chars += 1;
-        }
-        self.last_was_cr = c == '\r';
-        // Code-word machine.
-        if masked || !is_word_char(c) {
-            self.flush_code_word();
-        } else {
-            self.code_run.feed(c);
+            if word_end == bytes.len() {
+                break;
+            }
+            self.flush(zone);
+            i = run_end(bytes, word_end, |b| class(b) & WORD == 0);
         }
     }
 
-    /// Additionally routes a comment-body character through the
-    /// comment-word machine (call after `visit(c, true)`).
+    /// The rare path for text with non-ASCII characters.
+    #[cold]
+    fn run_chars(&mut self, text: &str, zone: Zone) -> usize {
+        if zone == Zone::Masked {
+            return text.chars().count();
+        }
+        let mut n = 0;
+        for c in text.chars() {
+            n += 1;
+            if c.is_ascii() && class(c as u8) & WORD != 0 {
+                self.machine(zone).feed_run(&[c as u8]);
+            } else if !c.is_ascii() && c.is_alphanumeric() {
+                self.machine(zone).feed_char(c);
+            } else {
+                self.flush(zone);
+            }
+        }
+        n
+    }
+
     #[inline]
-    pub(crate) fn visit_comment_word(&mut self, c: char) {
-        if is_word_char(c) {
-            self.comment_run.feed(c);
+    fn machine(&mut self, zone: Zone) -> &mut WordRun {
+        if zone == Zone::Code {
+            &mut self.code_run
         } else {
-            self.flush_comment_word();
+            &mut self.comment_run
         }
     }
 
-    /// Ends the current comment-body word run. The lexer calls this at
-    /// every comment terminator so a run can never merge with the first
-    /// word of the *next* comment (e.g. `'t` directly followed on the
-    /// next line by `'rai` is two words, not `trai`).
     #[inline]
-    pub(crate) fn end_comment_word(&mut self) {
-        self.flush_comment_word();
+    fn flush(&mut self, zone: Zone) {
+        if zone == Zone::Code {
+            self.end_code_word();
+        } else {
+            self.end_comment_word();
+        }
     }
 
-    /// Word-machine snapshot taken before scanning an identifier, so a
-    /// `Rem` comment can rewind the characters it fed speculatively.
+    /// The line machine, run for each `'\n'`: `str::lines` counts a line
+    /// per `'\n'`, stripping one `'\r'` before it. `at` is the newline's
+    /// character offset.
     #[inline]
-    pub(crate) fn word_snapshot(&self) -> WordRun {
-        self.code_run
+    pub(crate) fn newline(&mut self, at: usize, after_cr: bool) {
+        let len = at - self.line_start - usize::from(after_cr);
+        if len > 150 {
+            self.long_lines += 1;
+        }
+        self.line_count += 1;
+        self.line_start = at + 1;
     }
 
-    #[inline]
-    pub(crate) fn word_rewind(&mut self, snap: WordRun) {
-        self.code_run = snap;
-    }
-
-    fn flush_code_word(&mut self) {
+    /// Ends any code word: the lexer consumed ASCII code that holds no
+    /// word character (whitespace, an operator), or a comment marker or
+    /// string quote.
+    pub(crate) fn end_code_word(&mut self) {
         if self.code_run.active {
             self.code_words += 1;
             self.word_lengths.push(self.code_run.char_len as f64);
@@ -243,7 +378,11 @@ impl SourceStats {
         }
     }
 
-    fn flush_comment_word(&mut self) {
+    /// Ends the current comment-body word run. The lexer calls this at
+    /// every comment terminator so a run can never merge with the first
+    /// word of the *next* comment (e.g. `'t` directly followed on the
+    /// next line by `'rai` is two words, not `trai`).
+    pub(crate) fn end_comment_word(&mut self) {
         if self.comment_run.active {
             self.comment_words += 1;
             if self.comment_run.is_readable() {
@@ -253,14 +392,49 @@ impl SourceStats {
         }
     }
 
-    /// Flushes open word runs and the final unterminated line.
-    pub(crate) fn finish(&mut self) {
-        self.flush_code_word();
-        self.flush_comment_word();
-        if self.cur_line_chars > 0 {
+    /// Flushes open word runs and the final unterminated line (which,
+    /// like `str::lines`, keeps a trailing `'\r'`), and fills the
+    /// character histogram and the counts read off it. `char_len` is the
+    /// source's length in characters.
+    pub(crate) fn finish(&mut self, source: &str, char_len: usize) {
+        self.end_code_word();
+        self.end_comment_word();
+        let tail = char_len - self.line_start;
+        if tail > 0 {
             self.line_count += 1;
-            if self.cur_line_chars > 150 {
+            if tail > 150 {
                 self.long_lines += 1;
+            }
+        }
+        self.char_len = char_len;
+
+        // Four lanes, so runs of one byte value do not serialize on a
+        // single counter.
+        let mut lanes = [[0u64; 256]; 4];
+        let mut quads = source.as_bytes().chunks_exact(4);
+        for q in &mut quads {
+            for (lane, &b) in lanes.iter_mut().zip(q) {
+                lane[usize::from(b)] += 1;
+            }
+        }
+        for &b in quads.remainder() {
+            lanes[0][usize::from(b)] += 1;
+        }
+        for (b, n) in self.ascii_counts.iter_mut().enumerate() {
+            *n = lanes.iter().map(|lane| lane[b]).sum();
+        }
+        self.backslashes = self.ascii_counts[usize::from(b'\\')] as usize;
+        self.whitespace = (0..128)
+            .filter(|&b| CLASS[b] & WS != 0)
+            .map(|b| self.ascii_counts[b] as usize)
+            .sum();
+        if !source.is_ascii() {
+            for c in source.chars().filter(|c| !c.is_ascii()) {
+                match self.other_counts.binary_search_by_key(&c, |&(k, _)| k) {
+                    Ok(i) => self.other_counts[i].1 += 1,
+                    Err(i) => self.other_counts.insert(i, (c, 1)),
+                }
+                self.whitespace += usize::from(c.is_whitespace());
             }
         }
     }
@@ -272,7 +446,7 @@ impl SourceStats {
             .iter()
             .copied()
             .filter(|&n| n > 0)
-            .chain(self.other_counts.values().copied())
+            .chain(self.other_counts.iter().map(|&(_, n)| n))
     }
 }
 
@@ -281,15 +455,22 @@ mod tests {
     use super::*;
 
     fn run(source: &str) -> SourceStats {
-        // Feed every char unmasked: enough to exercise the char-level
-        // machines (word/line equivalence under masking is covered by the
-        // lexer and analysis tests).
-        let mut s = SourceStats::default();
-        for c in source.chars() {
-            s.visit(c, false);
+        crate::MacroAnalysis::new(source).stats().clone()
+    }
+
+    #[test]
+    fn class_table_matches_char_predicates() {
+        for b in 0u8..128 {
+            let c = b as char;
+            let k = CLASS[usize::from(b)];
+            assert_eq!(k & WS != 0, c.is_whitespace(), "{b:#x}");
+            assert_eq!(k & WORD != 0, c.is_alphanumeric() || c == '_', "{b:#x}");
+            assert_eq!(
+                k & IDENT_START != 0,
+                c.is_ascii_alphabetic() || c == '_',
+                "{b:#x}"
+            );
         }
-        s.finish();
-        s
     }
 
     #[test]
@@ -299,6 +480,7 @@ mod tests {
         assert_eq!(s.line_count, 2);
         assert_eq!(s.code_words, 3);
         assert_eq!(s.word_lengths, vec![2.0, 2.0, 2.0]);
+        assert_eq!(s.whitespace, 4);
     }
 
     #[test]
@@ -319,10 +501,10 @@ mod tests {
 
     #[test]
     fn entropy_counts_ascending() {
-        let s = run("ba\u{2603}ab");
+        let s = run("ba\u{2603}ab\u{e9}\u{2603}");
         let counts: Vec<u64> = s.char_counts().collect();
-        // 'a' x2, 'b' x2, snowman x1 — ascending char order.
-        assert_eq!(counts, vec![2, 2, 1]);
+        // 'a' x2, 'b' x2, e-acute x1, snowman x2 — ascending char order.
+        assert_eq!(counts, vec![2, 2, 1, 2]);
     }
 
     #[test]
@@ -365,9 +547,18 @@ mod tests {
         ] {
             let mut r = WordRun::default();
             for c in w.chars() {
-                r.feed(c);
+                if c.is_ascii() {
+                    r.feed_run(&[c as u8]);
+                } else {
+                    r.feed_char(c);
+                }
             }
             assert_eq!(r.is_readable(), reference(w), "{w:?}");
+            if w.is_ascii() {
+                let mut whole = WordRun::default();
+                whole.feed_run(w.as_bytes());
+                assert_eq!(whole.is_readable(), reference(w), "{w:?} fed whole");
+            }
         }
     }
 }

@@ -1,5 +1,7 @@
 //! Token types produced by the lexer.
 
+use crate::words::WordClass;
+
 /// Kind and payload of a lexical token.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TokenKind {
@@ -52,10 +54,11 @@ impl Token {
 /// the payload is not the exact span) live in side tables indexed here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
-    /// An identifier; the span includes any absorbed type suffix.
-    Identifier,
-    /// A reserved word, exactly as written in the span.
-    Keyword,
+    /// An identifier; the span includes any absorbed type suffix. The
+    /// class (built-in category, if any) was looked up once by the lexer.
+    Identifier(WordClass),
+    /// A reserved word, exactly as written in the span, with its class.
+    Keyword(WordClass),
     /// A numeric literal, exactly as written in the span.
     Number,
     /// A string literal; payload index into the analysis string table.

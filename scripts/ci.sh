@@ -2,12 +2,12 @@
 # Staged offline CI harness. Run from anywhere; it cds to the repo root.
 #
 #   scripts/ci.sh               full pipeline: fmt -> builds -> tests ->
-#                               clippy -> bench -> gates
+#                               paper -> clippy -> bench -> gates
 #   scripts/ci.sh --stage NAME  run only the named stage(s); repeatable,
 #                               e.g. --stage serve --stage reload-soak.
 #                               Unselected stages are recorded as skipped
-#   scripts/ci.sh --gate-test   dry-run: doctor the bench baseline and
-#                               assert the regression gates FAIL against it
+#   scripts/ci.sh --gate-test   dry-run: doctor the bench baseline (and a
+#                               Table V) and assert the gates FAIL on them
 #
 # Every stage is timed; the run (pass or fail) is recorded to
 # results/ci-summary.json as machine-readable
@@ -34,13 +34,14 @@ CACHE_BENCH=results/BENCH_cache.json
 RELOAD_BENCH=results/BENCH_reload.json
 FEATURES_BENCH=results/BENCH_features.json
 FEATURES_BASELINE=results/BENCH_features_baseline.json
+PAPER_TABLE=results/table5.txt
 STAGES=""
 OVERALL=ok
 
 # Every stage the pipeline knows, in run order — the --stage validator
 # and the skip logic both key off this list.
 KNOWN_STAGES="fmt build build-faultpoints test test-faultpoints test-determinism \
-cache isolation serve serve-soak reload-soak clippy clippy-faultpoints \
+cache isolation serve serve-soak reload-soak paper clippy clippy-faultpoints \
 bench bench-features bench-cache bench-reload gates"
 
 GATE_TEST=0
@@ -186,6 +187,50 @@ assert_no_orphan_workers() {
         return 1
     fi
     echo "ci: no orphaned isolation workers"
+}
+
+# The paper's headline result (DESIGN §1), checked on Table V: on F2,
+# V1-V15 beats J1-J20 for each of the five classifiers, and each of MLP,
+# RF and SVM on V1-V15 beats both LDA and BNB on V1-V15. A classifier
+# missing from the table fails the check.
+check_paper_shape() {
+    awk '
+        ($1 == "V1-V15" || $1 == "J1-J20") && NF >= 7 { f2[$1, $2] = $6 }
+        function need(set, clf) {
+            if (!((set, clf) in f2)) {
+                printf "ci: paper FAIL — no %s %s row in the table\n", set, clf
+                bad = 1
+                return 0
+            }
+            return 1
+        }
+        function above(a_set, a, b_set, b) {
+            if (!need(a_set, a) || !need(b_set, b)) return
+            if (f2[a_set, a] + 0 > f2[b_set, b] + 0) {
+                printf "ci: paper ok — F2 %s %s %s > %s %s %s\n", a_set, a, f2[a_set, a], b_set, b, f2[b_set, b]
+            } else {
+                printf "ci: paper FAIL — F2 %s %s %s <= %s %s %s\n", a_set, a, f2[a_set, a], b_set, b, f2[b_set, b]
+                bad = 1
+            }
+        }
+        END {
+            split("SVM RF MLP LDA BNB", all, " ")
+            for (i = 1; i <= 5; i++) above("V1-V15", all[i], "J1-J20", all[i])
+            split("MLP RF SVM", strong, " ")
+            split("LDA BNB", weak, " ")
+            for (i = 1; i <= 3; i++)
+                for (j = 1; j <= 2; j++) above("V1-V15", strong[i], "V1-V15", weak[j])
+            exit bad
+        }
+    ' "$1" >&2
+}
+
+# Regenerates Table V at scale 0.1 (the committed results/table5.txt) and
+# checks its shape.
+paper_stage() {
+    VBADET_SCALE=0.1 cargo run -q --release --offline -p vbadet-bench --bin table5_classification \
+        >"$PAPER_TABLE" &&
+        check_paper_shape "$PAPER_TABLE"
 }
 
 # gate_check VALUE OP BOUND LABEL — one comparison, with a uniform
@@ -391,6 +436,32 @@ if [ "$GATE_TEST" = 1 ]; then
         exit 1
     fi
     echo "ci: --gate-test ok — the fused-extraction speedup gate fails against doctored results"
+
+    # And the paper stage: a Table V where J1-J20 wins on one classifier
+    # and LDA on V1-V15 outscores MLP must FAIL the shape check.
+    doctored_table=$(mktemp)
+    cat >"$doctored_table" <<'TABLE'
+Feature set  Classifier   Accuracy  Precision   Recall       F2     AUC
+----------------------------------------------------------------------
+V1-V15       SVM             0.900      0.900    0.900    0.814   0.900
+V1-V15       RF              0.900      0.900    0.900    0.802   0.900
+V1-V15       MLP             0.900      0.900    0.900    0.550   0.900
+V1-V15       LDA             0.700      0.700    0.700    0.583   0.700
+V1-V15       BNB             0.700      0.700    0.700    0.542   0.700
+----------------------------------------------------------------------
+J1-J20       SVM             0.800      0.800    0.800    0.900   0.800
+J1-J20       RF              0.800      0.800    0.800    0.700   0.800
+J1-J20       MLP             0.800      0.800    0.800    0.500   0.800
+J1-J20       LDA             0.600      0.600    0.600    0.500   0.600
+J1-J20       BNB             0.600      0.600    0.600    0.500   0.600
+TABLE
+    if check_paper_shape "$doctored_table"; then
+        rm -f "$doctored_table"
+        echo "ci: --gate-test FAIL — the paper shape check passed on a doctored Table V" >&2
+        exit 1
+    fi
+    rm -f "$doctored_table"
+    echo "ci: --gate-test ok — the paper shape check fails on a doctored Table V"
     exit 0
 fi
 
@@ -405,6 +476,7 @@ stage isolation isolation_tests
 stage serve serve_tests
 stage serve-soak serve_soak
 stage reload-soak reload_soak
+stage paper paper_stage
 stage clippy cargo clippy --offline --workspace --all-targets -- -D warnings
 stage clippy-faultpoints cargo clippy --offline -p vbadet-faultpoint --features faultpoints --all-targets -- -D warnings
 stage bench cargo bench --offline -p vbadet-bench --bench scan_parallel

@@ -15,20 +15,22 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use vbadet_features::{reference, FeatureScratch, FeatureSet};
 
-/// Base sources covering every token family the lexer knows: keywords,
-/// identifiers (ASCII and not), numbers (`&H`, `&O`, exponents, type
-/// suffixes), strings with `""` escapes, `'` and `Rem` comments, line
-/// continuations, and mixed line endings.
-const BASES: &[&str] = &[
-    "Sub Alpha()\r\n    Dim x As Integer\r\n    x = Chr(65) & \"he\"\"llo\" + Mid(s, 1, 2)\r\n\
-     \x20   ' a comment with words\r\n    Rem another one\r\nEnd Sub\r\n",
-    "Function F(a, b)\r\n    F = a + b * &HFF - &O77 + 1.5E-3# \r\nEnd Function\r\n",
-    "Attribute VB_Name = \"Module1\"\nPrivate Declare Function Beep Lib \"kernel32\" ()\n\
-     Sub Go()\n    Call Helper(1, \"two\", 3.0)\nEnd Sub\n",
-    "x = \"unterminated\r\ny = 'trailing comment no newline",
-    "Sub S()\r\n    v = Array(1, _\r\n        2, _\r\n        3)\r\n    Exit Sub\r\nEnd Sub\r\n",
-    "1Rem fused\r\ncaf\u{e9} = caf\u{c9} + \u{2603}\r\nIf x Then y = Asc(\"\u{e9}\") End If\r\n",
-    "",
+mod common;
+use common::BASES;
+
+/// Word-table cases: type suffixes, mixed case, `Randomize` (a keyword
+/// that is also an arithmetic built-in), declaration keywords, and
+/// non-ASCII lookalikes (U+017F long s, U+212A Kelvin sign) that ASCII
+/// folding must not match. Checked after the bases and before the
+/// mutants, so the seeded mutant stream is unchanged.
+const WORD_CASES: &[&str] = &[
+    "x = CHR$(65) & cHr(66) & Chr$$(67) & hex%(1)\r\n",
+    "sHeLl \"x\", 1\r\nSHELL$ \"y\"\r\n",
+    "Randomize\r\nrandomize 5\r\nx = RANDOMIZE(3) + Rnd\r\n",
+    "Declare Function URLDownloadToFileA Lib \"urlmon\" ()\r\nPrivate Declare Sub Sleep Lib \"k\" ()\r\n",
+    "\u{17f}hell(1)\r\n\u{212a}ill \"f\"\r\nKill \"f\"\r\n",
+    "Dim Shell As Long\r\nConst Chr = 1\r\nFunction Mid(a)\r\nEnd Function\r\nSub x: End Sub\r\n",
+    "END SUB\r\nExit Function\r\nPROPERTY Get Val()\r\nEnd Property\r\nREM x\r\n",
 ];
 
 /// Snippets spliced into mutants to provoke state-machine boundaries.
@@ -99,7 +101,7 @@ fn assert_bit_identical(src: &str, scratch: &mut FeatureScratch) {
 fn fused_extractors_match_reference_on_hostile_mutants() {
     let mut rng = StdRng::seed_from_u64(0xFEA7);
     let mut scratch = FeatureScratch::default();
-    for base in BASES {
+    for base in BASES.iter().chain(WORD_CASES) {
         assert_bit_identical(base, &mut scratch);
     }
     // One scratch across all mutants: proves buffer reuse cannot leak

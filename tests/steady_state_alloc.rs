@@ -1,0 +1,45 @@
+//! Steady-state feature extraction makes no heap allocation (DESIGN §14):
+//! once one `FeatureScratch` has seen a set of sources, a second V+J pass
+//! over them allocates nothing, including for `""`-escaped string
+//! literals and non-ASCII characters.
+//!
+//! The allocation counter is process-wide, so this file holds a single
+//! test: no other test thread may allocate while it counts.
+
+use vbadet::memguard::{cumulative_allocs, TrackingAllocator};
+use vbadet_features::{FeatureScratch, FeatureSet};
+
+mod common;
+
+#[global_allocator]
+static ALLOC: TrackingAllocator = TrackingAllocator;
+
+#[test]
+fn a_warm_feature_scratch_extracts_without_allocating() {
+    let corpus = vbadet_corpus::generate_macros(&vbadet_corpus::CorpusSpec::paper().scaled(0.05));
+    let sources: Vec<&str> = common::BASES
+        .iter()
+        .copied()
+        .chain(corpus.iter().map(|m| m.source.as_str()))
+        .collect();
+    let mut scratch = FeatureScratch::default();
+    let pass = |scratch: &mut FeatureScratch| {
+        let mut sink = 0.0;
+        for src in &sources {
+            sink += scratch.extract(FeatureSet::V, src)[0];
+            sink += scratch.extract(FeatureSet::J, src)[0];
+        }
+        sink
+    };
+    let warm = pass(&mut scratch);
+    let (before, _) = cumulative_allocs();
+    let again = pass(&mut scratch);
+    let (after, _) = cumulative_allocs();
+    assert_eq!(warm.to_bits(), again.to_bits());
+    assert_eq!(
+        after - before,
+        0,
+        "a warm FeatureScratch allocated over {} sources",
+        sources.len()
+    );
+}
