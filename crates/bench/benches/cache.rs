@@ -21,38 +21,15 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use vbadet::{
-    scan_paths_with_policy, Detector, DetectorConfig, MetricsSink, ScanCache, ScanPolicy,
-};
-use vbadet_corpus::CorpusSpec;
+use vbadet::{scan_paths_with_policy, MetricsSink, ScanCache, ScanPolicy};
+use vbadet_bench::{bench_detector, best_of, fresh_dir, is_test_run, macro_project, write_result};
 use vbadet_ole::OleBuilder;
-use vbadet_ovba::VbaProjectBuilder;
 use vbadet_zip::{CompressionMethod, ZipWriter};
 
 const DOCS: usize = 400;
 const UNIQUE: usize = 8;
 const REPS: usize = 3;
-
-/// A realistically sized module (~150 statements), same scale as the
-/// scan_parallel bench, so a miss costs real parse/feature work.
-fn macro_project(i: usize) -> Vec<u8> {
-    let mut body = String::new();
-    for line in 0..150 {
-        body.push_str(&format!(
-            "    v{line} = v{} + {i} Mod {}\r\n",
-            line.max(1) - 1,
-            line + 2
-        ));
-    }
-    let mut b = VbaProjectBuilder::new("P");
-    b.add_module(
-        &format!("Module{i}"),
-        &format!("Sub Work{i}()\r\n{body}End Sub\r\n"),
-    );
-    b.build().unwrap()
-}
 
 fn docm_doc(i: usize) -> Vec<u8> {
     let mut zip = ZipWriter::new();
@@ -104,34 +81,15 @@ fn write_corpus(dir: &Path) -> (Vec<PathBuf>, u64) {
     (paths, total_bytes)
 }
 
-fn best_of<F: FnMut() -> usize>(mut run: F) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        let scanned = run();
-        let elapsed = start.elapsed();
-        assert_eq!(scanned, DOCS, "every rep must scan the whole batch");
-        best = best.min(elapsed);
-    }
-    best
-}
-
 fn main() {
-    // `cargo test` executes harness=false bench binaries with `--test`;
-    // timing is meaningless there, so bow out like the criterion stub does.
-    if std::env::args().any(|a| a == "--test") {
+    if is_test_run() {
         return;
     }
 
-    let dir = std::env::temp_dir().join(format!("vbadet-bench-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = fresh_dir("cache");
     let (paths, total_bytes) = write_corpus(&dir);
 
-    let detector = Detector::train_on_corpus(
-        &DetectorConfig::default(),
-        &CorpusSpec::paper().scaled(0.002),
-    );
+    let detector = bench_detector();
     let uncached_policy = ScanPolicy::default();
 
     // Page-cache warmup so the uncached baseline (measured first) isn't
@@ -139,12 +97,13 @@ fn main() {
     let warmup = scan_paths_with_policy(&detector, &paths, &uncached_policy);
     assert_eq!(warmup.scanned(), DOCS);
 
-    let uncached =
-        best_of(|| scan_paths_with_policy(&detector, &paths, &uncached_policy).scanned());
+    let uncached = best_of(REPS, DOCS, || {
+        scan_paths_with_policy(&detector, &paths, &uncached_policy).scanned()
+    });
 
     // Cold: a fresh cache per rep, so each rep pays UNIQUE full scans
     // plus DOCS-UNIQUE hits — the first-batch experience.
-    let cold = best_of(|| {
+    let cold = best_of(REPS, DOCS, || {
         let policy = ScanPolicy::default().with_cache(Arc::new(ScanCache::in_memory(1024)));
         scan_paths_with_policy(&detector, &paths, &policy).scanned()
     });
@@ -157,7 +116,9 @@ fn main() {
         scan_paths_with_policy(&detector, &paths, &warm_policy).scanned(),
         DOCS
     );
-    let warm = best_of(|| scan_paths_with_policy(&detector, &paths, &warm_policy).scanned());
+    let warm = best_of(REPS, DOCS, || {
+        scan_paths_with_policy(&detector, &paths, &warm_policy).scanned()
+    });
 
     // Measured hit rate from a metered warm pass (not assumed from the
     // corpus shape).
@@ -189,8 +150,6 @@ fn main() {
         hit_rate * 100.0,
     );
 
-    let results_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&results_dir).unwrap();
     let json = format!(
         "{{\n  \"bench\": \"cache\",\n  \"docs\": {DOCS},\n  \"unique_docs\": {UNIQUE},\n  \
          \"bytes\": {total_bytes},\n  \"reps\": {REPS},\n  \
@@ -202,9 +161,7 @@ fn main() {
         cold.as_secs_f64(),
         warm.as_secs_f64(),
     );
-    let out = results_dir.join("BENCH_cache.json");
-    std::fs::write(&out, json).unwrap();
-    println!("wrote {}", out.display());
+    write_result("BENCH_cache.json", &json);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,9 +8,9 @@
 //! inputs and are proven bit-identical by `tests/feature_equivalence.rs`,
 //! so this measures cost, not behaviour.
 
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use vbadet_bench::{is_test_run, write_result};
 use vbadet_corpus::{generate_macros, CorpusSpec};
 use vbadet_features::{reference, FeatureScratch, FeatureSet};
 
@@ -28,7 +28,7 @@ fn best_of<F: FnMut() -> f64>(mut run: F) -> (Duration, f64) {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--test") {
+    if is_test_run() {
         return;
     }
 
@@ -70,8 +70,6 @@ fn main() {
            speedup    {speedup:>10.2}x"
     );
 
-    let results_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&results_dir).unwrap();
     let json = format!(
         "{{\n  \"bench\": \"features\",\n  \"docs\": {docs},\n  \"bytes\": {bytes},\n  \
          \"reps\": {REPS},\n  \
@@ -79,7 +77,5 @@ fn main() {
          \"reference_docs_per_sec\": {reference_docs_per_sec:.2},\n  \
          \"speedup_vs_reference\": {speedup:.4}\n}}\n"
     );
-    let out = results_dir.join("BENCH_features.json");
-    std::fs::write(&out, json).unwrap();
-    println!("wrote {}", out.display());
+    write_result("BENCH_features.json", &json);
 }

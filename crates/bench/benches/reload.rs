@@ -28,26 +28,12 @@ use std::time::{Duration, Instant};
 
 use vbadet::scan::interrupt;
 use vbadet::{serve, Detector, DetectorConfig, Listener, ScanPolicy, ServeConfig};
+use vbadet_bench::{fresh_dir, is_test_run, served_macro_project, write_result, DrainOnDrop};
 use vbadet_corpus::CorpusSpec;
-use vbadet_ovba::VbaProjectBuilder;
 
 const CLIENTS: usize = 4;
 const PHASE_SECS: u64 = 3;
 const RELOAD_EVERY: Duration = Duration::from_millis(500);
-
-fn macro_project() -> Vec<u8> {
-    let mut body = String::new();
-    for line in 0..150 {
-        body.push_str(&format!(
-            "    v{line} = v{} + {}\r\n",
-            line.max(1) - 1,
-            line + 2
-        ));
-    }
-    let mut b = VbaProjectBuilder::new("P");
-    b.add_module("Module1", &format!("Sub Work()\r\n{body}End Sub\r\n"));
-    b.build().unwrap()
-}
 
 fn connect(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
     let stream = TcpStream::connect(addr).unwrap();
@@ -137,18 +123,16 @@ fn percentile_ms(latencies: &mut [Duration], pct: f64) -> f64 {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--test") {
+    if is_test_run() {
         return;
     }
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let workers = cores.clamp(2, 8);
 
-    let dir = std::env::temp_dir().join(format!("vbadet-bench-reload-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = fresh_dir("reload");
     let doc_path = dir.join("doc.bin");
-    std::fs::write(&doc_path, macro_project()).unwrap();
+    std::fs::write(&doc_path, served_macro_project()).unwrap();
 
     let spec = CorpusSpec::paper().scaled(0.002);
     let detector = Detector::train_on_corpus(&DetectorConfig::default(), &spec);
@@ -171,12 +155,6 @@ fn main() {
     interrupt::reset();
     let scan_line = format!("scan {}", doc_path.display());
 
-    struct DrainOnDrop;
-    impl Drop for DrainOnDrop {
-        fn drop(&mut self) {
-            interrupt::request_drain();
-        }
-    }
     let (mut steady, mut churn, reloads) = thread::scope(|s| {
         let server = s.spawn(|| serve(&listener, &detector, &config, None));
         let drain = DrainOnDrop;
@@ -217,8 +195,6 @@ fn main() {
          ({churn_n} reqs, {reloads} reloads)",
     );
 
-    let results_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&results_dir).unwrap();
     let json = format!(
         "{{\n  \"bench\": \"reload\",\n  \"clients\": {CLIENTS},\n  \
          \"phase_secs\": {PHASE_SECS},\n  \"workers\": {workers},\n  \
@@ -227,9 +203,7 @@ fn main() {
          \"steady_p50_ms\": {steady_p50:.3},\n  \"steady_p99_ms\": {steady_p99:.3},\n  \
          \"churn_p50_ms\": {churn_p50:.3},\n  \"churn_p99_ms\": {churn_p99:.3}\n}}\n"
     );
-    let out = results_dir.join("BENCH_reload.json");
-    std::fs::write(&out, json).unwrap();
-    println!("wrote {}", out.display());
+    write_result("BENCH_reload.json", &json);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

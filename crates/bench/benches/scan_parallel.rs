@@ -2,8 +2,8 @@
 //! corpus, recorded to `results/BENCH_scan.json` so `scripts/ci.sh` can
 //! gate on it.
 //!
-//! This bench rolls its own timing instead of going through the criterion
-//! stub: the CI gates need machine-readable output (docs, bytes, cores,
+//! This bench rolls its own timing: the CI gates need machine-readable
+//! output (docs, bytes, cores,
 //! per-engine throughput, speedup, metrics overhead, per-stage
 //! throughput), and a best-of-N wall-clock measurement of the whole batch
 //! is the honest unit here — the engines are batch engines, not
@@ -21,17 +21,12 @@
 //!   compares stage throughput against `results/BENCH_baseline.json`.
 
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vbadet::{
-    scan_paths_parallel, scan_paths_with_policy, Detector, DetectorConfig, IsolateConfig,
-    MetricsSink, ScanPolicy,
-};
-use vbadet_corpus::CorpusSpec;
+use vbadet::{scan_paths_parallel, scan_paths_with_policy, IsolateConfig, MetricsSink, ScanPolicy};
+use vbadet_bench::{bench_detector, best_of, fresh_dir, is_test_run, macro_project, write_result};
 use vbadet_ole::OleBuilder;
-use vbadet_ovba::VbaProjectBuilder;
 use vbadet_zip::{CompressionMethod, ZipWriter};
 
 /// Batch size. Sized so per-worker fixed costs (process spawn + detector
@@ -44,26 +39,6 @@ const REPS: usize = 3;
 /// Stages totalling less than this per batch are measurement noise; they
 /// are left out of the JSON so the regression gate never flaps on them.
 const STAGE_NOISE_FLOOR_MS: f64 = 1.0;
-
-/// A realistically sized module (~150 statements) so the per-document
-/// cost is parse/feature work, not thread handoff — the regime the worker
-/// pool exists for.
-fn macro_project(i: usize) -> Vec<u8> {
-    let mut body = String::new();
-    for line in 0..150 {
-        body.push_str(&format!(
-            "    v{line} = v{} + {i} Mod {}\r\n",
-            line.max(1) - 1,
-            line + 2
-        ));
-    }
-    let mut b = VbaProjectBuilder::new("P");
-    b.add_module(
-        &format!("Module{i}"),
-        &format!("Sub Work{i}()\r\n{body}End Sub\r\n"),
-    );
-    b.build().unwrap()
-}
 
 /// An OOXML `.docm`: ZIP container with the project under
 /// `word/vbaProject.bin`, so the zip inflate stage is part of what the
@@ -125,42 +100,23 @@ fn write_corpus(dir: &Path) -> (Vec<PathBuf>, u64) {
     (paths, total_bytes)
 }
 
-fn best_of<F: FnMut() -> usize>(mut run: F) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        let scanned = run();
-        let elapsed = start.elapsed();
-        assert_eq!(scanned, DOCS, "every rep must scan the whole batch");
-        best = best.min(elapsed);
-    }
-    best
-}
-
 /// Flat JSON key stem for a stage label: `zip.parse_ns` → `zip_parse`.
 fn stage_key(label: &str) -> String {
     label.trim_end_matches("_ns").replace('.', "_")
 }
 
 fn main() {
-    // `cargo test` executes harness=false bench binaries with `--test`;
-    // timing is meaningless there, so bow out like the criterion stub does.
-    if std::env::args().any(|a| a == "--test") {
+    if is_test_run() {
         return;
     }
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let jobs = cores.clamp(2, 8);
 
-    let dir = std::env::temp_dir().join(format!("vbadet-bench-scan-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = fresh_dir("scan");
     let (paths, total_bytes) = write_corpus(&dir);
 
-    let detector = Detector::train_on_corpus(
-        &DetectorConfig::default(),
-        &CorpusSpec::paper().scaled(0.002),
-    );
+    let detector = bench_detector();
     let policy = ScanPolicy::default();
 
     // Warm up the page cache so the sequential baseline (measured first)
@@ -168,8 +124,12 @@ fn main() {
     let warm = scan_paths_with_policy(&detector, &paths, &policy);
     assert_eq!(warm.scanned(), DOCS);
 
-    let seq = best_of(|| scan_paths_with_policy(&detector, &paths, &policy).scanned());
-    let par = best_of(|| scan_paths_parallel(&detector, &paths, &policy, jobs).scanned());
+    let seq = best_of(REPS, DOCS, || {
+        scan_paths_with_policy(&detector, &paths, &policy).scanned()
+    });
+    let par = best_of(REPS, DOCS, || {
+        scan_paths_parallel(&detector, &paths, &policy, jobs).scanned()
+    });
 
     // The process-isolated engine at the same job count: its overhead is
     // per-document (frame codec) plus per-worker (spawn + detector
@@ -180,11 +140,13 @@ fn main() {
             "CARGO_BIN_EXE_isolate_worker"
         )
         .to_string()]));
-    let iso = best_of(|| scan_paths_with_policy(&detector, &paths, &isolate_policy).scanned());
+    let iso = best_of(REPS, DOCS, || {
+        scan_paths_with_policy(&detector, &paths, &isolate_policy).scanned()
+    });
 
     // The metered parallel batch: a fresh enabled sink per rep so each
     // rep pays the full record path, none amortizes a warm snapshot.
-    let par_metered = best_of(|| {
+    let par_metered = best_of(REPS, DOCS, || {
         let metered = ScanPolicy::default().with_metrics(MetricsSink::enabled());
         scan_paths_parallel(&detector, &paths, &metered, jobs).scanned()
     });
@@ -242,8 +204,6 @@ fn main() {
         ));
     }
 
-    let results_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&results_dir).unwrap();
     let json = format!(
         "{{\n  \"bench\": \"scan_parallel\",\n  \"docs\": {DOCS},\n  \"bytes\": {total_bytes},\n  \
          \"cores\": {cores},\n  \"jobs\": {jobs},\n  \"reps\": {REPS},\n  \
@@ -260,9 +220,7 @@ fn main() {
         iso_docs_per_sec,
         speedup,
     );
-    let out = results_dir.join("BENCH_scan.json");
-    std::fs::write(&out, json).unwrap();
-    println!("wrote {}", out.display());
+    write_result("BENCH_scan.json", &json);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

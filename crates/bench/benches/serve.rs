@@ -24,34 +24,20 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use vbadet::json::hex;
 use vbadet::scan::interrupt;
-use vbadet::{serve, Detector, DetectorConfig, Listener, ScanPolicy, ServeConfig};
-use vbadet_corpus::CorpusSpec;
-use vbadet_ovba::VbaProjectBuilder;
+use vbadet::{serve, Listener, ScanPolicy, ServeConfig};
+use vbadet_bench::{
+    bench_detector, fresh_dir, is_test_run, served_macro_project, write_result, DrainOnDrop,
+};
 
 const REPS: usize = 3;
 const CLIENTS: usize = 4;
 const REQUESTS_PER_CLIENT: usize = 100;
 const WAVE: usize = CLIENTS * REQUESTS_PER_CLIENT;
-
-fn macro_project() -> Vec<u8> {
-    let mut body = String::new();
-    for line in 0..150 {
-        body.push_str(&format!(
-            "    v{line} = v{} + {}\r\n",
-            line.max(1) - 1,
-            line + 2
-        ));
-    }
-    let mut b = VbaProjectBuilder::new("P");
-    b.add_module("Module1", &format!("Sub Work()\r\n{body}End Sub\r\n"));
-    b.build().unwrap()
-}
 
 /// One client connection driving `REQUESTS_PER_CLIENT` strictly
 /// sequential round trips of `line`; every reply must contain `expect`.
@@ -93,24 +79,19 @@ fn best_wave_rps(addr: std::net::SocketAddr, line: &str, expect: &str) -> f64 {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--test") {
+    if is_test_run() {
         return;
     }
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let workers = cores.clamp(2, 8);
 
-    let dir = std::env::temp_dir().join(format!("vbadet-bench-serve-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let doc = macro_project();
+    let dir = fresh_dir("serve");
+    let doc = served_macro_project();
     let doc_path = dir.join("doc.bin");
     std::fs::write(&doc_path, &doc).unwrap();
 
-    let detector = Detector::train_on_corpus(
-        &DetectorConfig::default(),
-        &CorpusSpec::paper().scaled(0.002),
-    );
+    let detector = bench_detector();
 
     let listener = Listener::bind_tcp("127.0.0.1:0").unwrap();
     let addr = listener.tcp_addr().unwrap();
@@ -123,15 +104,6 @@ fn main() {
     let scan_line = format!("scan {}", doc_path.display());
     let inline_line = format!("{{\"op\":\"scan\",\"bytes_hex\":\"{}\"}}", hex(&doc));
 
-    // Latch the drain even if a wave panics; otherwise the scope join
-    // waits forever on a server nobody told to exit and the real panic
-    // is masked by a hang.
-    struct DrainOnDrop;
-    impl Drop for DrainOnDrop {
-        fn drop(&mut self) {
-            interrupt::request_drain();
-        }
-    }
     let (scan_rps, inline_rps, health_rps, summary) = thread::scope(|s| {
         let server = s.spawn(|| serve(&listener, &detector, &config, None));
         let drain = DrainOnDrop;
@@ -163,17 +135,13 @@ fn main() {
            health  {health_rps:>8.1} req/s",
     );
 
-    let results_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&results_dir).unwrap();
     let json = format!(
         "{{\n  \"bench\": \"serve\",\n  \"clients\": {CLIENTS},\n  \
          \"requests_per_client\": {REQUESTS_PER_CLIENT},\n  \"workers\": {workers},\n  \
          \"cores\": {cores},\n  \"reps\": {REPS},\n  \"scan_rps\": {scan_rps:.2},\n  \
          \"inline_rps\": {inline_rps:.2},\n  \"health_rps\": {health_rps:.2}\n}}\n"
     );
-    let out = results_dir.join("BENCH_serve.json");
-    std::fs::write(&out, json).unwrap();
-    println!("wrote {}", out.display());
+    write_result("BENCH_serve.json", &json);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -59,9 +59,11 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
+use std::time::SystemTime;
 
 use crate::detector::Detector;
 use crate::journal::{decode_outcome, outcome_json};
+use vbadet_faultpoint::faultpoint;
 use vbadet_metrics::json::{self, hex, json_str, unhex, Json};
 use vbadet_metrics::{Counter, MetricsSink, Stage};
 
@@ -731,39 +733,63 @@ impl BoundCache {
         max_file_size: u64,
         metrics: &MetricsSink,
     ) -> PathProbe {
-        let Some(digest) = digest_path_under_cap(path, max_file_size) else {
+        let Some((digest, stamp)) = digest_path_under_cap(path, max_file_size) else {
             return PathProbe::Unreadable;
         };
         match self.lookup(digest, metrics) {
             Some((outcome, deltas)) => PathProbe::Hit(outcome, deltas),
-            None => PathProbe::Miss(digest),
+            None => PathProbe::Miss(digest, stamp),
         }
     }
 }
 
+/// A file's `(size, mtime)`: the guard for a supervisor-side cache
+/// insert. A miss is digested from the *supervisor's* read but scanned
+/// from the *worker's*, and a racing writer could slip different bytes
+/// between the two. The caller inserts only if the file's stamp after the
+/// scan equals the stamp taken *before* the digest read — a lost insert
+/// is cheap, a digest pointing at someone else's verdict is not.
+pub(crate) type FileStamp = (u64, SystemTime);
+
+/// The current [`FileStamp`] of `path`, or `None` if it cannot be read.
+pub(crate) fn file_stamp(path: &Path) -> Option<FileStamp> {
+    stamp_of(&fs::metadata(path).ok()?)
+}
+
+fn stamp_of(meta: &fs::Metadata) -> Option<FileStamp> {
+    Some((meta.len(), meta.modified().ok()?))
+}
+
 /// Reads and digests a file under the size cap without consulting any
-/// cache. `None` means the file is unreadable or over the cap — callers
-/// bypass caching entirely and let their normal scan path classify the
-/// trouble exactly as an uncached run would.
-pub(crate) fn digest_path_under_cap(path: &Path, max_file_size: u64) -> Option<ContentDigest> {
+/// cache, returning the digest with the file's stamp from *before* the
+/// read (see [`FileStamp`]). `None` means the file is unreadable or over
+/// the cap — callers bypass caching entirely and let their normal scan
+/// path classify the trouble exactly as an uncached run would.
+pub(crate) fn digest_path_under_cap(
+    path: &Path,
+    max_file_size: u64,
+) -> Option<(ContentDigest, FileStamp)> {
     let meta = fs::metadata(path).ok()?;
     if meta.len() > max_file_size {
         return None;
     }
+    let stamp = stamp_of(&meta)?;
     let bytes = fs::read(path).ok()?;
+    faultpoint!("cache::digest-read-gap");
     if bytes.len() as u64 > max_file_size {
         return None;
     }
-    Some(sha256(&bytes))
+    Some((sha256(&bytes), stamp))
 }
 
 /// Result of [`BoundCache::probe_path`].
 pub(crate) enum PathProbe {
     /// Cached: the stored outcome and its replayable counter deltas.
     Hit(ScanOutcome, Deltas),
-    /// Readable but not cached; the digest is handed back so the caller
-    /// can insert whatever its scan decides without re-reading.
-    Miss(ContentDigest),
+    /// Readable but not cached; the digest and the pre-read stamp are
+    /// handed back so the caller can insert whatever its scan decides
+    /// without re-reading, if the file has not changed since.
+    Miss(ContentDigest, FileStamp),
     /// Not readable under the cap; bypass the cache entirely.
     Unreadable,
 }

@@ -86,7 +86,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc;
 use std::thread;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 
 use super::cache::{self, Deltas, PathProbe};
 use super::{run_batch, Executor, FailureClass, ScanOutcome, ScanPolicy, ScanReport};
@@ -862,17 +862,6 @@ fn scan_frames<'k>(keys: impl Iterator<Item = &'k String>) -> io::Result<Vec<u8>
     Ok(frames)
 }
 
-/// `(size, mtime)` guard for the supervisor-side cache insert: a miss is
-/// digested from the *supervisor's* read but scanned from the *worker's*,
-/// and a racing writer could slip different bytes between the two. If the
-/// file changed while the worker held it, the result is not inserted —
-/// a lost insert is cheap, a digest pointing at someone else's verdict
-/// is not.
-pub(crate) fn file_stamp(path: &Path) -> Option<(u64, SystemTime)> {
-    let meta = std::fs::metadata(path).ok()?;
-    Some((meta.len(), meta.modified().ok()?))
-}
-
 /// The isolate executor: one worker [`Slot`] per scanning thread, with
 /// the supervisor-side cache in front of it. At claim time each fresh
 /// document is probed: a cache hit keeps the stored outcome and deltas
@@ -895,9 +884,9 @@ struct Isolated<'a> {
 enum Planned {
     /// Cached: the stored outcome and its replayable counter deltas.
     Hit(ScanOutcome, Deltas),
-    /// Queued on the slot; for a cache miss with a readable stamp, the
-    /// digest to insert the result under and the stamp at probe time.
-    Queued(Option<(cache::ContentDigest, (u64, SystemTime))>),
+    /// Queued on the slot; for a cache miss, the digest to insert the
+    /// result under and the file's stamp from before the digest read.
+    Queued(Option<(cache::ContentDigest, cache::FileStamp)>),
 }
 
 impl Executor for Isolated<'_> {
@@ -909,9 +898,7 @@ impl Executor for Isolated<'_> {
                 .map(|bound| bound.probe_path(path, policy.limits.max_file_size, &policy.metrics));
             let plan = match probe {
                 Some(PathProbe::Hit(outcome, deltas)) => Planned::Hit(outcome, deltas),
-                Some(PathProbe::Miss(digest)) => {
-                    Planned::Queued(file_stamp(path).map(|stamp| (digest, stamp)))
-                }
+                Some(PathProbe::Miss(digest, stamp)) => Planned::Queued(Some((digest, stamp))),
                 Some(PathProbe::Unreadable) | None => Planned::Queued(None),
             };
             if matches!(plan, Planned::Queued(_)) {
@@ -932,7 +919,7 @@ impl Executor for Isolated<'_> {
             Planned::Queued(insert) => {
                 let (outcome, deltas) = self.slot.next();
                 if let (Some(bound), Some((digest, stamp))) = (self.bound, insert) {
-                    if file_stamp(path) == Some(stamp) {
+                    if cache::file_stamp(path) == Some(stamp) {
                         bound.insert(digest, &outcome, &deltas, &self.policy.metrics);
                     }
                 }

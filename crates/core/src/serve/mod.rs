@@ -54,7 +54,7 @@ use std::time::{Duration, Instant};
 use crate::detector::Detector;
 use crate::journal::{outcome_json, ScanJournal};
 use crate::scan::cache;
-use crate::scan::isolate::{default_heartbeat, file_stamp, hello_frame, Slot};
+use crate::scan::isolate::{default_heartbeat, hello_frame, Slot};
 use crate::scan::{
     interrupt, read_file_checked, record_outcome, scan_bytes_cached_digest, scan_bytes_with_policy,
     scan_file, FailureClass, JournalSink, ScanOutcome, ScanPolicy, ScanRecord,
@@ -656,6 +656,10 @@ fn scan_job_direct(
 /// for the round trip. The third element reports whether the worker
 /// actually scanned the spooled bytes (a failed spool produces a typed
 /// `Io` outcome that must never be cached under the bytes' digest).
+///
+/// The spool name is predictable, so the file is created fresh: anything
+/// already at that name — a planted symlink included — is a spool
+/// failure, never a file to follow and truncate.
 fn spool_and_scan(
     shared: &Shared<'_>,
     slot: &mut Slot<'_>,
@@ -666,7 +670,12 @@ fn spool_and_scan(
         std::process::id(),
         shared.inline_seq.fetch_add(1, Ordering::Relaxed)
     ));
-    if let Err(e) = std::fs::write(&spool, bytes) {
+    let written = std::fs::OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(&spool)
+        .and_then(|mut file| file.write_all(bytes));
+    if let Err(e) = written {
         return (
             ScanOutcome::Failed {
                 class: FailureClass::Io,
@@ -684,8 +693,14 @@ fn spool_and_scan(
 /// How one job's content digest resolved, before any cache traffic.
 enum Resolved {
     /// Digestible; the bytes ride along when the read already happened
-    /// in-process (path target without an isolate slot).
-    Digest(cache::ContentDigest, Option<Vec<u8>>),
+    /// in-process (path target without an isolate slot), and the file's
+    /// stamp from before the digest read when the worker will re-read it
+    /// (path target with an isolate slot).
+    Digest(
+        cache::ContentDigest,
+        Option<Vec<u8>>,
+        Option<cache::FileStamp>,
+    ),
     /// The checked read produced a typed outcome (missing file, over the
     /// cap, grew during read) — return it directly; it is byte-identical
     /// to what the uncached scan path would have said.
@@ -709,20 +724,20 @@ fn scan_job_cached(
     let resolved = match (slot.is_some(), &job.target) {
         (false, ScanTarget::Path(p)) => {
             match read_file_checked(Path::new(p), shared.policy.limits.max_file_size) {
-                Ok(bytes) => Resolved::Digest(cache::sha256(&bytes), Some(bytes)),
+                Ok(bytes) => Resolved::Digest(cache::sha256(&bytes), Some(bytes), None),
                 Err(outcome) => Resolved::Typed(outcome),
             }
         }
         (true, ScanTarget::Path(p)) => {
             match cache::digest_path_under_cap(Path::new(p), shared.policy.limits.max_file_size) {
-                Some(digest) => Resolved::Digest(digest, None),
+                Some((digest, stamp)) => Resolved::Digest(digest, None, Some(stamp)),
                 None => Resolved::Bypass,
             }
         }
-        (_, ScanTarget::Bytes(bytes)) => Resolved::Digest(cache::sha256(bytes), None),
+        (_, ScanTarget::Bytes(bytes)) => Resolved::Digest(cache::sha256(bytes), None, None),
     };
-    let (digest, held_bytes) = match resolved {
-        Resolved::Digest(digest, bytes) => (digest, bytes),
+    let (digest, held_bytes, stamp) = match resolved {
+        Resolved::Digest(digest, bytes, stamp) => (digest, bytes, stamp),
         Resolved::Typed(outcome) => return outcome,
         Resolved::Bypass => return scan_job_direct(shared, &job.generation, slot, &job.target),
     };
@@ -783,11 +798,10 @@ fn scan_job_cached(
                 ScanTarget::Path(p) => {
                     // Same TOCTOU guard as the batch supervisor: the
                     // worker re-reads the file, so only insert when the
-                    // file provably did not change under the digest.
-                    let stamp = file_stamp(Path::new(p));
+                    // file provably did not change since the digest read.
                     let (outcome, deltas) = slot.scan(p);
                     cache::replay_deltas(metrics, &deltas);
-                    if stamp.is_some() && stamp == file_stamp(Path::new(p)) {
+                    if stamp.is_some() && stamp == cache::file_stamp(Path::new(p)) {
                         bound.insert(digest, &outcome, &deltas, metrics);
                     }
                     (outcome, deltas)

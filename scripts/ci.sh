@@ -6,8 +6,9 @@
 #   scripts/ci.sh --stage NAME  run only the named stage(s); repeatable,
 #                               e.g. --stage serve --stage reload-soak.
 #                               Unselected stages are recorded as skipped
-#   scripts/ci.sh --gate-test   dry-run: doctor the bench baseline (and a
-#                               Table V) and assert the gates FAIL on them
+#   scripts/ci.sh --gate-test   dry-run: doctor the bench baselines and
+#                               results (and a Table V) and assert the
+#                               gates FAIL on them
 #
 # Every stage is timed; the run (pass or fail) is recorded to
 # results/ci-summary.json as machine-readable
@@ -16,9 +17,10 @@
 # written so the driver can see exactly where it died and how long each
 # stage before it took.
 #
-# Bench regression baseline: results/BENCH_baseline.json, compared
-# against the fresh results/BENCH_scan.json at a 20% docs/sec tolerance.
-# After an intentional perf change, refresh it with:
+# Bench regression baselines: results/BENCH_baseline.json and
+# results/BENCH_features_baseline.json, compared against the fresh
+# results/BENCH_scan.json and results/BENCH_features.json at a 20%
+# docs/sec tolerance. After an intentional perf change, refresh them with:
 #
 #   scripts/refresh-baseline.sh
 
@@ -247,7 +249,39 @@ gate_check() {
     echo "ci: gate ok — $4 ($1 within $2 $3)"
 }
 
-# The acceptance gates over the fresh bench results:
+# baseline_gate BASELINE FRESH LABEL — no >20% docs/sec regression: every
+# *_docs_per_sec key of BASELINE must read at least 0.8x its baseline
+# value in FRESH. A key missing from FRESH is skipped (for a stage, it
+# dropped below the bench's noise floor, i.e. got faster); a key missing
+# from BASELINE is new, with nothing to regress from.
+baseline_gate() {
+    for key in $(json_num_keys "$1" | grep '_docs_per_sec$'); do
+        base=$(json_num "$1" "$key")
+        fresh=$(json_num "$2" "$key")
+        [ -n "$fresh" ] || continue
+        min=$(num_mul "$base" 0.8)
+        gate_check "$fresh" ge "$min" \
+            "$key vs $3 $base (>20% regression)" || return 1
+    done
+}
+
+# need_file FILE — a gate input that is missing fails the gate.
+need_file() {
+    if [ ! -f "$1" ]; then
+        echo "ci: gate FAIL — $1 missing" >&2
+        return 1
+    fi
+}
+
+# The acceptance gates over the fresh bench results, one function each so
+# --gate-test can prove each one trips on its own. run_gates runs them in
+# order and stops at the first failure.
+run_gates() {
+    scan_gates && cache_gate && reload_gate && features_speedup_gate &&
+        features_baseline_gate && scan_baseline_gate
+}
+
+# The scan_parallel gates:
 #   1. core-aware parallel speedup floor (2x on 4+ cores, parity on 2-3,
 #      0.5x on a single core where the pool is pure overhead),
 #   2. metrics overhead <= 5%,
@@ -256,18 +290,9 @@ gate_check() {
 #      hostile-input triage; since isolate slots send a whole claim's
 #      requests ahead, the lowest of ten bench runs read 0.75 on 2 cores,
 #      so the floor sits below that spread — absolute isolate regressions
-#      are caught by the baseline loop in gate 4),
-#   4. no >20% docs/sec regression — overall or per stage — against the
-#      committed baseline. A stage key missing from the fresh results
-#      means it dropped below the bench's noise floor (i.e. got faster)
-#      and is skipped; a key missing from the baseline is a new stage
-#      with nothing to regress from.
-run_gates() {
-    gates_baseline=${CI_BASELINE:-$BASELINE}
-    if [ ! -f "$BENCH" ]; then
-        echo "ci: gate FAIL — $BENCH missing" >&2
-        return 1
-    fi
+#      are caught by scan_baseline_gate).
+scan_gates() {
+    need_file "$BENCH" || return 1
     gates_cores=$(json_num "$BENCH" cores)
     if [ -z "$gates_cores" ]; then
         echo "ci: gate FAIL — $BENCH lacks a cores field" >&2
@@ -282,165 +307,132 @@ run_gates() {
         "metrics overhead pct" || return 1
     gates_par=$(json_num "$BENCH" parallel_docs_per_sec)
     gate_check "$(json_num "$BENCH" isolate_docs_per_sec)" ge "$(num_mul "$gates_par" 0.6)" \
-        "isolate throughput >= 0.6x --jobs N ($gates_par docs/s)" || return 1
+        "isolate throughput >= 0.6x --jobs N ($gates_par docs/s)"
+}
 
+cache_gate() {
     gates_cache_bench=${CI_CACHE_BENCH:-$CACHE_BENCH}
-    if [ ! -f "$gates_cache_bench" ]; then
-        echo "ci: gate FAIL — $gates_cache_bench missing" >&2
-        return 1
-    fi
+    need_file "$gates_cache_bench" || return 1
     gates_uncached=$(json_num "$gates_cache_bench" uncached_docs_per_sec)
     gate_check "$(json_num "$gates_cache_bench" warm_docs_per_sec)" ge \
         "$(num_mul "$gates_uncached" 3.0)" \
-        "warm-cache throughput >= 3x uncached ($gates_uncached docs/s)" || return 1
+        "warm-cache throughput >= 3x uncached ($gates_uncached docs/s)"
+}
 
-    # Zero-downtime means the model swap may not stall traffic: under a
-    # reload every 500ms, the p99 request latency must stay within 2x the
-    # steady-state p99 measured moments earlier on the same machine.
+# Zero-downtime means the model swap may not stall traffic: under a
+# reload every 500ms, the p99 request latency must stay within 2x the
+# steady-state p99 measured moments earlier on the same machine.
+reload_gate() {
     gates_reload_bench=${CI_RELOAD_BENCH:-$RELOAD_BENCH}
-    if [ ! -f "$gates_reload_bench" ]; then
-        echo "ci: gate FAIL — $gates_reload_bench missing" >&2
-        return 1
-    fi
+    need_file "$gates_reload_bench" || return 1
     gates_steady=$(json_num "$gates_reload_bench" steady_p99_ms)
     gate_check "$(json_num "$gates_reload_bench" churn_p99_ms)" le \
         "$(num_mul "$gates_steady" 2.0)" \
-        "reload-churn p99 <= 2x steady p99 ($gates_steady ms)" || return 1
+        "reload-churn p99 <= 2x steady p99 ($gates_steady ms)"
+}
 
-    # The allocation-free scoring hot path must stay decisively ahead of
-    # the historical extractors it replaced: fused throughput >= 1.5x the
-    # reference path, measured fresh every run (the two are proven
-    # bit-identical by tests/feature_equivalence.rs, so this is pure cost).
+# The allocation-free scoring hot path must stay decisively ahead of
+# the historical extractors it replaced: fused throughput >= 1.5x the
+# reference path, measured fresh every run (the two are proven
+# bit-identical by tests/feature_equivalence.rs, so this is pure cost).
+features_speedup_gate() {
     gates_features_bench=${CI_FEATURES_BENCH:-$FEATURES_BENCH}
-    if [ ! -f "$gates_features_bench" ]; then
-        echo "ci: gate FAIL — $gates_features_bench missing" >&2
-        return 1
-    fi
+    need_file "$gates_features_bench" || return 1
     gate_check "$(json_num "$gates_features_bench" speedup_vs_reference)" ge 1.5 \
-        "fused feature extraction >= 1.5x reference" || return 1
-    if [ -f "$FEATURES_BASELINE" ]; then
-        for key in $(json_num_keys "$FEATURES_BASELINE" | grep '_docs_per_sec$'); do
-            base=$(json_num "$FEATURES_BASELINE" "$key")
-            fresh=$(json_num "$gates_features_bench" "$key")
-            [ -n "$fresh" ] || continue
-            min=$(num_mul "$base" 0.8)
-            gate_check "$fresh" ge "$min" \
-                "$key vs features baseline $base (>20% regression)" || return 1
-        done
-    fi
+        "fused feature extraction >= 1.5x reference"
+}
 
+features_baseline_gate() {
+    gates_features_bench=${CI_FEATURES_BENCH:-$FEATURES_BENCH}
+    gates_features_baseline=${CI_FEATURES_BASELINE:-$FEATURES_BASELINE}
+    [ -f "$gates_features_baseline" ] || return 0
+    need_file "$gates_features_bench" || return 1
+    baseline_gate "$gates_features_baseline" "$gates_features_bench" "features baseline"
+}
+
+# 4. no >20% docs/sec regression — overall or per stage — against the
+#    committed scan baseline (see baseline_gate).
+scan_baseline_gate() {
+    gates_baseline=${CI_BASELINE:-$BASELINE}
     if [ ! -f "$gates_baseline" ]; then
         echo "ci: note — $gates_baseline missing; regression gate skipped." >&2
         echo "ci: note — refresh with: scripts/refresh-baseline.sh" >&2
         return 0
     fi
-    for key in $(json_num_keys "$gates_baseline" | grep '_docs_per_sec$'); do
-        base=$(json_num "$gates_baseline" "$key")
-        fresh=$(json_num "$BENCH" "$key")
-        [ -n "$fresh" ] || continue
-        min=$(num_mul "$base" 0.8)
-        gate_check "$fresh" ge "$min" \
-            "$key vs baseline $base (>20% regression)" || return 1
-    done
+    need_file "$BENCH" || return 1
+    baseline_gate "$gates_baseline" "$BENCH" baseline
+}
+
+# scale_key FILE KEY_RE FACTOR FORMAT — prints FILE with the value of
+# every "KEY": pair whose key matches KEY_RE multiplied by FACTOR and
+# printed with the printf FORMAT (e.g. %.2f). Other lines pass unchanged.
+scale_key() {
+    awk -v re="\"$2\"[ \t]*:" -v factor="$3" -v fmt="%s: $4%s\n" '
+        $0 ~ re {
+            split($0, half, ":")
+            value = half[2]
+            trail = (value ~ /,[ \t]*$/) ? "," : ""
+            gsub(/[ \t,]/, "", value)
+            printf fmt, half[1], value * factor, trail
+            next
+        }
+        { print }
+    ' "$1"
+}
+
+# gate_must_fail WHAT GATE VAR FILE KEY_RE FACTOR FORMAT — doctors a copy
+# of FILE with scale_key, points VAR at the copy, runs the one gate
+# function GATE and requires that it FAIL.
+gate_must_fail() {
+    scale_key "$4" "$5" "$6" "$7" >"$doctored/$3"
+    if (export "$3=$doctored/$3" && "$2"); then
+        echo "ci: --gate-test FAIL — $1 passed against doctored input" >&2
+        exit 1
+    fi
+    echo "ci: --gate-test ok — $1 fails against doctored input"
 }
 
 if [ "$GATE_TEST" = 1 ]; then
-    # Prove the regression gate has teeth: double every docs/sec figure in
-    # a copy of the fresh results and use that as the baseline — every
-    # throughput then reads as a 50% regression, and the gate must FAIL.
+    # Prove every gate has teeth: each one must FAIL on doctored input.
     if [ ! -f "$BENCH" ] || [ ! -f "$CACHE_BENCH" ] || [ ! -f "$RELOAD_BENCH" ] ||
         [ ! -f "$FEATURES_BENCH" ]; then
         echo "ci: --gate-test needs $BENCH, $CACHE_BENCH, $RELOAD_BENCH and $FEATURES_BENCH; run the benches first:" >&2
         echo "ci:   cargo bench --offline -p vbadet-bench --bench scan_parallel --bench features --bench cache --bench reload" >&2
         exit 1
     fi
-    doctored=$(mktemp)
-    doctored_cache=$(mktemp)
-    doctored_reload=$(mktemp)
-    doctored_features=$(mktemp)
-    trap 'rm -f "$doctored" "$doctored_cache" "$doctored_reload" "$doctored_features"' EXIT
-    awk '
-        /"[A-Za-z0-9_]*docs_per_sec"[ \t]*:/ {
-            split($0, half, ":")
-            value = half[2]
-            trail = (value ~ /,[ \t]*$/) ? "," : ""
-            gsub(/[ \t,]/, "", value)
-            printf "%s: %.2f%s\n", half[1], value * 2, trail
-            next
-        }
-        { print }
-    ' "$BENCH" >"$doctored"
-    if (CI_BASELINE="$doctored" run_gates); then
-        echo "ci: --gate-test FAIL — the gate passed against a doctored baseline" >&2
-        exit 1
-    fi
-    echo "ci: --gate-test ok — the regression gate fails against a doctored baseline"
+    doctored=$(mktemp -d)
+    trap 'rm -rf "$doctored"' EXIT
 
-    # And the cache gate specifically: inflate the uncached throughput in
-    # a copy of the cache results until no real warm pass could be 3x it.
-    # (Halving the warm figure would not do — the measured warm speedup is
-    # far above 3x, so the halved ratio could still clear the bar.)
-    awk '
-        /"uncached_docs_per_sec"[ \t]*:/ {
-            split($0, half, ":")
-            value = half[2]
-            trail = (value ~ /,[ \t]*$/) ? "," : ""
-            gsub(/[ \t,]/, "", value)
-            printf "%s: %.2f%s\n", half[1], value * 1000, trail
-            next
-        }
-        { print }
-    ' "$CACHE_BENCH" >"$doctored_cache"
-    if (CI_CACHE_BENCH="$doctored_cache" run_gates); then
-        echo "ci: --gate-test FAIL — the cache gate passed against doctored results" >&2
-        exit 1
-    fi
-    echo "ci: --gate-test ok — the warm-cache gate fails against doctored results"
+    # The scan regression gate: double every docs/sec figure in a copy of
+    # the fresh results and use that as the baseline — every throughput
+    # then reads as a 50% regression. The features baseline likewise.
+    gate_must_fail "the regression gate" scan_baseline_gate \
+        CI_BASELINE "$BENCH" '[A-Za-z0-9_]*docs_per_sec' 2 %.2f
+    gate_must_fail "the features-baseline regression gate" features_baseline_gate \
+        CI_FEATURES_BASELINE "$FEATURES_BENCH" '[A-Za-z0-9_]*docs_per_sec' 2 %.2f
 
-    # And the reload-latency gate: inflate the churn p99 in a copy of the
-    # reload results past any real 2x-of-steady bound — a hot swap that
-    # stalled traffic would look exactly like this, and must FAIL.
-    awk '
-        /"churn_p99_ms"[ \t]*:/ {
-            split($0, half, ":")
-            value = half[2]
-            trail = (value ~ /,[ \t]*$/) ? "," : ""
-            gsub(/[ \t,]/, "", value)
-            printf "%s: %.3f%s\n", half[1], value * 100, trail
-            next
-        }
-        { print }
-    ' "$RELOAD_BENCH" >"$doctored_reload"
-    if (CI_RELOAD_BENCH="$doctored_reload" run_gates); then
-        echo "ci: --gate-test FAIL — the reload gate passed against doctored results" >&2
-        exit 1
-    fi
-    echo "ci: --gate-test ok — the reload-churn p99 gate fails against doctored results"
+    # The cache gate: inflate the uncached throughput until no real warm
+    # pass could be 3x it. (Halving the warm figure would not do — the
+    # measured warm speedup is far above 3x, so the halved ratio could
+    # still clear the bar.)
+    gate_must_fail "the warm-cache gate" cache_gate \
+        CI_CACHE_BENCH "$CACHE_BENCH" uncached_docs_per_sec 1000 %.2f
 
-    # And the fused-extraction gate: shrink the measured speedup in a copy
-    # of the features results to a tenth — a hot path that lost its edge
-    # over the reference extractors would look like this, and must FAIL.
-    awk '
-        /"speedup_vs_reference"[ \t]*:/ {
-            split($0, half, ":")
-            value = half[2]
-            trail = (value ~ /,[ \t]*$/) ? "," : ""
-            gsub(/[ \t,]/, "", value)
-            printf "%s: %.4f%s\n", half[1], value * 0.1, trail
-            next
-        }
-        { print }
-    ' "$FEATURES_BENCH" >"$doctored_features"
-    if (CI_FEATURES_BENCH="$doctored_features" run_gates); then
-        echo "ci: --gate-test FAIL — the fused-extraction gate passed against doctored results" >&2
-        exit 1
-    fi
-    echo "ci: --gate-test ok — the fused-extraction speedup gate fails against doctored results"
+    # The reload-latency gate: inflate the churn p99 past any real
+    # 2x-of-steady bound — a hot swap that stalled traffic would look
+    # exactly like this.
+    gate_must_fail "the reload-churn p99 gate" reload_gate \
+        CI_RELOAD_BENCH "$RELOAD_BENCH" churn_p99_ms 100 %.3f
+
+    # The fused-extraction gate: shrink the measured speedup to a tenth —
+    # a hot path that lost its edge over the reference extractors would
+    # look like this.
+    gate_must_fail "the fused-extraction speedup gate" features_speedup_gate \
+        CI_FEATURES_BENCH "$FEATURES_BENCH" speedup_vs_reference 0.1 %.4f
 
     # And the paper stage: a Table V where J1-J20 wins on one classifier
     # and LDA on V1-V15 outscores MLP must FAIL the shape check.
-    doctored_table=$(mktemp)
-    cat >"$doctored_table" <<'TABLE'
+    cat >"$doctored/table5.txt" <<'TABLE'
 Feature set  Classifier   Accuracy  Precision   Recall       F2     AUC
 ----------------------------------------------------------------------
 V1-V15       SVM             0.900      0.900    0.900    0.814   0.900
@@ -455,12 +447,10 @@ J1-J20       MLP             0.800      0.800    0.800    0.500   0.800
 J1-J20       LDA             0.600      0.600    0.600    0.500   0.600
 J1-J20       BNB             0.600      0.600    0.600    0.500   0.600
 TABLE
-    if check_paper_shape "$doctored_table"; then
-        rm -f "$doctored_table"
+    if check_paper_shape "$doctored/table5.txt"; then
         echo "ci: --gate-test FAIL — the paper shape check passed on a doctored Table V" >&2
         exit 1
     fi
-    rm -f "$doctored_table"
     echo "ci: --gate-test ok — the paper shape check fails on a doctored Table V"
     exit 0
 fi

@@ -540,6 +540,61 @@ mod faultpoints {
     }
 
     #[test]
+    fn a_file_swapped_after_the_supervisor_digest_is_never_cached() {
+        let _guard = global_guard();
+        let det = &tiny_detector();
+        let dir = fresh_dir("swap-race");
+
+        // The isolate supervisor digests the file, then a worker re-reads
+        // it to scan. A writer swaps in different bytes (of a different
+        // size) while the supervisor sits right after its digest read:
+        // the worker scans the new bytes, so their verdict must not be
+        // cached under the old bytes' digest. The stamp the insert is
+        // checked against has to be the one from before the read.
+        let victim = dir.join("swapped.bin");
+        let (before, after) = (macro_document(), clean_document());
+        assert_ne!(before.len(), after.len());
+        std::fs::write(&victim, &before).unwrap();
+        let cache = Arc::new(ScanCache::in_memory(64));
+        let policy = ScanPolicy::default()
+            .isolated(worker_config())
+            .with_cache(Arc::clone(&cache));
+
+        configure("cache::digest-read-gap", "sleep(300)").unwrap();
+        let writer = {
+            let victim = victim.clone();
+            let after = after.clone();
+            std::thread::spawn(move || {
+                let deadline = std::time::Instant::now() + Duration::from_secs(30);
+                while hit_count("cache::digest-read-gap") == 0 {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "the digest read never happened"
+                    );
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                std::fs::write(&victim, &after).unwrap();
+            })
+        };
+        let report = scan_paths_with_policy(det, &[&victim], &policy);
+        writer.join().unwrap();
+        assert_eq!(hit_count("cache::digest-read-gap"), 1);
+        clear();
+
+        let swapped_in = scan_paths_with_policy(det, &[&victim], &ScanPolicy::default());
+        assert_eq!(
+            report.records, swapped_in.records,
+            "the worker scans the new bytes"
+        );
+        assert!(
+            cache.is_empty(),
+            "a verdict on swapped-in bytes was cached under the old digest"
+        );
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn concurrent_identical_serve_requests_are_single_flighted() {
         let _guard = global_guard();
         let det = tiny_detector();

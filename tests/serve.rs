@@ -313,6 +313,57 @@ fn isolated_and_in_process_service_verdicts_agree() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[cfg(unix)]
+#[test]
+fn an_inline_spool_never_follows_a_planted_symlink() {
+    let _guard = global_guard();
+    let det = tiny_detector();
+    let dir = std::env::temp_dir().join(format!("vbadet-serve-spool-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let victim = dir.join("victim.txt");
+    std::fs::write(&victim, b"precious").unwrap();
+
+    // An isolated service spools inline bytes under a predictable name;
+    // the first `bytes_hex` request takes sequence number 1 (admission
+    // takes 0 for its key). Plant a symlink there first.
+    let spool =
+        std::env::temp_dir().join(format!("vbadet-serve-inline-{}-1.bin", std::process::id()));
+    let _ = std::fs::remove_file(&spool);
+    std::os::unix::fs::symlink(&victim, &spool).unwrap();
+
+    let config = ServeConfig::new(ScanPolicy::default().isolated(vbadet::IsolateConfig::new(
+        vec![env!("CARGO_BIN_EXE_isolation_worker").to_string()],
+    )));
+    let (_, line) = with_server(&det, &config, |addr| {
+        Client::connect(addr).roundtrip(&format!(
+            "{{\"op\":\"scan\",\"bytes_hex\":\"{}\"}}",
+            hex(&macro_document())
+        ))
+    });
+    let is_link = std::fs::symlink_metadata(&spool).map(|m| m.file_type().is_symlink());
+    let _ = std::fs::remove_file(&spool);
+
+    assert!(
+        std::fs::read(&victim).unwrap() == b"precious",
+        "the inline spool followed the symlink and overwrote its target"
+    );
+    assert!(
+        matches!(is_link, Ok(true)),
+        "the planted symlink was replaced"
+    );
+    assert_eq!(
+        reply(&line)
+            .get("outcome")
+            .and_then(|o| o.get("class"))
+            .and_then(Json::as_str),
+        Some("io-error"),
+        "{line}"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn an_oversized_request_line_is_rejected_typed_then_the_connection_closes() {
     let _guard = global_guard();
