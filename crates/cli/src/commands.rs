@@ -174,11 +174,10 @@ fn install_sighup_reload() {
 #[cfg(not(unix))]
 fn install_sighup_reload() {}
 
-pub fn scan(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
-    let flags = Flags::parse(args)?;
-    if flags.positional.is_empty() {
-        return Err("scan: at least one file required".into());
-    }
+/// The per-request scan policy `scan` and `serve` share: `--limits`,
+/// `--deadline-ms`, `--fuel`, `--ladder` and `--max-scan-mem-mb`. `cmd`
+/// prefixes the error messages.
+fn policy_from_flags(cmd: &str, flags: &Flags) -> Result<ScanPolicy, Box<dyn Error>> {
     let limits = match flags.values.get("limits").map(String::as_str) {
         None | Some("default") => ScanLimits::default(),
         Some("strict") => ScanLimits::strict(),
@@ -194,6 +193,22 @@ pub fn scan(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
     if flags.has("ladder") {
         policy = policy.with_ladder();
     }
+    if let Some(mb) = flags.values.get("max-scan-mem-mb") {
+        let mb: u64 = mb.parse()?;
+        if mb == 0 {
+            return Err(format!("{cmd}: --max-scan-mem-mb must be at least 1").into());
+        }
+        policy = policy.max_scan_mem_bytes(mb << 20);
+    }
+    Ok(policy)
+}
+
+pub fn scan(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
+    let flags = Flags::parse(args)?;
+    if flags.positional.is_empty() {
+        return Err("scan: at least one file required".into());
+    }
+    let mut policy = policy_from_flags("scan", &flags)?;
     // Metrics are pay-for-what-you-ask: the sink stays disabled (and
     // near-free) unless the run wants `--stats` output or a JSON dump.
     let metrics_json = flags.values.get("metrics-json").cloned();
@@ -211,13 +226,6 @@ pub fn scan(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
         );
     }
     policy = policy.jobs(jobs);
-    if let Some(mb) = flags.values.get("max-scan-mem-mb") {
-        let mb: u64 = mb.parse()?;
-        if mb == 0 {
-            return Err("scan: --max-scan-mem-mb must be at least 1".into());
-        }
-        policy = policy.max_scan_mem_bytes(mb << 20);
-    }
     if flags.has("isolate") {
         policy = policy.isolated(IsolateConfig::current_exe()?);
     }
@@ -366,28 +374,7 @@ pub fn serve(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
     if let Some(stray) = flags.positional.first() {
         return Err(format!("serve: unexpected positional argument {stray:?}").into());
     }
-    let limits = match flags.values.get("limits").map(String::as_str) {
-        None | Some("default") => ScanLimits::default(),
-        Some("strict") => ScanLimits::strict(),
-        Some(other) => return Err(format!("unknown limits profile: {other}").into()),
-    };
-    let mut policy = ScanPolicy::with_limits(limits);
-    if let Some(ms) = flags.values.get("deadline-ms") {
-        policy = policy.deadline_ms(ms.parse()?);
-    }
-    if let Some(units) = flags.values.get("fuel") {
-        policy = policy.fuel(units.parse()?);
-    }
-    if flags.has("ladder") {
-        policy = policy.with_ladder();
-    }
-    if let Some(mb) = flags.values.get("max-scan-mem-mb") {
-        let mb: u64 = mb.parse()?;
-        if mb == 0 {
-            return Err("serve: --max-scan-mem-mb must be at least 1".into());
-        }
-        policy = policy.max_scan_mem_bytes(mb << 20);
-    }
+    let mut policy = policy_from_flags("serve", &flags)?;
     // Process isolation is the default for a resident service — a hostile
     // document costs one worker process, never the daemon. `--in-process`
     // opts out for trusted inputs where spawn latency matters.

@@ -53,12 +53,35 @@
 //! Outcomes that are not pure functions of `(bytes, detector, policy)`
 //! are never cached: `Io` (path-specific), `Timeout` (wall-clock and
 //! load dependent), `Panic` and `Fatal` (environmental).
+//!
+//! # Single-flight
+//!
+//! A lookup that misses takes the *lead* for its key: a [`Lead`] guard
+//! that carries the insert and, on drop, releases the key and wakes
+//! every thread waiting on it. A lookup that finds its key led by
+//! another thread waits, then looks up again: the leader's insert makes
+//! it a hit, and an outcome the cache refused (a timeout, a worker death,
+//! a file swapped under the supervisor) makes it a miss and the next
+//! leader. Results reach followers only through the cache, so a follower
+//! gets exactly what a later lookup would have served it. Every engine
+//! shares this one rendezvous: concurrent identical documents, in a
+//! pool, an isolated batch or the service, cost one scan.
+//!
+//! A thread waits only while it holds no lead itself (a thread-local
+//! count), so no two threads can wait on each other: the isolate
+//! executor holds one lead per queued miss of its claim and can wait
+//! only before its first, the in-process path holds at most one and
+//! releases it before its next lookup, and a service worker holds none
+//! when a request arrives. A thread that holds a lead and finds a key led
+//! elsewhere scans it without waiting.
 
-use std::collections::HashMap;
+use std::cell::Cell;
+use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::io::{self, Write};
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::SystemTime;
 
 use crate::detector::Detector;
@@ -425,22 +448,24 @@ pub struct ScanCache {
     shard_capacity: usize,
     disk: Option<Mutex<DiskStore>>,
     load_warnings: Vec<String>,
+    /// Keys whose [`Lead`] is live: being scanned by some thread.
+    flights: Mutex<HashSet<Key>>,
+    /// Signalled whenever a lead is released.
+    landed: Condvar,
 }
 
 impl ScanCache {
-    fn fresh_shards() -> Vec<Mutex<Shard>> {
-        (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect()
-    }
-
     /// A purely in-memory cache holding at most ~`capacity` entries
     /// (rounded up to a multiple of the shard count). For the resident
     /// service, where the process outlives many requests.
     pub fn in_memory(capacity: usize) -> ScanCache {
         ScanCache {
-            shards: Self::fresh_shards(),
+            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             shard_capacity: (capacity / SHARDS).max(1),
             disk: None,
             load_warnings: Vec::new(),
+            flights: Mutex::new(HashSet::new()),
+            landed: Condvar::new(),
         }
     }
 
@@ -458,12 +483,7 @@ impl ScanCache {
     pub fn persistent<P: AsRef<Path>>(dir: P, capacity: usize) -> io::Result<ScanCache> {
         let dir = dir.as_ref();
         fs::create_dir_all(dir)?;
-        let mut cache = ScanCache {
-            shards: Self::fresh_shards(),
-            shard_capacity: (capacity / SHARDS).max(1),
-            disk: None,
-            load_warnings: Vec::new(),
-        };
+        let mut cache = ScanCache::in_memory(capacity);
         let segments = segment_paths(dir)?;
         for segment in &segments {
             cache.load_segment(segment);
@@ -589,25 +609,38 @@ impl ScanCache {
         &self.shards[key.digest[0] as usize % SHARDS]
     }
 
-    pub(crate) fn lookup(&self, key: &Key, metrics: &MetricsSink) -> Option<(ScanOutcome, Deltas)> {
-        let hit = self
-            .shard(key)
+    fn get(&self, key: &Key) -> Option<Entry> {
+        self.shard(key)
             .lock()
             .expect("cache shard lock poisoned")
-            .get(key);
-        match hit {
-            Some(entry) => {
+            .get(key)
+    }
+
+    /// Looks `key` up under the single-flight rule (see the module docs):
+    /// a hit, or a miss that leads the key — unless another thread leads
+    /// it, in which case this waits for that lead to land first.
+    pub(crate) fn lookup(self: &Arc<Self>, key: Key, metrics: &MetricsSink) -> Lookup {
+        let mut flights = self.flights.lock().expect("cache flight lock poisoned");
+        loop {
+            if let Some(entry) = self.get(&key) {
+                drop(flights);
                 metrics.record(Stage::CacheHits, 1);
-                Some((entry.outcome, entry.deltas))
+                return Lookup::Hit(entry.outcome, entry.deltas);
             }
-            None => {
+            let leading = flights.insert(key);
+            if leading || LEADS.get() > 0 {
+                drop(flights);
                 metrics.record(Stage::CacheMisses, 1);
-                None
+                return Lookup::Miss(Lead::new(Arc::clone(self), key, leading));
             }
+            flights = self
+                .landed
+                .wait(flights)
+                .expect("cache flight lock poisoned");
         }
     }
 
-    pub(crate) fn insert(
+    fn insert(
         &self,
         key: Key,
         outcome: &ScanOutcome,
@@ -673,8 +706,8 @@ impl Drop for ScanCache {
 // ---------------------------------------------------------------------------
 
 /// A [`ScanCache`] bound to one `(detector, policy)` pair: the expensive
-/// fingerprints are computed once per batch or service lifetime, not once
-/// per document. Engines construct one at entry from
+/// fingerprints are computed once per batch or service generation, not
+/// once per document. Engines construct one at entry from
 /// [`ScanPolicy::cache`](super::ScanPolicy) and pass it down the per-
 /// document path.
 #[derive(Debug, Clone)]
@@ -694,51 +727,74 @@ impl BoundCache {
         })
     }
 
-    pub(crate) fn key(&self, digest: ContentDigest) -> Key {
-        Key {
+    /// [`ScanCache::lookup`] of `digest` under this binding.
+    pub(crate) fn lookup(&self, digest: ContentDigest, metrics: &MetricsSink) -> Lookup {
+        let key = Key {
             digest,
             detector_fp: self.detector_fp,
             policy_fp: self.policy_fp,
+        };
+        self.cache.lookup(key, metrics)
+    }
+}
+
+/// What a cache lookup found.
+pub(crate) enum Lookup {
+    /// Cached: the stored outcome and its replayable counter deltas.
+    Hit(ScanOutcome, Deltas),
+    /// Not cached: scan, then hand the result to [`Lead::insert`].
+    Miss(Lead),
+}
+
+thread_local! {
+    /// Leads this thread holds: while it holds any, its lookups never
+    /// wait (see the module docs).
+    static LEADS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The right, and the duty, to decide one missed key. Dropping it (after
+/// any [`insert`](Self::insert)) releases the key and wakes the threads
+/// waiting on it; a panicking scan releases it on unwind. A miss taken
+/// while the key is already led is a lead that releases nothing. Bound
+/// to the thread that took it, whose lead count it is part of.
+pub(crate) struct Lead {
+    cache: Arc<ScanCache>,
+    key: Key,
+    leading: bool,
+    _thread: PhantomData<*const ()>,
+}
+
+impl Lead {
+    fn new(cache: Arc<ScanCache>, key: Key, leading: bool) -> Lead {
+        if leading {
+            LEADS.set(LEADS.get() + 1);
+        }
+        Lead {
+            cache,
+            key,
+            leading,
+            _thread: PhantomData,
         }
     }
 
-    pub(crate) fn lookup(
-        &self,
-        digest: ContentDigest,
-        metrics: &MetricsSink,
-    ) -> Option<(ScanOutcome, Deltas)> {
-        self.cache.lookup(&self.key(digest), metrics)
-    }
-
+    /// Stores the scan's result (when cacheable), then releases the key.
     pub(crate) fn insert(
-        &self,
-        digest: ContentDigest,
+        self,
         outcome: &ScanOutcome,
         deltas: &[(Counter, u64)],
         metrics: &MetricsSink,
     ) {
-        self.cache
-            .insert(self.key(digest), outcome, deltas, metrics);
+        self.cache.insert(self.key, outcome, deltas, metrics);
     }
+}
 
-    /// Reads and digests a file for a supervisor-side probe (used by the
-    /// isolation engine and the resident service, whose actual scan may
-    /// happen in another process). Any read trouble — missing file, over
-    /// the cap, grew past the cap — is [`PathProbe::Unreadable`]: the
-    /// caller's normal scan path classifies it exactly as it would have
-    /// with no cache, and nothing about it is cached or miss-counted.
-    pub(crate) fn probe_path(
-        &self,
-        path: &Path,
-        max_file_size: u64,
-        metrics: &MetricsSink,
-    ) -> PathProbe {
-        let Some((digest, stamp)) = digest_path_under_cap(path, max_file_size) else {
-            return PathProbe::Unreadable;
-        };
-        match self.lookup(digest, metrics) {
-            Some((outcome, deltas)) => PathProbe::Hit(outcome, deltas),
-            None => PathProbe::Miss(digest, stamp),
+impl Drop for Lead {
+    fn drop(&mut self) {
+        if self.leading {
+            LEADS.set(LEADS.get() - 1);
+            let mut flights = self.cache.flights.lock().unwrap_or_else(|p| p.into_inner());
+            flights.remove(&self.key);
+            self.cache.landed.notify_all();
         }
     }
 }
@@ -780,18 +836,6 @@ pub(crate) fn digest_path_under_cap(
         return None;
     }
     Some((sha256(&bytes), stamp))
-}
-
-/// Result of [`BoundCache::probe_path`].
-pub(crate) enum PathProbe {
-    /// Cached: the stored outcome and its replayable counter deltas.
-    Hit(ScanOutcome, Deltas),
-    /// Readable but not cached; the digest and the pre-read stamp are
-    /// handed back so the caller can insert whatever its scan decides
-    /// without re-reading, if the file has not changed since.
-    Miss(ContentDigest, FileStamp),
-    /// Not readable under the cap; bypass the cache entirely.
-    Unreadable,
 }
 
 /// Takes the non-zero counters of a sink that saw exactly one document
@@ -965,14 +1009,14 @@ mod tests {
         let outcome = macro_outcome();
         let deltas = vec![(Counter::ScanDocs, 1), (Counter::ZipParses, 2)];
         cache.insert(key(1), &outcome, &deltas, &metrics);
-        let (got, got_deltas) = cache.lookup(&key(1), &metrics).expect("hit");
-        assert_eq!(got, outcome);
-        assert_eq!(got_deltas.len(), 2);
-        assert!(cache.lookup(&key(2), &metrics).is_none());
+        let got = cache.get(&key(1)).expect("hit");
+        assert_eq!(got.outcome, outcome);
+        assert_eq!(got.deltas.len(), 2);
+        assert!(cache.get(&key(2)).is_none());
         let mut other_policy = key(1);
         other_policy.policy_fp ^= 1;
         assert!(
-            cache.lookup(&other_policy, &metrics).is_none(),
+            cache.get(&other_policy).is_none(),
             "a fingerprint mismatch must be a clean miss"
         );
     }
@@ -1013,8 +1057,8 @@ mod tests {
         b.digest[0] = 0;
         cache.insert(a, &ScanOutcome::Clean, &[], &metrics);
         cache.insert(b, &ScanOutcome::Clean, &[], &metrics);
-        assert!(cache.lookup(&a, &metrics).is_none(), "oldest evicted");
-        assert!(cache.lookup(&b, &metrics).is_some());
+        assert!(cache.get(&a).is_none(), "oldest evicted");
+        assert!(cache.get(&b).is_some());
         let snap = metrics.snapshot().unwrap();
         assert_eq!(snap.histograms["cache.evictions"].total, 1);
         assert_eq!(snap.histograms["cache.inserts"].count, 2);
@@ -1038,9 +1082,9 @@ mod tests {
             cache.load_warnings()
         );
         assert_eq!(cache.len(), 2);
-        let (got, deltas) = cache.lookup(&key(1), &metrics).expect("hit after reopen");
-        assert_eq!(got, outcome);
-        assert_eq!(deltas, vec![(Counter::ScanDocs, 1)]);
+        let got = cache.get(&key(1)).expect("hit after reopen");
+        assert_eq!(got.outcome, outcome);
+        assert_eq!(got.deltas, vec![(Counter::ScanDocs, 1)]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1060,8 +1104,8 @@ mod tests {
         fs::write(&seg, &bytes).unwrap();
         let cache = ScanCache::persistent(&dir, 64).unwrap();
         assert_eq!(cache.len(), 1);
-        assert!(cache.lookup(&key(1), &metrics).is_some());
-        assert!(cache.lookup(&key(2), &metrics).is_none());
+        assert!(cache.get(&key(1)).is_some());
+        assert!(cache.get(&key(2)).is_none());
         assert!(
             cache.load_warnings().iter().any(|w| w.contains("torn")),
             "{:?}",
@@ -1087,8 +1131,8 @@ mod tests {
         assert_ne!(doctored, text, "fixture should contain a verdict to flip");
         fs::write(&seg, doctored).unwrap();
         let cache = ScanCache::persistent(&dir, 64).unwrap();
-        assert!(cache.lookup(&key(1), &metrics).is_none());
-        assert!(cache.lookup(&key(2), &metrics).is_some());
+        assert!(cache.get(&key(1)).is_none());
+        assert!(cache.get(&key(2)).is_some());
         assert!(
             cache
                 .load_warnings()
@@ -1178,5 +1222,66 @@ mod tests {
             let err = decode_entry(&j).unwrap_err();
             assert!(err.contains(why), "{damaged}: {err}");
         }
+    }
+
+    #[test]
+    fn a_follower_waits_for_the_lead_and_hits_its_insert() {
+        let cache = Arc::new(ScanCache::in_memory(64));
+        let metrics = MetricsSink::enabled();
+        let Lookup::Miss(lead) = cache.lookup(key(1), &metrics) else {
+            panic!("a cold cache hit");
+        };
+        let follower = {
+            let (cache, metrics) = (Arc::clone(&cache), metrics.clone());
+            std::thread::spawn(move || match cache.lookup(key(1), &metrics) {
+                Lookup::Hit(outcome, _) => outcome,
+                Lookup::Miss(_) => panic!("the follower scanned a key whose lead landed"),
+            })
+        };
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert!(
+            !follower.is_finished(),
+            "the follower must wait for the lead"
+        );
+        lead.insert(&macro_outcome(), &[], &metrics);
+        assert_eq!(follower.join().unwrap(), macro_outcome());
+        let snap = metrics.snapshot().unwrap();
+        assert_eq!(snap.histograms["cache.misses"].count, 1);
+        assert_eq!(snap.histograms["cache.hits"].count, 1);
+    }
+
+    #[test]
+    fn a_refused_insert_makes_the_follower_the_next_leader() {
+        let cache = Arc::new(ScanCache::in_memory(64));
+        let metrics = MetricsSink::default();
+        let Lookup::Miss(lead) = cache.lookup(key(1), &metrics) else {
+            panic!("a cold cache hit");
+        };
+        // A thread that holds a lead never waits, not even on its own key.
+        assert!(matches!(cache.lookup(key(1), &metrics), Lookup::Miss(_)));
+        let follower = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(
+                move || match cache.lookup(key(1), &MetricsSink::default()) {
+                    Lookup::Hit(..) => false,
+                    Lookup::Miss(next) => next.leading,
+                },
+            )
+        };
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert!(
+            !follower.is_finished(),
+            "the follower must wait for the lead"
+        );
+        let timeout = ScanOutcome::Failed {
+            class: FailureClass::Timeout,
+            detail: "deadline".to_string(),
+        };
+        lead.insert(&timeout, &[], &metrics);
+        assert!(
+            follower.join().unwrap(),
+            "an uncacheable outcome must leave the follower to lead its own scan"
+        );
+        assert!(cache.is_empty());
     }
 }

@@ -88,7 +88,7 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use super::cache::{self, Deltas, PathProbe};
+use super::cache::{self, Deltas, Lead, Lookup};
 use super::{run_batch, Executor, FailureClass, ScanOutcome, ScanPolicy, ScanReport};
 use crate::detector::Detector;
 use crate::journal::{decode_outcome, outcome_json, JournalReplay, ScanJournal};
@@ -620,14 +620,12 @@ pub(crate) enum AttemptError {
 /// worker scans document after document without waiting on the
 /// supervisor. A death while the supervisor awaits a document forfeits
 /// only that document: it gets the solo retry, and the queue's other
-/// unanswered documents are re-sent to the next worker. Shared with
-/// [`crate::serve`], whose resident worker threads each own one slot and
-/// queue one document at a time.
-pub(crate) struct Slot<'a> {
+/// unanswered documents are re-sent to the next worker.
+struct Slot<'a> {
     config: &'a IsolateConfig,
-    /// Owned, not borrowed: the serve engine rebuilds slots with a fresh
-    /// hello on model hot-reload, so the frame cannot be pinned to the
-    /// lifetime of a caller-held string.
+    /// Owned, not borrowed: the serve engine rebuilds its executors with
+    /// a fresh hello on model hot-reload, so the frame cannot be pinned
+    /// to the lifetime of a caller-held string.
     hello: String,
     heartbeat: Duration,
     metrics: &'a MetricsSink,
@@ -648,7 +646,7 @@ pub(crate) struct Slot<'a> {
 }
 
 impl<'a> Slot<'a> {
-    pub(crate) fn new(
+    fn new(
         config: &'a IsolateConfig,
         hello: String,
         heartbeat: Duration,
@@ -731,7 +729,7 @@ impl<'a> Slot<'a> {
     /// Queues a document, by path, for [`next`](Self::next) to answer in
     /// order. Queued documents go to the worker when the first of them is
     /// awaited.
-    pub(crate) fn queue(&mut self, key: String) {
+    fn queue(&mut self, key: String) {
         self.pending.push_back(key);
     }
 
@@ -797,7 +795,7 @@ impl<'a> Slot<'a> {
     /// The result for the oldest queued document, under the quarantine
     /// protocol: at most two attempts, the second always in a fresh solo
     /// worker.
-    pub(crate) fn next(&mut self) -> (ScanOutcome, Deltas) {
+    fn next(&mut self) -> (ScanOutcome, Deltas) {
         let first = match self.try_next(false) {
             Ok(done) => return done,
             Err(e) => e,
@@ -833,15 +831,8 @@ impl<'a> Slot<'a> {
         )
     }
 
-    /// Scans one document: [`queue`](Self::queue) it alone, then
-    /// [`next`](Self::next).
-    pub(crate) fn scan(&mut self, key: &str) -> (ScanOutcome, Deltas) {
-        self.queue(key.to_string());
-        self.next()
-    }
-
     /// Clean end-of-batch teardown for the slot's surviving worker.
-    pub(crate) fn finish(mut self) {
+    fn finish(mut self) {
         if let Some(worker) = self.worker.take() {
             self.metrics
                 .record(Stage::IsolateWorkerDocs, self.docs_on_worker);
@@ -864,16 +855,23 @@ fn scan_frames<'k>(keys: impl Iterator<Item = &'k String>) -> io::Result<Vec<u8>
 
 /// The isolate executor: one worker [`Slot`] per scanning thread, with
 /// the supervisor-side cache in front of it. At claim time each fresh
-/// document is probed: a cache hit keeps the stored outcome and deltas
-/// without a worker ever seeing the document (the whole point — cached
-/// documents cost no worker round-trip), and every other document is
-/// queued on the slot, so the whole claim's misses reach the worker in
-/// one write. A miss's result is stored as it comes back. Documents the
-/// supervisor cannot read under the cap bypass the cache entirely so the
-/// worker produces the same typed outcome it would have uncached.
-struct Isolated<'a> {
+/// document is digested and looked up: a cache hit keeps the stored
+/// outcome and deltas without a worker ever seeing the document (the
+/// whole point — cached documents cost no worker round-trip), and every
+/// other document is queued on the slot, so the whole claim's misses
+/// reach the worker in one write. A miss holds its key's cache lead until
+/// its result comes back; the result is stored only if the file's stamp
+/// still equals the one taken before the digest read, since the worker
+/// re-reads the file and a racing writer could have swapped it. Documents
+/// the supervisor cannot read under the cap bypass the cache entirely so
+/// the worker produces the same typed outcome it would have uncached.
+///
+/// Batches build one per scanning thread; the resident service keeps one
+/// per worker thread and generation, and scans each request as a claim
+/// of one document.
+pub(crate) struct Isolated<'a> {
     slot: Slot<'a>,
-    bound: Option<&'a cache::BoundCache>,
+    bound: Option<cache::BoundCache>,
     policy: &'a ScanPolicy,
     /// The claimed documents not yet scanned, in order, with what claim
     /// time decided for each.
@@ -884,22 +882,45 @@ struct Isolated<'a> {
 enum Planned {
     /// Cached: the stored outcome and its replayable counter deltas.
     Hit(ScanOutcome, Deltas),
-    /// Queued on the slot; for a cache miss, the digest to insert the
-    /// result under and the file's stamp from before the digest read.
-    Queued(Option<(cache::ContentDigest, cache::FileStamp)>),
+    /// Queued on the slot; for a cache miss, the lead to insert the
+    /// result through and the file's stamp from before the digest read.
+    Queued(Option<(Lead, cache::FileStamp)>),
+}
+
+impl<'a> Isolated<'a> {
+    /// An executor whose worker processes speak `hello`, caching through
+    /// `bound`.
+    pub(crate) fn new(
+        config: &'a IsolateConfig,
+        hello: String,
+        bound: Option<cache::BoundCache>,
+        policy: &'a ScanPolicy,
+    ) -> Self {
+        let heartbeat = config
+            .heartbeat
+            .unwrap_or_else(|| default_heartbeat(policy));
+        Isolated {
+            slot: Slot::new(config, hello, heartbeat, &policy.metrics),
+            bound,
+            policy,
+            planned: VecDeque::new(),
+        }
+    }
 }
 
 impl Executor for Isolated<'_> {
     fn claim<'p>(&mut self, fresh: impl Iterator<Item = (usize, &'p Path)>) {
         let policy = self.policy;
         for (idx, path) in fresh {
-            let probe = self
-                .bound
-                .map(|bound| bound.probe_path(path, policy.limits.max_file_size, &policy.metrics));
-            let plan = match probe {
-                Some(PathProbe::Hit(outcome, deltas)) => Planned::Hit(outcome, deltas),
-                Some(PathProbe::Miss(digest, stamp)) => Planned::Queued(Some((digest, stamp))),
-                Some(PathProbe::Unreadable) | None => Planned::Queued(None),
+            let lookup = self.bound.as_ref().and_then(|bound| {
+                let (digest, stamp) =
+                    cache::digest_path_under_cap(path, policy.limits.max_file_size)?;
+                Some((bound.lookup(digest, &policy.metrics), stamp))
+            });
+            let plan = match lookup {
+                Some((Lookup::Hit(outcome, deltas), _)) => Planned::Hit(outcome, deltas),
+                Some((Lookup::Miss(lead), stamp)) => Planned::Queued(Some((lead, stamp))),
+                None => Planned::Queued(None),
             };
             if matches!(plan, Planned::Queued(_)) {
                 self.slot.queue(path.display().to_string());
@@ -918,9 +939,9 @@ impl Executor for Isolated<'_> {
             Planned::Hit(outcome, deltas) => (outcome, deltas),
             Planned::Queued(insert) => {
                 let (outcome, deltas) = self.slot.next();
-                if let (Some(bound), Some((digest, stamp))) = (self.bound, insert) {
+                if let Some((lead, stamp)) = insert {
                     if cache::file_stamp(path) == Some(stamp) {
-                        bound.insert(digest, &outcome, &deltas, &self.policy.metrics);
+                        lead.insert(&outcome, &deltas, &self.policy.metrics);
                     }
                 }
                 (outcome, deltas)
@@ -929,11 +950,14 @@ impl Executor for Isolated<'_> {
     }
 
     fn finish(self) {
+        // Release the leads of documents a drain left unscanned before
+        // the worker's grace period, not after it.
+        drop(self.planned);
         self.slot.finish();
     }
 }
 
-pub(crate) fn default_heartbeat(policy: &ScanPolicy) -> Duration {
+fn default_heartbeat(policy: &ScanPolicy) -> Duration {
     match policy.deadline_per_doc {
         // The deadline bounds the *scan*; spawn, I/O and scheduling ride
         // on top, so the heartbeat leaves generous headroom — it exists
@@ -955,16 +979,10 @@ pub(crate) fn scan_paths_isolated(
     journal: Option<&mut ScanJournal>,
     resume: Option<&JournalReplay>,
 ) -> ScanReport {
-    let heartbeat = config
-        .heartbeat
-        .unwrap_or_else(|| default_heartbeat(policy));
     let hello = hello_frame(detector, policy, 0);
     let bound = cache::BoundCache::bind(detector, policy);
-    run_batch(paths, policy, journal, resume, || Isolated {
-        slot: Slot::new(config, hello.clone(), heartbeat, &policy.metrics),
-        bound: bound.as_ref(),
-        policy,
-        planned: VecDeque::new(),
+    run_batch(paths, policy, journal, resume, || {
+        Isolated::new(config, hello.clone(), bound.clone(), policy)
     })
 }
 

@@ -42,7 +42,10 @@
 //! killer — cost one worker, not the batch. A document that kills its
 //! worker is retried exactly once in a fresh solo worker and, if it kills
 //! that too, is recorded as [`FailureClass::Fatal`] (quarantined) while
-//! the batch continues.
+//! the batch continues. Both executors look documents up in the
+//! [`cache`] when the policy carries one, and its lookup is the one
+//! single-flight: concurrent identical documents cost one scan. The
+//! resident service ([`crate::serve`]) runs the same per-document code.
 //!
 //! Finally, [`interrupt`] provides a graceful-drain latch: when a policy
 //! opts in via [`ScanPolicy::drain_on_interrupt`], a drain request (e.g.
@@ -1035,8 +1038,10 @@ pub fn scan_paths_journaled<P: AsRef<Path>>(
 /// What the batch engine runs on each scanning thread: it scans one
 /// claimed input at a time and hands back the outcome plus the counter
 /// deltas the collector replays for it. Everything else — claiming,
-/// resume, journaling, drain, ordering, counting — is the engine's.
-trait Executor {
+/// resume, journaling, drain, ordering, counting — is the engine's. The
+/// resident service drives the isolate executor one single-document
+/// claim per request.
+pub(crate) trait Executor {
     /// Announces a claim's fresh (not resume-replayed) inputs, once and in
     /// order, before the engine scans them in that order. An executor that
     /// can work ahead of [`scan`](Self::scan) starts them here.
@@ -1339,45 +1344,42 @@ pub(crate) fn read_file_checked(path: &Path, max_file_size: u64) -> Result<Vec<u
     }
 }
 
-/// Scans one on-disk file: checked read, then scan — through the bound
-/// cache when the batch carries one.
+/// Scans one on-disk file: checked read, then [`scan_bytes_cached`].
 pub(crate) fn scan_file(
     detector: &Detector,
     path: &Path,
     policy: &ScanPolicy,
     bound: Option<&cache::BoundCache>,
 ) -> ScanOutcome {
-    let bytes = match read_file_checked(path, policy.limits.max_file_size) {
-        Ok(bytes) => bytes,
-        Err(outcome) => return outcome,
-    };
-    match bound {
-        None => scan_bytes_with_policy(detector, &bytes, policy),
-        Some(bound) => {
-            scan_bytes_cached_digest(detector, &bytes, policy, bound, cache::sha256(&bytes)).0
-        }
+    match read_file_checked(path, policy.limits.max_file_size) {
+        Ok(bytes) => scan_bytes_cached(detector, &bytes, policy, bound),
+        Err(outcome) => outcome,
     }
 }
 
-/// Scans in-memory bytes through a bound cache, keyed by their
-/// already-computed `digest`: look up, and on a miss scan under a *fresh*
-/// metrics sink whose non-zero counter totals become the entry's
-/// replayable deltas. Both paths then feed the same deltas into the live
-/// sink, which is what keeps the deterministic counter section identical
-/// across cache-off, cold and warm runs. The deltas are handed back too:
-/// the resident service's single-flight replays them for in-flight
-/// duplicates without a cache entry.
-pub(crate) fn scan_bytes_cached_digest(
+/// Scans in-memory bytes, through the bound cache when there is one:
+/// look their digest up, and on a miss scan under a *fresh* metrics sink
+/// whose non-zero counter totals become the entry's replayable deltas.
+/// Both paths then feed the same deltas into the live sink, which is
+/// what keeps the deterministic counter section identical across
+/// cache-off, cold and warm runs. A concurrent scan of the same bytes is
+/// waited for, not repeated (the cache's single-flight).
+pub(crate) fn scan_bytes_cached(
     detector: &Detector,
     bytes: &[u8],
     policy: &ScanPolicy,
-    bound: &cache::BoundCache,
-    digest: cache::ContentDigest,
-) -> (ScanOutcome, cache::Deltas) {
-    if let Some((outcome, deltas)) = bound.lookup(digest, &policy.metrics) {
-        cache::replay_deltas(&policy.metrics, &deltas);
-        return (outcome, deltas);
-    }
+    bound: Option<&cache::BoundCache>,
+) -> ScanOutcome {
+    let Some(bound) = bound else {
+        return scan_bytes_with_policy(detector, bytes, policy);
+    };
+    let lead = match bound.lookup(cache::sha256(bytes), &policy.metrics) {
+        cache::Lookup::Hit(outcome, deltas) => {
+            cache::replay_deltas(&policy.metrics, &deltas);
+            return outcome;
+        }
+        cache::Lookup::Miss(lead) => lead,
+    };
     // Miss: scan under a fresh sink so this one document's counter
     // contribution is separable. Its histograms are dropped — they are
     // exempt from the determinism promise, exactly as for the isolation
@@ -1391,8 +1393,8 @@ pub(crate) fn scan_bytes_cached_digest(
     let outcome = scan_bytes_with_policy(detector, bytes, &sub);
     let deltas = cache::deltas_from_sink(&fresh);
     cache::replay_deltas(&policy.metrics, &deltas);
-    bound.insert(digest, &outcome, &deltas, &policy.metrics);
-    (outcome, deltas)
+    lead.insert(&outcome, &deltas, &policy.metrics);
+    outcome
 }
 
 #[cfg(test)]

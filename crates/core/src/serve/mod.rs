@@ -4,13 +4,14 @@
 //! [`serve`] runs a long-lived daemon on a Unix or TCP [`Listener`],
 //! speaking the newline-delimited request/response protocol of [`proto`]
 //! (`scan <path>`, inline `bytes_hex` documents, `metrics`, `health`,
-//! `ready`). Every scan runs through the same machinery the batch CLI
-//! uses — [`ScanPolicy`] budgets, the degradation ladder, and (when the
-//! policy carries an [`IsolateConfig`](crate::scan::IsolateConfig)) the
-//! process-isolation supervisor, so a hostile document costs one worker
-//! process, never the service.
+//! `ready`). Every scan runs through the batch engine's own per-document
+//! code — [`ScanPolicy`] budgets, the degradation ladder, the scan cache
+//! and its single-flight, and (when the policy carries an
+//! [`IsolateConfig`](crate::scan::IsolateConfig)) the isolate executor,
+//! which sees each request as a claim of one document, so a hostile
+//! document costs one worker process, never the service.
 //!
-//! The service layer adds what a one-shot batch does not need:
+//! The service layer adds only what a one-shot batch does not need:
 //!
 //! - **Bounded admission.** Requests pass through a fixed-depth queue;
 //!   when it is full the request is *shed* with a typed `overloaded`
@@ -29,7 +30,7 @@
 //!   SIGHUP via [`request_reload`]) atomically swaps in a freshly loaded
 //!   detector behind a monotonic *generation* counter. Every request is
 //!   pinned at admission to the generation that admitted it — a document
-//!   is scanned entirely by one model version — isolate worker slots are
+//!   is scanned entirely by one model version — isolate executors are
 //!   rebuilt lazily on their next request, the detector-fingerprint cache
 //!   key turns old-generation entries into clean misses, and a malformed
 //!   model file is rejected with a typed `reload-failed` response that
@@ -40,24 +41,23 @@
 //! request interleaving is inherently racy — so the serve counters all
 //! live on the histogram side of [`ScanMetrics`].
 
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::detector::Detector;
 use crate::journal::{outcome_json, ScanJournal};
 use crate::scan::cache;
-use crate::scan::isolate::{default_heartbeat, hello_frame, Slot};
+use crate::scan::isolate::{hello_frame, Isolated};
 use crate::scan::{
-    interrupt, read_file_checked, record_outcome, scan_bytes_cached_digest, scan_bytes_with_policy,
-    scan_file, FailureClass, JournalSink, ScanOutcome, ScanPolicy, ScanRecord,
+    interrupt, record_outcome, scan_bytes_cached, scan_file, Executor, FailureClass, JournalSink,
+    ScanOutcome, ScanPolicy, ScanRecord,
 };
 use vbadet_metrics::json::json_str;
 use vbadet_metrics::{MetricsSink, ScanMetrics, Stage};
@@ -75,8 +75,8 @@ pub struct ServeConfig {
     /// isolation). [`serve`] forces the policy's metrics sink on — the
     /// `metrics` verb must always have something to report.
     pub policy: ScanPolicy,
-    /// Scan worker threads (each owning one isolate slot when the policy
-    /// isolates). Clamped to at least 1.
+    /// Scan worker threads (each owning one isolate executor when the
+    /// policy isolates). Clamped to at least 1.
     pub workers: usize,
     /// Admission queue depth; a request arriving when the queue holds
     /// this many is shed with a typed `overloaded` rejection.
@@ -333,36 +333,12 @@ struct Shared<'a> {
     responses: AtomicU64,
     inline_seq: AtomicU64,
     journal: Mutex<JournalSink<'a>>,
-    /// Single-flight table: one [`Flight`] per cache key currently being
-    /// scanned, so concurrent identical documents (a `scan <path>` and a
-    /// `bytes_hex` of the same content, say) cost one scan and share its
-    /// terminal outcome. Keys embed the detector fingerprint, so flights
-    /// from different generations never alias.
-    inflight: Mutex<HashMap<cache::Key, Arc<Flight>>>,
 }
 
 impl Shared<'_> {
     /// The generation a request arriving now is pinned to.
     fn current(&self) -> Arc<Generation> {
         Arc::clone(&self.generation.lock().expect("generation lock poisoned"))
-    }
-}
-
-/// Rendezvous for in-flight duplicate scans. The leader (first arrival
-/// for a key) scans and publishes `(outcome, deltas)`; followers block on
-/// the condvar and replay the published result. Leaders never wait on a
-/// flight, so the table cannot deadlock.
-struct Flight {
-    result: Mutex<Option<(ScanOutcome, cache::Deltas)>>,
-    cv: Condvar,
-}
-
-impl Flight {
-    fn new() -> Flight {
-        Flight {
-            result: Mutex::new(None),
-            cv: Condvar::new(),
-        }
     }
 }
 
@@ -414,7 +390,6 @@ pub fn serve(
         responses: AtomicU64::new(0),
         inline_seq: AtomicU64::new(0),
         journal: Mutex::new(JournalSink::new(journal, metrics.clone())),
-        inflight: Mutex::new(HashMap::new()),
         policy,
     };
     let workers = config.workers.max(1);
@@ -535,16 +510,17 @@ fn load_model(path: &str) -> Result<Detector, String> {
 }
 
 /// One scan worker: dequeues jobs until the channel drains at shutdown.
-/// In isolate mode the worker owns a persistent [`Slot`] — the same
-/// respawn-backoff / crash-loop / quarantine discipline as the batch
-/// supervisor, amortizing worker processes across requests. The slot is
-/// tagged with the generation whose hello built it and rebuilt *lazily*:
-/// the first job pinned to a newer generation retires the old child and
-/// spawns one speaking the new detector, so a reload never stalls the
-/// pool — workers with queued old-generation jobs keep draining them.
+/// In isolate mode the worker owns the batch engine's isolate executor —
+/// the same worker slot, respawn-backoff / crash-loop / quarantine
+/// discipline and supervisor-side cache — amortizing worker processes
+/// across requests. The executor is tagged with the generation whose
+/// hello and cache binding built it and rebuilt *lazily*: the first job
+/// pinned to a newer generation retires the old child and spawns one
+/// speaking the new detector, so a reload never stalls the pool —
+/// workers with queued old-generation jobs keep draining them.
 fn worker_loop(shared: &Shared<'_>, rx: &Mutex<mpsc::Receiver<Job>>) {
     let metrics = &shared.policy.metrics;
-    let mut slot: Option<(u64, Slot<'_>)> = None;
+    let mut isolated: Option<(u64, Isolated<'_>)> = None;
     loop {
         let job = {
             let rx = rx.lock().unwrap();
@@ -553,29 +529,21 @@ fn worker_loop(shared: &Shared<'_>, rx: &Mutex<mpsc::Receiver<Job>>) {
         let Ok(job) = job else { break };
         shared.depth.fetch_sub(1, Ordering::Relaxed);
         if let Some(cfg) = &shared.policy.isolate {
-            if slot
+            let generation = &job.generation;
+            if isolated
                 .as_ref()
-                .is_some_and(|(built_for, _)| *built_for != job.generation.number)
+                .is_some_and(|(built_for, _)| *built_for != generation.number)
             {
-                let (_, old) = slot.take().expect("checked above");
+                let (_, old) = isolated.take().expect("checked above");
                 old.finish();
             }
-            if slot.is_none() {
-                let hello = hello_frame(
-                    &job.generation.detector,
-                    &shared.policy,
-                    job.generation.number,
-                );
-                let heartbeat = cfg
-                    .heartbeat
-                    .unwrap_or_else(|| default_heartbeat(&shared.policy));
-                slot = Some((
-                    job.generation.number,
-                    Slot::new(cfg, hello, heartbeat, metrics),
-                ));
+            if isolated.is_none() {
+                let hello = hello_frame(&generation.detector, &shared.policy, generation.number);
+                let exec = Isolated::new(cfg, hello, generation.bound.clone(), &shared.policy);
+                isolated = Some((generation.number, exec));
             }
         }
-        let outcome = scan_job(shared, slot.as_mut().map(|(_, s)| s), &job);
+        let outcome = scan_job(shared, isolated.as_mut().map(|(_, e)| e), &job);
         let fatal = matches!(
             outcome,
             ScanOutcome::Failed {
@@ -601,233 +569,75 @@ fn worker_loop(shared: &Shared<'_>, rx: &Mutex<mpsc::Receiver<Job>>) {
         // outcome is journaled either way.
         let _ = job.reply.send(record.outcome);
     }
-    if let Some((_, slot)) = slot {
-        slot.finish();
+    if let Some((_, exec)) = isolated {
+        exec.finish();
     }
 }
 
-/// Produces the terminal outcome for one job. The `serve::inject-death`
+/// Produces the terminal outcome for one job under its pinned
+/// generation, through the batch engine's per-document code: in process,
+/// `scan_file` or the cached-bytes scan it wraps; isolated, a claim of
+/// one document on the worker's executor. Either way the cache lookup,
+/// and with it single-flight, happens below. The `serve::inject-death`
 /// faultpoint simulates a systemic worker failure (the signal that feeds
 /// the breaker) without needing real crashing documents; it fires before
-/// the cache and single-flight layers, so an injected death is per-job
-/// and never cached or shared.
-fn scan_job(shared: &Shared<'_>, slot: Option<&mut Slot<'_>>, job: &Job) -> ScanOutcome {
+/// the cache, so an injected death is per-job and never cached.
+fn scan_job(shared: &Shared<'_>, isolated: Option<&mut Isolated<'_>>, job: &Job) -> ScanOutcome {
     if vbadet_faultpoint::fire("serve::inject-death").is_some() {
         return ScanOutcome::Failed {
             class: FailureClass::Fatal,
             detail: "injected worker death".to_string(),
         };
     }
-    match &job.generation.bound {
-        None => scan_job_direct(shared, &job.generation, slot, &job.target),
-        Some(bound) => scan_job_cached(shared, bound, slot, job),
-    }
-}
-
-/// The cache-off dispatch: exactly the pre-cache service behavior, under
-/// the job's pinned generation.
-fn scan_job_direct(
-    shared: &Shared<'_>,
-    generation: &Generation,
-    slot: Option<&mut Slot<'_>>,
-    target: &ScanTarget,
-) -> ScanOutcome {
-    match (slot, target) {
-        (None, ScanTarget::Path(p)) => {
-            scan_file(&generation.detector, Path::new(p), &shared.policy, None)
-        }
+    let (detector, bound) = (&job.generation.detector, job.generation.bound.as_ref());
+    match (isolated, &job.target) {
+        (None, ScanTarget::Path(p)) => scan_file(detector, Path::new(p), &shared.policy, bound),
         (None, ScanTarget::Bytes(bytes)) => {
-            scan_bytes_with_policy(&generation.detector, bytes, &shared.policy)
+            scan_bytes_cached(detector, bytes, &shared.policy, bound)
         }
-        (Some(slot), ScanTarget::Path(p)) => {
-            let (outcome, deltas) = slot.scan(p);
-            cache::replay_deltas(&shared.policy.metrics, &deltas);
-            outcome
-        }
-        (Some(slot), ScanTarget::Bytes(bytes)) => {
-            let (outcome, deltas, _) = spool_and_scan(shared, slot, bytes);
-            cache::replay_deltas(&shared.policy.metrics, &deltas);
-            outcome
-        }
+        (Some(exec), ScanTarget::Path(p)) => scan_isolated(shared, exec, Path::new(p)),
+        (Some(exec), ScanTarget::Bytes(bytes)) => match spool(shared, bytes) {
+            Ok(spooled) => {
+                let outcome = scan_isolated(shared, exec, &spooled);
+                let _ = std::fs::remove_file(&spooled);
+                outcome
+            }
+            Err(outcome) => outcome,
+        },
     }
 }
 
-/// Isolate workers scan by path: spool the inline bytes to a temp file
-/// for the round trip. The third element reports whether the worker
-/// actually scanned the spooled bytes (a failed spool produces a typed
-/// `Io` outcome that must never be cached under the bytes' digest).
+/// Scans one document as a claim of its own and replays its counter
+/// deltas, as the batch collector does for each record.
+fn scan_isolated(shared: &Shared<'_>, exec: &mut Isolated<'_>, path: &Path) -> ScanOutcome {
+    exec.claim(std::iter::once((0, path)));
+    let (outcome, deltas) = exec.scan(0, path);
+    cache::replay_deltas(&shared.policy.metrics, &deltas);
+    outcome
+}
+
+/// Isolate workers scan by path: spools inline bytes to a temp file for
+/// the round trip. A failed spool is the request's typed `Io` outcome.
 ///
 /// The spool name is predictable, so the file is created fresh: anything
 /// already at that name — a planted symlink included — is a spool
 /// failure, never a file to follow and truncate.
-fn spool_and_scan(
-    shared: &Shared<'_>,
-    slot: &mut Slot<'_>,
-    bytes: &[u8],
-) -> (ScanOutcome, cache::Deltas, bool) {
+fn spool(shared: &Shared<'_>, bytes: &[u8]) -> Result<PathBuf, ScanOutcome> {
     let spool = std::env::temp_dir().join(format!(
         "vbadet-serve-inline-{}-{}.bin",
         std::process::id(),
         shared.inline_seq.fetch_add(1, Ordering::Relaxed)
     ));
-    let written = std::fs::OpenOptions::new()
+    std::fs::OpenOptions::new()
         .write(true)
         .create_new(true)
         .open(&spool)
-        .and_then(|mut file| file.write_all(bytes));
-    if let Err(e) = written {
-        return (
-            ScanOutcome::Failed {
-                class: FailureClass::Io,
-                detail: format!("spooling inline bytes: {e}"),
-            },
-            Vec::new(),
-            false,
-        );
-    }
-    let (outcome, deltas) = slot.scan(&spool.display().to_string());
-    let _ = std::fs::remove_file(&spool);
-    (outcome, deltas, true)
-}
-
-/// How one job's content digest resolved, before any cache traffic.
-enum Resolved {
-    /// Digestible; the bytes ride along when the read already happened
-    /// in-process (path target without an isolate slot), and the file's
-    /// stamp from before the digest read when the worker will re-read it
-    /// (path target with an isolate slot).
-    Digest(
-        cache::ContentDigest,
-        Option<Vec<u8>>,
-        Option<cache::FileStamp>,
-    ),
-    /// The checked read produced a typed outcome (missing file, over the
-    /// cap, grew during read) — return it directly; it is byte-identical
-    /// to what the uncached scan path would have said.
-    Typed(ScanOutcome),
-    /// Not digestible supervisor-side (isolate path target unreadable
-    /// under the cap): bypass cache and single-flight so the worker
-    /// classifies the trouble exactly as an uncached run would.
-    Bypass,
-}
-
-/// The cached dispatch: resolve the content digest, join the per-key
-/// single-flight, and either follow (replay the leader's published
-/// result) or lead (cache lookup, scan on miss, publish for followers).
-fn scan_job_cached(
-    shared: &Shared<'_>,
-    bound: &cache::BoundCache,
-    slot: Option<&mut Slot<'_>>,
-    job: &Job,
-) -> ScanOutcome {
-    let metrics = &shared.policy.metrics;
-    let resolved = match (slot.is_some(), &job.target) {
-        (false, ScanTarget::Path(p)) => {
-            match read_file_checked(Path::new(p), shared.policy.limits.max_file_size) {
-                Ok(bytes) => Resolved::Digest(cache::sha256(&bytes), Some(bytes), None),
-                Err(outcome) => Resolved::Typed(outcome),
-            }
-        }
-        (true, ScanTarget::Path(p)) => {
-            match cache::digest_path_under_cap(Path::new(p), shared.policy.limits.max_file_size) {
-                Some((digest, stamp)) => Resolved::Digest(digest, None, Some(stamp)),
-                None => Resolved::Bypass,
-            }
-        }
-        (_, ScanTarget::Bytes(bytes)) => Resolved::Digest(cache::sha256(bytes), None, None),
-    };
-    let (digest, held_bytes, stamp) = match resolved {
-        Resolved::Digest(digest, bytes, stamp) => (digest, bytes, stamp),
-        Resolved::Typed(outcome) => return outcome,
-        Resolved::Bypass => return scan_job_direct(shared, &job.generation, slot, &job.target),
-    };
-
-    // Join the flight *before* the cache lookup: two concurrent identical
-    // requests must rendezvous even when neither has inserted yet.
-    let key = bound.key(digest);
-    let flight = {
-        let mut inflight = shared.inflight.lock().expect("inflight lock poisoned");
-        match inflight.get(&key) {
-            Some(flight) => {
-                let flight = Arc::clone(flight);
-                drop(inflight);
-                // Follower: wait for the leader's terminal result. A
-                // shared result counts as a hit — the document was not
-                // re-scanned — and replays the leader's counter deltas
-                // exactly like a cache hit.
-                let mut result = flight.result.lock().expect("flight lock poisoned");
-                while result.is_none() {
-                    result = flight.cv.wait(result).expect("flight lock poisoned");
-                }
-                let (outcome, deltas) = result.as_ref().expect("checked above").clone();
-                drop(result);
-                metrics.record(Stage::CacheHits, 1);
-                cache::replay_deltas(metrics, &deltas);
-                return outcome;
-            }
-            None => {
-                let flight = Arc::new(Flight::new());
-                inflight.insert(key, Arc::clone(&flight));
-                flight
-            }
-        }
-    };
-
-    // Leader: every path below must publish, or followers hang.
-    let (outcome, deltas) = match slot {
-        None => {
-            let bytes: &[u8] = match (&held_bytes, &job.target) {
-                (Some(bytes), _) => bytes,
-                (None, ScanTarget::Bytes(bytes)) => bytes,
-                (None, ScanTarget::Path(_)) => unreachable!("path bytes held when in-process"),
-            };
-            scan_bytes_cached_digest(
-                &job.generation.detector,
-                bytes,
-                &shared.policy,
-                bound,
-                digest,
-            )
-        }
-        Some(slot) => match bound.lookup(digest, metrics) {
-            Some((outcome, deltas)) => {
-                cache::replay_deltas(metrics, &deltas);
-                (outcome, deltas)
-            }
-            None => match &job.target {
-                ScanTarget::Path(p) => {
-                    // Same TOCTOU guard as the batch supervisor: the
-                    // worker re-reads the file, so only insert when the
-                    // file provably did not change since the digest read.
-                    let (outcome, deltas) = slot.scan(p);
-                    cache::replay_deltas(metrics, &deltas);
-                    if stamp.is_some() && stamp == cache::file_stamp(Path::new(p)) {
-                        bound.insert(digest, &outcome, &deltas, metrics);
-                    }
-                    (outcome, deltas)
-                }
-                ScanTarget::Bytes(bytes) => {
-                    let (outcome, deltas, scanned) = spool_and_scan(shared, slot, bytes);
-                    cache::replay_deltas(metrics, &deltas);
-                    if scanned {
-                        bound.insert(digest, &outcome, &deltas, metrics);
-                    }
-                    (outcome, deltas)
-                }
-            },
-        },
-    };
-    {
-        let mut result = flight.result.lock().expect("flight lock poisoned");
-        *result = Some((outcome.clone(), deltas));
-        flight.cv.notify_all();
-    }
-    shared
-        .inflight
-        .lock()
-        .expect("inflight lock poisoned")
-        .remove(&key);
-    outcome
+        .and_then(|mut file| file.write_all(bytes))
+        .map(|()| spool)
+        .map_err(|e| ScanOutcome::Failed {
+            class: FailureClass::Io,
+            detail: format!("spooling inline bytes: {e}"),
+        })
 }
 
 /// One connection: a hand-rolled bounded line reader over the stream,

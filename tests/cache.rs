@@ -12,8 +12,10 @@
 //! The `faultpoints`-gated tests prove the cache composes with the crash
 //! discipline: a kill@N + `--resume` with a warm cache equals an uncached
 //! resume, the stat→read growth race still classifies as `LimitExceeded`
-//! with caching on (and the grown file is never cached), and the
-//! service's single-flight dedupes concurrent identical documents.
+//! with caching on (and the grown file is never cached), the cache
+//! lookup's single-flight dedupes concurrent identical serve requests,
+//! and a follower only ever gets what the cache would serve it — never a
+//! leader's verdict on bytes swapped in after the leader's digest.
 //!
 //! The faultpoint registry and the drain latch are process-global, so
 //! every test serializes on `TEST_LOCK`.
@@ -21,8 +23,9 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread;
+use std::time::Duration;
 
 use vbadet::json::hex;
 use vbadet::{
@@ -131,25 +134,45 @@ fn hist_total(metrics: &ScanMetrics, label: &str) -> u64 {
     metrics.histograms.get(label).map_or(0, |h| h.total)
 }
 
+/// Runs `batch` on a helper thread and fails the test if it has not
+/// returned within two minutes: a single-flight deadlock must be a
+/// failure, not a hung suite.
+fn within_bound<R: Send + 'static>(batch: impl FnOnce() -> R + Send + 'static) -> R {
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let _ = tx.send(batch());
+    });
+    rx.recv_timeout(Duration::from_secs(120))
+        .expect("the batch did not return within 120 s")
+}
+
 #[test]
 fn cold_cache_is_byte_identical_to_cache_off_across_every_engine() {
     let _guard = global_guard();
-    let det = &tiny_detector();
+    let det = Arc::new(tiny_detector());
     let dir = fresh_dir("cold-equiv");
-    let paths = duplicate_corpus(&dir, 18);
 
-    let engines: Vec<(&str, ScanPolicy)> = vec![
-        ("sequential", ScanPolicy::default()),
-        ("jobs-4", ScanPolicy::default().jobs(4)),
+    // The isolate engine gets 96 documents so that its `--jobs 3` claims
+    // hold four documents each — several cache leads per claim, on keys
+    // the other threads are looking up at the same time.
+    let engines: Vec<(&str, ScanPolicy, usize)> = vec![
+        ("sequential", ScanPolicy::default(), 18),
+        ("jobs-4", ScanPolicy::default().jobs(4), 18),
         (
             "isolate",
             ScanPolicy::default().jobs(3).isolated(worker_config()),
+            96,
         ),
     ];
-    for (name, base) in engines {
-        let off = scan_paths_with_policy(det, &paths, &metered(base.clone()));
+    for (name, base, docs) in engines {
+        let paths = duplicate_corpus(&dir, docs);
+        let run = |policy: ScanPolicy| {
+            let (det, paths) = (Arc::clone(&det), paths.clone());
+            within_bound(move || scan_paths_with_policy(&det, &paths, &policy))
+        };
+        let off = run(metered(base.clone()));
         let cold_policy = metered(base.clone()).with_cache(Arc::new(ScanCache::in_memory(1024)));
-        let cold = scan_paths_with_policy(det, &paths, &cold_policy);
+        let cold = run(cold_policy);
 
         assert_eq!(off.records, cold.records, "{name}: cold records diverge");
         let off_counters = off.metrics.unwrap().counters_json();
@@ -441,10 +464,33 @@ fn serve_path_and_inline_requests_with_identical_content_share_the_cache() {
 mod faultpoints {
     use super::*;
     use std::panic::AssertUnwindSafe;
-    use std::time::Duration;
 
+    use vbadet::json::{self, Json};
     use vbadet::{replay_journal, scan_paths_journaled, FailureClass, ScanJournal, ScanOutcome};
     use vbadet_faultpoint::{clear, configure, hit_count};
+
+    /// The `outcome` object of each `done` line a journaled cache-off
+    /// batch writes for `paths`, in input order.
+    fn journaled_outcomes(det: &Detector, paths: &[PathBuf], journal_path: &Path) -> Vec<Json> {
+        let mut journal = ScanJournal::create(journal_path).unwrap();
+        scan_paths_journaled(det, paths, &ScanPolicy::default(), Some(&mut journal), None);
+        drop(journal);
+        std::fs::read_to_string(journal_path)
+            .unwrap()
+            .lines()
+            .map(|line| json::parse(line).unwrap())
+            .filter(|j| j.get("event").and_then(Json::as_str) == Some("done"))
+            .map(|j| j.get("outcome").unwrap().clone())
+            .collect()
+    }
+
+    /// The `outcome` object of one scan reply line.
+    fn reply_outcome(line: &str) -> Json {
+        json::parse(line)
+            .ok()
+            .and_then(|j| j.get("outcome").cloned())
+            .unwrap_or_else(|| panic!("not a scan reply: {line}"))
+    }
 
     #[test]
     fn kill_and_resume_with_a_warm_cache_equals_an_uncached_resume() {
@@ -636,6 +682,77 @@ mod faultpoints {
         assert_eq!(hist_total(&metrics, "cache.misses"), 1);
         assert_eq!(hist_total(&metrics, "cache.hits"), 1);
         assert_eq!(hist_total(&metrics, "cache.inserts"), 1);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_leader_whose_file_was_swapped_never_answers_a_follower() {
+        let _guard = global_guard();
+        let det = tiny_detector();
+        let dir = fresh_dir("flight-leak");
+
+        // Leader: `scan <path>` on an isolated service. Its supervisor
+        // digests the old bytes, and a writer swaps in content of another
+        // size inside the digest-read gap, so the worker scans the new
+        // bytes and the stamp check refuses the insert. While the worker
+        // stalls in its parse, a follower sends the old bytes inline: the
+        // same digest, so it waits on the leader's key. Its answer must be
+        // the old bytes' verdict, never the new bytes' one published under
+        // the old digest.
+        let (old, new) = (macro_document(), clean_document());
+        assert_ne!(old.len(), new.len());
+        let references: Vec<PathBuf> = [("old.bin", &old), ("new.bin", &new)]
+            .iter()
+            .map(|(name, bytes)| {
+                let p = dir.join(name);
+                std::fs::write(&p, bytes).unwrap();
+                p
+            })
+            .collect();
+        let expected = journaled_outcomes(&det, &references, &dir.join("reference.jsonl"));
+        assert_ne!(expected[0], expected[1]);
+        let victim = dir.join("swapped.bin");
+        std::fs::write(&victim, &old).unwrap();
+
+        configure("cache::digest-read-gap", "sleep(300)@1x1").unwrap();
+        let workers = worker_config().env("VBADET_FAULTPOINTS", "scan::full-parse=sleep(1000)");
+        let policy = ScanPolicy::default()
+            .isolated(workers)
+            .with_cache(Arc::new(ScanCache::in_memory(64)));
+        let config = ServeConfig::new(policy);
+        let (_, (leader, follower)) = with_server(&det, &config, |addr| {
+            thread::scope(|s| {
+                let leader = s.spawn(|| {
+                    Client::connect(addr).roundtrip(&format!("scan {}", victim.display()))
+                });
+                let deadline = std::time::Instant::now() + Duration::from_secs(30);
+                while hit_count("cache::digest-read-gap") == 0 {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "the digest read never happened"
+                    );
+                    thread::sleep(Duration::from_millis(5));
+                }
+                std::fs::write(&victim, &new).unwrap();
+                // Past the 300 ms gap the leader holds its key, and its
+                // worker stalls a full second in the parse.
+                thread::sleep(Duration::from_millis(500));
+                let follower = Client::connect(addr).roundtrip(&format!(
+                    "{{\"op\":\"scan\",\"bytes_hex\":\"{}\"}}",
+                    hex(&old)
+                ));
+                (leader.join().unwrap(), follower)
+            })
+        });
+        clear();
+
+        assert_eq!(
+            reply_outcome(&follower),
+            expected[0],
+            "the follower got a verdict on bytes it never sent"
+        );
+        assert_eq!(reply_outcome(&leader), expected[1], "{leader}");
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -17,13 +17,17 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::{Mutex, MutexGuard};
+use std::path::PathBuf;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 #[cfg(feature = "faultpoints")]
 use std::time::Duration;
 
 use vbadet::json::{self, hex, Json};
-use vbadet::{Detector, DetectorConfig, Listener, ScanPolicy, ServeConfig, ServeSummary};
+use vbadet::{
+    scan_paths_journaled, scan_paths_with_policy, Detector, DetectorConfig, Listener, MetricsSink,
+    ScanJournal, ScanPolicy, ServeConfig, ServeSummary,
+};
 use vbadet_corpus::CorpusSpec;
 use vbadet_ovba::VbaProjectBuilder;
 
@@ -277,25 +281,84 @@ fn isolated_and_in_process_service_verdicts_agree() {
     let det = tiny_detector();
     let dir = std::env::temp_dir().join(format!("vbadet-serve-iso-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let doc = dir.join("doc.bin");
-    std::fs::write(&doc, macro_document()).unwrap();
-    let junk = dir.join("junk.doc");
-    std::fs::write(&junk, b"definitely not a document").unwrap();
+    let macro_doc = macro_document();
+    let clean = {
+        let mut ole = vbadet_ole::OleBuilder::new();
+        ole.add_stream("WordDocument", b"plain text, no project")
+            .unwrap();
+        ole.build()
+    };
+    let docs: Vec<(&str, Vec<u8>)> = vec![
+        ("doc.bin", macro_doc.clone()),
+        ("junk.doc", b"definitely not a document".to_vec()),
+        ("clean.doc", clean),
+        ("truncated.bin", macro_doc[..macro_doc.len() / 2].to_vec()),
+        ("empty.doc", Vec::new()),
+        // The batch's stand-in for the inline `bytes_hex` copy.
+        ("inline.bin", macro_doc.clone()),
+    ];
+    let paths: Vec<PathBuf> = docs
+        .iter()
+        .map(|(name, bytes)| {
+            let p = dir.join(name);
+            std::fs::write(&p, bytes).unwrap();
+            p
+        })
+        .collect();
+
+    // What a batch says about the same documents: the `done` outcomes of a
+    // journaled run, and the deterministic counters of a metered one.
+    let journal_path = dir.join("batch.jsonl");
+    let mut journal = ScanJournal::create(&journal_path).unwrap();
+    scan_paths_journaled(
+        &det,
+        &paths,
+        &ScanPolicy::default(),
+        Some(&mut journal),
+        None,
+    );
+    drop(journal);
+    let batch_outcomes: Vec<Json> = std::fs::read_to_string(&journal_path)
+        .unwrap()
+        .lines()
+        .map(reply)
+        .filter(|j| j.get("event").and_then(Json::as_str) == Some("done"))
+        .map(|j| j.get("outcome").unwrap().clone())
+        .collect();
+    let batch_counters = scan_paths_with_policy(
+        &det,
+        &paths,
+        &ScanPolicy::default().with_metrics(MetricsSink::enabled()),
+    )
+    .metrics
+    .unwrap()
+    .counters_json();
 
     let outcomes = |config: &ServeConfig| {
         let (summary, lines) = with_server(&det, config, |addr| {
             let mut c = Client::connect(addr);
-            [
-                c.roundtrip(&format!("scan {}", doc.display())),
-                c.roundtrip(&format!("scan {}", junk.display())),
-            ]
+            let mut lines: Vec<String> = paths[..paths.len() - 1]
+                .iter()
+                .map(|p| c.roundtrip(&format!("scan {}", p.display())))
+                .collect();
+            lines.push(c.roundtrip(&format!(
+                "{{\"op\":\"scan\",\"bytes_hex\":\"{}\"}}",
+                hex(&macro_doc)
+            )));
+            lines
         });
-        assert_eq!(summary.accepted, 2);
+        assert_eq!(summary.accepted, paths.len() as u64);
+        assert_eq!(lines.len(), batch_outcomes.len());
+        for (line, batch) in lines.iter().zip(&batch_outcomes) {
+            assert_eq!(reply(line).get("outcome"), Some(batch), "{line}");
+        }
+        assert_eq!(summary.metrics.unwrap().counters_json(), batch_counters);
         lines
     };
 
-    let in_process = outcomes(&ServeConfig::new(ScanPolicy::default()));
-    let isolated = outcomes(&ServeConfig::new(ScanPolicy::default().isolated(
+    let cached = || ScanPolicy::default().with_cache(Arc::new(vbadet::ScanCache::in_memory(64)));
+    let in_process = outcomes(&ServeConfig::new(cached()));
+    let isolated = outcomes(&ServeConfig::new(cached().isolated(
         vbadet::IsolateConfig::new(vec![env!("CARGO_BIN_EXE_isolation_worker").to_string()]),
     )));
     // Byte-identical responses: isolation changes the blast radius, never
