@@ -9,6 +9,9 @@
 //! The harness is deterministic (fixed seeds, no wall-clock input), so a
 //! regression reproduces exactly.
 
+mod mutants;
+
+use mutants::{flip_bytes, splice, truncate};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vbadet::{scan_bytes, Detector, DetectorConfig, FailureClass, ScanLimits, ScanOutcome};
@@ -46,30 +49,6 @@ fn base_documents() -> Vec<Vec<u8>> {
     docs.push(b.build().unwrap());
     assert!(docs.len() >= 4, "corpus draw too small to fuzz");
     docs
-}
-
-fn flip_bytes(base: &[u8], rng: &mut StdRng) -> Vec<u8> {
-    let mut out = base.to_vec();
-    let flips = rng.gen_range(1..=8usize);
-    for _ in 0..flips {
-        let i = rng.gen_range(0..out.len());
-        out[i] ^= rng.gen_range(1..=255u8);
-    }
-    out
-}
-
-fn truncate(base: &[u8], rng: &mut StdRng) -> Vec<u8> {
-    base[..rng.gen_range(1..base.len())].to_vec()
-}
-
-fn splice(base: &[u8], donor: &[u8], rng: &mut StdRng) -> Vec<u8> {
-    let mut out = base.to_vec();
-    let len = rng.gen_range(1..=256usize).min(donor.len());
-    let src = rng.gen_range(0..=donor.len() - len);
-    let dst = rng.gen_range(0..out.len());
-    let end = (dst + len).min(out.len());
-    out[dst..end].copy_from_slice(&donor[src..src + (end - dst)]);
-    out
 }
 
 #[test]
