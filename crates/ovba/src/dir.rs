@@ -77,7 +77,17 @@ impl Default for DirStream {
 /// Decodes an MBCS payload. We model code page 1252 as Latin-1, which is
 /// exact for the ASCII subset every generated macro uses.
 fn decode_mbcs(bytes: &[u8]) -> String {
-    bytes.iter().map(|&b| b as char).collect()
+    latin1(bytes.to_vec())
+}
+
+/// Maps each byte to the char of the same value (Latin-1). All-ASCII
+/// input, the common case, becomes the `String` without a copy.
+pub(crate) fn latin1(bytes: Vec<u8>) -> String {
+    if bytes.is_ascii() {
+        String::from_utf8(bytes).expect("ASCII is UTF-8")
+    } else {
+        bytes.iter().map(|&b| b as char).collect()
+    }
 }
 
 fn encode_mbcs(s: &str) -> Vec<u8> {

@@ -1,7 +1,7 @@
 //! Whole-project extraction and synthesis.
 
 use crate::compression::{compress, decompress_budgeted};
-use crate::dir::{DirStream, ModuleRecord, ModuleType};
+use crate::dir::{latin1, DirStream, ModuleRecord, ModuleType};
 use crate::OvbaError;
 use vbadet_faultpoint::Budget;
 use vbadet_metrics::Stage;
@@ -191,7 +191,7 @@ impl VbaProject {
             let source = decompress_budgeted(&stream[offset..], limits.max_module_bytes, budget)?;
             modules.push(VbaModule {
                 name: record.name.clone(),
-                code: source.iter().map(|&b| b as char).collect(),
+                code: latin1(source),
                 module_type: record.module_type,
             });
         }

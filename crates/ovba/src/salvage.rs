@@ -9,7 +9,7 @@
 //! keeps whatever looks like VBA text.
 
 use crate::compression::decompress_salvage_budgeted;
-use crate::dir::ModuleType;
+use crate::dir::{latin1, ModuleType};
 use crate::project::{OvbaLimits, VbaModule};
 use crate::OvbaError;
 use vbadet_faultpoint::Budget;
@@ -102,7 +102,7 @@ pub fn salvage_modules_from_bytes_budgeted(
                     budget.metrics().count(Counter::OvbaSalvageModules, 1);
                     out.push(VbaModule {
                         name,
-                        code: blob.iter().map(|&b| b as char).collect(),
+                        code: latin1(blob),
                         module_type: ModuleType::Procedural,
                     });
                 }

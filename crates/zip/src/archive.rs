@@ -61,6 +61,8 @@ impl CompressionMethod {
 pub struct ZipEntry {
     /// Member path, as stored (forward-slash separated).
     pub name: String,
+    /// General-purpose bit flags (bit 0: encrypted).
+    pub flags: u16,
     /// Compression method code (0 or 8 are supported for extraction).
     pub method: u16,
     /// CRC-32 of the uncompressed data.
@@ -174,6 +176,7 @@ impl<'a> ZipArchive<'a> {
                     found: sig,
                 });
             }
+            let flags = read_u16(data, pos + 8)?;
             let method = read_u16(data, pos + 10)?;
             let crc = read_u32(data, pos + 16)?;
             let compressed_size = read_u32(data, pos + 20)?;
@@ -191,6 +194,7 @@ impl<'a> ZipArchive<'a> {
             let name = String::from_utf8_lossy(name_bytes).into_owned();
             entries.push(ZipEntry {
                 name,
+                flags,
                 method,
                 crc32: crc,
                 compressed_size,
@@ -242,7 +246,17 @@ impl<'a> ZipArchive<'a> {
     }
 
     /// Extracts and verifies the member described by `entry`.
+    ///
+    /// # Errors
+    ///
+    /// As [`ZipArchive::read_file`]. An encrypted member fails with
+    /// [`ZipError::Encrypted`] and a member whose sizes carry the ZIP64
+    /// `0xFFFFFFFF` sentinel with [`ZipError::Zip64`], both before any
+    /// data is read or allocated.
     pub fn read_entry(&self, entry: &ZipEntry) -> Result<Vec<u8>, ZipError> {
+        if entry.compressed_size == u32::MAX || entry.uncompressed_size == u32::MAX {
+            return Err(ZipError::Zip64(entry.name.clone()));
+        }
         // Reject from the declared sizes before touching any data: a bomb
         // must trip the limit without the output buffer ever growing.
         let cap = self.limits.max_member_bytes;
@@ -260,6 +274,11 @@ impl<'a> ZipArchive<'a> {
                 expected: LOCAL_HEADER_SIG,
                 found: sig,
             });
+        }
+        // Either header marking the member encrypted is enough: its bytes
+        // would only inflate to noise.
+        if (entry.flags | read_u16(self.data, pos + 6)?) & 1 != 0 {
+            return Err(ZipError::Encrypted(entry.name.clone()));
         }
         // Name/extra lengths in the local header may differ from the central
         // directory; trust the local ones for locating data.
@@ -388,6 +407,7 @@ impl ZipWriter {
 
         self.entries.push(ZipEntry {
             name: name.to_string(),
+            flags: 0,
             method: actual_method.code(),
             crc32: crc,
             compressed_size: stored.len() as u32,

@@ -4,13 +4,19 @@ use crate::ZipError;
 
 /// Reads bits least-significant-bit first from a byte slice, as required by
 /// RFC 1951.
+///
+/// Bits are buffered 64 at a time: while eight input bytes remain, a refill
+/// loads one little-endian word; near the end it loads byte by byte. Bits
+/// of the buffer above `count` are either zero or the stream's own next
+/// bits (a word refill overlaps the byte it stops inside), so OR-ing the
+/// next load in at `count` is exact either way.
 #[derive(Debug)]
 pub struct BitReader<'a> {
     data: &'a [u8],
     /// Next byte index to load from.
     pos: usize,
-    /// Bit accumulator; the low `count` bits are valid.
-    acc: u32,
+    /// Bit buffer; the low `count` bits are valid.
+    buf: u64,
     count: u32,
 }
 
@@ -19,27 +25,66 @@ impl<'a> BitReader<'a> {
         BitReader {
             data,
             pos: 0,
-            acc: 0,
+            buf: 0,
             count: 0,
         }
     }
 
-    /// Reads `n` bits (0..=16), LSB first.
-    pub fn bits(&mut self, n: u32) -> Result<u32, ZipError> {
-        debug_assert!(n <= 16);
-        while self.count < n {
-            let byte = *self
-                .data
-                .get(self.pos)
-                .ok_or(ZipError::InvalidDeflate("unexpected end of stream"))?;
-            self.acc |= (byte as u32) << self.count;
-            self.count += 8;
-            self.pos += 1;
+    /// Tops the buffer up to at least 56 valid bits, or to every bit left
+    /// in the input.
+    #[inline]
+    fn refill(&mut self) {
+        if let Some(word) = self.data.get(self.pos..self.pos + 8) {
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte slice"));
+            self.buf |= word << self.count;
+            // Whole bytes that fit: `count` lands in 56..=63.
+            self.pos += ((63 - self.count) >> 3) as usize;
+            self.count |= 56;
+        } else {
+            while self.count <= 56 && self.pos < self.data.len() {
+                self.buf |= (self.data[self.pos] as u64) << self.count;
+                self.pos += 1;
+                self.count += 8;
+            }
         }
-        let value = self.acc & ((1u32 << n) - 1);
-        self.acc >>= n;
+    }
+
+    /// The next `n` bits (0..=16) without consuming them, refilling first
+    /// when fewer are buffered. Near the end of input fewer than `n` may be
+    /// valid ([`available`](Self::available)); the missing high bits read
+    /// as zero.
+    #[inline]
+    pub fn peek(&mut self, n: u32) -> u32 {
+        debug_assert!(n <= 16);
+        if self.count < n {
+            self.refill();
+        }
+        (self.buf & ((1u64 << n) - 1)) as u32
+    }
+
+    /// Number of valid buffered bits.
+    #[inline]
+    pub fn available(&self) -> u32 {
+        self.count
+    }
+
+    /// Drops `n` buffered bits; `n` must not exceed [`available`](Self::available).
+    #[inline]
+    pub fn consume(&mut self, n: u32) {
+        debug_assert!(n <= self.count);
+        self.buf >>= n;
         self.count -= n;
-        Ok(if n == 0 { 0 } else { value })
+    }
+
+    /// Reads `n` bits (0..=16), LSB first.
+    #[inline]
+    pub fn bits(&mut self, n: u32) -> Result<u32, ZipError> {
+        let value = self.peek(n);
+        if self.count < n {
+            return Err(ZipError::InvalidDeflate("unexpected end of stream"));
+        }
+        self.consume(n);
+        Ok(value)
     }
 
     /// Reads a single bit.
@@ -47,10 +92,12 @@ impl<'a> BitReader<'a> {
         self.bits(1)
     }
 
-    /// Discards buffered bits to realign on a byte boundary (used before
-    /// stored blocks).
+    /// Discards the bits of a partial byte to realign on a byte boundary
+    /// (used before stored blocks). Whole buffered bytes go back to the
+    /// input, so [`bytes`](Self::bytes) reads on from the right offset.
     pub fn align_to_byte(&mut self) {
-        self.acc = 0;
+        self.pos -= (self.count / 8) as usize;
+        self.buf = 0;
         self.count = 0;
     }
 

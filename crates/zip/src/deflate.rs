@@ -563,6 +563,76 @@ mod tests {
     }
 
     #[test]
+    fn dynamic_block_with_long_codes_roundtrips() {
+        // Fibonacci frequencies make the Huffman tree as deep as possible:
+        // literal codes reach 13 bits and distance codes the 15-bit cap,
+        // so decoding leaves the lookup table for the counting path.
+        let fib: Vec<u32> = (0..24)
+            .scan((1u32, 1u32), |(a, b), _| {
+                let f = *a;
+                *a = *b;
+                *b += f;
+                Some(f)
+            })
+            .collect();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        // Literals 0..24 in Fibonacci counts, shuffled.
+        let mut block: Vec<Symbol> = (0..24u8)
+            .flat_map(|b| std::iter::repeat_n(Symbol::Literal(b), fib[b as usize] as usize))
+            .collect();
+        for i in (1..block.len()).rev() {
+            block.swap(i, next(i + 1));
+        }
+        // Then 3-byte matches over the first 18 distance codes, also in
+        // Fibonacci counts; the output is long enough for every distance.
+        let mut matches: Vec<Symbol> = (0..18usize)
+            .flat_map(|code| {
+                let (base, _) = DIST_TABLE[code];
+                std::iter::repeat_n(Symbol::Match { len: 3, dist: base }, fib[code] as usize)
+            })
+            .collect();
+        for i in (1..matches.len()).rev() {
+            matches.swap(i, next(i + 1));
+        }
+        block.extend(matches);
+
+        let mut expected = Vec::new();
+        for &sym in &block {
+            match sym {
+                Symbol::Literal(b) => expected.push(b),
+                Symbol::Match { len, dist } => {
+                    let start = expected.len() - dist as usize;
+                    for k in 0..len as usize {
+                        expected.push(expected[start + k]);
+                    }
+                }
+            }
+        }
+        let mut lit_freq = [0u32; 288];
+        lit_freq[..24].copy_from_slice(&fib);
+        lit_freq[257] = fib[..18].iter().sum();
+        lit_freq[END_OF_BLOCK as usize] = 1;
+        let mut dist_freq = [0u32; 30];
+        dist_freq[..18].copy_from_slice(&fib[..18]);
+        let lit_max = *build_code_lengths(&lit_freq, 15).iter().max().unwrap();
+        let dist_max = *build_code_lengths(&dist_freq, 15).iter().max().unwrap();
+        assert!(
+            lit_max >= 13 && dist_max == 15,
+            "codes must pass the 10-bit lookup table: {lit_max}, {dist_max}"
+        );
+
+        let mut writer = BitWriter::new();
+        emit_dynamic_block(&mut writer, &block, true);
+        assert_eq!(inflate(&writer.finish()).unwrap(), expected);
+    }
+
+    #[test]
     fn length_code_covers_all_lengths() {
         for len in MIN_MATCH as u16..=MAX_MATCH as u16 {
             let (code, extra_bits, extra) = length_code(len);

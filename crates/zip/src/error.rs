@@ -21,6 +21,11 @@ pub enum ZipError {
     MemberNotFound(String),
     /// The archive uses a compression method this crate does not implement.
     UnsupportedMethod(u16),
+    /// The named member is encrypted (general-purpose flag bit 0).
+    Encrypted(String),
+    /// The named member's sizes carry the ZIP64 `0xFFFFFFFF` sentinel; the
+    /// real sizes live in a ZIP64 extra field this crate does not read.
+    Zip64(String),
     /// The stored CRC-32 does not match the decompressed data.
     CrcMismatch {
         name: String,
@@ -74,6 +79,8 @@ impl fmt::Display for ZipError {
             ),
             ZipError::MemberNotFound(name) => write!(f, "member not found: {name}"),
             ZipError::UnsupportedMethod(m) => write!(f, "unsupported compression method {m}"),
+            ZipError::Encrypted(name) => write!(f, "encrypted member not supported: {name}"),
+            ZipError::Zip64(name) => write!(f, "zip64 member not supported: {name}"),
             ZipError::CrcMismatch {
                 name,
                 expected,

@@ -5,18 +5,27 @@ use crate::ZipError;
 
 pub const MAX_BITS: usize = 15;
 
+/// Index width of the primary lookup table. Longer codes, and the rare
+/// table hit that runs past the end of input, take the counting path.
+const TABLE_BITS: u32 = 10;
+
 /// Decoder for one canonical Huffman code, built from code lengths
 /// (the representation DEFLATE streams carry).
 ///
-/// Uses the counting scheme from Mark Adler's `puff`: for each code length we
-/// know how many codes exist and the first code value, so decoding walks one
-/// bit at a time without an explicit tree.
+/// A `TABLE_BITS`-bit lookup table, indexed by the next input bits,
+/// resolves every code of up to `TABLE_BITS` bits in one probe. The
+/// counting scheme from Mark Adler's `puff` (for each code length, how
+/// many codes exist and the first code value) decodes everything else one
+/// bit at a time, so both paths agree on every symbol and every error.
 #[derive(Debug, Clone)]
 pub struct HuffmanDecoder {
     /// `count[len]` = number of symbols with code length `len`.
     count: [u16; MAX_BITS + 1],
     /// Symbols sorted by (code length, symbol value).
     symbols: Vec<u16>,
+    /// Entry `len << 12 | symbol` for every `TABLE_BITS`-bit input whose
+    /// low bits are a code of `len <= TABLE_BITS`; 0 where no code fits.
+    table: Box<[u16; 1 << TABLE_BITS]>,
 }
 
 impl HuffmanDecoder {
@@ -67,11 +76,44 @@ impl HuffmanDecoder {
                 offset[len as usize] += 1;
             }
         }
-        Ok(HuffmanDecoder { count, symbols })
+
+        // Codes arrive MSB first, so a code's table slots are its
+        // bit-reversed value plus every setting of the bits above it.
+        let mut table = Box::new([0u16; 1 << TABLE_BITS]);
+        for (sym, (&len, code)) in lengths.iter().zip(canonical_codes(lengths)).enumerate() {
+            let len = len as u32;
+            if len == 0 || len > TABLE_BITS {
+                continue;
+            }
+            let reversed = code.reverse_bits() >> (32 - len);
+            let entry = (len << 12) as u16 | sym as u16;
+            for slot in (reversed as usize..1 << TABLE_BITS).step_by(1 << len) {
+                table[slot] = entry;
+            }
+        }
+        Ok(HuffmanDecoder {
+            count,
+            symbols,
+            table,
+        })
     }
 
     /// Decodes one symbol from the bit reader.
+    #[inline]
     pub fn decode(&self, reader: &mut BitReader<'_>) -> Result<u16, ZipError> {
+        let entry = self.table[reader.peek(TABLE_BITS) as usize];
+        let len = (entry >> 12) as u32;
+        if len != 0 && len <= reader.available() {
+            reader.consume(len);
+            return Ok(entry & 0x0FFF);
+        }
+        self.decode_counting(reader)
+    }
+
+    /// The bit-serial decoder: codes longer than the table, unused codes
+    /// of a one-symbol code, and codes cut by the end of input.
+    #[cold]
+    fn decode_counting(&self, reader: &mut BitReader<'_>) -> Result<u16, ZipError> {
         let mut code = 0i32;
         let mut first = 0i32;
         let mut index = 0i32;
@@ -278,6 +320,80 @@ mod tests {
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
         assert_eq!(d.decode(&mut r).unwrap(), 1);
+    }
+
+    /// Decodes `bytes` to exhaustion with `decode`, returning every symbol
+    /// and the error that ended the stream.
+    fn decode_all(
+        bytes: &[u8],
+        skip: u32,
+        decode: impl Fn(&mut BitReader<'_>) -> Result<u16, ZipError>,
+    ) -> (Vec<u16>, ZipError) {
+        let mut r = BitReader::new(bytes);
+        r.bits(skip).unwrap();
+        let mut symbols = Vec::new();
+        loop {
+            match decode(&mut r) {
+                Ok(s) => symbols.push(s),
+                Err(e) => return (symbols, e),
+            }
+        }
+    }
+
+    #[test]
+    fn table_decode_matches_counting_decode_everywhere() {
+        // Random complete codes of every depth limit, plus the one-symbol
+        // code whose unused bit pattern is an error in the stream.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut length_sets = vec![vec![0u8, 1, 0]];
+        for max_bits in [7usize, 9, 10, 11, 13, 15, 15, 15] {
+            for _ in 0..3 {
+                // Frequencies spread over 2^0..2^15 reach the depth limit.
+                let n = 2 + next(286.min((1 << max_bits) - 2)) as usize;
+                let mut freqs: Vec<u32> =
+                    (0..n).map(|_| (1 << next(16)) * next(2) as u32).collect();
+                freqs[0] += 1;
+                freqs[n - 1] += 1;
+                length_sets.push(build_code_lengths(&freqs, max_bits));
+            }
+        }
+        assert!(length_sets
+            .iter()
+            .any(|l| l.iter().any(|&b| b as u32 > TABLE_BITS + 3)));
+        for lengths in &length_sets {
+            let decoder = HuffmanDecoder::from_lengths(lengths).unwrap();
+            let codes = canonical_codes(lengths);
+            let used: Vec<usize> = (0..lengths.len()).filter(|&s| lengths[s] != 0).collect();
+            for skip in 0..=16u32 {
+                let mut w = BitWriter::new();
+                w.bits(next(1 << 16) as u32 & ((1 << skip) - 1), skip);
+                for _ in 0..40 {
+                    let s = used[next(used.len() as u64) as usize];
+                    w.huffman_code(codes[s], lengths[s] as u32);
+                }
+                // Trailing noise: past the symbols, both decoders read it
+                // as more codes until the input runs out.
+                w.bits(next(1 << 16) as u32, 16);
+                let bytes = w.finish();
+                for cut in 0..=bytes.len() {
+                    let prefix = &bytes[..cut];
+                    if (cut * 8) < skip as usize {
+                        continue;
+                    }
+                    assert_eq!(
+                        decode_all(prefix, skip, |r| decoder.decode(r)),
+                        decode_all(prefix, skip, |r| decoder.decode_counting(r)),
+                        "lengths {lengths:?}, skip {skip}, cut {cut}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::bits::BitReader;
 use crate::deflate::CLC_ORDER;
 use crate::huffman::HuffmanDecoder;
 use crate::ZipError;
+use std::sync::OnceLock;
 use vbadet_faultpoint::{faultpoint, Budget};
 use vbadet_metrics::Counter;
 
@@ -62,7 +63,7 @@ pub fn inflate_budgeted(data: &[u8], limit: usize, budget: &Budget) -> Result<Ve
             0b00 => inflate_stored(&mut reader, &mut out, limit, budget)?,
             0b01 => {
                 let (lit, dist) = fixed_decoders();
-                inflate_block(&mut reader, &mut out, &lit, &dist, limit, budget)?;
+                inflate_block(&mut reader, &mut out, lit, dist, limit, budget)?;
             }
             0b10 => {
                 let (lit, dist) = read_dynamic_header(&mut reader)?;
@@ -100,12 +101,16 @@ fn inflate_stored(
     Ok(())
 }
 
-fn fixed_decoders() -> (HuffmanDecoder, HuffmanDecoder) {
-    let lit = HuffmanDecoder::from_lengths(&crate::deflate::fixed_literal_lengths())
-        .expect("fixed literal code is valid");
-    let dist = HuffmanDecoder::from_lengths(&crate::deflate::fixed_distance_lengths())
-        .expect("fixed distance code is valid");
-    (lit, dist)
+/// The fixed-Huffman literal/length and distance decoders, built once.
+fn fixed_decoders() -> &'static (HuffmanDecoder, HuffmanDecoder) {
+    static FIXED: OnceLock<(HuffmanDecoder, HuffmanDecoder)> = OnceLock::new();
+    FIXED.get_or_init(|| {
+        let lit = HuffmanDecoder::from_lengths(&crate::deflate::fixed_literal_lengths())
+            .expect("fixed literal code is valid");
+        let dist = HuffmanDecoder::from_lengths(&crate::deflate::fixed_distance_lengths())
+            .expect("fixed distance code is valid");
+        (lit, dist)
+    })
 }
 
 fn read_dynamic_header(
@@ -213,12 +218,15 @@ fn inflate_block(
                         limit,
                     });
                 }
-                // Byte-at-a-time copy: overlapping copies (distance < len)
-                // intentionally repeat the just-written bytes.
                 let start = out.len() - distance;
-                for k in 0..len {
-                    let byte = out[start + k];
-                    out.push(byte);
+                if distance >= len {
+                    out.extend_from_within(start..start + len);
+                } else {
+                    // Overlapping copy: each byte repeats one just written.
+                    for k in 0..len {
+                        let byte = out[start + k];
+                        out.push(byte);
+                    }
                 }
             }
             _ => return Err(ZipError::InvalidDeflate("invalid literal/length symbol")),
@@ -263,6 +271,42 @@ mod tests {
             // full output).
             if let Ok(out) = inflate(&packed[..cut]) {
                 assert_ne!(out, b"some data to compress");
+            }
+        }
+    }
+
+    #[test]
+    fn stored_block_after_huffman_block_at_every_bit_offset() {
+        // A fixed block of `short` 8-bit and `long` 9-bit literals, then a
+        // stored block: `long` walks the stored header through every bit
+        // offset, `short` through every byte offset of the 64-bit refill.
+        let lengths = crate::deflate::fixed_literal_lengths();
+        let codes = crate::huffman::canonical_codes(&lengths);
+        let stored = b"stored bytes, read from the byte after the block";
+        for short in 0..16u8 {
+            for long in 0..8u8 {
+                let mut w = crate::bits::BitWriter::new();
+                w.bits(0, 1);
+                w.bits(0b01, 2);
+                let literals: Vec<u8> = (0..short).chain(200..200 + long).collect();
+                for &b in &literals {
+                    w.huffman_code(codes[b as usize], lengths[b as usize] as u32);
+                }
+                w.huffman_code(codes[256], lengths[256] as u32);
+                w.bits(1, 1);
+                w.bits(0b00, 2);
+                w.align_to_byte();
+                let len = stored.len() as u16;
+                w.bytes(&len.to_le_bytes());
+                w.bytes(&(!len).to_le_bytes());
+                w.bytes(stored);
+                let mut expected = literals;
+                expected.extend_from_slice(stored);
+                assert_eq!(
+                    inflate(&w.finish()).unwrap(),
+                    expected,
+                    "{short} short, {long} long literals"
+                );
             }
         }
     }

@@ -120,10 +120,13 @@ stage() {
 # The parallel determinism suites rerun explicitly (beyond the workspace
 # pass) so a future test-harness filter can never silently drop them: the
 # worker-pool engine being observationally identical to the sequential one
-# is this repo's load-bearing invariant.
+# is this repo's load-bearing invariant. The container golden fixture is
+# the extraction oracle (inflate, OLE, MS-OVBA outputs and failure text),
+# so it reruns here too, with and without faultpoints compiled in.
 determinism_tests() {
-    cargo test -q --offline --test parallel_scan --test metrics &&
-        cargo test -q --offline --features faultpoints --test parallel_scan --test fault_injection
+    cargo test -q --offline --test parallel_scan --test metrics --test container_fixture &&
+        cargo test -q --offline --features faultpoints --test parallel_scan --test fault_injection \
+            --test container_fixture
 }
 
 # The resident-service suites: protocol/breaker/drain unit coverage, then

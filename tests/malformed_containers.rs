@@ -188,3 +188,62 @@ fn module_count_cap_is_enforced() {
         })
     ));
 }
+
+/// A one-member OOXML archive carrying `project_bin()` (its local header
+/// at offset 0), and the offset of its central header.
+fn one_member_docm() -> (Vec<u8>, usize) {
+    let mut zip = ZipWriter::new();
+    zip.add_file(
+        "word/vbaProject.bin",
+        &project_bin(),
+        CompressionMethod::Deflate,
+    )
+    .unwrap();
+    let bytes = zip.finish();
+    let central = bytes
+        .windows(4)
+        .position(|w| w == b"PK\x01\x02")
+        .expect("central header");
+    (bytes, central)
+}
+
+fn failure_label(bytes: &[u8]) -> &'static str {
+    let err = extract_macros_with_limits(bytes, &ScanLimits::default()).unwrap_err();
+    vbadet::FailureClass::from_error(&err).label()
+}
+
+#[test]
+fn encrypted_member_fails_typed_before_inflate() {
+    // Flag bit 0 in either header marks the member encrypted. The stream
+    // is garbage too, so a decoder that ran first would report it instead.
+    for flags_in in ["local", "central"] {
+        let (mut bytes, central) = one_member_docm();
+        let at = if flags_in == "local" { 6 } else { central + 8 };
+        bytes[at] |= 1;
+        let data = 30 + "word/vbaProject.bin".len();
+        bytes[data..data + 16].fill(0xFF);
+        let archive = ZipArchive::parse(&bytes).unwrap();
+        assert_eq!(
+            archive.read_file("word/vbaProject.bin"),
+            Err(ZipError::Encrypted("word/vbaProject.bin".into()))
+        );
+        assert_eq!(failure_label(&bytes), "malformed");
+    }
+}
+
+#[test]
+fn zip64_size_sentinel_fails_typed_before_allocation() {
+    // 0xFFFFFFFF in either size field defers the real size to a ZIP64
+    // extra field. Read as a size it would trip the member cap and be
+    // misreported as limit-exceeded.
+    for size_at in [20usize, 24] {
+        let (mut bytes, central) = one_member_docm();
+        bytes[central + size_at..central + size_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let archive = ZipArchive::parse(&bytes).unwrap();
+        assert_eq!(
+            archive.read_file("word/vbaProject.bin"),
+            Err(ZipError::Zip64("word/vbaProject.bin".into()))
+        );
+        assert_eq!(failure_label(&bytes), "malformed");
+    }
+}
