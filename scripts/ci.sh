@@ -121,12 +121,15 @@ stage() {
 # pass) so a future test-harness filter can never silently drop them: the
 # worker-pool engine being observationally identical to the sequential one
 # is this repo's load-bearing invariant. The container golden fixture is
-# the extraction oracle (inflate, OLE, MS-OVBA outputs and failure text),
-# so it reruns here too, with and without faultpoints compiled in.
+# the extraction oracle (inflate, OLE, MS-OVBA outputs and failure text)
+# and the feature golden fixture the scoring oracle (V/J bit patterns and
+# token digests), so both rerun here too, with and without faultpoints
+# compiled in.
 determinism_tests() {
-    cargo test -q --offline --test parallel_scan --test metrics --test container_fixture &&
+    cargo test -q --offline --test parallel_scan --test metrics --test container_fixture \
+        --test feature_fixture &&
         cargo test -q --offline --features faultpoints --test parallel_scan --test fault_injection \
-            --test container_fixture
+            --test container_fixture --test feature_fixture
 }
 
 # The resident-service suites: protocol/breaker/drain unit coverage, then

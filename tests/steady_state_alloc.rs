@@ -9,6 +9,7 @@
 use vbadet::memguard::{cumulative_allocs, TrackingAllocator};
 use vbadet_features::{FeatureScratch, FeatureSet};
 
+#[allow(dead_code)]
 mod common;
 
 #[global_allocator]
