@@ -6,6 +6,10 @@
 //! Each quantity is accumulated in the exact order the historical
 //! extractors iterated it, keeping every derived `f64` bit-identical to
 //! the reference implementation (see `crate::reference`).
+//!
+//! V14/V15's distinct identifiers are not a pass here: the lexer builds
+//! that lane while it emits the tokens
+//! ([`SourceStats::ident_lengths`](vbadet_vba::SourceStats::ident_lengths)).
 
 use vbadet_vba::{MacroAnalysis, SpanKind, SpanToken, WordClass};
 
@@ -14,9 +18,6 @@ use vbadet_vba::{MacroAnalysis, SpanKind, SpanToken, WordClass};
 #[derive(Debug, Default)]
 pub struct PassScratch {
     arg_spans: Vec<(usize, usize)>,
-    ident_cand: Vec<(u64, u32)>,
-    ident_first: Vec<u32>,
-    pub(crate) ident_lengths: Vec<f64>,
 }
 
 /// Quantities derived from one streaming pass over the token slice:
@@ -177,73 +178,6 @@ pub(crate) fn arg_length_stats(
     (sum, count)
 }
 
-/// FNV-1a over the ASCII-lowercase folding of `name`'s bytes.
-fn folded_hash(name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.bytes() {
-        h ^= b.to_ascii_lowercase() as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// V14/V15: distinct user identifier lengths in first-occurrence order —
-/// the dedup semantics of `identifiers()` (case-insensitive, builtins
-/// excluded) without per-occurrence `String` keys. Fills
-/// `scratch.ident_lengths`.
-pub(crate) fn ident_lengths<'s>(
-    analysis: &MacroAnalysis,
-    scratch: &'s mut PassScratch,
-) -> &'s [f64] {
-    let source = analysis.source();
-    let tokens = analysis.tokens();
-    scratch.ident_cand.clear();
-    scratch.ident_first.clear();
-    scratch.ident_lengths.clear();
-    for (i, t) in tokens.iter().enumerate() {
-        if let SpanKind::Identifier(class) = t.kind {
-            if !class.is_builtin() {
-                scratch
-                    .ident_cand
-                    .push((folded_hash(&source[t.start..t.end]), i as u32));
-            }
-        }
-    }
-    // Group by hash; within a group (already in occurrence order) accept
-    // an element only if no earlier accepted element matches
-    // case-insensitively. Hash collisions across distinct names are
-    // resolved by the string compare, so the result is exact.
-    scratch.ident_cand.sort_unstable();
-    let cand = &scratch.ident_cand;
-    let mut g = 0usize;
-    while g < cand.len() {
-        let mut end = g + 1;
-        while end < cand.len() && cand[end].0 == cand[g].0 {
-            end += 1;
-        }
-        for k in g..end {
-            let tk = &tokens[cand[k].1 as usize];
-            let name = &source[tk.start..tk.end];
-            let dup = cand[g..k].iter().any(|&(_, fi)| {
-                let ft = &tokens[fi as usize];
-                source[ft.start..ft.end].eq_ignore_ascii_case(name)
-            });
-            if !dup {
-                scratch.ident_first.push(cand[k].1);
-            }
-        }
-        g = end;
-    }
-    // Restore first-occurrence (document) order.
-    scratch.ident_first.sort_unstable();
-    for &i in &scratch.ident_first {
-        scratch
-            .ident_lengths
-            .push(tokens[i as usize].char_len() as f64);
-    }
-    &scratch.ident_lengths
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,19 +197,5 @@ mod tests {
             .map(|&(s, e)| src[s..e].chars().count() as f64)
             .sum();
         assert_eq!(d.body_chars.to_bits(), expect.to_bits());
-    }
-
-    #[test]
-    fn ident_dedup_matches_identifiers_view() {
-        let src = "Dim Alpha\r\nalpha = ALPHA + beta\r\nx = Chr(1)\r\ncaf\u{e9} = caf\u{c9}\r\n";
-        let a = MacroAnalysis::new(src);
-        let mut s = PassScratch::default();
-        let lens: Vec<f64> = ident_lengths(&a, &mut s).to_vec();
-        let expect: Vec<f64> = a
-            .identifiers()
-            .iter()
-            .map(|i| i.chars().count() as f64)
-            .collect();
-        assert_eq!(lens, expect);
     }
 }

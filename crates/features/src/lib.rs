@@ -96,7 +96,7 @@ impl FeatureScratch {
         match set {
             FeatureSet::V => self
                 .out
-                .extend_from_slice(&vset::v_features_fused(&analysis, &mut self.pass)),
+                .extend_from_slice(&vset::v_features_fused(&analysis)),
             FeatureSet::J => self
                 .out
                 .extend_from_slice(&jset::j_features_fused(&analysis, &mut self.pass)),

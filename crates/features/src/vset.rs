@@ -19,12 +19,14 @@
 //! | V15 | var. length of identifiers | O1 |
 //!
 //! Like [`crate::jset`], the extractor is fused: it reads the lexer's
-//! single-pass accumulators and token-slice passes only, with
+//! single-pass accumulators and one token-slice pass only, with
 //! `crate::reference` holding the historical implementation as the
-//! bit-equivalence oracle.
+//! bit-equivalence oracle. V3/V4 read the code-word lengths and V14/V15
+//! the distinct-identifier lengths that the lexer recorded, each word
+//! hashed once, so V needs no scratch of its own.
 
 use crate::entropy::entropy_from_counts;
-use crate::fused::{ident_lengths, token_derived, PassScratch};
+use crate::fused::token_derived;
 use crate::{mean, variance};
 use vbadet_vba::MacroAnalysis;
 
@@ -58,15 +60,12 @@ pub fn v_features(source: &str) -> [f64; V_DIM] {
 /// Extracts V1–V15 from an existing lexical analysis (avoids re-tokenizing
 /// when multiple feature sets are extracted from the same macro).
 pub fn v_features_from(analysis: &MacroAnalysis) -> [f64; V_DIM] {
-    v_features_fused(analysis, &mut PassScratch::default())
+    v_features_fused(analysis)
 }
 
-/// Fused extraction into caller-provided scratch buffers (the scan hot
-/// path reuses one [`PassScratch`] per worker).
-pub(crate) fn v_features_fused(
-    analysis: &MacroAnalysis,
-    scratch: &mut PassScratch,
-) -> [f64; V_DIM] {
+/// Fused extraction: the lexer's accumulators and one token pass; it
+/// needs no scratch of its own.
+pub(crate) fn v_features_fused(analysis: &MacroAnalysis) -> [f64; V_DIM] {
     let stats = analysis.stats();
     let code_chars = stats.char_len.saturating_sub(stats.comment_span_chars) as f64;
     let comment_chars = stats.comment_body_chars as f64;
@@ -104,9 +103,9 @@ pub(crate) fn v_features_fused(
 
     let v13 = entropy_from_counts(stats.char_counts(), stats.char_len);
 
-    let idents = ident_lengths(analysis, scratch);
-    let v14 = mean(idents.iter().copied());
-    let v15 = variance(idents);
+    // V14/V15: the lexer's distinct-identifier lane.
+    let v14 = mean(stats.ident_lengths.iter().copied());
+    let v15 = variance(&stats.ident_lengths);
 
     [
         code_chars,

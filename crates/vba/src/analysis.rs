@@ -11,6 +11,7 @@
 //! path reuses one [`LexScratch`] per worker so steady-state analysis
 //! performs no per-document buffer allocation.
 
+use crate::idents::IdentSet;
 use crate::lexer::{lex_spans, CommentInfo, StrRepr, StringInfo};
 use crate::stats::SourceStats;
 use crate::token::{SpanKind, SpanToken};
@@ -30,6 +31,8 @@ pub struct LexScratch {
     comments: Vec<CommentInfo>,
     decoded: String,
     stats: SourceStats,
+    /// Used while lexing only; never moves into the analysis.
+    idents: IdentSet,
 }
 
 /// Lexical analysis of one macro: the token stream plus the derived
@@ -76,6 +79,7 @@ impl<'a> MacroAnalysis<'a> {
             &mut a.comments,
             &mut a.decoded,
             &mut a.stats,
+            &mut scratch.idents,
         );
         a
     }
@@ -400,6 +404,20 @@ mod tests {
         assert!(!ids.contains(&"CreateObject"), "builtin must be excluded");
         // OutlookApp appears twice but is listed once.
         assert_eq!(ids.iter().filter(|i| **i == "OutlookApp").count(), 1);
+    }
+
+    #[test]
+    fn ident_lengths_match_identifiers_view() {
+        let src = "Dim Alpha\r\nalpha = ALPHA + beta$ + beta\r\nx = Chr(1)\r\n\
+                   caf\u{e9} = caf\u{c9} + CAF\u{e9}\r\n";
+        let a = MacroAnalysis::new(src);
+        let expect: Vec<f64> = a
+            .identifiers()
+            .iter()
+            .map(|i| i.chars().count() as f64)
+            .collect();
+        assert_eq!(expect, [5.0, 5.0, 4.0, 1.0, 4.0, 4.0]);
+        assert_eq!(a.stats().ident_lengths, expect);
     }
 
     #[test]

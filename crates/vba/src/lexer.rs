@@ -13,9 +13,17 @@
 //! the first byte of a non-ASCII `char` (which always starts an
 //! identifier), so dispatch, run scanning and the [`CLASS`] table work on
 //! bytes, and whitespace, identifier, comment-body and string-body runs
-//! are handed to [`SourceStats`] whole. Each word is classified once,
-//! through [`words`](crate::words), and the class rides on its token.
+//! are handed to [`SourceStats`] whole, as byte offsets into the source.
+//!
+//! Each word is hashed once. The lexer classifies it with one probe of
+//! the [`words`](crate::words) table, read with two 8-byte loads, and the
+//! class rides on its token. An ASCII identifier or keyword body goes to
+//! the code-word machine as one span, which decides J5 once when the word
+//! ends. A user identifier (suffix included) goes into the
+//! distinct-identifier set ([`IdentSet`]), and a new name appends its
+//! length to [`SourceStats::ident_lengths`] for V14/V15.
 
+use crate::idents::IdentSet;
 use crate::stats::{class, run_end, SourceStats, IDENT_START, WORD};
 use crate::token::{SpanKind, SpanToken, Token, TokenKind};
 use crate::words;
@@ -54,10 +62,19 @@ pub(crate) struct CommentInfo {
     pub body_end: usize,
 }
 
+/// Characters in `text`.
+fn char_count(text: &str) -> usize {
+    if text.is_ascii() {
+        text.len()
+    } else {
+        text.chars().count()
+    }
+}
+
 /// The single fused pass: tokenizes `source` into `tokens` (+ string and
 /// comment side tables, `""`-decoded string values appended to `decoded`)
-/// while filling `stats`. All outputs are cleared first; capacity is
-/// retained.
+/// while filling `stats`, with `idents` as the distinct-identifier set.
+/// All outputs are cleared first; capacity is retained.
 pub(crate) fn lex_spans(
     source: &str,
     tokens: &mut Vec<SpanToken>,
@@ -65,12 +82,14 @@ pub(crate) fn lex_spans(
     comments: &mut Vec<CommentInfo>,
     decoded: &mut String,
     stats: &mut SourceStats,
+    idents: &mut IdentSet,
 ) {
     tokens.clear();
     strings.clear();
     comments.clear();
     decoded.clear();
     stats.reset();
+    idents.clear();
 
     let bytes = source.as_bytes();
     let n = bytes.len();
@@ -94,7 +113,7 @@ pub(crate) fn lex_spans(
             let j = run_end(bytes, pos + 1, |b| matches!(b, b' ' | b'\t' | b'\r'));
             if j < n && bytes[j] == b'\n' {
                 // Splice: consume through the newline, no Newline token.
-                stats.code_ascii(&bytes[pos..=j]);
+                stats.code_ascii(bytes, pos, j + 1);
                 cpos += j + 1 - pos;
                 stats.newline(cpos - 1, bytes[j - 1] == b'\r');
                 pos = j + 1;
@@ -105,26 +124,26 @@ pub(crate) fn lex_spans(
         match b {
             b' ' | b'\t' | b'\r' => {
                 pos = run_end(bytes, pos, |b| matches!(b, b' ' | b'\t' | b'\r'));
-                stats.end_code_word();
+                stats.end_code_word(bytes);
                 cpos += pos - start;
             }
             b'\n' => {
-                stats.end_code_word();
+                stats.end_code_word(bytes);
                 cpos += 1;
                 stats.newline(cstart, pos > 0 && bytes[pos - 1] == b'\r');
                 pos += 1;
                 push(tokens, SpanKind::Newline, start, pos, cstart, cpos);
             }
             b'\'' => {
-                stats.end_code_word();
+                stats.end_code_word(bytes);
                 cpos += 1;
                 pos += 1;
                 let body_start = pos;
                 pos = run_end(bytes, pos, |b| b != b'\n');
                 let raw = &source[body_start..pos];
-                let raw_chars = stats.comment(raw);
+                let raw_chars = stats.comment(source, body_start, pos);
                 cpos += raw_chars;
-                stats.end_comment_word();
+                stats.end_comment_word(bytes);
                 let body = raw.trim_end_matches('\r');
                 // Every trimmed byte is one '\r' character.
                 stats.comment_body_chars += raw_chars - (raw.len() - body.len());
@@ -137,7 +156,7 @@ pub(crate) fn lex_spans(
                 push(tokens, kind, start, pos, cstart, cpos);
             }
             b'"' => {
-                stats.end_code_word();
+                stats.end_code_word(bytes);
                 cpos += 1;
                 pos += 1;
                 let val_start = pos;
@@ -147,7 +166,7 @@ pub(crate) fn lex_spans(
                 let mut char_len = 0usize;
                 let val_end = loop {
                     let j = run_end(bytes, pos, |b| b != b'"' && b != b'\n');
-                    let chars = stats.masked(&source[pos..j]);
+                    let chars = char_count(&source[pos..j]);
                     cpos += chars;
                     char_len += chars;
                     if rewritten.is_some() {
@@ -193,12 +212,12 @@ pub(crate) fn lex_spans(
                 };
                 if j > pos + 2 {
                     pos = j + usize::from(j < n && is_suffix_byte(bytes[j]));
-                    stats.code_ascii(&bytes[start..pos]);
+                    stats.code_ascii(bytes, start, pos);
                     cpos += pos - start;
                     push(tokens, SpanKind::Number, start, pos, cstart, cpos);
                 } else {
                     pos += 1;
-                    stats.end_code_word();
+                    stats.end_code_word(bytes);
                     cpos += 1;
                     push(tokens, SpanKind::Operator("&"), start, pos, cstart, cpos);
                 }
@@ -222,7 +241,7 @@ pub(crate) fn lex_spans(
                 if bytes.get(pos).copied().is_some_and(is_suffix_byte) {
                     pos += 1;
                 }
-                stats.code_ascii(&bytes[start..pos]);
+                stats.code_ascii(bytes, start, pos);
                 cpos += pos - start;
                 push(tokens, SpanKind::Number, start, pos, cstart, cpos);
             }
@@ -234,18 +253,18 @@ pub(crate) fn lex_spans(
                 if !ascii {
                     pos = run_end(bytes, pos, |b| b >= 0x80 || class(b) & WORD != 0);
                 }
-                let word = words::classify_bytes(&bytes[start..pos]);
+                let word = words::classify_span(bytes, start, pos);
                 if word.is_rem() {
                     // Rem comment: the whole span is masked, marker
                     // included; swallow the rest of the line.
-                    stats.end_code_word();
+                    stats.end_code_word(bytes);
                     cpos += pos - start;
                     let body_raw_start = pos;
                     pos = run_end(bytes, pos, |b| b != b'\n');
                     let raw = &source[body_raw_start..pos];
-                    let raw_chars = stats.comment(raw);
+                    let raw_chars = stats.comment(source, body_raw_start, pos);
                     cpos += raw_chars;
-                    stats.end_comment_word();
+                    stats.end_comment_word(bytes);
                     let after_r = raw.trim_end_matches('\r');
                     let body = after_r.trim_start();
                     let prefix = &after_r[..after_r.len() - body.len()];
@@ -260,6 +279,7 @@ pub(crate) fn lex_spans(
                     let kind = SpanKind::Comment((comments.len() - 1) as u32);
                     push(tokens, kind, start, pos, cstart, cpos);
                 } else {
+                    let word_end = pos;
                     let kind = if word.is_keyword() {
                         SpanKind::Keyword(word)
                     } else {
@@ -267,10 +287,19 @@ pub(crate) fn lex_spans(
                         SpanKind::Identifier(word)
                     };
                     if ascii {
-                        stats.code_ascii(&bytes[start..pos]);
+                        // The body is all word bytes: one word-machine
+                        // feed; a suffix ends the word.
+                        stats.code_word(start, word_end);
+                        if pos > word_end {
+                            stats.end_code_word(bytes);
+                        }
                         cpos += pos - start;
                     } else {
-                        cpos += stats.code(&source[start..pos]);
+                        cpos += stats.code(source, start, pos);
+                    }
+                    if !word.is_keyword() && !word.is_builtin() && idents.insert(bytes, start, pos)
+                    {
+                        stats.ident_lengths.push((cpos - cstart) as f64);
                     }
                     push(tokens, kind, start, pos, cstart, cpos);
                 }
@@ -312,7 +341,7 @@ pub(crate) fn lex_spans(
                     _ => None,
                 };
                 pos += op.map_or(1, str::len);
-                stats.end_code_word();
+                stats.end_code_word(bytes);
                 cpos += pos - start;
                 if let Some(op) = op {
                     push(tokens, SpanKind::Operator(op), start, pos, cstart, cpos);
@@ -342,6 +371,7 @@ pub fn tokenize(source: &str) -> Vec<Token> {
         &mut comments,
         &mut decoded,
         &mut stats,
+        &mut IdentSet::default(),
     );
     tokens
         .iter()

@@ -21,6 +21,7 @@
 
 pub mod analysis;
 pub mod functions;
+mod idents;
 mod lexer;
 mod stats;
 mod token;

@@ -7,12 +7,18 @@
 //! [`SourceStats`] replaces all of those with counters fed exactly once
 //! per character while the lexer is already looking at it.
 //!
-//! The lexer hands over runs of source, not single characters: ASCII
-//! bytes are classified through one 128-entry table ([`CLASS`]) and a
-//! `char` is decoded only for bytes ≥ 0x80. Counts that the histogram
-//! already holds (characters, ASCII whitespace, backslashes) are read off
-//! it in [`SourceStats::finish`] instead of being kept per character, and
-//! the line machine runs once per `'\n'`.
+//! The lexer hands over runs of source, not single characters, as byte
+//! offsets: ASCII bytes are classified through one 128-entry table
+//! ([`CLASS`]) and a `char` is decoded only for bytes ≥ 0x80. Counts that
+//! the histogram already holds (characters, ASCII whitespace,
+//! backslashes) are read off it in [`SourceStats::finish`] instead of
+//! being kept per character, and the line machine runs once per `'\n'`.
+//!
+//! A word is a contiguous span of the source, so the word machines keep
+//! only its start and lengths; an identifier or keyword body arrives as
+//! one span. J5's readability predicate reads the word's bytes once, when
+//! the word ends. The lexer also fills the distinct-identifier lane
+//! ([`SourceStats::ident_lengths`]) that V14/V15 read.
 //!
 //! Equivalence with the old multi-pass computation is bit-level: every
 //! floating-point quantity that the extractors derive from these counters
@@ -78,88 +84,74 @@ pub(crate) fn class(b: u8) -> u8 {
 }
 
 /// In-flight state of one "word": a maximal run of alphanumeric or `_`
-/// characters outside comments and string literals (paper §IV.C.4), plus
-/// the incremental human-readability predicate of J5 (alphabetic, 2–15
-/// bytes, contains a vowel, no consonant run longer than 4).
+/// characters outside comments and string literals (paper §IV.C.4). A
+/// word is a contiguous span of the source, so the run keeps only where
+/// it starts and how long it is; J5's readability predicate reads the
+/// span once, when the word ends.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct WordRun {
-    active: bool,
-    char_len: usize,
+    start: usize,
+    /// 0 while no word is open.
     byte_len: usize,
-    all_alpha: bool,
-    has_vowel: bool,
-    cons_run: usize,
-    runs_ok: bool,
+    char_len: usize,
 }
 
 impl WordRun {
+    /// Extends the open word, or opens one, with the ASCII word bytes
+    /// `start..end`.
     #[inline]
-    fn begin(&mut self) {
-        if !self.active {
-            *self = WordRun {
-                active: true,
-                all_alpha: true,
-                runs_ok: true,
-                ..WordRun::default()
-            };
+    fn feed(&mut self, start: usize, end: usize) {
+        if self.byte_len == 0 {
+            self.start = start;
         }
+        self.byte_len += end - start;
+        self.char_len += end - start;
     }
 
-    /// Feeds a run of ASCII word bytes. Branch-free per byte: the
-    /// consonant-run counter resets on a vowel, grows on a consonant and
-    /// holds on a digit or `_`, and `runs_ok` latches false once it
-    /// passes 4.
+    /// Extends or opens the word with a non-ASCII alphanumeric character
+    /// at byte `at`.
     #[inline]
-    fn feed_run(&mut self, run: &[u8]) {
-        self.begin();
-        self.char_len += run.len();
-        self.byte_len += run.len();
-        let (mut all_alpha, mut has_vowel) = (self.all_alpha, self.has_vowel);
-        let (mut cons_run, mut runs_ok) = (self.cons_run, self.runs_ok);
-        for &b in run {
-            let k = class(b);
-            let alpha = k & ALPHA != 0;
-            let vowel = k & VOWEL != 0;
-            all_alpha &= alpha;
-            has_vowel |= vowel;
-            cons_run = if vowel {
-                0
-            } else {
-                cons_run + usize::from(alpha)
-            };
-            runs_ok &= cons_run <= 4;
+    fn feed_char(&mut self, at: usize, c: char) {
+        if self.byte_len == 0 {
+            self.start = at;
         }
-        (self.all_alpha, self.has_vowel) = (all_alpha, has_vowel);
-        (self.cons_run, self.runs_ok) = (cons_run, runs_ok);
-    }
-
-    /// Feeds a non-ASCII alphanumeric character.
-    #[inline]
-    fn feed_char(&mut self, c: char) {
-        self.begin();
-        self.char_len += 1;
         self.byte_len += c.len_utf8();
-        self.all_alpha = false;
+        self.char_len += 1;
     }
 
+    /// J5 on the finished word: all ASCII (every char one byte), and
+    /// [`is_readable`] over its bytes.
     #[inline]
-    fn is_readable(&self) -> bool {
-        self.byte_len >= 2
-            && self.byte_len <= 15
-            && self.all_alpha
-            && self.has_vowel
-            && self.runs_ok
+    fn is_readable(&self, src: &[u8]) -> bool {
+        self.byte_len == self.char_len && is_readable(&src[self.start..self.start + self.byte_len])
     }
 }
 
-/// Where a run of source sits, which decides the word machines it feeds.
+/// J5's human-readability predicate: 2–15 bytes, all ASCII letters, at
+/// least one vowel, and no run of more than 4 consonants. Branch-free over
+/// the bytes: it builds one bit per byte for "letter" and for "vowel".
+fn is_readable(word: &[u8]) -> bool {
+    if !(2..=15).contains(&word.len()) {
+        return false;
+    }
+    let (mut alpha, mut vowel) = (0u32, 0u32);
+    for (i, &b) in word.iter().enumerate() {
+        let k = if b < 0x80 { class(b) } else { 0 };
+        alpha |= u32::from(k & ALPHA != 0) << i;
+        vowel |= u32::from(k & VOWEL != 0) << i;
+    }
+    let cons = alpha & !vowel;
+    alpha == (1 << word.len()) - 1
+        && vowel != 0
+        && cons & (cons >> 1) & (cons >> 2) & (cons >> 3) & (cons >> 4) == 0
+}
+
+/// Which word machine a run of source feeds.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Zone {
-    /// Outside comments and strings: feeds the code-word machine.
+    /// Outside comments and strings: the code-word machine.
     Code,
-    /// A string literal or a comment marker: ends any code word.
-    Masked,
-    /// A comment body: ends any code word, feeds the comment-word machine.
+    /// A comment body: the comment-word machine.
     Comment,
 }
 
@@ -189,6 +181,11 @@ pub struct SourceStats {
     pub readable_words: usize,
     /// Character length of every code word, in document order (V3/V4).
     pub word_lengths: Vec<f64>,
+    /// Character length of every distinct user identifier (built-ins
+    /// excluded, suffix included, ASCII case folded), in first-occurrence
+    /// order: the lengths of [`identifiers`](crate::MacroAnalysis::identifiers)
+    /// (V14/V15).
+    pub ident_lengths: Vec<f64>,
     /// Decoded string-literal char lengths summed as sequential `f64`
     /// adds in token order — the exact accumulation `mean()` performed
     /// over the old owned-`String` vector (J8/V7).
@@ -225,6 +222,7 @@ impl Default for SourceStats {
             comment_words: 0,
             readable_words: 0,
             word_lengths: Vec::new(),
+            ident_lengths: Vec::new(),
             string_len_sum: 0.0,
             string_chars: 0,
             comment_body_chars: 0,
@@ -239,95 +237,96 @@ impl Default for SourceStats {
 }
 
 impl SourceStats {
-    /// Clears all counters while keeping the capacity of the word-length
-    /// and non-ASCII lanes.
+    /// Clears all counters while keeping the capacity of the word-length,
+    /// identifier-length and non-ASCII lanes.
     pub(crate) fn reset(&mut self) {
         let mut word_lengths = std::mem::take(&mut self.word_lengths);
+        let mut ident_lengths = std::mem::take(&mut self.ident_lengths);
         let mut other_counts = std::mem::take(&mut self.other_counts);
         word_lengths.clear();
+        ident_lengths.clear();
         other_counts.clear();
         *self = SourceStats {
             word_lengths,
+            ident_lengths,
             other_counts,
             ..SourceStats::default()
         };
     }
 
-    /// Source outside comments and strings; returns its character count.
+    /// ASCII word bytes `start..end` of code, handed over whole: an
+    /// identifier or keyword body. It extends a word that the previous
+    /// code run left open (`1abc` is one word).
     #[inline]
-    pub(crate) fn code(&mut self, text: &str) -> usize {
-        self.run(text, Zone::Code)
+    pub(crate) fn code_word(&mut self, start: usize, end: usize) {
+        self.code_run.feed(start, end);
     }
 
-    /// ASCII source outside comments and strings.
+    /// ASCII code `src[start..end]` that may mix word and non-word bytes
+    /// (a number, a line continuation).
     #[inline]
-    pub(crate) fn code_ascii(&mut self, bytes: &[u8]) {
-        debug_assert!(bytes.is_ascii());
-        self.words(bytes, Zone::Code);
+    pub(crate) fn code_ascii(&mut self, src: &[u8], start: usize, end: usize) {
+        debug_assert!(src[start..end].is_ascii());
+        self.words(src, start, end, Zone::Code);
     }
 
-    /// A run inside a string literal; returns its character count.
+    /// Code `source[start..end]` holding non-ASCII characters; returns
+    /// its character count.
     #[inline]
-    pub(crate) fn masked(&mut self, text: &str) -> usize {
-        self.run(text, Zone::Masked)
+    pub(crate) fn code(&mut self, source: &str, start: usize, end: usize) -> usize {
+        self.run(source, start, end, Zone::Code)
     }
 
-    /// A comment body (after the marker); returns the character count.
-    /// Call [`end_comment_word`](Self::end_comment_word) at the comment's
-    /// end.
+    /// A comment body `source[start..end]` (after the marker); returns
+    /// the character count. Call [`end_comment_word`](Self::end_comment_word)
+    /// at the comment's end.
     #[inline]
-    pub(crate) fn comment(&mut self, text: &str) -> usize {
-        self.run(text, Zone::Comment)
+    pub(crate) fn comment(&mut self, source: &str, start: usize, end: usize) -> usize {
+        self.run(source, start, end, Zone::Comment)
     }
 
     #[inline]
-    fn run(&mut self, text: &str, zone: Zone) -> usize {
-        if zone != Zone::Code {
-            self.end_code_word();
-        }
+    fn run(&mut self, source: &str, start: usize, end: usize, zone: Zone) -> usize {
+        let text = &source[start..end];
         if !text.is_ascii() {
-            return self.run_chars(text, zone);
+            return self.run_chars(source, start, end, zone);
         }
-        if zone != Zone::Masked {
-            self.words(text.as_bytes(), zone);
-        }
+        self.words(source.as_bytes(), start, end, zone);
         text.len()
     }
 
-    /// Feeds ASCII `bytes` to the zone's word machine: word runs whole,
-    /// each non-word run as one flush, so the per-byte work carries no
-    /// data-dependent branch.
+    /// Feeds ASCII `src[start..end]` to the zone's word machine: word
+    /// runs whole, each non-word run as one flush.
     #[inline]
-    fn words(&mut self, bytes: &[u8], zone: Zone) {
-        let mut i = 0;
-        while i < bytes.len() {
+    fn words(&mut self, src: &[u8], start: usize, end: usize, zone: Zone) {
+        let bytes = &src[..end];
+        let mut i = start;
+        while i < end {
             let word_end = run_end(bytes, i, |b| class(b) & WORD != 0);
             if word_end > i {
-                self.machine(zone).feed_run(&bytes[i..word_end]);
+                self.machine(zone).feed(i, word_end);
             }
-            if word_end == bytes.len() {
+            if word_end == end {
                 break;
             }
-            self.flush(zone);
+            self.flush(src, zone);
             i = run_end(bytes, word_end, |b| class(b) & WORD == 0);
         }
     }
 
     /// The rare path for text with non-ASCII characters.
     #[cold]
-    fn run_chars(&mut self, text: &str, zone: Zone) -> usize {
-        if zone == Zone::Masked {
-            return text.chars().count();
-        }
+    fn run_chars(&mut self, source: &str, start: usize, end: usize, zone: Zone) -> usize {
         let mut n = 0;
-        for c in text.chars() {
+        for (i, c) in source[start..end].char_indices() {
+            let at = start + i;
             n += 1;
             if c.is_ascii() && class(c as u8) & WORD != 0 {
-                self.machine(zone).feed_run(&[c as u8]);
+                self.machine(zone).feed(at, at + 1);
             } else if !c.is_ascii() && c.is_alphanumeric() {
-                self.machine(zone).feed_char(c);
+                self.machine(zone).feed_char(at, c);
             } else {
-                self.flush(zone);
+                self.flush(source.as_bytes(), zone);
             }
         }
         n
@@ -343,11 +342,11 @@ impl SourceStats {
     }
 
     #[inline]
-    fn flush(&mut self, zone: Zone) {
+    fn flush(&mut self, src: &[u8], zone: Zone) {
         if zone == Zone::Code {
-            self.end_code_word();
+            self.end_code_word(src);
         } else {
-            self.end_comment_word();
+            self.end_comment_word(src);
         }
     }
 
@@ -365,16 +364,16 @@ impl SourceStats {
     }
 
     /// Ends any code word: the lexer consumed ASCII code that holds no
-    /// word character (whitespace, an operator), or a comment marker or
-    /// string quote.
-    pub(crate) fn end_code_word(&mut self) {
-        if self.code_run.active {
+    /// word character (whitespace, an operator, a type suffix), or a
+    /// comment marker or string quote. `src` is the module source.
+    #[inline]
+    pub(crate) fn end_code_word(&mut self, src: &[u8]) {
+        let run = self.code_run;
+        if run.byte_len > 0 {
             self.code_words += 1;
-            self.word_lengths.push(self.code_run.char_len as f64);
-            if self.code_run.is_readable() {
-                self.readable_words += 1;
-            }
-            self.code_run.active = false;
+            self.word_lengths.push(run.char_len as f64);
+            self.readable_words += usize::from(run.is_readable(src));
+            self.code_run = WordRun::default();
         }
     }
 
@@ -382,13 +381,12 @@ impl SourceStats {
     /// every comment terminator so a run can never merge with the first
     /// word of the *next* comment (e.g. `'t` directly followed on the
     /// next line by `'rai` is two words, not `trai`).
-    pub(crate) fn end_comment_word(&mut self) {
-        if self.comment_run.active {
+    pub(crate) fn end_comment_word(&mut self, src: &[u8]) {
+        let run = self.comment_run;
+        if run.byte_len > 0 {
             self.comment_words += 1;
-            if self.comment_run.is_readable() {
-                self.readable_words += 1;
-            }
-            self.comment_run.active = false;
+            self.readable_words += usize::from(run.is_readable(src));
+            self.comment_run = WordRun::default();
         }
     }
 
@@ -397,8 +395,8 @@ impl SourceStats {
     /// character histogram and the counts read off it. `char_len` is the
     /// source's length in characters.
     pub(crate) fn finish(&mut self, source: &str, char_len: usize) {
-        self.end_code_word();
-        self.end_comment_word();
+        self.end_code_word(source.as_bytes());
+        self.end_comment_word(source.as_bytes());
         let tail = char_len - self.line_start;
         if tail > 0 {
             self.line_count += 1;
@@ -545,20 +543,17 @@ mod tests {
             "_x",
             "strength",
         ] {
-            let mut r = WordRun::default();
-            for c in w.chars() {
-                if c.is_ascii() {
-                    r.feed_run(&[c as u8]);
-                } else {
-                    r.feed_char(c);
-                }
-            }
-            assert_eq!(r.is_readable(), reference(w), "{w:?}");
-            if w.is_ascii() {
-                let mut whole = WordRun::default();
-                whole.feed_run(w.as_bytes());
-                assert_eq!(whole.is_readable(), reference(w), "{w:?} fed whole");
-            }
+            assert_eq!(is_readable(w.as_bytes()), reference(w), "{w:?}");
+            // Through the lexer: in code, in a comment, and split across
+            // two tokens (`1` then `abc…` is one word).
+            let want = usize::from(reference(w));
+            assert_eq!(run(w).readable_words, want, "{w:?} in code");
+            assert_eq!(
+                run(&format!("' {w}")).readable_words,
+                want,
+                "{w:?} in a comment"
+            );
+            assert_eq!(run(&format!("1{w}")).readable_words, 0, "1{w:?}");
         }
     }
 }

@@ -240,26 +240,106 @@ pub fn classify(word: &str) -> WordClass {
     while let [rest @ .., b'$' | b'%' | b'&' | b'!' | b'#' | b'@'] = w {
         w = rest;
     }
-    classify_bytes(w)
-}
-
-/// One probe: hash the folded bytes to a slot and compare its one entry.
-#[inline]
-pub(crate) fn classify_bytes(word: &[u8]) -> WordClass {
-    if word.len() > MAX_WORD {
+    if w.len() > MAX_WORD {
         return WordClass::default();
     }
-    match TABLE.slots[slot(TABLE.seed, word)] {
+    let (lo, hi) = pack(w);
+    probe(lo, hi, w)
+}
+
+/// Classifies the word `src[start..end]` for the lexer: the same answer
+/// as [`classify`] on that span, read with two unaligned 8-byte loads
+/// (the first eight bytes, masked below eight, and the last eight). Only
+/// a short word within eight bytes of the end of `src` takes the byte
+/// path ([`short_word`]).
+#[inline]
+pub(crate) fn classify_span(src: &[u8], start: usize, end: usize) -> WordClass {
+    let len = end - start;
+    if len > MAX_WORD {
+        return WordClass::default();
+    }
+    let (lo, hi) = if len >= 8 {
+        (load8(src, start), load8(src, end - 8))
+    } else {
+        (short_word(src, start, len), 0)
+    };
+    probe(lo, hi, &src[start..end])
+}
+
+/// The eight bytes of `src` at `at`, as a little-endian word.
+#[inline]
+pub(crate) fn load8(src: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(src[at..at + 8].try_into().expect("8-byte slice"))
+}
+
+/// The `len` (< 8) bytes of `src` at `at`, zero-padded to a little-endian
+/// word: one masked load when eight bytes remain in `src`, else a byte
+/// path.
+#[inline]
+pub(crate) fn short_word(src: &[u8], at: usize, len: usize) -> u64 {
+    if at + 8 <= src.len() {
+        load8(src, at) & ((1u64 << (8 * len)) - 1)
+    } else {
+        pack(&src[at..at + len]).0
+    }
+}
+
+/// One probe: hash the folded first and last eight bytes to a slot and
+/// compare its one entry. `lo`/`hi` are [`pack`]ed from `word`.
+#[inline]
+fn probe(lo: u64, hi: u64, word: &[u8]) -> WordClass {
+    let (lo, hi) = (fold_ascii(lo), fold_ascii(hi));
+    match TABLE.slots[slot(TABLE.seed, lo, hi, word.len())] {
         0 => WordClass::default(),
         i => {
             let e = &TABLE.entries[i as usize - 1];
-            if e.len as usize == word.len() && word.eq_ignore_ascii_case(&e.key[..word.len()]) {
+            // The two words cover every byte up to 16; longer words also
+            // compare the middle bytes the loads skipped.
+            let same = e.len as usize == word.len()
+                && e.lo == lo
+                && e.hi == hi
+                && (word.len() <= 16 || word.eq_ignore_ascii_case(&e.key[..word.len()]));
+            if same {
                 e.class
             } else {
                 WordClass::default()
             }
         }
     }
+}
+
+/// The first eight bytes of `word` (zero-padded below eight) and, from
+/// eight bytes on, the last eight, as little-endian words; 0 for the
+/// last eight of a shorter word.
+const fn pack(word: &[u8]) -> (u64, u64) {
+    let n = word.len();
+    let (mut lo, mut hi) = (0u64, 0u64);
+    let mut i = 0;
+    while i < 8 {
+        if i < n {
+            lo |= (word[i] as u64) << (8 * i);
+        }
+        if n >= 8 {
+            hi |= (word[n - 8 + i] as u64) << (8 * i);
+        }
+        i += 1;
+    }
+    (lo, hi)
+}
+
+/// ASCII-lowercases the eight bytes of `x` at once (SWAR): each byte in
+/// `A..=Z` gains `0x20`; every other byte, including each byte of a
+/// non-ASCII character, is unchanged.
+pub(crate) const fn fold_ascii(x: u64) -> u64 {
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let low = x & LOW7;
+    // High bit of each byte: its low seven bits are >= b'A' (0x41), and
+    // >= b'Z' + 1 (0x5b). No byte carries into the next.
+    let ge_a = low + 0x3f3f_3f3f_3f3f_3f3f;
+    let gt_z = low + 0x2525_2525_2525_2525;
+    let upper = ge_a & !gt_z & !x & HIGH;
+    x | (upper >> 2)
 }
 
 /// Longest word in any table (`urldownloadtofilea`).
@@ -273,6 +353,9 @@ const MAX_ENTRIES: usize = u8::MAX as usize;
 struct Entry {
     key: [u8; MAX_WORD],
     len: u8,
+    /// The word's folded [`pack`] words.
+    lo: u64,
+    hi: u64,
     class: WordClass,
 }
 
@@ -283,17 +366,13 @@ struct Table {
     entries: [Entry; MAX_ENTRIES],
 }
 
-/// FNV-1a over the ASCII-lowercased bytes, seeded, then a multiplicative
-/// mix whose top `SLOT_BITS` bits pick the slot.
+/// Mixes the folded first and last eight bytes with the length and the
+/// seed; the top `SLOT_BITS` bits pick the slot.
 #[inline]
-const fn slot(seed: u64, word: &[u8]) -> usize {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
-    let mut i = 0;
-    while i < word.len() {
-        h = (h ^ word[i].to_ascii_lowercase() as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        i += 1;
-    }
-    (h.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - SLOT_BITS)) as usize
+const fn slot(seed: u64, lo: u64, hi: u64, len: usize) -> usize {
+    let h = (lo ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        ^ (hi ^ len as u64).wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
+    ((h ^ (h >> 29)).wrapping_mul(0x1656_67b1_9e37_79f9) >> (64 - SLOT_BITS)) as usize
 }
 
 /// Every source list and the bits it contributes; a word in several
@@ -334,6 +413,8 @@ const fn try_build(seed: u64) -> Option<Table> {
     const EMPTY: Entry = Entry {
         key: [0; MAX_WORD],
         len: 0,
+        lo: 0,
+        hi: 0,
         class: WordClass(0),
     };
     let mut t = Table {
@@ -360,7 +441,8 @@ const fn try_build(seed: u64) -> Option<Table> {
                 );
                 k += 1;
             }
-            let at = slot(seed, word);
+            let (lo, hi) = pack(word);
+            let at = slot(seed, lo, hi, word.len());
             if t.slots[at] == 0 {
                 assert!(used < MAX_ENTRIES, "word table: too many words");
                 let mut key = [0u8; MAX_WORD];
@@ -372,6 +454,8 @@ const fn try_build(seed: u64) -> Option<Table> {
                 t.entries[used] = Entry {
                     key,
                     len: word.len() as u8,
+                    lo,
+                    hi,
                     class: WordClass(bits),
                 };
                 used += 1;
@@ -478,6 +562,70 @@ mod tests {
                 for suffix in ['$', '%', '&', '!', '#', '@'] {
                     check(&format!("{form}{suffix}"));
                 }
+            }
+        }
+    }
+
+    /// The class the lexer stored on the first token of `src`.
+    fn lexed_class(src: &str) -> WordClass {
+        match crate::MacroAnalysis::new(src).tokens()[0].kind {
+            crate::SpanKind::Identifier(c) | crate::SpanKind::Keyword(c) => c,
+            crate::SpanKind::Comment(_) => classify("rem"),
+            other => panic!("{src:?} lexed to {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_lexer_probe_matches_classify_mid_buffer_and_at_the_end() {
+        let all = SOURCES.iter().flat_map(|(list, _)| list.iter());
+        for word in all {
+            for form in [word.to_string(), word.to_ascii_uppercase(), mixed(word)] {
+                let suffixed = ['$', '%', '&', '!', '#', '@'].map(|s| format!("{form}{s}"));
+                for w in std::iter::once(&form).chain(&suffixed) {
+                    let want = classify(w);
+                    assert_eq!((want.is_keyword(), want.category()), oracle(w), "{w:?}");
+                    // Mid-buffer: the 8-byte loads reach past the word.
+                    assert_eq!(
+                        lexed_class(&format!("{w} + y\r\n")),
+                        want,
+                        "{w:?} mid-buffer"
+                    );
+                    // The last bytes of the source: no room for a load.
+                    assert_eq!(lexed_class(w), want, "{w:?} at the end");
+                }
+            }
+        }
+        // 17- and 18-byte words: the two loads skip the middle bytes, so a
+        // word that differs only there must not match.
+        let long = "urldownloadtofilea";
+        assert_eq!(lexed_class(long).category(), Some(FunctionCategory::Rich));
+        for w in [
+            "urldownlXXdtofilea",
+            "urldownloaXtofilea",
+            "urldownl\u{e9}dtofilea",
+        ] {
+            assert_eq!(lexed_class(w), WordClass::default(), "{w:?}");
+            assert_eq!(
+                lexed_class(&format!("{w} + y")),
+                WordClass::default(),
+                "{w:?}"
+            );
+            assert_eq!(classify(w), WordClass::default(), "{w:?}");
+        }
+    }
+
+    #[test]
+    fn fold_ascii_lowercases_exactly_the_ascii_capitals() {
+        for b in 0..=255u8 {
+            for lane in 0..8 {
+                let mut bytes = *b"@AZ[`az{";
+                bytes[lane] = b;
+                let want = u64::from_le_bytes(bytes.map(|c| c.to_ascii_lowercase()));
+                assert_eq!(
+                    fold_ascii(u64::from_le_bytes(bytes)),
+                    want,
+                    "byte {b:#x} in lane {lane}"
+                );
             }
         }
     }
