@@ -9,19 +9,24 @@
 //! 0.05. All go through one `FeatureScratch`, as on the scan path. A
 //! lexer or extractor rewrite must reproduce every line.
 //!
+//! After them come the `predict_proba` bit patterns of the committed
+//! forest (`fixtures/rf_forest.txt`) on 500 seeded two-feature probes,
+//! one in ten of each coordinate NaN, +inf or -inf: the same probes the
+//! flattened-versus-tree-walk check in `feature_equivalence.rs` draws.
+//!
 //! The test only compares. To print the fixture (after a deliberate,
 //! reviewed change of outputs):
 //!
 //! ```sh
 //! cargo test -q --offline --test feature_fixture -- --ignored --nocapture print_fixture \
-//!     | grep -E '^(base|word|mutant|corpus) ' > tests/fixtures/features.txt
+//!     | grep -E '^(base|word|mutant|corpus|forest) ' > tests/fixtures/features.txt
 //! ```
 
 mod common;
 
 use common::{mutate, BASES, WORD_CASES};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use vbadet::scan::cache::sha256;
 use vbadet_features::{FeatureScratch, FeatureSet};
 
@@ -63,6 +68,24 @@ fn fixture_lines() -> Vec<String> {
     let spec = vbadet_corpus::CorpusSpec::paper().scaled(0.05);
     for (i, m) in vbadet_corpus::generate_macros(&spec).iter().enumerate() {
         lines.push(line(format!("corpus {i}"), &m.source, &mut scratch));
+    }
+    let rf = vbadet_ml::RandomForest::from_text(include_str!("fixtures/rf_forest.txt"))
+        .expect("forest fixture parses");
+    let mut rng = StdRng::seed_from_u64(77);
+    for i in 0..500 {
+        let x: Vec<f64> = (0..2)
+            .map(|_| match rng.gen_range(0..10u32) {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                _ => rng.gen_range(-10.0..10.0),
+            })
+            .collect();
+        lines.push(format!(
+            "forest {i} x={} p={}",
+            bits(&x),
+            bits(&[rf.predict_proba(&x)])
+        ));
     }
     lines
 }
