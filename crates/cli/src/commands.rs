@@ -490,6 +490,11 @@ pub fn serve(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
 pub fn extract(args: &[String]) -> CmdResult {
     let flags = Flags::parse(args)?;
     let path = flags.positional.first().ok_or("extract: file required")?;
+    extract_to(path, &mut std::io::stdout().lock())
+}
+
+/// Writes every macro module of the document at `path` to `out`.
+fn extract_to(path: &str, out: &mut impl std::io::Write) -> CmdResult {
     let bytes = std::fs::read(path)?;
     let macros = extract_macros(&bytes)?;
     if macros.is_empty() {
@@ -497,11 +502,12 @@ pub fn extract(args: &[String]) -> CmdResult {
         return Ok(());
     }
     for m in macros {
-        println!(
+        writeln!(
+            out,
             "' ===== project {} / module {} ({:?}) =====",
             m.project_name, m.module_name, m.container
-        );
-        println!("{}", m.code);
+        )?;
+        writeln!(out, "{}", m.code)?;
     }
     Ok(())
 }
@@ -924,6 +930,42 @@ mod command_tests {
     fn extract_requires_a_file() {
         assert!(extract(&[]).is_err());
         assert!(extract(&strs2(&["/nonexistent.doc"])).is_err());
+    }
+
+    #[test]
+    fn extract_prints_the_salvaged_module_of_a_stomped_dir_stream() {
+        // Overwrite `VBA/dir` with 0xFF: the strict parser fails, and
+        // `extract` must succeed with the module salvaged exactly as `scan`
+        // salvages it.
+        let code = "Attribute VB_Name = \"Module1\"\r\nSub Payload()\r\n    y = 2\r\nEnd Sub\r\n";
+        let mut b = vbadet_ovba::VbaProjectBuilder::new("P");
+        b.add_module("Module1", code);
+        let parsed = vbadet_ole::OleFile::parse(&b.build().unwrap()).unwrap();
+        let mut rebuilt = vbadet_ole::OleBuilder::new();
+        for path in parsed.stream_paths().unwrap() {
+            let data = parsed.open_stream(&path).unwrap();
+            if path == "VBA/dir" {
+                rebuilt.add_stream(&path, &vec![0xFF; data.len()]).unwrap();
+            } else {
+                rebuilt.add_stream(&path, &data).unwrap();
+            }
+        }
+        let dir = std::env::temp_dir().join("vbadet_cli_test_extract_stomped");
+        std::fs::create_dir_all(&dir).unwrap();
+        let doc = dir.join("stomped.bin");
+        std::fs::write(&doc, rebuilt.build()).unwrap();
+
+        let mut out = Vec::new();
+        extract_to(doc.to_str().unwrap(), &mut out).unwrap();
+        let out = String::from_utf8(out).unwrap();
+        assert!(
+            out.starts_with(
+                "' ===== project <salvaged> / module salvaged_1#VBA/Module1 (Ole) =====\n"
+            ),
+            "{out}"
+        );
+        assert!(out.contains(code), "{out}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -218,17 +218,6 @@ impl Detector {
         self.predict_with(scratch)
     }
 
-    /// Scores a precomputed feature vector (must match this detector's
-    /// feature set width). Oracle API for equivalence tests.
-    pub fn score_features(&self, features: &[f64]) -> Verdict {
-        let z = self.scaler.transform(features);
-        let score = self.model.decision_function(&z);
-        Verdict {
-            obfuscated: score >= 0.0,
-            score,
-        }
-    }
-
     /// Whether one macro looks obfuscated.
     pub fn is_obfuscated(&self, source: &str) -> bool {
         self.score(source).obfuscated
@@ -363,9 +352,6 @@ mod tests {
                 let slow = detector.score(&m.source);
                 assert_eq!(fast.score.to_bits(), slow.score.to_bits(), "{set}");
                 assert_eq!(fast.obfuscated, slow.obfuscated);
-                let features = config.feature_set.extract(&m.source);
-                let oracle = detector.score_features(&features);
-                assert_eq!(fast.score.to_bits(), oracle.score.to_bits(), "{set}");
             }
         }
     }

@@ -46,39 +46,20 @@ pub fn sniff(bytes: &[u8]) -> Option<ContainerKind> {
 }
 
 /// Extracts all VBA macros from a document (`.doc`, `.xls`, `.docm`,
-/// `.xlsm` or a bare `vbaProject.bin`).
+/// `.xlsm` or a bare `vbaProject.bin`): [`extract_macros_bounded`] under
+/// default [`ScanLimits`] and no budget, so a stomped project is salvaged
+/// here exactly as it is on the scan path.
 ///
 /// # Errors
 ///
-/// Fails when the container is unrecognized or malformed, or when an OOXML
-/// archive carries no VBA part. A well-formed document *without* macros
-/// yields `Ok` with an empty vector only for OLE files that genuinely have
-/// no project ([`DetectError::NoVbaPart`] is OOXML-specific because a macro
-/// extension like `.docm` implies one).
+/// Fails when the container is unrecognized, malformed beyond salvage, or
+/// over a default limit, or when an OOXML archive carries no VBA part. A
+/// well-formed document *without* macros yields `Ok` with an empty vector
+/// only for OLE files that genuinely have no project
+/// ([`DetectError::NoVbaPart`] is OOXML-specific because a macro extension
+/// like `.docm` implies one).
 pub fn extract_macros(bytes: &[u8]) -> Result<Vec<ExtractedMacro>, DetectError> {
-    match sniff(bytes) {
-        Some(ContainerKind::Ole) => {
-            let ole = OleFile::parse(bytes)?;
-            match VbaProject::from_ole(&ole) {
-                Ok(project) => Ok(project_to_macros(project, ContainerKind::Ole)),
-                Err(vbadet_ovba::OvbaError::NoVbaProject) => Ok(Vec::new()),
-                Err(e) => Err(e.into()),
-            }
-        }
-        Some(ContainerKind::Ooxml) => {
-            let zip = ZipArchive::parse(bytes)?;
-            let part = zip
-                .names()
-                .find(|n| n.ends_with("vbaProject.bin"))
-                .map(str::to_string)
-                .ok_or(DetectError::NoVbaPart)?;
-            let bin = zip.read_file(&part)?;
-            let ole = OleFile::parse(&bin)?;
-            let project = VbaProject::from_ole(&ole)?;
-            Ok(project_to_macros(project, ContainerKind::Ooxml))
-        }
-        None => Err(DetectError::UnknownContainer),
-    }
+    extract_macros_bounded(bytes, &ScanLimits::default(), &Budget::unlimited()).map(|e| e.macros)
 }
 
 /// How the macros of an [`Extraction`] were recovered.
@@ -102,40 +83,23 @@ pub struct Extraction {
     pub status: ExtractionStatus,
 }
 
-/// Like [`extract_macros`], but under explicit [`ScanLimits`] and with a
-/// salvage fallback: when the project structures are malformed yet intact
-/// compressed containers remain, their modules are recovered and the result
-/// is tagged [`ExtractionStatus::Salvaged`].
+/// The one extractor: sniffs the container, opens it under explicit
+/// [`ScanLimits`] and a cooperative scan [`Budget`] threaded through every
+/// container layer, and salvages when the project structures are malformed
+/// yet intact compressed containers remain. Salvaged modules are tagged
+/// [`ExtractionStatus::Salvaged`].
 ///
 /// Limit breaches are *not* salvaged — an input that trips a resource cap
 /// is reported as [`DetectError`] wrapping a `LimitExceeded` so batch
 /// callers can surface it as a typed outcome rather than silently
-/// truncating.
+/// truncating. Nor is a budget trip: a pathological-but-limit-respecting
+/// document trips the budget instead of stalling, surfacing as a typed
+/// `DeadlineExceeded` error from whichever layer was mid-parse, and the
+/// salvage scan would spend the same (already exhausted) budget.
 ///
 /// # Errors
 ///
-/// As [`extract_macros`], except that structure errors for which salvage
-/// recovers at least one module become `Ok` with `Salvaged` status.
-pub fn extract_macros_with_limits(
-    bytes: &[u8],
-    limits: &ScanLimits,
-) -> Result<Extraction, DetectError> {
-    extract_macros_bounded(bytes, limits, &Budget::unlimited())
-}
-
-/// Like [`extract_macros_with_limits`], but additionally bounded by a
-/// cooperative scan [`Budget`] threaded through every container layer. A
-/// pathological-but-limit-respecting document trips the budget instead of
-/// stalling, surfacing as a typed `DeadlineExceeded` error from whichever
-/// layer was mid-parse.
-///
-/// A budget trip is *final*: unlike structural damage, it is never
-/// salvaged, because the salvage scan spends the same (already exhausted)
-/// budget.
-///
-/// # Errors
-///
-/// As [`extract_macros_with_limits`], plus `DeadlineExceeded` wrappers.
+/// As [`extract_macros`], plus `DeadlineExceeded` wrappers.
 pub fn extract_macros_bounded(
     bytes: &[u8],
     limits: &ScanLimits,

@@ -46,8 +46,8 @@ pub use detector::{
 };
 pub use error::DetectError;
 pub use extract::{
-    extract_macros, extract_macros_bounded, extract_macros_with_limits, ContainerKind,
-    ExtractedMacro, Extraction, ExtractionStatus,
+    extract_macros, extract_macros_bounded, ContainerKind, ExtractedMacro, Extraction,
+    ExtractionStatus,
 };
 pub use journal::{replay_journal, JournalReplay, ScanJournal};
 pub use limits::ScanLimits;
@@ -55,9 +55,9 @@ pub use memguard::TrackingAllocator;
 pub use preprocess::preprocess_macros;
 pub use scan::isolate::{worker_main, IsolateConfig};
 pub use scan::{
-    scan_bytes, scan_bytes_with_policy, scan_documents, scan_documents_with_policy, scan_paths,
-    scan_paths_journaled, scan_paths_parallel, scan_paths_with_policy, FailureClass, LadderRung,
-    ScanCache, ScanOutcome, ScanPolicy, ScanRecord, ScanReport,
+    scan_bytes_with_policy, scan_documents_with_policy, scan_paths_journaled, scan_paths_parallel,
+    scan_paths_with_policy, FailureClass, LadderRung, ScanCache, ScanOutcome, ScanPolicy,
+    ScanRecord, ScanReport,
 };
 pub use serve::{request_reload, reset_reload_requests};
 pub use serve::{serve, Listener, ServeConfig, ServeSummary};

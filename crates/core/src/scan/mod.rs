@@ -2,13 +2,14 @@
 //!
 //! A malware triage run processes thousands of files, many of them
 //! deliberately malformed; one hostile document must never take down the
-//! batch — and must never stall it either. [`scan_paths`] (and the
-//! in-memory [`scan_documents`]) process every input, isolate per-document
-//! panics with [`std::panic::catch_unwind`], classify each failure into a
-//! [`FailureClass`], and aggregate everything into a [`ScanReport`].
+//! batch — and must never stall it either. [`scan_paths_with_policy`] (and
+//! the in-memory [`scan_documents_with_policy`]) process every input,
+//! isolate per-document panics with [`std::panic::catch_unwind`], classify
+//! each failure into a [`FailureClass`], and aggregate everything into a
+//! [`ScanReport`].
 //!
-//! The policy-taking variants ([`scan_bytes_with_policy`] and friends) add
-//! two robustness layers on top:
+//! The [`ScanPolicy`] every entry point takes adds two robustness layers on
+//! top:
 //!
 //! - **Budgets.** [`ScanPolicy`] carries an optional per-document
 //!   wall-clock deadline and fuel allowance, threaded as a cooperative
@@ -707,17 +708,12 @@ pub(crate) fn record_outcome(metrics: &MetricsSink, outcome: &ScanOutcome) {
     metrics.count(Counter::ScanModulesFlagged, flagged as u64);
 }
 
-/// Scans one in-memory document, containing any panic from the parsing or
-/// scoring stack.
+/// Scans one in-memory document under a [`ScanPolicy`], containing any
+/// panic from the parsing or scoring stack: budgets are enforced and, when
+/// enabled, the degradation ladder runs.
 ///
 /// This is the batch engine's unit of work: it never returns `Err` and
 /// never unwinds — every abnormal path becomes [`ScanOutcome::Failed`].
-pub fn scan_bytes(detector: &Detector, bytes: &[u8], limits: &ScanLimits) -> ScanOutcome {
-    scan_bytes_with_policy(detector, bytes, &ScanPolicy::with_limits(*limits))
-}
-
-/// Like [`scan_bytes`] but under a full [`ScanPolicy`]: budgets are
-/// enforced and, when enabled, the degradation ladder runs.
 pub fn scan_bytes_with_policy(
     detector: &Detector,
     bytes: &[u8],
@@ -868,17 +864,9 @@ fn scan_bytes_bounded(
     }
 }
 
-/// Scans a batch of labelled in-memory documents. Used by tests and the
-/// fuzz harness; [`scan_paths`] is the filesystem-facing equivalent.
-pub fn scan_documents<'a, I>(detector: &Detector, docs: I, limits: &ScanLimits) -> ScanReport
-where
-    I: IntoIterator<Item = (&'a str, &'a [u8])>,
-{
-    scan_documents_with_policy(detector, docs, &ScanPolicy::with_limits(*limits))
-}
-
-/// Like [`scan_documents`] but under a full [`ScanPolicy`]. Each document
-/// gets its own fresh budget, so a batch of `n` documents under a
+/// Scans a batch of labelled in-memory documents under a [`ScanPolicy`].
+/// Used by tests and the fuzz harness; [`scan_paths_with_policy`] is the
+/// filesystem-facing equivalent. Each document gets its own fresh budget, so a batch of `n` documents under a
 /// per-document deadline `d` completes in at most `n·d` plus per-document
 /// bookkeeping. [`ScanPolicy::jobs`] fans the batch out exactly as for
 /// path batches; the isolate supervisor and the cache apply to path
@@ -899,19 +887,10 @@ where
     run_batch(labels, policy, None, None, || InProcess(&scan))
 }
 
-/// Scans every path in order, never aborting: unreadable files become
-/// [`FailureClass::Io`] records, oversized files are rejected by `stat`
-/// before a byte is read, parser panics become [`FailureClass::Panic`]
-/// records, and the batch always runs to the end.
-pub fn scan_paths<P: AsRef<Path>>(
-    detector: &Detector,
-    paths: &[P],
-    limits: &ScanLimits,
-) -> ScanReport {
-    scan_paths_with_policy(detector, paths, &ScanPolicy::with_limits(*limits))
-}
-
-/// Like [`scan_paths`] but under a full [`ScanPolicy`].
+/// Scans every path in order under a [`ScanPolicy`], never aborting:
+/// unreadable files become [`FailureClass::Io`] records, oversized files
+/// are rejected by `stat` before a byte is read, parser panics become
+/// [`FailureClass::Panic`] records, and the batch always runs to the end.
 pub fn scan_paths_with_policy<P: AsRef<Path>>(
     detector: &Detector,
     paths: &[P],
@@ -1164,8 +1143,8 @@ impl Collector<'_> {
     }
 }
 
-/// The one batch engine behind every `scan_paths*` and
-/// `scan_documents*` entry point.
+/// The one batch engine behind every `scan_paths*` entry point and
+/// [`scan_documents_with_policy`].
 ///
 /// Inputs are claimed in runs of `(total / (jobs × 8)).clamp(1, 16)`:
 /// large enough to amortize the claim (the cursor bump, and for the
@@ -1432,7 +1411,7 @@ mod tests {
             ("c.txt", b"not a document at all"),
             ("d.doc", &with_macro[..7]),
         ];
-        let report = scan_documents(&det, docs, &ScanLimits::default());
+        let report = scan_documents_with_policy(&det, docs, &ScanPolicy::default());
         assert_eq!(report.scanned(), 4);
         assert!(matches!(report.records[0].outcome, ScanOutcome::Macros(_)));
         assert!(matches!(report.records[1].outcome, ScanOutcome::Clean));
@@ -1443,10 +1422,10 @@ mod tests {
     #[test]
     fn missing_file_is_an_io_failure_not_an_abort() {
         let det = detector();
-        let report = scan_paths(
+        let report = scan_paths_with_policy(
             &det,
             &["/nonexistent/definitely-not-here.doc"],
-            &ScanLimits::default(),
+            &ScanPolicy::default(),
         );
         assert_eq!(report.scanned(), 1);
         assert_eq!(report.failed_with(FailureClass::Io), 1);
@@ -1520,7 +1499,7 @@ mod tests {
         doc.extend_from_slice(&vbadet_ovba::compress(
             b"Attribute VB_Name = \"M\"\r\nSub Work()\r\n    x = 1\r\nEnd Sub\r\n",
         ));
-        let plain = scan_bytes(&det, &doc, &ScanLimits::default());
+        let plain = scan_bytes_with_policy(&det, &doc, &ScanPolicy::default());
         assert!(matches!(plain, ScanOutcome::Failed { .. }));
         let outcome = scan_bytes_with_policy(&det, &doc, &ScanPolicy::default().with_ladder());
         match outcome {
@@ -1596,7 +1575,7 @@ mod tests {
                 p
             })
             .collect();
-        let sequential = scan_paths(&det, &paths, &ScanLimits::default());
+        let sequential = scan_paths_with_policy(&det, &paths, &ScanPolicy::default());
         for jobs in [2, 3, 8] {
             let parallel = scan_paths_parallel(&det, &paths, &ScanPolicy::default(), jobs);
             assert_eq!(parallel.records, sequential.records, "jobs={jobs}");

@@ -78,28 +78,20 @@ impl OleFile {
     /// Returns an error for a missing signature, malformed header, truncated
     /// sectors, looping sector chains, or a malformed directory.
     pub fn parse(data: &[u8]) -> Result<Self, OleError> {
-        Self::parse_with_limits(data, OleLimits::default())
+        Self::parse_budgeted(data, OleLimits::default(), Budget::unlimited())
     }
 
-    /// Parses a compound file under explicit resource limits.
+    /// Like [`OleFile::parse`] but under explicit resource limits, and
+    /// charging parsing work — and all later stream reads through the
+    /// returned file — against a cooperative scan [`Budget`] (roughly one
+    /// fuel unit per sector).
     ///
     /// # Errors
     ///
     /// In addition to the malformed-input errors of [`OleFile::parse`],
     /// returns [`OleError::LimitExceeded`] when the file requests more
-    /// sectors, directory entries, or stream bytes than `limits` allows.
-    pub fn parse_with_limits(data: &[u8], limits: OleLimits) -> Result<Self, OleError> {
-        Self::parse_budgeted(data, limits, Budget::unlimited())
-    }
-
-    /// Like [`OleFile::parse_with_limits`] but charges parsing work — and
-    /// all later stream reads through the returned file — against a
-    /// cooperative scan [`Budget`] (roughly one fuel unit per sector).
-    ///
-    /// # Errors
-    ///
-    /// As [`OleFile::parse_with_limits`], plus
-    /// [`OleError::DeadlineExceeded`] when the budget trips.
+    /// sectors, directory entries, or stream bytes than `limits` allows,
+    /// and [`OleError::DeadlineExceeded`] when the budget trips.
     pub fn parse_budgeted(
         data: &[u8],
         limits: OleLimits,

@@ -2,7 +2,7 @@
 //! typed `LimitExceeded`, never stack exhaustion — the tree walk is
 //! iterative, so the cap is semantic, not a recursion guard.
 
-use vbadet_ole::{OleBuilder, OleError, OleFile, OleLimits};
+use vbadet_ole::{Budget, OleBuilder, OleError, OleFile, OleLimits};
 
 /// Builds a compound file whose directory tree is a storage chain `depth`
 /// levels deep with a single stream at the bottom.
@@ -37,13 +37,13 @@ fn chain_at_the_cap_still_walks() {
         ..OleLimits::default()
     };
     let bytes = deep_chain(40);
-    let ole = OleFile::parse_with_limits(&bytes, limits).unwrap();
+    let ole = OleFile::parse_budgeted(&bytes, limits, Budget::unlimited()).unwrap();
     let paths = ole.stream_paths().unwrap();
     assert_eq!(paths.len(), 1);
     assert!(paths[0].ends_with("/leaf"));
 
     let too_deep = deep_chain(41);
-    let ole = OleFile::parse_with_limits(&too_deep, limits).unwrap();
+    let ole = OleFile::parse_budgeted(&too_deep, limits, Budget::unlimited()).unwrap();
     assert!(matches!(
         ole.stream_paths(),
         Err(OleError::LimitExceeded {

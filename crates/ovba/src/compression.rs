@@ -41,26 +41,21 @@ fn copy_token_split(d: usize) -> (u32, u16, u16) {
 /// assert_eq!(decompress(&compress(data)).unwrap(), data);
 /// ```
 pub fn decompress(container: &[u8]) -> Result<Vec<u8>, OvbaError> {
-    decompress_with_limit(container, DEFAULT_MAX_DECOMPRESSED)
+    decompress_budgeted(container, DEFAULT_MAX_DECOMPRESSED, &Budget::unlimited())
 }
 
 /// Default output cap for [`decompress`]: far above any real macro source,
 /// low enough that a crafted container cannot exhaust memory.
 pub const DEFAULT_MAX_DECOMPRESSED: usize = 1 << 28;
 
-/// Like [`decompress`] but with a caller-provided output cap; exceeding it
-/// returns [`OvbaError::LimitExceeded`].
-pub fn decompress_with_limit(container: &[u8], limit: usize) -> Result<Vec<u8>, OvbaError> {
-    decompress_budgeted(container, limit, &Budget::unlimited())
-}
-
-/// Like [`decompress_with_limit`] but also charges decompression work
-/// against a cooperative scan [`Budget`] (one fuel unit per chunk).
+/// Like [`decompress`] but with a caller-provided output cap, and charging
+/// decompression work against a cooperative scan [`Budget`] (one fuel unit
+/// per chunk).
 ///
 /// # Errors
 ///
-/// As [`decompress_with_limit`], plus [`OvbaError::DeadlineExceeded`] when
-/// the budget trips.
+/// As [`decompress`], plus [`OvbaError::LimitExceeded`] past `limit` output
+/// bytes and [`OvbaError::DeadlineExceeded`] when the budget trips.
 pub fn decompress_budgeted(
     container: &[u8],
     limit: usize,
@@ -123,19 +118,13 @@ pub fn decompress_budgeted(
 /// `None` when nothing decoded). Unlike [`decompress`], trailing garbage
 /// after valid chunks is not an error — exactly the situation when a
 /// compressed container is found embedded at an arbitrary offset of a
-/// damaged stream.
-pub fn decompress_salvage(container: &[u8], limit: usize) -> Option<(Vec<u8>, usize)> {
-    decompress_salvage_budgeted(container, limit, &Budget::unlimited()).unwrap_or(None)
-}
-
-/// Like [`decompress_salvage`] but charges one fuel unit per decoded chunk
-/// against a cooperative scan [`Budget`].
+/// damaged stream. Charges one fuel unit per decoded chunk against a
+/// cooperative scan [`Budget`].
 ///
 /// # Errors
 ///
 /// Returns [`OvbaError::DeadlineExceeded`] when the budget trips; all other
-/// decode problems end the salvage quietly (`Ok(None)` / a short prefix),
-/// exactly as in [`decompress_salvage`].
+/// decode problems end the salvage quietly (`Ok(None)` / a short prefix).
 pub fn decompress_salvage_budgeted(
     container: &[u8],
     limit: usize,

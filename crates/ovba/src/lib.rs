@@ -40,15 +40,12 @@ pub mod project_stream;
 pub mod salvage;
 
 pub use compression::{
-    compress, decompress, decompress_budgeted, decompress_salvage, decompress_salvage_budgeted,
-    decompress_with_limit, DEFAULT_MAX_DECOMPRESSED,
+    compress, decompress, decompress_budgeted, decompress_salvage_budgeted,
+    DEFAULT_MAX_DECOMPRESSED,
 };
 pub use dir::{DirStream, ModuleRecord, ModuleType};
 pub use error::OvbaError;
 pub use project::{OvbaLimits, VbaModule, VbaProject, VbaProjectBuilder};
 pub use project_stream::{ProjectModuleRef, ProjectStream};
-pub use salvage::{
-    salvage_modules_from_bytes, salvage_modules_from_bytes_budgeted, salvage_modules_from_ole,
-    salvage_modules_from_ole_budgeted,
-};
+pub use salvage::{salvage_modules_from_bytes_budgeted, salvage_modules_from_ole_budgeted};
 pub use vbadet_faultpoint::{Budget, BudgetExceeded};

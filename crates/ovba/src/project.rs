@@ -70,26 +70,17 @@ impl VbaProject {
     /// Returns [`OvbaError::NoVbaProject`] when no `VBA/dir` stream exists,
     /// or a decoding error when the project structures are malformed.
     pub fn from_ole(ole: &OleFile) -> Result<Self, OvbaError> {
-        Self::from_ole_with_limits(ole, &OvbaLimits::default())
+        Self::from_ole_budgeted(ole, &OvbaLimits::default(), &Budget::unlimited())
     }
 
-    /// Like [`VbaProject::from_ole`] under explicit resource limits.
+    /// Like [`VbaProject::from_ole`] but under explicit resource limits, and
+    /// charging decompression work against a cooperative scan [`Budget`].
     ///
     /// # Errors
     ///
     /// In addition to the errors of [`VbaProject::from_ole`], returns
     /// [`OvbaError::LimitExceeded`] when the project exceeds the module
-    /// count or decompressed-size caps in `limits`.
-    pub fn from_ole_with_limits(ole: &OleFile, limits: &OvbaLimits) -> Result<Self, OvbaError> {
-        Self::from_ole_budgeted(ole, limits, &Budget::unlimited())
-    }
-
-    /// Like [`VbaProject::from_ole_with_limits`] but charges decompression
-    /// work against a cooperative scan [`Budget`].
-    ///
-    /// # Errors
-    ///
-    /// As [`VbaProject::from_ole_with_limits`], plus
+    /// count or decompressed-size caps in `limits`, and
     /// [`OvbaError::DeadlineExceeded`] when the budget trips.
     pub fn from_ole_budgeted(
         ole: &OleFile,
@@ -114,36 +105,9 @@ impl VbaProject {
         Err(OvbaError::NoVbaProject)
     }
 
-    /// Extracts the VBA project under a specific storage root.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the `dir` stream or a module stream is missing or
-    /// malformed.
-    pub fn from_ole_at(ole: &OleFile, root: &str) -> Result<Self, OvbaError> {
-        Self::from_ole_at_with_limits(ole, root, &OvbaLimits::default())
-    }
-
-    /// Like [`VbaProject::from_ole_at`] under explicit resource limits.
-    ///
-    /// # Errors
-    ///
-    /// As [`VbaProject::from_ole_at`], plus [`OvbaError::LimitExceeded`].
-    pub fn from_ole_at_with_limits(
-        ole: &OleFile,
-        root: &str,
-        limits: &OvbaLimits,
-    ) -> Result<Self, OvbaError> {
-        Self::from_ole_at_budgeted(ole, root, limits, &Budget::unlimited())
-    }
-
-    /// Like [`VbaProject::from_ole_at_with_limits`] but budgeted.
-    ///
-    /// # Errors
-    ///
-    /// As [`VbaProject::from_ole_at_with_limits`], plus
-    /// [`OvbaError::DeadlineExceeded`] when the budget trips.
-    pub fn from_ole_at_budgeted(
+    /// Extracts the VBA project under a specific storage root. Fails when
+    /// the `dir` stream or a module stream is missing or malformed.
+    fn from_ole_at_budgeted(
         ole: &OleFile,
         root: &str,
         limits: &OvbaLimits,

@@ -50,24 +50,14 @@ fn looks_like_vba(text: &[u8]) -> bool {
 
 /// Scans `data` for embedded compressed containers and returns every blob
 /// that decompresses cleanly and looks like VBA source. `origin` labels the
-/// recovered modules (a stream path, or `""` for a raw buffer).
-pub fn salvage_modules_from_bytes(
-    data: &[u8],
-    origin: &str,
-    limits: &OvbaLimits,
-) -> Vec<VbaModule> {
-    salvage_modules_from_bytes_budgeted(data, origin, limits, &Budget::unlimited())
-        .expect("unlimited budget cannot trip")
-}
-
-/// Like [`salvage_modules_from_bytes`] but charges the byte scan (one fuel
-/// unit per KiB) and each chunk decode against a cooperative scan
-/// [`Budget`].
+/// recovered modules (a stream path, or `""` for a raw buffer). The byte
+/// scan (one fuel unit per KiB) and each chunk decode are charged against a
+/// cooperative scan [`Budget`].
 ///
 /// # Errors
 ///
 /// Returns [`OvbaError::DeadlineExceeded`] when the budget trips; malformed
-/// containers are skipped quietly as in the unbudgeted version.
+/// containers are skipped quietly.
 pub fn salvage_modules_from_bytes_budgeted(
     data: &[u8],
     origin: &str,
@@ -116,14 +106,9 @@ pub fn salvage_modules_from_bytes_budgeted(
 
 /// Salvages modules from every stream of a parsed compound file. Used when
 /// the project's `dir` stream or records cannot be parsed; streams that fail
-/// to read are skipped rather than aborting the salvage pass.
-pub fn salvage_modules_from_ole(ole: &OleFile, limits: &OvbaLimits) -> Vec<VbaModule> {
-    salvage_modules_from_ole_budgeted(ole, limits, &Budget::unlimited())
-        .expect("unlimited budget cannot trip")
-}
-
-/// Like [`salvage_modules_from_ole`] but budgeted. Every per-stream scan
-/// charges through [`salvage_modules_from_bytes_budgeted`], and the
+/// to read are skipped rather than aborting the salvage pass. Every
+/// per-stream scan charges through [`salvage_modules_from_bytes_budgeted`],
+/// and the
 /// cross-stream dedup — quadratic in the recovered module count, with each
 /// comparison linear in module size — charges one fuel unit per comparison,
 /// so a crafted corpus of many near-identical long modules trips the budget
@@ -176,6 +161,11 @@ mod tests {
     use crate::compression::compress;
     use crate::project::VbaProjectBuilder;
 
+    fn salvage_bytes(data: &[u8]) -> Vec<VbaModule> {
+        salvage_modules_from_bytes_budgeted(data, "", &OvbaLimits::default(), &Budget::unlimited())
+            .unwrap()
+    }
+
     const CODE: &str =
         "Attribute VB_Name = \"Module1\"\r\nSub Payload()\r\n    MsgBox \"x\"\r\nEnd Sub\r\n";
 
@@ -184,7 +174,7 @@ mod tests {
         let mut buf = vec![0xAB; 137];
         buf.extend_from_slice(&compress(CODE.as_bytes()));
         buf.extend(std::iter::repeat_n(0xCD, 64));
-        let found = salvage_modules_from_bytes(&buf, "", &OvbaLimits::default());
+        let found = salvage_bytes(&buf);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].code, CODE);
         assert!(found[0].name.starts_with("salvaged_"));
@@ -211,7 +201,12 @@ mod tests {
         }
         let stomped = OleFile::parse(&ole_builder.build()).unwrap();
         assert!(crate::VbaProject::from_ole(&stomped).is_err());
-        let found = salvage_modules_from_ole(&stomped, &OvbaLimits::default());
+        let found = salvage_modules_from_ole_budgeted(
+            &stomped,
+            &OvbaLimits::default(),
+            &Budget::unlimited(),
+        )
+        .unwrap();
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].code, CODE);
         assert!(found[0].name.contains("VBA/Module1"));
@@ -223,7 +218,7 @@ mod tests {
         // must be filtered by the looks-like-VBA check.
         let junk: Vec<u8> = (0u16..600).map(|i| (i % 251) as u8).collect();
         let buf = compress(&junk);
-        assert!(salvage_modules_from_bytes(&buf, "", &OvbaLimits::default()).is_empty());
+        assert!(salvage_bytes(&buf).is_empty());
     }
 
     #[test]
@@ -231,7 +226,7 @@ mod tests {
         let packed = compress(CODE.as_bytes());
         for cut in [1, 2, 5, packed.len() / 2, packed.len() - 1] {
             // Must not panic; any recovered text must be a prefix of CODE.
-            for m in salvage_modules_from_bytes(&packed[..cut], "", &OvbaLimits::default()) {
+            for m in salvage_bytes(&packed[..cut]) {
                 assert!(CODE.starts_with(&m.code));
             }
         }

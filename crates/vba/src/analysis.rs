@@ -12,7 +12,7 @@
 //! performs no per-document buffer allocation.
 
 use crate::idents::IdentSet;
-use crate::lexer::{lex_spans, CommentInfo, StrRepr, StringInfo};
+use crate::lexer::{lex_spans, CommentInfo, StrRepr};
 use crate::stats::SourceStats;
 use crate::token::{SpanKind, SpanToken};
 use crate::words::WordClass;
@@ -27,7 +27,7 @@ use std::collections::BTreeSet;
 #[derive(Debug, Default)]
 pub struct LexScratch {
     tokens: Vec<SpanToken>,
-    strings: Vec<StringInfo>,
+    strings: Vec<StrRepr>,
     comments: Vec<CommentInfo>,
     decoded: String,
     stats: SourceStats,
@@ -48,7 +48,7 @@ pub struct LexScratch {
 pub struct MacroAnalysis<'a> {
     source: &'a str,
     tokens: Vec<SpanToken>,
-    strings: Vec<StringInfo>,
+    strings: Vec<StrRepr>,
     comments: Vec<CommentInfo>,
     decoded: String,
     stats: SourceStats,
@@ -126,16 +126,10 @@ impl<'a> MacroAnalysis<'a> {
 
     /// Decoded value of string literal `i` (token order).
     pub fn string_value(&self, i: usize) -> &str {
-        match self.strings[i].repr {
+        match self.strings[i] {
             StrRepr::Span(s, e) => &self.source[s..e],
             StrRepr::Decoded(s, e) => &self.decoded[s..e],
         }
-    }
-
-    /// Decoded character length of string literal `i`, recorded during
-    /// lexing (no re-walk).
-    pub fn string_char_len(&self, i: usize) -> usize {
-        self.strings[i].char_len
     }
 
     /// Number of comments.
@@ -204,15 +198,6 @@ impl<'a> MacroAnalysis<'a> {
             }
         }
         out
-    }
-
-    /// All identifier occurrences (not deduplicated), built-ins included.
-    pub fn identifier_occurrences(&self) -> Vec<&str> {
-        self.tokens
-            .iter()
-            .filter(|t| matches!(t.kind, SpanKind::Identifier(_)))
-            .map(|t| &self.source[t.start..t.end])
-            .collect()
     }
 
     /// Call sites: identifiers directly followed by `(`, plus known

@@ -44,15 +44,6 @@ pub(crate) enum StrRepr {
     Decoded(usize, usize),
 }
 
-/// Side-table record for one string literal.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct StringInfo {
-    pub repr: StrRepr,
-    /// Decoded value length in characters (recorded during lexing; J8/V7
-    /// never re-walk the value).
-    pub char_len: usize,
-}
-
 /// Side-table record for one comment: the trimmed body as a byte range of
 /// the source. Character lengths are aggregated into
 /// [`SourceStats::comment_body_chars`] during lexing.
@@ -78,7 +69,7 @@ fn char_count(text: &str) -> usize {
 pub(crate) fn lex_spans(
     source: &str,
     tokens: &mut Vec<SpanToken>,
-    strings: &mut Vec<StringInfo>,
+    strings: &mut Vec<StrRepr>,
     comments: &mut Vec<CommentInfo>,
     decoded: &mut String,
     stats: &mut SourceStats,
@@ -196,7 +187,7 @@ pub(crate) fn lex_spans(
                     Some(from) => StrRepr::Decoded(from, decoded.len()),
                     None => StrRepr::Span(val_start, val_end),
                 };
-                strings.push(StringInfo { repr, char_len });
+                strings.push(repr);
                 stats.string_chars += char_len;
                 stats.string_len_sum += char_len as f64;
                 let kind = SpanKind::StringLit((strings.len() - 1) as u32);
@@ -382,13 +373,10 @@ pub fn tokenize(source: &str) -> Vec<Token> {
                 }
                 SpanKind::Keyword(_) => TokenKind::Keyword(source[t.start..t.end].to_string()),
                 SpanKind::Number => TokenKind::Number(source[t.start..t.end].to_string()),
-                SpanKind::StringLit(i) => {
-                    let info = &strings[i as usize];
-                    TokenKind::StringLit(match info.repr {
-                        StrRepr::Span(s, e) => source[s..e].to_string(),
-                        StrRepr::Decoded(s, e) => decoded[s..e].to_string(),
-                    })
-                }
+                SpanKind::StringLit(i) => TokenKind::StringLit(match strings[i as usize] {
+                    StrRepr::Span(s, e) => source[s..e].to_string(),
+                    StrRepr::Decoded(s, e) => decoded[s..e].to_string(),
+                }),
                 SpanKind::Comment(i) => {
                     let info = &comments[i as usize];
                     TokenKind::Comment(source[info.body_start..info.body_end].to_string())

@@ -108,27 +108,18 @@ impl<'a> ZipArchive<'a> {
     /// Fails when the end-of-central-directory record cannot be located or a
     /// central directory entry is malformed.
     pub fn parse(data: &'a [u8]) -> Result<Self, ZipError> {
-        Self::parse_with_limits(data, ZipLimits::default())
+        Self::parse_budgeted(data, ZipLimits::default(), Budget::unlimited())
     }
 
-    /// Parses the archive's central directory under explicit resource limits.
+    /// Like [`ZipArchive::parse`] but under explicit resource limits, and
+    /// charging parsing work — and all later member extraction through the
+    /// returned archive — against a cooperative scan [`Budget`].
     ///
     /// # Errors
     ///
     /// In addition to the malformed-input errors of [`ZipArchive::parse`],
     /// returns [`ZipError::LimitExceeded`] when the central directory
-    /// declares more entries than `limits` allows.
-    pub fn parse_with_limits(data: &'a [u8], limits: ZipLimits) -> Result<Self, ZipError> {
-        Self::parse_budgeted(data, limits, Budget::unlimited())
-    }
-
-    /// Like [`ZipArchive::parse_with_limits`] but charges parsing work —
-    /// and all later member extraction through the returned archive —
-    /// against a cooperative scan [`Budget`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ZipArchive::parse_with_limits`], plus
+    /// declares more entries than `limits` allows, and
     /// [`ZipError::DeadlineExceeded`] when the budget trips.
     pub fn parse_budgeted(
         data: &'a [u8],

@@ -32,22 +32,17 @@ const BYTES_PER_FUEL: usize = 1024;
 /// # Ok::<(), vbadet_zip::ZipError>(())
 /// ```
 pub fn inflate(data: &[u8]) -> Result<Vec<u8>, ZipError> {
-    inflate_with_limit(data, MAX_OUTPUT)
+    inflate_budgeted(data, MAX_OUTPUT, &Budget::unlimited())
 }
 
-/// Like [`inflate`] but with a caller-provided output cap.
-pub fn inflate_with_limit(data: &[u8], limit: usize) -> Result<Vec<u8>, ZipError> {
-    inflate_budgeted(data, limit, &Budget::unlimited())
-}
-
-/// Like [`inflate_with_limit`] but also charges decompression work against
-/// a cooperative scan [`Budget`] (roughly one fuel unit per KiB of output
-/// plus one per block).
+/// Like [`inflate`] but with a caller-provided output cap, and charging
+/// decompression work against a cooperative scan [`Budget`] (roughly one
+/// fuel unit per KiB of output plus one per block).
 ///
 /// # Errors
 ///
-/// As [`inflate_with_limit`], plus [`ZipError::DeadlineExceeded`] when the
-/// budget trips.
+/// As [`inflate`], with [`ZipError::LimitExceeded`] past `limit` output
+/// bytes, plus [`ZipError::DeadlineExceeded`] when the budget trips.
 pub fn inflate_budgeted(data: &[u8], limit: usize, budget: &Budget) -> Result<Vec<u8>, ZipError> {
     faultpoint!(
         "zip::inflate",
@@ -335,8 +330,9 @@ mod tests {
     fn output_limit_is_enforced() {
         let data = vec![7u8; 4096];
         let packed = deflate(&data, BlockStyle::Dynamic);
-        assert!(inflate_with_limit(&packed, 4095).is_err());
-        assert_eq!(inflate_with_limit(&packed, 4096).unwrap(), data);
+        let unlimited = Budget::unlimited();
+        assert!(inflate_budgeted(&packed, 4095, &unlimited).is_err());
+        assert_eq!(inflate_budgeted(&packed, 4096, &unlimited).unwrap(), data);
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //!   dynamic-Huffman blocks with greedy LZ77 matching),
 //! - [`mod@inflate`]: a full RFC 1951 decompressor,
 //! - [`ZipArchive`]/[`ZipWriter`]: ZIP archive reading and writing
-//!   (methods 0 and 8),
-//! - [`zlib`]: the RFC 1950 wrapper with Adler-32 integrity.
+//!   (methods 0 and 8).
 //!
 //! # Examples
 //!
@@ -38,11 +37,9 @@ pub mod deflate;
 mod error;
 mod huffman;
 pub mod inflate;
-pub mod zlib;
 
 pub use archive::{CompressionMethod, ZipArchive, ZipEntry, ZipLimits, ZipWriter};
 pub use deflate::{deflate, BlockStyle};
 pub use error::ZipError;
-pub use inflate::{inflate, inflate_budgeted, inflate_with_limit};
+pub use inflate::{inflate, inflate_budgeted};
 pub use vbadet_faultpoint::{Budget, BudgetExceeded};
-pub use zlib::{adler32, zlib_compress, zlib_decompress};

@@ -42,7 +42,7 @@ OVERALL=ok
 
 # Every stage the pipeline knows, in run order — the --stage validator
 # and the skip logic both key off this list.
-KNOWN_STAGES="fmt build build-faultpoints test test-faultpoints test-determinism \
+KNOWN_STAGES="fmt build benchmark-build build-faultpoints test test-faultpoints test-determinism \
 cache isolation serve serve-soak reload-soak paper clippy clippy-faultpoints \
 bench bench-features bench-cache bench-reload gates"
 
@@ -115,6 +115,14 @@ stage() {
         exit 1
     fi
     echo "ci: stage $stage_name ok (${stage_secs}s)"
+}
+
+# `benchmark/` is its own cargo workspace, so no workspace stage compiles
+# it. Build it and run its tests against this checkout, so a change to a
+# public function the benchmark calls fails here and not in a later run.
+benchmark_build() {
+    cargo build --release --offline --manifest-path benchmark/Cargo.toml &&
+        cargo test -q --offline --manifest-path benchmark/Cargo.toml
 }
 
 # The parallel determinism suites rerun explicitly (beyond the workspace
@@ -463,6 +471,7 @@ fi
 
 stage fmt cargo fmt --all --check
 stage build cargo build --release --offline --workspace
+stage benchmark-build benchmark_build
 stage build-faultpoints cargo build --offline --features faultpoints
 stage test cargo test -q --offline --workspace
 stage test-faultpoints cargo test -q --offline --features faultpoints

@@ -23,7 +23,7 @@ use mutants::{flip_bytes, splice, truncate};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vbadet::scan::cache::sha256;
-use vbadet::{extract_macros_with_limits, FailureClass, ScanLimits};
+use vbadet::{extract_macros_bounded, Budget, FailureClass, ScanLimits};
 use vbadet_corpus::{generate_macros, CorpusSpec, DocumentFactory};
 use vbadet_ovba::VbaProjectBuilder;
 use vbadet_zip::ZipArchive;
@@ -46,7 +46,7 @@ fn u16_at(bytes: &[u8], at: usize) -> usize {
 /// class label and error text otherwise. Salvaged module names and error
 /// text can carry control bytes, so the line is escaped.
 fn outcome(bytes: &[u8]) -> String {
-    let line = match extract_macros_with_limits(bytes, &ScanLimits::default()) {
+    let line = match extract_macros_bounded(bytes, &ScanLimits::default(), &Budget::unlimited()) {
         Ok(x) => {
             let modules: Vec<String> = x
                 .macros

@@ -14,7 +14,10 @@ mod mutants;
 use mutants::{flip_bytes, splice, truncate};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vbadet::{scan_bytes, Detector, DetectorConfig, FailureClass, ScanLimits, ScanOutcome};
+use vbadet::{
+    scan_bytes_with_policy, Budget, Detector, DetectorConfig, FailureClass, ScanLimits,
+    ScanOutcome, ScanPolicy,
+};
 use vbadet_corpus::{generate_macros, CorpusSpec, DocumentFactory};
 use vbadet_ovba::VbaProjectBuilder;
 
@@ -55,7 +58,7 @@ fn base_documents() -> Vec<Vec<u8>> {
 fn thousand_mutants_never_panic_the_scan_engine() {
     let detector = tiny_detector();
     let bases = base_documents();
-    let limits = ScanLimits::strict();
+    let policy = ScanPolicy::with_limits(ScanLimits::strict());
 
     let per_round = bases.len() * 3;
     let rounds = MIN_MUTANTS / per_round + 1;
@@ -72,13 +75,13 @@ fn thousand_mutants_never_panic_the_scan_engine() {
                 truncate(base, &mut rng),
                 splice(base, donor, &mut rng),
             ] {
-                let outcome = scan_bytes(&detector, &mutant, &limits);
+                let outcome = scan_bytes_with_policy(&detector, &mutant, &policy);
                 scanned += 1;
                 let key = match &outcome {
                     ScanOutcome::Clean => "clean",
                     ScanOutcome::Macros(_) => "macros",
                     ScanOutcome::Salvaged(_) => "salvaged",
-                    // `scan_bytes` never runs the ladder, but the enum is shared.
+                    // The ladder is off in this policy, but the enum is shared.
                     ScanOutcome::Recovered { .. } => "recovered",
                     ScanOutcome::Failed { class, .. } => class.label(),
                 };
@@ -134,7 +137,7 @@ fn mutants_of_the_raw_project_bin_never_break_extraction() {
             _ => splice(&base, &base, &mut rng),
         };
         let result = std::panic::catch_unwind(|| {
-            let _ = vbadet::extract_macros_with_limits(&mutant, &limits);
+            let _ = vbadet::extract_macros_bounded(&mutant, &limits, &Budget::unlimited());
         });
         assert!(
             result.is_ok(),
@@ -418,7 +421,9 @@ fn fuzz_cache_store() {
 // ---------------------------------------------------------------------------
 
 /// A stomped `dir` stream must fail strict parsing but still yield the
-/// module source through salvage, tagged as such.
+/// module source through salvage, tagged as such — and the library
+/// extractor and `Detector::scan_document` must recover the same module
+/// as the scan engine.
 #[test]
 fn fixture_stomped_dir_stream_is_salvaged() {
     let detector = tiny_detector();
@@ -437,14 +442,25 @@ fn fixture_stomped_dir_stream_is_salvaged() {
             rebuilt.add_stream(&path, &data).unwrap();
         }
     }
-    let outcome = scan_bytes(&detector, &rebuilt.build(), &ScanLimits::default());
-    match outcome {
+    let stomped = rebuilt.build();
+    let outcome = scan_bytes_with_policy(&detector, &stomped, &ScanPolicy::default());
+    let scanned = match outcome {
         ScanOutcome::Salvaged(verdicts) => {
             assert_eq!(verdicts.len(), 1);
             assert!(verdicts[0].module_name.starts_with("salvaged_"));
+            verdicts
         }
         other => panic!("expected Salvaged, got {other:?}"),
-    }
+    };
+
+    let extracted = vbadet::extract_macros(&stomped).expect("extract_macros salvages");
+    assert_eq!(extracted.len(), 1);
+    assert_eq!(extracted[0].module_name, scanned[0].module_name);
+    assert_eq!(extracted[0].code, code);
+    let verdicts = detector
+        .scan_document(&stomped)
+        .expect("scan_document salvages");
+    assert_eq!(verdicts, scanned);
 }
 
 /// A module whose decompressed source exceeds the configured cap must be
@@ -463,7 +479,7 @@ fn fixture_decompression_bomb_trips_limit_exceeded() {
 
     let mut limits = ScanLimits::default();
     limits.ovba.max_module_bytes = 4096; // far below the ~100 KiB source
-    match scan_bytes(&detector, &bin, &limits) {
+    match scan_bytes_with_policy(&detector, &bin, &ScanPolicy::with_limits(limits)) {
         ScanOutcome::Failed {
             class: FailureClass::LimitExceeded,
             ..
@@ -472,7 +488,7 @@ fn fixture_decompression_bomb_trips_limit_exceeded() {
     }
     // The same document under default limits parses fine.
     assert!(matches!(
-        scan_bytes(&detector, &bin, &ScanLimits::default()),
+        scan_bytes_with_policy(&detector, &bin, &ScanPolicy::default()),
         ScanOutcome::Macros(_)
     ));
 }
@@ -496,7 +512,7 @@ fn fixture_self_looping_fat_chain_is_reported_as_cycle() {
         vbadet_ole::OleFile::parse(&bytes),
         Err(vbadet_ole::OleError::ChainCycle { .. })
     ));
-    match scan_bytes(&detector, &bytes, &ScanLimits::default()) {
+    match scan_bytes_with_policy(&detector, &bytes, &ScanPolicy::default()) {
         ScanOutcome::Failed {
             class: FailureClass::CyclicChain,
             ..

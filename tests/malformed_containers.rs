@@ -4,7 +4,7 @@
 //! Each shape must produce a *typed* error — never a panic, hang, or
 //! unbounded allocation.
 
-use vbadet::{extract_macros_with_limits, DetectError, ScanLimits};
+use vbadet::{extract_macros_bounded, Budget, DetectError, ScanLimits};
 use vbadet_ole::{OleBuilder, OleError, OleFile};
 use vbadet_ovba::VbaProjectBuilder;
 use vbadet_zip::{CompressionMethod, ZipArchive, ZipError, ZipLimits, ZipWriter};
@@ -65,7 +65,7 @@ fn header_claiming_absurd_sector_count_is_capped() {
         ..Default::default()
     };
     assert!(matches!(
-        OleFile::parse_with_limits(&bin, tight),
+        OleFile::parse_budgeted(&bin, tight, Budget::unlimited()),
         Err(OleError::LimitExceeded {
             what: "sector count",
             ..
@@ -112,7 +112,7 @@ fn zip_member_declaring_huge_size_is_rejected_before_allocation() {
         max_member_bytes: 1 << 10,
         ..Default::default()
     };
-    let archive = ZipArchive::parse_with_limits(&bytes, limits).unwrap();
+    let archive = ZipArchive::parse_budgeted(&bytes, limits, Budget::unlimited()).unwrap();
     assert!(matches!(
         archive.read_file("word/vbaProject.bin"),
         Err(ZipError::LimitExceeded {
@@ -142,7 +142,7 @@ fn ooxml_bomb_surfaces_as_limit_exceeded_through_the_pipeline() {
     let mut limits = ScanLimits::default();
     limits.zip.max_member_bytes = 64;
     assert!(matches!(
-        extract_macros_with_limits(&bytes, &limits),
+        extract_macros_bounded(&bytes, &limits, &Budget::unlimited()),
         Err(DetectError::Zip(ZipError::LimitExceeded { .. }))
     ));
 }
@@ -157,7 +157,7 @@ fn oversized_stream_entry_is_capped_at_the_ole_layer() {
         max_stream_bytes: 1 << 10,
         ..Default::default()
     };
-    let ole = OleFile::parse_with_limits(&bytes, tight).unwrap();
+    let ole = OleFile::parse_budgeted(&bytes, tight, Budget::unlimited()).unwrap();
     assert!(matches!(
         ole.open_stream("big"),
         Err(OleError::LimitExceeded {
@@ -181,7 +181,7 @@ fn module_count_cap_is_enforced() {
         ..Default::default()
     };
     assert!(matches!(
-        vbadet_ovba::VbaProject::from_ole_with_limits(&ole, &limits),
+        vbadet_ovba::VbaProject::from_ole_budgeted(&ole, &limits, &Budget::unlimited()),
         Err(vbadet_ovba::OvbaError::LimitExceeded {
             what: "module count",
             ..
@@ -208,7 +208,8 @@ fn one_member_docm() -> (Vec<u8>, usize) {
 }
 
 fn failure_label(bytes: &[u8]) -> &'static str {
-    let err = extract_macros_with_limits(bytes, &ScanLimits::default()).unwrap_err();
+    let err =
+        extract_macros_bounded(bytes, &ScanLimits::default(), &Budget::unlimited()).unwrap_err();
     vbadet::FailureClass::from_error(&err).label()
 }
 
