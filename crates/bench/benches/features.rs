@@ -1,6 +1,8 @@
 //! Fused single-pass feature extraction vs the historical multi-pass
 //! reference, recorded to `results/BENCH_features.json` so `scripts/ci.sh`
-//! can gate on the speedup.
+//! can gate on the speedup. It also times V1–V15 alone through
+//! `FeatureScratch`, the scan path's streaming lex pass, and records it
+//! as `score_v_docs_per_sec` (not gated).
 //!
 //! Hand-rolled timing for the same reason as `scan_parallel`: the CI gate
 //! needs machine-readable throughput numbers, and the honest unit is a
@@ -59,7 +61,16 @@ fn main() {
         "paths diverged inside the bench itself"
     );
 
+    // The scan path: a detector on V1–V15 runs only the V-mode pass.
+    let (score_v, _) = best_of(|| {
+        sources
+            .iter()
+            .map(|s| scratch.extract(FeatureSet::V, s)[0])
+            .sum()
+    });
+
     let fused_docs_per_sec = docs as f64 / fused.as_secs_f64();
+    let score_v_docs_per_sec = docs as f64 / score_v.as_secs_f64();
     let reference_docs_per_sec = docs as f64 / refr.as_secs_f64();
     let speedup = refr.as_secs_f64() / fused.as_secs_f64();
 
@@ -67,7 +78,8 @@ fn main() {
         "features: {docs} modules, {bytes} bytes (V + J per module)\n\
            fused      {fused_docs_per_sec:>10.1} docs/s  ({fused:.3?}/sweep)\n\
            reference  {reference_docs_per_sec:>10.1} docs/s  ({refr:.3?}/sweep)\n\
-           speedup    {speedup:>10.2}x"
+           speedup    {speedup:>10.2}x\n\
+           V alone    {score_v_docs_per_sec:>10.1} docs/s  ({score_v:.3?}/sweep)"
     );
 
     let json = format!(
@@ -75,7 +87,8 @@ fn main() {
          \"reps\": {REPS},\n  \
          \"fused_docs_per_sec\": {fused_docs_per_sec:.2},\n  \
          \"reference_docs_per_sec\": {reference_docs_per_sec:.2},\n  \
-         \"speedup_vs_reference\": {speedup:.4}\n}}\n"
+         \"speedup_vs_reference\": {speedup:.4},\n  \
+         \"score_v_docs_per_sec\": {score_v_docs_per_sec:.2}\n}}\n"
     );
     write_result("BENCH_features.json", &json);
 }

@@ -108,6 +108,13 @@ pub struct ModuleVerdict {
 /// token-pass buffers plus the feature and standardized vectors. Cleared
 /// per module, capacity retained, so steady-state scoring allocates
 /// nothing.
+///
+/// The detector's feature set picks the lexer mode: a detector on
+/// V1–V15 scores each module in one V-mode lex pass, which builds no
+/// token vector and runs no J-only machine (so the lexer statistics'
+/// `line_count`, `long_lines`, `comment_words` and `readable_words` are
+/// never filled); one on J1–J20 runs the full mode (see
+/// [`vbadet_features::FeatureScratch`]).
 #[derive(Debug, Default)]
 pub struct ScoreScratch {
     fx: vbadet_features::FeatureScratch,

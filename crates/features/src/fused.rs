@@ -1,114 +1,24 @@
-//! Token-stream passes shared by the fused J/V extractors.
+//! The one token-slice pass the extractors make: J9's argument lengths.
 //!
-//! Everything here walks the contiguous [`SpanToken`] slice of a
-//! [`MacroAnalysis`] — never the source text — and writes into reusable
-//! [`PassScratch`] buffers, so steady-state extraction allocates nothing.
-//! Each quantity is accumulated in the exact order the historical
-//! extractors iterated it, keeping every derived `f64` bit-identical to
-//! the reference implementation (see `crate::reference`).
-//!
-//! V14/V15's distinct identifiers are not a pass here: the lexer builds
-//! that lane while it emits the tokens
-//! ([`SourceStats::ident_lengths`](vbadet_vba::SourceStats::ident_lengths)).
+//! Everything else the extractors read is counted during the lexer's
+//! single pass: the per-character statistics
+//! ([`SourceStats`](vbadet_vba::SourceStats)), the distinct-identifier
+//! lane, and the call-site, string-operator and procedure-body machine
+//! ([`TokenCounts`](vbadet_vba::TokenCounts)). J9 needs the spans between
+//! a call's parentheses, which only the full mode's token slice holds, so
+//! it walks that slice of a [`MacroAnalysis`] — never the source text —
+//! and writes into a reusable [`PassScratch`], so steady-state extraction
+//! allocates nothing. The argument lengths are summed in the exact order
+//! the historical extractor iterated them, keeping J9 bit-identical to the
+//! reference implementation (see `crate::reference`).
 
-use vbadet_vba::{MacroAnalysis, SpanKind, SpanToken, WordClass};
+use vbadet_vba::{MacroAnalysis, SpanKind};
 
-/// Reusable buffers for the token passes (cleared per document, capacity
+/// Reusable buffers for the J9 token pass (cleared per document, capacity
 /// retained).
 #[derive(Debug, Default)]
 pub struct PassScratch {
     arg_spans: Vec<(usize, usize)>,
-}
-
-/// Quantities derived from one streaming pass over the token slice:
-/// call sites (with category counts), string operators, and procedure
-/// bodies.
-#[derive(Debug, Default)]
-pub(crate) struct TokenDerived {
-    /// Number of call sites (J7).
-    pub call_count: usize,
-    /// Calls per function category, V8–V12 order.
-    pub cat_counts: [f64; 5],
-    /// `&`/`+`/`=` operator tokens (V5).
-    pub string_ops: usize,
-    /// Closed procedure bodies (J18/J20).
-    pub body_count: usize,
-    /// Characters across closed bodies, accumulated in body order (J18/J19).
-    pub body_chars: f64,
-}
-
-fn is_significant(t: &SpanToken) -> bool {
-    !matches!(t.kind, SpanKind::Comment(_) | SpanKind::Newline)
-}
-
-/// One pass over the tokens: call sites + categories, string operators,
-/// procedure bodies. Streaming equivalent of the `call_sites()` /
-/// `string_operator_count()` / `procedure_body_spans()` views, reading
-/// the word class the lexer stored on each token.
-pub(crate) fn token_derived(analysis: &MacroAnalysis) -> TokenDerived {
-    // `iter::Sum for f64` folds from -0.0, so the reference's body-char
-    // sum is -0.0 when no body exists — and that sign bit survives into
-    // J19. Start from the same identity to stay bit-identical.
-    let mut d = TokenDerived {
-        body_chars: -0.0,
-        ..TokenDerived::default()
-    };
-    // Call-site machine: an identifier is "pending" until the next
-    // significant token decides paren-call vs statement-position builtin.
-    let mut pending: Option<WordClass> = None;
-    let mut prev_kw = WordClass::default();
-    let mut open_body: Option<usize> = None;
-
-    let resolve = |d: &mut TokenDerived, class: WordClass, followed_by_paren: bool| {
-        if followed_by_paren || class.is_builtin() {
-            d.call_count += 1;
-            if let Some(idx) = class.category_index() {
-                d.cat_counts[idx] += 1.0;
-            }
-        }
-    };
-
-    for t in analysis.tokens() {
-        if matches!(t.kind, SpanKind::Operator("&" | "+" | "=")) {
-            d.string_ops += 1;
-        }
-        if !is_significant(t) {
-            continue;
-        }
-        if let Some(p) = pending.take() {
-            resolve(&mut d, p, matches!(t.kind, SpanKind::Operator("(")));
-        }
-        match t.kind {
-            SpanKind::Identifier(class) if !prev_kw.names_declaration() => {
-                pending = Some(class);
-            }
-            SpanKind::Keyword(k) if k.opens_procedure() => {
-                if prev_kw.is_declare() {
-                    // Prototype, not a body.
-                } else if prev_kw.is_end() {
-                    if let Some(start) = open_body.take() {
-                        d.body_count += 1;
-                        d.body_chars += (t.char_end - start) as f64;
-                    }
-                } else if prev_kw.is_exit() {
-                    // `Exit Sub` keeps the procedure open.
-                } else if open_body.is_none() {
-                    open_body = Some(t.char_start);
-                }
-            }
-            _ => {}
-        }
-        // The class of the previous significant token when it is a
-        // keyword, else a plain word (no role).
-        prev_kw = match t.kind {
-            SpanKind::Keyword(k) => k,
-            _ => WordClass::default(),
-        };
-    }
-    if let Some(p) = pending.take() {
-        resolve(&mut d, p, false);
-    }
-    d
 }
 
 /// J9: character lengths of top-level call arguments, returned as the
@@ -176,26 +86,4 @@ pub(crate) fn arg_length_stats(
         }
     }
     (sum, count)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn token_derived_matches_views() {
-        let src = "Sub A()\r\n'c\r\nx = Chr(65) & \"s\"\r\nShell p, 1\r\nExit Sub\r\nEnd Sub\r\n\
-                   Declare Function F Lib \"k\" ()\r\n";
-        let a = MacroAnalysis::new(src);
-        let d = token_derived(&a);
-        assert_eq!(d.call_count, a.call_sites().len());
-        assert_eq!(d.string_ops, a.string_operator_count());
-        let bodies = a.procedure_body_spans();
-        assert_eq!(d.body_count, bodies.len());
-        let expect: f64 = bodies
-            .iter()
-            .map(|&(s, e)| src[s..e].chars().count() as f64)
-            .sum();
-        assert_eq!(d.body_chars.to_bits(), expect.to_bits());
-    }
 }

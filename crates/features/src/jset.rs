@@ -6,13 +6,14 @@
 //!
 //! The extractor is *fused*: every character-level quantity (counts,
 //! whitespace, entropy histogram, line lengths, word statistics) comes
-//! from the accumulators the lexer filled in its single pass, and the
-//! remaining quantities come from token-slice walks — the source text is
-//! never re-walked. `crate::reference` keeps the historical multi-pass
+//! from the accumulators the lexer's full mode filled in its single pass,
+//! call sites and procedure bodies from the token machine that pass ran,
+//! and J9 from one token-slice walk — the source text is never
+//! re-walked. `crate::reference` keeps the historical multi-pass
 //! implementation as a bit-equivalence oracle.
 
 use crate::entropy::entropy_from_counts;
-use crate::fused::{arg_length_stats, token_derived, PassScratch};
+use crate::fused::{arg_length_stats, PassScratch};
 use vbadet_vba::MacroAnalysis;
 
 /// Number of J features.
@@ -87,11 +88,11 @@ pub(crate) fn j_features_fused(
         stats.whitespace as f64 / total_chars
     };
 
-    let derived = token_derived(analysis);
+    let counts = analysis.counts();
     let j7 = if all_word_count == 0.0 {
         0.0
     } else {
-        derived.call_count as f64 / all_word_count
+        counts.call_count as f64 / all_word_count
     };
 
     // J8: `string_len_sum` was accumulated string-by-string in token
@@ -141,20 +142,20 @@ pub(crate) fn j_features_fused(
         stats.backslashes as f64 / total_chars
     };
 
-    let j18 = if derived.body_count == 0 {
+    let j18 = if counts.body_count == 0 {
         0.0
     } else {
-        derived.body_chars / derived.body_count as f64
+        counts.body_chars / counts.body_count as f64
     };
     let j19 = if total_chars == 0.0 {
         0.0
     } else {
-        derived.body_chars / total_chars
+        counts.body_chars / total_chars
     };
     let j20 = if total_chars == 0.0 {
         0.0
     } else {
-        derived.body_count as f64 / total_chars
+        counts.body_count as f64 / total_chars
     };
 
     [

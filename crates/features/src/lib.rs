@@ -70,9 +70,17 @@ impl FeatureSet {
     }
 }
 
-/// Reusable per-worker extraction state: the lexer buffers, the token-pass
-/// buffers, and the output vector — cleared per document, capacity
-/// retained, so steady-state extraction performs no heap allocation.
+/// Reusable per-worker extraction state: the lexer buffers, the J9
+/// token-pass buffers, and the output vector — cleared per document,
+/// capacity retained, so steady-state extraction performs no heap
+/// allocation.
+///
+/// The feature set picks the lexer mode. [`FeatureSet::V`] runs the V
+/// mode ([`vbadet_vba::LexScratch::lex_counts`]): one pass that builds no
+/// token vector and runs no J-only machine, so the statistics' full-mode
+/// fields (`line_count`, `long_lines`, `comment_words`,
+/// `readable_words`) are never filled. [`FeatureSet::J`] runs the full
+/// mode ([`vbadet_vba::MacroAnalysis`]) and its token slice for J9.
 ///
 /// ```
 /// use vbadet_features::{FeatureScratch, FeatureSet};
@@ -91,17 +99,20 @@ impl FeatureScratch {
     /// Extracts `set` from `source` into the reusable output buffer.
     /// Identical (bit-for-bit) to [`FeatureSet::extract`].
     pub fn extract(&mut self, set: FeatureSet, source: &str) -> &[f64] {
-        let analysis = vbadet_vba::MacroAnalysis::with_scratch(source, &mut self.lex);
         self.out.clear();
         match set {
-            FeatureSet::V => self
-                .out
-                .extend_from_slice(&vset::v_features_fused(&analysis)),
-            FeatureSet::J => self
-                .out
-                .extend_from_slice(&jset::j_features_fused(&analysis, &mut self.pass)),
+            FeatureSet::V => {
+                let (stats, counts, strings) = self.lex.lex_counts(source);
+                self.out
+                    .extend_from_slice(&vset::v_vector(stats, &counts, strings));
+            }
+            FeatureSet::J => {
+                let analysis = vbadet_vba::MacroAnalysis::with_scratch(source, &mut self.lex);
+                self.out
+                    .extend_from_slice(&jset::j_features_fused(&analysis, &mut self.pass));
+                analysis.recycle(&mut self.lex);
+            }
         }
-        analysis.recycle(&mut self.lex);
         &self.out
     }
 }

@@ -18,17 +18,22 @@
 //! | V14 | avg. length of identifiers | O1 |
 //! | V15 | var. length of identifiers | O1 |
 //!
-//! Like [`crate::jset`], the extractor is fused: it reads the lexer's
-//! single-pass accumulators and one token-slice pass only, with
-//! `crate::reference` holding the historical implementation as the
+//! One function, [`v_vector`], computes V1–V15 from what a lex pass
+//! counted: the [`SourceStats`], the token machine's [`TokenCounts`] and
+//! the number of string literals. Both lexer modes feed it.
+//! [`v_features`] and the scan path ([`crate::FeatureScratch`]) run the V
+//! mode ([`LexScratch::lex_counts`]), which builds no token vector and
+//! runs no J-only machine; [`v_features_from`] reads a full
+//! [`MacroAnalysis`]. V reads none of the `SourceStats` fields that only
+//! the full mode fills, so the two agree bit for bit, and
+//! `crate::reference` holds the historical implementation as the
 //! bit-equivalence oracle. V3/V4 read the code-word lengths and V14/V15
 //! the distinct-identifier lengths that the lexer recorded, each word
-//! hashed once, so V needs no scratch of its own.
+//! hashed once.
 
 use crate::entropy::entropy_from_counts;
-use crate::fused::token_derived;
 use crate::{mean, variance};
-use vbadet_vba::MacroAnalysis;
+use vbadet_vba::{LexScratch, MacroAnalysis, SourceStats, TokenCounts};
 
 /// Number of V features.
 pub const V_DIM: usize = 15;
@@ -52,31 +57,35 @@ pub const V_NAMES: [&str; V_DIM] = [
     "V15 var. length of identifiers",
 ];
 
-/// Extracts V1–V15 from macro source code.
+/// Extracts V1–V15 from macro source code, in one V-mode lex pass.
 pub fn v_features(source: &str) -> [f64; V_DIM] {
-    v_features_from(&MacroAnalysis::new(source))
+    let mut lex = LexScratch::default();
+    let (stats, counts, strings) = lex.lex_counts(source);
+    v_vector(stats, &counts, strings)
 }
 
 /// Extracts V1–V15 from an existing lexical analysis (avoids re-tokenizing
 /// when multiple feature sets are extracted from the same macro).
 pub fn v_features_from(analysis: &MacroAnalysis) -> [f64; V_DIM] {
-    v_features_fused(analysis)
+    v_vector(analysis.stats(), analysis.counts(), analysis.string_count())
 }
 
-/// Fused extraction: the lexer's accumulators and one token pass; it
-/// needs no scratch of its own.
-pub(crate) fn v_features_fused(analysis: &MacroAnalysis) -> [f64; V_DIM] {
-    let stats = analysis.stats();
+/// V1–V15 from one lex pass's statistics, token-machine counts and
+/// number of string literals.
+pub(crate) fn v_vector(
+    stats: &SourceStats,
+    counts: &TokenCounts,
+    string_count: usize,
+) -> [f64; V_DIM] {
     let code_chars = stats.char_len.saturating_sub(stats.comment_span_chars) as f64;
     let comment_chars = stats.comment_body_chars as f64;
 
     let v3 = mean(stats.word_lengths.iter().copied());
     let v4 = variance(&stats.word_lengths);
 
-    let derived = token_derived(analysis);
     // V5 is normalized by V1 per §IV.C.4 ("we use V1 as the normalization
     // unit"): raw operator counts would just re-measure code size.
-    let v5 = derived.string_ops as f64 / code_chars.max(1.0);
+    let v5 = counts.string_ops as f64 / code_chars.max(1.0);
 
     let total_chars = stats.char_len as f64;
     let v6 = if total_chars == 0.0 {
@@ -85,14 +94,13 @@ pub(crate) fn v_features_fused(analysis: &MacroAnalysis) -> [f64; V_DIM] {
         stats.string_chars as f64 / total_chars
     };
     // V7: same sequential token-order sum as J8.
-    let string_count = analysis.string_count();
     let v7 = if string_count == 0 {
         0.0
     } else {
         stats.string_len_sum / string_count as f64
     };
 
-    let total_calls = derived.call_count as f64;
+    let total_calls = counts.call_count as f64;
     let ratio = |n: f64| {
         if total_calls == 0.0 {
             0.0
@@ -115,11 +123,11 @@ pub(crate) fn v_features_fused(analysis: &MacroAnalysis) -> [f64; V_DIM] {
         v5,
         v6,
         v7,
-        ratio(derived.cat_counts[0]),
-        ratio(derived.cat_counts[1]),
-        ratio(derived.cat_counts[2]),
-        ratio(derived.cat_counts[3]),
-        ratio(derived.cat_counts[4]),
+        ratio(counts.cat_counts[0]),
+        ratio(counts.cat_counts[1]),
+        ratio(counts.cat_counts[2]),
+        ratio(counts.cat_counts[3]),
+        ratio(counts.cat_counts[4]),
         v13,
         v14,
         v15,
@@ -248,10 +256,11 @@ mod tests {
             "Dim Alpha\r\nalpha = ALPHA + beta$\r\n' note\r\nRem more\r\n",
         ] {
             let a = MacroAnalysis::new(src);
-            let fused = v_features_from(&a);
             let reference = crate::reference::v_features_from(&a);
-            for (i, (f, r)) in fused.iter().zip(reference.iter()).enumerate() {
-                assert_eq!(f.to_bits(), r.to_bits(), "V{} differs on {src:?}", i + 1);
+            for fused in [v_features_from(&a), v_features(src)] {
+                for (i, (f, r)) in fused.iter().zip(reference.iter()).enumerate() {
+                    assert_eq!(f.to_bits(), r.to_bits(), "V{} differs on {src:?}", i + 1);
+                }
             }
         }
     }

@@ -2,17 +2,22 @@
 //! consume (identifiers, strings, comments, call sites, "words", operator
 //! counts).
 //!
-//! [`MacroAnalysis`] borrows the source: tokens are [`SpanToken`]s whose
-//! text is a slice of the input, string values and comment bodies live in
-//! side tables (borrowed spans except for the rare `""`-escaped literal,
-//! whose value is a range of one reusable decoded-text buffer),
-//! and the per-character statistics every J/V feature needs were already
-//! accumulated by the lexer's single pass ([`SourceStats`]). The scan hot
-//! path reuses one [`LexScratch`] per worker so steady-state analysis
-//! performs no per-document buffer allocation.
+//! [`MacroAnalysis`] is the lexer's full mode. It borrows the source:
+//! tokens are [`SpanToken`]s whose text is a slice of the input, string
+//! values and comment bodies live in side tables (borrowed spans except
+//! for the rare `""`-escaped literal, whose value is a range of one
+//! reusable decoded-text buffer), and the per-character statistics
+//! ([`SourceStats`]) and token-machine counts ([`TokenCounts`]) every J/V
+//! feature needs were already accumulated by the lexer's single pass.
+//!
+//! [`LexScratch::lex_counts`] is the V mode: the same pass with no token
+//! stream, no side tables and no J-only machine, for scoring on V1–V15.
+//! The scan hot path reuses one [`LexScratch`] per worker so steady-state
+//! analysis performs no per-document buffer allocation.
 
+use crate::calls::TokenCounts;
 use crate::idents::IdentSet;
-use crate::lexer::{lex_spans, CommentInfo, StrRepr};
+use crate::lexer::{lex_spans, StrRepr, Tables};
 use crate::stats::SourceStats;
 use crate::token::{SpanKind, SpanToken};
 use crate::words::WordClass;
@@ -23,16 +28,43 @@ use std::collections::BTreeSet;
 /// Thread one instance through a worker loop and analyze each document
 /// with [`MacroAnalysis::with_scratch`]; call
 /// [`MacroAnalysis::recycle`] when done with the analysis to return the
+/// buffers. [`lex_counts`](Self::lex_counts) runs the V mode on the same
 /// buffers.
 #[derive(Debug, Default)]
 pub struct LexScratch {
-    tokens: Vec<SpanToken>,
-    strings: Vec<StrRepr>,
-    comments: Vec<CommentInfo>,
-    decoded: String,
+    tables: Tables,
     stats: SourceStats,
     /// Used while lexing only; never moves into the analysis.
     idents: IdentSet,
+}
+
+impl LexScratch {
+    /// Lexes `source` in the V mode: one pass that builds no token vector
+    /// and no string or comment tables, and runs none of the J-only
+    /// machines (comment-body words, J5 readability, lines, procedure
+    /// bodies). Returns the statistics, the token-machine counts and the
+    /// number of string literals: everything V1–V15 read, equal to what
+    /// [`MacroAnalysis`] reports for them.
+    ///
+    /// The [`SourceStats`] fields that only the full mode fills
+    /// (`line_count`, `long_lines`, `comment_words`, `readable_words`)
+    /// read zero, as do [`TokenCounts::body_count`] and
+    /// [`TokenCounts::body_chars`] (`-0.0`).
+    ///
+    /// ```
+    /// use vbadet_vba::{LexScratch, MacroAnalysis};
+    /// let src = "x = Chr(65) & \"B\"";
+    /// let mut lex = LexScratch::default();
+    /// let (stats, counts, strings) = lex.lex_counts(src);
+    /// let full = MacroAnalysis::new(src);
+    /// assert_eq!(stats.word_lengths, full.stats().word_lengths);
+    /// assert_eq!((counts.call_count, counts.string_ops, strings), (1, 2, 1));
+    /// ```
+    pub fn lex_counts(&mut self, source: &str) -> (&SourceStats, TokenCounts, usize) {
+        let (counts, strings) =
+            lex_spans::<false>(source, &mut self.tables, &mut self.stats, &mut self.idents);
+        (&self.stats, counts, strings)
+    }
 }
 
 /// Lexical analysis of one macro: the token stream plus the derived
@@ -47,11 +79,9 @@ pub struct LexScratch {
 #[derive(Debug)]
 pub struct MacroAnalysis<'a> {
     source: &'a str,
-    tokens: Vec<SpanToken>,
-    strings: Vec<StrRepr>,
-    comments: Vec<CommentInfo>,
-    decoded: String,
+    tables: Tables,
     stats: SourceStats,
+    counts: TokenCounts,
 }
 
 impl<'a> MacroAnalysis<'a> {
@@ -64,32 +94,20 @@ impl<'a> MacroAnalysis<'a> {
     /// Like [`new`](Self::new), but lexes into buffers taken from
     /// `scratch` (left empty; return them with [`recycle`](Self::recycle)).
     pub fn with_scratch(source: &'a str, scratch: &mut LexScratch) -> Self {
-        let mut a = MacroAnalysis {
+        let mut tables = std::mem::take(&mut scratch.tables);
+        let mut stats = std::mem::take(&mut scratch.stats);
+        let (counts, _) = lex_spans::<true>(source, &mut tables, &mut stats, &mut scratch.idents);
+        MacroAnalysis {
             source,
-            tokens: std::mem::take(&mut scratch.tokens),
-            strings: std::mem::take(&mut scratch.strings),
-            comments: std::mem::take(&mut scratch.comments),
-            decoded: std::mem::take(&mut scratch.decoded),
-            stats: std::mem::take(&mut scratch.stats),
-        };
-        lex_spans(
-            source,
-            &mut a.tokens,
-            &mut a.strings,
-            &mut a.comments,
-            &mut a.decoded,
-            &mut a.stats,
-            &mut scratch.idents,
-        );
-        a
+            tables,
+            stats,
+            counts,
+        }
     }
 
     /// Returns the analysis buffers to `scratch` for the next document.
     pub fn recycle(self, scratch: &mut LexScratch) {
-        scratch.tokens = self.tokens;
-        scratch.strings = self.strings;
-        scratch.comments = self.comments;
-        scratch.decoded = self.decoded;
+        scratch.tables = self.tables;
         scratch.stats = self.stats;
     }
 
@@ -100,12 +118,21 @@ impl<'a> MacroAnalysis<'a> {
 
     /// The raw token stream.
     pub fn tokens(&self) -> &[SpanToken] {
-        &self.tokens
+        &self.tables.tokens
     }
 
     /// The per-character statistics fused into the lexer pass.
     pub fn stats(&self) -> &SourceStats {
         &self.stats
+    }
+
+    /// What the token machine counted during the lexer pass: call sites
+    /// by category, string operators and procedure bodies (the streaming
+    /// [`call_sites`](Self::call_sites),
+    /// [`string_operator_count`](Self::string_operator_count) and
+    /// [`procedure_body_spans`](Self::procedure_body_spans)).
+    pub fn counts(&self) -> &TokenCounts {
+        &self.counts
     }
 
     /// The source text of a token. For string literals this is the
@@ -121,25 +148,25 @@ impl<'a> MacroAnalysis<'a> {
 
     /// Number of string literals.
     pub fn string_count(&self) -> usize {
-        self.strings.len()
+        self.tables.strings.len()
     }
 
     /// Decoded value of string literal `i` (token order).
     pub fn string_value(&self, i: usize) -> &str {
-        match self.strings[i] {
+        match self.tables.strings[i] {
             StrRepr::Span(s, e) => &self.source[s..e],
-            StrRepr::Decoded(s, e) => &self.decoded[s..e],
+            StrRepr::Decoded(s, e) => &self.tables.decoded[s..e],
         }
     }
 
     /// Number of comments.
     pub fn comment_count(&self) -> usize {
-        self.comments.len()
+        self.tables.comments.len()
     }
 
     /// Trimmed body of comment `i` (token order).
     pub fn comment_body(&self, i: usize) -> &'a str {
-        let c = &self.comments[i];
+        let c = &self.tables.comments[i];
         &self.source[c.body_start..c.body_end]
     }
 
@@ -163,14 +190,14 @@ impl<'a> MacroAnalysis<'a> {
 
     /// All comment bodies, in order.
     pub fn comments(&self) -> Vec<&str> {
-        (0..self.comments.len())
+        (0..self.tables.comments.len())
             .map(|i| self.comment_body(i))
             .collect()
     }
 
     /// All string literal values, in order.
     pub fn strings(&self) -> Vec<&str> {
-        (0..self.strings.len())
+        (0..self.tables.strings.len())
             .map(|i| self.string_value(i))
             .collect()
     }
@@ -186,7 +213,7 @@ impl<'a> MacroAnalysis<'a> {
     pub fn identifiers(&self) -> Vec<&str> {
         let mut seen: BTreeSet<String> = BTreeSet::new();
         let mut out = Vec::new();
-        for t in &self.tokens {
+        for t in &self.tables.tokens {
             if let SpanKind::Identifier(class) = t.kind {
                 if class.is_builtin() {
                     continue;
@@ -205,6 +232,7 @@ impl<'a> MacroAnalysis<'a> {
     /// Identifiers following `Sub`/`Function` (declarations) are excluded.
     pub fn call_sites(&self) -> Vec<&str> {
         let significant: Vec<&SpanToken> = self
+            .tables
             .tokens
             .iter()
             .filter(|t| !matches!(t.kind, SpanKind::Comment(_) | SpanKind::Newline))
@@ -238,7 +266,7 @@ impl<'a> MacroAnalysis<'a> {
         let mut cursor = 0usize;
         // Mask out comment and string spans, then split the rest.
         let mut segments: Vec<&str> = Vec::new();
-        for t in &self.tokens {
+        for t in &self.tables.tokens {
             if matches!(t.kind, SpanKind::Comment(_) | SpanKind::StringLit(_)) {
                 if t.start > cursor {
                     segments.push(&self.source[cursor..t.start]);
@@ -262,7 +290,7 @@ impl<'a> MacroAnalysis<'a> {
     /// Words inside comments only (used by J13).
     pub fn comment_words(&self) -> Vec<&str> {
         let mut out = Vec::new();
-        for i in 0..self.comments.len() {
+        for i in 0..self.tables.comments.len() {
             out.extend(
                 self.comment_body(i)
                     .split(|ch: char| !(ch.is_alphanumeric() || ch == '_'))
@@ -275,7 +303,8 @@ impl<'a> MacroAnalysis<'a> {
     /// Number of occurrences of the string-building operators the paper's V5
     /// tracks: `&`, `+` and `=` (§IV.C.2).
     pub fn string_operator_count(&self) -> usize {
-        self.tokens
+        self.tables
+            .tokens
             .iter()
             .filter(|t| matches!(t.kind, SpanKind::Operator("&" | "+" | "=")))
             .count()
@@ -283,7 +312,8 @@ impl<'a> MacroAnalysis<'a> {
 
     /// Number of occurrences of a specific operator token.
     pub fn operator_count(&self, op: &str) -> usize {
-        self.tokens
+        self.tables
+            .tokens
             .iter()
             .filter(|t| matches!(t.kind, SpanKind::Operator(o) if o == op))
             .count()
@@ -298,6 +328,7 @@ impl<'a> MacroAnalysis<'a> {
     pub fn procedure_names(&self) -> Vec<&str> {
         let mut out = Vec::new();
         let toks: Vec<&SpanToken> = self
+            .tables
             .tokens
             .iter()
             .filter(|t| !matches!(t.kind, SpanKind::Newline | SpanKind::Comment(_)))
@@ -317,7 +348,7 @@ impl<'a> MacroAnalysis<'a> {
     /// J18/J19.
     pub fn procedure_body_spans(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
-        let toks = &self.tokens;
+        let toks = &self.tables.tokens;
         let mut open: Option<usize> = None;
         let mut i = 0usize;
         while i < toks.len() {

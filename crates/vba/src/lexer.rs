@@ -1,13 +1,24 @@
 //! The VBA tokenizer.
 //!
 //! The lexer is span-based and single-pass: it walks the source exactly
-//! once, emitting [`SpanToken`]s (byte + char positions, no owned
-//! payloads) while feeding every character through the
-//! [`SourceStats`] accumulators the feature extractors consume. The
-//! classic owned-token API ([`tokenize`]) is a thin materialization on
-//! top and produces byte-identical output to the historical
-//! `Vec<char>`-indexed implementation (kept as a reference oracle under
-//! the `reference` feature).
+//! once, feeding every character through the [`SourceStats`]
+//! accumulators and every token through the call-site, string-operator
+//! and procedure-body machine ([`TokenMachine`]) as it recognizes it.
+//!
+//! [`lex_spans`] has two compile-time modes. The full mode (`FULL =
+//! true`, behind [`MacroAnalysis`](crate::MacroAnalysis) and
+//! [`tokenize`]) also emits [`SpanToken`]s (byte + char positions, no
+//! owned payloads) with their string and comment side tables, and runs
+//! the machines only J1–J20 read: comment-body words, J5 readability,
+//! lines and procedure bodies. The V mode (`FULL = false`, behind
+//! [`LexScratch::lex_counts`](crate::LexScratch::lex_counts)) keeps only
+//! what V1–V15 read: it pushes no token, fills no table and counts the
+//! string literals instead, with the same character counts, word lengths,
+//! identifier lengths and histogram. The classic owned-token API
+//! ([`tokenize`]) is a thin materialization on top of the full mode and
+//! produces byte-identical output to the historical `Vec<char>`-indexed
+//! implementation (kept as a reference oracle under the `reference`
+//! feature).
 //!
 //! The loop is driven by bytes: every token starts at an ASCII byte or at
 //! the first byte of a non-ASCII `char` (which always starts an
@@ -17,12 +28,14 @@
 //!
 //! Each word is hashed once. The lexer classifies it with one probe of
 //! the [`words`](crate::words) table, read with two 8-byte loads, and the
-//! class rides on its token. An ASCII identifier or keyword body goes to
-//! the code-word machine as one span, which decides J5 once when the word
-//! ends. A user identifier (suffix included) goes into the
-//! distinct-identifier set ([`IdentSet`]), and a new name appends its
-//! length to [`SourceStats::ident_lengths`] for V14/V15.
+//! class rides on its token and into the token machine. An ASCII
+//! identifier or keyword body goes to the code-word machine as one span,
+//! which (in the full mode) decides J5 once when the word ends. A user
+//! identifier (suffix included) goes into the distinct-identifier set
+//! ([`IdentSet`]), and a new name appends its length to
+//! [`SourceStats::ident_lengths`] for V14/V15.
 
+use crate::calls::{TokenCounts, TokenMachine};
 use crate::idents::IdentSet;
 use crate::stats::{class, run_end, SourceStats, IDENT_START, WORD};
 use crate::token::{SpanKind, SpanToken, Token, TokenKind};
@@ -53,6 +66,17 @@ pub(crate) struct CommentInfo {
     pub body_end: usize,
 }
 
+/// The token stream and its side tables, which only the full mode fills:
+/// the tokens, the string values and comment bodies they index, and the
+/// `""`-decoded string values.
+#[derive(Debug, Default)]
+pub(crate) struct Tables {
+    pub tokens: Vec<SpanToken>,
+    pub strings: Vec<StrRepr>,
+    pub comments: Vec<CommentInfo>,
+    pub decoded: String,
+}
+
 /// Characters in `text`.
 fn char_count(text: &str) -> usize {
     if text.is_ascii() {
@@ -62,37 +86,51 @@ fn char_count(text: &str) -> usize {
     }
 }
 
-/// The single fused pass: tokenizes `source` into `tokens` (+ string and
-/// comment side tables, `""`-decoded string values appended to `decoded`)
-/// while filling `stats`, with `idents` as the distinct-identifier set.
-/// All outputs are cleared first; capacity is retained.
-pub(crate) fn lex_spans(
+/// The single fused pass over `source`: fills `stats` (with `idents` as
+/// the distinct-identifier set) and runs the token machine on each token
+/// as it is recognized; returns the machine's counts and the number of
+/// string literals.
+///
+/// `FULL` selects the mode. The full mode also fills `tables` and runs
+/// the J-only machines: comment-body words, J5 readability, lines and
+/// procedure bodies. The V mode leaves `tables` untouched. Both modes
+/// clear what they fill first and retain capacity.
+pub(crate) fn lex_spans<const FULL: bool>(
     source: &str,
-    tokens: &mut Vec<SpanToken>,
-    strings: &mut Vec<StrRepr>,
-    comments: &mut Vec<CommentInfo>,
-    decoded: &mut String,
+    tables: &mut Tables,
     stats: &mut SourceStats,
     idents: &mut IdentSet,
-) {
-    tokens.clear();
-    strings.clear();
-    comments.clear();
-    decoded.clear();
+) -> (TokenCounts, usize) {
+    let Tables {
+        tokens,
+        strings,
+        comments,
+        decoded,
+    } = tables;
+    if FULL {
+        tokens.clear();
+        strings.clear();
+        comments.clear();
+        decoded.clear();
+    }
     stats.reset();
     idents.clear();
+    let mut machine = TokenMachine::default();
+    let mut string_count = 0usize;
 
     let bytes = source.as_bytes();
     let n = bytes.len();
     let (mut pos, mut cpos) = (0usize, 0usize);
     let push = |tokens: &mut Vec<SpanToken>, kind, start, end, char_start, char_end| {
-        tokens.push(SpanToken {
-            kind,
-            start,
-            end,
-            char_start,
-            char_end,
-        })
+        if FULL {
+            tokens.push(SpanToken {
+                kind,
+                start,
+                end,
+                char_start,
+                char_end,
+            })
+        }
     };
 
     while pos < n {
@@ -104,9 +142,11 @@ pub(crate) fn lex_spans(
             let j = run_end(bytes, pos + 1, |b| matches!(b, b' ' | b'\t' | b'\r'));
             if j < n && bytes[j] == b'\n' {
                 // Splice: consume through the newline, no Newline token.
-                stats.code_ascii(bytes, pos, j + 1);
+                stats.code_ascii::<FULL>(bytes, pos, j + 1);
                 cpos += j + 1 - pos;
-                stats.newline(cpos - 1, bytes[j - 1] == b'\r');
+                if FULL {
+                    stats.newline(cpos - 1, bytes[j - 1] == b'\r');
+                }
                 pos = j + 1;
                 continue;
             }
@@ -115,44 +155,53 @@ pub(crate) fn lex_spans(
         match b {
             b' ' | b'\t' | b'\r' => {
                 pos = run_end(bytes, pos, |b| matches!(b, b' ' | b'\t' | b'\r'));
-                stats.end_code_word(bytes);
+                stats.end_code_word::<FULL>(bytes);
                 cpos += pos - start;
             }
             b'\n' => {
-                stats.end_code_word(bytes);
+                stats.end_code_word::<FULL>(bytes);
                 cpos += 1;
-                stats.newline(cstart, pos > 0 && bytes[pos - 1] == b'\r');
+                if FULL {
+                    stats.newline(cstart, pos > 0 && bytes[pos - 1] == b'\r');
+                }
                 pos += 1;
                 push(tokens, SpanKind::Newline, start, pos, cstart, cpos);
             }
             b'\'' => {
-                stats.end_code_word(bytes);
+                stats.end_code_word::<FULL>(bytes);
                 cpos += 1;
                 pos += 1;
                 let body_start = pos;
                 pos = run_end(bytes, pos, |b| b != b'\n');
                 let raw = &source[body_start..pos];
-                let raw_chars = stats.comment(source, body_start, pos);
+                let raw_chars = if FULL {
+                    let chars = stats.comment(source, body_start, pos);
+                    stats.end_comment_word(bytes);
+                    chars
+                } else {
+                    char_count(raw)
+                };
                 cpos += raw_chars;
-                stats.end_comment_word(bytes);
                 let body = raw.trim_end_matches('\r');
                 // Every trimmed byte is one '\r' character.
                 stats.comment_body_chars += raw_chars - (raw.len() - body.len());
                 stats.comment_span_chars += cpos - cstart;
-                comments.push(CommentInfo {
-                    body_start,
-                    body_end: body_start + body.len(),
-                });
-                let kind = SpanKind::Comment((comments.len() - 1) as u32);
-                push(tokens, kind, start, pos, cstart, cpos);
+                if FULL {
+                    comments.push(CommentInfo {
+                        body_start,
+                        body_end: body_start + body.len(),
+                    });
+                    let kind = SpanKind::Comment((comments.len() - 1) as u32);
+                    push(tokens, kind, start, pos, cstart, cpos);
+                }
             }
             b'"' => {
-                stats.end_code_word(bytes);
+                stats.end_code_word::<FULL>(bytes);
                 cpos += 1;
                 pos += 1;
                 let val_start = pos;
                 // Start of the value in `decoded`, once a `""` escape
-                // forces a rewrite.
+                // forces a rewrite (full mode only).
                 let mut rewritten: Option<usize> = None;
                 let mut char_len = 0usize;
                 let val_end = loop {
@@ -160,7 +209,7 @@ pub(crate) fn lex_spans(
                     let chars = char_count(&source[pos..j]);
                     cpos += chars;
                     char_len += chars;
-                    if rewritten.is_some() {
+                    if FULL && rewritten.is_some() {
                         decoded.push_str(&source[pos..j]);
                     }
                     pos = j;
@@ -169,11 +218,13 @@ pub(crate) fn lex_spans(
                         break j;
                     }
                     if bytes.get(j + 1) == Some(&b'"') {
-                        if rewritten.is_none() {
-                            rewritten = Some(decoded.len());
-                            decoded.push_str(&source[val_start..j]);
+                        if FULL {
+                            if rewritten.is_none() {
+                                rewritten = Some(decoded.len());
+                                decoded.push_str(&source[val_start..j]);
+                            }
+                            decoded.push('"');
                         }
-                        decoded.push('"');
                         cpos += 2;
                         char_len += 1;
                         pos += 2;
@@ -183,15 +234,18 @@ pub(crate) fn lex_spans(
                         break j;
                     }
                 };
-                let repr = match rewritten {
-                    Some(from) => StrRepr::Decoded(from, decoded.len()),
-                    None => StrRepr::Span(val_start, val_end),
-                };
-                strings.push(repr);
                 stats.string_chars += char_len;
                 stats.string_len_sum += char_len as f64;
-                let kind = SpanKind::StringLit((strings.len() - 1) as u32);
+                string_count += 1;
+                if FULL {
+                    strings.push(match rewritten {
+                        Some(from) => StrRepr::Decoded(from, decoded.len()),
+                        None => StrRepr::Span(val_start, val_end),
+                    });
+                }
+                let kind = SpanKind::StringLit((string_count - 1) as u32);
                 push(tokens, kind, start, pos, cstart, cpos);
+                machine.literal();
             }
             b'&' if matches!(bytes.get(pos + 1), Some(b'H' | b'h' | b'O' | b'o')) => {
                 // &H / &O numeric literal (falls back to operator + ident
@@ -203,14 +257,16 @@ pub(crate) fn lex_spans(
                 };
                 if j > pos + 2 {
                     pos = j + usize::from(j < n && is_suffix_byte(bytes[j]));
-                    stats.code_ascii(bytes, start, pos);
+                    stats.code_ascii::<FULL>(bytes, start, pos);
                     cpos += pos - start;
                     push(tokens, SpanKind::Number, start, pos, cstart, cpos);
+                    machine.literal();
                 } else {
                     pos += 1;
-                    stats.end_code_word(bytes);
+                    stats.end_code_word::<FULL>(bytes);
                     cpos += 1;
                     push(tokens, SpanKind::Operator("&"), start, pos, cstart, cpos);
+                    machine.operator("&");
                 }
             }
             b'0'..=b'9' => {
@@ -232,9 +288,10 @@ pub(crate) fn lex_spans(
                 if bytes.get(pos).copied().is_some_and(is_suffix_byte) {
                     pos += 1;
                 }
-                stats.code_ascii(bytes, start, pos);
+                stats.code_ascii::<FULL>(bytes, start, pos);
                 cpos += pos - start;
                 push(tokens, SpanKind::Number, start, pos, cstart, cpos);
+                machine.literal();
             }
             _ if b >= 0x80 || class(b) & IDENT_START != 0 => {
                 // Identifier characters: ASCII word bytes, and every byte
@@ -248,51 +305,60 @@ pub(crate) fn lex_spans(
                 if word.is_rem() {
                     // Rem comment: the whole span is masked, marker
                     // included; swallow the rest of the line.
-                    stats.end_code_word(bytes);
+                    stats.end_code_word::<FULL>(bytes);
                     cpos += pos - start;
                     let body_raw_start = pos;
                     pos = run_end(bytes, pos, |b| b != b'\n');
                     let raw = &source[body_raw_start..pos];
-                    let raw_chars = stats.comment(source, body_raw_start, pos);
+                    let raw_chars = if FULL {
+                        let chars = stats.comment(source, body_raw_start, pos);
+                        stats.end_comment_word(bytes);
+                        chars
+                    } else {
+                        char_count(raw)
+                    };
                     cpos += raw_chars;
-                    stats.end_comment_word(bytes);
                     let after_r = raw.trim_end_matches('\r');
                     let body = after_r.trim_start();
                     let prefix = &after_r[..after_r.len() - body.len()];
                     stats.comment_body_chars +=
                         raw_chars - (raw.len() - after_r.len()) - prefix.chars().count();
                     stats.comment_span_chars += cpos - cstart;
-                    let body_start = body_raw_start + prefix.len();
-                    comments.push(CommentInfo {
-                        body_start,
-                        body_end: body_start + body.len(),
-                    });
-                    let kind = SpanKind::Comment((comments.len() - 1) as u32);
-                    push(tokens, kind, start, pos, cstart, cpos);
+                    if FULL {
+                        let body_start = body_raw_start + prefix.len();
+                        comments.push(CommentInfo {
+                            body_start,
+                            body_end: body_start + body.len(),
+                        });
+                        let kind = SpanKind::Comment((comments.len() - 1) as u32);
+                        push(tokens, kind, start, pos, cstart, cpos);
+                    }
                 } else {
                     let word_end = pos;
-                    let kind = if word.is_keyword() {
-                        SpanKind::Keyword(word)
-                    } else {
+                    if !word.is_keyword() {
                         pos += usize::from(bytes.get(pos).copied().is_some_and(is_suffix_byte));
-                        SpanKind::Identifier(word)
-                    };
+                    }
                     if ascii {
                         // The body is all word bytes: one word-machine
                         // feed; a suffix ends the word.
                         stats.code_word(start, word_end);
                         if pos > word_end {
-                            stats.end_code_word(bytes);
+                            stats.end_code_word::<FULL>(bytes);
                         }
                         cpos += pos - start;
                     } else {
-                        cpos += stats.code(source, start, pos);
+                        cpos += stats.code::<FULL>(source, start, pos);
                     }
-                    if !word.is_keyword() && !word.is_builtin() && idents.insert(bytes, start, pos)
-                    {
-                        stats.ident_lengths.push((cpos - cstart) as f64);
+                    if word.is_keyword() {
+                        push(tokens, SpanKind::Keyword(word), start, pos, cstart, cpos);
+                        machine.keyword::<FULL>(word, cstart, cpos);
+                    } else {
+                        if !word.is_builtin() && idents.insert(bytes, start, pos) {
+                            stats.ident_lengths.push((cpos - cstart) as f64);
+                        }
+                        push(tokens, SpanKind::Identifier(word), start, pos, cstart, cpos);
+                        machine.identifier(word);
                     }
-                    push(tokens, kind, start, pos, cstart, cpos);
                 }
             }
             _ => {
@@ -332,15 +398,17 @@ pub(crate) fn lex_spans(
                     _ => None,
                 };
                 pos += op.map_or(1, str::len);
-                stats.end_code_word(bytes);
+                stats.end_code_word::<FULL>(bytes);
                 cpos += pos - start;
                 if let Some(op) = op {
                     push(tokens, SpanKind::Operator(op), start, pos, cstart, cpos);
+                    machine.operator(op);
                 }
             }
         }
     }
-    stats.finish(source, cpos);
+    stats.finish::<FULL>(source, cpos);
+    (machine.finish(), string_count)
 }
 
 /// Tokenizes VBA source code.
@@ -350,20 +418,19 @@ pub(crate) fn lex_spans(
 /// macros frequently contain deliberately broken code (§VI.B of the
 /// paper).
 pub fn tokenize(source: &str) -> Vec<Token> {
-    let mut tokens = Vec::new();
-    let mut strings = Vec::new();
-    let mut comments = Vec::new();
-    let mut decoded = String::new();
-    let mut stats = SourceStats::default();
-    lex_spans(
+    let mut tables = Tables::default();
+    lex_spans::<true>(
         source,
-        &mut tokens,
-        &mut strings,
-        &mut comments,
-        &mut decoded,
-        &mut stats,
+        &mut tables,
+        &mut SourceStats::default(),
         &mut IdentSet::default(),
     );
+    let Tables {
+        tokens,
+        strings,
+        comments,
+        decoded,
+    } = &tables;
     tokens
         .iter()
         .map(|t| {

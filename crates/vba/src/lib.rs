@@ -20,6 +20,7 @@
 //! ```
 
 pub mod analysis;
+mod calls;
 pub mod functions;
 mod idents;
 mod lexer;
@@ -28,6 +29,7 @@ mod token;
 pub mod words;
 
 pub use analysis::{LexScratch, MacroAnalysis};
+pub use calls::TokenCounts;
 pub use functions::FunctionCategory;
 #[cfg(any(test, feature = "reference"))]
 pub use lexer::reference_tokenize;

@@ -20,6 +20,15 @@
 //! the word ends. The lexer also fills the distinct-identifier lane
 //! ([`SourceStats::ident_lengths`]) that V14/V15 read.
 //!
+//! The machines that only J1–J20 read run in the lexer's full mode alone,
+//! selected by the same `const FULL: bool` the lexer takes: the
+//! comment-body word machine, J5's readability test and the line machine.
+//! So [`line_count`](SourceStats::line_count),
+//! [`long_lines`](SourceStats::long_lines),
+//! [`comment_words`](SourceStats::comment_words) and
+//! [`readable_words`](SourceStats::readable_words) read zero after a
+//! V-mode pass; every other field is filled the same in both modes.
+//!
 //! Equivalence with the old multi-pass computation is bit-level: every
 //! floating-point quantity that the extractors derive from these counters
 //! is accumulated in the same order the reference code iterated
@@ -156,7 +165,8 @@ enum Zone {
 }
 
 /// Character-level statistics of one macro source, filled by the lexer in
-/// the same pass that produces the token stream.
+/// its single pass. Fields marked "full mode only" stay zero after the V
+/// mode's pass ([`LexScratch::lex_counts`](crate::LexScratch::lex_counts)).
 ///
 /// Fields are documented with the features they back; "words" follow the
 /// paper's definition (runs of alphanumeric/`_` outside comments and
@@ -169,15 +179,16 @@ pub struct SourceStats {
     pub whitespace: usize,
     /// Backslash characters (J17).
     pub backslashes: usize,
-    /// Physical lines, `str::lines` semantics (J2/J3/J11/J14).
+    /// Physical lines, `str::lines` semantics (J2/J3/J11/J14). Full mode
+    /// only.
     pub line_count: usize,
-    /// Lines longer than 150 characters (J14).
+    /// Lines longer than 150 characters (J14). Full mode only.
     pub long_lines: usize,
     /// Words outside comments and strings (J12/J13).
     pub code_words: usize,
-    /// Words inside comment bodies (J5/J12/J13).
+    /// Words inside comment bodies (J5/J12/J13). Full mode only.
     pub comment_words: usize,
-    /// Human-readable words across code and comments (J5).
+    /// Human-readable words across code and comments (J5). Full mode only.
     pub readable_words: usize,
     /// Character length of every code word, in document order (V3/V4).
     pub word_lengths: Vec<f64>,
@@ -265,40 +276,51 @@ impl SourceStats {
     /// ASCII code `src[start..end]` that may mix word and non-word bytes
     /// (a number, a line continuation).
     #[inline]
-    pub(crate) fn code_ascii(&mut self, src: &[u8], start: usize, end: usize) {
+    pub(crate) fn code_ascii<const FULL: bool>(&mut self, src: &[u8], start: usize, end: usize) {
         debug_assert!(src[start..end].is_ascii());
-        self.words(src, start, end, Zone::Code);
+        self.words::<FULL>(src, start, end, Zone::Code);
     }
 
     /// Code `source[start..end]` holding non-ASCII characters; returns
     /// its character count.
     #[inline]
-    pub(crate) fn code(&mut self, source: &str, start: usize, end: usize) -> usize {
-        self.run(source, start, end, Zone::Code)
+    pub(crate) fn code<const FULL: bool>(
+        &mut self,
+        source: &str,
+        start: usize,
+        end: usize,
+    ) -> usize {
+        self.run::<FULL>(source, start, end, Zone::Code)
     }
 
-    /// A comment body `source[start..end]` (after the marker); returns
-    /// the character count. Call [`end_comment_word`](Self::end_comment_word)
-    /// at the comment's end.
+    /// A comment body `source[start..end]` (after the marker), full mode
+    /// only; returns the character count. Call
+    /// [`end_comment_word`](Self::end_comment_word) at the comment's end.
     #[inline]
     pub(crate) fn comment(&mut self, source: &str, start: usize, end: usize) -> usize {
-        self.run(source, start, end, Zone::Comment)
+        self.run::<true>(source, start, end, Zone::Comment)
     }
 
     #[inline]
-    fn run(&mut self, source: &str, start: usize, end: usize, zone: Zone) -> usize {
+    fn run<const FULL: bool>(
+        &mut self,
+        source: &str,
+        start: usize,
+        end: usize,
+        zone: Zone,
+    ) -> usize {
         let text = &source[start..end];
         if !text.is_ascii() {
-            return self.run_chars(source, start, end, zone);
+            return self.run_chars::<FULL>(source, start, end, zone);
         }
-        self.words(source.as_bytes(), start, end, zone);
+        self.words::<FULL>(source.as_bytes(), start, end, zone);
         text.len()
     }
 
     /// Feeds ASCII `src[start..end]` to the zone's word machine: word
     /// runs whole, each non-word run as one flush.
     #[inline]
-    fn words(&mut self, src: &[u8], start: usize, end: usize, zone: Zone) {
+    fn words<const FULL: bool>(&mut self, src: &[u8], start: usize, end: usize, zone: Zone) {
         let bytes = &src[..end];
         let mut i = start;
         while i < end {
@@ -309,14 +331,20 @@ impl SourceStats {
             if word_end == end {
                 break;
             }
-            self.flush(src, zone);
+            self.flush::<FULL>(src, zone);
             i = run_end(bytes, word_end, |b| class(b) & WORD == 0);
         }
     }
 
     /// The rare path for text with non-ASCII characters.
     #[cold]
-    fn run_chars(&mut self, source: &str, start: usize, end: usize, zone: Zone) -> usize {
+    fn run_chars<const FULL: bool>(
+        &mut self,
+        source: &str,
+        start: usize,
+        end: usize,
+        zone: Zone,
+    ) -> usize {
         let mut n = 0;
         for (i, c) in source[start..end].char_indices() {
             let at = start + i;
@@ -326,7 +354,7 @@ impl SourceStats {
             } else if !c.is_ascii() && c.is_alphanumeric() {
                 self.machine(zone).feed_char(at, c);
             } else {
-                self.flush(source.as_bytes(), zone);
+                self.flush::<FULL>(source.as_bytes(), zone);
             }
         }
         n
@@ -342,17 +370,17 @@ impl SourceStats {
     }
 
     #[inline]
-    fn flush(&mut self, src: &[u8], zone: Zone) {
+    fn flush<const FULL: bool>(&mut self, src: &[u8], zone: Zone) {
         if zone == Zone::Code {
-            self.end_code_word(src);
+            self.end_code_word::<FULL>(src);
         } else {
             self.end_comment_word(src);
         }
     }
 
-    /// The line machine, run for each `'\n'`: `str::lines` counts a line
-    /// per `'\n'`, stripping one `'\r'` before it. `at` is the newline's
-    /// character offset.
+    /// The line machine, run for each `'\n'` in the full mode:
+    /// `str::lines` counts a line per `'\n'`, stripping one `'\r'` before
+    /// it. `at` is the newline's character offset.
     #[inline]
     pub(crate) fn newline(&mut self, at: usize, after_cr: bool) {
         let len = at - self.line_start - usize::from(after_cr);
@@ -365,19 +393,23 @@ impl SourceStats {
 
     /// Ends any code word: the lexer consumed ASCII code that holds no
     /// word character (whitespace, an operator, a type suffix), or a
-    /// comment marker or string quote. `src` is the module source.
+    /// comment marker or string quote. `src` is the module source. Only
+    /// the full mode runs J5's readability test on the word.
     #[inline]
-    pub(crate) fn end_code_word(&mut self, src: &[u8]) {
+    pub(crate) fn end_code_word<const FULL: bool>(&mut self, src: &[u8]) {
         let run = self.code_run;
         if run.byte_len > 0 {
             self.code_words += 1;
             self.word_lengths.push(run.char_len as f64);
-            self.readable_words += usize::from(run.is_readable(src));
+            if FULL {
+                self.readable_words += usize::from(run.is_readable(src));
+            }
             self.code_run = WordRun::default();
         }
     }
 
-    /// Ends the current comment-body word run. The lexer calls this at
+    /// Ends the current comment-body word run (full mode only). The lexer
+    /// calls this at
     /// every comment terminator so a run can never merge with the first
     /// word of the *next* comment (e.g. `'t` directly followed on the
     /// next line by `'rai` is two words, not `trai`).
@@ -390,18 +422,21 @@ impl SourceStats {
         }
     }
 
-    /// Flushes open word runs and the final unterminated line (which,
-    /// like `str::lines`, keeps a trailing `'\r'`), and fills the
-    /// character histogram and the counts read off it. `char_len` is the
-    /// source's length in characters.
-    pub(crate) fn finish(&mut self, source: &str, char_len: usize) {
-        self.end_code_word(source.as_bytes());
-        self.end_comment_word(source.as_bytes());
-        let tail = char_len - self.line_start;
-        if tail > 0 {
-            self.line_count += 1;
-            if tail > 150 {
-                self.long_lines += 1;
+    /// Flushes the open code word and fills the character histogram and
+    /// the counts read off it; the full mode also flushes the open comment
+    /// word and counts the final unterminated line (which, like
+    /// `str::lines`, keeps a trailing `'\r'`). `char_len` is the source's
+    /// length in characters.
+    pub(crate) fn finish<const FULL: bool>(&mut self, source: &str, char_len: usize) {
+        self.end_code_word::<FULL>(source.as_bytes());
+        if FULL {
+            self.end_comment_word(source.as_bytes());
+            let tail = char_len - self.line_start;
+            if tail > 0 {
+                self.line_count += 1;
+                if tail > 150 {
+                    self.long_lines += 1;
+                }
             }
         }
         self.char_len = char_len;

@@ -132,12 +132,13 @@ benchmark_build() {
 # the extraction oracle (inflate, OLE, MS-OVBA outputs and failure text)
 # and the feature golden fixture the scoring oracle (V/J bit patterns and
 # token digests), so both rerun here too, with and without faultpoints
-# compiled in.
+# compiled in. So does the allocation-free scoring check, which covers the
+# V-only lex pass as well as the full one.
 determinism_tests() {
     cargo test -q --offline --test parallel_scan --test metrics --test container_fixture \
-        --test feature_fixture &&
+        --test feature_fixture --test steady_state_alloc &&
         cargo test -q --offline --features faultpoints --test parallel_scan --test fault_injection \
-            --test container_fixture --test feature_fixture
+            --test container_fixture --test feature_fixture --test steady_state_alloc
 }
 
 # The resident-service suites: protocol/breaker/drain unit coverage, then

@@ -6,8 +6,11 @@
 //! `tokenize` output's debug form. The sources are the shared bases, the
 //! word-table cases, the 600 seeded mutants of `feature_equivalence.rs`
 //! (same seed and order), and every macro of the paper corpus at scale
-//! 0.05. All go through one `FeatureScratch`, as on the scan path. A
-//! lexer or extractor rewrite must reproduce every line.
+//! 0.05. All go through one `FeatureScratch`, as on the scan path. Each
+//! V vector must also come out the same through `v_features` (the V-mode
+//! lex pass) and `v_features_from` over a full `MacroAnalysis`, and each
+//! J vector through `j_features`. A lexer or extractor rewrite must
+//! reproduce every line.
 //!
 //! After them come the `predict_proba` bit patterns of the committed
 //! forest (`fixtures/rf_forest.txt`) on 500 seeded two-feature probes,
@@ -28,7 +31,8 @@ use common::{mutate, BASES, WORD_CASES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vbadet::scan::cache::sha256;
-use vbadet_features::{FeatureScratch, FeatureSet};
+use vbadet_features::{j_features, v_features, v_features_from, FeatureScratch, FeatureSet};
+use vbadet_vba::MacroAnalysis;
 
 const FIXTURE: &str = include_str!("fixtures/features.txt");
 
@@ -43,6 +47,14 @@ fn bits(values: &[f64]) -> String {
 fn line(label: String, src: &str, scratch: &mut FeatureScratch) -> String {
     let v = bits(scratch.extract(FeatureSet::V, src));
     let j = bits(scratch.extract(FeatureSet::J, src));
+    assert_eq!(bits(&v_features(src)), v, "{label}: v_features");
+    let analysis = MacroAnalysis::new(src);
+    assert_eq!(
+        bits(&v_features_from(&analysis)),
+        v,
+        "{label}: v_features_from"
+    );
+    assert_eq!(bits(&j_features(src)), j, "{label}: j_features");
     let tokens = format!("{:?}", vbadet_vba::tokenize(src));
     let digest: String = sha256(tokens.as_bytes())
         .iter()

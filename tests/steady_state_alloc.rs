@@ -1,7 +1,10 @@
 //! Steady-state feature extraction makes no heap allocation (DESIGN §14):
-//! once one `FeatureScratch` has seen a set of sources, a second V+J pass
+//! once one `FeatureScratch` has seen a set of sources, a second pass
 //! over them allocates nothing, including for `""`-escaped string
-//! literals and non-ASCII characters.
+//! literals and non-ASCII characters. That holds for a scratch that
+//! alternates V and J (both lexer modes share its buffers) and for one
+//! that only ever scores V1–V15 (the V-mode pass alone, as a detector on
+//! V scores).
 //!
 //! The allocation counter is process-wide, so this file holds a single
 //! test: no other test thread may allocate while it counts.
@@ -23,24 +26,27 @@ fn a_warm_feature_scratch_extracts_without_allocating() {
         .copied()
         .chain(corpus.iter().map(|m| m.source.as_str()))
         .collect();
-    let mut scratch = FeatureScratch::default();
-    let pass = |scratch: &mut FeatureScratch| {
-        let mut sink = 0.0;
-        for src in &sources {
-            sink += scratch.extract(FeatureSet::V, src)[0];
-            sink += scratch.extract(FeatureSet::J, src)[0];
-        }
-        sink
-    };
-    let warm = pass(&mut scratch);
-    let (before, _) = cumulative_allocs();
-    let again = pass(&mut scratch);
-    let (after, _) = cumulative_allocs();
-    assert_eq!(warm.to_bits(), again.to_bits());
-    assert_eq!(
-        after - before,
-        0,
-        "a warm FeatureScratch allocated over {} sources",
-        sources.len()
-    );
+    for sets in [&[FeatureSet::V, FeatureSet::J][..], &[FeatureSet::V]] {
+        let mut scratch = FeatureScratch::default();
+        let pass = |scratch: &mut FeatureScratch| {
+            let mut sink = 0.0;
+            for src in &sources {
+                for &set in sets {
+                    sink += scratch.extract(set, src)[0];
+                }
+            }
+            sink
+        };
+        let warm = pass(&mut scratch);
+        let (before, _) = cumulative_allocs();
+        let again = pass(&mut scratch);
+        let (after, _) = cumulative_allocs();
+        assert_eq!(warm.to_bits(), again.to_bits());
+        assert_eq!(
+            after - before,
+            0,
+            "a warm {sets:?} FeatureScratch allocated over {} sources",
+            sources.len()
+        );
+    }
 }
