@@ -90,9 +90,10 @@ fn usage() -> &'static str {
 
 USAGE:
     vbadet scan [--scale F] [--classifier NAME] [--limits default|strict]
-                [--deadline-ms N] [--fuel N] [--ladder] [--jobs N]
+                [--model FILE] [--deadline-ms N] [--fuel N] [--jobs N]
                 [--isolate] [--max-scan-mem-mb N] [--cache DIR]
-                [--journal FILE] [--resume FILE] <file>...
+                [--journal FILE] [--resume FILE] [--stats]
+                [--metrics-json FILE] <file>...
     vbadet serve (--socket PATH | --tcp ADDR) [--jobs N] [--queue N]
                 [--breaker-threshold N] [--breaker-backoff-ms N]
                 [--in-process] [--heartbeat-ms N] [--cache-entries N]
@@ -144,8 +145,6 @@ OPTIONS:
     --deadline-ms N  wall-clock budget per document; a document that blows
                      it is reported FAILED [timeout], the batch keeps going
     --fuel N         deterministic work budget per document (~1 unit/KiB)
-    --ladder         retry failed documents down the degradation ladder
-                     (full parse -> strict limits -> salvage-only sweep)
     --jobs N         scanning workers (default: one per core); --jobs 1
                      selects the sequential engine; 0 is rejected. Reports
                      and journals are identical at any N
@@ -166,6 +165,11 @@ OPTIONS:
     --resume FILE    replay a journal from a killed run: completed documents
                      are not rescanned, mid-scan ones are re-attempted
     --seed N         RNG seed
+    --model FILE     load a detector saved by `vbadet train` instead of
+                     training one
+    --stats          print the pipeline metrics snapshot to stderr
+    --metrics-json FILE
+                     write the pipeline metrics snapshot as JSON
 
 SERVE OPTIONS:
     --socket PATH    listen on a Unix-domain socket (stale files replaced)
@@ -187,7 +191,7 @@ SERVE OPTIONS:
                      documents are answered without re-scanning and
                      concurrent duplicates share one scan (default 4096,
                      0 disables)
-    Scan policy options (--limits, --deadline-ms, --fuel, --ladder,
+    Scan policy options (--limits, --deadline-ms, --fuel,
     --max-scan-mem-mb, --model/--scale/--classifier/--seed) apply per
     request; --metrics-json writes the final service metrics at drain.
 

@@ -3,6 +3,7 @@
 //! decompression.
 
 use crate::limits::ScanLimits;
+use crate::scan::FailureClass;
 use crate::DetectError;
 use vbadet_faultpoint::Budget;
 use vbadet_metrics::{Counter, Stage};
@@ -47,7 +48,7 @@ pub fn sniff(bytes: &[u8]) -> Option<ContainerKind> {
 
 /// Extracts all VBA macros from a document (`.doc`, `.xls`, `.docm`,
 /// `.xlsm` or a bare `vbaProject.bin`): [`extract_macros_bounded`] under
-/// default [`ScanLimits`] and no budget, so a stomped project is salvaged
+/// default [`ScanLimits`] and no budget, so a damaged document is salvaged
 /// here exactly as it is on the scan path.
 ///
 /// # Errors
@@ -67,14 +68,16 @@ pub fn extract_macros(bytes: &[u8]) -> Result<Vec<ExtractedMacro>, DetectError> 
 pub enum ExtractionStatus {
     /// The VBA project parsed cleanly per MS-OVBA.
     Parsed,
-    /// The project structures were unreadable (stomped `dir` stream,
-    /// corrupted directory…) but module source was recovered by scanning
-    /// for intact compressed containers.
+    /// A container structure was unreadable (stomped `dir` stream,
+    /// corrupted compound-file directory, ZIP without a central
+    /// directory…) but module source was recovered by sweeping the
+    /// project's streams, or else the raw bytes, for intact compressed
+    /// containers.
     Salvaged,
 }
 
 /// Result of limit-aware extraction: the recovered macros plus whether the
-/// strict parser or the salvage scanner produced them.
+/// MS-OVBA parser or a salvage sweep produced them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Extraction {
     /// Recovered macro modules (possibly empty for a macro-free OLE file).
@@ -85,15 +88,18 @@ pub struct Extraction {
 
 /// The one extractor: sniffs the container, opens it under explicit
 /// [`ScanLimits`] and a cooperative scan [`Budget`] threaded through every
-/// container layer, and salvages when the project structures are malformed
-/// yet intact compressed containers remain. Salvaged modules are tagged
+/// container layer, and salvages when a structure is malformed or
+/// truncated yet intact compressed containers remain. A failed VBA project
+/// is swept stream by stream, then as one raw buffer; a broken compound
+/// file or ZIP is swept as raw bytes. Salvaged modules are tagged
 /// [`ExtractionStatus::Salvaged`].
 ///
-/// Limit breaches are *not* salvaged — an input that trips a resource cap
-/// is reported as [`DetectError`] wrapping a `LimitExceeded` so batch
-/// callers can surface it as a typed outcome rather than silently
-/// truncating. Nor is a budget trip: a pathological-but-limit-respecting
-/// document trips the budget instead of stalling, surfacing as a typed
+/// Limit breaches and cyclic sector chains are *not* salvaged — an input
+/// that trips a resource cap is reported as [`DetectError`] wrapping a
+/// `LimitExceeded` (or `ChainCycle`) so batch callers can surface it as a
+/// typed outcome rather than silently truncating. Nor is a budget trip: a
+/// pathological-but-limit-respecting document trips the budget instead of
+/// stalling, surfacing as a typed
 /// `DeadlineExceeded` error from whichever layer was mid-parse, and the
 /// salvage scan would spend the same (already exhausted) budget.
 ///
@@ -112,22 +118,28 @@ pub fn extract_macros_bounded(
         }
         Some(ContainerKind::Ooxml) => {
             budget.checkpoint().map_err(OvbaError::from)?;
-            let zip = ZipArchive::parse_budgeted(bytes, limits.zip, budget.clone())?;
+            let container = ContainerKind::Ooxml;
+            let zip = match ZipArchive::parse_budgeted(bytes, limits.zip, budget.clone()) {
+                Ok(zip) => zip,
+                Err(e) => return sweep(bytes, e.into(), container, limits, budget),
+            };
             let part = zip
                 .names()
                 .find(|n| n.ends_with("vbaProject.bin"))
                 .map(str::to_string)
                 .ok_or(DetectError::NoVbaPart)?;
-            let bin = zip.read_file(&part)?;
-            extract_from_ole_bytes(&bin, ContainerKind::Ooxml, limits, budget)
+            match zip.read_file(&part) {
+                Ok(bin) => extract_from_ole_bytes(&bin, container, limits, budget),
+                Err(e) => sweep(bytes, e.into(), container, limits, budget),
+            }
         }
         None => Err(DetectError::UnknownContainer),
     }
 }
 
 /// Parses an OLE buffer and extracts its VBA project, salvaging when the
-/// strict path fails for a reason other than a resource cap or a budget
-/// trip.
+/// parse fails for a reason other than a resource cap, a cyclic chain or a
+/// budget trip.
 fn extract_from_ole_bytes(
     bytes: &[u8],
     container: ContainerKind,
@@ -140,28 +152,7 @@ fn extract_from_ole_bytes(
     budget.checkpoint().map_err(OvbaError::from)?;
     let ole = match OleFile::parse_budgeted(bytes, limits.ole, budget.clone()) {
         Ok(ole) => ole,
-        Err(
-            e @ (vbadet_ole::OleError::LimitExceeded { .. }
-            | vbadet_ole::OleError::ChainCycle { .. }
-            | vbadet_ole::OleError::DeadlineExceeded(_)),
-        ) => return Err(e.into()),
-        Err(e) => {
-            // The compound file itself is unreadable; scan the raw buffer
-            // for compressed containers as a last resort.
-            let salvaged = {
-                let _t = budget.metrics().time(Stage::OvbaSalvageNs);
-                salvage_modules_from_bytes_budgeted(bytes, "", &limits.ovba, budget)?
-            };
-            budget.checkpoint().map_err(OvbaError::from)?;
-            if salvaged.is_empty() {
-                return Err(e.into());
-            }
-            budget.metrics().count(Counter::ExtractSalvaged, 1);
-            return Ok(Extraction {
-                macros: modules_to_macros(salvaged, container),
-                status: ExtractionStatus::Salvaged,
-            });
-        }
+        Err(e) => return sweep(bytes, e.into(), container, limits, budget),
     };
     match VbaProject::from_ole_budgeted(&ole, &limits.ovba, budget) {
         Ok(project) => {
@@ -189,22 +180,51 @@ fn extract_from_ole_bytes(
             };
             budget.checkpoint().map_err(OvbaError::from)?;
             if salvaged.is_empty() {
-                return Err(e.into());
+                // No stream that opens holds a module; a module whose
+                // directory entry broke still sits in some sector.
+                return sweep(bytes, e.into(), container, limits, budget);
             }
-            budget.metrics().count(Counter::ExtractSalvaged, 1);
-            Ok(Extraction {
-                macros: modules_to_macros(salvaged, container),
-                status: ExtractionStatus::Salvaged,
-            })
+            Ok(tag_salvaged(salvaged, container, budget))
         }
     }
 }
 
-fn modules_to_macros(
+/// The last resort when a container structure breaks: sweeps `bytes` for
+/// intact compressed containers, ignoring every structure around them.
+/// Returns the modules found as [`ExtractionStatus::Salvaged`], or `broken`
+/// when there are none. A resource cap, cyclic chain or budget trip is
+/// returned as it is, unswept.
+fn sweep(
+    bytes: &[u8],
+    broken: DetectError,
+    container: ContainerKind,
+    limits: &ScanLimits,
+    budget: &Budget,
+) -> Result<Extraction, DetectError> {
+    if !matches!(
+        FailureClass::from_error(&broken),
+        FailureClass::Malformed | FailureClass::Truncated
+    ) {
+        return Err(broken);
+    }
+    let salvaged = {
+        let _t = budget.metrics().time(Stage::OvbaSalvageNs);
+        salvage_modules_from_bytes_budgeted(bytes, "", &limits.ovba, budget)?
+    };
+    budget.checkpoint().map_err(OvbaError::from)?;
+    if salvaged.is_empty() {
+        return Err(broken);
+    }
+    Ok(tag_salvaged(salvaged, container, budget))
+}
+
+fn tag_salvaged(
     modules: Vec<vbadet_ovba::VbaModule>,
     container: ContainerKind,
-) -> Vec<ExtractedMacro> {
-    modules
+    budget: &Budget,
+) -> Extraction {
+    budget.metrics().count(Counter::ExtractSalvaged, 1);
+    let macros = modules
         .into_iter()
         .map(|m| ExtractedMacro {
             module_name: m.name,
@@ -212,7 +232,11 @@ fn modules_to_macros(
             project_name: String::from("<salvaged>"),
             container,
         })
-        .collect()
+        .collect();
+    Extraction {
+        macros,
+        status: ExtractionStatus::Salvaged,
+    }
 }
 
 fn project_to_macros(project: VbaProject, container: ContainerKind) -> Vec<ExtractedMacro> {
@@ -295,6 +319,44 @@ mod tests {
             extract_macros(&zip.finish()),
             Err(DetectError::NoVbaPart)
         ));
+    }
+
+    /// Bytes that sniff as a ZIP but have no central directory, with an
+    /// intact compressed module buried inside.
+    fn fake_zip() -> Vec<u8> {
+        let mut doc = b"PK\x03\x04 this is not really an archive ".to_vec();
+        doc.extend_from_slice(&vbadet_ovba::compress(
+            b"Attribute VB_Name = \"M\"\r\nSub Work()\r\n    x = 1\r\nEnd Sub\r\n",
+        ));
+        doc
+    }
+
+    #[test]
+    fn a_broken_zip_is_swept_for_intact_modules() {
+        let x = extract_macros_bounded(&fake_zip(), &ScanLimits::default(), &Budget::unlimited())
+            .unwrap();
+        assert_eq!(x.status, ExtractionStatus::Salvaged);
+        assert_eq!(x.macros.len(), 1);
+        assert_eq!(x.macros[0].module_name, "salvaged_1");
+        assert_eq!(x.macros[0].container, ContainerKind::Ooxml);
+    }
+
+    #[test]
+    fn a_resource_cap_is_reported_typed_not_swept() {
+        // The raw bytes hold both modules, but a cap breach says nothing
+        // about structure: it must surface as itself.
+        let mut limits = ScanLimits::default();
+        limits.ole.max_sectors = 2;
+        let err =
+            extract_macros_bounded(&project().build().unwrap(), &limits, &Budget::unlimited())
+                .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                DetectError::Ole(vbadet_ole::OleError::LimitExceeded { .. })
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -96,7 +96,7 @@ use super::{FailureClass, ScanOutcome, ScanPolicy};
 pub const CACHE_FORMAT: &str = "vbadet-scan-cache";
 /// On-disk schema version. Bumping it orphans (but does not delete) every
 /// existing segment: the loader skips segments with a different version.
-pub const CACHE_VERSION: u64 = 1;
+pub const CACHE_VERSION: u64 = 2;
 
 /// Number of in-memory LRU shards. A power of two so shard selection is a
 /// mask on the first digest byte.
@@ -329,17 +329,16 @@ pub(crate) fn detector_fingerprint(detector: &Detector) -> u64 {
 }
 
 /// Fingerprint of the outcome-affecting policy fields. Mirrors the field
-/// set the isolation supervisor serializes into its hello frame: limits,
-/// budgets and the ladder switch change outcomes; `jobs`, `isolate`,
-/// metrics, drain and the cache handle itself do not.
+/// set the isolation supervisor serializes into its hello frame: limits
+/// and budgets change outcomes; `jobs`, `isolate`, metrics, drain and the
+/// cache handle itself do not.
 pub(crate) fn policy_fingerprint(policy: &ScanPolicy) -> u64 {
     let l = &policy.limits;
     let canon = format!(
-        "deadline_ms={:?} fuel={:?} ladder={} max_scan_mem={:?} \
+        "deadline_ms={:?} fuel={:?} max_scan_mem={:?} \
          zip=({},{}) ole=({},{},{},{}) ovba=({},{},{}) max_file_size={}",
         policy.deadline_per_doc.map(|d| d.as_millis()),
         policy.fuel_per_doc,
-        policy.ladder,
         policy.max_scan_mem,
         l.zip.max_entries,
         l.zip.max_member_bytes,
@@ -1096,7 +1095,6 @@ mod tests {
         // Outcome-affecting fields must.
         assert_ne!(fp, policy_fingerprint(&base.clone().deadline_ms(1234)));
         assert_ne!(fp, policy_fingerprint(&base.clone().fuel(9)));
-        assert_ne!(fp, policy_fingerprint(&base.clone().with_ladder()));
         assert_ne!(fp, policy_fingerprint(&base.clone().max_scan_mem_bytes(1)));
         let mut shrunk = base.clone();
         shrunk.limits.max_file_size = 17;

@@ -256,12 +256,10 @@ pub(crate) fn hello_frame(detector: &Detector, policy: &ScanPolicy, generation: 
     let l = &policy.limits;
     format!(
         "{{\"op\":\"hello\",\"generation\":{generation},\"detector\":{},\"deadline_ms\":{},\
-         \"fuel\":{},\"ladder\":{},\
-         \"max_scan_mem\":{},\"limits\":[{},{},{},{},{},{},{},{},{},{}]}}",
+         \"fuel\":{},\"max_scan_mem\":{},\"limits\":[{},{},{},{},{},{},{},{},{},{}]}}",
         json_str(&detector.save()),
         opt_num(policy.deadline_per_doc.map(|d| d.as_millis() as u64)),
         opt_num(policy.fuel_per_doc),
-        policy.ladder,
         opt_num(policy.max_scan_mem),
         l.zip.max_entries,
         l.zip.max_member_bytes,
@@ -312,7 +310,6 @@ fn decode_hello(j: &Json) -> Result<(Detector, ScanPolicy, u64), String> {
     let mut policy = ScanPolicy::with_limits(limits);
     policy.deadline_per_doc = num("deadline_ms").map(Duration::from_millis);
     policy.fuel_per_doc = num("fuel");
-    policy.ladder = j.get("ladder").and_then(Json::as_bool).unwrap_or(false);
     policy.max_scan_mem = num("max_scan_mem");
     // Detector generation (0 for batch runs that never reload). The
     // worker echoes it in its ready frame so the supervisor can prove
@@ -1028,7 +1025,6 @@ mod tests {
         let policy = ScanPolicy::with_limits(ScanLimits::strict())
             .deadline_ms(1234)
             .fuel(99)
-            .with_ladder()
             .max_scan_mem_bytes(5 << 20);
         let frame = hello_frame(&detector, &policy, 7);
         let (loaded, decoded, generation) = decode_hello(&json::parse(&frame).unwrap()).unwrap();
@@ -1036,7 +1032,6 @@ mod tests {
         assert_eq!(decoded.limits, policy.limits);
         assert_eq!(decoded.deadline_per_doc, policy.deadline_per_doc);
         assert_eq!(decoded.fuel_per_doc, policy.fuel_per_doc);
-        assert_eq!(decoded.ladder, policy.ladder);
         assert_eq!(decoded.max_scan_mem, policy.max_scan_mem);
         // The detector survives the trip: same verdict on a probe string.
         let probe = "Sub A()\r\n    x = Chr(1) & Chr(2) & Chr(3)\r\nEnd Sub\r\n";

@@ -5,7 +5,7 @@
 //! speaking the newline-delimited request/response protocol of [`proto`]
 //! (`scan <path>`, inline `bytes_hex` documents, `metrics`, `health`,
 //! `ready`). Every scan runs through the batch engine's own per-document
-//! code — [`ScanPolicy`] budgets, the degradation ladder, the scan cache
+//! code — [`ScanPolicy`] budgets, the one salvaging extractor, the scan cache
 //! and its single-flight, and (when the policy carries an
 //! [`IsolateConfig`](crate::scan::IsolateConfig)) the isolate executor,
 //! which sees each request as a claim of one document, so a hostile
@@ -71,8 +71,7 @@ pub use proto::{parse_request, Request, ScanTarget, Verb, MAX_REQUEST_LINE_BYTES
 /// Everything that shapes the service's robustness envelope.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Scan policy applied to every request (budgets, ladder, limits,
-    /// isolation). [`serve`] forces the policy's metrics sink on — the
+    /// Scan policy applied to every request (budgets, limits, isolation). [`serve`] forces the policy's metrics sink on — the
     /// `metrics` verb must always have something to report.
     pub policy: ScanPolicy,
     /// Scan worker threads (each owning one isolate executor when the

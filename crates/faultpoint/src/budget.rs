@@ -94,8 +94,9 @@ struct BudgetState {
     /// Charges remaining until the next wall-clock read.
     clock_countdown: AtomicU32,
     /// Sticky breach: once a budget trips, every later charge fails with
-    /// the same reason, so degradation-ladder rungs sharing the budget
-    /// fail fast instead of re-running to the deadline.
+    /// the same reason, so the layers after the one that tripped it (a
+    /// salvage sweep after a failed parse, say) fail fast instead of
+    /// re-running to the deadline.
     tripped: AtomicU8,
     /// Observability handle riding along with the budget so every layer
     /// the budget already reaches (zip, ole, ovba, extract) can record
@@ -269,8 +270,8 @@ impl Budget {
 
     /// Reads the wall clock *now* (ignoring the amortization countdown)
     /// and reports whether the budget is still good. Used at coarse
-    /// boundaries — e.g. between degradation-ladder rungs — where an
-    /// immediate answer matters more than the saved clock read.
+    /// boundaries — e.g. between container layers — where an immediate
+    /// answer matters more than the saved clock read.
     ///
     /// # Errors
     ///

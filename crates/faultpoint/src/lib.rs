@@ -17,7 +17,7 @@
 //!   registry (configured programmatically or via the
 //!   `VBADET_FAULTPOINTS` environment variable) and can panic, stall,
 //!   or make the enclosing function return early — which is how the
-//!   integration suite proves the degradation ladder, timeout and
+//!   integration suite proves the panic-containment, timeout and
 //!   crash-resume paths without real hostile hardware.
 //!
 //! # Budget example
@@ -30,7 +30,7 @@
 //!     budget.charge(1).unwrap();
 //! }
 //! assert_eq!(budget.charge(1), Err(BudgetExceeded::Fuel));
-//! // Once tripped, a budget stays tripped (ladder rungs sharing it fail fast).
+//! // Once tripped, a budget stays tripped (every later layer fails fast).
 //! assert_eq!(budget.charge(0), Err(BudgetExceeded::Fuel));
 //!
 //! let unlimited = Budget::unlimited();

@@ -125,20 +125,13 @@ metric_enum! {
         OvbaSalvageCandidates => "ovba.salvage_candidates",
         /// Modules the salvage sweep actually recovered.
         OvbaSalvageModules => "ovba.salvage_modules",
-        /// Documents entering the extraction layer.
+        /// Documents entering the extraction layer, once per document
+        /// whatever recovers its macros.
         ExtractDocs => "extract.docs",
         /// Extractions that parsed cleanly per MS-OVBA.
         ExtractParsed => "extract.parsed",
         /// Extractions recovered by the salvage scanner.
         ExtractSalvaged => "extract.salvaged",
-        /// First-rung (full-parse) ladder attempts.
-        LadderFullAttempts => "ladder.full_attempts",
-        /// Strict-limits ladder re-parses.
-        LadderStrictAttempts => "ladder.strict_attempts",
-        /// Salvage-only ladder sweeps.
-        LadderSalvageAttempts => "ladder.salvage_attempts",
-        /// Documents rescued below the top rung.
-        LadderRecovered => "ladder.recovered",
         /// Documents decided by the batch engine.
         ScanDocs => "scan.docs",
         /// Documents that parsed with no macros.
@@ -147,7 +140,8 @@ metric_enum! {
         ScanMacros => "scan.macros",
         /// Documents whose macros came from salvage.
         ScanSalvaged => "scan.salvaged",
-        /// Documents recovered by the degradation ladder.
+        /// Documents recovered by the retired degradation ladder (replayed
+        /// from an old journal; no scan produces them).
         ScanRecovered => "scan.recovered",
         /// Documents that could not be scanned.
         ScanFailed => "scan.failed",
@@ -202,12 +196,8 @@ metric_enum! {
         OvbaProjectNs => "ovba.project_ns",
         /// Salvage sweep, per buffer or stream set.
         OvbaSalvageNs => "ovba.salvage_ns",
-        /// Full-parse ladder rung, per document.
+        /// Contained extraction and scoring, per document.
         ExtractFullNs => "extract.full_ns",
-        /// Strict-limits ladder rung, per document.
-        ExtractStrictNs => "extract.strict_ns",
-        /// Salvage-only ladder rung, per document.
-        ExtractSalvageNs => "extract.salvage_ns",
         /// Detector feature extraction, per scored module.
         FeaturesNs => "scan.features_ns",
         /// Classifier inference over extracted features, per scored module.
@@ -493,7 +483,7 @@ pub struct ScanMetrics {
 /// Format name carried by the snapshot's JSON rendering.
 pub const METRICS_FORMAT: &str = "vbadet-scan-metrics";
 /// Format version carried by the snapshot's JSON rendering.
-pub const METRICS_VERSION: u64 = 1;
+pub const METRICS_VERSION: u64 = 2;
 
 impl ScanMetrics {
     /// Value of one counter, 0 when absent.
@@ -809,7 +799,7 @@ mod tests {
             sink.snapshot().unwrap().to_json(),
             r#"{
   "format": "vbadet-scan-metrics",
-  "version": 1,
+  "version": 2,
   "counters": {
     "scan.docs": 42,
     "zip.bytes_inflated": 9223372036854775807
@@ -823,7 +813,7 @@ mod tests {
         );
         assert_eq!(
             MetricsSink::enabled().snapshot().unwrap().to_json(),
-            "{\n  \"format\": \"vbadet-scan-metrics\",\n  \"version\": 1,\n  \
+            "{\n  \"format\": \"vbadet-scan-metrics\",\n  \"version\": 2,\n  \
              \"counters\": {},\n  \"histograms\": {}\n}\n"
         );
     }

@@ -16,8 +16,13 @@ use vbadet_faultpoint::Budget;
 use vbadet_metrics::Counter;
 use vbadet_ole::OleFile;
 
-/// Minimum decompressed size for a salvaged blob to count as a module
-/// (mirrors the paper's 150-byte short-macro preprocessing floor).
+/// Minimum decompressed size for a salvaged blob to count as a module. A
+/// sweep over raw bytes meets chance container signatures, and a very short
+/// decode can carry a keyword such as `dim ` by accident; Office opens every
+/// module with an `Attribute VB_Name = "…"` line, so real module source
+/// clears this floor. It is not the paper's 150-byte short-macro floor
+/// (`vbadet::preprocess::MIN_MACRO_BYTES`), which the paper applies when
+/// it prepares its macro corpus (§IV.B), not to what a scan extracts.
 const MIN_SALVAGE_BYTES: usize = 32;
 
 /// Whether a decompressed blob plausibly is VBA source rather than one of

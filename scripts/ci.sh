@@ -484,7 +484,7 @@ stage serve-soak serve_soak
 stage reload-soak reload_soak
 stage paper paper_stage
 stage clippy cargo clippy --offline --workspace --all-targets -- -D warnings
-stage clippy-faultpoints cargo clippy --offline -p vbadet-faultpoint --features faultpoints --all-targets -- -D warnings
+stage clippy-faultpoints cargo clippy --offline --workspace --features faultpoints --all-targets -- -D warnings
 stage bench cargo bench --offline -p vbadet-bench --bench scan_parallel
 stage bench-features cargo bench --offline -p vbadet-bench --bench features
 stage bench-cache cargo bench --offline -p vbadet-bench --bench cache

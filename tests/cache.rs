@@ -499,7 +499,7 @@ mod faultpoints {
         let dir = fresh_dir("kill-resume");
         let paths = duplicate_corpus(&dir, 12);
 
-        let policy = ScanPolicy::default().with_ladder();
+        let policy = ScanPolicy::default();
         let reference = scan_paths_journaled(det, &paths, &policy, None, None);
 
         // Warm the cache with a full pass, then kill a cached journaled

@@ -19,13 +19,12 @@
 
 mod mutants;
 
-use mutants::{flip_bytes, splice, truncate};
+use mutants::{flip_bytes, raw_project_mutants};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vbadet::scan::cache::sha256;
 use vbadet::{extract_macros_bounded, Budget, FailureClass, ScanLimits};
 use vbadet_corpus::{generate_macros, CorpusSpec, DocumentFactory};
-use vbadet_ovba::VbaProjectBuilder;
 use vbadet_zip::ZipArchive;
 
 const FIXTURE: &str = include_str!("fixtures/containers.txt");
@@ -135,20 +134,8 @@ fn fixture_lines() -> Vec<String> {
     }
 
     // The raw-project mutants of `hostile_inputs.rs`, same seed and order.
-    let mut b = VbaProjectBuilder::new("P");
-    b.add_module(
-        "Module1",
-        "Sub A()\r\n    x = Chr(65) & Chr(66)\r\nEnd Sub\r\n",
-    );
-    let base = b.build().unwrap();
-    let mut rng = StdRng::seed_from_u64(0xBADC0DE);
-    for k in 0..500 {
-        let mutant = match rng.gen_range(0..3u8) {
-            0 => flip_bytes(&base, &mut rng),
-            1 => truncate(&base, &mut rng),
-            _ => splice(&base, &base, &mut rng),
-        };
-        lines.push(format!("raw {k} {}", outcome(&mutant)));
+    for (k, mutant) in raw_project_mutants().iter().enumerate() {
+        lines.push(format!("raw {k} {}", outcome(mutant)));
     }
     lines
 }

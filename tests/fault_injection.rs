@@ -11,7 +11,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use vbadet::{
     replay_journal, scan_bytes_with_policy, scan_paths_journaled, scan_paths_with_policy, Detector,
-    DetectorConfig, FailureClass, LadderRung, ScanJournal, ScanOutcome, ScanPolicy,
+    DetectorConfig, FailureClass, ScanJournal, ScanOutcome, ScanPolicy,
 };
 use vbadet_corpus::CorpusSpec;
 use vbadet_faultpoint::{clear, configure, hit_count};
@@ -51,15 +51,15 @@ fn clean_document() -> Vec<u8> {
 }
 
 #[test]
-fn ladder_recovers_from_an_injected_parser_panic() {
+fn an_injected_parser_panic_is_contained_per_document() {
     let _guard = registry_guard();
     let det = &tiny_detector();
     let doc = macro_document();
 
-    // Rung 1 (and only rung 1) blows up with a simulated parser bug.
+    // The parse blows up with a simulated parser bug.
     configure("scan::full-parse", "panic(injected parser bug)").unwrap();
 
-    // Without the ladder the panic is contained but the document is lost.
+    // The panic is contained and typed; the document is lost.
     let flat = scan_bytes_with_policy(det, &doc, &ScanPolicy::default());
     match &flat {
         ScanOutcome::Failed {
@@ -74,17 +74,14 @@ fn ladder_recovers_from_an_injected_parser_panic() {
         other => panic!("expected a contained panic, got {other:?}"),
     }
 
-    // With the ladder the strict-limits retry rescues the same bytes.
-    let laddered = scan_bytes_with_policy(det, &doc, &ScanPolicy::default().with_ladder());
-    match &laddered {
-        ScanOutcome::Recovered { rung, verdicts } => {
-            assert_eq!(*rung, LadderRung::Strict);
-            assert_eq!(verdicts.len(), 1);
-        }
-        other => panic!("expected a strict-rung recovery, got {other:?}"),
-    }
-
+    // The contained panic leaves nothing behind: once the fault is gone,
+    // the same bytes scan normally on the same thread.
     clear();
+    let after = scan_bytes_with_policy(det, &doc, &ScanPolicy::default());
+    assert!(
+        matches!(&after, ScanOutcome::Macros(v) if v.len() == 1),
+        "expected a clean rescan, got {after:?}"
+    );
 }
 
 #[test]
@@ -138,7 +135,7 @@ fn killed_scan_resumes_from_its_journal_without_rescanning_finished_docs() {
     std::fs::write(&paths[2], macro_document()).unwrap();
     std::fs::write(&paths[3], b"not a document at all").unwrap();
 
-    let policy = ScanPolicy::default().with_ladder();
+    let policy = ScanPolicy::default();
     let reference = scan_paths_journaled(det, &paths, &policy, None, None);
 
     // The batch loop dies (simulated crash) when it reaches document 3.
@@ -238,7 +235,7 @@ fn parallel_kill_and_resume_reproduces_the_sequential_reference_exactly() {
 
     let policy = ScanPolicy {
         jobs: 4,
-        ..ScanPolicy::default().with_ladder()
+        ..ScanPolicy::default()
     };
     let reference = scan_paths_journaled(det, &paths, &policy, None, None);
 

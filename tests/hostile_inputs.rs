@@ -11,7 +11,7 @@
 
 mod mutants;
 
-use mutants::{flip_bytes, splice, truncate};
+use mutants::{flip_bytes, raw_project_mutants, splice, truncate};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vbadet::{
@@ -19,7 +19,7 @@ use vbadet::{
     ScanOutcome, ScanPolicy,
 };
 use vbadet_corpus::{generate_macros, CorpusSpec, DocumentFactory};
-use vbadet_ovba::VbaProjectBuilder;
+use vbadet_ovba::{salvage_modules_from_bytes_budgeted, VbaProjectBuilder};
 
 const MIN_MUTANTS: usize = 1000;
 
@@ -81,7 +81,7 @@ fn thousand_mutants_never_panic_the_scan_engine() {
                     ScanOutcome::Clean => "clean",
                     ScanOutcome::Macros(_) => "macros",
                     ScanOutcome::Salvaged(_) => "salvaged",
-                    // The ladder is off in this policy, but the enum is shared.
+                    // Only replayed from old journals; no scan produces it.
                     ScanOutcome::Recovered { .. } => "recovered",
                     ScanOutcome::Failed { class, .. } => class.label(),
                 };
@@ -120,30 +120,54 @@ fn thousand_mutants_never_panic_the_scan_engine() {
 
 #[test]
 fn mutants_of_the_raw_project_bin_never_break_extraction() {
-    // Direct extraction-level fuzz (below the scan engine): the strict
-    // API must return Ok/Err, never unwind.
-    let mut b = VbaProjectBuilder::new("P");
-    b.add_module(
-        "Module1",
-        "Sub A()\r\n    x = Chr(65) & Chr(66)\r\nEnd Sub\r\n",
-    );
-    let base = b.build().unwrap();
+    // Direct extraction-level fuzz (below the scan engine) under strict
+    // limits: the extractor must return Ok/Err, never unwind. And a broken
+    // structure is only an `Err` when the raw bytes hold no module either:
+    // there is one salvage path, so no second sweep can find more.
     let limits = ScanLimits::strict();
-    let mut rng = StdRng::seed_from_u64(0xBADC0DE);
-    for _ in 0..500 {
-        let mutant = match rng.gen_range(0..3u8) {
-            0 => flip_bytes(&base, &mut rng),
-            1 => truncate(&base, &mut rng),
-            _ => splice(&base, &base, &mut rng),
-        };
+    for (k, mutant) in raw_project_mutants().iter().enumerate() {
         let result = std::panic::catch_unwind(|| {
-            let _ = vbadet::extract_macros_bounded(&mutant, &limits, &Budget::unlimited());
+            vbadet::extract_macros_bounded(mutant, &limits, &Budget::unlimited())
         });
-        assert!(
-            result.is_ok(),
-            "extraction panicked on a mutant of len {}",
-            mutant.len()
-        );
+        let Ok(result) = result else {
+            panic!("extraction panicked on mutant {k} of len {}", mutant.len());
+        };
+        let Err(e) = result else { continue };
+        if matches!(
+            FailureClass::from_error(&e),
+            FailureClass::Malformed | FailureClass::Truncated
+        ) {
+            let swept =
+                salvage_modules_from_bytes_budgeted(mutant, "", &limits.ovba, &Budget::unlimited())
+                    .unwrap();
+            assert!(
+                swept.is_empty(),
+                "mutant {k} fails ({e}) but a raw-bytes sweep finds {} module(s)",
+                swept.len()
+            );
+        }
+    }
+}
+
+/// The `raw 133` line of `tests/fixtures/containers.txt`: a splice
+/// clobbered the start sector and size in the compound file's directory,
+/// so the `Module1` stream no longer opens and no stream that does open
+/// holds an intact module. The module's compressed source still sits in
+/// the buffer, so the extractor's raw-bytes sweep recovers it, with no
+/// policy switch.
+#[test]
+fn raw_project_mutant_133_is_salvaged_by_the_raw_bytes_sweep() {
+    let mutant = &raw_project_mutants()[133];
+    let extracted = vbadet::extract_macros(mutant).expect("extract_macros salvages");
+    assert_eq!(extracted.len(), 1);
+    assert_eq!(extracted[0].module_name, "salvaged_1");
+    assert!(extracted[0].code.contains("Chr(65) & Chr(66)"));
+    match scan_bytes_with_policy(&tiny_detector(), mutant, &ScanPolicy::default()) {
+        ScanOutcome::Salvaged(verdicts) => {
+            assert_eq!(verdicts.len(), 1);
+            assert_eq!(verdicts[0].module_name, "salvaged_1");
+        }
+        other => panic!("expected Salvaged, got {other:?}"),
     }
 }
 

@@ -252,7 +252,7 @@ fn an_isolate_journal_is_byte_identical_to_the_sequential_journal() {
     let det = &tiny_detector();
     let dir = fresh_dir("journal");
     let paths = mixed_corpus(&dir, 15);
-    let policy = ScanPolicy::default().with_ladder();
+    let policy = ScanPolicy::default();
 
     let seq_journal = dir.join("seq.jsonl");
     let mut journal = ScanJournal::create(&seq_journal).unwrap();

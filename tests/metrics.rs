@@ -65,8 +65,8 @@ fn clean_doc(i: usize) -> Vec<u8> {
     ole.build()
 }
 
-/// Wreckage only the salvage rung can mine: a fake ZIP signature followed
-/// by an intact compressed module.
+/// Wreckage only the extractor's raw-bytes sweep can mine: a fake ZIP
+/// signature followed by an intact compressed module.
 fn salvage_wreck(i: usize) -> Vec<u8> {
     let mut doc = b"PK\x03\x04 not really an archive ".to_vec();
     doc.extend_from_slice(&vbadet_ovba::compress(
@@ -105,9 +105,7 @@ fn write_mixed_corpus(dir: &Path, n: usize) -> Vec<PathBuf> {
 }
 
 fn metered_policy() -> ScanPolicy {
-    ScanPolicy::default()
-        .with_ladder()
-        .with_metrics(MetricsSink::enabled())
+    ScanPolicy::default().with_metrics(MetricsSink::enabled())
 }
 
 fn run(det: &Detector, paths: &[PathBuf], policy: &ScanPolicy) -> ScanMetrics {
@@ -171,8 +169,8 @@ fn pipeline_counters_cover_every_stage_the_corpus_exercises() {
     assert_eq!(m.counter("scan.docs"), 36);
     assert_eq!(m.counter("scan.macros"), 12);
     assert_eq!(m.counter("scan.clean"), 6);
-    // Wrecks recover through the ladder; junk and truncations fail.
-    assert_eq!(m.counter("scan.recovered"), 6);
+    // Wrecks come back salvaged; junk and truncations fail.
+    assert_eq!(m.counter("scan.salvaged"), 6);
     assert_eq!(m.counter("scan.failed"), 12);
     assert_eq!(
         m.counter("scan.failed"),
@@ -185,12 +183,14 @@ fn pipeline_counters_cover_every_stage_the_corpus_exercises() {
     assert!(m.counter("ole.sectors") > 0);
     assert!(m.counter("ovba.decompress_calls") > 0);
     assert!(m.counter("ovba.bytes_out") > 0);
-    // `extract.docs` counts extraction *attempts* — one per ladder rung
-    // that ran — so it covers at least the full rung of every document.
-    assert!(m.counter("extract.docs") >= m.counter("ladder.full_attempts"));
+    // Every document enters extraction once and leaves it parsed,
+    // salvaged or failed.
+    assert_eq!(m.counter("extract.docs"), 36);
     assert_eq!(
-        m.counter("extract.docs"),
-        m.counter("ladder.full_attempts") + m.counter("ladder.strict_attempts"),
+        m.counter("extract.parsed") + m.counter("extract.salvaged") + m.counter("scan.failed"),
+        36,
+        "{}",
+        m.counters_json()
     );
     assert!(m.counter("scan.modules_scored") >= 18);
     // Timers live in the histograms section only.
@@ -218,19 +218,12 @@ fn salvage_path_increments_salvage_counters() {
         .collect();
 
     let m = run(det, &paths, &metered_policy());
-    assert_eq!(
-        m.counter("ladder.salvage_attempts"),
-        4,
-        "{}",
-        m.counters_json()
-    );
-    assert_eq!(m.counter("ladder.recovered"), 4);
+    assert_eq!(m.counter("extract.salvaged"), 4, "{}", m.counters_json());
     assert_eq!(m.counter("ovba.salvage_scans"), 4);
     assert_eq!(m.counter("ovba.salvage_modules"), 4);
     assert!(m.counter("ovba.salvage_candidates") >= 4);
-    assert_eq!(m.counter("scan.recovered"), 4);
+    assert_eq!(m.counter("scan.salvaged"), 4);
     assert!(m.stage_total_ns("ovba.salvage_ns") > 0);
-    assert!(m.stage_total_ns("extract.salvage_ns") > 0);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

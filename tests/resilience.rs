@@ -144,7 +144,7 @@ proptest! {
 
     /// Any mutant corpus scanned under a 50 ms per-document deadline
     /// completes within `n·deadline + ε`: the deadline, the amortized
-    /// clock checks and the shared-budget ladder together guarantee a
+    /// clock checks and the one budget per document together guarantee a
     /// linear wall-clock bound however hostile the bytes are.
     #[test]
     fn deadline_bounds_batch_wall_clock_linearly(seed in any::<u64>()) {
@@ -165,7 +165,7 @@ proptest! {
         docs.push(stall_document(24, 4));
 
         let deadline = Duration::from_millis(50);
-        let policy = ScanPolicy::default().deadline_ms(50).with_ladder();
+        let policy = ScanPolicy::default().deadline_ms(50);
         let labelled: Vec<(String, &[u8])> = docs
             .iter()
             .enumerate()
@@ -217,7 +217,7 @@ fn journaled_scan_replays_and_resumes_to_identical_outcomes() {
     std::fs::write(&paths[2], b"not a document").unwrap();
     std::fs::write(&paths[3], &good[..9]).unwrap();
 
-    let policy = ScanPolicy::default().with_ladder();
+    let policy = ScanPolicy::default();
 
     // Uninterrupted reference run, no journal.
     let reference = scan_paths_journaled(det, &paths, &policy, None, None);
