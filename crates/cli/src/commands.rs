@@ -346,13 +346,18 @@ pub fn scan(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
             }
         }
     }
+    // Only a resumed journal from the retired ladder holds recovered
+    // outcomes, so the count is shown only when there is one.
+    let recovered = match report.recovered() {
+        0 => String::new(),
+        n => format!(", {n} recovered"),
+    };
     eprintln!(
-        "scanned {}: {} clean, {} flagged, {} salvaged, {} recovered, {} failed",
+        "scanned {}: {} clean, {} flagged, {} salvaged{recovered}, {} failed",
         report.scanned(),
         report.clean(),
         report.flagged(),
         report.salvaged(),
-        report.recovered(),
         report.failed()
     );
     if any_flagged {

@@ -173,12 +173,19 @@ impl JournalReplay {
 /// or names an unknown format/version — damage *within* the body
 /// degrades to [`JournalReplay::warning`] instead.
 pub fn replay_journal<P: AsRef<Path>>(path: P) -> io::Result<JournalReplay> {
-    let mut text = String::new();
-    File::open(path)?.read_to_string(&mut text)?;
-    let mut lines = text.lines();
+    let mut bytes = Vec::new();
+    File::open(path)?.read_to_end(&mut bytes)?;
+    // Each line is decoded on its own: a write torn inside a multi-byte
+    // character damages its line, not the whole file.
+    let mut lines = bytes.split_inclusive(|&b| b == b'\n').map(|line| {
+        let line = line.strip_suffix(b"\n").unwrap_or(line);
+        std::str::from_utf8(line.strip_suffix(b"\r").unwrap_or(line)).map_err(|e| e.to_string())
+    });
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
     let header = lines.next().ok_or_else(|| bad("empty journal"))?;
-    let header = json::parse(header).map_err(|e| bad(&format!("bad journal header: {e}")))?;
+    let header = header
+        .and_then(|h| json::parse(h).map_err(String::from))
+        .map_err(|e| bad(&format!("bad journal header: {e}")))?;
     if header.get("format").and_then(Json::as_str) != Some(JOURNAL_FORMAT) {
         return Err(bad("not a vbadet scan journal"));
     }
@@ -188,8 +195,8 @@ pub fn replay_journal<P: AsRef<Path>>(path: P) -> io::Result<JournalReplay> {
     let mut replay = JournalReplay::default();
     let mut pending: Vec<String> = Vec::new();
     for (idx, line) in lines.enumerate() {
-        let record = match json::parse(line)
-            .map_err(String::from)
+        let record = match line
+            .and_then(|l| json::parse(l).map_err(String::from))
             .and_then(|j| decode_event(&j))
         {
             Ok(record) => record,
@@ -442,30 +449,38 @@ mod tests {
     fn torn_tail_degrades_to_warning_and_in_flight() {
         let path = temp_path("torn");
         let records = sample_records();
-        {
-            let mut journal = ScanJournal::create(&path).unwrap();
-            for r in &records[..2] {
-                journal.begin(&r.path.display().to_string()).unwrap();
-                journal.done(r).unwrap();
+        // Half a record, as a crash mid-write would leave it: cut between
+        // two ASCII bytes, and cut inside the two-byte `é` of a raw
+        // non-ASCII path.
+        let cafe = "{\"event\":\"done\",\"path\":\"caf\u{e9}.doc\"".as_bytes();
+        let tails: [(&str, &[u8]); 2] = [
+            ("mid-flight.doc", b"{\"event\":\"done\",\"path\":\"mid-fl"),
+            ("caf\u{e9}.doc", &cafe[..cafe.len() - 6]),
+        ];
+        for (in_flight, tail) in tails {
+            {
+                let mut journal = ScanJournal::create(&path).unwrap();
+                for r in &records[..2] {
+                    journal.begin(&r.path.display().to_string()).unwrap();
+                    journal.done(r).unwrap();
+                }
+                journal.begin(in_flight).unwrap();
             }
-            journal.begin("mid-flight.doc").unwrap();
+            {
+                use std::io::Write;
+                let mut f = std::fs::OpenOptions::new()
+                    .append(true)
+                    .open(&path)
+                    .unwrap();
+                f.write_all(tail).unwrap();
+            }
+            let replay = replay_journal(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            assert_eq!(replay.completed_count(), 2);
+            assert_eq!(replay.in_flight, vec![in_flight.to_string()]);
+            let warning = replay.warning.expect("torn tail must set a warning");
+            assert!(warning.contains("damaged"), "unexpected warning: {warning}");
         }
-        // Append half a record, as a crash mid-write would.
-        {
-            use std::io::Write;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .unwrap();
-            f.write_all(b"{\"event\":\"done\",\"path\":\"mid-fl")
-                .unwrap();
-        }
-        let replay = replay_journal(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(replay.completed_count(), 2);
-        assert_eq!(replay.in_flight, vec!["mid-flight.doc".to_string()]);
-        let warning = replay.warning.expect("torn tail must set a warning");
-        assert!(warning.contains("damaged"), "unexpected warning: {warning}");
     }
 
     #[test]

@@ -62,7 +62,7 @@
 //! detail, the batch continues, and the quarantined outcome is journaled
 //! (a resume will *not* re-scan a quarantined document). Worker deaths
 //! respawn with exponential backoff, and a slot whose workers cannot even
-//! complete the hello/ready handshake `crash_loop_limit` times in a row
+//! complete the hello/ready handshake `CRASH_LOOP_LIMIT` times in a row
 //! stops spawning and drains its remaining claims as fatal
 //! "worker unavailable" records rather than spinning forever.
 //!
@@ -106,6 +106,15 @@ pub const WORKER_SUBCOMMAND: &str = "__worker";
 /// as protocol corruption, not an allocation request.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
+/// Base delay of the exponential respawn backoff after a worker death or
+/// failed spawn.
+const BACKOFF_BASE: Duration = Duration::from_millis(50);
+
+/// Consecutive spawn/handshake failures after which a slot stops spawning
+/// and fails its remaining claims as [`FailureClass::Fatal`] "worker
+/// unavailable" records.
+const CRASH_LOOP_LIMIT: u32 = 3;
+
 /// How the supervisor runs and disciplines its worker processes.
 #[derive(Debug, Clone)]
 pub struct IsolateConfig {
@@ -122,13 +131,6 @@ pub struct IsolateConfig {
     /// environment). This is how tests arm fault injection *only inside
     /// workers*: the supervisor process never sees the variable.
     pub env: Vec<(String, String)>,
-    /// Base delay of the exponential respawn backoff after a worker
-    /// death or failed spawn.
-    pub backoff_base: Duration,
-    /// Consecutive spawn/handshake failures after which a slot stops
-    /// spawning and fails its remaining claims as
-    /// [`FailureClass::Fatal`] "worker unavailable" records.
-    pub crash_loop_limit: u32,
 }
 
 impl IsolateConfig {
@@ -138,8 +140,6 @@ impl IsolateConfig {
             worker_cmd,
             heartbeat: None,
             env: Vec::new(),
-            backoff_base: Duration::from_millis(50),
-            crash_loop_limit: 3,
         }
     }
 
@@ -666,7 +666,7 @@ impl<'a> Slot<'a> {
     }
 
     fn backoff(&mut self) {
-        let delay = self.config.backoff_base * 2u32.pow(self.backoff_exp.min(6));
+        let delay = BACKOFF_BASE * 2u32.pow(self.backoff_exp.min(6));
         self.backoff_exp += 1;
         thread::sleep(delay);
     }
@@ -699,7 +699,7 @@ impl<'a> Slot<'a> {
                 }
                 Err(e) => {
                     self.spawn_failures += 1;
-                    if self.spawn_failures >= self.config.crash_loop_limit {
+                    if self.spawn_failures >= CRASH_LOOP_LIMIT {
                         self.broken = true;
                         return Err(AttemptError::Unavailable(format!(
                             "worker unavailable: crash loop ({e})"

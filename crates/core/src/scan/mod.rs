@@ -705,7 +705,6 @@ pub fn scan_bytes_with_policy(
     let _doc_timer = policy.metrics.time(Stage::DocNs);
     let _alloc_guard = AllocGuard::new(&policy.metrics);
     let budget = policy.budget();
-    let _extract_timer = policy.metrics.time(Stage::ExtractFullNs);
     let result = catch_unwind(AssertUnwindSafe(|| {
         faultpoint!("scan::full-parse");
         scan_bytes_bounded(detector, bytes, &policy.limits, &budget)

@@ -68,6 +68,10 @@ pub mod proto;
 use breaker::{Admission, Breaker};
 pub use proto::{parse_request, Request, ScanTarget, Verb, MAX_REQUEST_LINE_BYTES};
 
+/// Poll interval for the accept loop and the connection readers' drain
+/// checks; bounds how stale a drain request can go unnoticed.
+const DRAIN_POLL: Duration = Duration::from_millis(25);
+
 /// Everything that shapes the service's robustness envelope.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -84,9 +88,6 @@ pub struct ServeConfig {
     pub breaker_threshold: u32,
     /// Base cooldown of the breaker's exponential backoff.
     pub breaker_backoff: Duration,
-    /// Poll interval for the accept loop and the connection readers'
-    /// drain checks; bounds how stale a drain request can go unnoticed.
-    pub drain_poll: Duration,
     /// Model file a SIGHUP-style [`request_reload`] reloads from —
     /// normally the CLI's `--model` path, so operators overwrite the file
     /// and signal the daemon. `None` makes signal-driven reloads no-ops
@@ -103,7 +104,6 @@ impl ServeConfig {
             queue_depth: 64,
             breaker_threshold: 3,
             breaker_backoff: Duration::from_millis(500),
-            drain_poll: Duration::from_millis(25),
             reload_path: None,
         }
     }
@@ -427,7 +427,7 @@ pub fn serve(
                 }
                 // Nobody waiting (or a transient accept error): nap one
                 // drain-poll tick.
-                Ok(None) | Err(_) => thread::sleep(config.drain_poll),
+                Ok(None) | Err(_) => thread::sleep(DRAIN_POLL),
             }
         }
         // Drain sequence: dropping the accept loop's sender starts the
@@ -644,7 +644,7 @@ fn spool(shared: &Shared<'_>, bytes: &[u8]) -> Result<PathBuf, ScanOutcome> {
 /// timeouts. The connection closes on EOF, an unwritable client, an
 /// over-cap line, or a drain.
 fn handle_connection(shared: &Shared<'_>, stream: Box<dyn Stream>, tx: &mpsc::SyncSender<Job>) {
-    let _ = stream.set_read_timeout(Some(shared.config.drain_poll));
+    let _ = stream.set_read_timeout(Some(DRAIN_POLL));
     let mut stream = stream;
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];

@@ -196,8 +196,6 @@ metric_enum! {
         OvbaProjectNs => "ovba.project_ns",
         /// Salvage sweep, per buffer or stream set.
         OvbaSalvageNs => "ovba.salvage_ns",
-        /// Contained extraction and scoring, per document.
-        ExtractFullNs => "extract.full_ns",
         /// Detector feature extraction, per scored module.
         FeaturesNs => "scan.features_ns",
         /// Classifier inference over extracted features, per scored module.

@@ -475,7 +475,7 @@ stage build cargo build --release --offline --workspace
 stage benchmark-build benchmark_build
 stage build-faultpoints cargo build --offline --features faultpoints
 stage test cargo test -q --offline --workspace
-stage test-faultpoints cargo test -q --offline --features faultpoints
+stage test-faultpoints cargo test -q --offline --workspace --features faultpoints
 stage test-determinism determinism_tests
 stage cache cache_tests
 stage isolation isolation_tests

@@ -29,17 +29,16 @@
 //!    metrics dump whose `reload.*` counts match the operator's tallies,
 //!    and zero orphaned `__worker` processes.
 
-use std::io::{BufRead, BufReader, Write};
-use std::os::unix::net::UnixStream;
 use std::path::Path;
-use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use vbadet::json::{self, Json};
-use vbadet::{Detector, DetectorConfig, ScanMetrics};
-use vbadet_corpus::CorpusSpec;
-use vbadet_ovba::VbaProjectBuilder;
+use vbadet::json::Json;
+use vbadet::ScanMetrics;
+use vbadet_repro::testkit::{
+    count_orphan_workers, fresh_dir, named_macro_document, reply, tiny_detector,
+    tiny_detector_seeded, Client, Daemon,
+};
 
 const CLIENTS: usize = 6;
 
@@ -53,44 +52,13 @@ struct Tally {
     reload_failed: AtomicU64,
 }
 
-struct Client {
-    writer: UnixStream,
-    reader: BufReader<UnixStream>,
-}
-
-impl Client {
-    fn connect(sock: &Path) -> Client {
-        let writer = UnixStream::connect(sock).expect("connect to daemon socket");
-        writer
-            .set_read_timeout(Some(Duration::from_secs(60)))
-            .unwrap();
-        let reader = BufReader::new(writer.try_clone().unwrap());
-        Client { writer, reader }
+impl Tally {
+    /// One request line, one reply line. A lost reply trips the client's
+    /// read timeout: that IS the dropped-response detector.
+    fn ask(&self, c: &mut Client, line: &str) -> String {
+        self.sent.fetch_add(1, Ordering::Relaxed);
+        c.roundtrip(line)
     }
-
-    /// One request line, one response line; a lost response hangs the
-    /// read and trips its timeout — that IS the dropped-response detector.
-    fn roundtrip(&mut self, tally: &Tally, line: &str) -> String {
-        self.writer
-            .write_all(format!("{line}\n").as_bytes())
-            .unwrap();
-        tally.sent.fetch_add(1, Ordering::Relaxed);
-        let mut reply = String::new();
-        let n = self
-            .reader
-            .read_line(&mut reply)
-            .unwrap_or_else(|e| panic!("no response to {line:?} within the timeout: {e}"));
-        assert!(
-            n > 0,
-            "daemon closed the connection instead of answering {line:?}"
-        );
-        reply.trim().to_string()
-    }
-}
-
-/// Parses one reply line; every reply the daemon writes is one JSON object.
-fn reply(line: &str) -> Json {
-    json::parse(line).unwrap_or_else(|e| panic!("reply is not JSON ({e}): {line}"))
 }
 
 /// The generation a reply is stamped with, 0 when it carries none.
@@ -121,7 +89,7 @@ fn client_load(
     max_seen: &AtomicU64,
     id: usize,
 ) {
-    let mut c = Client::connect(sock);
+    let mut c = Client::unix(sock);
     let mut last_generation = 0u64;
     let mut n = 0u64;
     while !done.load(Ordering::Relaxed) {
@@ -138,7 +106,7 @@ fn client_load(
             3 => format!("scan {}", doc.display()),
             _ => "model".to_string(),
         };
-        let reply = c.roundtrip(tally, &request);
+        let reply = tally.ask(&mut c, &request);
         if request.starts_with('{') {
             let tag = format!("\"id\":\"c{id}-{n}\"");
             assert!(
@@ -174,7 +142,7 @@ fn client_load(
 /// `serve::reload-corrupt` faultpoint corrupting a slice of the good
 /// loads from inside the daemon.
 fn reload_churn(sock: &Path, tally: &Tally, good: [&Path; 2], garbage: &Path, target: u64) -> u64 {
-    let mut c = Client::connect(sock);
+    let mut c = Client::unix(sock);
     let mut last_generation = 1u64;
     let mut attempts = 0u64;
     while tally.reload_ok.load(Ordering::Relaxed) < target {
@@ -188,7 +156,7 @@ fn reload_churn(sock: &Path, tally: &Tally, good: [&Path; 2], garbage: &Path, ta
         } else {
             good[(attempts % 2) as usize]
         };
-        let reply = c.roundtrip(tally, &format!("reload {}", path.display()));
+        let reply = tally.ask(&mut c, &format!("reload {}", path.display()));
         if reply.contains("\"ok\":true") {
             assert!(
                 path != garbage,
@@ -218,17 +186,6 @@ fn reload_churn(sock: &Path, tally: &Tally, good: [&Path; 2], garbage: &Path, ta
     last_generation
 }
 
-fn count_orphan_workers() -> usize {
-    let out = Command::new("ps")
-        .args(["-eo", "args"])
-        .output()
-        .expect("run ps");
-    String::from_utf8_lossy(&out.stdout)
-        .lines()
-        .filter(|l| l.contains("__worker"))
-        .count()
-}
-
 fn cache_counts(metrics_line: &str) -> (u64, u64) {
     let reply = reply(metrics_line);
     let total = |name: &str| {
@@ -254,99 +211,57 @@ fn main() {
         .parse()
         .expect("reload count must be a number");
 
-    let dir = std::env::temp_dir().join(format!("vbadet-reload-soak-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = fresh_dir("reload-soak");
 
     // Two distinct tiny models to alternate between, and one file that is
     // not a model at all.
     eprintln!("reload_soak: training two throwaway models…");
-    let spec = CorpusSpec::paper().scaled(0.002);
     let model_a = dir.join("model-a.txt");
-    std::fs::write(
-        &model_a,
-        Detector::train_on_corpus(&DetectorConfig::default(), &spec).save(),
-    )
-    .unwrap();
-    let seeded = |seed| DetectorConfig {
-        seed,
-        ..DetectorConfig::default()
-    };
+    std::fs::write(&model_a, tiny_detector().save()).unwrap();
     let model_b = dir.join("model-b.txt");
-    std::fs::write(
-        &model_b,
-        Detector::train_on_corpus(&seeded(99), &spec).save(),
-    )
-    .unwrap();
+    std::fs::write(&model_b, tiny_detector_seeded(99).save()).unwrap();
     // A third model the churn never touches: the cache-invalidation probe
     // needs a fingerprint no generation has inserted under yet — after
     // one A-B-A cycle every document is warm under *both* churn
     // fingerprints, so reloading either would legitimately hit.
     let model_c = dir.join("model-c.txt");
-    std::fs::write(
-        &model_c,
-        Detector::train_on_corpus(&seeded(7), &spec).save(),
-    )
-    .unwrap();
+    std::fs::write(&model_c, tiny_detector_seeded(7).save()).unwrap();
     let garbage = dir.join("garbage.model");
     std::fs::write(&garbage, "landed mid-rollout: not a model\n").unwrap();
 
-    let mut b = VbaProjectBuilder::new("Soak");
-    b.add_module("Module1", "Sub Work()\r\n    x = 1\r\nEnd Sub\r\n");
-    let doc_bytes = b.build().unwrap();
+    let doc_bytes = named_macro_document("Soak");
     let doc = dir.join("doc.bin");
     std::fs::write(&doc, &doc_bytes).unwrap();
     let junk = dir.join("junk.txt");
     std::fs::write(&junk, b"not a document, never parses").unwrap();
     let hex = vbadet::json::hex(&doc_bytes);
 
-    let sock = dir.join("serve.sock");
     let metrics_path = dir.join("metrics.json");
-    let log_path = dir.join("daemon.log");
 
     // `serve::reload-corrupt` fires inside `try_reload` only: one in four
     // model loads — good file or not — fails as if the bytes on disk were
     // torn, exactly the mid-rollout corruption the typed `reload-failed`
     // path exists for. Scans never touch the faultpoint.
-    let mut daemon = Command::new(&vbadet_bin)
-        .args([
-            "serve",
-            "--socket",
-            sock.to_str().unwrap(),
+    let daemon = Daemon::spawn(
+        &vbadet_bin,
+        &dir,
+        &[
             "--model",
             model_a.to_str().unwrap(),
             "--jobs",
             "2",
             "--metrics-json",
             metrics_path.to_str().unwrap(),
-        ])
-        .env("VBADET_FAULTPOINTS", "serve::reload-corrupt=25%return@1")
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(std::fs::File::create(&log_path).unwrap())
-        .spawn()
-        .expect("spawn vbadet serve");
-
-    let bind_deadline = Instant::now() + Duration::from_secs(30);
-    while !sock.exists() {
-        assert!(
-            Instant::now() < bind_deadline,
-            "daemon never bound its socket"
-        );
-        if let Some(status) = daemon.try_wait().unwrap() {
-            panic!(
-                "daemon exited before binding: {status}\n{}",
-                std::fs::read_to_string(&log_path).unwrap_or_default()
-            );
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
+        ],
+        &[("VBADET_FAULTPOINTS", "serve::reload-corrupt=25%return@1")],
+    );
+    let sock = daemon.socket();
 
     // Before any churn: the startup model is generation 1.
     let tally = Tally::default();
     {
-        let mut c = Client::connect(&sock);
-        let first = c.roundtrip(&tally, "model");
+        let mut c = Client::unix(sock);
+        let first = tally.ask(&mut c, "model");
         assert_eq!(generation(&first), 1, "{first}");
         tally.other_ok.fetch_add(1, Ordering::Relaxed);
     }
@@ -361,35 +276,35 @@ fn main() {
     let mut final_generation = 0u64;
     std::thread::scope(|s| {
         for id in 0..CLIENTS {
-            let (tally, sock, doc, junk, hex, done, max_seen) =
-                (&tally, &sock, &doc, &junk, &hex, &done, &max_seen);
+            let (tally, doc, junk, hex, done, max_seen) =
+                (&tally, &doc, &junk, &hex, &done, &max_seen);
             s.spawn(move || client_load(sock, tally, doc, junk, hex, done, max_seen, id));
         }
-        final_generation = reload_churn(&sock, &tally, [&model_a, &model_b], &garbage, target);
+        final_generation = reload_churn(sock, &tally, [&model_a, &model_b], &garbage, target);
         done.store(true, Ordering::Relaxed);
     });
 
     // Phase 2: the cache-invalidation probe, on a quiet daemon. Warm the
     // cache under the final generation, reload once more, and prove the
     // warm entry is a clean miss for the new fingerprint.
-    let mut c = Client::connect(&sock);
+    let mut c = Client::unix(sock);
     let line = format!("scan {}", doc.display());
     for _ in 0..2 {
-        let reply = c.roundtrip(&tally, &line);
+        let reply = tally.ask(&mut c, &line);
         assert!(reply.contains("\"op\":\"scan\""), "{reply}");
         tally.ok_scan.fetch_add(1, Ordering::Relaxed);
     }
-    let (_, misses_before) = cache_counts(&c.roundtrip(&tally, "metrics"));
+    let (_, misses_before) = cache_counts(&tally.ask(&mut c, "metrics"));
     tally.other_ok.fetch_add(1, Ordering::Relaxed);
     // The probe swaps in model C — a fingerprint no generation has ever
     // inserted cache entries under. The corrupt-load faultpoint is still
     // armed at 25%, so retry until one reload lands.
-    let serving = c.roundtrip(&tally, "model");
+    let serving = tally.ask(&mut c, "model");
     tally.other_ok.fetch_add(1, Ordering::Relaxed);
     let mut probe_generation = final_generation;
     let mut probe_fingerprint = None;
     while probe_generation == final_generation {
-        let reply = c.roundtrip(&tally, &format!("reload {}", model_c.display()));
+        let reply = tally.ask(&mut c, &format!("reload {}", model_c.display()));
         if reply.contains("\"ok\":true") {
             probe_generation = generation(&reply);
             probe_fingerprint = fingerprint(&reply);
@@ -403,10 +318,10 @@ fn main() {
         fingerprint(&serving),
         "model C must fingerprint apart from the serving model"
     );
-    let warm = c.roundtrip(&tally, &line);
+    let warm = tally.ask(&mut c, &line);
     assert_eq!(generation(&warm), probe_generation, "{warm}");
     tally.ok_scan.fetch_add(1, Ordering::Relaxed);
-    let (_, misses_after) = cache_counts(&c.roundtrip(&tally, "metrics"));
+    let (_, misses_after) = cache_counts(&tally.ask(&mut c, "metrics"));
     tally.other_ok.fetch_add(1, Ordering::Relaxed);
     assert!(
         misses_after > misses_before,
@@ -416,33 +331,15 @@ fn main() {
     drop(c);
 
     // Phase 3: SIGTERM drain.
-    let pid = daemon.id().to_string();
-    assert!(
-        Command::new("kill")
-            .args(["-TERM", &pid])
-            .status()
-            .unwrap()
-            .success(),
-        "kill -TERM failed"
-    );
-    let drain_deadline = Instant::now() + Duration::from_secs(20);
-    let status = loop {
-        if let Some(status) = daemon.try_wait().unwrap() {
-            break status;
-        }
-        assert!(
-            Instant::now() < drain_deadline,
-            "daemon did not drain within 20s of SIGTERM"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    };
+    let drained = daemon.drain();
 
     // --- Assertions ---------------------------------------------------
-    let log = std::fs::read_to_string(&log_path).unwrap_or_default();
     assert_eq!(
-        status.code(),
+        drained.status.code(),
         Some(3),
-        "SIGTERM drain must exit 3, got {status}\n{log}"
+        "SIGTERM drain must exit 3, got {}\n{}",
+        drained.status,
+        drained.log
     );
 
     let sent = tally.sent.load(Ordering::Relaxed);
@@ -467,13 +364,10 @@ fn main() {
 
     // Invariant 1: zero dropped responses — the daemon's own accounting
     // agrees with the clients'.
-    let drained_line = log
-        .lines()
-        .find(|l| l.starts_with("drained:"))
-        .unwrap_or_else(|| panic!("no drain summary in the daemon log:\n{log}"));
     let expect = format!("drained: {ok_scan} accepted, 0 shed, {sent} responses");
     assert_eq!(
-        drained_line, expect,
+        drained.line(),
+        expect,
         "daemon accounting disagrees with the clients'"
     );
 

@@ -26,16 +26,14 @@
 //! 4. **Graceful SIGTERM drain** — exit code 3, a parseable final
 //!    metrics dump, and zero orphaned `__worker` processes.
 
-use std::io::{BufRead, BufReader, Write};
-use std::os::unix::net::UnixStream;
 use std::path::Path;
-use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use vbadet::{Detector, DetectorConfig, ScanMetrics};
-use vbadet_corpus::CorpusSpec;
-use vbadet_ovba::VbaProjectBuilder;
+use vbadet::ScanMetrics;
+use vbadet_repro::testkit::{
+    count_orphan_workers, fresh_dir, named_macro_document, tiny_detector, Client, Daemon,
+};
 
 const CLIENTS: usize = 6;
 
@@ -50,42 +48,12 @@ struct Tally {
     other_ok: AtomicU64,
 }
 
-struct Client {
-    writer: UnixStream,
-    reader: BufReader<UnixStream>,
-}
-
-impl Client {
-    fn connect(sock: &Path) -> Client {
-        let writer = UnixStream::connect(sock).expect("connect to daemon socket");
-        // Generous: a genuinely lost response hangs forever, so any finite
-        // timeout catches it; 60 s keeps a loaded CI box from tripping it
-        // on scheduling noise.
-        writer
-            .set_read_timeout(Some(Duration::from_secs(60)))
-            .unwrap();
-        let reader = BufReader::new(writer.try_clone().unwrap());
-        Client { writer, reader }
-    }
-
-    /// One request line, one response line: the protocol is strictly
-    /// sequential per connection, so a missing response hangs the read
-    /// and trips its timeout — that IS the lost-response detector.
-    fn roundtrip(&mut self, tally: &Tally, line: &str) -> String {
-        self.writer
-            .write_all(format!("{line}\n").as_bytes())
-            .unwrap();
-        tally.sent.fetch_add(1, Ordering::Relaxed);
-        let mut reply = String::new();
-        let n = self
-            .reader
-            .read_line(&mut reply)
-            .unwrap_or_else(|e| panic!("no response to {line:?} within the timeout: {e}"));
-        assert!(
-            n > 0,
-            "daemon closed the connection instead of answering {line:?}"
-        );
-        reply.trim().to_string()
+impl Tally {
+    /// One request line, one reply line. A lost reply trips the client's
+    /// read timeout: that IS the lost-response detector.
+    fn ask(&self, c: &mut Client, line: &str) -> String {
+        self.sent.fetch_add(1, Ordering::Relaxed);
+        c.roundtrip(line)
     }
 }
 
@@ -114,7 +82,7 @@ fn client_load(
     deadline: Instant,
     id: usize,
 ) {
-    let mut c = Client::connect(sock);
+    let mut c = Client::unix(sock);
     let mut n = 0u64;
     while Instant::now() < deadline {
         let request = match n % 7 {
@@ -133,7 +101,7 @@ fn client_load(
             // Malformed on purpose: must get exactly one typed rejection.
             _ => format!("frobnicate c{id}-{n}"),
         };
-        let reply = c.roundtrip(tally, &request);
+        let reply = tally.ask(&mut c, &request);
         if request.starts_with('{') {
             let tag = format!("\"id\":\"c{id}-{n}\"");
             assert!(
@@ -144,17 +112,6 @@ fn client_load(
         classify(tally, &reply);
         n += 1;
     }
-}
-
-fn count_orphan_workers() -> usize {
-    let out = Command::new("ps")
-        .args(["-eo", "args"])
-        .output()
-        .expect("run ps");
-    String::from_utf8_lossy(&out.stdout)
-        .lines()
-        .filter(|l| l.contains("__worker"))
-        .count()
 }
 
 fn main() {
@@ -168,32 +125,22 @@ fn main() {
         .parse()
         .expect("seconds must be a number");
 
-    let dir = std::env::temp_dir().join(format!("vbadet-serve-soak-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = fresh_dir("serve-soak");
 
     // Train once here and ship the model file so the daemon starts fast.
     eprintln!("serve_soak: training throwaway model…");
-    let detector = Detector::train_on_corpus(
-        &DetectorConfig::default(),
-        &CorpusSpec::paper().scaled(0.002),
-    );
     let model = dir.join("model.txt");
-    std::fs::write(&model, detector.save()).unwrap();
+    std::fs::write(&model, tiny_detector().save()).unwrap();
 
-    let mut b = VbaProjectBuilder::new("Soak");
-    b.add_module("Module1", "Sub Work()\r\n    x = 1\r\nEnd Sub\r\n");
-    let doc_bytes = b.build().unwrap();
+    let doc_bytes = named_macro_document("Soak");
     let doc = dir.join("doc.bin");
     std::fs::write(&doc, &doc_bytes).unwrap();
     let junk = dir.join("junk.txt");
     std::fs::write(&junk, b"not a document, never parses").unwrap();
     let hex = vbadet::json::hex(&doc_bytes);
 
-    let sock = dir.join("serve.sock");
     let metrics_path = dir.join("metrics.json");
     let journal_path = dir.join("journal.jsonl");
-    let log_path = dir.join("daemon.log");
 
     // The chaos recipe (all deterministic hit windows):
     // - `serve::inject-death` fires in the daemon on admitted scans 6-11:
@@ -206,11 +153,10 @@ fn main() {
     //   OLE parse, a steady crash-respawn churn the slots absorb.
     // - `scan::full-parse=sleep(20)` stalls every worker scan so six
     //   clients against a one-deep queue must overflow it.
-    let daemon = Command::new(&vbadet_bin)
-        .args([
-            "serve",
-            "--socket",
-            sock.to_str().unwrap(),
+    let daemon = Daemon::spawn(
+        &vbadet_bin,
+        &dir,
+        &[
             "--model",
             model.to_str().unwrap(),
             "--jobs",
@@ -225,33 +171,13 @@ fn main() {
             metrics_path.to_str().unwrap(),
             "--journal",
             journal_path.to_str().unwrap(),
-        ])
-        .env(
+        ],
+        &[(
             "VBADET_FAULTPOINTS",
             "serve::inject-death=return@6x6;ole::parse=abort@4x2;scan::full-parse=sleep(20)",
-        )
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(std::fs::File::create(&log_path).unwrap())
-        .spawn()
-        .expect("spawn vbadet serve");
-    let mut daemon = daemon;
-
-    // Wait for the socket to come up.
-    let bind_deadline = Instant::now() + Duration::from_secs(30);
-    while !sock.exists() {
-        assert!(
-            Instant::now() < bind_deadline,
-            "daemon never bound its socket"
-        );
-        if let Some(status) = daemon.try_wait().unwrap() {
-            panic!(
-                "daemon exited before binding: {status}\n{}",
-                std::fs::read_to_string(&log_path).unwrap_or_default()
-            );
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
+        )],
+    );
+    let sock = daemon.socket();
 
     // Phase 1: concurrent hostile load.
     eprintln!(
@@ -262,7 +188,7 @@ fn main() {
     let deadline = Instant::now() + Duration::from_secs(seconds);
     std::thread::scope(|s| {
         for id in 0..CLIENTS {
-            let (tally, sock, doc, junk, hex) = (&tally, &sock, &doc, &junk, &hex);
+            let (tally, doc, junk, hex) = (&tally, &doc, &junk, &hex);
             s.spawn(move || client_load(sock, tally, doc, junk, hex, deadline, id));
         }
     });
@@ -270,12 +196,12 @@ fn main() {
     // Phase 2: the injection window is exhausted; drive probe scans until
     // the breaker reports closed again.
     let mut recovered = false;
-    let mut c = Client::connect(&sock);
+    let mut c = Client::unix(sock);
     let recover_deadline = Instant::now() + Duration::from_secs(15);
     while Instant::now() < recover_deadline {
-        let scan = c.roundtrip(&tally, &format!("scan {}", doc.display()));
+        let scan = tally.ask(&mut c, &format!("scan {}", doc.display()));
         classify(&tally, &scan);
-        let health = c.roundtrip(&tally, "health");
+        let health = tally.ask(&mut c, "health");
         classify(&tally, &health);
         if health.contains("\"breaker\":\"closed\"") {
             recovered = true;
@@ -283,38 +209,20 @@ fn main() {
         }
         std::thread::sleep(Duration::from_millis(100));
     }
-    let wire_metrics = c.roundtrip(&tally, "metrics");
+    let wire_metrics = tally.ask(&mut c, "metrics");
     classify(&tally, &wire_metrics);
     drop(c);
 
     // Phase 3: SIGTERM drain.
-    let pid = daemon.id().to_string();
-    assert!(
-        Command::new("kill")
-            .args(["-TERM", &pid])
-            .status()
-            .unwrap()
-            .success(),
-        "kill -TERM failed"
-    );
-    let drain_deadline = Instant::now() + Duration::from_secs(20);
-    let status = loop {
-        if let Some(status) = daemon.try_wait().unwrap() {
-            break status;
-        }
-        assert!(
-            Instant::now() < drain_deadline,
-            "daemon did not drain within 20s of SIGTERM"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    };
+    let drained = daemon.drain();
 
     // --- Assertions ---------------------------------------------------
-    let log = std::fs::read_to_string(&log_path).unwrap_or_default();
     assert_eq!(
-        status.code(),
+        drained.status.code(),
         Some(3),
-        "SIGTERM drain must exit 3, got {status}\n{log}"
+        "SIGTERM drain must exit 3, got {}\n{}",
+        drained.status,
+        drained.log
     );
 
     let sent = tally.sent.load(Ordering::Relaxed);
@@ -335,13 +243,10 @@ fn main() {
 
     // Invariant 1: the daemon wrote exactly one terminal response per
     // request line — its own counter agrees with what the clients sent.
-    let drained_line = log
-        .lines()
-        .find(|l| l.starts_with("drained:"))
-        .unwrap_or_else(|| panic!("no drain summary in the daemon log:\n{log}"));
     let expect = format!("drained: {ok_scan} accepted, {overloaded} shed, {sent} responses");
     assert_eq!(
-        drained_line, expect,
+        drained.line(),
+        expect,
         "daemon accounting disagrees with the clients'"
     );
 

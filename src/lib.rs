@@ -1,6 +1,9 @@
 //! Umbrella crate for the workspace: hosts cross-crate integration tests
 //! (`tests/`) and runnable examples (`examples/`). The actual library lives
-//! in the `vbadet` crate and its substrate crates.
+//! in the `vbadet` crate and its substrate crates; [`testkit`] is the
+//! scaffolding the integration suites and the serve soaks share.
+
+pub mod testkit;
 
 pub use vbadet;
 pub use vbadet_corpus as corpus;

@@ -18,81 +18,26 @@
 //! leader's verdict on bytes swapped in after the leader's digest.
 //!
 //! The faultpoint registry and the drain latch are process-global, so
-//! every test serializes on `TEST_LOCK`.
+//! every test serializes on `global_guard`.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
 use vbadet::json::hex;
 use vbadet::{
-    scan_paths_with_policy, Detector, DetectorConfig, IsolateConfig, Listener, MetricsSink,
-    ScanCache, ScanMetrics, ScanPolicy, ServeConfig, ServeSummary,
+    scan_paths_with_policy, Detector, DetectorConfig, IsolateConfig, ScanCache, ScanMetrics,
+    ScanPolicy, ServeConfig,
 };
 use vbadet_corpus::CorpusSpec;
-use vbadet_ole::OleBuilder;
-use vbadet_ovba::VbaProjectBuilder;
-use vbadet_zip::{CompressionMethod, ZipWriter};
-
-static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-fn global_guard() -> MutexGuard<'static, ()> {
-    let guard = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    #[cfg(feature = "faultpoints")]
-    vbadet_faultpoint::clear();
-    vbadet::scan::interrupt::reset();
-    guard
-}
+use vbadet_repro::testkit::{
+    clean_document, docm_document, fresh_dir, global_guard, macro_document, metered, tiny_detector,
+    with_server, Client,
+};
 
 fn worker_config() -> IsolateConfig {
     IsolateConfig::new(vec![env!("CARGO_BIN_EXE_isolation_worker").to_string()])
-}
-
-fn tiny_detector() -> Detector {
-    Detector::train_on_corpus(
-        &DetectorConfig::default(),
-        &CorpusSpec::paper().scaled(0.002),
-    )
-}
-
-fn macro_document() -> Vec<u8> {
-    let mut b = VbaProjectBuilder::new("P");
-    b.add_module("Module1", "Sub Work()\r\n    x = 1\r\nEnd Sub\r\n");
-    b.build().unwrap()
-}
-
-fn clean_document() -> Vec<u8> {
-    let mut ole = OleBuilder::new();
-    ole.add_stream("WordDocument", b"plain text, no project")
-        .unwrap();
-    ole.build()
-}
-
-fn docm_document() -> Vec<u8> {
-    let mut zip = ZipWriter::new();
-    zip.add_file(
-        "[Content_Types].xml",
-        b"<?xml version=\"1.0\"?><Types/>",
-        CompressionMethod::Deflate,
-    )
-    .unwrap();
-    zip.add_file(
-        "word/vbaProject.bin",
-        &macro_document(),
-        CompressionMethod::Deflate,
-    )
-    .unwrap();
-    zip.finish()
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("vbadet-cache-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 /// A duplicate-heavy corpus: 6 distinct contents (macros, clean OLE,
@@ -126,10 +71,6 @@ fn unique_contents(docs: usize) -> u64 {
     docs.min(6) as u64
 }
 
-fn metered(policy: ScanPolicy) -> ScanPolicy {
-    policy.with_metrics(MetricsSink::enabled())
-}
-
 fn hist_total(metrics: &ScanMetrics, label: &str) -> u64 {
     metrics.histograms.get(label).map_or(0, |h| h.total)
 }
@@ -149,7 +90,7 @@ fn within_bound<R: Send + 'static>(batch: impl FnOnce() -> R + Send + 'static) -
 #[test]
 fn cold_cache_is_byte_identical_to_cache_off_across_every_engine() {
     let _guard = global_guard();
-    let det = Arc::new(tiny_detector());
+    let det = tiny_detector();
     let dir = fresh_dir("cold-equiv");
 
     // The isolate engine gets 96 documents so that its `--jobs 3` claims
@@ -167,8 +108,8 @@ fn cold_cache_is_byte_identical_to_cache_off_across_every_engine() {
     for (name, base, docs) in engines {
         let paths = duplicate_corpus(&dir, docs);
         let run = |policy: ScanPolicy| {
-            let (det, paths) = (Arc::clone(&det), paths.clone());
-            within_bound(move || scan_paths_with_policy(&det, &paths, &policy))
+            let paths = paths.clone();
+            within_bound(move || scan_paths_with_policy(det, &paths, &policy))
         };
         let off = run(metered(base.clone()));
         let cold_policy = metered(base.clone()).with_cache(Arc::new(ScanCache::in_memory(1024)));
@@ -199,7 +140,7 @@ fn cold_cache_is_byte_identical_to_cache_off_across_every_engine() {
 #[test]
 fn warm_cache_serves_every_document_and_stays_byte_identical() {
     let _guard = global_guard();
-    let det = &tiny_detector();
+    let det = tiny_detector();
     let dir = fresh_dir("warm-equiv");
     let paths = duplicate_corpus(&dir, 18);
     let docs = paths.len() as u64;
@@ -278,7 +219,7 @@ fn retraining_the_detector_invalidates_every_entry() {
 
     // Warm the cache under detector A.
     let warm_a = metered(ScanPolicy::default()).with_cache(Arc::clone(&cache));
-    scan_paths_with_policy(&det_a, &paths, &warm_a);
+    scan_paths_with_policy(det_a, &paths, &warm_a);
 
     // Detector B must see clean misses for every document — a stale
     // verdict scored by A would be silently wrong under B.
@@ -296,7 +237,7 @@ fn retraining_the_detector_invalidates_every_entry() {
 #[test]
 fn changing_an_outcome_affecting_policy_field_invalidates_every_entry() {
     let _guard = global_guard();
-    let det = &tiny_detector();
+    let det = tiny_detector();
     let dir = fresh_dir("policy-inval");
     // Duplicate-free, same reasoning as the detector-invalidation test.
     let paths = duplicate_corpus(&dir, 6);
@@ -339,7 +280,7 @@ fn changing_an_outcome_affecting_policy_field_invalidates_every_entry() {
 #[test]
 fn persistent_cache_stays_warm_across_a_reopen() {
     let _guard = global_guard();
-    let det = &tiny_detector();
+    let det = tiny_detector();
     let dir = fresh_dir("persist");
     let paths = duplicate_corpus(&dir, 12);
     let store = dir.join("cache");
@@ -375,59 +316,6 @@ fn persistent_cache_stays_warm_across_a_reopen() {
 // Resident service: duplicate requests share one scan.
 // ---------------------------------------------------------------------------
 
-/// Runs the service on an ephemeral TCP port for the duration of `drive`,
-/// then requests the drain and returns the summary alongside `drive`'s
-/// result. (Same shape as the serve suite's helper; test files are
-/// separate crates.)
-fn with_server<R: Send>(
-    detector: &Detector,
-    config: &ServeConfig,
-    drive: impl FnOnce(std::net::SocketAddr) -> R + Send,
-) -> (ServeSummary, R) {
-    let listener = Listener::bind_tcp("127.0.0.1:0").unwrap();
-    let addr = listener.tcp_addr().unwrap();
-    vbadet::scan::interrupt::reset();
-    let mut out = None;
-    let mut summary = None;
-    struct DrainOnDrop;
-    impl Drop for DrainOnDrop {
-        fn drop(&mut self) {
-            vbadet::scan::interrupt::request_drain();
-        }
-    }
-    thread::scope(|s| {
-        let server = s.spawn(|| vbadet::serve(&listener, detector, config, None));
-        let drain = DrainOnDrop;
-        out = Some(drive(addr));
-        drop(drain);
-        summary = Some(server.join().unwrap());
-    });
-    (summary.unwrap(), out.unwrap())
-}
-
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let writer = TcpStream::connect(addr).unwrap();
-        writer.set_nodelay(true).unwrap();
-        let reader = BufReader::new(writer.try_clone().unwrap());
-        Client { writer, reader }
-    }
-
-    fn roundtrip(&mut self, line: &str) -> String {
-        self.writer
-            .write_all(format!("{line}\n").as_bytes())
-            .unwrap();
-        let mut line = String::new();
-        self.reader.read_line(&mut line).unwrap();
-        line.trim().to_string()
-    }
-}
-
 #[test]
 fn serve_path_and_inline_requests_with_identical_content_share_the_cache() {
     let _guard = global_guard();
@@ -438,7 +326,7 @@ fn serve_path_and_inline_requests_with_identical_content_share_the_cache() {
 
     let policy = ScanPolicy::default().with_cache(Arc::new(ScanCache::in_memory(64)));
     let config = ServeConfig::new(policy);
-    let (summary, (by_path, by_bytes)) = with_server(&det, &config, |addr| {
+    let (summary, (by_path, by_bytes)) = with_server(det, &config, |addr| {
         let mut c = Client::connect(addr);
         let by_path = c.roundtrip(&format!("scan {}", doc.display()));
         let by_bytes = c.roundtrip(&format!(
@@ -465,37 +353,14 @@ mod faultpoints {
     use super::*;
     use std::panic::AssertUnwindSafe;
 
-    use vbadet::json::{self, Json};
     use vbadet::{replay_journal, scan_paths_journaled, FailureClass, ScanJournal, ScanOutcome};
     use vbadet_faultpoint::{clear, configure, hit_count};
-
-    /// The `outcome` object of each `done` line a journaled cache-off
-    /// batch writes for `paths`, in input order.
-    fn journaled_outcomes(det: &Detector, paths: &[PathBuf], journal_path: &Path) -> Vec<Json> {
-        let mut journal = ScanJournal::create(journal_path).unwrap();
-        scan_paths_journaled(det, paths, &ScanPolicy::default(), Some(&mut journal), None);
-        drop(journal);
-        std::fs::read_to_string(journal_path)
-            .unwrap()
-            .lines()
-            .map(|line| json::parse(line).unwrap())
-            .filter(|j| j.get("event").and_then(Json::as_str) == Some("done"))
-            .map(|j| j.get("outcome").unwrap().clone())
-            .collect()
-    }
-
-    /// The `outcome` object of one scan reply line.
-    fn reply_outcome(line: &str) -> Json {
-        json::parse(line)
-            .ok()
-            .and_then(|j| j.get("outcome").cloned())
-            .unwrap_or_else(|| panic!("not a scan reply: {line}"))
-    }
+    use vbadet_repro::testkit::{journaled_outcomes, reply};
 
     #[test]
     fn kill_and_resume_with_a_warm_cache_equals_an_uncached_resume() {
         let _guard = global_guard();
-        let det = &tiny_detector();
+        let det = tiny_detector();
         let dir = fresh_dir("kill-resume");
         let paths = duplicate_corpus(&dir, 12);
 
@@ -538,7 +403,7 @@ mod faultpoints {
     #[test]
     fn stat_read_growth_race_is_still_limit_exceeded_with_caching_on() {
         let _guard = global_guard();
-        let det = &tiny_detector();
+        let det = tiny_detector();
         let dir = fresh_dir("statrace");
 
         // Same race as the uncached regression test: the file passes the
@@ -588,7 +453,7 @@ mod faultpoints {
     #[test]
     fn a_file_swapped_after_the_supervisor_digest_is_never_cached() {
         let _guard = global_guard();
-        let det = &tiny_detector();
+        let det = tiny_detector();
         let dir = fresh_dir("swap-race");
 
         // The isolate supervisor digests the file, then a worker re-reads
@@ -655,7 +520,7 @@ mod faultpoints {
 
         let policy = ScanPolicy::default().with_cache(Arc::new(ScanCache::in_memory(64)));
         let config = ServeConfig::new(policy);
-        let (summary, (by_path, by_bytes)) = with_server(&det, &config, |addr| {
+        let (summary, (by_path, by_bytes)) = with_server(det, &config, |addr| {
             thread::scope(|s| {
                 let path_req =
                     s.spawn(|| Client::connect(addr).roundtrip(&format!("scan {}", doc.display())));
@@ -710,7 +575,7 @@ mod faultpoints {
                 p
             })
             .collect();
-        let expected = journaled_outcomes(&det, &references, &dir.join("reference.jsonl"));
+        let expected = journaled_outcomes(det, &references, &dir.join("reference.jsonl"));
         assert_ne!(expected[0], expected[1]);
         let victim = dir.join("swapped.bin");
         std::fs::write(&victim, &old).unwrap();
@@ -721,7 +586,7 @@ mod faultpoints {
             .isolated(workers)
             .with_cache(Arc::new(ScanCache::in_memory(64)));
         let config = ServeConfig::new(policy);
-        let (_, (leader, follower)) = with_server(&det, &config, |addr| {
+        let (_, (leader, follower)) = with_server(det, &config, |addr| {
             thread::scope(|s| {
                 let leader = s.spawn(|| {
                     Client::connect(addr).roundtrip(&format!("scan {}", victim.display()))
@@ -748,11 +613,15 @@ mod faultpoints {
         clear();
 
         assert_eq!(
-            reply_outcome(&follower),
-            expected[0],
+            reply(&follower).get("outcome"),
+            Some(&expected[0]),
             "the follower got a verdict on bytes it never sent"
         );
-        assert_eq!(reply_outcome(&leader), expected[1], "{leader}");
+        assert_eq!(
+            reply(&leader).get("outcome"),
+            Some(&expected[1]),
+            "{leader}"
+        );
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -2,58 +2,26 @@
 //! compiles the injection registry in, so the whole file is gated.
 //!
 //! The faultpoint registry is process-global, and Rust runs integration
-//! tests in parallel threads — every test here serializes on `TEST_LOCK`
-//! and clears the registry on entry and exit.
+//! tests in parallel threads — every test here serializes on
+//! `global_guard`, which clears the registry on entry; each test clears
+//! it again on exit.
 #![cfg(feature = "faultpoints")]
 
 use std::panic::AssertUnwindSafe;
-use std::sync::{Mutex, MutexGuard};
 
 use vbadet::{
-    replay_journal, scan_bytes_with_policy, scan_paths_journaled, scan_paths_with_policy, Detector,
-    DetectorConfig, FailureClass, ScanJournal, ScanOutcome, ScanPolicy,
+    replay_journal, scan_bytes_with_policy, scan_paths_journaled, scan_paths_with_policy,
+    FailureClass, ScanJournal, ScanOutcome, ScanPolicy,
 };
-use vbadet_corpus::CorpusSpec;
 use vbadet_faultpoint::{clear, configure, hit_count};
-use vbadet_ole::OleBuilder;
-use vbadet_ovba::VbaProjectBuilder;
-
-static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-/// Serialize tests that arm the global registry; recover from a poisoned
-/// lock so one failing test doesn't cascade into every later one.
-fn registry_guard() -> MutexGuard<'static, ()> {
-    let guard = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    clear();
-    guard
-}
-
-fn tiny_detector() -> Detector {
-    // Verdict quality is irrelevant here; the detector only has to score
-    // whatever the injected faults leave standing.
-    Detector::train_on_corpus(
-        &DetectorConfig::default(),
-        &CorpusSpec::paper().scaled(0.002),
-    )
-}
-
-fn macro_document() -> Vec<u8> {
-    let mut b = VbaProjectBuilder::new("P");
-    b.add_module("Module1", "Sub Work()\r\n    x = 1\r\nEnd Sub\r\n");
-    b.build().unwrap()
-}
-
-fn clean_document() -> Vec<u8> {
-    let mut ole = OleBuilder::new();
-    ole.add_stream("WordDocument", b"plain text, no project")
-        .unwrap();
-    ole.build()
-}
+use vbadet_repro::testkit::{
+    clean_document, fresh_dir, global_guard, macro_document, tiny_detector,
+};
 
 #[test]
 fn an_injected_parser_panic_is_contained_per_document() {
-    let _guard = registry_guard();
-    let det = &tiny_detector();
+    let _guard = global_guard();
+    let det = tiny_detector();
     let doc = macro_document();
 
     // The parse blows up with a simulated parser bug.
@@ -86,8 +54,8 @@ fn an_injected_parser_panic_is_contained_per_document() {
 
 #[test]
 fn injected_stall_is_cut_short_by_the_deadline() {
-    let _guard = registry_guard();
-    let det = &tiny_detector();
+    let _guard = global_guard();
+    let det = tiny_detector();
     let doc = macro_document();
 
     // The decompressor sleeps well past the document's 40 ms deadline.
@@ -119,10 +87,9 @@ fn injected_stall_is_cut_short_by_the_deadline() {
 
 #[test]
 fn killed_scan_resumes_from_its_journal_without_rescanning_finished_docs() {
-    let _guard = registry_guard();
-    let det = &tiny_detector();
-    let dir = std::env::temp_dir().join(format!("vbadet-faultkill-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let _guard = global_guard();
+    let det = tiny_detector();
+    let dir = fresh_dir("faultkill");
 
     let paths = [
         dir.join("a.bin"),
@@ -168,10 +135,9 @@ fn killed_scan_resumes_from_its_journal_without_rescanning_finished_docs() {
 
 #[test]
 fn torn_journal_write_is_surfaced_and_the_tail_is_recoverable() {
-    let _guard = registry_guard();
-    let det = &tiny_detector();
-    let dir = std::env::temp_dir().join(format!("vbadet-faulttorn-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let _guard = global_guard();
+    let det = tiny_detector();
+    let dir = fresh_dir("faulttorn");
 
     let paths = [dir.join("a.bin"), dir.join("b.doc"), dir.join("c.bin")];
     std::fs::write(&paths[0], macro_document()).unwrap();
@@ -214,11 +180,9 @@ fn torn_journal_write_is_surfaced_and_the_tail_is_recoverable() {
 
 #[test]
 fn parallel_kill_and_resume_reproduces_the_sequential_reference_exactly() {
-    let _guard = registry_guard();
-    let det = &tiny_detector();
-    let dir = std::env::temp_dir().join(format!("vbadet-parkill-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let _guard = global_guard();
+    let det = tiny_detector();
+    let dir = fresh_dir("parkill");
 
     let paths: Vec<_> = (0..12)
         .map(|i| {
@@ -280,11 +244,9 @@ fn parallel_kill_and_resume_reproduces_the_sequential_reference_exactly() {
 
 #[test]
 fn torn_journal_write_under_concurrency_surfaces_once_with_no_interleaved_lines() {
-    let _guard = registry_guard();
-    let det = &tiny_detector();
-    let dir = std::env::temp_dir().join(format!("vbadet-partorn-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let _guard = global_guard();
+    let det = tiny_detector();
+    let dir = fresh_dir("partorn");
 
     let paths: Vec<_> = (0..8)
         .map(|i| {
@@ -343,11 +305,9 @@ fn torn_journal_write_under_concurrency_surfaces_once_with_no_interleaved_lines(
 
 #[test]
 fn file_growing_past_the_size_cap_between_stat_and_read_is_limit_exceeded() {
-    let _guard = registry_guard();
-    let det = &tiny_detector();
-    let dir = std::env::temp_dir().join(format!("vbadet-statrace-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let _guard = global_guard();
+    let det = tiny_detector();
+    let dir = fresh_dir("statrace");
 
     // The file passes the stat check at 64 bytes, then an appender grows
     // it past the cap inside the injected stat→read gap. The engine must

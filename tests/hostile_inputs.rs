@@ -14,23 +14,12 @@ mod mutants;
 use mutants::{flip_bytes, raw_project_mutants, splice, truncate};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vbadet::{
-    scan_bytes_with_policy, Budget, Detector, DetectorConfig, FailureClass, ScanLimits,
-    ScanOutcome, ScanPolicy,
-};
+use vbadet::{scan_bytes_with_policy, Budget, FailureClass, ScanLimits, ScanOutcome, ScanPolicy};
 use vbadet_corpus::{generate_macros, CorpusSpec, DocumentFactory};
 use vbadet_ovba::{salvage_modules_from_bytes_budgeted, VbaProjectBuilder};
+use vbadet_repro::testkit::{fresh_dir, tiny_detector};
 
 const MIN_MUTANTS: usize = 1000;
-
-fn tiny_detector() -> Detector {
-    // Verdict quality is irrelevant here; the detector only has to score
-    // whatever modules the mutants still yield.
-    Detector::train_on_corpus(
-        &DetectorConfig::default(),
-        &CorpusSpec::paper().scaled(0.002),
-    )
-}
 
 /// Builder-generated seed documents: real `.doc`/`.docm`/`.xls`/`.xlsm`
 /// containers from the corpus factory plus a bare `vbaProject.bin`.
@@ -75,7 +64,7 @@ fn thousand_mutants_never_panic_the_scan_engine() {
                 truncate(base, &mut rng),
                 splice(base, donor, &mut rng),
             ] {
-                let outcome = scan_bytes_with_policy(&detector, &mutant, &policy);
+                let outcome = scan_bytes_with_policy(detector, &mutant, &policy);
                 scanned += 1;
                 let key = match &outcome {
                     ScanOutcome::Clean => "clean",
@@ -162,7 +151,7 @@ fn raw_project_mutant_133_is_salvaged_by_the_raw_bytes_sweep() {
     assert_eq!(extracted.len(), 1);
     assert_eq!(extracted[0].module_name, "salvaged_1");
     assert!(extracted[0].code.contains("Chr(65) & Chr(66)"));
-    match scan_bytes_with_policy(&tiny_detector(), mutant, &ScanPolicy::default()) {
+    match scan_bytes_with_policy(tiny_detector(), mutant, &ScanPolicy::default()) {
         ScanOutcome::Salvaged(verdicts) => {
             assert_eq!(verdicts.len(), 1);
             assert_eq!(verdicts[0].module_name, "salvaged_1");
@@ -307,9 +296,7 @@ fn fuzz_cache_store() {
     use vbadet::{scan_paths_with_policy, ScanCache, ScanPolicy};
 
     let detector = tiny_detector();
-    let dir = std::env::temp_dir().join(format!("vbadet-cachefuzz-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = fresh_dir("cachefuzz");
 
     // A pristine store built by a real scan over builder-generated
     // documents (dropping the policy drops the cache and syncs the
@@ -327,7 +314,7 @@ fn fuzz_cache_store() {
     {
         let cache = ScanCache::persistent(&store, 1024).unwrap();
         let policy = ScanPolicy::default().with_cache(Arc::new(cache));
-        scan_paths_with_policy(&detector, &paths, &policy);
+        scan_paths_with_policy(detector, &paths, &policy);
     }
     let segment = {
         let mut segments: Vec<_> = std::fs::read_dir(&store)
@@ -467,7 +454,7 @@ fn fixture_stomped_dir_stream_is_salvaged() {
         }
     }
     let stomped = rebuilt.build();
-    let outcome = scan_bytes_with_policy(&detector, &stomped, &ScanPolicy::default());
+    let outcome = scan_bytes_with_policy(detector, &stomped, &ScanPolicy::default());
     let scanned = match outcome {
         ScanOutcome::Salvaged(verdicts) => {
             assert_eq!(verdicts.len(), 1);
@@ -503,7 +490,7 @@ fn fixture_decompression_bomb_trips_limit_exceeded() {
 
     let mut limits = ScanLimits::default();
     limits.ovba.max_module_bytes = 4096; // far below the ~100 KiB source
-    match scan_bytes_with_policy(&detector, &bin, &ScanPolicy::with_limits(limits)) {
+    match scan_bytes_with_policy(detector, &bin, &ScanPolicy::with_limits(limits)) {
         ScanOutcome::Failed {
             class: FailureClass::LimitExceeded,
             ..
@@ -512,7 +499,7 @@ fn fixture_decompression_bomb_trips_limit_exceeded() {
     }
     // The same document under default limits parses fine.
     assert!(matches!(
-        scan_bytes_with_policy(&detector, &bin, &ScanPolicy::default()),
+        scan_bytes_with_policy(detector, &bin, &ScanPolicy::default()),
         ScanOutcome::Macros(_)
     ));
 }
@@ -536,7 +523,7 @@ fn fixture_self_looping_fat_chain_is_reported_as_cycle() {
         vbadet_ole::OleFile::parse(&bytes),
         Err(vbadet_ole::OleError::ChainCycle { .. })
     ));
-    match scan_bytes_with_policy(&detector, &bytes, &ScanPolicy::default()) {
+    match scan_bytes_with_policy(detector, &bytes, &ScanPolicy::default()) {
         ScanOutcome::Failed {
             class: FailureClass::CyclicChain,
             ..

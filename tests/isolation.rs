@@ -16,83 +16,20 @@
 //! drain path.
 //!
 //! The faultpoint registry is process-global and Rust runs integration
-//! tests in parallel threads, so every test serializes on `TEST_LOCK`.
+//! tests in parallel threads, so every test serializes on `global_guard`.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
 
-use vbadet::{
-    scan_paths_with_policy, Detector, DetectorConfig, FailureClass, IsolateConfig, MetricsSink,
-    ScanOutcome, ScanPolicy,
-};
-use vbadet_corpus::CorpusSpec;
-use vbadet_ole::OleBuilder;
+use vbadet::{scan_paths_with_policy, FailureClass, IsolateConfig, ScanOutcome, ScanPolicy};
 use vbadet_ovba::VbaProjectBuilder;
-use vbadet_zip::{CompressionMethod, ZipWriter};
-
-static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-/// Serialize tests that touch process-global state (the faultpoint
-/// registry, the drain latch); recover from a poisoned lock so one
-/// failing test doesn't cascade into every later one.
-fn global_guard() -> MutexGuard<'static, ()> {
-    let guard = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    #[cfg(feature = "faultpoints")]
-    vbadet_faultpoint::clear();
-    vbadet::scan::interrupt::reset();
-    guard
-}
+use vbadet_repro::testkit::{
+    clean_document, docm_document, fresh_dir, global_guard, macro_document, metered, tiny_detector,
+};
 
 /// The worker binary the supervisor re-executes: the whole binary is one
 /// isolation worker speaking the frame protocol on stdin/stdout.
 fn worker_config() -> IsolateConfig {
     IsolateConfig::new(vec![env!("CARGO_BIN_EXE_isolation_worker").to_string()])
-}
-
-fn tiny_detector() -> Detector {
-    // Verdict quality is irrelevant here; the detector only has to produce
-    // the same verdicts in the supervisor and in its workers.
-    Detector::train_on_corpus(
-        &DetectorConfig::default(),
-        &CorpusSpec::paper().scaled(0.002),
-    )
-}
-
-fn macro_document() -> Vec<u8> {
-    let mut b = VbaProjectBuilder::new("P");
-    b.add_module("Module1", "Sub Work()\r\n    x = 1\r\nEnd Sub\r\n");
-    b.build().unwrap()
-}
-
-fn clean_document() -> Vec<u8> {
-    let mut ole = OleBuilder::new();
-    ole.add_stream("WordDocument", b"plain text, no project")
-        .unwrap();
-    ole.build()
-}
-
-fn docm_document() -> Vec<u8> {
-    let mut zip = ZipWriter::new();
-    zip.add_file(
-        "[Content_Types].xml",
-        b"<?xml version=\"1.0\"?><Types/>",
-        CompressionMethod::Deflate,
-    )
-    .unwrap();
-    zip.add_file(
-        "word/vbaProject.bin",
-        &macro_document(),
-        CompressionMethod::Deflate,
-    )
-    .unwrap();
-    zip.finish()
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("vbadet-isolation-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 /// A mixed corpus exercising every container path: OLE with macros, clean
@@ -118,14 +55,10 @@ fn mixed_corpus(dir: &Path, docs: usize) -> Vec<PathBuf> {
         .collect()
 }
 
-fn metered(policy: ScanPolicy) -> ScanPolicy {
-    policy.with_metrics(MetricsSink::enabled())
-}
-
 #[test]
 fn isolated_records_and_counters_match_the_in_process_engines() {
     let _guard = global_guard();
-    let det = &tiny_detector();
+    let det = tiny_detector();
     let dir = fresh_dir("equiv");
     let paths = mixed_corpus(&dir, 10);
 
@@ -155,7 +88,7 @@ fn isolated_records_and_counters_match_the_in_process_engines() {
 #[test]
 fn a_missing_worker_binary_is_a_typed_per_document_failure_not_a_hang() {
     let _guard = global_guard();
-    let det = &tiny_detector();
+    let det = tiny_detector();
     let dir = fresh_dir("missing");
     let paths = mixed_corpus(&dir, 3);
 
@@ -191,7 +124,7 @@ fn a_missing_worker_binary_is_a_typed_per_document_failure_not_a_hang() {
 #[test]
 fn the_worker_memory_ceiling_is_a_typed_outcome_not_a_dead_worker() {
     let _guard = global_guard();
-    let det = &tiny_detector();
+    let det = tiny_detector();
     let dir = fresh_dir("memcap");
 
     // A single ~2.5 MB module: decompressing it must allocate well past a
@@ -249,7 +182,7 @@ fn an_isolate_journal_is_byte_identical_to_the_sequential_journal() {
     use vbadet::{replay_journal, scan_paths_journaled, ScanJournal};
 
     let _guard = global_guard();
-    let det = &tiny_detector();
+    let det = tiny_detector();
     let dir = fresh_dir("journal");
     let paths = mixed_corpus(&dir, 15);
     let policy = ScanPolicy::default();
@@ -289,6 +222,7 @@ mod faults {
 
     use vbadet::{replay_journal, scan_paths_journaled, ScanJournal};
     use vbadet_faultpoint::{clear, configure};
+    use vbadet_zip::{CompressionMethod, ZipWriter};
 
     /// Junk documents never reach the OLE parser (the container sniffer
     /// rejects them first), so a worker armed with `ole::parse=abort`
@@ -309,7 +243,7 @@ mod faults {
     #[test]
     fn an_aborting_document_is_quarantined_after_one_solo_retry_and_the_batch_survives() {
         let _guard = global_guard();
-        let det = &tiny_detector();
+        let det = tiny_detector();
         let dir = fresh_dir("abort");
         let (paths, poison_idx) = safe_and_poison_corpus(&dir);
 
@@ -385,7 +319,7 @@ mod faults {
     #[test]
     fn a_worker_death_mid_claim_forfeits_one_document_and_the_claim_is_resent() {
         let _guard = global_guard();
-        let det = &tiny_detector();
+        let det = tiny_detector();
         let dir = fresh_dir("mid-claim");
 
         // 64 inputs at jobs 2 are claimed four at a time (eight at a time
@@ -478,7 +412,7 @@ mod faults {
     #[test]
     fn a_wedged_worker_is_heartbeat_killed_and_the_document_quarantined() {
         let _guard = global_guard();
-        let det = &tiny_detector();
+        let det = tiny_detector();
         let dir = fresh_dir("wedge");
         let (paths, poison_idx) = safe_and_poison_corpus(&dir);
 
@@ -518,7 +452,7 @@ mod faults {
     #[test]
     fn isolate_kill_and_resume_reproduces_the_reference_exactly() {
         let _guard = global_guard();
-        let det = &tiny_detector();
+        let det = tiny_detector();
         let dir = fresh_dir("resume");
         let paths = mixed_corpus(&dir, 12);
 
@@ -563,7 +497,7 @@ mod faults {
     #[test]
     fn an_injected_drain_stops_cleanly_and_the_journal_resumes_to_the_full_report() {
         let _guard = global_guard();
-        let det = &tiny_detector();
+        let det = tiny_detector();
         let dir = fresh_dir("drain");
         let paths = mixed_corpus(&dir, 8);
 
@@ -608,7 +542,7 @@ mod faults {
     #[test]
     fn an_injected_drain_leaves_the_same_prefix_and_journal_under_every_engine_shape() {
         let _guard = global_guard();
-        let det = &tiny_detector();
+        let det = tiny_detector();
         let dir = fresh_dir("drain-shapes");
         // 64 inputs: isolate jobs 2 claims four at a time, so its workers
         // have documents in flight past the drain point.

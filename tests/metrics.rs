@@ -3,78 +3,19 @@
 //! worker count — and the failure paths (salvage, budget trips) must land
 //! in the counters that name them.
 //!
-//! Tests serialize on `TEST_LOCK` for the same reason the parallel suite
+//! Tests serialize on `global_guard` for the same reason the parallel suite
 //! does: equivalence runs spawn their own worker pools.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use vbadet::{
-    scan_paths_journaled, scan_paths_with_policy, Detector, DetectorConfig, MetricsSink,
-    ScanJournal, ScanMetrics, ScanPolicy,
+    scan_paths_journaled, scan_paths_with_policy, Detector, MetricsSink, ScanJournal, ScanMetrics,
+    ScanPolicy,
 };
-use vbadet_corpus::CorpusSpec;
-use vbadet_ole::OleBuilder;
 use vbadet_ovba::VbaProjectBuilder;
-
-static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-fn detector() -> &'static Detector {
-    static DET: OnceLock<Detector> = OnceLock::new();
-    DET.get_or_init(|| {
-        Detector::train_on_corpus(
-            &DetectorConfig::default(),
-            &CorpusSpec::paper().scaled(0.002),
-        )
-    })
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "vbadet-metrics-{tag}-{}-{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn macro_doc(i: usize) -> Vec<u8> {
-    let mut b = VbaProjectBuilder::new("P");
-    b.add_module(
-        &format!("Module{i}"),
-        &format!("Sub Work{i}()\r\n    x = {i}\r\n    y = x * 2\r\nEnd Sub\r\n"),
-    );
-    b.build().unwrap()
-}
-
-fn clean_doc(i: usize) -> Vec<u8> {
-    let mut ole = OleBuilder::new();
-    ole.add_stream(
-        "WordDocument",
-        format!("plain text #{i}, no macros").as_bytes(),
-    )
-    .unwrap();
-    ole.build()
-}
-
-/// Wreckage only the extractor's raw-bytes sweep can mine: a fake ZIP
-/// signature followed by an intact compressed module.
-fn salvage_wreck(i: usize) -> Vec<u8> {
-    let mut doc = b"PK\x03\x04 not really an archive ".to_vec();
-    doc.extend_from_slice(&vbadet_ovba::compress(
-        format!("Attribute VB_Name = \"M{i}\"\r\nSub S{i}()\r\n    x = {i}\r\nEnd Sub\r\n")
-            .as_bytes(),
-    ));
-    doc
-}
+use vbadet_repro::testkit::{
+    clean_doc, fresh_dir, global_guard, macro_doc, metered, salvage_wreck, tiny_detector,
+};
 
 /// A corpus hitting every outcome family: parsed macros, clean documents,
 /// junk, truncations, and salvage-only wreckage.
@@ -104,10 +45,6 @@ fn write_mixed_corpus(dir: &Path, n: usize) -> Vec<PathBuf> {
     paths
 }
 
-fn metered_policy() -> ScanPolicy {
-    ScanPolicy::default().with_metrics(MetricsSink::enabled())
-}
-
 fn run(det: &Detector, paths: &[PathBuf], policy: &ScanPolicy) -> ScanMetrics {
     let report = scan_paths_with_policy(det, paths, policy);
     report
@@ -117,19 +54,19 @@ fn run(det: &Detector, paths: &[PathBuf], policy: &ScanPolicy) -> ScanMetrics {
 
 #[test]
 fn counters_are_identical_between_sequential_and_every_worker_count() {
-    let _serial = serial();
-    let det = detector();
+    let _serial = global_guard();
+    let det = tiny_detector();
     let dir = fresh_dir("seq-par");
     let paths = write_mixed_corpus(&dir, 42);
 
-    let sequential = run(det, &paths, &metered_policy());
+    let sequential = run(det, &paths, &metered(ScanPolicy::default()));
     assert!(sequential.counter("scan.docs") == 42);
     for jobs in [2, 4, 8] {
         // Fresh sink per run: the snapshot must be attributable to this
         // run alone, not an accumulation across engines.
         let policy = ScanPolicy {
             jobs,
-            ..metered_policy()
+            ..metered(ScanPolicy::default())
         };
         let parallel = run(det, &paths, &policy);
         assert_eq!(
@@ -144,13 +81,13 @@ fn counters_are_identical_between_sequential_and_every_worker_count() {
 
 #[test]
 fn counters_are_identical_across_repeated_runs() {
-    let _serial = serial();
-    let det = detector();
+    let _serial = global_guard();
+    let det = tiny_detector();
     let dir = fresh_dir("repeat");
     let paths = write_mixed_corpus(&dir, 24);
 
-    let first = run(det, &paths, &metered_policy());
-    let second = run(det, &paths, &metered_policy());
+    let first = run(det, &paths, &metered(ScanPolicy::default()));
+    let second = run(det, &paths, &metered(ScanPolicy::default()));
     assert_eq!(first.counters_json(), second.counters_json());
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -158,12 +95,12 @@ fn counters_are_identical_across_repeated_runs() {
 
 #[test]
 fn pipeline_counters_cover_every_stage_the_corpus_exercises() {
-    let _serial = serial();
-    let det = detector();
+    let _serial = global_guard();
+    let det = tiny_detector();
     let dir = fresh_dir("stages");
     let paths = write_mixed_corpus(&dir, 36);
 
-    let m = run(det, &paths, &metered_policy());
+    let m = run(det, &paths, &metered(ScanPolicy::default()));
     // 36 docs, i%6 buckets of 6 each: 12 parsed OLE macro docs, 6 clean
     // OLE, 6 junk, 6 truncated, 6 salvage wrecks.
     assert_eq!(m.counter("scan.docs"), 36);
@@ -206,8 +143,8 @@ fn pipeline_counters_cover_every_stage_the_corpus_exercises() {
 
 #[test]
 fn salvage_path_increments_salvage_counters() {
-    let _serial = serial();
-    let det = detector();
+    let _serial = global_guard();
+    let det = tiny_detector();
     let dir = fresh_dir("salvage");
     let paths: Vec<PathBuf> = (0..4)
         .map(|i| {
@@ -217,7 +154,7 @@ fn salvage_path_increments_salvage_counters() {
         })
         .collect();
 
-    let m = run(det, &paths, &metered_policy());
+    let m = run(det, &paths, &metered(ScanPolicy::default()));
     assert_eq!(m.counter("extract.salvaged"), 4, "{}", m.counters_json());
     assert_eq!(m.counter("ovba.salvage_scans"), 4);
     assert_eq!(m.counter("ovba.salvage_modules"), 4);
@@ -230,8 +167,8 @@ fn salvage_path_increments_salvage_counters() {
 
 #[test]
 fn budget_trip_lands_in_the_timeout_counter() {
-    let _serial = serial();
-    let det = detector();
+    let _serial = global_guard();
+    let det = tiny_detector();
     let dir = fresh_dir("timeout");
     let stall = dir.join("stall.bin");
     let body = "    x = x + 1 ' busywork\r\n".repeat(20_000);
@@ -241,9 +178,7 @@ fn budget_trip_lands_in_the_timeout_counter() {
     let fine = dir.join("fine.bin");
     std::fs::write(&fine, macro_doc(1)).unwrap();
 
-    let policy = ScanPolicy::default()
-        .fuel(64)
-        .with_metrics(MetricsSink::enabled());
+    let policy = metered(ScanPolicy::default().fuel(64));
     let m = run(det, &[stall, fine], &policy);
     assert_eq!(m.counter("scan.docs"), 2);
     assert_eq!(m.counter("scan.failed"), 1);
@@ -255,14 +190,14 @@ fn budget_trip_lands_in_the_timeout_counter() {
 
 #[test]
 fn journal_counters_match_the_journal_file() {
-    let _serial = serial();
-    let det = detector();
+    let _serial = global_guard();
+    let det = tiny_detector();
     let dir = fresh_dir("journal");
     let paths = write_mixed_corpus(&dir, 18);
 
     let journal_path = dir.join("scan.jsonl");
     let mut journal = ScanJournal::create(&journal_path).unwrap();
-    let policy = metered_policy();
+    let policy = metered(ScanPolicy::default());
     let report = scan_paths_journaled(det, &paths, &policy, Some(&mut journal), None);
     drop(journal);
     assert!(report.journal_error.is_none());
@@ -283,7 +218,7 @@ fn journal_counters_match_the_journal_file() {
     let mut journal = ScanJournal::create(&journal_path_par).unwrap();
     let par_policy = ScanPolicy {
         jobs: 4,
-        ..metered_policy()
+        ..metered(ScanPolicy::default())
     };
     let report = scan_paths_journaled(det, &paths, &par_policy, Some(&mut journal), None);
     drop(journal);
@@ -295,12 +230,12 @@ fn journal_counters_match_the_journal_file() {
 
 #[test]
 fn snapshot_round_trips_through_json() {
-    let _serial = serial();
-    let det = detector();
+    let _serial = global_guard();
+    let det = tiny_detector();
     let dir = fresh_dir("roundtrip");
     let paths = write_mixed_corpus(&dir, 12);
 
-    let m = run(det, &paths, &metered_policy());
+    let m = run(det, &paths, &metered(ScanPolicy::default()));
     let text = m.to_json();
     let back = ScanMetrics::from_json(&text).expect("snapshot JSON must parse back");
     assert_eq!(
@@ -317,7 +252,7 @@ fn snapshot_round_trips_through_json() {
 
 #[test]
 fn serve_stage_counters_round_trip_through_json_and_the_wire_form() {
-    let _serial = serial();
+    let _serial = global_guard();
     // The service counters live on the histogram side (request
     // interleaving is racy, so they are exempt from the determinism
     // contract) and must survive both the pretty dump `--metrics-json`
@@ -364,8 +299,8 @@ fn serve_stage_counters_round_trip_through_json_and_the_wire_form() {
 
 #[test]
 fn disabled_sink_produces_no_snapshot() {
-    let _serial = serial();
-    let det = detector();
+    let _serial = global_guard();
+    let det = tiny_detector();
     let dir = fresh_dir("disabled");
     let path = dir.join("doc.bin");
     std::fs::write(&path, macro_doc(0)).unwrap();

@@ -4,84 +4,24 @@
 //! serialized reports and journals — for any worker count, however the
 //! scheduler interleaves completions.
 //!
-//! Every test serializes on `TEST_LOCK`: the equivalence runs spawn their
+//! Every test serializes on `global_guard`: the equivalence runs spawn their
 //! own worker pools (no point fighting the libtest thread pool for cores),
 //! and the feature-gated stress case arms the process-global faultpoint
 //! registry.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vbadet::{
-    replay_journal, scan_paths_journaled, scan_paths_parallel, scan_paths_with_policy, Detector,
-    DetectorConfig, FailureClass, ScanJournal, ScanLimits, ScanOutcome, ScanPolicy, ScanReport,
+    replay_journal, scan_paths_journaled, scan_paths_parallel, scan_paths_with_policy,
+    FailureClass, ScanJournal, ScanLimits, ScanOutcome, ScanPolicy, ScanReport,
 };
 use vbadet_corpus::{generate_macros, CorpusSpec, DocumentFactory};
-use vbadet_ole::OleBuilder;
 use vbadet_ovba::VbaProjectBuilder;
-
-static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-fn detector() -> &'static Detector {
-    static DET: OnceLock<Detector> = OnceLock::new();
-    DET.get_or_init(|| {
-        // Verdict quality is irrelevant: both engines share one detector,
-        // and equivalence is about plumbing, not accuracy.
-        Detector::train_on_corpus(
-            &DetectorConfig::default(),
-            &CorpusSpec::paper().scaled(0.002),
-        )
-    })
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "vbadet-parscan-{tag}-{}-{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn macro_doc(i: usize) -> Vec<u8> {
-    let mut b = VbaProjectBuilder::new("P");
-    b.add_module(
-        &format!("Module{i}"),
-        &format!("Sub Work{i}()\r\n    x = {i}\r\n    y = x * 2\r\nEnd Sub\r\n"),
-    );
-    b.build().unwrap()
-}
-
-fn clean_doc(i: usize) -> Vec<u8> {
-    let mut ole = OleBuilder::new();
-    ole.add_stream(
-        "WordDocument",
-        format!("plain text #{i}, no macros").as_bytes(),
-    )
-    .unwrap();
-    ole.build()
-}
-
-/// Wreckage the structured parsers reject but the raw-bytes sweep mines:
-/// a fake ZIP signature followed by an intact compressed module.
-fn salvage_wreck(i: usize) -> Vec<u8> {
-    let mut doc = b"PK\x03\x04 not really an archive ".to_vec();
-    doc.extend_from_slice(&vbadet_ovba::compress(
-        format!("Attribute VB_Name = \"M{i}\"\r\nSub S{i}()\r\n    x = {i}\r\nEnd Sub\r\n")
-            .as_bytes(),
-    ));
-    doc
-}
+use vbadet_repro::testkit::{
+    clean_doc, fresh_dir, global_guard, macro_doc, salvage_wreck, tiny_detector,
+};
 
 /// Writes `n` documents cycling through every outcome family the engine
 /// knows: parsed macros, clean, junk, truncated, byte-flipped mutants,
@@ -128,12 +68,8 @@ fn write_mixed_corpus(dir: &Path, n: usize) -> Vec<PathBuf> {
 /// Serializes a report the way the journal does — the strictest
 /// byte-level equality the system defines for scan results.
 fn serialized(report: &ScanReport) -> Vec<u8> {
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let path = std::env::temp_dir().join(format!(
-        "vbadet-parscan-ser-{}-{}.jsonl",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
+    let dir = fresh_dir("parscan-ser");
+    let path = dir.join("report.jsonl");
     let mut journal = ScanJournal::create(&path).unwrap();
     for record in &report.records {
         journal.done(record).unwrap();
@@ -141,14 +77,14 @@ fn serialized(report: &ScanReport) -> Vec<u8> {
     journal.sync().unwrap();
     drop(journal);
     let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
     bytes
 }
 
 #[test]
 fn parallel_equals_sequential_on_clean_hostile_and_mixed_corpora() {
-    let _serial = serial();
-    let det = detector();
+    let _serial = global_guard();
+    let det = tiny_detector();
 
     let clean_dir = fresh_dir("clean");
     let clean: Vec<PathBuf> = (0..24)
@@ -216,8 +152,8 @@ fn parallel_equals_sequential_on_clean_hostile_and_mixed_corpora() {
 
 #[test]
 fn parallel_journal_is_byte_identical_to_the_sequential_journal() {
-    let _serial = serial();
-    let det = detector();
+    let _serial = global_guard();
+    let det = tiny_detector();
     let dir = fresh_dir("journal");
     let paths = write_mixed_corpus(&dir, 35);
     let policy = ScanPolicy::default();
@@ -264,8 +200,8 @@ fn parallel_journal_is_byte_identical_to_the_sequential_journal() {
 /// serialized reports.
 #[test]
 fn five_hundred_document_mixed_corpus_is_byte_equal_at_jobs_4() {
-    let _serial = serial();
-    let det = detector();
+    let _serial = global_guard();
+    let det = tiny_detector();
     let dir = fresh_dir("accept500");
     let paths = write_mixed_corpus(&dir, 500);
 
@@ -294,8 +230,8 @@ fn five_hundred_document_mixed_corpus_is_byte_equal_at_jobs_4() {
 fn corpus_factory_documents_scan_identically_in_parallel() {
     // Real container files (OLE .doc/.xls and OOXML .docm/.xlsm) from the
     // synthetic corpus factory, not just hand-built minimal projects.
-    let _serial = serial();
-    let det = detector();
+    let _serial = global_guard();
+    let det = tiny_detector();
     let dir = fresh_dir("factory");
     let spec = CorpusSpec::paper().scaled(0.01).with_seed(0xBEEF);
     let macros = generate_macros(&spec);
@@ -321,8 +257,8 @@ fn corpus_factory_documents_scan_identically_in_parallel() {
 
 #[test]
 fn input_order_survives_inverted_completion_order() {
-    let _serial = serial();
-    let det = detector();
+    let _serial = global_guard();
+    let det = tiny_detector();
     let dir = fresh_dir("order");
 
     // The first document is by far the slowest (a large multi-module
@@ -362,8 +298,8 @@ fn input_order_survives_inverted_completion_order() {
 /// claimed it — without starving its siblings, and the batch completes.
 #[test]
 fn stress_budget_trip_on_one_worker_does_not_starve_siblings() {
-    let _serial = serial();
-    let det = detector();
+    let _serial = global_guard();
+    let det = tiny_detector();
     let dir = fresh_dir("stress-budget");
 
     const TOTAL: usize = 220;
@@ -421,9 +357,9 @@ fn stress_budget_trip_on_one_worker_does_not_starve_siblings() {
 #[cfg(feature = "faultpoints")]
 #[test]
 fn stress_contained_panic_on_a_worker_completes_the_batch() {
-    let _serial = serial();
+    let _serial = global_guard();
     vbadet_faultpoint::clear();
-    let det = detector();
+    let det = tiny_detector();
     let dir = fresh_dir("stress-panic");
 
     const TOTAL: usize = 200;

@@ -21,20 +21,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vbadet::{
     replay_journal, scan_bytes_with_policy, scan_documents_with_policy, scan_paths_journaled,
-    Detector, DetectorConfig, FailureClass, ScanJournal, ScanOutcome, ScanPolicy,
+    FailureClass, ScanJournal, ScanOutcome, ScanPolicy,
 };
 use vbadet_corpus::{generate_macros, CorpusSpec, DocumentFactory};
 use vbadet_ole::{OleBuilder, OleFile};
 use vbadet_ovba::VbaProjectBuilder;
-
-fn tiny_detector() -> Detector {
-    // Verdict quality is irrelevant here; the detector only has to score
-    // whatever the budgeted pipeline still yields.
-    Detector::train_on_corpus(
-        &DetectorConfig::default(),
-        &CorpusSpec::paper().scaled(0.002),
-    )
-}
+use vbadet_repro::testkit::{fresh_dir, tiny_detector};
 
 fn base_documents() -> &'static Vec<Vec<u8>> {
     static DOCS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
@@ -83,7 +75,7 @@ fn stall_document(modules: usize, prefix_kib: usize) -> Vec<u8> {
 
 #[test]
 fn fuel_budget_turns_the_salvage_stall_vector_into_a_timeout() {
-    let det = &tiny_detector();
+    let det = tiny_detector();
     let doc = stall_document(24, 4);
 
     // Unbudgeted, the document is recoverable (salvage finds the modules).
@@ -110,7 +102,7 @@ fn fuel_budget_turns_the_salvage_stall_vector_into_a_timeout() {
 
 #[test]
 fn per_document_budgets_are_independent() {
-    let det = &tiny_detector();
+    let det = tiny_detector();
     let stall = stall_document(24, 4);
     let mut b = VbaProjectBuilder::new("P");
     b.add_module("Module1", "Sub Work()\r\n    x = 1\r\nEnd Sub\r\n");
@@ -148,7 +140,7 @@ proptest! {
     /// linear wall-clock bound however hostile the bytes are.
     #[test]
     fn deadline_bounds_batch_wall_clock_linearly(seed in any::<u64>()) {
-        let det = &tiny_detector();
+        let det = tiny_detector();
         let bases = base_documents();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut docs: Vec<Vec<u8>> = Vec::new();
@@ -196,9 +188,8 @@ proptest! {
 
 #[test]
 fn journaled_scan_replays_and_resumes_to_identical_outcomes() {
-    let det = &tiny_detector();
-    let dir = std::env::temp_dir().join(format!("vbadet-resilience-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let det = tiny_detector();
+    let dir = fresh_dir("resilience");
 
     let mut b = VbaProjectBuilder::new("P");
     b.add_module("Module1", "Sub Work()\r\n    x = 1\r\nEnd Sub\r\n");

@@ -12,149 +12,33 @@
 //! half-open probe; and a poison document that aborts its isolate worker
 //! costs that worker, never the service.
 //!
-//! The drain latch and faultpoint registry are process-global, so every
-//! test serializes on `TEST_LOCK`.
+//! The drain latch, the reload latch and the faultpoint registry are
+//! process-global, so every test serializes on `global_guard`.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, Write};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::thread;
 #[cfg(feature = "faultpoints")]
 use std::time::Duration;
 
-use vbadet::json::{self, hex, Json};
-use vbadet::{
-    scan_paths_journaled, scan_paths_with_policy, Detector, DetectorConfig, Listener, MetricsSink,
-    ScanJournal, ScanPolicy, ServeConfig, ServeSummary,
+use vbadet::json::{hex, Json};
+use vbadet::{scan_paths_with_policy, Listener, ScanPolicy, ServeConfig};
+use vbadet_repro::testkit::{
+    clean_document, fresh_dir, global_guard, journaled_outcomes, macro_document, metered, reply,
+    tiny_detector, tiny_detector_seeded, with_server, Client,
 };
-use vbadet_corpus::CorpusSpec;
-use vbadet_ovba::VbaProjectBuilder;
-
-static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-fn global_guard() -> MutexGuard<'static, ()> {
-    let guard = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    #[cfg(feature = "faultpoints")]
-    vbadet_faultpoint::clear();
-    vbadet::scan::interrupt::reset();
-    // The hot-reload latch is process-global like the drain latch; a
-    // leftover request from a panicked test must not fire in the next
-    // test's accept loop.
-    vbadet::reset_reload_requests();
-    guard
-}
-
-fn tiny_detector() -> Detector {
-    Detector::train_on_corpus(
-        &DetectorConfig::default(),
-        &CorpusSpec::paper().scaled(0.002),
-    )
-}
-
-/// A second tiny detector whose trained weights — and therefore save-text
-/// fingerprint — differ from [`tiny_detector`]'s.
-fn tiny_detector_seeded(seed: u64) -> Detector {
-    let config = DetectorConfig {
-        seed,
-        ..DetectorConfig::default()
-    };
-    Detector::train_on_corpus(&config, &CorpusSpec::paper().scaled(0.002))
-}
-
-fn macro_document() -> Vec<u8> {
-    let mut b = VbaProjectBuilder::new("P");
-    b.add_module("Module1", "Sub Work()\r\n    x = 1\r\nEnd Sub\r\n");
-    b.build().unwrap()
-}
-
-/// Runs the service on an ephemeral TCP port for the duration of `drive`,
-/// then requests the drain and returns the summary alongside `drive`'s
-/// result.
-fn with_server<R>(
-    detector: &Detector,
-    config: &ServeConfig,
-    drive: impl FnOnce(std::net::SocketAddr) -> R,
-) -> (ServeSummary, R) {
-    let listener = Listener::bind_tcp("127.0.0.1:0").unwrap();
-    let addr = listener.tcp_addr().unwrap();
-    // The drain latch is process-global and sticky: without this reset a
-    // second `with_server` in the same test would inherit the previous
-    // drain and exit before accepting anything.
-    vbadet::scan::interrupt::reset();
-    let mut out = None;
-    let mut summary = None;
-    // Latch the drain even when `drive` panics: otherwise the scope join
-    // waits forever on a server nobody told to exit, and the panic that
-    // actually failed the test is masked by a hang.
-    struct DrainOnDrop;
-    impl Drop for DrainOnDrop {
-        fn drop(&mut self) {
-            vbadet::scan::interrupt::request_drain();
-        }
-    }
-    thread::scope(|s| {
-        let server = s.spawn(|| vbadet::serve(&listener, detector, config, None));
-        let drain = DrainOnDrop;
-        out = Some(drive(addr));
-        drop(drain);
-        summary = Some(server.join().unwrap());
-    });
-    (summary.unwrap(), out.unwrap())
-}
-
-/// One line-oriented protocol client.
-struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let writer = TcpStream::connect(addr).unwrap();
-        writer.set_nodelay(true).unwrap();
-        let reader = BufReader::new(writer.try_clone().unwrap());
-        Client { writer, reader }
-    }
-
-    fn send(&mut self, line: &str) {
-        // One write per request line; a trailing 1-byte `\n` write would
-        // stall behind Nagle and skew the breaker tests' timing.
-        self.writer
-            .write_all(format!("{line}\n").as_bytes())
-            .unwrap();
-    }
-
-    fn recv(&mut self) -> String {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).unwrap();
-        line.trim().to_string()
-    }
-
-    fn roundtrip(&mut self, line: &str) -> String {
-        self.send(line);
-        self.recv()
-    }
-}
-
-/// Parses one reply line: every reply the service writes is one JSON
-/// object, so fields are read through the shared codec, never probed as
-/// substrings.
-fn reply(line: &str) -> Json {
-    json::parse(line).unwrap_or_else(|e| panic!("reply is not JSON ({e}): {line}"))
-}
 
 #[test]
 fn every_verb_answers_and_the_drain_accounts_for_every_response() {
     let _guard = global_guard();
     let det = tiny_detector();
-    let dir = std::env::temp_dir().join(format!("vbadet-serve-verbs-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = fresh_dir("serve-verbs");
     let doc = dir.join("doc.bin");
     std::fs::write(&doc, macro_document()).unwrap();
 
     let config = ServeConfig::new(ScanPolicy::default());
-    let (summary, ()) = with_server(&det, &config, |addr| {
+    let (summary, ()) = with_server(det, &config, |addr| {
         let mut c = Client::connect(addr);
 
         let health = c.roundtrip("health");
@@ -229,7 +113,7 @@ fn a_nesting_bomb_is_a_bad_request_and_the_daemon_keeps_serving() {
 
             let det = tiny_detector();
             let config = ServeConfig::new(ScanPolicy::default());
-            let (summary, ()) = with_server(&det, &config, |addr| {
+            let (summary, ()) = with_server(det, &config, |addr| {
                 let mut c = Client::connect(addr);
                 let bad = reply(&c.roundtrip(&bomb));
                 assert_eq!(bad.get("ok"), Some(&Json::Bool(false)));
@@ -249,49 +133,36 @@ fn a_nesting_bomb_is_a_bad_request_and_the_daemon_keeps_serving() {
 fn the_unix_transport_works_and_replaces_a_stale_socket_file() {
     let _guard = global_guard();
     let det = tiny_detector();
-    let path = std::env::temp_dir().join(format!("vbadet-serve-{}.sock", std::process::id()));
+    let dir = fresh_dir("serve-unix");
+    let path = dir.join("serve.sock");
     // A stale socket file from a "crashed" previous daemon must not block
     // the bind.
-    let _ = std::fs::remove_file(&path);
     drop(Listener::bind_unix(&path).unwrap());
     let listener = Listener::bind_unix(&path).unwrap();
     assert!(listener.tcp_addr().is_none());
 
     let config = ServeConfig::new(ScanPolicy::default());
-    let mut summary = None;
-    thread::scope(|s| {
-        let server = s.spawn(|| vbadet::serve(&listener, &det, &config, None));
-        let stream = std::os::unix::net::UnixStream::connect(&path).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        writer.write_all(b"ready\n").unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
+    let summary = thread::scope(|s| {
+        let server = s.spawn(|| vbadet::serve(&listener, det, &config, None));
+        let line = Client::unix(&path).roundtrip("ready");
         assert!(line.contains("\"ready\":true"), "{line}");
         vbadet::scan::interrupt::request_drain();
-        summary = Some(server.join().unwrap());
+        server.join().unwrap()
     });
-    assert_eq!(summary.unwrap().responses, 1);
-    let _ = std::fs::remove_file(&path);
+    assert_eq!(summary.responses, 1);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn isolated_and_in_process_service_verdicts_agree() {
     let _guard = global_guard();
     let det = tiny_detector();
-    let dir = std::env::temp_dir().join(format!("vbadet-serve-iso-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = fresh_dir("serve-iso");
     let macro_doc = macro_document();
-    let clean = {
-        let mut ole = vbadet_ole::OleBuilder::new();
-        ole.add_stream("WordDocument", b"plain text, no project")
-            .unwrap();
-        ole.build()
-    };
     let docs: Vec<(&str, Vec<u8>)> = vec![
         ("doc.bin", macro_doc.clone()),
         ("junk.doc", b"definitely not a document".to_vec()),
-        ("clean.doc", clean),
+        ("clean.doc", clean_document()),
         ("truncated.bin", macro_doc[..macro_doc.len() / 2].to_vec()),
         ("empty.doc", Vec::new()),
         // The batch's stand-in for the inline `bytes_hex` copy.
@@ -308,34 +179,14 @@ fn isolated_and_in_process_service_verdicts_agree() {
 
     // What a batch says about the same documents: the `done` outcomes of a
     // journaled run, and the deterministic counters of a metered one.
-    let journal_path = dir.join("batch.jsonl");
-    let mut journal = ScanJournal::create(&journal_path).unwrap();
-    scan_paths_journaled(
-        &det,
-        &paths,
-        &ScanPolicy::default(),
-        Some(&mut journal),
-        None,
-    );
-    drop(journal);
-    let batch_outcomes: Vec<Json> = std::fs::read_to_string(&journal_path)
+    let batch_outcomes = journaled_outcomes(det, &paths, &dir.join("batch.jsonl"));
+    let batch_counters = scan_paths_with_policy(det, &paths, &metered(ScanPolicy::default()))
+        .metrics
         .unwrap()
-        .lines()
-        .map(reply)
-        .filter(|j| j.get("event").and_then(Json::as_str) == Some("done"))
-        .map(|j| j.get("outcome").unwrap().clone())
-        .collect();
-    let batch_counters = scan_paths_with_policy(
-        &det,
-        &paths,
-        &ScanPolicy::default().with_metrics(MetricsSink::enabled()),
-    )
-    .metrics
-    .unwrap()
-    .counters_json();
+        .counters_json();
 
     let outcomes = |config: &ServeConfig| {
-        let (summary, lines) = with_server(&det, config, |addr| {
+        let (summary, lines) = with_server(det, config, |addr| {
             let mut c = Client::connect(addr);
             let mut lines: Vec<String> = paths[..paths.len() - 1]
                 .iter()
@@ -381,9 +232,7 @@ fn isolated_and_in_process_service_verdicts_agree() {
 fn an_inline_spool_never_follows_a_planted_symlink() {
     let _guard = global_guard();
     let det = tiny_detector();
-    let dir = std::env::temp_dir().join(format!("vbadet-serve-spool-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = fresh_dir("serve-spool");
     let victim = dir.join("victim.txt");
     std::fs::write(&victim, b"precious").unwrap();
 
@@ -398,7 +247,7 @@ fn an_inline_spool_never_follows_a_planted_symlink() {
     let config = ServeConfig::new(ScanPolicy::default().isolated(vbadet::IsolateConfig::new(
         vec![env!("CARGO_BIN_EXE_isolation_worker").to_string()],
     )));
-    let (_, line) = with_server(&det, &config, |addr| {
+    let (_, line) = with_server(det, &config, |addr| {
         Client::connect(addr).roundtrip(&format!(
             "{{\"op\":\"scan\",\"bytes_hex\":\"{}\"}}",
             hex(&macro_document())
@@ -432,7 +281,7 @@ fn an_oversized_request_line_is_rejected_typed_then_the_connection_closes() {
     let _guard = global_guard();
     let det = tiny_detector();
     let config = ServeConfig::new(ScanPolicy::default());
-    let (summary, ()) = with_server(&det, &config, |addr| {
+    let (summary, ()) = with_server(det, &config, |addr| {
         let mut c = Client::connect(addr);
         // One byte over the 1 MiB line cap with no newline in sight: the
         // server must answer typed instead of buffering forever. (Exactly
@@ -456,8 +305,7 @@ fn a_reload_swaps_generations_and_old_cache_entries_become_misses() {
     let _guard = global_guard();
     let det = tiny_detector();
     let next = tiny_detector_seeded(99);
-    let dir = std::env::temp_dir().join(format!("vbadet-serve-reload-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = fresh_dir("serve-reload");
     let doc = dir.join("doc.bin");
     std::fs::write(&doc, macro_document()).unwrap();
     let model = dir.join("next.model");
@@ -469,7 +317,7 @@ fn a_reload_swaps_generations_and_old_cache_entries_become_misses() {
     let policy =
         ScanPolicy::default().with_cache(std::sync::Arc::new(vbadet::ScanCache::in_memory(64)));
     let config = ServeConfig::new(policy);
-    let (summary, ()) = with_server(&det, &config, |addr| {
+    let (summary, ()) = with_server(det, &config, |addr| {
         let mut c = Client::connect(addr);
         let line = format!("scan {}", doc.display());
 
@@ -541,15 +389,14 @@ fn a_reload_swaps_generations_and_old_cache_entries_become_misses() {
 fn a_malformed_model_is_rejected_typed_and_the_old_generation_serves() {
     let _guard = global_guard();
     let det = tiny_detector();
-    let dir = std::env::temp_dir().join(format!("vbadet-serve-badmodel-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = fresh_dir("serve-badmodel");
     let doc = dir.join("doc.bin");
     std::fs::write(&doc, macro_document()).unwrap();
     let garbage = dir.join("garbage.model");
     std::fs::write(&garbage, "not a saved detector at all\n").unwrap();
 
     let config = ServeConfig::new(ScanPolicy::default());
-    let (summary, ()) = with_server(&det, &config, |addr| {
+    let (summary, ()) = with_server(det, &config, |addr| {
         let mut c = Client::connect(addr);
 
         let rejected = c.roundtrip(&format!("reload {}", garbage.display()));
@@ -587,8 +434,7 @@ fn a_malformed_model_is_rejected_typed_and_the_old_generation_serves() {
 fn concurrent_reloads_serialize_and_the_last_swap_wins() {
     let _guard = global_guard();
     let det = tiny_detector();
-    let dir = std::env::temp_dir().join(format!("vbadet-serve-relrace-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = fresh_dir("serve-relrace");
     let a = dir.join("a.model");
     std::fs::write(&a, tiny_detector_seeded(7).save()).unwrap();
     let b = dir.join("b.model");
@@ -596,7 +442,7 @@ fn concurrent_reloads_serialize_and_the_last_swap_wins() {
 
     const RELOADERS: usize = 4;
     let config = ServeConfig::new(ScanPolicy::default());
-    let (_, (mut generations, last_fp)) = with_server(&det, &config, |addr| {
+    let (_, (mut generations, last_fp)) = with_server(det, &config, |addr| {
         let replies: Vec<String> = thread::scope(|s| {
             let handles: Vec<_> = (0..RELOADERS)
                 .map(|i| {
@@ -639,15 +485,14 @@ fn concurrent_reloads_serialize_and_the_last_swap_wins() {
 fn a_sighup_style_reload_request_is_equivalent_to_the_wire_verb() {
     let _guard = global_guard();
     let det = tiny_detector();
-    let dir = std::env::temp_dir().join(format!("vbadet-serve-sighup-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = fresh_dir("serve-sighup");
     let model = dir.join("rollout.model");
     std::fs::write(&model, tiny_detector_seeded(42).save()).unwrap();
 
     let mut config = ServeConfig::new(ScanPolicy::default());
     // The CLI wires --model here; the signal handler only sets the latch.
     config.reload_path = Some(model.clone());
-    let (_, ()) = with_server(&det, &config, |addr| {
+    let (_, ()) = with_server(det, &config, |addr| {
         let mut c = Client::connect(addr);
         assert_eq!(
             reply(&c.roundtrip("model")).get("generation"),
@@ -722,8 +567,7 @@ mod faults {
     fn a_full_queue_sheds_with_a_typed_overloaded_rejection() {
         let _guard = global_guard();
         let det = tiny_detector();
-        let dir = std::env::temp_dir().join(format!("vbadet-serve-shed-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir("serve-shed");
         let doc = dir.join("doc.bin");
         std::fs::write(&doc, macro_document()).unwrap();
 
@@ -735,7 +579,7 @@ mod faults {
         config.workers = 1;
         config.queue_depth = 1;
 
-        let (summary, third) = with_server(&det, &config, |addr| {
+        let (summary, third) = with_server(det, &config, |addr| {
             let mut first = Client::connect(addr);
             let mut second = Client::connect(addr);
             let mut third = Client::connect(addr);
@@ -774,8 +618,7 @@ mod faults {
     fn the_breaker_opens_on_repeated_worker_deaths_and_recovers_by_probe() {
         let _guard = global_guard();
         let det = tiny_detector();
-        let dir = std::env::temp_dir().join(format!("vbadet-serve-brk-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir("serve-brk");
         let doc = dir.join("doc.bin");
         std::fs::write(&doc, macro_document()).unwrap();
 
@@ -786,7 +629,7 @@ mod faults {
         config.breaker_threshold = 2;
         config.breaker_backoff = Duration::from_millis(100);
 
-        let (summary, ()) = with_server(&det, &config, |addr| {
+        let (summary, ()) = with_server(det, &config, |addr| {
             let mut c = Client::connect(addr);
             let line = format!("scan {}", doc.display());
             for _ in 0..2 {
@@ -831,14 +674,13 @@ mod faults {
     fn a_drain_finishes_in_flight_requests_before_the_service_exits() {
         let _guard = global_guard();
         let det = tiny_detector();
-        let dir = std::env::temp_dir().join(format!("vbadet-serve-drain-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir("serve-drain");
         let doc = dir.join("doc.bin");
         std::fs::write(&doc, macro_document()).unwrap();
 
         configure("scan::full-parse", "sleep(300)").unwrap();
         let config = ServeConfig::new(ScanPolicy::default());
-        let (summary, reply) = with_server(&det, &config, |addr| {
+        let (summary, reply) = with_server(det, &config, |addr| {
             let mut c = Client::connect(addr);
             c.send(&format!("scan {}", doc.display()));
             // The scan is mid-flight when the drain fires; its terminal
@@ -859,8 +701,7 @@ mod faults {
     fn a_poison_document_costs_an_isolate_worker_never_the_service() {
         let _guard = global_guard();
         let det = tiny_detector();
-        let dir = std::env::temp_dir().join(format!("vbadet-serve-poison-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir("serve-poison");
         let doc = dir.join("doc.bin");
         std::fs::write(&doc, macro_document()).unwrap();
         let safe = dir.join("safe.txt");
@@ -873,7 +714,7 @@ mod faults {
                 .env("VBADET_FAULTPOINTS", "ole::parse=abort");
         let config = ServeConfig::new(ScanPolicy::default().isolated(isolate));
 
-        let (summary, ()) = with_server(&det, &config, |addr| {
+        let (summary, ()) = with_server(det, &config, |addr| {
             let mut c = Client::connect(addr);
             let poisoned = c.roundtrip(&format!("scan {}", doc.display()));
             assert!(poisoned.contains("\"class\":\"fatal\""), "{poisoned}");
@@ -897,9 +738,7 @@ mod faults {
         let _guard = global_guard();
         let det = tiny_detector();
         let next = tiny_detector_seeded(13);
-        let dir =
-            std::env::temp_dir().join(format!("vbadet-serve-reldrain-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir("serve-reldrain");
         let doc = dir.join("doc.bin");
         std::fs::write(&doc, macro_document()).unwrap();
         let model = dir.join("next.model");
@@ -909,7 +748,7 @@ mod faults {
         // reload line behind it on the same connection.
         configure("scan::full-parse", "sleep(300)").unwrap();
         let config = ServeConfig::new(ScanPolicy::default());
-        let (summary, (scan, reload)) = with_server(&det, &config, |addr| {
+        let (summary, (scan, reload)) = with_server(det, &config, |addr| {
             let mut c = Client::connect(addr);
             c.send(&format!("scan {}", doc.display()));
             thread::sleep(Duration::from_millis(100));
@@ -946,8 +785,7 @@ mod faults {
         let _guard = global_guard();
         let det = tiny_detector();
         let next = tiny_detector_seeded(21);
-        let dir = std::env::temp_dir().join(format!("vbadet-serve-relbrk-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir("serve-relbrk");
         let doc = dir.join("doc.bin");
         std::fs::write(&doc, macro_document()).unwrap();
         let model = dir.join("next.model");
@@ -960,7 +798,7 @@ mod faults {
         config.breaker_threshold = 2;
         config.breaker_backoff = Duration::from_secs(60);
 
-        let (_, ()) = with_server(&det, &config, |addr| {
+        let (_, ()) = with_server(det, &config, |addr| {
             let mut c = Client::connect(addr);
             let line = format!("scan {}", doc.display());
             for _ in 0..2 {
