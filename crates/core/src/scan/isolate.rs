@@ -19,19 +19,26 @@
 //! engine hands the executor a claim, the cache misses among its fresh
 //! documents are sent to the worker in one write, and their results are
 //! read back in order, so the worker never waits on the supervisor
-//! between documents. A death while the supervisor awaits a document
+//! between documents. The worker answers in kind: while the next request
+//! frame is already whole in its read buffer, it holds each finished
+//! result back, and when its input runs dry it writes every held result
+//! in one write, so a claim costs one write and one wake-up each way, not
+//! one per document. A flusher thread writes any result held for
+//! `FLUSH_AFTER` (1 ms), so a finished result never waits behind a
+//! wedged document. A death while the supervisor awaits a document
 //! forfeits only that document (see Quarantine); the claim's documents
 //! that got no reply are re-sent to the next worker. A dedicated reader
 //! thread pumps the child's stdout frames into a channel so the slot can
 //! wait with a timeout — that timeout *is* the heartbeat: a worker that
 //! holds a document longer than the heartbeat deadline is SIGKILLed and
-//! treated like any other worker death.
+//! treated like any other worker death. With the flush bound, the
+//! heartbeat still charges the document that wedged, not a finished one
+//! held behind it.
 //!
 //! # Frame protocol
 //!
 //! Frames are a `u32` little-endian byte length followed by that many
-//! bytes of UTF-8 JSON, over the child's stdin/stdout, each written in
-//! one write. The conversation:
+//! bytes of UTF-8 JSON, over the child's stdin/stdout. The conversation:
 //!
 //! ```text
 //! supervisor → worker   {"op":"hello","detector":…,"limits":[…],…}
@@ -40,7 +47,8 @@
 //!                       {"op":"scan","path":"…"}    back to back in one
 //!                       …                           write)
 //! worker → supervisor   {"op":"result","outcome":…,"counters":{…}}
-//!                       …                           (one per scan, in order)
+//!                       …                           (one per scan, in order;
+//!                                                   held ones in one write)
 //! supervisor → worker   {"op":"exit"}
 //! worker                closes stdout and exits; the supervisor sees the
 //!                       hang-up and reaps it
@@ -57,8 +65,11 @@
 //! worker — a solo retry, so a crash there is unambiguously the
 //! document's fault. The documents the dead worker had been sent but
 //! had not answered are not charged: they go to the next worker after
-//! the retry. A second death quarantines the document: it is
-//! recorded as [`FailureClass::Fatal`] with both death reasons in the
+//! the retry. A crash within `FLUSH_AFTER` of a finished, held result
+//! loses that result: the supervisor sees the death while it awaits that
+//! document, so the document gets the solo retry, which costs one more
+//! spawn but changes no outcome. A second death quarantines the
+//! document: it is recorded as [`FailureClass::Fatal`] with both death reasons in the
 //! detail, the batch continues, and the quarantined outcome is journaled
 //! (a resume will *not* re-scan a quarantined document). Worker deaths
 //! respawn with exponential backoff, and a slot whose workers cannot even
@@ -84,7 +95,7 @@ use std::collections::VecDeque;
 use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -252,26 +263,38 @@ fn opt_num(v: Option<u64>) -> String {
     v.map_or_else(|| "null".to_string(), |n| n.to_string())
 }
 
-pub(crate) fn hello_frame(detector: &Detector, policy: &ScanPolicy, generation: u64) -> String {
-    let l = &policy.limits;
-    format!(
-        "{{\"op\":\"hello\",\"generation\":{generation},\"detector\":{},\"deadline_ms\":{},\
-         \"fuel\":{},\"max_scan_mem\":{},\"limits\":[{},{},{},{},{},{},{},{},{},{}]}}",
-        json_str(&detector.save()),
-        opt_num(policy.deadline_per_doc.map(|d| d.as_millis() as u64)),
-        opt_num(policy.fuel_per_doc),
-        opt_num(policy.max_scan_mem),
-        l.zip.max_entries,
-        l.zip.max_member_bytes,
-        l.ole.max_sectors,
-        l.ole.max_dir_entries,
-        l.ole.max_stream_bytes,
-        l.ole.max_dir_depth,
-        l.ovba.max_modules,
-        l.ovba.max_module_bytes,
-        l.ovba.max_dir_bytes,
-        l.max_file_size,
-    )
+/// A worker's hello frame beside the detector generation it carries, so a
+/// spawn knows which generation the worker must echo without re-parsing
+/// the frame and its serialized detector.
+#[derive(Clone)]
+pub(crate) struct Hello {
+    frame: String,
+    generation: u64,
+}
+
+impl Hello {
+    pub(crate) fn new(detector: &Detector, policy: &ScanPolicy, generation: u64) -> Self {
+        let l = &policy.limits;
+        let frame = format!(
+            "{{\"op\":\"hello\",\"generation\":{generation},\"detector\":{},\"deadline_ms\":{},\
+             \"fuel\":{},\"max_scan_mem\":{},\"limits\":[{},{},{},{},{},{},{},{},{},{}]}}",
+            json_str(&detector.save()),
+            opt_num(policy.deadline_per_doc.map(|d| d.as_millis() as u64)),
+            opt_num(policy.fuel_per_doc),
+            opt_num(policy.max_scan_mem),
+            l.zip.max_entries,
+            l.zip.max_member_bytes,
+            l.ole.max_sectors,
+            l.ole.max_dir_entries,
+            l.ole.max_stream_bytes,
+            l.ole.max_dir_depth,
+            l.ovba.max_modules,
+            l.ovba.max_module_bytes,
+            l.ovba.max_dir_bytes,
+            l.max_file_size,
+        );
+        Hello { frame, generation }
+    }
 }
 
 fn decode_hello(j: &Json) -> Result<(Detector, ScanPolicy, u64), String> {
@@ -346,16 +369,15 @@ fn decode_result(j: &Json) -> Result<(ScanOutcome, Deltas), String> {
 /// [`crate::memguard::TrackingAllocator`] as its global allocator so the
 /// policy's memory ceiling can actually trip.
 pub fn worker_main() -> i32 {
-    let stdin = io::stdin();
-    let mut input = stdin.lock();
     let proto_err = |what: &str, detail: String| -> i32 {
         eprintln!("vbadet worker: {what}: {detail}");
         2
     };
-    let mut output = match frame_output() {
-        Ok(output) => output,
-        Err(e) => return proto_err("stdout", e.to_string()),
+    let (input, output) = match frame_pipes() {
+        Ok(pipes) => pipes,
+        Err(e) => return proto_err("stdio", e.to_string()),
     };
+    let mut input = BufReader::new(input);
     let hello = match read_frame(&mut input) {
         Ok(Some(frame)) => frame,
         Ok(None) => return 0,
@@ -372,8 +394,9 @@ pub fn worker_main() -> i32 {
         Ok(x) => x,
         Err(e) => return proto_err("hello decode", e),
     };
+    let held = Held::start(output);
     let ready = format!("{{\"op\":\"ready\",\"generation\":{generation}}}");
-    if let Err(e) = write_frame(&mut output, &ready) {
+    if let Err(e) = held.send(&ready, false) {
         return proto_err("ready write", e.to_string());
     }
     // One sink for the worker's life: taking its counters after each
@@ -394,6 +417,8 @@ pub fn worker_main() -> i32 {
             Err(e) => return proto_err("request parse", e.into()),
         };
         match request.get("op").and_then(Json::as_str) {
+            // The supervisor asks a worker to exit only once it owes
+            // nothing it still wants, so held frames may go unwritten.
             Some("exit") => return 0,
             Some("scan") => {
                 let Some(path) = request.get("path").and_then(Json::as_str) else {
@@ -405,7 +430,10 @@ pub fn worker_main() -> i32 {
                 // real scan.
                 let outcome = super::scan_file(&detector, Path::new(path), &policy, None);
                 let deltas = cache::deltas_from_sink(&metrics);
-                if let Err(e) = write_frame(&mut output, &result_frame(&outcome, &deltas)) {
+                // Hold the result while the next request is already
+                // here; write everything held once the input runs dry.
+                let hold = whole_frame_buffered(input.buffer());
+                if let Err(e) = held.send(&result_frame(&outcome, &deltas), hold) {
                     return proto_err("result write", e.to_string());
                 }
             }
@@ -414,17 +442,120 @@ pub fn worker_main() -> i32 {
     }
 }
 
-/// The worker's frame output: stdout without `Stdout`'s line buffering,
-/// which would split a frame at a 0x0A byte of its length prefix.
+/// Whether `buf` begins with a whole frame: a length prefix and at least
+/// that many payload bytes.
+fn whole_frame_buffered(buf: &[u8]) -> bool {
+    match buf.split_first_chunk::<4>() {
+        Some((len, payload)) => payload.len() >= u32::from_le_bytes(*len) as usize,
+        None => false,
+    }
+}
+
+/// How long a worker may hold a finished result frame back while it
+/// scans the next buffered request. Past it, the flusher thread writes the
+/// held frames, so a result never waits behind a wedged document and the
+/// supervisor's heartbeat charges the document that wedged.
+const FLUSH_AFTER: Duration = Duration::from_millis(1);
+
+/// A worker's frame output and the result frames it holds back, shared
+/// by the scanning thread and one flusher thread.
+struct Held<W> {
+    state: Mutex<HeldState<W>>,
+    /// Wakes the flusher when a batch of held frames starts.
+    batch: Condvar,
+}
+
+struct HeldState<W> {
+    out: W,
+    /// Held frames, back to back.
+    frames: Vec<u8>,
+    /// When the oldest held frame was finished; `None` while nothing is
+    /// held.
+    since: Option<Instant>,
+}
+
+impl<W: Write> HeldState<W> {
+    /// Writes every held frame in one write.
+    fn write_held(&mut self) -> io::Result<()> {
+        self.since = None;
+        let written = self
+            .out
+            .write_all(&self.frames)
+            .and_then(|()| self.out.flush());
+        self.frames.clear();
+        written
+    }
+}
+
+impl<W: Write + Send + 'static> Held<W> {
+    /// Wraps `out` and starts the flusher thread, which lives as long as
+    /// the worker process.
+    fn start(out: W) -> Arc<Self> {
+        let held = Arc::new(Held {
+            state: Mutex::new(HeldState {
+                out,
+                frames: Vec::new(),
+                since: None,
+            }),
+            batch: Condvar::new(),
+        });
+        let flusher = Arc::clone(&held);
+        thread::spawn(move || flusher.flush_loop());
+        held
+    }
+
+    /// Writes each batch that has been held for [`FLUSH_AFTER`]. A failed
+    /// write means the supervisor has let go of this worker, which it
+    /// kills on the way, so the error has no one to go to.
+    fn flush_loop(&self) {
+        let mut st = self.state.lock().unwrap();
+        loop {
+            let Some(since) = st.since else {
+                st = self.batch.wait(st).unwrap();
+                continue;
+            };
+            let (due, now) = (since + FLUSH_AFTER, Instant::now());
+            if now < due {
+                st = self.batch.wait_timeout(st, due - now).unwrap().0;
+            } else {
+                let _ = st.write_held();
+            }
+        }
+    }
+
+    /// Adds `payload` as one frame. Held (`hold`), it waits for a later
+    /// send or for the flusher; otherwise it goes out at once, with every
+    /// frame held before it, in one write.
+    fn send(&self, payload: &str, hold: bool) -> io::Result<()> {
+        let mut st = self.state.lock().unwrap();
+        push_frame(&mut st.frames, payload)?;
+        if !hold {
+            return st.write_held();
+        }
+        if st.since.is_none() {
+            st.since = Some(Instant::now());
+            self.batch.notify_one();
+        }
+        Ok(())
+    }
+}
+
+/// The worker's frame pipes: duplicates of its stdin and stdout. Its own
+/// read buffer shows whether the next request has already arrived, and
+/// the output skips `Stdout`'s line buffering, which would split a frame
+/// at a 0x0A byte of its length prefix.
 #[cfg(unix)]
-fn frame_output() -> io::Result<std::fs::File> {
+fn frame_pipes() -> io::Result<(std::fs::File, std::fs::File)> {
     use std::os::fd::AsFd;
-    Ok(io::stdout().as_fd().try_clone_to_owned()?.into())
+    Ok((
+        io::stdin().as_fd().try_clone_to_owned()?.into(),
+        io::stdout().as_fd().try_clone_to_owned()?.into(),
+    ))
 }
 
 #[cfg(not(unix))]
-fn frame_output() -> io::Result<io::StdoutLock<'static>> {
-    Ok(io::stdout().lock())
+fn frame_pipes() -> io::Result<(io::Stdin, io::Stdout)> {
+    Ok((io::stdin(), io::stdout()))
 }
 
 // ---------------------------------------------------------------------------
@@ -522,7 +653,7 @@ fn classify_exit(status: std::process::ExitStatus) -> String {
 
 fn spawn_worker(
     config: &IsolateConfig,
-    hello: &str,
+    hello: &Hello,
     heartbeat: Duration,
 ) -> Result<Worker, String> {
     let (program, args) = config
@@ -560,16 +691,13 @@ fn spawn_worker(
         }
     });
     let mut worker = Worker { child, stdin, rx };
-    if let Err(e) = write_frame(&mut worker.stdin, hello) {
+    if let Err(e) = write_frame(&mut worker.stdin, &hello.frame) {
         return Err(format!("handshake ({})", worker.reap_after(e.to_string())));
     }
     // The generation the hello carries is the one the worker must echo:
     // a mismatch means the two ends disagree about which detector scores
     // documents, and the worker is buried rather than trusted.
-    let expected_generation = json::parse(hello)
-        .ok()
-        .and_then(|j| j.get("generation").and_then(Json::as_u64))
-        .unwrap_or(0);
+    let expected_generation = hello.generation;
     match worker.rx.recv_timeout(heartbeat) {
         Ok(Ok(frame)) => match json::parse(&frame) {
             Ok(j) if j.get("op").and_then(Json::as_str) == Some("ready") => {
@@ -623,7 +751,7 @@ struct Slot<'a> {
     /// Owned, not borrowed: the serve engine rebuilds its executors with
     /// a fresh hello on model hot-reload, so the frame cannot be pinned
     /// to the lifetime of a caller-held string.
-    hello: String,
+    hello: Hello,
     heartbeat: Duration,
     metrics: &'a MetricsSink,
     worker: Option<Worker>,
@@ -645,7 +773,7 @@ struct Slot<'a> {
 impl<'a> Slot<'a> {
     fn new(
         config: &'a IsolateConfig,
-        hello: String,
+        hello: Hello,
         heartbeat: Duration,
         metrics: &'a MetricsSink,
     ) -> Self {
@@ -889,7 +1017,7 @@ impl<'a> Isolated<'a> {
     /// `bound`.
     pub(crate) fn new(
         config: &'a IsolateConfig,
-        hello: String,
+        hello: Hello,
         bound: Option<cache::BoundCache>,
         policy: &'a ScanPolicy,
     ) -> Self {
@@ -976,7 +1104,7 @@ pub(crate) fn scan_paths_isolated(
     journal: Option<&mut ScanJournal>,
     resume: Option<&JournalReplay>,
 ) -> ScanReport {
-    let hello = hello_frame(detector, policy, 0);
+    let hello = Hello::new(detector, policy, 0);
     let bound = cache::BoundCache::bind(detector, policy);
     run_batch(paths, policy, journal, resume, || {
         Isolated::new(config, hello.clone(), bound.clone(), policy)
@@ -1017,6 +1145,29 @@ mod tests {
     }
 
     #[test]
+    fn a_whole_frame_is_buffered_only_once_its_last_payload_byte_is() {
+        let mut two = Vec::new();
+        push_frame(&mut two, "first").unwrap();
+        let first_len = two.len();
+        push_frame(&mut two, "second").unwrap();
+        assert!(!whole_frame_buffered(&[]), "empty buffer");
+        assert!(!whole_frame_buffered(&two[..3]), "partial length prefix");
+        assert!(!whole_frame_buffered(&two[..4]), "bare length prefix");
+        assert!(
+            !whole_frame_buffered(&two[..first_len - 1]),
+            "partial payload"
+        );
+        assert!(whole_frame_buffered(&two[..first_len]), "exact frame");
+        assert!(
+            whole_frame_buffered(&two[..first_len + 5]),
+            "a frame followed by part of the next"
+        );
+        assert!(!whole_frame_buffered(&two[first_len..first_len + 5]));
+        // An empty payload is whole with its prefix alone.
+        assert!(whole_frame_buffered(&0u32.to_le_bytes()));
+    }
+
+    #[test]
     fn hello_round_trips_detector_and_policy() {
         let detector = Detector::train_on_corpus(
             &DetectorConfig::default(),
@@ -1026,9 +1177,10 @@ mod tests {
             .deadline_ms(1234)
             .fuel(99)
             .max_scan_mem_bytes(5 << 20);
-        let frame = hello_frame(&detector, &policy, 7);
-        let (loaded, decoded, generation) = decode_hello(&json::parse(&frame).unwrap()).unwrap();
-        assert_eq!(generation, 7);
+        let hello = Hello::new(&detector, &policy, 7);
+        let (loaded, decoded, generation) =
+            decode_hello(&json::parse(&hello.frame).unwrap()).unwrap();
+        assert_eq!((generation, hello.generation), (7, 7));
         assert_eq!(decoded.limits, policy.limits);
         assert_eq!(decoded.deadline_per_doc, policy.deadline_per_doc);
         assert_eq!(decoded.fuel_per_doc, policy.fuel_per_doc);

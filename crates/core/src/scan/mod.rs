@@ -1042,9 +1042,10 @@ impl Collector<'_> {
 /// each fresh document's `begin` line is journaled *before* the executor
 /// decides it, so a crash mid-document replays as in flight. With `jobs > 1`, scoped
 /// workers — one executor each — claim inputs from an atomic cursor and
-/// send `(index, decided)` through a bounded channel; the calling thread
-/// holds early finishers in a reorder buffer and emits strictly in input
-/// order. Either way:
+/// send each claim's `(index, decided)` pairs through a bounded channel
+/// as one `Vec`, so the collector wakes once per claim rather than once
+/// per document; the calling thread holds early finishers in a reorder
+/// buffer and emits strictly in input order. Either way:
 ///
 /// - the report is identical whatever order workers finish in;
 /// - the journal has exactly one writer, so a parallel journal is byte
@@ -1097,7 +1098,7 @@ fn run_batch<E: Executor>(
         // on a loaded disk). Created inside the scope, so a panicking
         // collector drops the receiver before the join: every blocked
         // send fails and the workers exit instead of deadlocking.
-        let (tx, rx) = mpsc::sync_channel::<(usize, Decided)>(jobs * 2);
+        let (tx, rx) = mpsc::sync_channel::<Vec<(usize, Decided)>>(jobs * 2);
         for _ in 0..jobs {
             let tx = tx.clone();
             let (cursor, paths, executor, lookup) = (&cursor, &paths, &executor, &lookup);
@@ -1107,25 +1108,29 @@ fn run_batch<E: Executor>(
                 let mut docs_scanned = 0u64;
                 // Workers only read the drain latch; the collector alone
                 // polls the injected drain site.
-                'claims: while !policy.drain_latched() {
+                while !policy.drain_latched() {
                     let start = cursor.fetch_add(claim, Ordering::Relaxed);
                     if start >= total {
                         break;
                     }
                     let end = (start + claim).min(total);
-                    for (idx, path, replayed) in
-                        open_claim(&mut exec, start, &paths[start..end], lookup)
-                    {
-                        let decided = decide(&mut exec, idx, path.clone(), replayed);
-                        docs_scanned += 1;
-                        let sent = {
-                            let _wait = policy.metrics.time(Stage::PoolSendWaitNs);
-                            tx.send((idx, decided))
-                        };
-                        if sent.is_err() {
-                            // The collector is gone (drain or panic).
-                            break 'claims;
-                        }
+                    // A drain stops the claim between documents, so it
+                    // waits on one document per worker, not a claim.
+                    let decided: Vec<_> = open_claim(&mut exec, start, &paths[start..end], lookup)
+                        .into_iter()
+                        .take_while(|_| !policy.drain_latched())
+                        .map(|(idx, path, replayed)| {
+                            (idx, decide(&mut exec, idx, path.clone(), replayed))
+                        })
+                        .collect();
+                    docs_scanned += decided.len() as u64;
+                    let sent = {
+                        let _wait = policy.metrics.time(Stage::PoolSendWaitNs);
+                        tx.send(decided)
+                    };
+                    if sent.is_err() {
+                        // The collector is gone (drain or panic).
+                        break;
                     }
                 }
                 policy.metrics.record(Stage::PoolWorkerDocs, docs_scanned);
@@ -1139,8 +1144,8 @@ fn run_batch<E: Executor>(
         // emitted prefix was decided but never journaled — a resume
         // simply rescans it.
         let mut pending: BTreeMap<usize, Decided> = BTreeMap::new();
-        'collect: for (idx, decided) in rx {
-            pending.insert(idx, decided);
+        'collect: for claimed in rx {
+            pending.extend(claimed);
             policy
                 .metrics
                 .record(Stage::PoolReorderDepth, pending.len() as u64);

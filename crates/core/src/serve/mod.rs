@@ -54,7 +54,7 @@ use std::time::{Duration, Instant};
 use crate::detector::Detector;
 use crate::journal::{outcome_json, ScanJournal};
 use crate::scan::cache;
-use crate::scan::isolate::{hello_frame, Isolated};
+use crate::scan::isolate::{Hello, Isolated};
 use crate::scan::{
     interrupt, record_outcome, scan_bytes_cached, scan_file, Executor, FailureClass, JournalSink,
     ScanOutcome, ScanPolicy, ScanRecord,
@@ -537,7 +537,7 @@ fn worker_loop(shared: &Shared<'_>, rx: &Mutex<mpsc::Receiver<Job>>) {
                 old.finish();
             }
             if isolated.is_none() {
-                let hello = hello_frame(&generation.detector, &shared.policy, generation.number);
+                let hello = Hello::new(&generation.detector, &shared.policy, generation.number);
                 let exec = Isolated::new(cfg, hello, generation.bound.clone(), &shared.policy);
                 isolated = Some((generation.number, exec));
             }

@@ -208,9 +208,12 @@ metric_enum! {
         AllocCountPerDoc => "alloc.count_per_doc",
         /// One journal append (write + flush + periodic fsync).
         JournalWriteNs => "journal.write_ns",
-        /// Worker blocked handing a result to the collector.
+        /// Worker blocked handing a claim's results to the collector, one
+        /// sample per claim: a worker sends each claim's decided documents
+        /// in one message.
         PoolSendWaitNs => "pool.send_wait_ns",
-        /// Collector reorder-buffer depth, sampled per arrival.
+        /// Collector reorder-buffer depth in documents, sampled as each
+        /// claim's results arrive.
         PoolReorderDepth => "pool.reorder_depth",
         /// Documents scanned per worker, recorded at worker exit.
         PoolWorkerDocs => "pool.worker_docs",

@@ -266,14 +266,19 @@ gate_check() {
 
 # baseline_gate BASELINE FRESH LABEL — no >20% docs/sec regression: every
 # *_docs_per_sec key of BASELINE must read at least 0.8x its baseline
-# value in FRESH. A key missing from FRESH is skipped (for a stage, it
-# dropped below the bench's noise floor, i.e. got faster); a key missing
-# from BASELINE is new, with nothing to regress from.
+# value in FRESH. A key missing from FRESH fails: the bench no longer
+# measures it (renamed, retired, or for a stage, under the bench's noise
+# floor), so the baseline must be refreshed rather than quietly gate
+# less. A key missing from BASELINE is new, with nothing to regress from.
 baseline_gate() {
     for key in $(json_num_keys "$1" | grep '_docs_per_sec$'); do
         base=$(json_num "$1" "$key")
         fresh=$(json_num "$2" "$key")
-        [ -n "$fresh" ] || continue
+        if [ -z "$fresh" ]; then
+            echo "ci: gate FAIL — $key is in the $3 but missing from $2;" \
+                "refresh with scripts/refresh-baseline.sh" >&2
+            return 1
+        fi
         min=$(num_mul "$base" 0.8)
         gate_check "$fresh" ge "$min" \
             "$key vs $3 $base (>20% regression)" || return 1
@@ -425,6 +430,17 @@ if [ "$GATE_TEST" = 1 ]; then
         CI_BASELINE "$BENCH" '[A-Za-z0-9_]*docs_per_sec' 2 %.2f
     gate_must_fail "the features-baseline regression gate" features_baseline_gate \
         CI_FEATURES_BASELINE "$FEATURES_BENCH" '[A-Za-z0-9_]*docs_per_sec' 2 %.2f
+
+    # A baseline key the fresh results lack must fail the regression gate
+    # too: the fresh results themselves, plus one retired key, as the
+    # baseline.
+    awk 'NR == 1 { print; print "  \"stage_retired_docs_per_sec\": 1.00,"; next } { print }' \
+        "$BENCH" >"$doctored/CI_BASELINE"
+    if (export CI_BASELINE="$doctored/CI_BASELINE" && scan_baseline_gate); then
+        echo "ci: --gate-test FAIL — the regression gate passed a baseline key missing from $BENCH" >&2
+        exit 1
+    fi
+    echo "ci: --gate-test ok — the regression gate fails on a baseline key missing from $BENCH"
 
     # The cache gate: inflate the uncached throughput until no real warm
     # pass could be 3x it. (Halving the warm figure would not do — the

@@ -240,6 +240,57 @@ mod faults {
         (paths, 3)
     }
 
+    /// 17 inputs at `jobs 1` are claimed two at a time, so the poison at
+    /// index 5 shares its claim with the junk document at index 4, which
+    /// the worker finishes first while the poison's request is already
+    /// buffered behind it.
+    fn claim_mate_corpus(dir: &Path) -> (Vec<PathBuf>, usize) {
+        let poison_idx = 5;
+        let paths = (0..17)
+            .map(|i| {
+                let p = dir.join(format!("doc{i:02}.bin"));
+                let bytes = if i == poison_idx {
+                    macro_document()
+                } else {
+                    format!("plain junk payload {i}").into_bytes()
+                };
+                std::fs::write(&p, bytes).unwrap();
+                p
+            })
+            .collect();
+        (paths, poison_idx)
+    }
+
+    /// Every record but the poison's, and the deterministic counters,
+    /// equal a clean in-process run over the survivors: the quarantined
+    /// document leaves no counter trace.
+    fn assert_survivors_match_in_process(
+        det: &vbadet::Detector,
+        paths: &[PathBuf],
+        poison_idx: usize,
+        report: &vbadet::ScanReport,
+    ) {
+        let survivors: Vec<PathBuf> = paths
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| *i != poison_idx)
+            .map(|(_, p)| p.clone())
+            .collect();
+        let reference = scan_paths_with_policy(det, &survivors, &metered(ScanPolicy::default()));
+        let surviving_records: Vec<_> = report
+            .records
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| *i != poison_idx)
+            .map(|(_, r)| r.clone())
+            .collect();
+        assert_eq!(surviving_records, reference.records);
+        assert_eq!(
+            report.metrics.as_ref().unwrap().counters_json(),
+            reference.metrics.unwrap().counters_json()
+        );
+    }
+
     #[test]
     fn an_aborting_document_is_quarantined_after_one_solo_retry_and_the_batch_survives() {
         let _guard = global_guard();
@@ -268,31 +319,9 @@ mod faults {
         }
 
         // Exactly one quarantine: first death, one solo retry, give up.
-        let snapshot = report.metrics.unwrap();
+        let snapshot = report.metrics.as_ref().unwrap();
         assert_eq!(snapshot.histograms["isolate.quarantines"].total, 1);
-
-        // The survivors' records and deterministic counters are
-        // byte-identical to a clean in-process run over just them —
-        // the quarantined document leaves no counter trace.
-        let survivors: Vec<PathBuf> = paths
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != poison_idx)
-            .map(|(_, p)| p.clone())
-            .collect();
-        let reference = scan_paths_with_policy(det, &survivors, &metered(ScanPolicy::default()));
-        let surviving_records: Vec<_> = report
-            .records
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != poison_idx)
-            .map(|(_, r)| r.clone())
-            .collect();
-        assert_eq!(surviving_records, reference.records);
-        assert_eq!(
-            snapshot.counters_json(),
-            reference.metrics.unwrap().counters_json()
-        );
+        assert_survivors_match_in_process(det, &paths, poison_idx, &report);
 
         // Journaled, the same poisoned batch decides every document —
         // quarantined ones included — and the journal resumes cleanly: the
@@ -367,31 +396,13 @@ mod faults {
             }
             other => panic!("expected the poison document quarantined, got {other:?}"),
         }
-        let snapshot = report.metrics.unwrap();
+        let snapshot = report.metrics.as_ref().unwrap();
         assert_eq!(snapshot.histograms["isolate.quarantines"].total, 1);
 
         // The death forfeited the poison alone: every survivor — the
         // claim's re-sent documents included — and the deterministic
         // counters equal a clean in-process run over the survivors.
-        let survivors: Vec<PathBuf> = paths
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != poison_idx)
-            .map(|(_, p)| p.clone())
-            .collect();
-        let reference = scan_paths_with_policy(det, &survivors, &metered(ScanPolicy::default()));
-        let surviving_records: Vec<_> = report
-            .records
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != poison_idx)
-            .map(|(_, r)| r.clone())
-            .collect();
-        assert_eq!(surviving_records, reference.records);
-        assert_eq!(
-            snapshot.counters_json(),
-            reference.metrics.unwrap().counters_json()
-        );
+        assert_survivors_match_in_process(det, &paths, poison_idx, &report);
 
         // The journal is the sequential (jobs 1) journal byte for byte.
         let journal_for = |jobs: usize| {
@@ -445,6 +456,81 @@ mod faults {
             elapsed < Duration::from_secs(8),
             "heartbeat did not cut the stall short: {elapsed:?}"
         );
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_wedge_behind_a_finished_claim_mate_is_charged_to_the_wedged_document() {
+        let _guard = global_guard();
+        let det = tiny_detector();
+        let dir = fresh_dir("wedge-mate");
+        let (paths, poison_idx) = claim_mate_corpus(&dir);
+
+        // The worker holds its claim mate's finished result while the
+        // poison's request is buffered, then wedges on the poison. The
+        // held result still goes out within the flush bound, so the
+        // heartbeat fires on the poison, not on the finished document.
+        let config = worker_config()
+            .env("VBADET_FAULTPOINTS", "ovba::decompress=sleep(10000)")
+            .heartbeat(Duration::from_millis(900));
+        let policy = metered(ScanPolicy::default().jobs(1).isolated(config));
+        let report = scan_paths_with_policy(det, &paths, &policy);
+
+        assert_eq!(report.scanned(), paths.len());
+        match &report.records[poison_idx].outcome {
+            ScanOutcome::Failed {
+                class: FailureClass::Fatal,
+                detail,
+            } => {
+                assert!(detail.contains("quarantined"), "detail was {detail:?}");
+                assert!(detail.contains("heartbeat"), "detail was {detail:?}");
+            }
+            other => panic!("expected a heartbeat quarantine, got {other:?}"),
+        }
+        // The poison's first attempt and its solo retry; a third kill
+        // would mean the claim mate was blamed for the wedge.
+        let snapshot = report.metrics.as_ref().unwrap();
+        assert_eq!(snapshot.histograms["isolate.heartbeat_kills"].total, 2);
+        assert_eq!(snapshot.histograms["isolate.quarantines"].total, 1);
+        assert_survivors_match_in_process(det, &paths, poison_idx, &report);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_abort_behind_a_finished_claim_mate_quarantines_only_the_poison() {
+        let _guard = global_guard();
+        let det = tiny_detector();
+        let dir = fresh_dir("abort-mate");
+        let (paths, poison_idx) = claim_mate_corpus(&dir);
+
+        // An abort right after the claim mate finished may take its held
+        // result down with the worker; the mate then gets a solo retry of
+        // its own, and only the poison is quarantined.
+        let config = worker_config().env("VBADET_FAULTPOINTS", "ole::parse=abort");
+        let policy = metered(ScanPolicy::default().jobs(1).isolated(config));
+        let report = scan_paths_with_policy(det, &paths, &policy);
+
+        assert_eq!(report.scanned(), paths.len());
+        match &report.records[poison_idx].outcome {
+            ScanOutcome::Failed {
+                class: FailureClass::Fatal,
+                detail,
+            } => {
+                assert!(detail.contains("quarantined"), "detail was {detail:?}");
+                assert!(detail.contains("solo retry"), "detail was {detail:?}");
+                assert_eq!(
+                    detail.matches("SIGABRT").count(),
+                    2,
+                    "detail was {detail:?}"
+                );
+            }
+            other => panic!("expected the poison document quarantined, got {other:?}"),
+        }
+        let snapshot = report.metrics.as_ref().unwrap();
+        assert_eq!(snapshot.histograms["isolate.quarantines"].total, 1);
+        assert_survivors_match_in_process(det, &paths, poison_idx, &report);
 
         let _ = std::fs::remove_dir_all(&dir);
     }
