@@ -104,17 +104,15 @@ impl Flags {
             Some(v) => Ok(v.parse()?),
         }
     }
-}
 
-fn classifier_by_name(name: &str) -> Result<ClassifierKind, Box<dyn Error>> {
-    Ok(match name.to_ascii_lowercase().as_str() {
-        "svm" => ClassifierKind::Svm,
-        "rf" => ClassifierKind::RandomForest,
-        "mlp" => ClassifierKind::Mlp,
-        "lda" => ClassifierKind::Lda,
-        "bnb" => ClassifierKind::BernoulliNb,
-        other => return Err(format!("unknown classifier: {other}").into()),
-    })
+    /// `--classifier NAME`, in any case; the MLP when absent.
+    fn classifier(&self) -> Result<ClassifierKind, Box<dyn Error>> {
+        let Some(name) = self.values.get("classifier") else {
+            return Ok(ClassifierKind::Mlp);
+        };
+        let name = name.to_ascii_lowercase();
+        ClassifierKind::from_tag(&name).ok_or_else(|| format!("unknown classifier: {name}").into())
+    }
 }
 
 /// Loads `--model FILE`, or trains a fresh detector on the synthetic
@@ -129,10 +127,7 @@ fn detector_from_flags(flags: &Flags, default_scale: f64) -> Result<Detector, Bo
         None => {
             let scale = flags.get_f64("scale", default_scale)?;
             let seed = flags.get_u64("seed", 0xD5)?;
-            let classifier = match flags.values.get("classifier") {
-                Some(name) => classifier_by_name(name)?,
-                None => ClassifierKind::Mlp,
-            };
+            let classifier = flags.classifier()?;
             eprintln!("training {classifier} detector on synthetic corpus (scale {scale})…");
             let config = DetectorConfig {
                 classifier,
@@ -672,10 +667,7 @@ pub fn train(args: &[String]) -> CmdResult {
         .ok_or("train: --out FILE required")?;
     let scale = flags.get_f64("scale", 0.25)?;
     let seed = flags.get_u64("seed", 0xD5)?;
-    let classifier = match flags.values.get("classifier") {
-        Some(name) => classifier_by_name(name)?,
-        None => ClassifierKind::Mlp,
-    };
+    let classifier = flags.classifier()?;
     eprintln!("training {classifier} on synthetic corpus (scale {scale})…");
     let config = DetectorConfig {
         classifier,
@@ -807,9 +799,11 @@ mod tests {
             ("lda", ClassifierKind::Lda),
             ("bnb", ClassifierKind::BernoulliNb),
         ] {
-            assert_eq!(classifier_by_name(name).unwrap(), expected);
+            let flags = Flags::parse(&strs(&["--classifier", name])).unwrap();
+            assert_eq!(flags.classifier().unwrap(), expected);
         }
-        assert!(classifier_by_name("xgboost").is_err());
+        let flags = Flags::parse(&strs(&["--classifier", "xgboost"])).unwrap();
+        assert!(flags.classifier().is_err());
     }
 
     #[test]

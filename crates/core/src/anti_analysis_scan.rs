@@ -11,7 +11,7 @@
 //!    unconditional `Exit Sub` within the same procedure;
 //! 3. *Changing the flow* — environment checks guarding procedure entry.
 
-use vbadet_vba::{tokenize, MacroAnalysis, TokenKind};
+use vbadet_vba::{tokenize, MacroAnalysis, SpanKind, TokenKind};
 
 /// One detected anti-analysis indicator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -163,8 +163,12 @@ pub struct MechanismSignals {
 pub fn mechanism_signals(source: &str) -> MechanismSignals {
     let analysis = MacroAnalysis::new(source);
     let code_chars = analysis.code_chars().max(1) as f64;
-    let concat_density =
-        (analysis.operator_count("&") + analysis.operator_count("+")) as f64 / code_chars;
+    let concat_ops = analysis
+        .tokens()
+        .iter()
+        .filter(|t| matches!(t.kind, SpanKind::Operator("&" | "+")))
+        .count();
+    let concat_density = concat_ops as f64 / code_chars;
 
     let calls = analysis.call_sites();
     let text_calls = calls

@@ -396,7 +396,9 @@ impl ClassifierKind {
         }
     }
 
-    fn from_tag(tag: &str) -> Option<Self> {
+    /// The classifier a saved-file tag names (`svm`, `rf`, `mlp`, `lda`,
+    /// `bnb`), as the CLI's `--classifier` also spells them.
+    pub fn from_tag(tag: &str) -> Option<Self> {
         Some(match tag {
             "svm" => ClassifierKind::Svm,
             "rf" => ClassifierKind::RandomForest,

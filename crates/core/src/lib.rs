@@ -32,6 +32,7 @@ mod error;
 pub mod experiment;
 pub mod extract;
 pub mod journal;
+mod jsonl;
 pub mod limits;
 pub mod memguard;
 pub mod preprocess;

@@ -20,10 +20,11 @@
 //! let a hostile document alias a clean one and be served its verdict. The
 //! detector and policy fingerprints only guard against *operator* drift
 //! (retrained model, changed limits), not an adversary, so the cheap FNV
-//! is enough there. The policy fingerprint covers exactly the fields that
-//! can change a scan outcome — the same set the isolation supervisor ships
-//! to its workers in its hello frame — so execution-shape knobs (`jobs`,
-//! `isolate`, metrics, the cache itself) never fragment the key space.
+//! is enough there. The policy fingerprint hashes exactly the fields that
+//! can change a scan outcome, in the one rendering the isolation
+//! supervisor also ships to its workers in its hello frame, so
+//! execution-shape knobs (`jobs`, `isolate`, metrics, the cache itself)
+//! never fragment the key space.
 //!
 //! Any fingerprint mismatch is a clean miss: a retrained detector or a
 //! changed limit makes every old entry invisible (never a stale verdict),
@@ -33,12 +34,14 @@
 //!
 //! - **In-memory**: a 16-way sharded LRU, `Mutex` per shard, suitable for
 //!   the resident service where the worker pool hits it concurrently.
-//! - **On-disk** (optional): append-only JSONL segment files under a cache
-//!   directory, one new segment per writer run, with the same crash-safety
-//!   discipline as the scan journal — a torn tail is detected and dropped,
-//!   never misparsed. Each line additionally carries an FNV-1a checksum
-//!   over its canonical content, so a *bitflipped* (not just torn) entry
-//!   is skipped instead of served as a wrong verdict.
+//! - **On-disk** (optional): segment files under a cache directory, one
+//!   new segment per writer run, each a `crate::jsonl` log, the one
+//!   crash-safe log the scan journal also uses. The cache keeps its own
+//!   damage policy: a torn tail or an oversized line ends the segment, a
+//!   line that fails its checksum or schema is skipped, a bad header skips
+//!   the segment. Each line carries an FNV-1a checksum over its canonical
+//!   content, so a *bitflipped* (not just torn) entry is skipped instead
+//!   of served as a wrong verdict.
 //!
 //! # Determinism contract
 //!
@@ -78,7 +81,7 @@
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
@@ -86,6 +89,7 @@ use std::time::SystemTime;
 
 use crate::detector::Detector;
 use crate::journal::{decode_outcome, outcome_json};
+use crate::jsonl;
 use vbadet_faultpoint::faultpoint;
 use vbadet_metrics::json::{self, hex, json_str, unhex, Json};
 use vbadet_metrics::{Counter, MetricsSink, Stage};
@@ -101,11 +105,6 @@ pub const CACHE_VERSION: u64 = 2;
 /// Number of in-memory LRU shards. A power of two so shard selection is a
 /// mask on the first digest byte.
 const SHARDS: usize = 16;
-
-/// fsync the open segment every this many appended entries (same period
-/// as the journal). Entries between syncs survive a process crash but not
-/// a power cut; the torn-tail loader handles either.
-const FSYNC_PERIOD: u64 = 64;
 
 /// Hard cap on one serialized entry line. Anything longer on disk is
 /// treated as damage; anything longer at insert time is simply not
@@ -328,30 +327,11 @@ pub(crate) fn detector_fingerprint(detector: &Detector) -> u64 {
     fnv1a64(detector.save().as_bytes())
 }
 
-/// Fingerprint of the outcome-affecting policy fields. Mirrors the field
-/// set the isolation supervisor serializes into its hello frame: limits
-/// and budgets change outcomes; `jobs`, `isolate`, metrics, drain and the
-/// cache handle itself do not.
+/// Fingerprint of the outcome-affecting policy fields: FNV over
+/// [`policy_fields`](super::isolate::policy_fields), the rendering the
+/// isolate hello frame carries.
 pub(crate) fn policy_fingerprint(policy: &ScanPolicy) -> u64 {
-    let l = &policy.limits;
-    let canon = format!(
-        "deadline_ms={:?} fuel={:?} max_scan_mem={:?} \
-         zip=({},{}) ole=({},{},{},{}) ovba=({},{},{}) max_file_size={}",
-        policy.deadline_per_doc.map(|d| d.as_millis()),
-        policy.fuel_per_doc,
-        policy.max_scan_mem,
-        l.zip.max_entries,
-        l.zip.max_member_bytes,
-        l.ole.max_sectors,
-        l.ole.max_dir_entries,
-        l.ole.max_stream_bytes,
-        l.ole.max_dir_depth,
-        l.ovba.max_modules,
-        l.ovba.max_module_bytes,
-        l.ovba.max_dir_bytes,
-        l.max_file_size,
-    );
-    fnv1a64(canon.as_bytes())
+    fnv1a64(super::isolate::policy_fields(policy).as_bytes())
 }
 
 /// Whether an outcome is a pure function of `(bytes, detector, policy)`
@@ -417,13 +397,6 @@ impl Shard {
 // On-disk tier: append-only JSONL segments.
 // ---------------------------------------------------------------------------
 
-#[derive(Debug)]
-struct DiskStore {
-    file: fs::File,
-    appended: u64,
-    write_error: bool,
-}
-
 /// Canonical serialization of one entry line. Doubles as the checksum
 /// input (minus the `sum` field itself): the loader re-derives this exact
 /// string from the parsed fields and compares checksums, so any bitflip —
@@ -482,13 +455,6 @@ fn decode_entry(j: &Json) -> Result<(Key, Entry), String> {
     Ok((key, entry))
 }
 
-fn segment_header() -> String {
-    format!(
-        "{{\"format\":{},\"version\":{CACHE_VERSION}}}\n",
-        json_str(CACHE_FORMAT)
-    )
-}
-
 /// Lists the segment files in `dir`, sorted by name (which sorts by index
 /// thanks to the zero-padded naming scheme).
 fn segment_paths(dir: &Path) -> io::Result<Vec<PathBuf>> {
@@ -527,7 +493,7 @@ pub struct ScanCache {
     shards: Vec<Mutex<Shard>>,
     /// Per-shard capacity (total capacity / SHARDS, at least 1).
     shard_capacity: usize,
-    disk: Option<Mutex<DiskStore>>,
+    disk: Option<Mutex<jsonl::Writer>>,
     load_warnings: Vec<String>,
     /// Keys whose [`Lead`] is live: being scanned by some thread.
     flights: Mutex<HashSet<Key>>,
@@ -570,25 +536,16 @@ impl ScanCache {
             cache.load_segment(segment);
         }
         let fresh = next_segment_path(dir, &segments);
-        let mut file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&fresh)?;
-        file.write_all(segment_header().as_bytes())?;
-        file.sync_data()?;
-        cache.disk = Some(Mutex::new(DiskStore {
-            file,
-            appended: 0,
-            write_error: false,
-        }));
+        let log = jsonl::Writer::create(&fresh, CACHE_FORMAT, CACHE_VERSION)?;
+        cache.disk = Some(Mutex::new(log));
         Ok(cache)
     }
 
     /// Loads one segment into the in-memory tier. Total: every class of
     /// damage degrades to a warning, never an error or a wrong entry —
-    /// a bad header skips the segment, an unparseable or oversized line
-    /// stops the segment there (torn tail), a parseable line whose
-    /// checksum mismatches is skipped and the rest of the segment kept.
+    /// a bad header skips the segment, a torn or oversized line stops the
+    /// segment there, a line that fails its checksum or schema is skipped
+    /// and the rest of the segment kept.
     fn load_segment(&mut self, path: &Path) {
         let name = path.display();
         let bytes = match fs::read(path) {
@@ -598,38 +555,27 @@ impl ScanCache {
                 return;
             }
         };
-        let text = String::from_utf8_lossy(&bytes);
-        let mut lines = text.split_inclusive('\n');
-        let header_ok = lines.next().is_some_and(|line| {
-            line.ends_with('\n')
-                && json::parse(line.trim_end()).is_ok_and(|j| {
-                    j.get("format").and_then(Json::as_str) == Some(CACHE_FORMAT)
-                        && j.get("version").and_then(Json::as_u64) == Some(CACHE_VERSION)
-                })
-        });
-        if !header_ok {
-            self.load_warnings.push(format!(
-                "{name}: missing or foreign header, segment skipped"
-            ));
-            return;
-        }
-        for (lineno, line) in lines.enumerate() {
-            let lineno = lineno + 2;
-            if !line.ends_with('\n') {
+        let lines = match jsonl::read(&bytes, CACHE_FORMAT, CACHE_VERSION) {
+            Ok(lines) => lines,
+            Err(e) => {
                 self.load_warnings
-                    .push(format!("{name}:{lineno}: torn tail dropped"));
+                    .push(format!("{name}: {e}, segment skipped"));
                 return;
             }
-            if line.len() > MAX_ENTRY_LINE_BYTES {
+        };
+        for line in lines {
+            let lineno = line.number;
+            if line.len > MAX_ENTRY_LINE_BYTES {
                 self.load_warnings.push(format!(
                     "{name}:{lineno}: {}-byte line over the {MAX_ENTRY_LINE_BYTES}-byte cap, \
                      rest of segment dropped",
-                    line.len()
+                    line.len
                 ));
                 return;
             }
-            let decoded = json::parse(line.trim_end())
-                .map_err(|e| format!("unparseable: {e}"))
+            let decoded = line
+                .text
+                .and_then(|text| json::parse(text).map_err(|e| format!("unparseable: {e}")))
                 .and_then(|j| decode_entry(&j));
             match decoded {
                 Ok((key, entry)) => {
@@ -638,12 +584,9 @@ impl ScanCache {
                         .expect("cache shard lock poisoned")
                         .put(key, entry, self.shard_capacity);
                 }
-                Err(why) => {
-                    // A checksum or schema failure is line-local damage:
-                    // skip it and keep loading. (A torn write can only be
-                    // the *last* line; that case returned above.)
-                    self.load_warnings.push(format!("{name}:{lineno}: {why}"));
-                }
+                // Line-local damage: skip it and keep loading. (A torn
+                // line is always the last, so skipping it ends the segment.)
+                Err(why) => self.load_warnings.push(format!("{name}:{lineno}: {why}")),
             }
         }
     }
@@ -752,32 +695,12 @@ impl ScanCache {
             return;
         }
         if let Some(disk) = &self.disk {
-            let mut store = disk.lock().expect("cache disk lock poisoned");
-            if store.write_error {
-                return;
-            }
-            // One write per line: a crash can tear at most the final
-            // line, which the loader detects by its missing newline.
-            if store.file.write_all(line.as_bytes()).is_err() {
-                // A full disk must not take down the batch: stop
-                // persisting, keep scanning and keep the memory tier.
-                store.write_error = true;
-                return;
-            }
-            store.appended += 1;
-            if store.appended % FSYNC_PERIOD == 0 {
-                let _ = store.file.sync_data();
-            }
-        }
-    }
-}
-
-impl Drop for ScanCache {
-    fn drop(&mut self) {
-        if let Some(disk) = &self.disk {
-            if let Ok(store) = disk.lock() {
-                let _ = store.file.sync_data();
-            }
+            // A failed append latches in the log and stops persisting: a
+            // full disk must not take down the batch, and the memory tier
+            // keeps serving.
+            disk.lock()
+                .expect("cache disk lock poisoned")
+                .append(line.trim_end_matches('\n'));
         }
     }
 }

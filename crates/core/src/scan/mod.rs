@@ -801,24 +801,25 @@ pub fn scan_paths_parallel<P: AsRef<Path>>(
     scan_paths_journaled(detector, paths, &policy, None, None)
 }
 
-/// Single-writer funnel for journal checkpoints. The first write error
-/// stops journaling — the scan itself must run to completion on a full
-/// disk — and is surfaced exactly once as [`ScanReport::journal_error`].
-/// Shared with [`crate::serve`], which funnels its per-request audit
-/// records through one of these behind a mutex.
+/// Single-writer funnel for journal checkpoints. The journal latches its
+/// first write error and then writes nothing — the scan itself must run
+/// to completion on a full disk — and the error is surfaced exactly once
+/// as [`ScanReport::journal_error`]. Shared with [`crate::serve`], which
+/// funnels its per-request audit records through one of these behind a
+/// mutex.
 pub(crate) struct JournalSink<'a> {
     journal: Option<&'a mut ScanJournal>,
-    pub(crate) error: Option<String>,
     metrics: MetricsSink,
 }
 
 impl<'a> JournalSink<'a> {
     pub(crate) fn new(journal: Option<&'a mut ScanJournal>, metrics: MetricsSink) -> Self {
-        JournalSink {
-            journal,
-            error: None,
-            metrics,
-        }
+        JournalSink { journal, metrics }
+    }
+
+    /// The journal's latched write error, if any.
+    pub(crate) fn error(&self) -> Option<String> {
+        Some(self.journal.as_ref()?.status().err()?.to_string())
     }
 
     fn record(
@@ -826,17 +827,16 @@ impl<'a> JournalSink<'a> {
         counter: Counter,
         op: impl FnOnce(&mut ScanJournal) -> std::io::Result<()>,
     ) {
-        if self.error.is_some() {
-            return;
-        }
         let Some(j) = self.journal.as_deref_mut() else {
             return;
         };
+        if j.status().is_err() {
+            return;
+        }
         let _t = self.metrics.time(Stage::JournalWriteNs);
         let before = j.bytes_written();
-        if let Err(e) = op(j) {
-            self.error = Some(e.to_string());
-        }
+        // A failure is latched in the journal and read back by `error`.
+        let _ = op(j);
         self.metrics.count(counter, 1);
         self.metrics.count(
             Counter::JournalBytes,
@@ -1021,7 +1021,7 @@ impl Collector<'_> {
         );
         ScanReport {
             records: self.records,
-            journal_error: self.sink.error,
+            journal_error: self.sink.error(),
             metrics: self.policy.metrics.snapshot(),
             interrupted,
         }

@@ -447,7 +447,7 @@ pub fn serve(
         shed: shared.shed.load(Ordering::Relaxed),
         responses: shared.responses.load(Ordering::Relaxed),
         drained: true,
-        journal_error: sink.error.clone(),
+        journal_error: sink.error(),
         metrics: metrics.snapshot(),
     }
 }

@@ -92,7 +92,7 @@ proptest! {
             .iter()
             .filter(|t| {
                 matches!(t.kind, vbadet_vba::SpanKind::Keyword(_))
-                    && analysis.token_text(t).eq_ignore_ascii_case("sub")
+                    && out[t.start..t.end].eq_ignore_ascii_case("sub")
             })
             .count();
         prop_assert_eq!(sub_keywords % 2, 0, "unbalanced Sub keywords in {}", out);

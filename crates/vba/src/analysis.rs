@@ -135,17 +135,6 @@ impl<'a> MacroAnalysis<'a> {
         &self.counts
     }
 
-    /// The source text of a token. For string literals this is the
-    /// *decoded* value (quotes stripped, `""` unescaped); for comments the
-    /// trimmed body; for everything else the exact source span.
-    pub fn token_text(&self, token: &SpanToken) -> &str {
-        match token.kind {
-            SpanKind::StringLit(i) => self.string_value(i as usize),
-            SpanKind::Comment(i) => self.comment_body(i as usize),
-            _ => &self.source[token.start..token.end],
-        }
-    }
-
     /// Number of string literals.
     pub fn string_count(&self) -> usize {
         self.tables.strings.len()
@@ -310,15 +299,6 @@ impl<'a> MacroAnalysis<'a> {
             .count()
     }
 
-    /// Number of occurrences of a specific operator token.
-    pub fn operator_count(&self, op: &str) -> usize {
-        self.tables
-            .tokens
-            .iter()
-            .filter(|t| matches!(t.kind, SpanKind::Operator(o) if o == op))
-            .count()
-    }
-
     /// Physical lines of the source.
     pub fn lines(&self) -> Vec<&str> {
         self.source.lines().collect()
@@ -463,7 +443,6 @@ mod tests {
         let a = MacroAnalysis::new("s = \"a\" & \"b\" + \"c\" & \"d\"");
         // 1 `=`, 2 `&`, 1 `+`.
         assert_eq!(a.string_operator_count(), 4);
-        assert_eq!(a.operator_count("&"), 2);
     }
 
     #[test]

@@ -179,9 +179,12 @@ reload_soak() {
 # (faultpoints build), and the on-disk store mutation fuzz. Rerun
 # explicitly — like the determinism suites — because "a cache hit is
 # observationally identical to a scan" is a correctness invariant, not a
-# perf nicety.
+# perf nicety. The cache's disk segments and the scan journal are one
+# JSONL log (`jsonl.rs`), so the journal's resume suite and the unit
+# tests of the journal, the cache and the log rerun with them.
 cache_tests() {
-    cargo test -q --offline --test cache --test hostile_inputs &&
+    cargo test -q --offline --test cache --test hostile_inputs --test resilience &&
+        cargo test -q --offline -p vbadet --lib -- journal:: scan::cache:: jsonl:: &&
         cargo test -q --offline --features faultpoints --test cache
 }
 
