@@ -572,4 +572,28 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn mini_chain_cycles_and_overruns_are_typed() {
+        // A module stream under the cutoff lives in the mini stream; its
+        // first miniFAT entry is patched in place, in the one miniFAT
+        // sector the builder writes.
+        let mut b = crate::OleBuilder::new();
+        b.add_stream("VBA/dir", &[0x01; 100]).unwrap();
+        b.add_stream("VBA/Module1", &[b'x'; 300]).unwrap();
+        let bytes = b.build();
+        let ole = OleFile::parse(&bytes).unwrap();
+        let start = ole.entries()[ole.resolve("VBA/Module1").unwrap() as usize].start_sector;
+        let at = 512 + 512 * u32_at(&bytes, 60) as usize + 4 * start as usize;
+        let past = (ole.root().size / MINI_SECTOR_SIZE as u64) as u32;
+        for (next, want) in [
+            (start, OleError::ChainCycle { start }),
+            (past, OleError::Truncated { sector: past }),
+        ] {
+            let mut patched = bytes.clone();
+            patched[at..at + 4].copy_from_slice(&next.to_le_bytes());
+            let ole = OleFile::parse(&patched).unwrap();
+            assert_eq!(ole.open_stream("VBA/Module1"), Err(want));
+        }
+    }
 }
