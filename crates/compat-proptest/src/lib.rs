@@ -98,7 +98,7 @@ impl<S: Strategy + ?Sized> Strategy for Box<S> {
     }
 }
 
-/// String strategy from a regex-like pattern (see [`pattern`] for the
+/// String strategy from a regex-like pattern (see `pattern` for the
 /// supported subset: literals, classes, groups, `{m,n}` repetition, `\PC`).
 impl Strategy for str {
     type Value = String;

@@ -11,7 +11,7 @@
 //!    unconditional `Exit Sub` within the same procedure;
 //! 3. *Changing the flow* — environment checks guarding procedure entry.
 
-use vbadet_vba::{tokenize, MacroAnalysis, SpanKind, TokenKind};
+use vbadet_vba::{tokenize, TokenKind};
 
 /// One detected anti-analysis indicator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,94 +119,6 @@ pub fn scan_anti_analysis(source: &str) -> Vec<AntiAnalysisIndicator> {
     out
 }
 
-/// Convenience: whether any indicator is present.
-pub fn has_anti_analysis(source: &str) -> bool {
-    !scan_anti_analysis(source).is_empty()
-}
-
-/// Combined report for one macro: the statistical verdict plus the
-/// rule-based indicators (the combination §VI.B motivates).
-#[derive(Debug, Clone)]
-pub struct ExtendedVerdict {
-    /// The classifier's verdict.
-    pub verdict: crate::Verdict,
-    /// Rule-based anti-analysis findings.
-    pub indicators: Vec<AntiAnalysisIndicator>,
-}
-
-impl crate::Detector {
-    /// Scores a macro and scans it for anti-analysis indicators.
-    pub fn score_extended(&self, source: &str) -> ExtendedVerdict {
-        ExtendedVerdict {
-            verdict: self.score(source),
-            indicators: scan_anti_analysis(source),
-        }
-    }
-}
-
-/// A dedicated analysis used by the obfuscation classifier's consumers:
-/// which of the O1–O4 mechanism *signals* are present (coarse, rule-based;
-/// useful for explaining a positive verdict to an analyst).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MechanismSignals {
-    /// Concatenation operator density suggests split strings (O2).
-    pub split_strings: bool,
-    /// `Chr`/`Replace`/`Asc` call density suggests encoding (O3).
-    pub encoded_strings: bool,
-    /// Low word readability suggests randomized identifiers (O1).
-    pub randomized_names: bool,
-    /// Dead `If False` blocks / unused `Dim`s suggest dummy code (O4).
-    pub dummy_code: bool,
-}
-
-/// Extracts coarse mechanism signals from a macro.
-pub fn mechanism_signals(source: &str) -> MechanismSignals {
-    let analysis = MacroAnalysis::new(source);
-    let code_chars = analysis.code_chars().max(1) as f64;
-    let concat_ops = analysis
-        .tokens()
-        .iter()
-        .filter(|t| matches!(t.kind, SpanKind::Operator("&" | "+")))
-        .count();
-    let concat_density = concat_ops as f64 / code_chars;
-
-    let calls = analysis.call_sites();
-    let text_calls = calls
-        .iter()
-        .filter(|c| {
-            matches!(
-                vbadet_vba::functions::categorize(c),
-                Some(vbadet_vba::FunctionCategory::Text)
-            )
-        })
-        .count();
-    let text_density = if calls.is_empty() {
-        0.0
-    } else {
-        text_calls as f64 / calls.len() as f64
-    };
-
-    let idents = analysis.identifiers();
-    let unreadable = idents
-        .iter()
-        .filter(|i| {
-            let lower = i.to_ascii_lowercase();
-            lower.len() >= 8
-                && !lower
-                    .chars()
-                    .any(|c| matches!(c, 'a' | 'e' | 'i' | 'o' | 'u'))
-        })
-        .count();
-    let lower_source = source.to_ascii_lowercase();
-
-    MechanismSignals {
-        split_strings: concat_density > 0.02 && analysis.strings().len() >= 6,
-        encoded_strings: text_density > 0.4 && text_calls >= 4,
-        randomized_names: !idents.is_empty() && unreadable as f64 / idents.len() as f64 > 0.3,
-        dummy_code: lower_source.contains("if false then"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,7 +127,6 @@ mod tests {
     fn clean_macro_has_no_indicators() {
         let src = "Sub A()\r\n    If x > 0 Then Exit Sub\r\n    y = 1\r\nEnd Sub\r\n";
         assert!(scan_anti_analysis(src).is_empty());
-        assert!(!has_anti_analysis(src));
     }
 
     #[test]
@@ -280,35 +191,13 @@ mod tests {
                     Shell cmd, 0\r\n\
                     End Sub\r\n";
         let hidden = vbadet_obfuscate::anti_analysis::hide_string_data(base, &mut rng);
-        assert!(has_anti_analysis(&hidden.source), "hidden strings");
+        assert!(
+            !scan_anti_analysis(&hidden.source).is_empty(),
+            "hidden strings"
+        );
         let broken = vbadet_obfuscate::anti_analysis::insert_broken_code(base, &mut rng);
-        assert!(has_anti_analysis(&broken), "broken code");
+        assert!(!scan_anti_analysis(&broken).is_empty(), "broken code");
         let flowed = vbadet_obfuscate::anti_analysis::change_flow(base, &mut rng);
-        assert!(has_anti_analysis(&flowed), "flow change");
-    }
-
-    #[test]
-    fn mechanism_signals_fire_on_their_techniques() {
-        use rand::SeedableRng;
-        let base = "Sub Go()\r\n\
-                    a = \"first marker string\"\r\n\
-                    b = \"second marker string\"\r\n\
-                    c = \"third marker string\"\r\n\
-                    Shell a & b & c, 0\r\n\
-                    End Sub\r\n";
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let split = vbadet_obfuscate::split::apply(base, &mut rng);
-        assert!(mechanism_signals(&split).split_strings, "{split}");
-
-        let mut rng = rand::rngs::StdRng::seed_from_u64(10);
-        let renamed = vbadet_obfuscate::random::apply(base, &mut rng).0;
-        // Random names may be pronounceable; just require the call not to
-        // crash and the dummy-code flag to stay off.
-        assert!(!mechanism_signals(&renamed).dummy_code);
-
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let logic =
-            vbadet_obfuscate::logic::apply(base, vbadet_obfuscate::logic::Intensity(30), &mut rng);
-        assert!(mechanism_signals(&logic).dummy_code, "{logic}");
+        assert!(!scan_anti_analysis(&flowed).is_empty(), "flow change");
     }
 }

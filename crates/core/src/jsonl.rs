@@ -28,6 +28,8 @@ pub(crate) struct Writer {
 impl Writer {
     /// Creates (truncating) the log at `path`, writes its header line and
     /// fsyncs it, so even a run killed at once leaves a recognizable log.
+    /// On unix it then fsyncs the parent directory, so the new file's
+    /// name survives a power cut too.
     pub(crate) fn create(path: &Path, format: &str, version: u64) -> io::Result<Writer> {
         // Append mode: each record lands at the end of the file even if
         // another writer has the same file open.
@@ -45,6 +47,8 @@ impl Writer {
         ));
         log.sync();
         log.status()?;
+        #[cfg(unix)]
+        File::open(parent_dir(path))?.sync_all()?;
         Ok(log)
     }
 
@@ -103,6 +107,15 @@ impl Drop for Writer {
         if self.unsynced > 0 {
             let _ = self.file.sync_data();
         }
+    }
+}
+
+/// The directory that holds `path`; a bare file name is in `.`.
+#[cfg(unix)]
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
     }
 }
 
@@ -197,6 +210,17 @@ mod tests {
             got[records.len()],
             Err("torn tail (no trailing newline)".to_string())
         );
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn a_bare_file_name_syncs_the_current_directory() {
+        assert_eq!(parent_dir(Path::new("scan.jsonl")), Path::new("."));
+        assert_eq!(parent_dir(Path::new("logs/scan.jsonl")), Path::new("logs"));
+        assert_eq!(parent_dir(Path::new("/scan.jsonl")), Path::new("/"));
+        File::open(parent_dir(Path::new("scan.jsonl")))
+            .and_then(|dir| dir.sync_all())
+            .unwrap();
     }
 
     #[test]

@@ -39,7 +39,6 @@ pub mod preprocess;
 pub mod scan;
 pub mod serve;
 pub mod signature;
-pub mod threshold;
 
 pub use anti_analysis_scan::{scan_anti_analysis, AntiAnalysisIndicator};
 pub use detector::{
@@ -63,7 +62,6 @@ pub use scan::{
 pub use serve::{request_reload, reset_reload_requests};
 pub use serve::{serve, Listener, ServeConfig, ServeSummary};
 pub use signature::SignatureScanner;
-pub use threshold::{tune_threshold, OperatingPoint, ThresholdPolicy};
 pub use vbadet_faultpoint::{Budget, BudgetExceeded};
 pub use vbadet_metrics::json;
 pub use vbadet_metrics::{Counter, HistogramSnapshot, MetricsSink, ScanMetrics, Stage};

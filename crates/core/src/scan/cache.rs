@@ -45,7 +45,7 @@
 //!
 //! # Determinism contract
 //!
-//! The deterministic counter section of [`ScanMetrics`] must be identical
+//! The deterministic counter section of [`ScanMetrics`](crate::ScanMetrics) must be identical
 //! with the cache off, cold, and warm. Misses therefore scan under a
 //! fresh sink and store the resulting counter *deltas* with the outcome;
 //! hits replay those deltas into the live sink, so the totals come out as
@@ -59,7 +59,7 @@
 //!
 //! # Single-flight
 //!
-//! A lookup that misses takes the *lead* for its key: a [`Lead`] guard
+//! A lookup that misses takes the *lead* for its key: a `Lead` guard
 //! that carries the insert and, on drop, releases the key and wakes
 //! every thread waiting on it. A lookup that finds its key led by
 //! another thread waits, then looks up again: the leader's insert makes

@@ -4,7 +4,7 @@
 //! The in-process engines contain panics with `catch_unwind`, but a whole
 //! class of failures is beyond any in-process defence: `abort()` in a
 //! dependency, a stack overflow in a parser recursion, the kernel's OOM
-//! killer. [`scan_paths_isolated`] moves the blast radius out of the batch
+//! killer. `scan_paths_isolated` moves the blast radius out of the batch
 //! process entirely: documents are scanned by child *worker processes*
 //! (re-executions of the current binary into a hidden worker subcommand),
 //! so the worst a hostile document can do is cost one worker.
@@ -14,7 +14,7 @@
 //! This module is an *executor* for the shared batch engine in
 //! [`super`]: claiming, resume, journaling, drain and input ordering are
 //! the engine's, so reports and journals are byte-identical to the
-//! in-process runs. What is specific here is the [`Slot`]: each scanning
+//! in-process runs. What is specific here is the `Slot`: each scanning
 //! thread owns one, and with it at most one child process. When the
 //! engine hands the executor a claim, the cache misses among its fresh
 //! documents are sent to the worker in one write, and their results are
@@ -84,7 +84,7 @@
 //! ([`MetricsSink::take_counters`]) and ships them back in the result
 //! frame as that document's delta; the engine replays those deltas in
 //! input order and then rolls the outcome in with
-//! [`record_outcome`], which skips [`FailureClass::Fatal`] records
+//! `record_outcome`, which skips [`FailureClass::Fatal`] records
 //! entirely. Net effect: the deterministic counters section equals a
 //! clean in-process run over the surviving documents, whatever workers
 //! died along the way. Worker lifecycle events land on the histogram side

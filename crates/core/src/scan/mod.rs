@@ -40,7 +40,7 @@
 //! the batch continues. Both executors look documents up in the
 //! [`cache`] when the policy carries one, and its lookup is the one
 //! single-flight: concurrent identical documents cost one scan. The
-//! resident service ([`crate::serve`]) runs the same per-document code.
+//! resident service ([`crate::serve`](mod@crate::serve)) runs the same per-document code.
 //!
 //! Finally, [`interrupt`] provides a graceful-drain latch: when a policy
 //! opts in via [`ScanPolicy::drain_on_interrupt`], a drain request (e.g.
@@ -646,7 +646,7 @@ fn panic_detail(payload: Box<dyn Any + Send>) -> String {
 /// The batch engine calls this exactly once per record, from its single
 /// in-order seam, so the sums can never depend on worker scheduling. The
 /// resident service
-/// ([`crate::serve`]) calls it once per decided request.
+/// ([`crate::serve`](mod@crate::serve)) calls it once per decided request.
 pub(crate) fn record_outcome(metrics: &MetricsSink, outcome: &ScanOutcome) {
     if let ScanOutcome::Failed {
         class: FailureClass::Fatal,
@@ -804,7 +804,7 @@ pub fn scan_paths_parallel<P: AsRef<Path>>(
 /// Single-writer funnel for journal checkpoints. The journal latches its
 /// first write error and then writes nothing — the scan itself must run
 /// to completion on a full disk — and the error is surfaced exactly once
-/// as [`ScanReport::journal_error`]. Shared with [`crate::serve`], which
+/// as [`ScanReport::journal_error`]. Shared with [`crate::serve`](mod@crate::serve), which
 /// funnels its per-request audit records through one of these behind a
 /// mutex.
 pub(crate) struct JournalSink<'a> {

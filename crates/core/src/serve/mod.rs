@@ -16,7 +16,7 @@
 //! - **Bounded admission.** Requests pass through a fixed-depth queue;
 //!   when it is full the request is *shed* with a typed `overloaded`
 //!   rejection — never silently dropped, never buffered unboundedly.
-//! - **Circuit breaker** ([`breaker`]): repeated worker crash-loops open
+//! - **Circuit breaker** (`breaker`): repeated worker crash-loops open
 //!   the breaker, scans are rejected fast with a `retry_ms` hint, and
 //!   exponential-backoff probes feel for recovery.
 //! - **Exactly one terminal response** per request line: every admitted,

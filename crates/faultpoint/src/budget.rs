@@ -127,11 +127,7 @@ impl Default for Budget {
 }
 
 impl Budget {
-    fn build(deadline: Option<Instant>, fuel: Option<u64>, metrics: MetricsSink) -> Self {
-        Budget::build_guarded(deadline, fuel, None, metrics)
-    }
-
-    fn build_guarded(
+    fn build(
         deadline: Option<Instant>,
         fuel: Option<u64>,
         mem: Option<MemCeiling>,
@@ -151,48 +147,26 @@ impl Budget {
 
     /// A budget that never trips. Charging it is a single branch.
     pub fn unlimited() -> Self {
-        Budget::build(None, None, MetricsSink::disabled())
-    }
-
-    /// A budget bounded by wall-clock time only.
-    pub fn with_deadline(limit: Duration) -> Self {
-        Budget::build(Some(Instant::now() + limit), None, MetricsSink::disabled())
+        Budget::build(None, None, None, MetricsSink::disabled())
     }
 
     /// A budget bounded by fuel only.
     pub fn with_fuel(fuel: u64) -> Self {
-        Budget::build(None, Some(fuel), MetricsSink::disabled())
+        Budget::build(None, Some(fuel), None, MetricsSink::disabled())
     }
 
-    /// A budget with optional deadline and optional fuel; `None, None` is
-    /// [`Budget::unlimited`].
-    pub fn new(deadline: Option<Duration>, fuel: Option<u64>) -> Self {
-        Budget::build(
-            deadline.map(|d| Instant::now() + d),
-            fuel,
-            MetricsSink::disabled(),
-        )
-    }
-
-    /// As [`Budget::new`], additionally carrying a [`MetricsSink`] so the
-    /// parser layers the budget traverses can record pipeline counters.
-    pub fn new_metered(
-        deadline: Option<Duration>,
-        fuel: Option<u64>,
-        metrics: MetricsSink,
-    ) -> Self {
-        Budget::build(deadline.map(|d| Instant::now() + d), fuel, metrics)
-    }
-
-    /// As [`Budget::new_metered`], additionally bounded by a memory
-    /// ceiling: `mem` is a `(probe, ceiling_bytes)` pair where `probe`
-    /// reports the process's current live allocation (from a tracking
-    /// global allocator). The baseline is read at construction; once live
-    /// allocation grows more than `ceiling_bytes` past it, charges fail
-    /// with [`BudgetExceeded::Memory`]. Enforcement is cooperative — the
-    /// probe is read on the same amortized cadence as the wall clock — so
-    /// a single giant allocation is the caller's job to pre-check; what
-    /// this catches is cumulative blowup across parsing loops.
+    /// A budget with an optional deadline, optional fuel and an optional
+    /// memory ceiling, carrying a [`MetricsSink`] so the parser layers the
+    /// budget traverses can record pipeline counters (`None, None, None`
+    /// with a disabled sink is [`Budget::unlimited`]). `mem` is a
+    /// `(probe, ceiling_bytes)` pair where `probe` reports the process's
+    /// current live allocation (from a tracking global allocator). The
+    /// baseline is read at construction; once live allocation grows more
+    /// than `ceiling_bytes` past it, charges fail with
+    /// [`BudgetExceeded::Memory`]. Enforcement is cooperative — the probe
+    /// is read on the same amortized cadence as the wall clock — so a
+    /// single giant allocation is the caller's job to pre-check; what this
+    /// catches is cumulative blowup across parsing loops.
     pub fn new_guarded(
         deadline: Option<Duration>,
         fuel: Option<u64>,
@@ -204,11 +178,11 @@ impl Budget {
             baseline: probe(),
             ceiling,
         });
-        Budget::build_guarded(deadline.map(|d| Instant::now() + d), fuel, mem, metrics)
+        Budget::build(deadline.map(|d| Instant::now() + d), fuel, mem, metrics)
     }
 
     /// The metrics handle riding with this budget (disabled unless the
-    /// budget was built via [`Budget::new_metered`] with an enabled sink).
+    /// budget was built via [`Budget::new_guarded`] with an enabled sink).
     #[inline]
     pub fn metrics(&self) -> &MetricsSink {
         &self.0.metrics
@@ -301,11 +275,6 @@ impl Budget {
     pub fn tripped(&self) -> Option<BudgetExceeded> {
         decode_trip(self.0.tripped.load(Ordering::Relaxed))
     }
-
-    /// Whether this budget can ever trip.
-    pub fn is_unlimited(&self) -> bool {
-        !self.0.active
-    }
 }
 
 #[cfg(test)]
@@ -319,7 +288,6 @@ mod tests {
             b.charge(u64::MAX).unwrap();
         }
         b.checkpoint().unwrap();
-        assert!(b.is_unlimited());
         assert_eq!(b.tripped(), None);
     }
 
@@ -373,7 +341,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_trips_within_one_clock_period() {
-        let b = Budget::with_deadline(Duration::from_millis(0));
+        let b = Budget::new_guarded(Some(Duration::ZERO), None, None, MetricsSink::disabled());
         std::thread::sleep(Duration::from_millis(2));
         let mut tripped = false;
         for _ in 0..(CLOCK_PERIOD as usize + 1) {
@@ -391,7 +359,7 @@ mod tests {
 
     #[test]
     fn checkpoint_sees_expired_deadline_immediately() {
-        let b = Budget::with_deadline(Duration::from_millis(0));
+        let b = Budget::new_guarded(Some(Duration::ZERO), None, None, MetricsSink::disabled());
         std::thread::sleep(Duration::from_millis(2));
         assert_eq!(b.checkpoint(), Err(BudgetExceeded::Deadline));
     }
@@ -400,7 +368,7 @@ mod tests {
     fn metered_budget_carries_its_sink_through_clones() {
         use vbadet_metrics::Counter;
         let sink = MetricsSink::enabled();
-        let a = Budget::new_metered(None, Some(100), sink.clone());
+        let a = Budget::new_guarded(None, Some(100), None, sink.clone());
         let b = a.clone();
         a.metrics().count(Counter::OleSectors, 2);
         b.metrics().count(Counter::OleSectors, 3);
@@ -418,7 +386,6 @@ mod tests {
         }
         LIVE.store(1_000, Ordering::Relaxed);
         let b = Budget::new_guarded(None, None, Some((probe, 500)), MetricsSink::disabled());
-        assert!(!b.is_unlimited());
         // Growth within the ceiling: fine, even past CLOCK_PERIOD charges.
         LIVE.store(1_400, Ordering::Relaxed);
         for _ in 0..(2 * CLOCK_PERIOD as usize) {
@@ -458,7 +425,12 @@ mod tests {
 
     #[test]
     fn generous_deadline_does_not_trip() {
-        let b = Budget::new(Some(Duration::from_secs(3600)), Some(1_000_000));
+        let b = Budget::new_guarded(
+            Some(Duration::from_secs(3600)),
+            Some(1_000_000),
+            None,
+            MetricsSink::disabled(),
+        );
         for _ in 0..1000 {
             b.charge(1).unwrap();
         }

@@ -18,7 +18,7 @@
 //! | V14 | avg. length of identifiers | O1 |
 //! | V15 | var. length of identifiers | O1 |
 //!
-//! One function, [`v_vector`], computes V1–V15 from what a lex pass
+//! One function, `v_vector`, computes V1–V15 from what a lex pass
 //! counted: the [`SourceStats`], the token machine's [`TokenCounts`] and
 //! the number of string literals. Both lexer modes feed it.
 //! [`v_features`] and the scan path ([`crate::FeatureScratch`]) run the V

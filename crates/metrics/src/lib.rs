@@ -315,7 +315,7 @@ impl MetricsCore {
 }
 
 /// A cheap handle to the metrics registry, threaded through the scan
-/// alongside [`ScanLimits`]/`Budget`.
+/// alongside `ScanLimits`/`Budget`.
 ///
 /// Clones share one registry. The default handle is *disabled*: every
 /// recording call is a branch on a `None` and nothing else, so policies

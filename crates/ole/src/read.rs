@@ -40,12 +40,15 @@ impl Default for OleLimits {
 
 /// A parsed compound file.
 ///
-/// Holds the decoded FAT/miniFAT and directory; stream contents are copied
-/// out on demand by [`OleFile::open_stream`].
+/// Holds the file body as one buffer plus the decoded FAT/miniFAT and
+/// directory; stream contents are copied out on demand by
+/// [`OleFile::open_stream`].
 #[derive(Debug, Clone)]
 pub struct OleFile {
     sector_size: usize,
-    sectors: Vec<Vec<u8>>,
+    /// The sectors after the header, back to back; a trailing partial
+    /// sector is zero-padded (some writers truncate the final sector).
+    body: Vec<u8>,
     fat: Vec<u32>,
     minifat: Vec<u32>,
     entries: Vec<DirEntry>,
@@ -68,6 +71,14 @@ fn u64_at(data: &[u8], off: usize) -> u64 {
     let mut b = [0u8; 8];
     b.copy_from_slice(&data[off..off + 8]);
     u64::from_le_bytes(b)
+}
+
+/// Sector `id` of the `unit`-byte sectors in `bytes`.
+fn sector_at(bytes: &[u8], unit: usize, id: u32) -> Result<&[u8], OleError> {
+    bytes
+        .chunks_exact(unit)
+        .nth(id as usize)
+        .ok_or(OleError::Truncated { sector: id })
 }
 
 impl OleFile {
@@ -125,13 +136,7 @@ impl OleFile {
         let num_minifat_sectors = u32_at(data, 64) as usize;
         let first_difat_sector = u32_at(data, 68);
 
-        // Split the body into sectors (a trailing partial sector is padded;
-        // some writers truncate the final sector).
-        let body = if sector_size == 512 {
-            &data[512..]
-        } else {
-            &data[4096.min(data.len())..]
-        };
+        let body = &data[sector_size.min(data.len())..];
         let sector_count = body.len().div_ceil(sector_size);
         if sector_count > limits.max_sectors {
             return Err(OleError::LimitExceeded {
@@ -139,20 +144,14 @@ impl OleFile {
                 limit: limits.max_sectors,
             });
         }
-        // Sector split, DIFAT walk and FAT build are all linear in the
-        // sector count; one upfront charge covers them.
+        // Body copy, DIFAT walk and FAT build are all linear in the sector
+        // count; one upfront charge covers them.
         budget.charge(sector_count as u64 / 8 + 1)?;
         budget
             .metrics()
             .count(Counter::OleSectors, sector_count as u64);
-        let mut sectors = Vec::with_capacity(sector_count);
-        for i in 0..sector_count {
-            let start = i * sector_size;
-            let end = ((i + 1) * sector_size).min(body.len());
-            let mut sector = body[start..end].to_vec();
-            sector.resize(sector_size, 0);
-            sectors.push(sector);
-        }
+        let mut body = body.to_vec();
+        body.resize(sector_count * sector_size, 0);
 
         // DIFAT: 109 header entries plus chained DIFAT sectors.
         let mut difat: Vec<u32> = (0..HEADER_DIFAT_ENTRIES)
@@ -166,11 +165,7 @@ impl OleFile {
         // what the header claims.
         let mut difat_visited = vec![false; sector_count];
         while difat_sector <= MAXREGSECT {
-            let sector = sectors
-                .get(difat_sector as usize)
-                .ok_or(OleError::Truncated {
-                    sector: difat_sector,
-                })?;
+            let sector = sector_at(&body, sector_size, difat_sector)?;
             if std::mem::replace(&mut difat_visited[difat_sector as usize], true) {
                 return Err(OleError::ChainCycle {
                     start: first_difat_sector,
@@ -194,9 +189,7 @@ impl OleFile {
             if fs > MAXREGSECT {
                 continue;
             }
-            let sector = sectors
-                .get(fs as usize)
-                .ok_or(OleError::Truncated { sector: fs })?;
+            let sector = sector_at(&body, sector_size, fs)?;
             budget.metrics().count(Counter::OleFatSectors, 1);
             for i in 0..sector_size / 4 {
                 fat.push(u32_at(sector, 4 * i));
@@ -205,7 +198,7 @@ impl OleFile {
 
         let file = OleFile {
             sector_size,
-            sectors,
+            body,
             fat,
             minifat: Vec::new(),
             entries: Vec::new(),
@@ -236,8 +229,11 @@ impl OleFile {
         }
 
         // MiniFAT + mini stream.
-        let minifat_data =
-            file.read_chain_checked(first_minifat_sector, num_minifat_sectors * sector_size)?;
+        let minifat_data = if first_minifat_sector > MAXREGSECT {
+            Vec::new()
+        } else {
+            file.read_chain(first_minifat_sector, num_minifat_sectors * sector_size)?
+        };
         let minifat: Vec<u32> = minifat_data.chunks_exact(4).map(|c| u32_at(c, 0)).collect();
         let mini_stream = file.read_chain(entries[0].start_sector, entries[0].size as usize)?;
 
@@ -284,74 +280,41 @@ impl OleFile {
         })
     }
 
-    /// Follows a FAT chain, returning at most `max_len` bytes. A
-    /// visited-sector guard turns cyclic or self-referencing chains into
-    /// [`OleError::ChainCycle`] instead of an unbounded walk.
+    /// Follows a FAT chain through the body, returning at most `max_len`
+    /// bytes.
     fn read_chain(&self, start: u32, max_len: usize) -> Result<Vec<u8>, OleError> {
         faultpoint!(
             "ole::read_chain",
             Err(OleError::Truncated { sector: start })
         );
+        self.walk(&self.fat, &self.body, self.sector_size, start, max_len)
+    }
+
+    /// Follows the chain from `start` through `table` (the FAT or the
+    /// miniFAT) over the `unit`-byte sectors of `bytes` (the body or the
+    /// mini stream), returning at most `max_len` bytes. A visited-sector
+    /// guard turns cyclic or self-referencing chains into
+    /// [`OleError::ChainCycle`] instead of an unbounded walk.
+    fn walk(
+        &self,
+        table: &[u32],
+        bytes: &[u8],
+        unit: usize,
+        start: u32,
+        max_len: usize,
+    ) -> Result<Vec<u8>, OleError> {
         self.budget.metrics().count(Counter::OleChainReads, 1);
         let mut out = Vec::new();
         let mut sector = start;
-        let mut visited = vec![false; self.sectors.len()];
+        let mut visited = vec![false; bytes.len() / unit];
         while sector <= MAXREGSECT {
             self.budget.charge(1)?;
-            let data = self
-                .sectors
-                .get(sector as usize)
-                .ok_or(OleError::Truncated { sector })?;
+            let data = sector_at(bytes, unit, sector)?;
             if std::mem::replace(&mut visited[sector as usize], true) {
                 return Err(OleError::ChainCycle { start });
             }
             out.extend_from_slice(data);
-            sector = *self
-                .fat
-                .get(sector as usize)
-                .ok_or(OleError::Truncated { sector })?;
-            if out.len() >= max_len {
-                break;
-            }
-        }
-        out.truncate(max_len);
-        self.budget
-            .metrics()
-            .count(Counter::OleChainBytes, out.len() as u64);
-        Ok(out)
-    }
-
-    /// Like [`Self::read_chain`] but tolerates `ENDOFCHAIN` starts for empty
-    /// structures.
-    fn read_chain_checked(&self, start: u32, max_len: usize) -> Result<Vec<u8>, OleError> {
-        if start > MAXREGSECT {
-            return Ok(Vec::new());
-        }
-        self.read_chain(start, max_len)
-    }
-
-    /// Follows a miniFAT chain through the mini stream, with the same
-    /// visited-sector cycle guard as [`Self::read_chain`].
-    fn read_mini_chain(&self, start: u32, max_len: usize) -> Result<Vec<u8>, OleError> {
-        self.budget.metrics().count(Counter::OleChainReads, 1);
-        let mut out = Vec::new();
-        let mut sector = start;
-        let mut visited = vec![false; self.minifat.len()];
-        while sector <= MAXREGSECT {
-            self.budget.charge(1)?;
-            if (sector as usize) < visited.len()
-                && std::mem::replace(&mut visited[sector as usize], true)
-            {
-                return Err(OleError::ChainCycle { start });
-            }
-            let begin = sector as usize * MINI_SECTOR_SIZE;
-            let end = begin + MINI_SECTOR_SIZE;
-            if end > self.mini_stream.len() {
-                return Err(OleError::Truncated { sector });
-            }
-            out.extend_from_slice(&self.mini_stream[begin..end]);
-            sector = *self
-                .minifat
+            sector = *table
                 .get(sector as usize)
                 .ok_or(OleError::Truncated { sector })?;
             if out.len() >= max_len {
@@ -426,17 +389,10 @@ impl OleFile {
     /// Fails when the path does not exist, names a storage, or the underlying
     /// chains are malformed.
     pub fn open_stream(&self, path: &str) -> Result<Vec<u8>, OleError> {
-        let id = self.resolve(path)?;
-        let entry = &self.entries[id as usize];
+        let entry = &self.entries[self.resolve(path)? as usize];
         if !entry.is_stream() {
             return Err(OleError::WrongType(path.to_string()));
         }
-        self.read_stream_entry(entry)
-    }
-
-    /// Reads the stream described by `entry` (which must be a stream entry of
-    /// this file).
-    pub fn read_stream_entry(&self, entry: &DirEntry) -> Result<Vec<u8>, OleError> {
         if entry.size > self.limits.max_stream_bytes as u64 {
             return Err(OleError::LimitExceeded {
                 what: "stream size",
@@ -445,7 +401,13 @@ impl OleFile {
         }
         let size = entry.size as usize;
         if entry.size < MINI_STREAM_CUTOFF as u64 {
-            self.read_mini_chain(entry.start_sector, size)
+            self.walk(
+                &self.minifat,
+                &self.mini_stream,
+                MINI_SECTOR_SIZE,
+                entry.start_sector,
+                size,
+            )
         } else {
             self.read_chain(entry.start_sector, size)
         }

@@ -62,7 +62,7 @@ pub fn decompress_budgeted(
     budget: &Budget,
 ) -> Result<Vec<u8>, OvbaError> {
     faultpoint!("ovba::decompress", Err(OvbaError::TruncatedContainer));
-    let (&sig, mut rest) = container
+    let (&sig, body) = container
         .split_first()
         .ok_or(OvbaError::TruncatedContainer)?;
     if sig != 0x01 {
@@ -70,41 +70,13 @@ pub fn decompress_budgeted(
     }
     budget.metrics().count(Counter::OvbaDecompressCalls, 1);
     let mut out = Vec::new();
-    while !rest.is_empty() {
+    let (consumed, stop) = walk_chunks(body, limit, budget, &mut out);
+    stop?;
+    if consumed < body.len() {
+        // One byte after the last chunk: a chunk cut inside its header.
         budget.charge(1)?;
         budget.metrics().count(Counter::OvbaChunks, 1);
-        if rest.len() < 2 {
-            return Err(OvbaError::TruncatedContainer);
-        }
-        let header = u16::from_le_bytes([rest[0], rest[1]]);
-        let size_field = (header & 0x0FFF) as usize;
-        let compressed = header & 0x8000 != 0;
-        if (header >> 12) & 0b111 != 0b011 {
-            return Err(OvbaError::BadChunkSignature(header));
-        }
-        let data_len = size_field + 3 - 2; // total chunk = field + 3 incl. header
-        if rest.len() < 2 + data_len {
-            return Err(OvbaError::TruncatedContainer);
-        }
-        let data = &rest[2..2 + data_len];
-        rest = &rest[2 + data_len..];
-
-        let chunk_start = out.len();
-        if !compressed {
-            // Raw chunk: 4096 literal bytes.
-            out.extend_from_slice(data);
-        } else {
-            decompress_chunk(data, &mut out, chunk_start)?;
-        }
-        if out.len() - chunk_start > CHUNK {
-            return Err(OvbaError::ChunkOverflow);
-        }
-        if out.len() > limit {
-            return Err(OvbaError::LimitExceeded {
-                what: "decompressed container",
-                limit,
-            });
-        }
+        return Err(OvbaError::TruncatedContainer);
     }
     budget
         .metrics()
@@ -130,49 +102,76 @@ pub fn decompress_salvage_budgeted(
     limit: usize,
     budget: &Budget,
 ) -> Result<Option<(Vec<u8>, usize)>, OvbaError> {
-    let Some((&sig, _)) = container.split_first() else {
+    let Some((0x01, body)) = container.split_first() else {
         return Ok(None);
     };
-    if sig != 0x01 {
-        return Ok(None);
-    }
-    let mut consumed = 1usize;
     let mut out = Vec::new();
-    while container.len() - consumed >= 2 {
-        budget.charge(1)?;
-        budget.metrics().count(Counter::OvbaChunks, 1);
-        let rest = &container[consumed..];
-        let header = u16::from_le_bytes([rest[0], rest[1]]);
-        if (header >> 12) & 0b111 != 0b011 {
-            break;
-        }
-        let size_field = (header & 0x0FFF) as usize;
-        let compressed = header & 0x8000 != 0;
-        let data_len = size_field + 1;
-        if rest.len() < 2 + data_len {
-            break;
-        }
-        let data = &rest[2..2 + data_len];
-        let chunk_start = out.len();
-        if !compressed {
-            out.extend_from_slice(data);
-        } else if decompress_chunk(data, &mut out, chunk_start).is_err() {
-            out.truncate(chunk_start);
-            break;
-        }
-        if out.len() - chunk_start > CHUNK || out.len() > limit {
-            out.truncate(chunk_start);
-            break;
-        }
-        consumed += 2 + data_len;
+    let (consumed, stop) = walk_chunks(body, limit, budget, &mut out);
+    if let Err(e @ OvbaError::DeadlineExceeded(_)) = stop {
+        return Err(e);
     }
-    if out.is_empty() {
-        Ok(None)
-    } else {
-        Ok(Some((out, consumed)))
-    }
+    Ok((!out.is_empty()).then_some((out, 1 + consumed)))
 }
 
+/// Decodes the chunks of `body`, a container after its signature byte,
+/// onto `out` while at least a chunk header's two bytes remain, charging
+/// one fuel unit per chunk. Returns how many bytes of `body` decoded
+/// cleanly and the error that stopped the walk; on an error, `out` holds
+/// only the chunks before the failing one.
+fn walk_chunks(
+    body: &[u8],
+    limit: usize,
+    budget: &Budget,
+    out: &mut Vec<u8>,
+) -> (usize, Result<(), OvbaError>) {
+    let mut consumed = 0;
+    while body.len() - consumed >= 2 {
+        if let Err(why) = budget.charge(1) {
+            return (consumed, Err(why.into()));
+        }
+        budget.metrics().count(Counter::OvbaChunks, 1);
+        let chunk_start = out.len();
+        match decode_chunk(&body[consumed..], limit, out) {
+            Ok(len) => consumed += len,
+            Err(e) => {
+                out.truncate(chunk_start);
+                return (consumed, Err(e));
+            }
+        }
+    }
+    (consumed, Ok(()))
+}
+
+/// Decodes the chunk at the start of `rest`, header included, onto `out`
+/// and returns its length.
+fn decode_chunk(rest: &[u8], limit: usize, out: &mut Vec<u8>) -> Result<usize, OvbaError> {
+    let header = u16::from_le_bytes([rest[0], rest[1]]);
+    if (header >> 12) & 0b111 != 0b011 {
+        return Err(OvbaError::BadChunkSignature(header));
+    }
+    // The 12-bit size field is the chunk's length, header included, less 3.
+    let len = (header & 0x0FFF) as usize + 3;
+    let data = rest.get(2..len).ok_or(OvbaError::TruncatedContainer)?;
+    let chunk_start = out.len();
+    if header & 0x8000 == 0 {
+        // Raw chunk: 4096 literal bytes.
+        out.extend_from_slice(data);
+    } else {
+        decompress_chunk(data, out, chunk_start)?;
+    }
+    if out.len() - chunk_start > CHUNK {
+        return Err(OvbaError::ChunkOverflow);
+    }
+    if out.len() > limit {
+        return Err(OvbaError::LimitExceeded {
+            what: "decompressed container",
+            limit,
+        });
+    }
+    Ok(len)
+}
+
+/// Decodes the token sequences of one compressed chunk's `data` onto `out`.
 fn decompress_chunk(
     mut data: &[u8],
     out: &mut Vec<u8>,
@@ -484,6 +483,25 @@ mod tests {
         let mut packed = compress(b"some data worth compressing, repeated repeated");
         packed.truncate(packed.len() - 3);
         assert!(decompress(&packed).is_err());
+    }
+
+    #[test]
+    fn a_lone_byte_after_the_last_chunk_is_a_chunk_cut_in_its_header() {
+        let mut container = compress(b"abcabcabc");
+        let clean = container.len();
+        container.push(0x30);
+        let sink = vbadet_metrics::MetricsSink::enabled();
+        let budget = Budget::new_guarded(None, None, None, sink.clone());
+        assert_eq!(
+            decompress_budgeted(&container, CHUNK, &budget),
+            Err(OvbaError::TruncatedContainer)
+        );
+        // Salvage keeps the clean prefix and does not count the lone byte.
+        assert_eq!(
+            decompress_salvage_budgeted(&container, CHUNK, &budget),
+            Ok(Some((b"abcabcabc".to_vec(), clean)))
+        );
+        assert_eq!(sink.snapshot().unwrap().counter("ovba.chunks"), 2 + 1);
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub mod compression;
 pub mod dir;
 mod error;
 pub mod project;
-pub mod project_stream;
 pub mod salvage;
 
 pub use compression::{
@@ -46,6 +45,5 @@ pub use compression::{
 pub use dir::{DirStream, ModuleRecord, ModuleType};
 pub use error::OvbaError;
 pub use project::{OvbaLimits, VbaModule, VbaProject, VbaProjectBuilder};
-pub use project_stream::{ProjectModuleRef, ProjectStream};
 pub use salvage::{salvage_modules_from_bytes_budgeted, salvage_modules_from_ole_budgeted};
 pub use vbadet_faultpoint::{Budget, BudgetExceeded};

@@ -8,7 +8,7 @@
 //! (`Sub`, `Function`, `Declare`, `End`, `Exit`, and the keywords that
 //! precede a declared name). All of that is one [`WordClass`], decided by
 //! one probe of a perfect-hash table built at compile time from
-//! [`KEYWORDS`] and the public `*_FUNCTIONS` tables. The lexer classifies
+//! `KEYWORDS` and the public `*_FUNCTIONS` tables. The lexer classifies
 //! each word once and stores the class on its token; nothing downstream
 //! looks a word up again.
 //!

@@ -42,7 +42,7 @@ OVERALL=ok
 
 # Every stage the pipeline knows, in run order — the --stage validator
 # and the skip logic both key off this list.
-KNOWN_STAGES="fmt build benchmark-build build-faultpoints test test-faultpoints test-determinism \
+KNOWN_STAGES="fmt build doc benchmark-build build-faultpoints test test-faultpoints test-determinism \
 cache isolation serve serve-soak reload-soak paper clippy clippy-faultpoints \
 bench bench-features bench-cache bench-reload gates"
 
@@ -115,6 +115,12 @@ stage() {
         exit 1
     fi
     echo "ci: stage $stage_name ok (${stage_secs}s)"
+}
+
+# Rustdoc with warnings denied, so a deleted or private item cannot leave
+# a broken intra-doc link behind.
+doc_stage() {
+    RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps --workspace --lib
 }
 
 # `benchmark/` is its own cargo workspace, so no workspace stage compiles
@@ -491,6 +497,7 @@ fi
 
 stage fmt cargo fmt --all --check
 stage build cargo build --release --offline --workspace
+stage doc doc_stage
 stage benchmark-build benchmark_build
 stage build-faultpoints cargo build --offline --features faultpoints
 stage test cargo test -q --offline --workspace
