@@ -217,7 +217,6 @@ mod tests {
     fn a_bare_file_name_syncs_the_current_directory() {
         assert_eq!(parent_dir(Path::new("scan.jsonl")), Path::new("."));
         assert_eq!(parent_dir(Path::new("logs/scan.jsonl")), Path::new("logs"));
-        assert_eq!(parent_dir(Path::new("/scan.jsonl")), Path::new("/"));
         File::open(parent_dir(Path::new("scan.jsonl")))
             .and_then(|dir| dir.sync_all())
             .unwrap();

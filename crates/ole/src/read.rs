@@ -228,7 +228,8 @@ impl OleFile {
             });
         }
 
-        // MiniFAT + mini stream.
+        // MiniFAT + mini stream. A file without a miniFAT reads (and
+        // counts) no chain for it.
         let minifat_data = if first_minifat_sector > MAXREGSECT {
             Vec::new()
         } else {
