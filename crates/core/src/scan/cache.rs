@@ -829,12 +829,13 @@ pub(crate) fn digest_path_under_cap(
     path: &Path,
     max_file_size: u64,
 ) -> Option<(ContentDigest, FileStamp)> {
-    let meta = fs::metadata(path).ok()?;
+    let file = fs::File::open(path).ok()?;
+    let meta = file.metadata().ok()?;
     if meta.len() > max_file_size {
         return None;
     }
     let stamp = stamp_of(&meta)?;
-    let bytes = fs::read(path).ok()?;
+    let bytes = super::read_capped(&file, meta.len(), max_file_size).ok()?;
     faultpoint!("cache::digest-read-gap");
     if bytes.len() as u64 > max_file_size {
         return None;
@@ -842,17 +843,9 @@ pub(crate) fn digest_path_under_cap(
     Some((sha256(&bytes), stamp))
 }
 
-/// Takes the non-zero counters of a sink that saw exactly one document
-/// since it was created or last taken, in declaration order, as that
-/// document's replayable deltas. Resets the sink's counters.
-pub(crate) fn deltas_from_sink(sink: &MetricsSink) -> Deltas {
-    sink.take_counters()
-}
-
-/// The one counter-delta encoding, `{"label":n,…}` in the deltas' own
-/// order: cache entry bodies (sorted by label at insert) and isolate
-/// result frames (declaration order, from [`deltas_from_sink`]) both
-/// write it, and [`decode_deltas`] reads it back.
+/// The counter-delta encoding of cache entry bodies, `{"label":n,…}` in
+/// the deltas' own order (sorted by label at insert); [`decode_deltas`]
+/// reads it back.
 pub(crate) fn deltas_json(deltas: &[(Counter, u64)]) -> String {
     let mut out = String::from("{");
     for (i, (counter, n)) in deltas.iter().enumerate() {
@@ -867,9 +860,9 @@ pub(crate) fn deltas_json(deltas: &[(Counter, u64)]) -> String {
     out
 }
 
-/// Reads the `counters` object of a cache entry or result frame. Both
-/// ends are one binary, so an unknown label or a non-integer count is
-/// damage, never a delta to drop.
+/// Reads the `counters` object of a cache entry. The writer is this
+/// binary, so an unknown label or a non-integer count is damage, never a
+/// delta to drop.
 pub(crate) fn decode_deltas(record: &Json) -> Result<Deltas, String> {
     record
         .get("counters")

@@ -38,15 +38,17 @@
 //! # Frame protocol
 //!
 //! Frames are a `u32` little-endian byte length followed by that many
-//! bytes of UTF-8 JSON, over the child's stdin/stdout. The conversation:
+//! bytes of payload, over the child's stdin/stdout. The frames sent once
+//! per worker are UTF-8 JSON; the two sent once per document are binary
+//! (layout and version in `wire`). The conversation:
 //!
 //! ```text
-//! supervisor → worker   {"op":"hello","detector":…,"limits":[…],…}
-//! worker → supervisor   {"op":"ready"}
-//! supervisor → worker   {"op":"scan","path":"…"}   (a claim's documents,
-//!                       {"op":"scan","path":"…"}    back to back in one
-//!                       …                           write)
-//! worker → supervisor   {"op":"result","outcome":…,"counters":{…}}
+//! supervisor → worker   {"op":"hello","frame_version":1,"detector":…,…}
+//! worker → supervisor   {"op":"ready","generation":…}
+//! supervisor → worker   scan(path)                  (a claim's documents,
+//!                       scan(path)                   back to back in one
+//!                       …                            write)
+//! worker → supervisor   result(outcome, counters)
 //!                       …                           (one per scan, in order;
 //!                                                   held ones in one write)
 //! supervisor → worker   {"op":"exit"}
@@ -56,7 +58,8 @@
 //!
 //! The protocol is strictly private to one binary version — both ends are
 //! the same executable — so the encoding favours compactness (the limits
-//! travel as a positional array) over self-description.
+//! travel as a positional array, counters by index) over
+//! self-description.
 //!
 //! # Quarantine
 //!
@@ -102,13 +105,15 @@ use std::time::{Duration, Instant};
 use super::cache::{self, Deltas, Lead, Lookup};
 use super::{run_batch, Executor, FailureClass, ScanOutcome, ScanPolicy, ScanReport};
 use crate::detector::Detector;
-use crate::journal::{decode_outcome, outcome_json, JournalReplay, ScanJournal};
+use crate::journal::{JournalReplay, ScanJournal};
 use crate::limits::ScanLimits;
 use vbadet_metrics::json::{self, json_str, Json};
-use vbadet_metrics::{Counter, MetricsSink, Stage};
+use vbadet_metrics::{MetricsSink, Stage};
 use vbadet_ole::OleLimits;
 use vbadet_ovba::OvbaLimits;
 use vbadet_zip::ZipLimits;
+
+mod wire;
 
 /// The hidden subcommand a binary embedding [`worker_main`] dispatches on.
 pub const WORKER_SUBCOMMAND: &str = "__worker";
@@ -194,7 +199,8 @@ const FRAME_READ_CHUNK: usize = 64 << 10;
 /// `write_all`. Public so the hostile-input fuzz harness can construct
 /// valid frames to mutate; a payload over [`MAX_FRAME_BYTES`] is refused
 /// before a byte is written.
-pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
+pub fn write_frame(w: &mut impl Write, payload: impl AsRef<[u8]>) -> io::Result<()> {
+    let payload = payload.as_ref();
     let mut buf = Vec::with_capacity(4 + payload.len());
     push_frame(&mut buf, payload)?;
     w.write_all(&buf)?;
@@ -203,8 +209,7 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
 
 /// Appends one length-prefixed frame to `buf`, so several frames can go
 /// out in one write.
-fn push_frame(buf: &mut Vec<u8>, payload: &str) -> io::Result<()> {
-    let bytes = payload.as_bytes();
+fn push_frame(buf: &mut Vec<u8>, bytes: &[u8]) -> io::Result<()> {
     if bytes.len() > MAX_FRAME_BYTES {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -224,7 +229,7 @@ fn push_frame(buf: &mut Vec<u8>, payload: &str) -> io::Result<()> {
 /// [`MAX_FRAME_BYTES`]) instead of being allocated up front, so a prefix
 /// claiming 64 MiB followed by a closed pipe costs a typed error, not a
 /// 64 MiB allocation.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<String>> {
+pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
     match r.read_exact(&mut len) {
         Ok(()) => {}
@@ -250,9 +255,14 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<String>> {
             ),
         ));
     }
-    String::from_utf8(buf)
-        .map(Some)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))
+    Ok(Some(buf))
+}
+
+/// Parses a frame sent once per worker (hello, ready, exit), which is
+/// UTF-8 JSON.
+fn json_frame(frame: &[u8]) -> Result<Json, String> {
+    let text = std::str::from_utf8(frame).map_err(|_| "frame is not UTF-8".to_string())?;
+    json::parse(text).map_err(String::from)
 }
 
 // ---------------------------------------------------------------------------
@@ -301,7 +311,9 @@ pub(crate) struct Hello {
 impl Hello {
     pub(crate) fn new(detector: &Detector, policy: &ScanPolicy, generation: u64) -> Self {
         let frame = format!(
-            "{{\"op\":\"hello\",\"generation\":{generation},\"detector\":{},{}}}",
+            "{{\"op\":\"hello\",\"frame_version\":{},\"generation\":{generation},\
+             \"detector\":{},{}}}",
+            wire::FRAME_VERSION,
             json_str(&detector.save()),
             policy_fields(policy),
         );
@@ -310,6 +322,13 @@ impl Hello {
 }
 
 fn decode_hello(j: &Json) -> Result<(Detector, ScanPolicy, u64), String> {
+    let version = j.get("frame_version").and_then(Json::as_u64);
+    if version != Some(wire::FRAME_VERSION) {
+        return Err(format!(
+            "hello frame version {version:?}, this worker speaks {}",
+            wire::FRAME_VERSION
+        ));
+    }
     let text = j
         .get("detector")
         .and_then(Json::as_str)
@@ -353,22 +372,6 @@ fn decode_hello(j: &Json) -> Result<(Detector, ScanPolicy, u64), String> {
     Ok((detector, policy, generation))
 }
 
-fn result_frame(outcome: &ScanOutcome, deltas: &[(Counter, u64)]) -> String {
-    format!(
-        "{{\"op\":\"result\",\"outcome\":{},\"counters\":{}}}",
-        outcome_json(outcome),
-        cache::deltas_json(deltas)
-    )
-}
-
-/// Decodes a worker's result frame with the cache's counter-delta codec.
-/// Both ends are one binary, so an unknown counter label is a protocol
-/// error that buries the worker, like any other garbage frame.
-fn decode_result(j: &Json) -> Result<(ScanOutcome, Deltas), String> {
-    let outcome = decode_outcome(j.get("outcome").ok_or("result without outcome")?)?;
-    Ok((outcome, cache::decode_deltas(j)?))
-}
-
 // ---------------------------------------------------------------------------
 // Worker side
 // ---------------------------------------------------------------------------
@@ -395,9 +398,9 @@ pub fn worker_main() -> i32 {
         Ok(None) => return 0,
         Err(e) => return proto_err("hello read", e.to_string()),
     };
-    let hello = match json::parse(&hello) {
+    let hello = match json_frame(&hello) {
         Ok(j) => j,
-        Err(e) => return proto_err("hello parse", e.into()),
+        Err(e) => return proto_err("hello parse", e),
     };
     if hello.get("op").and_then(Json::as_str) != Some("hello") {
         return proto_err("handshake", "first frame is not hello".to_string());
@@ -408,7 +411,7 @@ pub fn worker_main() -> i32 {
     };
     let held = Held::start(output);
     let ready = format!("{{\"op\":\"ready\",\"generation\":{generation}}}");
-    if let Err(e) = held.send(&ready, false) {
+    if let Err(e) = held.send(ready.as_bytes(), false) {
         return proto_err("ready write", e.to_string());
     }
     // One sink for the worker's life: taking its counters after each
@@ -418,38 +421,36 @@ pub fn worker_main() -> i32 {
         metrics: metrics.clone(),
         ..base
     };
+    // One result payload buffer for the worker's life.
+    let mut result = Vec::new();
     loop {
         let frame = match read_frame(&mut input) {
             Ok(Some(frame)) => frame,
             Ok(None) => return 0,
             Err(e) => return proto_err("request read", e.to_string()),
         };
-        let request = match json::parse(&frame) {
-            Ok(j) => j,
-            Err(e) => return proto_err("request parse", e.into()),
-        };
-        match request.get("op").and_then(Json::as_str) {
+        let path = match wire::decode_scan(&frame) {
+            Some(Ok(path)) => path,
+            Some(Err(e)) => return proto_err("scan request", e),
             // The supervisor asks a worker to exit only once it owes
             // nothing it still wants, so held frames may go unwritten.
-            Some("exit") => return 0,
-            Some("scan") => {
-                let Some(path) = request.get("path").and_then(Json::as_str) else {
-                    return proto_err("scan request", "missing path".to_string());
-                };
-                // Workers never see the supervisor's cache (the hello
-                // frame does not carry one): the supervisor consults it
-                // *before* dispatching, so a worker request is always a
-                // real scan.
-                let outcome = super::scan_file(&detector, Path::new(path), &policy, None);
-                let deltas = cache::deltas_from_sink(&metrics);
-                // Hold the result while the next request is already
-                // here; write everything held once the input runs dry.
-                let hold = whole_frame_buffered(input.buffer());
-                if let Err(e) = held.send(&result_frame(&outcome, &deltas), hold) {
-                    return proto_err("result write", e.to_string());
-                }
-            }
-            other => return proto_err("request op", format!("{other:?}")),
+            None => match json_frame(&frame) {
+                Ok(j) if j.get("op").and_then(Json::as_str) == Some("exit") => return 0,
+                Ok(j) => return proto_err("request op", format!("{:?}", j.get("op"))),
+                Err(e) => return proto_err("request parse", e),
+            },
+        };
+        // Workers never see the supervisor's cache (the hello frame does
+        // not carry one): the supervisor consults it *before* dispatching,
+        // so a worker request is always a real scan.
+        let outcome = super::scan_file(&detector, Path::new(path), &policy, None);
+        result.clear();
+        wire::encode_result(&mut result, &outcome, &metrics.take_counters());
+        // Hold the result while the next request is already here; write
+        // everything held once the input runs dry.
+        let hold = whole_frame_buffered(input.buffer());
+        if let Err(e) = held.send(&result, hold) {
+            return proto_err("result write", e.to_string());
         }
     }
 }
@@ -538,7 +539,7 @@ impl<W: Write + Send + 'static> Held<W> {
     /// Adds `payload` as one frame. Held (`hold`), it waits for a later
     /// send or for the flusher; otherwise it goes out at once, with every
     /// frame held before it, in one write.
-    fn send(&self, payload: &str, hold: bool) -> io::Result<()> {
+    fn send(&self, payload: &[u8], hold: bool) -> io::Result<()> {
         let mut st = self.state.lock().unwrap();
         push_frame(&mut st.frames, payload)?;
         if !hold {
@@ -584,7 +585,7 @@ const SHUTDOWN_GRACE: Duration = Duration::from_millis(500);
 struct Worker {
     child: Child,
     stdin: ChildStdin,
-    rx: mpsc::Receiver<io::Result<String>>,
+    rx: mpsc::Receiver<io::Result<Vec<u8>>>,
 }
 
 impl Drop for Worker {
@@ -614,7 +615,7 @@ impl Worker {
     /// discarded on the way. A worker that does not hang up in time falls
     /// to the kill-on-drop guarantee.
     fn shutdown(mut self) {
-        if write_frame(&mut self.stdin, "{\"op\":\"exit\"}").is_err() {
+        if write_frame(&mut self.stdin, b"{\"op\":\"exit\"}").is_err() {
             return;
         }
         let deadline = Instant::now() + SHUTDOWN_GRACE;
@@ -711,7 +712,7 @@ fn spawn_worker(
     // documents, and the worker is buried rather than trusted.
     let expected_generation = hello.generation;
     match worker.rx.recv_timeout(heartbeat) {
-        Ok(Ok(frame)) => match json::parse(&frame) {
+        Ok(Ok(frame)) => match json_frame(&frame) {
             Ok(j) if j.get("op").and_then(Json::as_str) == Some("ready") => {
                 let echoed = j.get("generation").and_then(Json::as_u64).unwrap_or(0);
                 if echoed == expected_generation {
@@ -895,10 +896,7 @@ impl<'a> Slot<'a> {
         }
         match worker.rx.recv_timeout(self.heartbeat) {
             Ok(Ok(frame)) => {
-                let decoded = json::parse(&frame)
-                    .map_err(String::from)
-                    .and_then(|j| decode_result(&j));
-                match decoded {
+                match wire::decode_result(&frame) {
                     Ok((outcome, deltas)) => {
                         self.pending.pop_front();
                         self.sent -= 1;
@@ -980,12 +978,11 @@ impl<'a> Slot<'a> {
 
 /// The `scan` request frames for `keys`, back to back in one buffer.
 fn scan_frames<'k>(keys: impl Iterator<Item = &'k String>) -> io::Result<Vec<u8>> {
-    let mut frames = Vec::new();
+    let (mut frames, mut payload) = (Vec::new(), Vec::new());
     for key in keys {
-        push_frame(
-            &mut frames,
-            &format!("{{\"op\":\"scan\",\"path\":{}}}", json_str(key)),
-        )?;
+        payload.clear();
+        wire::encode_scan(&mut payload, key);
+        push_frame(&mut frames, &payload)?;
     }
     Ok(frames)
 }
@@ -1133,10 +1130,10 @@ mod tests {
     fn frames_round_trip_through_a_buffer() {
         let mut buf = Vec::new();
         write_frame(&mut buf, "{\"op\":\"ready\"}").unwrap();
-        write_frame(&mut buf, "second £ frame").unwrap();
+        write_frame(&mut buf, [0x02, 0xFF, 0x00]).unwrap();
         let mut r = &buf[..];
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), "{\"op\":\"ready\"}");
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), "second £ frame");
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"{\"op\":\"ready\"}");
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), [0x02, 0xFF, 0x00]);
         assert_eq!(read_frame(&mut r).unwrap(), None);
     }
 
@@ -1159,9 +1156,9 @@ mod tests {
     #[test]
     fn a_whole_frame_is_buffered_only_once_its_last_payload_byte_is() {
         let mut two = Vec::new();
-        push_frame(&mut two, "first").unwrap();
+        push_frame(&mut two, b"first").unwrap();
         let first_len = two.len();
-        push_frame(&mut two, "second").unwrap();
+        push_frame(&mut two, b"second").unwrap();
         assert!(!whole_frame_buffered(&[]), "empty buffer");
         assert!(!whole_frame_buffered(&two[..3]), "partial length prefix");
         assert!(!whole_frame_buffered(&two[..4]), "bare length prefix");
@@ -1191,7 +1188,7 @@ mod tests {
             .max_scan_mem_bytes(5 << 20);
         let hello = Hello::new(&detector, &policy, 7);
         let (loaded, decoded, generation) =
-            decode_hello(&json::parse(&hello.frame).unwrap()).unwrap();
+            decode_hello(&json_frame(hello.frame.as_bytes()).unwrap()).unwrap();
         assert_eq!((generation, hello.generation), (7, 7));
         assert_eq!(decoded.limits, policy.limits);
         assert_eq!(decoded.deadline_per_doc, policy.deadline_per_doc);
@@ -1219,7 +1216,8 @@ mod tests {
             Hello::new(&detector, &strict, 7).frame,
             format!(
                 concat!(
-                    r#"{{"op":"hello","generation":7,"detector":{},"deadline_ms":1234,"#,
+                    r#"{{"op":"hello","frame_version":1,"generation":7,"detector":{},"#,
+                    r#""deadline_ms":1234,"#,
                     r#""fuel":99,"max_scan_mem":5242880,"limits":[4096,16777216,262144,"#,
                     r#"4096,16777216,64,256,4194304,1048576,67108864]}}"#
                 ),
@@ -1230,7 +1228,8 @@ mod tests {
             Hello::new(&detector, &ScanPolicy::with_limits(ScanLimits::strict()), 0).frame,
             format!(
                 concat!(
-                    r#"{{"op":"hello","generation":0,"detector":{},"deadline_ms":null,"#,
+                    r#"{{"op":"hello","frame_version":1,"generation":0,"detector":{},"#,
+                    r#""deadline_ms":null,"#,
                     r#""fuel":null,"max_scan_mem":null,"limits":[4096,16777216,262144,"#,
                     r#"4096,16777216,64,256,4194304,1048576,67108864]}}"#
                 ),
@@ -1240,60 +1239,13 @@ mod tests {
     }
 
     #[test]
-    fn result_frame_round_trips_outcome_and_deltas() {
-        let sink = MetricsSink::enabled();
-        sink.count(Counter::ScanDocs, 3);
-        sink.count(Counter::OleParses, 2);
-        let outcome = ScanOutcome::Failed {
-            class: FailureClass::Timeout,
-            detail: "deadline exceeded".to_string(),
-        };
-        let frame = result_frame(&outcome, &cache::deltas_from_sink(&sink));
-        let (decoded, deltas) = decode_result(&json::parse(&frame).unwrap()).unwrap();
-        assert_eq!(decoded, outcome);
-        let mut deltas = deltas;
-        deltas.sort_by_key(|(c, _)| c.label());
-        assert!(deltas.contains(&(Counter::ScanDocs, 3)));
-        assert!(deltas.contains(&(Counter::OleParses, 2)));
-        assert_eq!(deltas.len(), 2);
-    }
-
-    #[test]
-    fn result_frame_bytes_are_golden() {
-        // Literal bytes, not a round trip: counters go out in declaration
-        // order, exact past 2^53.
-        let sink = MetricsSink::enabled();
-        sink.count(Counter::ScanDocs, 1);
-        sink.count(Counter::OleParses, 1);
-        sink.count(Counter::OleSectors, 9_007_199_254_740_993);
-        sink.count(Counter::ScanModulesScored, 2);
-        let outcome = ScanOutcome::Macros(vec![crate::detector::ModuleVerdict {
-            module_name: "Module1".to_string(),
-            verdict: crate::detector::Verdict {
-                obfuscated: true,
-                score: 0.875,
-            },
-        }]);
-        let deltas = cache::deltas_from_sink(&sink);
-        let frame = result_frame(&outcome, &deltas);
-        assert_eq!(
-            frame,
-            concat!(
-                r#"{"op":"result","outcome":{"kind":"macros","verdicts":[{"module":"Module1","obfuscated":true,"score":0.875}]},"#,
-                r#""counters":{"ole.parses":1,"ole.sectors":9007199254740993,"scan.docs":1,"scan.modules_scored":2}}"#
-            )
-        );
-        assert_eq!(
-            decode_result(&json::parse(&frame).unwrap()).unwrap().1,
-            deltas
-        );
-    }
-
-    #[test]
-    fn result_frame_with_an_unknown_counter_is_a_protocol_error() {
-        let frame = result_frame(&ScanOutcome::Clean, &[(Counter::ScanDocs, 1)])
-            .replace("scan.docs", "scan.unheard_of");
-        let err = decode_result(&json::parse(&frame).unwrap()).unwrap_err();
-        assert!(err.contains("unknown counter"), "{err}");
+    fn a_hello_of_another_frame_version_is_refused() {
+        for hello in [
+            r#"{"op":"hello","frame_version":2,"detector":"x"}"#,
+            r#"{"op":"hello","detector":"x"}"#,
+        ] {
+            let err = decode_hello(&json::parse(hello).unwrap()).unwrap_err();
+            assert!(err.contains("frame version"), "{err}");
+        }
     }
 }

@@ -100,10 +100,12 @@ fn score_module(detector: &Detector, metrics: &MetricsSink, code: &str) -> crate
 }
 
 /// Records this document's heap-allocation footprint on drop: the delta
-/// of [`memguard::cumulative_allocs`](crate::memguard::cumulative_allocs)
+/// of the scanning thread's
+/// [`memguard::cumulative_allocs`](crate::memguard::cumulative_allocs)
 /// across the scan becomes the `alloc.count_per_doc` /
-/// `alloc.bytes_per_doc` histograms. In a process without the tracking
-/// allocator the counters never move and nothing is recorded.
+/// `alloc.bytes_per_doc` histograms, so a sibling thread's allocations
+/// never land in this document's figures. In a process without the
+/// tracking allocator the counters never move and nothing is recorded.
 struct AllocGuard<'a> {
     metrics: &'a MetricsSink,
     start: (u64, u64),
@@ -202,6 +204,20 @@ pub enum FailureClass {
 }
 
 impl FailureClass {
+    /// Every class, in declaration order.
+    pub const ALL: [FailureClass; 10] = [
+        FailureClass::CyclicChain,
+        FailureClass::LimitExceeded,
+        FailureClass::Truncated,
+        FailureClass::Malformed,
+        FailureClass::UnknownContainer,
+        FailureClass::NoVbaPart,
+        FailureClass::Io,
+        FailureClass::Panic,
+        FailureClass::Timeout,
+        FailureClass::Fatal,
+    ];
+
     /// Maps a detection error onto its batch-report class.
     pub fn from_error(e: &DetectError) -> Self {
         use vbadet_ole::OleError;
@@ -471,12 +487,13 @@ pub struct ScanPolicy {
     /// batch engines attach its snapshot to [`ScanReport::metrics`].
     pub metrics: MetricsSink,
     /// Per-document memory ceiling in bytes, enforced through the scan
-    /// [`Budget`] against the process-wide live-allocation probe
-    /// ([`crate::memguard::live_bytes`]). A breach surfaces as a typed
+    /// [`Budget`] against the scanning thread's live-allocation probe
+    /// ([`crate::memguard::live_bytes`]), so a sibling worker's
+    /// allocations never count against it. A breach surfaces as a typed
     /// [`FailureClass::LimitExceeded`] instead of an OOM kill. Only
     /// meaningful in a process with the tracking allocator installed
-    /// (isolate workers install it; without it the probe reads zero and
-    /// the ceiling never trips).
+    /// (the CLI and isolate workers install it; without it the probe
+    /// never moves and the ceiling never trips).
     pub max_scan_mem: Option<u64>,
     /// Whether this batch honors the process-global [`interrupt`] drain
     /// latch. Off by default so library embedders are never surprised by
@@ -555,8 +572,9 @@ impl ScanPolicy {
 
     /// Mints the per-document budget this policy prescribes, carrying the
     /// policy's metrics handle into every layer the budget traverses. The
-    /// memory ceiling's baseline is whatever is live *now*, so only the
-    /// document's own allocations count against it.
+    /// memory ceiling's baseline is what this thread has live *now*, so
+    /// only the document's own allocations count against it: the budget
+    /// must be minted on the thread that scans the document.
     fn budget(&self) -> Budget {
         Budget::new_guarded(
             self.deadline_per_doc,
@@ -1162,11 +1180,14 @@ fn run_batch<E: Executor>(
     out.finish(total)
 }
 
-/// Reads one document's bytes under the file-size cap: `stat` first so an
-/// oversized input is rejected as [`FailureClass::LimitExceeded`] without
-/// its bytes ever being read into memory, then read, re-checking the size
-/// (which may have changed under a racing writer) on what was actually
-/// read. `Err` carries the typed outcome for the batch record.
+/// Reads one document's bytes under the file-size cap: open the file,
+/// check its size on the open handle so an oversized input is rejected
+/// as [`FailureClass::LimitExceeded`] without its bytes ever being read
+/// into memory, then read at most one byte past the cap through that
+/// handle. A file that grows after the size check (log rotation, an
+/// attacker racing the scanner) is caught on what was actually read, and
+/// the read never holds more than `max_file_size + 1` bytes, however far
+/// the file grew. `Err` carries the typed outcome for the batch record.
 ///
 /// This is the *single* read in the per-document path — the cache digests
 /// the returned buffer rather than re-reading, so caching adds zero I/O.
@@ -1174,15 +1195,12 @@ fn run_batch<E: Executor>(
 /// the bytes: an over-cap buffer is rejected here and can never be
 /// cached, looked up, or scanned.
 pub(crate) fn read_file_checked(path: &Path, max_file_size: u64) -> Result<Vec<u8>, ScanOutcome> {
-    let size = match std::fs::metadata(path) {
-        Ok(meta) => meta.len(),
-        Err(e) => {
-            return Err(ScanOutcome::Failed {
-                class: FailureClass::Io,
-                detail: e.to_string(),
-            })
-        }
+    let io_failure = |e: std::io::Error| ScanOutcome::Failed {
+        class: FailureClass::Io,
+        detail: e.to_string(),
     };
+    let file = std::fs::File::open(path).map_err(io_failure)?;
+    let size = file.metadata().map_err(io_failure)?.len();
     if size > max_file_size {
         return Err(ScanOutcome::Failed {
             class: FailureClass::LimitExceeded,
@@ -1190,27 +1208,27 @@ pub(crate) fn read_file_checked(path: &Path, max_file_size: u64) -> Result<Vec<u
         });
     }
     faultpoint!("scan::stat-read-gap");
-    match std::fs::read(path) {
-        Ok(bytes) => {
-            // A file can grow between the stat and the read (log rotation,
-            // an attacker racing the scanner): enforce the cap on what was
-            // actually read, not on what the stat promised.
-            if bytes.len() as u64 > max_file_size {
-                return Err(ScanOutcome::Failed {
-                    class: FailureClass::LimitExceeded,
-                    detail: format!(
-                        "file grew to {} bytes during read, over the {max_file_size}-byte cap",
-                        bytes.len(),
-                    ),
-                });
-            }
-            Ok(bytes)
-        }
-        Err(e) => Err(ScanOutcome::Failed {
-            class: FailureClass::Io,
-            detail: e.to_string(),
-        }),
+    let bytes = read_capped(&file, size, max_file_size).map_err(io_failure)?;
+    if bytes.len() as u64 > max_file_size {
+        return Err(ScanOutcome::Failed {
+            class: FailureClass::LimitExceeded,
+            detail: format!(
+                "file grew during read: {} bytes read, over the {max_file_size}-byte cap",
+                bytes.len(),
+            ),
+        });
     }
+    Ok(bytes)
+}
+
+/// Reads `file` to its end, but never more than `cap + 1` bytes: one byte
+/// past the cap is enough to tell that the file outgrew it. `size` is the
+/// length the handle's metadata reported, which pre-sizes the buffer.
+pub(crate) fn read_capped(file: &std::fs::File, size: u64, cap: u64) -> std::io::Result<Vec<u8>> {
+    use std::io::Read;
+    let mut bytes = Vec::with_capacity(size.min(cap) as usize);
+    file.take(cap.saturating_add(1)).read_to_end(&mut bytes)?;
+    Ok(bytes)
 }
 
 /// Scans one on-disk file: checked read, then [`scan_bytes_cached`].
@@ -1260,7 +1278,7 @@ pub(crate) fn scan_bytes_cached(
         ..policy.clone()
     };
     let outcome = scan_bytes_with_policy(detector, bytes, &sub);
-    let deltas = cache::deltas_from_sink(&fresh);
+    let deltas = fresh.take_counters();
     cache::replay_deltas(&policy.metrics, &deltas);
     lead.insert(&outcome, &deltas, &policy.metrics);
     outcome
@@ -1474,18 +1492,7 @@ mod tests {
 
     #[test]
     fn labels_round_trip() {
-        for class in [
-            FailureClass::CyclicChain,
-            FailureClass::LimitExceeded,
-            FailureClass::Truncated,
-            FailureClass::Malformed,
-            FailureClass::UnknownContainer,
-            FailureClass::NoVbaPart,
-            FailureClass::Io,
-            FailureClass::Panic,
-            FailureClass::Timeout,
-            FailureClass::Fatal,
-        ] {
+        for class in FailureClass::ALL {
             assert_eq!(FailureClass::from_label(class.label()), Some(class));
         }
         for rung in [LadderRung::Strict, LadderRung::Salvage] {

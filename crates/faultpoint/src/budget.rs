@@ -61,10 +61,10 @@ fn encode_trip(why: BudgetExceeded) -> u8 {
     }
 }
 
-/// A cooperative memory guard: `probe` reports the process's current live
-/// allocation (typically from a tracking global allocator); the budget
-/// trips [`BudgetExceeded::Memory`] when growth over the baseline captured
-/// at construction exceeds `ceiling` bytes.
+/// A cooperative memory guard: `probe` reports the current live allocation
+/// (typically the scanning thread's, from a tracking global allocator);
+/// the budget trips [`BudgetExceeded::Memory`] when growth over the
+/// baseline captured at construction exceeds `ceiling` bytes.
 #[derive(Debug, Clone, Copy)]
 struct MemCeiling {
     probe: fn() -> u64,
@@ -159,8 +159,9 @@ impl Budget {
     /// memory ceiling, carrying a [`MetricsSink`] so the parser layers the
     /// budget traverses can record pipeline counters (`None, None, None`
     /// with a disabled sink is [`Budget::unlimited`]). `mem` is a
-    /// `(probe, ceiling_bytes)` pair where `probe` reports the process's
-    /// current live allocation (from a tracking global allocator). The
+    /// `(probe, ceiling_bytes)` pair where `probe` reports the current live
+    /// allocation (from a tracking global allocator; a per-thread probe
+    /// must be read on the thread that minted the budget). The
     /// baseline is read at construction; once live allocation grows more
     /// than `ceiling_bytes` past it, charges fail with
     /// [`BudgetExceeded::Memory`]. Enforcement is cooperative — the probe

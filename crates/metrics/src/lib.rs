@@ -73,8 +73,10 @@ macro_rules! metric_enum {
                 }
             }
 
+            /// Position in [`ALL`](Self::ALL): a compact code for this
+            /// variant, stable within one build.
             #[inline]
-            fn idx(self) -> usize {
+            pub fn index(self) -> usize {
                 self as usize
             }
         }
@@ -345,7 +347,7 @@ impl MetricsSink {
     #[inline]
     pub fn count(&self, counter: Counter, n: u64) {
         if let Some(core) = &self.0 {
-            core.counters[counter.idx()].fetch_add(n, Ordering::Relaxed);
+            core.counters[counter.index()].fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -354,7 +356,7 @@ impl MetricsSink {
     #[inline]
     pub fn record(&self, stage: Stage, value: u64) {
         if let Some(core) = &self.0 {
-            core.histograms[stage.idx()].record(value);
+            core.histograms[stage.index()].record(value);
         }
     }
 
@@ -380,7 +382,7 @@ impl MetricsSink {
         Counter::ALL
             .iter()
             .filter_map(|&c| {
-                let n = core.counters[c.idx()].swap(0, Ordering::Relaxed);
+                let n = core.counters[c.index()].swap(0, Ordering::Relaxed);
                 (n != 0).then_some((c, n))
             })
             .collect()
@@ -393,14 +395,14 @@ impl MetricsSink {
         let core = self.0.as_deref()?;
         let mut counters = BTreeMap::new();
         for &c in Counter::ALL {
-            let v = core.counters[c.idx()].load(Ordering::Relaxed);
+            let v = core.counters[c.index()].load(Ordering::Relaxed);
             if v != 0 {
                 counters.insert(c.label().to_string(), v);
             }
         }
         let mut histograms = BTreeMap::new();
         for &s in Stage::ALL {
-            let h = &core.histograms[s.idx()];
+            let h = &core.histograms[s.index()];
             let count = h.count.load(Ordering::Relaxed);
             if count == 0 {
                 continue;
@@ -440,7 +442,7 @@ impl Drop for StageTimer {
     fn drop(&mut self) {
         if let Some((core, stage, start)) = self.armed.take() {
             let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            core.histograms[stage.idx()].record(ns);
+            core.histograms[stage.index()].record(ns);
         }
     }
 }

@@ -138,13 +138,15 @@ benchmark_build() {
 # the extraction oracle (inflate, OLE, MS-OVBA outputs and failure text)
 # and the feature golden fixture the scoring oracle (V/J bit patterns and
 # token digests), so both rerun here too, with and without faultpoints
-# compiled in. So does the allocation-free scoring check, which covers the
-# V-only lex pass as well as the full one.
+# compiled in. So do the allocation-free scoring check, which covers the
+# V-only lex pass as well as the full one, and the per-thread memory
+# ceiling check.
 determinism_tests() {
     cargo test -q --offline --test parallel_scan --test metrics --test container_fixture \
-        --test feature_fixture --test steady_state_alloc &&
+        --test feature_fixture --test steady_state_alloc --test memory_ceiling &&
         cargo test -q --offline --features faultpoints --test parallel_scan --test fault_injection \
-            --test container_fixture --test feature_fixture --test steady_state_alloc
+            --test container_fixture --test feature_fixture --test steady_state_alloc \
+            --test memory_ceiling
 }
 
 # The resident-service suites: protocol/breaker/drain unit coverage, then

@@ -308,40 +308,55 @@ fn file_growing_past_the_size_cap_between_stat_and_read_is_limit_exceeded() {
     let _guard = global_guard();
     let det = tiny_detector();
     let dir = fresh_dir("statrace");
-
-    // The file passes the stat check at 64 bytes, then an appender grows
-    // it past the cap inside the injected stat→read gap. The engine must
-    // re-check after the read: growth is a typed LimitExceeded, never an
-    // oversized allocation handed to the parsers.
-    let victim = dir.join("growing.bin");
-    std::fs::write(&victim, vec![0u8; 64]).unwrap();
     let mut policy = ScanPolicy::default();
     policy.limits.max_file_size = 2048;
+    let cap = policy.limits.max_file_size;
 
-    configure("scan::stat-read-gap", "sleep(200)").unwrap();
-    let appender = {
-        let victim = victim.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(40));
-            let mut file = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&victim)
-                .unwrap();
-            std::io::Write::write_all(&mut file, &vec![0u8; 8192]).unwrap();
-        })
-    };
-    let report = scan_paths_with_policy(det, &[&victim], &policy);
-    appender.join().unwrap();
-    clear();
+    // Each file passes the size check at 64 bytes, then grows past the cap
+    // inside the injected stat→read gap: once by an appender, once to a
+    // 64 MiB sparse file. The engine must re-check after the read: growth
+    // is a typed LimitExceeded, never an oversized allocation handed to
+    // the parsers, and the read itself stops one byte past the cap.
+    for name in ["appended", "sparse"] {
+        let victim = dir.join(format!("{name}.bin"));
+        std::fs::write(&victim, vec![0u8; 64]).unwrap();
+        configure("scan::stat-read-gap", "sleep(200)").unwrap();
+        let grower = {
+            let victim = victim.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(std::time::Duration::from_millis(40));
+                let mut file = std::fs::OpenOptions::new()
+                    .append(true)
+                    .open(&victim)
+                    .unwrap();
+                match name {
+                    "appended" => std::io::Write::write_all(&mut file, &vec![0u8; 8192]).unwrap(),
+                    _ => file.set_len(64 << 20).unwrap(),
+                }
+            })
+        };
+        let report = scan_paths_with_policy(det, &[&victim], &policy);
+        grower.join().unwrap();
+        clear();
 
-    match &report.records[0].outcome {
-        ScanOutcome::Failed {
-            class: FailureClass::LimitExceeded,
-            detail,
-        } => {
-            assert!(detail.contains("grew"), "detail was {detail:?}");
+        match &report.records[0].outcome {
+            ScanOutcome::Failed {
+                class: FailureClass::LimitExceeded,
+                detail,
+            } => {
+                assert!(detail.contains("grew"), "{name}: detail was {detail:?}");
+                let read: u64 = detail
+                    .split_once(" bytes read")
+                    .and_then(|(head, _)| head.rsplit(' ').next())
+                    .and_then(|n| n.parse().ok())
+                    .unwrap_or_else(|| panic!("{name}: no byte count in {detail:?}"));
+                assert!(
+                    read <= cap + 1,
+                    "{name}: read {read} bytes past a {cap}-byte cap"
+                );
+            }
+            other => panic!("{name}: expected LimitExceeded after mid-read growth, got {other:?}"),
         }
-        other => panic!("expected LimitExceeded after mid-read growth, got {other:?}"),
     }
 
     let _ = std::fs::remove_dir_all(&dir);

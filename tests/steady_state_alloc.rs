@@ -6,8 +6,9 @@
 //! that only ever scores V1–V15 (the V-mode pass alone, as a detector on
 //! V scores).
 //!
-//! The allocation counter is process-wide, so this file holds a single
-//! test: no other test thread may allocate while it counts.
+//! The tracking allocator counts per thread, so the figure is this test
+//! thread's own allocations: another test in this file could run beside
+//! it without disturbing the count.
 
 use vbadet::memguard::{cumulative_allocs, TrackingAllocator};
 use vbadet_features::{FeatureScratch, FeatureSet};
