@@ -1,7 +1,8 @@
 //! CLI subcommand implementations.
 
 use std::error::Error;
-use std::path::PathBuf;
+use std::ffi::{OsStr, OsString};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use vbadet::{
     extract_macros, replay_journal, scan_paths_journaled, ClassifierKind, Detector, DetectorConfig,
@@ -43,35 +44,44 @@ const SWITCHES: &[&str] = &["stats", "isolate", "in-process"];
 
 /// Minimal flag parser: `--key value` pairs, bare `--switch` flags, plus
 /// positional arguments. A `--key` in neither list is an error: guessing
-/// that it takes a value would swallow the path after it.
+/// that it takes a value would swallow the path after it. Positional
+/// arguments are paths and keep their bytes; a flag or flag value that is
+/// not UTF-8 is an error.
 struct Flags {
     values: std::collections::HashMap<String, String>,
     switches: std::collections::HashSet<String>,
-    positional: Vec<String>,
+    positional: Vec<OsString>,
+}
+
+/// `arg` as UTF-8, or the usage error for it.
+fn utf8(arg: &OsStr) -> Result<&str, String> {
+    arg.to_str()
+        .ok_or_else(|| format!("argument {arg:?} is not valid UTF-8"))
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Self, Box<dyn Error>> {
+    fn parse(args: &[OsString]) -> Result<Self, Box<dyn Error>> {
         let mut values = std::collections::HashMap::new();
         let mut switches = std::collections::HashSet::new();
         let mut positional = Vec::new();
         let mut iter = args.iter();
         while let Some(arg) = iter.next() {
-            if let Some(key) = arg.strip_prefix("--") {
-                if SWITCHES.contains(&key) {
-                    switches.insert(key.to_string());
-                    continue;
-                }
-                if !VALUE_FLAGS.contains(&key) {
-                    return Err(format!("unknown flag --{key}").into());
-                }
-                let value = iter
-                    .next()
-                    .ok_or_else(|| format!("--{key} requires a value"))?;
-                values.insert(key.to_string(), value.clone());
-            } else {
+            if !arg.as_encoded_bytes().starts_with(b"--") {
                 positional.push(arg.clone());
+                continue;
             }
+            let key = &utf8(arg)?[2..];
+            if SWITCHES.contains(&key) {
+                switches.insert(key.to_string());
+                continue;
+            }
+            if !VALUE_FLAGS.contains(&key) {
+                return Err(format!("unknown flag --{key}").into());
+            }
+            let value = iter
+                .next()
+                .ok_or_else(|| format!("--{key} requires a value"))?;
+            values.insert(key.to_string(), utf8(value)?.to_string());
         }
         Ok(Flags {
             values,
@@ -84,25 +94,15 @@ impl Flags {
         self.switches.contains(key)
     }
 
-    fn get_f64(&self, key: &str, default: f64) -> Result<f64, Box<dyn Error>> {
-        match self.values.get(key) {
-            None => Ok(default),
-            Some(v) => Ok(v.parse()?),
-        }
-    }
-
-    fn get_u64(&self, key: &str, default: u64) -> Result<u64, Box<dyn Error>> {
-        match self.values.get(key) {
-            None => Ok(default),
-            Some(v) => Ok(v.parse()?),
-        }
-    }
-
-    fn get_usize(&self, key: &str, default: usize) -> Result<usize, Box<dyn Error>> {
-        match self.values.get(key) {
-            None => Ok(default),
-            Some(v) => Ok(v.parse()?),
-        }
+    /// `--key`'s value parsed as a `T`, or `default` when it is absent.
+    fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, Box<dyn Error>>
+    where
+        T::Err: Error + 'static,
+    {
+        Ok(match self.values.get(key) {
+            Some(v) => v.parse()?,
+            None => default,
+        })
     }
 
     /// `--classifier NAME`, in any case; the MLP when absent.
@@ -125,8 +125,8 @@ fn detector_from_flags(flags: &Flags, default_scale: f64) -> Result<Detector, Bo
             Detector::load(&std::fs::read_to_string(path)?)?
         }
         None => {
-            let scale = flags.get_f64("scale", default_scale)?;
-            let seed = flags.get_u64("seed", 0xD5)?;
+            let scale = flags.get("scale", default_scale)?;
+            let seed = flags.get("seed", 0xD5)?;
             let classifier = flags.classifier()?;
             eprintln!("training {classifier} detector on synthetic corpus (scale {scale})…");
             let config = DetectorConfig {
@@ -154,11 +154,9 @@ fn spec_at(scale: f64, seed: u64) -> CorpusSpec {
 /// async-signal-safe — run in the handler.
 #[cfg(unix)]
 fn install_signal_drain() {
+    use crate::sig::{signal, SIGINT, SIGTERM};
     use std::sync::atomic::{AtomicBool, Ordering};
     static SEEN: AtomicBool = AtomicBool::new(false);
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
     extern "C" fn on_signal(signum: i32) {
         extern "C" {
             fn _exit(code: i32) -> !;
@@ -168,8 +166,6 @@ fn install_signal_drain() {
         }
         vbadet::scan::interrupt::request_drain();
     }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
     unsafe {
         signal(SIGINT, on_signal as *const () as usize);
         signal(SIGTERM, on_signal as *const () as usize);
@@ -185,13 +181,10 @@ fn install_signal_drain() {}
 /// the serve accept loop does the actual load and swap.
 #[cfg(unix)]
 fn install_sighup_reload() {
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
+    use crate::sig::{signal, SIGHUP};
     extern "C" fn on_hup(_signum: i32) {
         vbadet::request_reload();
     }
-    const SIGHUP: i32 = 1;
     unsafe {
         signal(SIGHUP, on_hup as *const () as usize);
     }
@@ -226,7 +219,7 @@ fn policy_from_flags(cmd: &str, flags: &Flags) -> Result<ScanPolicy, Box<dyn Err
     Ok(policy)
 }
 
-pub fn scan(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
+pub fn scan(args: &[OsString]) -> Result<ExitCode, Box<dyn Error>> {
     let flags = Flags::parse(args)?;
     if flags.positional.is_empty() {
         return Err("scan: at least one file required".into());
@@ -242,7 +235,7 @@ pub fn scan(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
     // to the sequential in-thread engine (the output is identical either
     // way — parallelism only changes the wall clock).
     let default_jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let jobs = flags.get_usize("jobs", default_jobs)?;
+    let jobs = flags.get("jobs", default_jobs)?;
     if jobs == 0 {
         return Err(
             "scan: --jobs must be at least 1 (use --jobs 1 for the sequential engine)".into(),
@@ -256,7 +249,7 @@ pub fn scan(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
     // cache: previously scanned content (by digest, under this detector
     // and policy) is answered without re-extracting or re-scoring.
     if let Some(dir) = flags.values.get("cache") {
-        let capacity = flags.get_usize("cache-entries", 65_536)?;
+        let capacity = flags.get("cache-entries", 65_536)?;
         if capacity == 0 {
             return Err("scan: --cache-entries must be at least 1 with --cache".into());
         }
@@ -290,10 +283,8 @@ pub fn scan(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
         }
         None => None,
     };
-    let mut journal = match flags.values.get("journal") {
-        Some(path) => Some(ScanJournal::create(path)?),
-        None => None,
-    };
+    let journal_path = flags.values.get("journal");
+    let mut journal = journal_path.map(ScanJournal::create).transpose()?;
     let detector = detector_from_flags(&flags, 0.1)?;
 
     // The batch never aborts: every input is processed, failures are
@@ -397,7 +388,7 @@ pub fn scan(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
 /// runs [`vbadet::serve`] until a SIGTERM/SIGINT drain, then flushes
 /// metrics, removes the socket file and exits 3 (the same "stopped on
 /// request, work is accounted for" slot as an interrupted batch).
-pub fn serve(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
+pub fn serve(args: &[OsString]) -> Result<ExitCode, Box<dyn Error>> {
     let flags = Flags::parse(args)?;
     if let Some(stray) = flags.positional.first() {
         return Err(format!("serve: unexpected positional argument {stray:?}").into());
@@ -419,24 +410,23 @@ pub fn serve(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
     // attachment bytes again and again, and a hit skips the whole scan
     // (in isolate mode, the worker round trip too). `--cache-entries 0`
     // turns it off.
-    let cache_entries = flags.get_usize("cache-entries", 4096)?;
+    let cache_entries = flags.get("cache-entries", 4096)?;
     if cache_entries > 0 {
         policy = policy.with_cache(std::sync::Arc::new(ScanCache::in_memory(cache_entries)));
     }
     policy = policy.with_metrics(MetricsSink::enabled());
 
     let mut config = vbadet::ServeConfig::new(policy);
-    config.workers = flags.get_usize("jobs", config.workers)?;
+    config.workers = flags.get("jobs", config.workers)?;
     if config.workers == 0 {
         return Err("serve: --jobs must be at least 1".into());
     }
-    config.queue_depth = flags.get_usize("queue", config.queue_depth)?;
+    config.queue_depth = flags.get("queue", config.queue_depth)?;
     if config.queue_depth == 0 {
         return Err("serve: --queue must be at least 1".into());
     }
-    config.breaker_threshold =
-        u32::try_from(flags.get_u64("breaker-threshold", u64::from(config.breaker_threshold))?)?;
-    config.breaker_backoff = std::time::Duration::from_millis(flags.get_u64(
+    config.breaker_threshold = flags.get("breaker-threshold", config.breaker_threshold)?;
+    config.breaker_backoff = std::time::Duration::from_millis(flags.get(
         "breaker-backoff-ms",
         config.breaker_backoff.as_millis() as u64,
     )?);
@@ -488,10 +478,8 @@ pub fn serve(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
         }
     );
 
-    let mut journal = match flags.values.get("journal") {
-        Some(path) => Some(ScanJournal::create(path)?),
-        None => None,
-    };
+    let journal_path = flags.values.get("journal");
+    let mut journal = journal_path.map(ScanJournal::create).transpose()?;
     vbadet::scan::interrupt::reset();
     vbadet::reset_reload_requests();
     install_signal_drain();
@@ -515,18 +503,18 @@ pub fn serve(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
     Ok(ExitCode::from(3))
 }
 
-pub fn extract(args: &[String]) -> CmdResult {
+pub fn extract(args: &[OsString]) -> CmdResult {
     let flags = Flags::parse(args)?;
     let path = flags.positional.first().ok_or("extract: file required")?;
-    extract_to(path, &mut std::io::stdout().lock())
+    extract_to(Path::new(path), &mut std::io::stdout().lock())
 }
 
 /// Writes every macro module of the document at `path` to `out`.
-fn extract_to(path: &str, out: &mut impl std::io::Write) -> CmdResult {
+fn extract_to(path: &Path, out: &mut impl std::io::Write) -> CmdResult {
     let bytes = std::fs::read(path)?;
     let macros = extract_macros(&bytes)?;
     if macros.is_empty() {
-        eprintln!("{path}: no VBA macros");
+        eprintln!("{}: no VBA macros", path.display());
         return Ok(());
     }
     for m in macros {
@@ -540,7 +528,7 @@ fn extract_to(path: &str, out: &mut impl std::io::Write) -> CmdResult {
     Ok(())
 }
 
-pub fn obfuscate(args: &[String]) -> CmdResult {
+pub fn obfuscate(args: &[OsString]) -> CmdResult {
     use rand::SeedableRng;
     use vbadet_obfuscate::{Obfuscator, Technique};
 
@@ -550,7 +538,7 @@ pub fn obfuscate(args: &[String]) -> CmdResult {
         .first()
         .ok_or("obfuscate: a .vba source file is required")?;
     let source = std::fs::read_to_string(path)?;
-    let seed = flags.get_u64("seed", 0xD5)?;
+    let seed = flags.get("seed", 0xD5)?;
     let list = flags
         .values
         .get("techniques")
@@ -579,7 +567,7 @@ pub fn obfuscate(args: &[String]) -> CmdResult {
     Ok(())
 }
 
-pub fn deobfuscate(args: &[String]) -> CmdResult {
+pub fn deobfuscate(args: &[OsString]) -> CmdResult {
     let flags = Flags::parse(args)?;
     let path = flags
         .positional
@@ -600,15 +588,15 @@ pub fn deobfuscate(args: &[String]) -> CmdResult {
     Ok(())
 }
 
-pub fn corpus(args: &[String]) -> CmdResult {
+pub fn corpus(args: &[OsString]) -> CmdResult {
     let flags = Flags::parse(args)?;
     let out: PathBuf = flags
         .values
         .get("out")
         .ok_or("corpus: --out DIR required")?
         .into();
-    let scale = flags.get_f64("scale", 0.05)?;
-    let seed = flags.get_u64("seed", 0xD512018)?;
+    let scale = flags.get("scale", 0.05)?;
+    let seed = flags.get("seed", 0xD512018)?;
     let spec = spec_at(scale, seed);
 
     std::fs::create_dir_all(out.join("benign"))?;
@@ -659,14 +647,14 @@ pub fn corpus(args: &[String]) -> CmdResult {
     Ok(())
 }
 
-pub fn train(args: &[String]) -> CmdResult {
+pub fn train(args: &[OsString]) -> CmdResult {
     let flags = Flags::parse(args)?;
     let out = flags
         .values
         .get("out")
         .ok_or("train: --out FILE required")?;
-    let scale = flags.get_f64("scale", 0.25)?;
-    let seed = flags.get_u64("seed", 0xD5)?;
+    let scale = flags.get("scale", 0.25)?;
+    let seed = flags.get("seed", 0xD5)?;
     let classifier = flags.classifier()?;
     eprintln!("training {classifier} on synthetic corpus (scale {scale})…");
     let config = DetectorConfig {
@@ -681,11 +669,11 @@ pub fn train(args: &[String]) -> CmdResult {
     Ok(())
 }
 
-pub fn evaluate(args: &[String]) -> CmdResult {
+pub fn evaluate(args: &[OsString]) -> CmdResult {
     let flags = Flags::parse(args)?;
-    let scale = flags.get_f64("scale", 1.0)?;
-    let folds = flags.get_usize("folds", 10)?;
-    let seed = flags.get_u64("seed", 0xD512018)?;
+    let scale = flags.get("scale", 1.0)?;
+    let folds = flags.get("folds", 10)?;
+    let seed = flags.get("seed", 0xD512018)?;
     let spec = spec_at(scale, seed);
 
     eprintln!(
@@ -717,23 +705,23 @@ pub fn evaluate(args: &[String]) -> CmdResult {
 mod tests {
     use super::*;
 
-    fn strs(items: &[&str]) -> Vec<String> {
-        items.iter().map(|s| s.to_string()).collect()
+    fn strs(items: &[&str]) -> Vec<OsString> {
+        items.iter().map(OsString::from).collect()
     }
 
     #[test]
     fn flags_parse_pairs_and_positionals() {
         let f = Flags::parse(&strs(&["--scale", "0.5", "a.doc", "--seed", "7", "b.doc"])).unwrap();
-        assert_eq!(f.get_f64("scale", 1.0).unwrap(), 0.5);
-        assert_eq!(f.get_u64("seed", 0).unwrap(), 7);
+        assert_eq!(f.get("scale", 1.0).unwrap(), 0.5);
+        assert_eq!(f.get("seed", 0u64).unwrap(), 7);
         assert_eq!(f.positional, strs(&["a.doc", "b.doc"]));
     }
 
     #[test]
     fn flags_defaults_apply() {
         let f = Flags::parse(&strs(&["x"])).unwrap();
-        assert_eq!(f.get_f64("scale", 0.1).unwrap(), 0.1);
-        assert_eq!(f.get_usize("folds", 10).unwrap(), 10);
+        assert_eq!(f.get("scale", 0.1).unwrap(), 0.1);
+        assert_eq!(f.get("folds", 10usize).unwrap(), 10);
     }
 
     #[test]
@@ -765,6 +753,21 @@ mod tests {
         }
     }
 
+    #[cfg(unix)]
+    #[test]
+    fn a_flag_or_value_that_is_not_utf8_is_an_error_and_a_path_keeps_its_bytes() {
+        use std::os::unix::ffi::OsStringExt;
+        let name = OsString::from_vec(b"\xff\xfe.doc".to_vec());
+        let positional = vec![name.clone()];
+        assert_eq!(Flags::parse(&positional).unwrap().positional, positional);
+        let mut flag = OsString::from("--");
+        flag.push(&name);
+        for args in [vec![flag], vec![OsString::from("--model"), name]] {
+            let err = Flags::parse(&args).err().expect("must fail");
+            assert!(err.to_string().contains("not valid UTF-8"), "{err}");
+        }
+    }
+
     #[test]
     fn the_flag_lists_and_the_help_text_name_the_same_flags() {
         let help = crate::usage();
@@ -787,7 +790,7 @@ mod tests {
     #[test]
     fn bad_numeric_value_is_an_error() {
         let f = Flags::parse(&strs(&["--scale", "abc"])).unwrap();
-        assert!(f.get_f64("scale", 1.0).is_err());
+        assert!(f.get("scale", 1.0).is_err());
     }
 
     #[test]
@@ -817,8 +820,8 @@ mod tests {
 mod command_tests {
     use super::*;
 
-    fn strs2(items: &[&str]) -> Vec<String> {
-        items.iter().map(|s| s.to_string()).collect()
+    fn strs2(items: &[&str]) -> Vec<OsString> {
+        items.iter().map(OsString::from).collect()
     }
 
     #[test]
@@ -949,11 +952,11 @@ mod command_tests {
                 &format!("Sub W{i}()\r\n    x = {i}\r\nEnd Sub\r\n"),
             );
             std::fs::write(&path, b.build().unwrap()).unwrap();
-            inputs.push(path.to_str().unwrap().to_string());
+            inputs.push(path.into_os_string());
         }
         let junk = dir.join("junk.doc");
         std::fs::write(&junk, b"not a document at all").unwrap();
-        inputs.push(junk.to_str().unwrap().to_string());
+        inputs.push(junk.into_os_string());
 
         let run = |jobs: &str, out: &std::path::Path| {
             let mut args = strs2(&[
@@ -1017,7 +1020,7 @@ mod command_tests {
         std::fs::write(&doc, rebuilt.build()).unwrap();
 
         let mut out = Vec::new();
-        extract_to(doc.to_str().unwrap(), &mut out).unwrap();
+        extract_to(&doc, &mut out).unwrap();
         let out = String::from_utf8(out).unwrap();
         assert!(
             out.starts_with(
@@ -1042,7 +1045,7 @@ mod command_tests {
         std::fs::write(&doc, bytes).unwrap();
 
         let mut out = Vec::new();
-        extract_to(doc.to_str().unwrap(), &mut out).unwrap();
+        extract_to(&doc, &mut out).unwrap();
         let out = String::from_utf8(out).unwrap();
         assert_eq!(
             out,

@@ -19,9 +19,11 @@ use std::process::ExitCode;
 static ALLOC: vbadet::TrackingAllocator = vbadet::TrackingAllocator;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    // Arguments stay `OsString`s: a path need not be UTF-8, and a flag
+    // that is not is a usage error (`commands::Flags`), never a panic.
+    let args: Vec<_> = std::env::args_os().skip(1).collect();
     let (command, rest) = match args.split_first() {
-        Some((c, rest)) => (c.as_str(), rest),
+        Some((c, rest)) => (c.to_string_lossy(), rest),
         None => {
             eprintln!("{}", usage());
             return ExitCode::from(2);
@@ -38,7 +40,7 @@ fn main() -> ExitCode {
         ignore_drain_signals();
         return ExitCode::from(vbadet::worker_main() as u8);
     }
-    let result: Result<ExitCode, Box<dyn std::error::Error>> = match command {
+    let result: Result<ExitCode, Box<dyn std::error::Error>> = match &*command {
         "scan" => commands::scan(rest),
         "serve" => commands::serve(rest),
         "extract" => commands::extract(rest).map(|()| ExitCode::SUCCESS),
@@ -62,15 +64,21 @@ fn main() -> ExitCode {
     }
 }
 
+/// The C library's `signal(2)` and the signal numbers the CLI handles.
+#[cfg(unix)]
+mod sig {
+    extern "C" {
+        pub fn signal(signum: i32, handler: usize) -> usize;
+    }
+    pub const SIGHUP: i32 = 1;
+    pub const SIGINT: i32 = 2;
+    pub const SIGTERM: i32 = 15;
+    pub const SIG_IGN: usize = 1;
+}
+
 #[cfg(unix)]
 fn ignore_drain_signals() {
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGHUP: i32 = 1;
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    const SIG_IGN: usize = 1;
+    use sig::{signal, SIGHUP, SIGINT, SIGTERM, SIG_IGN};
     unsafe {
         // SIGHUP joins the ignore list: a process-group HUP asking the
         // serve daemon to hot-reload its model must not kill the

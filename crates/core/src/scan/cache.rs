@@ -46,10 +46,11 @@
 //! # Determinism contract
 //!
 //! The deterministic counter section of [`ScanMetrics`](crate::ScanMetrics) must be identical
-//! with the cache off, cold, and warm. Misses therefore scan under a
-//! fresh sink and store the resulting counter *deltas* with the outcome;
-//! hits replay those deltas into the live sink, so the totals come out as
-//! if every document had been scanned. Cache traffic itself (hits, misses,
+//! with the cache off, cold, and warm. A miss is scanned under the
+//! scanning thread's own sink, and the counters it leaves there are
+//! stored with the outcome as the entry's *deltas*; a hit replays those
+//! deltas into the thread sink, so the record carries the same deltas to
+//! the report as if the document had been scanned. Cache traffic itself (hits, misses,
 //! inserts, evictions, entry bytes) is recorded on the histogram side,
 //! which is exempt from the determinism promise.
 //!
@@ -124,10 +125,11 @@ pub(crate) struct Key {
 }
 
 /// One document's contribution to the deterministic counters, as
-/// non-zero `(counter, value)` pairs captured from a fresh-sink scan — a
-/// cache miss here, or an isolate worker's result frame — and replayed
-/// into the live sink with [`replay_deltas`]. Cache entries sort theirs
-/// by counter label at insert so the canonical serialization is stable.
+/// non-zero `(counter, value)` pairs taken from the sink that scanned it
+/// — a scanning thread's, or an isolate worker's, shipped in its result
+/// frame — and added to the report with [`replay_deltas`]. Cache entries
+/// sort theirs by counter label at insert so the canonical serialization
+/// is stable.
 pub(crate) type Deltas = Vec<(Counter, u64)>;
 
 /// One cached decision.
@@ -877,8 +879,8 @@ pub(crate) fn decode_deltas(record: &Json) -> Result<Deltas, String> {
         .collect()
 }
 
-/// Replays stored deltas into the live sink, as if the document had been
-/// scanned here.
+/// Replays a document's deltas into `metrics`, as if the document had
+/// been scanned under it.
 pub(crate) fn replay_deltas(metrics: &MetricsSink, deltas: &[(Counter, u64)]) {
     for &(counter, n) in deltas {
         metrics.count(counter, n);

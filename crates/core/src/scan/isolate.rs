@@ -43,7 +43,7 @@
 //! (layout and version in `wire`). The conversation:
 //!
 //! ```text
-//! supervisor → worker   {"op":"hello","frame_version":1,"detector":…,…}
+//! supervisor → worker   {"op":"hello","frame_version":2,"detector":…,…}
 //! worker → supervisor   {"op":"ready","generation":…}
 //! supervisor → worker   scan(path)                  (a claim's documents,
 //!                       scan(path)                   back to back in one
@@ -430,8 +430,7 @@ pub fn worker_main() -> i32 {
             Err(e) => return proto_err("request read", e.to_string()),
         };
         let path = match wire::decode_scan(&frame) {
-            Some(Ok(path)) => path,
-            Some(Err(e)) => return proto_err("scan request", e),
+            Some(path) => path,
             // The supervisor asks a worker to exit only once it owes
             // nothing it still wants, so held frames may go unwritten.
             None => match json_frame(&frame) {
@@ -443,7 +442,7 @@ pub fn worker_main() -> i32 {
         // Workers never see the supervisor's cache (the hello frame does
         // not carry one): the supervisor consults it *before* dispatching,
         // so a worker request is always a real scan.
-        let outcome = super::scan_file(&detector, Path::new(path), &policy, None);
+        let outcome = super::scan_file(&detector, path, &policy, None);
         result.clear();
         wire::encode_result(&mut result, &outcome, &metrics.take_counters());
         // Hold the result while the next request is already here; write
@@ -770,7 +769,7 @@ struct Slot<'a> {
     worker: Option<Worker>,
     docs_on_worker: u64,
     /// Documents queued and not yet answered, oldest first.
-    pending: VecDeque<String>,
+    pending: VecDeque<PathBuf>,
     /// How many of `pending`, from the front, the current worker has been
     /// sent; 0 whenever there is no worker.
     sent: usize,
@@ -867,8 +866,8 @@ impl<'a> Slot<'a> {
     /// Queues a document, by path, for [`next`](Self::next) to answer in
     /// order. Queued documents go to the worker when the first of them is
     /// awaited.
-    fn queue(&mut self, key: String) {
-        self.pending.push_back(key);
+    fn queue(&mut self, path: &Path) {
+        self.pending.push_back(path.to_path_buf());
     }
 
     /// One attempt at the oldest queued document. Sends the worker every
@@ -976,12 +975,12 @@ impl<'a> Slot<'a> {
     }
 }
 
-/// The `scan` request frames for `keys`, back to back in one buffer.
-fn scan_frames<'k>(keys: impl Iterator<Item = &'k String>) -> io::Result<Vec<u8>> {
+/// The `scan` request frames for `paths`, back to back in one buffer.
+fn scan_frames<'k>(paths: impl Iterator<Item = &'k PathBuf>) -> io::Result<Vec<u8>> {
     let (mut frames, mut payload) = (Vec::new(), Vec::new());
-    for key in keys {
+    for path in paths {
         payload.clear();
-        wire::encode_scan(&mut payload, key);
+        wire::encode_scan(&mut payload, path);
         push_frame(&mut frames, &payload)?;
     }
     Ok(frames)
@@ -1057,7 +1056,7 @@ impl Executor for Isolated<'_> {
                 None => Planned::Queued(None),
             };
             if matches!(plan, Planned::Queued(_)) {
-                self.slot.queue(path.display().to_string());
+                self.slot.queue(path);
             }
             self.planned.push_back((idx, plan));
         }
@@ -1216,7 +1215,7 @@ mod tests {
             Hello::new(&detector, &strict, 7).frame,
             format!(
                 concat!(
-                    r#"{{"op":"hello","frame_version":1,"generation":7,"detector":{},"#,
+                    r#"{{"op":"hello","frame_version":2,"generation":7,"detector":{},"#,
                     r#""deadline_ms":1234,"#,
                     r#""fuel":99,"max_scan_mem":5242880,"limits":[4096,16777216,262144,"#,
                     r#"4096,16777216,64,256,4194304,1048576,67108864]}}"#
@@ -1228,7 +1227,7 @@ mod tests {
             Hello::new(&detector, &ScanPolicy::with_limits(ScanLimits::strict()), 0).frame,
             format!(
                 concat!(
-                    r#"{{"op":"hello","frame_version":1,"generation":0,"detector":{},"#,
+                    r#"{{"op":"hello","frame_version":2,"generation":0,"detector":{},"#,
                     r#""deadline_ms":null,"#,
                     r#""fuel":null,"max_scan_mem":null,"limits":[4096,16777216,262144,"#,
                     r#"4096,16777216,64,256,4194304,1048576,67108864]}}"#
@@ -1241,7 +1240,7 @@ mod tests {
     #[test]
     fn a_hello_of_another_frame_version_is_refused() {
         for hello in [
-            r#"{"op":"hello","frame_version":2,"detector":"x"}"#,
+            r#"{"op":"hello","frame_version":1,"detector":"x"}"#,
             r#"{"op":"hello","detector":"x"}"#,
         ] {
             let err = decode_hello(&json::parse(hello).unwrap()).unwrap_err();

@@ -7,10 +7,12 @@
 //! layout's version travels in the hello frame (`"frame_version"`), and a
 //! worker refuses a hello with a version other than [`FRAME_VERSION`].
 //!
-//! Version 1, every integer little-endian:
+//! Version 2, every integer little-endian:
 //!
 //! ```text
-//! scan    u8 0x01, then the path as UTF-8 (the rest of the payload)
+//! scan    u8 0x01, then the path's bytes (the rest of the payload): its
+//!            raw `OsStr` bytes on unix, so any name the supervisor can
+//!            open reaches the worker unchanged; UTF-8 elsewhere
 //! result  u8 0x02
 //!         u8 outcome kind: 0 clean, 1 macros, 2 salvaged, 3 recovered,
 //!            4 failed
@@ -28,12 +30,16 @@
 //! A result payload must end exactly after its last pair. A score travels
 //! as its bits, so records stay byte-identical to an in-process scan.
 
+use std::path::Path;
+#[cfg(unix)]
+use std::{ffi::OsStr, os::unix::ffi::OsStrExt};
+
 use super::super::{FailureClass, LadderRung, ScanOutcome};
 use crate::detector::{ModuleVerdict, Verdict};
 use vbadet_metrics::Counter;
 
 /// The layout version the hello frame carries.
-pub(crate) const FRAME_VERSION: u64 = 1;
+pub(crate) const FRAME_VERSION: u64 = 2;
 
 /// First byte of a `scan` request payload. JSON frames start with `{`.
 const SCAN_TAG: u8 = 0x01;
@@ -46,16 +52,19 @@ const _: () = assert!(
 );
 
 /// Appends a `scan` request payload for `path` to `buf`.
-pub(crate) fn encode_scan(buf: &mut Vec<u8>, path: &str) {
+pub(crate) fn encode_scan(buf: &mut Vec<u8>, path: &Path) {
     buf.push(SCAN_TAG);
-    buf.extend_from_slice(path.as_bytes());
+    buf.extend_from_slice(path.as_os_str().as_encoded_bytes());
 }
 
 /// The path of a `scan` request payload, or `None` if the payload is not
-/// one (an `exit` frame, say).
-pub(crate) fn decode_scan(payload: &[u8]) -> Option<Result<&str, String>> {
+/// one (an `exit` frame, say, or off unix a path that is not UTF-8).
+pub(crate) fn decode_scan(payload: &[u8]) -> Option<&Path> {
     let path = payload.strip_prefix(&[SCAN_TAG])?;
-    Some(std::str::from_utf8(path).map_err(|_| "scan path is not UTF-8".to_string()))
+    #[cfg(unix)]
+    return Some(Path::new(OsStr::from_bytes(path)));
+    #[cfg(not(unix))]
+    std::str::from_utf8(path).ok().map(Path::new)
 }
 
 /// Appends a `result` payload to `buf`. `deltas` must be in declaration
@@ -387,12 +396,43 @@ mod tests {
 
     #[test]
     fn scan_requests_round_trip_and_other_frames_are_not_requests() {
+        let path = Path::new("/tmp/ünï.doc");
         let mut buf = Vec::new();
-        encode_scan(&mut buf, "/tmp/ünï.doc");
+        encode_scan(&mut buf, path);
         assert_eq!(buf[0], SCAN_TAG);
-        assert_eq!(decode_scan(&buf), Some(Ok("/tmp/ünï.doc")));
+        assert_eq!(decode_scan(&buf), Some(path));
         assert_eq!(decode_scan(b"{\"op\":\"exit\"}"), None);
         assert_eq!(decode_scan(b""), None);
-        assert!(matches!(decode_scan(&[SCAN_TAG, 0xFF]), Some(Err(_))));
+    }
+
+    /// A name that is not UTF-8 reaches the worker byte for byte.
+    #[cfg(unix)]
+    #[test]
+    fn a_scan_request_carries_the_raw_bytes_of_its_path() {
+        let path = Path::new(OsStr::from_bytes(b"/tmp/\xff\xfe.doc"));
+        let mut buf = Vec::new();
+        encode_scan(&mut buf, path);
+        assert_eq!(buf, b"\x01/tmp/\xff\xfe.doc");
+        assert_eq!(decode_scan(&buf), Some(path));
+        // Every cut is a shorter name or, with the tag gone, no request;
+        // every flip of the tag is no request, and of a name byte another
+        // name. None of them panics.
+        for cut in 0..=buf.len() {
+            let name = buf
+                .get(1..cut)
+                .map(|name| Path::new(OsStr::from_bytes(name)));
+            assert_eq!(decode_scan(&buf[..cut]), name, "cut at {cut}");
+        }
+        for at in 0..buf.len() {
+            for x in 1..=255u8 {
+                let mut mutant = buf.clone();
+                mutant[at] ^= x;
+                assert_eq!(
+                    decode_scan(&mutant).is_some(),
+                    at > 0,
+                    "flip {x:#x} at {at}"
+                );
+            }
+        }
     }
 }

@@ -21,14 +21,18 @@
 //! Every batch entry point — [`scan_paths_journaled`] and its wrappers,
 //! and the in-memory [`scan_documents_with_policy`] — runs through one
 //! private ordered engine, driven by a per-thread *executor* that scans
-//! one claimed input and returns its outcome plus any counter deltas. The
+//! one claimed input and returns its outcome plus its counter deltas. The
 //! engine owns everything else: the claim cursor, the resume lookup, the
 //! drain latch, the in-order reorder buffer, the single journal writer,
-//! delta replay and report assembly. With [`ScanPolicy::jobs`] ≤ 1 the
+//! counting and report assembly. With [`ScanPolicy::jobs`] ≤ 1 the
 //! executor runs inline on the calling thread; above that, scoped worker
 //! threads each own one executor and the calling thread collects their
 //! results **in input order**, so reports and journals are byte-identical
-//! whatever the worker count (`tests/parallel_scan.rs`).
+//! whatever the worker count (`tests/parallel_scan.rs`). Scanning code
+//! never counts into the report: each scanning thread counts into a sink
+//! of its own ([`MetricsSink::for_thread`]), and a document's counters
+//! reach the report only when the engine emits its record, so a document
+//! decided past a drain leaves no trace in them.
 //!
 //! There are two executors. The in-process one scans on its own thread
 //! under `catch_unwind`. The [`isolate`] one ([`ScanPolicy::isolate`])
@@ -585,6 +589,19 @@ impl ScanPolicy {
         )
     }
 
+    /// This policy as one scanning thread runs it: under a sink of the
+    /// thread's own ([`MetricsSink::for_thread`]), whose counters the
+    /// thread takes after each document as that document's deltas. The
+    /// sink counts when the report does or a cache stores each miss's
+    /// deltas, and is disabled (free) otherwise.
+    pub(crate) fn for_thread(&self) -> ScanPolicy {
+        let mut policy = self.clone();
+        if self.metrics.is_enabled() || self.cache.is_some() {
+            policy.metrics = self.metrics.for_thread();
+        }
+        policy
+    }
+
     /// Whether this batch should stop emitting documents now. Polls the
     /// injected drain site, so only the engine's single in-order seam
     /// calls it: the site's hit count is then one per emitted record.
@@ -660,12 +677,13 @@ fn panic_detail(payload: Box<dyn Any + Send>) -> String {
         .unwrap_or_else(|| "opaque panic payload".to_string())
 }
 
-/// Rolls one decided record into the deterministic outcome counters.
-/// The batch engine calls this exactly once per record, from its single
-/// in-order seam, so the sums can never depend on worker scheduling. The
-/// resident service
+/// Adds one decided record to the report's deterministic counters: the
+/// counter deltas its scan returned, then its outcome. This is the only
+/// place a document's counters reach the report. The batch engine calls
+/// it exactly once per record, from its single in-order seam, so the sums
+/// can never depend on worker scheduling; the resident service
 /// ([`crate::serve`](mod@crate::serve)) calls it once per decided request.
-pub(crate) fn record_outcome(metrics: &MetricsSink, outcome: &ScanOutcome) {
+pub(crate) fn record_outcome(sink: &MetricsSink, outcome: &ScanOutcome, deltas: &[(Counter, u64)]) {
     if let ScanOutcome::Failed {
         class: FailureClass::Fatal,
         ..
@@ -679,33 +697,34 @@ pub(crate) fn record_outcome(metrics: &MetricsSink, outcome: &ScanOutcome) {
         // section byte-identical to a clean run on the surviving inputs.
         return;
     }
-    metrics.count(Counter::ScanDocs, 1);
+    cache::replay_deltas(sink, deltas);
+    sink.count(Counter::ScanDocs, 1);
     let verdicts = match outcome {
         ScanOutcome::Clean => {
-            metrics.count(Counter::ScanClean, 1);
+            sink.count(Counter::ScanClean, 1);
             return;
         }
         ScanOutcome::Macros(v) => {
-            metrics.count(Counter::ScanMacros, 1);
+            sink.count(Counter::ScanMacros, 1);
             v
         }
         ScanOutcome::Salvaged(v) => {
-            metrics.count(Counter::ScanSalvaged, 1);
+            sink.count(Counter::ScanSalvaged, 1);
             v
         }
         ScanOutcome::Recovered { verdicts, .. } => {
-            metrics.count(Counter::ScanRecovered, 1);
+            sink.count(Counter::ScanRecovered, 1);
             verdicts
         }
         ScanOutcome::Failed { class, .. } => {
-            metrics.count(Counter::ScanFailed, 1);
-            metrics.count(class.counter(), 1);
+            sink.count(Counter::ScanFailed, 1);
+            sink.count(class.counter(), 1);
             return;
         }
     };
-    metrics.count(Counter::ScanModulesScored, verdicts.len() as u64);
+    sink.count(Counter::ScanModulesScored, verdicts.len() as u64);
     let flagged = verdicts.iter().filter(|m| m.verdict.obfuscated).count();
-    metrics.count(Counter::ScanModulesFlagged, flagged as u64);
+    sink.count(Counter::ScanModulesFlagged, flagged as u64);
 }
 
 /// Scans one in-memory document under a [`ScanPolicy`], containing any
@@ -786,8 +805,9 @@ where
         .into_iter()
         .map(|(label, bytes)| (PathBuf::from(label), bytes))
         .unzip();
-    let scan = |idx: usize, _: &Path| scan_bytes_with_policy(detector, docs[idx], policy);
-    run_batch(labels, policy, None, None, || InProcess(&scan))
+    let scan = |i: usize, _: &Path, p: &ScanPolicy| scan_bytes_with_policy(detector, docs[i], p);
+    let exec = || InProcess(&scan, policy.for_thread());
+    run_batch(labels, policy, None, None, exec)
 }
 
 /// Scans every path in order under a [`ScanPolicy`], never aborting:
@@ -913,8 +933,9 @@ pub fn scan_paths_journaled<P: AsRef<Path>>(
         return isolate::scan_paths_isolated(detector, paths, policy, config, journal, resume);
     }
     let bound = cache::BoundCache::bind(detector, policy);
-    let scan = |_: usize, path: &Path| scan_file(detector, path, policy, bound.as_ref());
-    run_batch(paths, policy, journal, resume, || InProcess(&scan))
+    let scan = |_: usize, path: &Path, p: &ScanPolicy| scan_file(detector, path, p, bound.as_ref());
+    let exec = || InProcess(&scan, policy.for_thread());
+    run_batch(paths, policy, journal, resume, exec)
 }
 
 /// What the batch engine runs on each scanning thread: it scans one
@@ -941,21 +962,20 @@ pub(crate) trait Executor {
 }
 
 /// The in-process executor: runs a scan function on the engine's own
-/// thread. Counters are recorded live, so it returns no deltas.
-struct InProcess<F>(F);
+/// thread under the thread's policy ([`ScanPolicy::for_thread`]), and
+/// returns the counters it takes after each document as its deltas.
+struct InProcess<F>(F, ScanPolicy);
 
-impl<F: Fn(usize, &Path) -> ScanOutcome> Executor for InProcess<F> {
+impl<F: Fn(usize, &Path, &ScanPolicy) -> ScanOutcome> Executor for InProcess<F> {
     fn scan(&mut self, idx: usize, path: &Path) -> (ScanOutcome, cache::Deltas) {
         // Belt over suspenders: the scan stack contains panics itself, but
         // a scanning thread must outlive even a containment bug in it.
-        let outcome =
-            catch_unwind(AssertUnwindSafe(|| (self.0)(idx, path))).unwrap_or_else(|payload| {
-                ScanOutcome::Failed {
-                    class: FailureClass::Panic,
-                    detail: panic_detail(payload),
-                }
+        let outcome = catch_unwind(AssertUnwindSafe(|| (self.0)(idx, path, &self.1)))
+            .unwrap_or_else(|payload| ScanOutcome::Failed {
+                class: FailureClass::Panic,
+                detail: panic_detail(payload),
             });
-        (outcome, Vec::new())
+        (outcome, self.1.metrics.take_counters())
     }
 }
 
@@ -1018,14 +1038,14 @@ struct Collector<'a> {
 }
 
 impl Collector<'_> {
-    /// Emits the next record in input order. Replayed deltas merge first,
-    /// then the outcome rolls in; [`record_outcome`] drops Fatal records,
-    /// so a quarantined document leaves no trace in the counters.
+    /// Emits the next record in input order, with its counters;
+    /// [`record_outcome`] drops Fatal records, so a quarantined document
+    /// leaves no trace in the counters.
     fn emit(&mut self, decided: Decided, begun: bool) {
         self.sink.checkpoint(&decided.record, begun);
-        cache::replay_deltas(&self.policy.metrics, &decided.deltas);
-        record_outcome(&self.policy.metrics, &decided.record.outcome);
-        self.records.push(decided.record);
+        let Decided { record, deltas, .. } = decided;
+        record_outcome(&self.policy.metrics, &record.outcome, &deltas);
+        self.records.push(record);
     }
 
     fn finish(mut self, total: usize) -> ScanReport {
@@ -1245,12 +1265,14 @@ pub(crate) fn scan_file(
 }
 
 /// Scans in-memory bytes, through the bound cache when there is one:
-/// look their digest up, and on a miss scan under a *fresh* metrics sink
-/// whose non-zero counter totals become the entry's replayable deltas.
-/// Both paths then feed the same deltas into the live sink, which is
-/// what keeps the deterministic counter section identical across
-/// cache-off, cold and warm runs. A concurrent scan of the same bytes is
-/// waited for, not repeated (the cache's single-flight).
+/// look their digest up, and on a miss scan them and store the counters
+/// the scan took as the entry's deltas. `policy` is a scanning thread's
+/// ([`ScanPolicy::for_thread`]), whose sink holds no counters on entry;
+/// either way the document's deltas are left in it, for the caller to
+/// take after the document. That keeps the deterministic counter section
+/// identical across cache-off, cold and warm runs, and a miss's timings
+/// land in the live histograms like any scan's. A concurrent scan of the
+/// same bytes is waited for, not repeated (the cache's single-flight).
 pub(crate) fn scan_bytes_cached(
     detector: &Detector,
     bytes: &[u8],
@@ -1260,27 +1282,16 @@ pub(crate) fn scan_bytes_cached(
     let Some(bound) = bound else {
         return scan_bytes_with_policy(detector, bytes, policy);
     };
-    let lead = match bound.lookup(cache::sha256(bytes), &policy.metrics) {
-        cache::Lookup::Hit(outcome, deltas) => {
-            cache::replay_deltas(&policy.metrics, &deltas);
-            return outcome;
+    let (outcome, deltas) = match bound.lookup(cache::sha256(bytes), &policy.metrics) {
+        cache::Lookup::Hit(outcome, deltas) => (outcome, deltas),
+        cache::Lookup::Miss(lead) => {
+            let outcome = scan_bytes_with_policy(detector, bytes, policy);
+            let deltas = policy.metrics.take_counters();
+            lead.insert(&outcome, &deltas, &policy.metrics);
+            (outcome, deltas)
         }
-        cache::Lookup::Miss(lead) => lead,
     };
-    // Miss: scan under a fresh sink so this one document's counter
-    // contribution is separable. Its histograms are dropped — they are
-    // exempt from the determinism promise, exactly as for the isolation
-    // supervisor's workers.
-    let fresh = MetricsSink::enabled();
-    let sub = ScanPolicy {
-        metrics: fresh.clone(),
-        cache: None,
-        ..policy.clone()
-    };
-    let outcome = scan_bytes_with_policy(detector, bytes, &sub);
-    let deltas = fresh.take_counters();
     cache::replay_deltas(&policy.metrics, &deltas);
-    lead.insert(&outcome, &deltas, &policy.metrics);
     outcome
 }
 

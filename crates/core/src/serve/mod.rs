@@ -519,6 +519,9 @@ fn load_model(path: &str) -> Result<Detector, String> {
 /// workers with queued old-generation jobs keep draining them.
 fn worker_loop(shared: &Shared<'_>, rx: &Mutex<mpsc::Receiver<Job>>) {
     let metrics = &shared.policy.metrics;
+    // In process, this worker scans under a sink of its own; a request's
+    // counters reach the service snapshot only at the seam below.
+    let policy = shared.policy.for_thread();
     let mut isolated: Option<(u64, Isolated<'_>)> = None;
     loop {
         let job = {
@@ -542,7 +545,7 @@ fn worker_loop(shared: &Shared<'_>, rx: &Mutex<mpsc::Receiver<Job>>) {
                 isolated = Some((generation.number, exec));
             }
         }
-        let outcome = scan_job(shared, isolated.as_mut().map(|(_, e)| e), &job);
+        let (outcome, deltas) = scan_job(shared, &policy, isolated.as_mut().map(|(_, e)| e), &job);
         let fatal = matches!(
             outcome,
             ScanOutcome::Failed {
@@ -559,7 +562,7 @@ fn worker_loop(shared: &Shared<'_>, rx: &Mutex<mpsc::Receiver<Job>>) {
             let mut journal = shared.journal.lock().unwrap();
             journal.checkpoint(&record, false);
         }
-        record_outcome(metrics, &record.outcome);
+        record_outcome(metrics, &record.outcome, &deltas);
         metrics.record(
             Stage::ServeRequestNs,
             u64::try_from(job.admitted.elapsed().as_nanos()).unwrap_or(u64::MAX),
@@ -574,45 +577,49 @@ fn worker_loop(shared: &Shared<'_>, rx: &Mutex<mpsc::Receiver<Job>>) {
 }
 
 /// Produces the terminal outcome for one job under its pinned
-/// generation, through the batch engine's per-document code: in process,
-/// `scan_file` or the cached-bytes scan it wraps; isolated, a claim of
-/// one document on the worker's executor. Either way the cache lookup,
-/// and with it single-flight, happens below. The `serve::inject-death`
-/// faultpoint simulates a systemic worker failure (the signal that feeds
-/// the breaker) without needing real crashing documents; it fires before
-/// the cache, so an injected death is per-job and never cached.
-fn scan_job(shared: &Shared<'_>, isolated: Option<&mut Isolated<'_>>, job: &Job) -> ScanOutcome {
+/// generation, with its counter deltas, through the batch engine's
+/// per-document code: in process, `scan_file` or the cached-bytes scan it
+/// wraps, under the worker's own `policy` ([`ScanPolicy::for_thread`]);
+/// isolated, a claim of one document on the worker's executor. Either way
+/// the cache lookup, and with it single-flight, happens below. The
+/// `serve::inject-death` faultpoint simulates a systemic worker failure
+/// (the signal that feeds the breaker) without needing real crashing
+/// documents; it fires before the cache, so an injected death is per-job
+/// and never cached.
+fn scan_job(
+    shared: &Shared<'_>,
+    policy: &ScanPolicy,
+    isolated: Option<&mut Isolated<'_>>,
+    job: &Job,
+) -> (ScanOutcome, cache::Deltas) {
     if vbadet_faultpoint::fire("serve::inject-death").is_some() {
-        return ScanOutcome::Failed {
+        let death = ScanOutcome::Failed {
             class: FailureClass::Fatal,
             detail: "injected worker death".to_string(),
         };
+        return (death, Vec::new());
     }
     let (detector, bound) = (&job.generation.detector, job.generation.bound.as_ref());
-    match (isolated, &job.target) {
-        (None, ScanTarget::Path(p)) => scan_file(detector, Path::new(p), &shared.policy, bound),
-        (None, ScanTarget::Bytes(bytes)) => {
-            scan_bytes_cached(detector, bytes, &shared.policy, bound)
-        }
-        (Some(exec), ScanTarget::Path(p)) => scan_isolated(shared, exec, Path::new(p)),
+    let outcome = match (isolated, &job.target) {
+        (None, ScanTarget::Path(p)) => scan_file(detector, Path::new(p), policy, bound),
+        (None, ScanTarget::Bytes(bytes)) => scan_bytes_cached(detector, bytes, policy, bound),
+        (Some(exec), ScanTarget::Path(p)) => return scan_isolated(exec, Path::new(p)),
         (Some(exec), ScanTarget::Bytes(bytes)) => match spool(shared, bytes) {
             Ok(spooled) => {
-                let outcome = scan_isolated(shared, exec, &spooled);
+                let scanned = scan_isolated(exec, &spooled);
                 let _ = std::fs::remove_file(&spooled);
-                outcome
+                return scanned;
             }
             Err(outcome) => outcome,
         },
-    }
+    };
+    (outcome, policy.metrics.take_counters())
 }
 
-/// Scans one document as a claim of its own and replays its counter
-/// deltas, as the batch collector does for each record.
-fn scan_isolated(shared: &Shared<'_>, exec: &mut Isolated<'_>, path: &Path) -> ScanOutcome {
+/// Scans one document as a claim of its own on the isolate executor.
+fn scan_isolated(exec: &mut Isolated<'_>, path: &Path) -> (ScanOutcome, cache::Deltas) {
     exec.claim(std::iter::once((0, path)));
-    let (outcome, deltas) = exec.scan(0, path);
-    cache::replay_deltas(&shared.policy.metrics, &deltas);
-    outcome
+    exec.scan(0, path)
 }
 
 /// Isolate workers scan by path: spools inline bytes to a temp file for

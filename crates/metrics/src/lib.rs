@@ -9,7 +9,11 @@
 //! - [`MetricsSink`]: a cheap cloneable handle, either *disabled* (every
 //!   operation is a null-pointer check and a return — the default, so
 //!   unmetered scans pay nothing) or *enabled* (an `Arc` over fixed
-//!   arrays of relaxed atomics shared by every clone).
+//!   arrays of relaxed atomics shared by every clone). Each scanning
+//!   thread records through a [`MetricsSink::for_thread`] sink: its
+//!   counters stay its own until the caller takes them as one document's
+//!   delta and adds them to the report in input order, while its timings
+//!   land in the report's histograms at once.
 //! - [`Counter`] / [`Stage`]: the closed vocabulary of what the scanning
 //!   pipeline counts and times. Counters are **deterministic**: for a
 //!   given input corpus and policy they must not depend on thread
@@ -299,21 +303,12 @@ fn bucket_index(value: u64) -> usize {
     }
 }
 
+/// One registry: counters of its own, and histograms that thread sinks
+/// ([`MetricsSink::for_thread`]) share with the sink they came from.
 #[derive(Debug)]
 struct MetricsCore {
     counters: Vec<AtomicU64>,
-    histograms: Vec<Histogram>,
-}
-
-impl MetricsCore {
-    fn new() -> Self {
-        MetricsCore {
-            counters: (0..Counter::ALL.len()).map(|_| AtomicU64::new(0)).collect(),
-            histograms: (0..Stage::ALL.len())
-                .map(|_| Histogram::default())
-                .collect(),
-        }
-    }
+    histograms: Arc<[Histogram]>,
 }
 
 /// A cheap handle to the metrics registry, threaded through the scan
@@ -335,7 +330,25 @@ impl MetricsSink {
 
     /// A fresh, empty, recording registry.
     pub fn enabled() -> Self {
-        MetricsSink(Some(Arc::new(MetricsCore::new())))
+        MetricsSink::disabled().for_thread()
+    }
+
+    /// A recording sink for one scanning thread: counters of its own,
+    /// which the thread takes after each document
+    /// ([`take_counters`](Self::take_counters)) as that document's
+    /// delta, and timings that land in this sink's histograms as they
+    /// happen. A thread sink of a disabled sink still counts, and its
+    /// timings go into fresh histograms of its own.
+    pub fn for_thread(&self) -> Self {
+        let histograms = match &self.0 {
+            Some(core) => Arc::clone(&core.histograms),
+            None => Stage::ALL.iter().map(|_| Histogram::default()).collect(),
+        };
+        let counters = Counter::ALL.iter().map(|_| AtomicU64::new(0)).collect();
+        MetricsSink(Some(Arc::new(MetricsCore {
+            counters,
+            histograms,
+        })))
     }
 
     /// Whether this handle records anything.
@@ -873,6 +886,24 @@ mod tests {
         // Histograms are not counters: taking leaves them alone.
         assert_eq!(sink.snapshot().unwrap().histograms["scan.doc_ns"].count, 1);
         assert_eq!(MetricsSink::disabled().take_counters(), Vec::new());
+    }
+
+    #[test]
+    fn a_thread_sink_counts_alone_and_times_into_the_shared_histograms() {
+        let report = MetricsSink::enabled();
+        let thread = report.for_thread();
+        thread.count(Counter::ScanDocs, 3);
+        thread.record(Stage::DocNs, 7);
+        drop(thread.time(Stage::FeaturesNs));
+        let snap = report.snapshot().unwrap();
+        assert!(snap.counters.is_empty());
+        assert_eq!(snap.histograms["scan.doc_ns"].count, 1);
+        assert_eq!(snap.histograms["scan.features_ns"].count, 1);
+        assert_eq!(thread.take_counters(), vec![(Counter::ScanDocs, 3)]);
+
+        let alone = MetricsSink::disabled().for_thread();
+        alone.count(Counter::ScanDocs, 1);
+        assert_eq!(alone.take_counters(), vec![(Counter::ScanDocs, 1)]);
     }
 
     #[test]

@@ -86,18 +86,6 @@ pub trait Classifier: Send + Sync {
     fn save_text(&self) -> String;
 }
 
-/// The paper's five classifiers with its hyperparameters, in Table V order.
-/// `seed` feeds the stochastic ones (RF bagging, MLP init).
-pub fn paper_classifiers(seed: u64) -> Vec<Box<dyn Classifier>> {
-    vec![
-        Box::new(SvmRbf::new(150.0, 0.03)),
-        Box::new(RandomForest::with_seed(100, 0, seed)),
-        Box::new(MlpClassifier::with_seed(&[32], 200, 0.01, seed)),
-        Box::new(LinearDiscriminant::new()),
-        Box::new(BernoulliNb::new(1.0)),
-    ]
-}
-
 pub(crate) fn validate_fit_input(x: &[Vec<f64>], y: &[bool]) {
     assert!(!x.is_empty(), "training set must be non-empty");
     assert_eq!(x.len(), y.len(), "feature/label length mismatch");

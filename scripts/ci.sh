@@ -140,13 +140,19 @@ benchmark_build() {
 # token digests), so both rerun here too, with and without faultpoints
 # compiled in. So do the allocation-free scoring check, which covers the
 # V-only lex pass as well as the full one, and the per-thread memory
-# ceiling check.
+# ceiling check. So do, by name, the two checks that a document's counters
+# reach the report only at the in-order seam: the drain test, whose
+# counters must match across engine shapes, and the cold-cache timing
+# test.
 determinism_tests() {
     cargo test -q --offline --test parallel_scan --test metrics --test container_fixture \
         --test feature_fixture --test steady_state_alloc --test memory_ceiling &&
         cargo test -q --offline --features faultpoints --test parallel_scan --test fault_injection \
             --test container_fixture --test feature_fixture --test steady_state_alloc \
-            --test memory_ceiling
+            --test memory_ceiling &&
+        cargo test -q --offline --test cache a_cold_cached_scan_times_every_document_it_scans &&
+        cargo test -q --offline --features faultpoints --test isolation \
+            an_injected_drain_leaves_the_same_prefix_and_journal_under_every_engine_shape
 }
 
 # The resident-service suites: protocol/breaker/drain unit coverage, then

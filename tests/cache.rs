@@ -32,8 +32,8 @@ use vbadet::{
 };
 use vbadet_corpus::CorpusSpec;
 use vbadet_repro::testkit::{
-    clean_document, docm_document, fresh_dir, global_guard, macro_document, metered, tiny_detector,
-    with_server, Client,
+    clean_document, docm_document, fresh_dir, global_guard, macro_doc, macro_document, metered,
+    tiny_detector, with_server, Client,
 };
 
 fn worker_config() -> IsolateConfig {
@@ -196,6 +196,37 @@ fn warm_cache_serves_every_document_and_stays_byte_identical() {
     let iso_metrics = warm_iso.metrics.unwrap();
     assert_eq!(hist_total(&iso_metrics, "cache.hits"), docs);
     assert_eq!(off_counters, iso_metrics.counters_json());
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_cold_cached_scan_times_every_document_it_scans() {
+    let _guard = global_guard();
+    let det = tiny_detector();
+    let dir = fresh_dir("cold-timings");
+    let paths: Vec<PathBuf> = (0..8)
+        .map(|i| {
+            let p = dir.join(format!("doc{i}.bin"));
+            std::fs::write(&p, macro_doc(i)).unwrap();
+            p
+        })
+        .collect();
+    let docs = paths.len() as u64;
+
+    // Distinct contents under a fresh cache: every document misses, and a
+    // miss's timings land in the report as an uncached scan's would.
+    for jobs in [1, 2] {
+        let policy = metered(ScanPolicy::default().jobs(jobs))
+            .with_cache(Arc::new(ScanCache::in_memory(64)));
+        let metrics = scan_paths_with_policy(det, &paths, &policy)
+            .metrics
+            .unwrap();
+        let samples = |label: &str| metrics.histograms.get(label).map_or(0, |h| h.count);
+        assert_eq!(samples("cache.misses"), docs, "jobs {jobs}");
+        assert_eq!(samples("scan.doc_ns"), docs, "jobs {jobs}");
+        assert_eq!(samples("scan.features_ns"), docs, "jobs {jobs}");
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }

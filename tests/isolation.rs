@@ -214,6 +214,35 @@ fn an_isolate_journal_is_byte_identical_to_the_sequential_journal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A name that is not UTF-8 reaches the worker as the bytes the
+/// in-process engines open, not as its lossy display form.
+#[cfg(unix)]
+#[test]
+fn a_path_that_is_not_utf8_scans_alike_in_process_and_isolated() {
+    use std::os::unix::ffi::OsStrExt;
+
+    let _guard = global_guard();
+    let det = tiny_detector();
+    let dir = fresh_dir("not-utf8");
+    let paths = [dir.join(std::ffi::OsStr::from_bytes(b"\xff\xfe.doc"))];
+    std::fs::write(&paths[0], macro_document()).unwrap();
+
+    let in_process = scan_paths_with_policy(det, &paths, &ScanPolicy::default());
+    let isolated = scan_paths_with_policy(
+        det,
+        &paths,
+        &ScanPolicy::default().isolated(worker_config()),
+    );
+    assert!(
+        matches!(in_process.records[0].outcome, ScanOutcome::Macros(_)),
+        "{:?}",
+        in_process.records
+    );
+    assert_eq!(isolated.records, in_process.records);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[cfg(feature = "faultpoints")]
 mod faults {
     use super::*;
@@ -643,8 +672,7 @@ mod faults {
                 ScanPolicy::default().jobs(2).isolated(worker_config()),
             ),
         ];
-        let mut journals = Vec::new();
-        let mut counters = Vec::new();
+        let mut runs = Vec::new();
         for (shape, policy) in shapes {
             configure("scan::request-drain", "return@3").unwrap();
             let journal_path = dir.join(format!("{}.jsonl", shape.replace(' ', "-")));
@@ -675,20 +703,22 @@ mod faults {
                 "{shape}: resume diverged"
             );
 
-            journals.push((shape, std::fs::read(&journal_path).unwrap()));
-            counters.push(report.metrics.unwrap().counters_json());
+            let journal = std::fs::read(&journal_path).unwrap();
+            runs.push((shape, journal, report.metrics.unwrap().counters_json()));
         }
-        let (_, first) = &journals[0];
-        for (shape, bytes) in &journals[1..] {
-            assert_eq!(bytes, first, "{shape}: journal differs from jobs 1");
+        // Every engine's counters land only at the seam, so documents a
+        // worker scanned past the drain point leave no counter trace.
+        let (_, first_journal, first_counters) = &runs[0];
+        for (shape, journal, counters) in &runs[1..] {
+            assert_eq!(
+                journal, first_journal,
+                "{shape}: journal differs from jobs 1"
+            );
+            assert_eq!(
+                counters, first_counters,
+                "{shape}: counters differ from jobs 1"
+            );
         }
-        // Isolate deltas replay only at the seam, so documents a worker
-        // scanned past the drain point leave no counter trace. (In-process
-        // pool workers count live, so `jobs 4` may count past it.)
-        assert_eq!(
-            counters[2], counters[0],
-            "isolate counters differ from jobs 1"
-        );
 
         let _ = std::fs::remove_dir_all(&dir);
     }

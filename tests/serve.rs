@@ -227,6 +227,31 @@ fn isolated_and_in_process_service_verdicts_agree() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn an_in_process_service_with_its_default_cache_reports_scan_timings() {
+    let _guard = global_guard();
+    let det = tiny_detector();
+    let dir = fresh_dir("serve-timings");
+    let doc = dir.join("doc.bin");
+    std::fs::write(&doc, macro_document()).unwrap();
+
+    // What `vbadet serve --in-process` runs: the CLI's default cache of
+    // 4096 entries, and no isolation.
+    let policy = ScanPolicy::default().with_cache(Arc::new(vbadet::ScanCache::in_memory(4096)));
+    let (_, metrics) = with_server(det, &ServeConfig::new(policy), |addr| {
+        let mut c = Client::connect(addr);
+        let scan = c.roundtrip(&format!("scan {}", doc.display()));
+        assert!(scan.contains("\"kind\":\"macros\""), "{scan}");
+        reply(&c.roundtrip("metrics"))
+    });
+    let histograms = metrics.get("metrics").and_then(|m| m.get("histograms"));
+    let doc_ns = histograms.and_then(|h| h.get("scan.doc_ns"));
+    let count = doc_ns.and_then(|h| h.get("count")).and_then(Json::as_u64);
+    assert_eq!(count, Some(1), "{metrics:?}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[cfg(unix)]
 #[test]
 fn an_inline_spool_never_follows_a_planted_symlink() {
