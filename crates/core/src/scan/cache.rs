@@ -30,6 +30,11 @@
 //! changed limit makes every old entry invisible (never a stale verdict),
 //! while the entries stay on disk for runs that still match.
 //!
+//! Every engine digests the very buffer it scans: in process, the one
+//! checked read of the file; isolated, the supervisor's read, whose bytes
+//! it sends to the worker. An entry is therefore always the verdict of
+//! the bytes its digest names, however the file changes on disk.
+//!
 //! # Tiers
 //!
 //! - **In-memory**: a 16-way sharded LRU, `Mutex` per shard, suitable for
@@ -64,19 +69,19 @@
 //! that carries the insert and, on drop, releases the key and wakes
 //! every thread waiting on it. A lookup that finds its key led by
 //! another thread waits, then looks up again: the leader's insert makes
-//! it a hit, and an outcome the cache refused (a timeout, a worker death,
-//! a file swapped under the supervisor) makes it a miss and the next
-//! leader. Results reach followers only through the cache, so a follower
-//! gets exactly what a later lookup would have served it. Every engine
-//! shares this one rendezvous: concurrent identical documents, in a
-//! pool, an isolated batch or the service, cost one scan.
+//! it a hit, and an outcome the cache refused (a timeout, a worker death)
+//! makes it a miss and the next leader. Results reach followers only
+//! through the cache, so a follower gets exactly what a later lookup
+//! would have served it. Every engine shares this one rendezvous:
+//! concurrent identical documents, in a pool, an isolated batch or the
+//! service, cost one scan.
 //!
 //! A thread waits only while it holds no lead itself (a thread-local
 //! count), so no two threads can wait on each other: the isolate
-//! executor holds one lead per queued miss of its claim and can wait
-//! only before its first, the in-process path holds at most one and
-//! releases it before its next lookup, and a service worker holds none
-//! when a request arrives. A thread that holds a lead and finds a key led
+//! executor holds one lead per queued miss and can wait only while none
+//! is queued, the in-process path holds at most one and releases it
+//! before its next lookup, and a service worker holds none when a
+//! request arrives. A thread that holds a lead and finds a key led
 //! elsewhere scans it without waiting.
 
 use std::cell::Cell;
@@ -86,12 +91,10 @@ use std::io;
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::SystemTime;
 
 use crate::detector::Detector;
 use crate::journal::{decode_outcome, outcome_json};
 use crate::jsonl;
-use vbadet_faultpoint::faultpoint;
 use vbadet_metrics::json::{self, hex, json_str, unhex, Json};
 use vbadet_metrics::{Counter, MetricsSink, Stage};
 
@@ -803,46 +806,6 @@ impl Drop for Lead {
             self.cache.landed.notify_all();
         }
     }
-}
-
-/// A file's `(size, mtime)`: the guard for a supervisor-side cache
-/// insert. A miss is digested from the *supervisor's* read but scanned
-/// from the *worker's*, and a racing writer could slip different bytes
-/// between the two. The caller inserts only if the file's stamp after the
-/// scan equals the stamp taken *before* the digest read — a lost insert
-/// is cheap, a digest pointing at someone else's verdict is not.
-pub(crate) type FileStamp = (u64, SystemTime);
-
-/// The current [`FileStamp`] of `path`, or `None` if it cannot be read.
-pub(crate) fn file_stamp(path: &Path) -> Option<FileStamp> {
-    stamp_of(&fs::metadata(path).ok()?)
-}
-
-fn stamp_of(meta: &fs::Metadata) -> Option<FileStamp> {
-    Some((meta.len(), meta.modified().ok()?))
-}
-
-/// Reads and digests a file under the size cap without consulting any
-/// cache, returning the digest with the file's stamp from *before* the
-/// read (see [`FileStamp`]). `None` means the file is unreadable or over
-/// the cap — callers bypass caching entirely and let their normal scan
-/// path classify the trouble exactly as an uncached run would.
-pub(crate) fn digest_path_under_cap(
-    path: &Path,
-    max_file_size: u64,
-) -> Option<(ContentDigest, FileStamp)> {
-    let file = fs::File::open(path).ok()?;
-    let meta = file.metadata().ok()?;
-    if meta.len() > max_file_size {
-        return None;
-    }
-    let stamp = stamp_of(&meta)?;
-    let bytes = super::read_capped(&file, meta.len(), max_file_size).ok()?;
-    faultpoint!("cache::digest-read-gap");
-    if bytes.len() as u64 > max_file_size {
-        return None;
-    }
-    Some((sha256(&bytes), stamp))
 }
 
 /// The counter-delta encoding of cache entry bodies, `{"label":n,…}` in

@@ -19,7 +19,13 @@
 //! engine hands the executor a claim, the cache misses among its fresh
 //! documents are sent to the worker in one write, and their results are
 //! read back in order, so the worker never waits on the supervisor
-//! between documents. The worker answers in kind: while the next request
+//! between documents. A request names the document's path, or, when the
+//! supervisor has already read the document (to look it up in the cache,
+//! or because the service received it inline), carries its bytes, so the
+//! worker scans exactly what was digested. The slot writes a request only
+//! while the requests its worker has not answered fit in one pipe buffer
+//! (`PIPE_BYTES`), so a write never blocks while the heartbeat should be
+//! timing. The worker answers in kind: while the next request
 //! frame is already whole in its read buffer, it holds each finished
 //! result back, and when its input runs dry it writes every held result
 //! in one write, so a claim costs one write and one wake-up each way, not
@@ -39,14 +45,14 @@
 //!
 //! Frames are a `u32` little-endian byte length followed by that many
 //! bytes of payload, over the child's stdin/stdout. The frames sent once
-//! per worker are UTF-8 JSON; the two sent once per document are binary
+//! per worker are UTF-8 JSON; the ones sent once per document are binary
 //! (layout and version in `wire`). The conversation:
 //!
 //! ```text
-//! supervisor → worker   {"op":"hello","frame_version":2,"detector":…,…}
+//! supervisor → worker   {"op":"hello","frame_version":3,"detector":…,…}
 //! worker → supervisor   {"op":"ready","generation":…}
-//! supervisor → worker   scan(path)                  (a claim's documents,
-//!                       scan(path)                   back to back in one
+//! supervisor → worker   scan(path) or scan(bytes)   (a claim's documents,
+//!                       scan(path) or scan(bytes)    back to back in one
 //!                       …                            write)
 //! worker → supervisor   result(outcome, counters)
 //!                       …                           (one per scan, in order;
@@ -95,6 +101,7 @@
 //! docs-per-worker), which is exempt from the determinism promise.
 
 use std::collections::VecDeque;
+use std::ffi::OsString;
 use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
@@ -103,10 +110,13 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use super::cache::{self, Deltas, Lead, Lookup};
-use super::{run_batch, Executor, FailureClass, ScanOutcome, ScanPolicy, ScanReport};
+use super::{
+    read_file_checked, run_batch, Executor, FailureClass, ScanOutcome, ScanPolicy, ScanReport,
+};
 use crate::detector::Detector;
 use crate::journal::{JournalReplay, ScanJournal};
 use crate::limits::ScanLimits;
+use vbadet_faultpoint::faultpoint;
 use vbadet_metrics::json::{self, json_str, Json};
 use vbadet_metrics::{MetricsSink, Stage};
 use vbadet_ole::OleLimits;
@@ -119,8 +129,23 @@ mod wire;
 pub const WORKER_SUBCOMMAND: &str = "__worker";
 
 /// Hard cap on one frame's payload; a length prefix past this is treated
-/// as protocol corruption, not an allocation request.
+/// as protocol corruption, not an allocation request. A worker takes
+/// request frames up to the larger `request_cap`, since a `bytes`
+/// request carries a whole document.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
+
+/// Linux's default pipe capacity. The slot writes a request only while
+/// the requests its worker has not answered, this one included, fit in
+/// it, so a request write never blocks while the heartbeat should be
+/// timing; and a cached claim reads documents ahead only until its queued
+/// requests reach it.
+const PIPE_BYTES: usize = 64 << 10;
+
+/// The largest request frame a worker takes: a `bytes` request holds a
+/// tag and at most `max_file_size` bytes of document.
+fn request_cap(max_file_size: u64) -> usize {
+    (max_file_size.saturating_add(1).min(u32::MAX.into()) as usize).max(MAX_FRAME_BYTES)
+}
 
 /// Base delay of the exponential respawn backoff after a worker death or
 /// failed spawn.
@@ -137,7 +162,7 @@ pub struct IsolateConfig {
     /// Worker process argv: program followed by its arguments. The
     /// program must speak the frame protocol on stdin/stdout — in
     /// practice, the current executable with [`WORKER_SUBCOMMAND`].
-    pub worker_cmd: Vec<String>,
+    pub worker_cmd: Vec<OsString>,
     /// Per-request response deadline. A worker that holds a document
     /// longer is killed and the death handled like a crash. `None`
     /// derives a deadline from the policy (4× the per-document deadline
@@ -151,25 +176,25 @@ pub struct IsolateConfig {
 
 impl IsolateConfig {
     /// A config running `worker_cmd` with default discipline.
-    pub fn new(worker_cmd: Vec<String>) -> Self {
+    pub fn new<S: Into<OsString>>(worker_cmd: impl IntoIterator<Item = S>) -> Self {
         IsolateConfig {
-            worker_cmd,
+            worker_cmd: worker_cmd.into_iter().map(Into::into).collect(),
             heartbeat: None,
             env: Vec::new(),
         }
     }
 
-    /// The standard config: re-execute the current binary with
-    /// [`WORKER_SUBCOMMAND`] as its only argument.
+    /// The standard config: re-execute the current binary, by its path's
+    /// own bytes, with [`WORKER_SUBCOMMAND`] as its only argument.
     ///
     /// # Errors
     ///
     /// Fails when the current executable path cannot be determined.
     pub fn current_exe() -> io::Result<Self> {
         let exe = std::env::current_exe()?;
-        Ok(IsolateConfig::new(vec![
-            exe.display().to_string(),
-            WORKER_SUBCOMMAND.to_string(),
+        Ok(IsolateConfig::new([
+            exe.into_os_string(),
+            WORKER_SUBCOMMAND.into(),
         ]))
     }
 
@@ -202,15 +227,15 @@ const FRAME_READ_CHUNK: usize = 64 << 10;
 pub fn write_frame(w: &mut impl Write, payload: impl AsRef<[u8]>) -> io::Result<()> {
     let payload = payload.as_ref();
     let mut buf = Vec::with_capacity(4 + payload.len());
-    push_frame(&mut buf, payload)?;
+    push_frame(&mut buf, payload, MAX_FRAME_BYTES)?;
     w.write_all(&buf)?;
     w.flush()
 }
 
-/// Appends one length-prefixed frame to `buf`, so several frames can go
-/// out in one write.
-fn push_frame(buf: &mut Vec<u8>, bytes: &[u8]) -> io::Result<()> {
-    if bytes.len() > MAX_FRAME_BYTES {
+/// Appends one length-prefixed frame of at most `cap` bytes to `buf`, so
+/// several frames can go out in one write.
+fn push_frame(buf: &mut Vec<u8>, bytes: &[u8], cap: usize) -> io::Result<()> {
+    if bytes.len() > cap {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "frame too large",
@@ -221,15 +246,21 @@ fn push_frame(buf: &mut Vec<u8>, bytes: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-/// Reads one frame; `Ok(None)` is a clean EOF at a frame boundary (the
-/// peer closed the pipe), anything torn or oversized is an error.
+/// Reads one frame of at most [`MAX_FRAME_BYTES`]; `Ok(None)` is a clean
+/// EOF at a frame boundary (the peer closed the pipe), anything torn or
+/// oversized is an error.
 ///
 /// A corrupt or hostile peer can lie in the length prefix; the payload
-/// buffer therefore grows incrementally as bytes arrive (capped at
-/// [`MAX_FRAME_BYTES`]) instead of being allocated up front, so a prefix
-/// claiming 64 MiB followed by a closed pipe costs a typed error, not a
-/// 64 MiB allocation.
+/// buffer therefore grows incrementally as bytes arrive instead of being
+/// allocated up front, so a prefix claiming 64 MiB followed by a closed
+/// pipe costs a typed error, not a 64 MiB allocation.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+    read_frame_within(r, MAX_FRAME_BYTES)
+}
+
+/// [`read_frame`] with a payload cap of `cap` bytes, checked against the
+/// length prefix before a payload byte is read.
+fn read_frame_within(r: &mut impl Read, cap: usize) -> io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
     match r.read_exact(&mut len) {
         Ok(()) => {}
@@ -237,7 +268,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
         Err(e) => return Err(e),
     }
     let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME_BYTES {
+    if len > cap {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "frame length prefix over the cap",
@@ -423,14 +454,22 @@ pub fn worker_main() -> i32 {
     };
     // One result payload buffer for the worker's life.
     let mut result = Vec::new();
+    let cap = request_cap(policy.limits.max_file_size);
     loop {
-        let frame = match read_frame(&mut input) {
+        let frame = match read_frame_within(&mut input, cap) {
             Ok(Some(frame)) => frame,
             Ok(None) => return 0,
             Err(e) => return proto_err("request read", e.to_string()),
         };
-        let path = match wire::decode_scan(&frame) {
-            Some(path) => path,
+        // Workers never see the supervisor's cache (the hello frame does
+        // not carry one): the supervisor consults it *before* dispatching,
+        // so a worker request is always a real scan, and one of the bytes
+        // the supervisor digested when it sends them.
+        let outcome = match wire::decode_request(&frame) {
+            Some(wire::Request::Path(path)) => super::scan_file(&detector, path, &policy, None),
+            Some(wire::Request::Bytes(bytes)) => {
+                super::scan_bytes_with_policy(&detector, bytes, &policy)
+            }
             // The supervisor asks a worker to exit only once it owes
             // nothing it still wants, so held frames may go unwritten.
             None => match json_frame(&frame) {
@@ -439,10 +478,6 @@ pub fn worker_main() -> i32 {
                 Err(e) => return proto_err("request parse", e),
             },
         };
-        // Workers never see the supervisor's cache (the hello frame does
-        // not carry one): the supervisor consults it *before* dispatching,
-        // so a worker request is always a real scan.
-        let outcome = super::scan_file(&detector, path, &policy, None);
         result.clear();
         wire::encode_result(&mut result, &outcome, &metrics.take_counters());
         // Hold the result while the next request is already here; write
@@ -540,7 +575,7 @@ impl<W: Write + Send + 'static> Held<W> {
     /// frame held before it, in one write.
     fn send(&self, payload: &[u8], hold: bool) -> io::Result<()> {
         let mut st = self.state.lock().unwrap();
-        push_frame(&mut st.frames, payload)?;
+        push_frame(&mut st.frames, payload, MAX_FRAME_BYTES)?;
         if !hold {
             return st.write_held();
         }
@@ -682,7 +717,7 @@ fn spawn_worker(
         .stderr(Stdio::null())
         .envs(config.env.iter().map(|(k, v)| (k.as_str(), v.as_str())))
         .spawn()
-        .map_err(|e| format!("spawn {program}: {e}"))?;
+        .map_err(|e| format!("spawn {}: {e}", Path::new(program).display()))?;
     let stdin = child.stdin.take().expect("piped stdin");
     let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
     let (tx, rx) = mpsc::channel();
@@ -710,34 +745,29 @@ fn spawn_worker(
     // a mismatch means the two ends disagree about which detector scores
     // documents, and the worker is buried rather than trusted.
     let expected_generation = hello.generation;
-    match worker.rx.recv_timeout(heartbeat) {
+    let why = match worker.rx.recv_timeout(heartbeat) {
         Ok(Ok(frame)) => match json_frame(&frame) {
             Ok(j) if j.get("op").and_then(Json::as_str) == Some("ready") => {
                 let echoed = j.get("generation").and_then(Json::as_u64).unwrap_or(0);
                 if echoed == expected_generation {
-                    Ok(worker)
-                } else {
-                    Err(format!(
-                        "handshake ({})",
-                        worker.reap_after(format!(
-                            "worker acknowledged generation {echoed}, \
-                             supervisor sent {expected_generation}"
-                        ))
-                    ))
+                    return Ok(worker);
                 }
+                format!(
+                    "worker acknowledged generation {echoed}, \
+                     supervisor sent {expected_generation}"
+                )
             }
-            other => Err(format!(
-                "handshake ({})",
-                worker.reap_after(format!("unexpected reply {other:?}"))
-            )),
+            other => format!("unexpected reply {other:?}"),
         },
-        Ok(Err(e)) => Err(format!("handshake ({})", worker.reap_after(e.to_string()))),
-        Err(mpsc::RecvTimeoutError::Timeout) => Err(format!(
-            "handshake ({})",
-            worker.reap_after("no ready before the heartbeat deadline".to_string())
-        )),
-        Err(mpsc::RecvTimeoutError::Disconnected) => Err(format!("handshake ({})", worker.reap())),
-    }
+        Ok(Err(e)) => e.to_string(),
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            "no ready before the heartbeat deadline".to_string()
+        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            return Err(format!("handshake ({})", worker.reap()))
+        }
+    };
+    Err(format!("handshake ({})", worker.reap_after(why)))
 }
 
 /// Why one scan attempt produced no result frame.
@@ -753,11 +783,11 @@ pub(crate) enum AttemptError {
 /// One worker slot: owns at most one child process, keeps a queue of
 /// documents whose results are owed in order, and implements restart
 /// backoff, crash-loop cutoff, and the retry-once-then-quarantine
-/// protocol. Everything queued goes to the worker in one write, so the
-/// worker scans document after document without waiting on the
-/// supervisor. A death while the supervisor awaits a document forfeits
-/// only that document: it gets the solo retry, and the queue's other
-/// unanswered documents are re-sent to the next worker.
+/// protocol. Everything queued that fits the pipe goes to the worker in
+/// one write, so the worker scans document after document without
+/// waiting on the supervisor. A death while the supervisor awaits a
+/// document forfeits only that document: it gets the solo retry, and the
+/// queue's other unanswered documents are re-sent to the next worker.
 struct Slot<'a> {
     config: &'a IsolateConfig,
     /// Owned, not borrowed: the serve engine rebuilds its executors with
@@ -766,10 +796,12 @@ struct Slot<'a> {
     hello: Hello,
     heartbeat: Duration,
     metrics: &'a MetricsSink,
+    /// The largest request frame the slot's workers take.
+    request_cap: usize,
     worker: Option<Worker>,
     docs_on_worker: u64,
-    /// Documents queued and not yet answered, oldest first.
-    pending: VecDeque<PathBuf>,
+    /// Request payloads queued and not yet answered, oldest first.
+    pending: VecDeque<Vec<u8>>,
     /// How many of `pending`, from the front, the current worker has been
     /// sent; 0 whenever there is no worker.
     sent: usize,
@@ -787,13 +819,14 @@ impl<'a> Slot<'a> {
         config: &'a IsolateConfig,
         hello: Hello,
         heartbeat: Duration,
-        metrics: &'a MetricsSink,
+        policy: &'a ScanPolicy,
     ) -> Self {
         Slot {
             config,
             hello,
             heartbeat,
-            metrics,
+            metrics: &policy.metrics,
+            request_cap: request_cap(policy.limits.max_file_size),
             worker: None,
             docs_on_worker: 0,
             pending: VecDeque::new(),
@@ -863,17 +896,24 @@ impl<'a> Slot<'a> {
         }
     }
 
-    /// Queues a document, by path, for [`next`](Self::next) to answer in
-    /// order. Queued documents go to the worker when the first of them is
+    /// Queues a request payload for [`next`](Self::next) to answer in
+    /// order. Queued requests go to the worker when the first of them is
     /// awaited.
-    fn queue(&mut self, path: &Path) {
-        self.pending.push_back(path.to_path_buf());
+    fn queue(&mut self, request: Vec<u8>) {
+        self.pending.push_back(request);
     }
 
-    /// One attempt at the oldest queued document. Sends the worker every
-    /// queued document it has not been sent — or, for a `solo` retry,
-    /// only the awaited one, as the first document of a fresh worker —
-    /// then waits out the heartbeat for the next result frame.
+    /// The frame bytes of the queued requests, sent or not.
+    fn queued_bytes(&self) -> usize {
+        self.pending.iter().map(|r| 4 + r.len()).sum()
+    }
+
+    /// One attempt at the oldest queued document. Sends the worker the
+    /// queued requests it has not been sent, in order, while its
+    /// unanswered ones fit in [`PIPE_BYTES`] — a worker with none
+    /// unanswered always takes one — or, for a `solo` retry, only the
+    /// awaited one, as the first document of a fresh worker. Then waits
+    /// out the heartbeat for the next result frame.
     fn try_next(&mut self, solo: bool) -> Result<(ScanOutcome, Deltas), AttemptError> {
         self.ensure_worker()?;
         let upto = if solo { 1 } else { self.pending.len() };
@@ -881,17 +921,23 @@ impl<'a> Slot<'a> {
             !solo || self.sent == 0,
             "a solo retry runs on a fresh worker"
         );
-        let worker = self.worker.as_mut().expect("ensured above");
-        if self.sent < upto {
-            let written = scan_frames(self.pending.range(self.sent..upto))
-                .and_then(|frames| worker.stdin.write_all(&frames));
-            if let Err(e) = written {
-                // The pipe broke between documents: the worker died idle.
-                return Err(AttemptError::Death(
-                    self.bury_worker(&format!("request write failed ({e}); ")),
-                ));
+        let mut unanswered: usize = self.pending.range(..self.sent).map(|r| 4 + r.len()).sum();
+        let (mut frames, mut written) = (Vec::new(), Ok(()));
+        while self.sent < upto && written.is_ok() {
+            let request = &self.pending[self.sent];
+            unanswered += 4 + request.len();
+            if self.sent > 0 && unanswered > PIPE_BYTES {
+                break;
             }
-            self.sent = upto;
+            written = push_frame(&mut frames, request, self.request_cap);
+            self.sent += 1;
+        }
+        let worker = self.worker.as_mut().expect("ensured above");
+        if let Err(e) = written.and_then(|()| worker.stdin.write_all(&frames)) {
+            // The pipe broke between documents: the worker died idle.
+            return Err(AttemptError::Death(
+                self.bury_worker(&format!("request write failed ({e}); ")),
+            ));
         }
         match worker.rx.recv_timeout(self.heartbeat) {
             Ok(Ok(frame)) => {
@@ -975,49 +1021,46 @@ impl<'a> Slot<'a> {
     }
 }
 
-/// The `scan` request frames for `paths`, back to back in one buffer.
-fn scan_frames<'k>(paths: impl Iterator<Item = &'k PathBuf>) -> io::Result<Vec<u8>> {
-    let (mut frames, mut payload) = (Vec::new(), Vec::new());
-    for path in paths {
-        payload.clear();
-        wire::encode_scan(&mut payload, path);
-        push_frame(&mut frames, &payload)?;
-    }
-    Ok(frames)
-}
-
 /// The isolate executor: one worker [`Slot`] per scanning thread, with
-/// the supervisor-side cache in front of it. At claim time each fresh
-/// document is digested and looked up: a cache hit keeps the stored
-/// outcome and deltas without a worker ever seeing the document (the
-/// whole point — cached documents cost no worker round-trip), and every
-/// other document is queued on the slot, so the whole claim's misses
-/// reach the worker in one write. A miss holds its key's cache lead until
-/// its result comes back; the result is stored only if the file's stamp
-/// still equals the one taken before the digest read, since the worker
-/// re-reads the file and a racing writer could have swapped it. Documents
-/// the supervisor cannot read under the cap bypass the cache entirely so
-/// the worker produces the same typed outcome it would have uncached.
+/// the supervisor-side cache in front of it. With a cache, the supervisor
+/// reads each fresh document itself, with the in-process engines' checked
+/// read, and looks its digest up: a hit keeps the stored outcome and
+/// deltas without a worker ever seeing the document (the whole point —
+/// cached documents cost no worker round-trip), a file it cannot read
+/// under the cap is decided by that read exactly as in process, and a
+/// miss is queued on the slot as a `bytes` request, holding its key's
+/// cache lead until its result comes back. The worker scans the bytes
+/// that were digested, so the result is stored under their digest as it
+/// stands. The reads run ahead of the scans only until the slot's queued
+/// requests reach [`PIPE_BYTES`], so a slot holds about that plus one
+/// document. Without a cache, nothing is read here: each document is
+/// queued as a `path` request, so the whole claim reaches the worker in
+/// one write.
 ///
 /// Batches build one per scanning thread; the resident service keeps one
 /// per worker thread and generation, and scans each request as a claim
-/// of one document.
+/// of one document, or, for an inline document, with
+/// [`scan_inline`](Self::scan_inline).
 pub(crate) struct Isolated<'a> {
     slot: Slot<'a>,
     bound: Option<cache::BoundCache>,
     policy: &'a ScanPolicy,
-    /// The claimed documents not yet scanned, in order, with what claim
-    /// time decided for each.
+    /// The claimed documents not yet scanned whose plan is made, in order,
+    /// with what the plan is.
     planned: VecDeque<(usize, Planned)>,
+    /// With a cache, the claimed documents after `planned` that the
+    /// supervisor has not read yet, in order.
+    unread: VecDeque<(usize, PathBuf)>,
 }
 
-/// What claim time decided for one document.
+/// What the supervisor decided for one document.
 enum Planned {
-    /// Cached: the stored outcome and its replayable counter deltas.
-    Hit(ScanOutcome, Deltas),
+    /// Decided without a worker: a cache hit, or a file the supervisor's
+    /// read refused, with its outcome and deltas.
+    Decided(ScanOutcome, Deltas),
     /// Queued on the slot; for a cache miss, the lead to insert the
-    /// result through and the file's stamp from before the digest read.
-    Queued(Option<(Lead, cache::FileStamp)>),
+    /// result through.
+    Queued(Option<Lead>),
 }
 
 impl<'a> Isolated<'a> {
@@ -1033,53 +1076,89 @@ impl<'a> Isolated<'a> {
             .heartbeat
             .unwrap_or_else(|| default_heartbeat(policy));
         Isolated {
-            slot: Slot::new(config, hello, heartbeat, &policy.metrics),
+            slot: Slot::new(config, hello, heartbeat, policy),
             bound,
             policy,
             planned: VecDeque::new(),
+            unread: VecDeque::new(),
+        }
+    }
+
+    /// Scans a document the caller holds the bytes of, as a claim of its
+    /// own: through the cache, and otherwise as a `bytes` request.
+    pub(crate) fn scan_inline(&mut self, bytes: &[u8]) -> (ScanOutcome, Deltas) {
+        let plan = self.plan(bytes);
+        self.decide(plan)
+    }
+
+    /// Looks `bytes` up in the cache and queues a miss, or every document
+    /// without a cache, as a `bytes` request.
+    fn plan(&mut self, bytes: &[u8]) -> Planned {
+        let lead = match &self.bound {
+            Some(bound) => match bound.lookup(cache::sha256(bytes), &self.policy.metrics) {
+                Lookup::Hit(outcome, deltas) => return Planned::Decided(outcome, deltas),
+                Lookup::Miss(lead) => Some(lead),
+            },
+            None => None,
+        };
+        self.slot.queue(wire::bytes_request(bytes));
+        Planned::Queued(lead)
+    }
+
+    /// Reads and plans unread documents, in order, until the slot's queued
+    /// requests reach [`PIPE_BYTES`] or none is left.
+    fn read_ahead(&mut self) {
+        while self.slot.queued_bytes() < PIPE_BYTES {
+            let Some((idx, path)) = self.unread.pop_front() else {
+                return;
+            };
+            let read = read_file_checked(&path, self.policy.limits.max_file_size);
+            faultpoint!("cache::digest-read-gap");
+            let plan = match read {
+                Ok(bytes) => self.plan(&bytes),
+                Err(outcome) => Planned::Decided(outcome, Vec::new()),
+            };
+            self.planned.push_back((idx, plan));
+        }
+    }
+
+    fn decide(&mut self, plan: Planned) -> (ScanOutcome, Deltas) {
+        match plan {
+            Planned::Decided(outcome, deltas) => (outcome, deltas),
+            Planned::Queued(lead) => {
+                let (outcome, deltas) = self.slot.next();
+                if let Some(lead) = lead {
+                    lead.insert(&outcome, &deltas, &self.policy.metrics);
+                }
+                (outcome, deltas)
+            }
         }
     }
 }
 
 impl Executor for Isolated<'_> {
     fn claim<'p>(&mut self, fresh: impl Iterator<Item = (usize, &'p Path)>) {
-        let policy = self.policy;
         for (idx, path) in fresh {
-            let lookup = self.bound.as_ref().and_then(|bound| {
-                let (digest, stamp) =
-                    cache::digest_path_under_cap(path, policy.limits.max_file_size)?;
-                Some((bound.lookup(digest, &policy.metrics), stamp))
-            });
-            let plan = match lookup {
-                Some((Lookup::Hit(outcome, deltas), _)) => Planned::Hit(outcome, deltas),
-                Some((Lookup::Miss(lead), stamp)) => Planned::Queued(Some((lead, stamp))),
-                None => Planned::Queued(None),
-            };
-            if matches!(plan, Planned::Queued(_)) {
-                self.slot.queue(path);
+            if self.bound.is_some() {
+                self.unread.push_back((idx, path.to_path_buf()));
+            } else {
+                self.slot.queue(wire::path_request(path));
+                self.planned.push_back((idx, Planned::Queued(None)));
             }
-            self.planned.push_back((idx, plan));
         }
+        self.read_ahead();
     }
 
-    fn scan(&mut self, idx: usize, path: &Path) -> (ScanOutcome, Deltas) {
+    fn scan(&mut self, idx: usize, _path: &Path) -> (ScanOutcome, Deltas) {
+        // With nothing planned, the slot holds nothing, so this plans the
+        // next document at least.
+        self.read_ahead();
         let (claimed, plan) = self
             .planned
             .pop_front()
             .expect("the engine scans only documents it claimed");
         debug_assert_eq!(claimed, idx, "claimed documents are scanned in order");
-        match plan {
-            Planned::Hit(outcome, deltas) => (outcome, deltas),
-            Planned::Queued(insert) => {
-                let (outcome, deltas) = self.slot.next();
-                if let Some((lead, stamp)) = insert {
-                    if cache::file_stamp(path) == Some(stamp) {
-                        lead.insert(&outcome, &deltas, &self.policy.metrics);
-                    }
-                }
-                (outcome, deltas)
-            }
-        }
+        self.decide(plan)
     }
 
     fn finish(self) {
@@ -1152,12 +1231,49 @@ mod tests {
         assert!(read_frame(&mut r).is_err());
     }
 
+    /// A reader that yields `head` and then fails the test if it is read
+    /// again: a frame refused on its length prefix reads no payload.
+    struct PrefixOnly<'a>(&'a [u8]);
+
+    impl Read for PrefixOnly<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            assert!(!self.0.is_empty(), "read a payload past a refused prefix");
+            let n = self.0.len().min(buf.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn the_worker_refuses_a_request_prefix_over_its_cap_before_it_allocates() {
+        // The cap follows the hello's file-size limit, never below the
+        // 64 MiB frame cap, and never past what a length prefix can say.
+        assert_eq!(request_cap(1024), MAX_FRAME_BYTES);
+        assert_eq!(request_cap(100 << 20), (100 << 20) + 1);
+        assert_eq!(request_cap(u64::MAX), u32::MAX as usize);
+        for max_file_size in [1024, 100 << 20] {
+            let cap = request_cap(max_file_size);
+            let prefix = (cap as u32 + 1).to_le_bytes();
+            let err = read_frame_within(&mut PrefixOnly(&prefix), cap).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
+        // A prefix at the cap passes it (and the pipe then ends early),
+        // while a result frame keeps the 64 MiB cap.
+        let cap = request_cap(100 << 20);
+        let at_cap = (cap as u32).to_le_bytes();
+        let err = read_frame_within(&mut &at_cap[..], cap).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        let err = read_frame(&mut PrefixOnly(&at_cap)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
     #[test]
     fn a_whole_frame_is_buffered_only_once_its_last_payload_byte_is() {
         let mut two = Vec::new();
-        push_frame(&mut two, b"first").unwrap();
+        push_frame(&mut two, b"first", MAX_FRAME_BYTES).unwrap();
         let first_len = two.len();
-        push_frame(&mut two, b"second").unwrap();
+        push_frame(&mut two, b"second", MAX_FRAME_BYTES).unwrap();
         assert!(!whole_frame_buffered(&[]), "empty buffer");
         assert!(!whole_frame_buffered(&two[..3]), "partial length prefix");
         assert!(!whole_frame_buffered(&two[..4]), "bare length prefix");
@@ -1215,7 +1331,7 @@ mod tests {
             Hello::new(&detector, &strict, 7).frame,
             format!(
                 concat!(
-                    r#"{{"op":"hello","frame_version":2,"generation":7,"detector":{},"#,
+                    r#"{{"op":"hello","frame_version":3,"generation":7,"detector":{},"#,
                     r#""deadline_ms":1234,"#,
                     r#""fuel":99,"max_scan_mem":5242880,"limits":[4096,16777216,262144,"#,
                     r#"4096,16777216,64,256,4194304,1048576,67108864]}}"#
@@ -1227,7 +1343,7 @@ mod tests {
             Hello::new(&detector, &ScanPolicy::with_limits(ScanLimits::strict()), 0).frame,
             format!(
                 concat!(
-                    r#"{{"op":"hello","frame_version":2,"generation":0,"detector":{},"#,
+                    r#"{{"op":"hello","frame_version":3,"generation":0,"detector":{},"#,
                     r#""deadline_ms":null,"#,
                     r#""fuel":null,"max_scan_mem":null,"limits":[4096,16777216,262144,"#,
                     r#"4096,16777216,64,256,4194304,1048576,67108864]}}"#

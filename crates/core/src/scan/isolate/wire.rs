@@ -1,18 +1,20 @@
 //! The binary payloads of the isolate protocol's per-document frames.
 //!
 //! The `hello`, `ready` and `exit` frames are JSON; they are sent once
-//! per worker. The two frames sent once per document, the `scan` request
-//! and its `result`, use the compact layout below instead, so that
+//! per worker. The frames sent once per document, the two `scan` requests
+//! and the `result`, use the compact layout below instead, so that
 //! neither end builds, parses or walks a JSON tree per document. The
 //! layout's version travels in the hello frame (`"frame_version"`), and a
 //! worker refuses a hello with a version other than [`FRAME_VERSION`].
 //!
-//! Version 2, every integer little-endian:
+//! Version 3, every integer little-endian:
 //!
 //! ```text
-//! scan    u8 0x01, then the path's bytes (the rest of the payload): its
+//! path    u8 0x01, then the path's bytes (the rest of the payload): its
 //!            raw `OsStr` bytes on unix, so any name the supervisor can
 //!            open reaches the worker unchanged; UTF-8 elsewhere
+//! bytes   u8 0x03, then the document's bytes (the rest of the payload),
+//!            which the supervisor has already read
 //! result  u8 0x02
 //!         u8 outcome kind: 0 clean, 1 macros, 2 salvaged, 3 recovered,
 //!            4 failed
@@ -39,32 +41,50 @@ use crate::detector::{ModuleVerdict, Verdict};
 use vbadet_metrics::Counter;
 
 /// The layout version the hello frame carries.
-pub(crate) const FRAME_VERSION: u64 = 2;
+pub(crate) const FRAME_VERSION: u64 = 3;
 
-/// First byte of a `scan` request payload. JSON frames start with `{`.
-const SCAN_TAG: u8 = 0x01;
+/// First byte of a `path` request payload. JSON frames start with `{`.
+const PATH_TAG: u8 = 0x01;
 /// First byte of a `result` payload.
 const RESULT_TAG: u8 = 0x02;
+/// First byte of a `bytes` request payload.
+const BYTES_TAG: u8 = 0x03;
 
 const _: () = assert!(
     Counter::ALL.len() < 256,
     "counter codes and the pair count are one byte each"
 );
 
-/// Appends a `scan` request payload for `path` to `buf`.
-pub(crate) fn encode_scan(buf: &mut Vec<u8>, path: &Path) {
-    buf.push(SCAN_TAG);
-    buf.extend_from_slice(path.as_os_str().as_encoded_bytes());
+/// A `scan` request: the document to read, or the bytes to scan.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Request<'a> {
+    Path(&'a Path),
+    Bytes(&'a [u8]),
 }
 
-/// The path of a `scan` request payload, or `None` if the payload is not
-/// one (an `exit` frame, say, or off unix a path that is not UTF-8).
-pub(crate) fn decode_scan(payload: &[u8]) -> Option<&Path> {
-    let path = payload.strip_prefix(&[SCAN_TAG])?;
-    #[cfg(unix)]
-    return Some(Path::new(OsStr::from_bytes(path)));
-    #[cfg(not(unix))]
-    std::str::from_utf8(path).ok().map(Path::new)
+/// A `path` request payload for `path`.
+pub(crate) fn path_request(path: &Path) -> Vec<u8> {
+    [&[PATH_TAG][..], path.as_os_str().as_encoded_bytes()].concat()
+}
+
+/// A `bytes` request payload for a document the supervisor holds.
+pub(crate) fn bytes_request(bytes: &[u8]) -> Vec<u8> {
+    [&[BYTES_TAG][..], bytes].concat()
+}
+
+/// The request a payload carries, or `None` if the payload is not one
+/// (an `exit` frame, say, or off unix a path that is not UTF-8).
+pub(crate) fn decode_request(payload: &[u8]) -> Option<Request<'_>> {
+    match payload.split_first()? {
+        (&BYTES_TAG, bytes) => Some(Request::Bytes(bytes)),
+        #[cfg(unix)]
+        (&PATH_TAG, path) => Some(Request::Path(Path::new(OsStr::from_bytes(path)))),
+        #[cfg(not(unix))]
+        (&PATH_TAG, path) => std::str::from_utf8(path)
+            .ok()
+            .map(|p| Request::Path(Path::new(p))),
+        _ => None,
+    }
 }
 
 /// Appends a `result` payload to `buf`. `deltas` must be in declaration
@@ -397,12 +417,27 @@ mod tests {
     #[test]
     fn scan_requests_round_trip_and_other_frames_are_not_requests() {
         let path = Path::new("/tmp/ünï.doc");
-        let mut buf = Vec::new();
-        encode_scan(&mut buf, path);
-        assert_eq!(buf[0], SCAN_TAG);
-        assert_eq!(decode_scan(&buf), Some(path));
-        assert_eq!(decode_scan(b"{\"op\":\"exit\"}"), None);
-        assert_eq!(decode_scan(b""), None);
+        let buf = path_request(path);
+        assert_eq!(buf[0], PATH_TAG);
+        assert_eq!(decode_request(&buf), Some(Request::Path(path)));
+        assert_eq!(decode_request(b"{\"op\":\"exit\"}"), None);
+        assert_eq!(decode_request(b""), None);
+    }
+
+    /// What a single-byte flip of a request must decode to: the tag
+    /// decides the kind (or that it is no request), and the rest of the
+    /// payload is the path or the document.
+    fn flipped(mutant: &[u8]) -> Option<Request<'_>> {
+        match mutant.split_first()? {
+            (&BYTES_TAG, rest) => Some(Request::Bytes(rest)),
+            #[cfg(unix)]
+            (&PATH_TAG, rest) => Some(Request::Path(Path::new(OsStr::from_bytes(rest)))),
+            #[cfg(not(unix))]
+            (&PATH_TAG, rest) => std::str::from_utf8(rest)
+                .ok()
+                .map(|p| Request::Path(Path::new(p))),
+            _ => None,
+        }
     }
 
     /// A name that is not UTF-8 reaches the worker byte for byte.
@@ -410,28 +445,78 @@ mod tests {
     #[test]
     fn a_scan_request_carries_the_raw_bytes_of_its_path() {
         let path = Path::new(OsStr::from_bytes(b"/tmp/\xff\xfe.doc"));
-        let mut buf = Vec::new();
-        encode_scan(&mut buf, path);
+        let buf = path_request(path);
         assert_eq!(buf, b"\x01/tmp/\xff\xfe.doc");
-        assert_eq!(decode_scan(&buf), Some(path));
+        assert_eq!(decode_request(&buf), Some(Request::Path(path)));
         // Every cut is a shorter name or, with the tag gone, no request;
-        // every flip of the tag is no request, and of a name byte another
-        // name. None of them panics.
+        // a flip of the tag makes a bytes request or no request, and of a
+        // name byte another name. None of them panics.
         for cut in 0..=buf.len() {
             let name = buf
                 .get(1..cut)
-                .map(|name| Path::new(OsStr::from_bytes(name)));
-            assert_eq!(decode_scan(&buf[..cut]), name, "cut at {cut}");
+                .map(|name| Request::Path(Path::new(OsStr::from_bytes(name))));
+            assert_eq!(decode_request(&buf[..cut]), name, "cut at {cut}");
         }
         for at in 0..buf.len() {
             for x in 1..=255u8 {
                 let mut mutant = buf.clone();
                 mutant[at] ^= x;
                 assert_eq!(
-                    decode_scan(&mutant).is_some(),
-                    at > 0,
+                    decode_request(&mutant),
+                    flipped(&mutant),
                     "flip {x:#x} at {at}"
                 );
+                if at > 0 {
+                    assert!(matches!(decode_request(&mutant), Some(Request::Path(_))));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bytes_requests_round_trip_empty_binary_and_multi_mib_documents() {
+        let binary: Vec<u8> = (0..=255u8).chain((0..=255u8).rev()).collect();
+        let large: Vec<u8> = (0..3 * 1024 * 1024 + 17)
+            .map(|i: u32| ((i * 31) >> 3) as u8)
+            .collect();
+        for doc in [&[][..], &binary, &large] {
+            let payload = bytes_request(doc);
+            assert_eq!(payload[0], BYTES_TAG);
+            assert_eq!(decode_request(&payload), Some(Request::Bytes(doc)));
+            // And through the frame codec, at the request cap of the
+            // default 64 MiB file-size limit.
+            let cap = super::super::request_cap(64 << 20);
+            let mut frame = Vec::new();
+            super::super::push_frame(&mut frame, &payload, cap).unwrap();
+            let back = super::super::read_frame_within(&mut &frame[..], cap)
+                .unwrap()
+                .unwrap();
+            assert_eq!(decode_request(&back), Some(Request::Bytes(doc)));
+        }
+    }
+
+    #[test]
+    fn every_truncation_and_flip_of_a_request_decodes_to_a_request_or_none() {
+        let doc = b"\xd0\xcf\x11\xe0\xa1\xb1\x1a\xe1\x00\xff\x0a\x01\x03 a short document";
+        for request in [
+            path_request(Path::new("/srv/mail/a.doc")),
+            bytes_request(doc),
+        ] {
+            for cut in 0..=request.len() {
+                let cut_to = flipped(&request[..cut]);
+                assert_eq!(cut_to.is_some(), cut > 0, "cut at {cut}");
+                assert_eq!(decode_request(&request[..cut]), cut_to, "cut at {cut}");
+            }
+            for at in 0..request.len() {
+                for x in 1..=255u8 {
+                    let mut mutant = request.clone();
+                    mutant[at] ^= x;
+                    assert_eq!(
+                        decode_request(&mutant),
+                        flipped(&mutant),
+                        "flip {x:#x} at {at}"
+                    );
+                }
             }
         }
     }

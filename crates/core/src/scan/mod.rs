@@ -1102,7 +1102,10 @@ fn run_batch<E: Executor>(
     let total = paths.len();
     let jobs = policy.jobs.max(1).min(total.max(1));
     let claim = (total / (jobs * 8)).clamp(1, 16);
-    let lookup = |path: &Path| resume.and_then(|r| r.outcome_for(&path.display().to_string()));
+    // The journal keys a record by its path's display form, which is lossy
+    // for a name that is not UTF-8: two such names can share a key, so
+    // only a UTF-8 path is looked up, and any other is rescanned.
+    let lookup = |path: &Path| resume.and_then(|r| r.outcome_for(path.to_str()?));
     let mut out = Collector {
         policy,
         sink: JournalSink::new(journal, policy.metrics.clone()),
@@ -1210,11 +1213,13 @@ fn run_batch<E: Executor>(
 /// the file grew. `Err` carries the typed outcome for the batch record.
 ///
 /// This is the *single* read in the per-document path — the cache digests
-/// the returned buffer rather than re-reading, so caching adds zero I/O.
-/// Crucially the grew-during-read check runs *before* any caller digests
-/// the bytes: an over-cap buffer is rejected here and can never be
-/// cached, looked up, or scanned.
+/// the returned buffer rather than re-reading, so caching adds zero I/O,
+/// and the isolate supervisor, when it reads a document for the cache,
+/// sends the worker this buffer. Crucially the grew-during-read check
+/// runs *before* any caller digests the bytes: an over-cap buffer is
+/// rejected here and can never be cached, looked up, or scanned.
 pub(crate) fn read_file_checked(path: &Path, max_file_size: u64) -> Result<Vec<u8>, ScanOutcome> {
+    use std::io::Read;
     let io_failure = |e: std::io::Error| ScanOutcome::Failed {
         class: FailureClass::Io,
         detail: e.to_string(),
@@ -1228,7 +1233,11 @@ pub(crate) fn read_file_checked(path: &Path, max_file_size: u64) -> Result<Vec<u
         });
     }
     faultpoint!("scan::stat-read-gap");
-    let bytes = read_capped(&file, size, max_file_size).map_err(io_failure)?;
+    // One byte past the cap is enough to tell that the file outgrew it.
+    let mut bytes = Vec::with_capacity(size as usize);
+    file.take(max_file_size.saturating_add(1))
+        .read_to_end(&mut bytes)
+        .map_err(io_failure)?;
     if bytes.len() as u64 > max_file_size {
         return Err(ScanOutcome::Failed {
             class: FailureClass::LimitExceeded,
@@ -1238,16 +1247,6 @@ pub(crate) fn read_file_checked(path: &Path, max_file_size: u64) -> Result<Vec<u
             ),
         });
     }
-    Ok(bytes)
-}
-
-/// Reads `file` to its end, but never more than `cap + 1` bytes: one byte
-/// past the cap is enough to tell that the file outgrew it. `size` is the
-/// length the handle's metadata reported, which pre-sizes the buffer.
-pub(crate) fn read_capped(file: &std::fs::File, size: u64, cap: u64) -> std::io::Result<Vec<u8>> {
-    use std::io::Read;
-    let mut bytes = Vec::with_capacity(size.min(cap) as usize);
-    file.take(cap.saturating_add(1)).read_to_end(&mut bytes)?;
     Ok(bytes)
 }
 

@@ -9,7 +9,9 @@
 //! and its single-flight, and (when the policy carries an
 //! [`IsolateConfig`](crate::scan::IsolateConfig)) the isolate executor,
 //! which sees each request as a claim of one document, so a hostile
-//! document costs one worker process, never the service.
+//! document costs one worker process, never the service. An inline
+//! document reaches an isolate worker in its request frame, never
+//! through a file on disk.
 //!
 //! The service layer adds only what a one-shot batch does not need:
 //!
@@ -545,7 +547,7 @@ fn worker_loop(shared: &Shared<'_>, rx: &Mutex<mpsc::Receiver<Job>>) {
                 isolated = Some((generation.number, exec));
             }
         }
-        let (outcome, deltas) = scan_job(shared, &policy, isolated.as_mut().map(|(_, e)| e), &job);
+        let (outcome, deltas) = scan_job(&policy, isolated.as_mut().map(|(_, e)| e), &job);
         let fatal = matches!(
             outcome,
             ScanOutcome::Failed {
@@ -580,14 +582,15 @@ fn worker_loop(shared: &Shared<'_>, rx: &Mutex<mpsc::Receiver<Job>>) {
 /// generation, with its counter deltas, through the batch engine's
 /// per-document code: in process, `scan_file` or the cached-bytes scan it
 /// wraps, under the worker's own `policy` ([`ScanPolicy::for_thread`]);
-/// isolated, a claim of one document on the worker's executor. Either way
-/// the cache lookup, and with it single-flight, happens below. The
+/// isolated, a claim of one document on the worker's executor, or for
+/// inline bytes the executor's scan of those bytes, which the worker
+/// receives in its request. Either way the cache lookup, and with it
+/// single-flight, happens below. The
 /// `serve::inject-death` faultpoint simulates a systemic worker failure
 /// (the signal that feeds the breaker) without needing real crashing
 /// documents; it fires before the cache, so an injected death is per-job
 /// and never cached.
 fn scan_job(
-    shared: &Shared<'_>,
     policy: &ScanPolicy,
     isolated: Option<&mut Isolated<'_>>,
     job: &Job,
@@ -603,47 +606,14 @@ fn scan_job(
     let outcome = match (isolated, &job.target) {
         (None, ScanTarget::Path(p)) => scan_file(detector, Path::new(p), policy, bound),
         (None, ScanTarget::Bytes(bytes)) => scan_bytes_cached(detector, bytes, policy, bound),
-        (Some(exec), ScanTarget::Path(p)) => return scan_isolated(exec, Path::new(p)),
-        (Some(exec), ScanTarget::Bytes(bytes)) => match spool(shared, bytes) {
-            Ok(spooled) => {
-                let scanned = scan_isolated(exec, &spooled);
-                let _ = std::fs::remove_file(&spooled);
-                return scanned;
-            }
-            Err(outcome) => outcome,
-        },
+        (Some(exec), ScanTarget::Path(p)) => {
+            let path = Path::new(p);
+            exec.claim(std::iter::once((0, path)));
+            return exec.scan(0, path);
+        }
+        (Some(exec), ScanTarget::Bytes(bytes)) => return exec.scan_inline(bytes),
     };
     (outcome, policy.metrics.take_counters())
-}
-
-/// Scans one document as a claim of its own on the isolate executor.
-fn scan_isolated(exec: &mut Isolated<'_>, path: &Path) -> (ScanOutcome, cache::Deltas) {
-    exec.claim(std::iter::once((0, path)));
-    exec.scan(0, path)
-}
-
-/// Isolate workers scan by path: spools inline bytes to a temp file for
-/// the round trip. A failed spool is the request's typed `Io` outcome.
-///
-/// The spool name is predictable, so the file is created fresh: anything
-/// already at that name — a planted symlink included — is a spool
-/// failure, never a file to follow and truncate.
-fn spool(shared: &Shared<'_>, bytes: &[u8]) -> Result<PathBuf, ScanOutcome> {
-    let spool = std::env::temp_dir().join(format!(
-        "vbadet-serve-inline-{}-{}.bin",
-        std::process::id(),
-        shared.inline_seq.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::OpenOptions::new()
-        .write(true)
-        .create_new(true)
-        .open(&spool)
-        .and_then(|mut file| file.write_all(bytes))
-        .map(|()| spool)
-        .map_err(|e| ScanOutcome::Failed {
-            class: FailureClass::Io,
-            detail: format!("spooling inline bytes: {e}"),
-        })
 }
 
 /// One connection: a hand-rolled bounded line reader over the stream,

@@ -114,9 +114,13 @@ struct BudgetState {
 ///
 /// A `Budget` is `Send` and `Sync` (`Arc` + relaxed atomics): the parallel
 /// batch engine mints one per document on whichever worker thread claims
-/// it, and a budget handed across threads keeps metering the same shared
-/// allowance. Scanning is still parallel across documents, never within
-/// one, so the atomics are uncontended in practice.
+/// it. Its fuel and deadline are shared by every clone, but its memory
+/// ceiling is only as wide as its probe (see [`Budget::new_guarded`]), and
+/// the scanner's probe counts the calling thread's allocations. Such a
+/// budget is charged on the thread that minted it: a charge from another
+/// thread would compare that thread's count against the minting thread's
+/// baseline. Scanning is parallel across documents, never within one, so
+/// the atomics are uncontended in practice.
 #[derive(Debug, Clone)]
 pub struct Budget(Arc<BudgetState>);
 

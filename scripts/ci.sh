@@ -161,10 +161,12 @@ determinism_tests() {
 # asserts the service's core contract from the outside: exactly one
 # terminal response per request, typed shedding under overload, the
 # breaker opening AND recovering, drain exiting 3, and zero orphaned
-# workers left behind.
+# workers left behind. The suite's isolated services spawn workers, so
+# the orphan check runs after it too.
 serve_tests() {
     cargo test -q --offline --test serve &&
-        cargo test -q --offline --features faultpoints --test serve
+        cargo test -q --offline --features faultpoints --test serve &&
+        assert_no_orphan_workers
 }
 
 serve_soak() {
@@ -195,11 +197,14 @@ reload_soak() {
 # observationally identical to a scan" is a correctness invariant, not a
 # perf nicety. The cache's disk segments and the scan journal are one
 # JSONL log (`jsonl.rs`), so the journal's resume suite and the unit
-# tests of the journal, the cache and the log rerun with them.
+# tests of the journal, the cache and the log rerun with them. The cache
+# suite's isolated batches spawn workers, so the orphan check runs after
+# it too.
 cache_tests() {
     cargo test -q --offline --test cache --test hostile_inputs --test resilience &&
         cargo test -q --offline -p vbadet --lib -- journal:: scan::cache:: jsonl:: &&
-        cargo test -q --offline --features faultpoints --test cache
+        cargo test -q --offline --features faultpoints --test cache &&
+        assert_no_orphan_workers
 }
 
 # The process-isolation suite, then an outside-the-process check of the

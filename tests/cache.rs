@@ -14,8 +14,10 @@
 //! resume, the stat→read growth race still classifies as `LimitExceeded`
 //! with caching on (and the grown file is never cached), the cache
 //! lookup's single-flight dedupes concurrent identical serve requests,
-//! and a follower only ever gets what the cache would serve it — never a
-//! leader's verdict on bytes swapped in after the leader's digest.
+//! and a file swapped after the isolate supervisor's read — even for
+//! bytes of the same size under the old mtime — never puts a verdict on
+//! other bytes under its digest: the worker scans the bytes that were
+//! digested, so a follower only ever gets their verdict.
 //!
 //! The faultpoint registry and the drain latch are process-global, so
 //! every test serializes on `global_guard`.
@@ -487,12 +489,12 @@ mod faultpoints {
         let det = tiny_detector();
         let dir = fresh_dir("swap-race");
 
-        // The isolate supervisor digests the file, then a worker re-reads
-        // it to scan. A writer swaps in different bytes (of a different
-        // size) while the supervisor sits right after its digest read:
-        // the worker scans the new bytes, so their verdict must not be
-        // cached under the old bytes' digest. The stamp the insert is
-        // checked against has to be the one from before the read.
+        // The isolate supervisor reads and digests the file, then sends
+        // the worker those bytes. A writer swaps in different bytes (of a
+        // different size) while the supervisor sits right after its read:
+        // the record is the verdict of the bytes read before the swap, and
+        // the cache holds that verdict under their digest and nothing
+        // else.
         let victim = dir.join("swapped.bin");
         let (before, after) = (macro_document(), clean_document());
         assert_ne!(before.len(), after.len());
@@ -523,15 +525,82 @@ mod faultpoints {
         assert_eq!(hit_count("cache::digest-read-gap"), 1);
         clear();
 
-        let swapped_in = scan_paths_with_policy(det, &[&victim], &ScanPolicy::default());
+        let original = dir.join("original.bin");
+        std::fs::write(&original, &before).unwrap();
+        let read = scan_paths_with_policy(det, &[&original], &ScanPolicy::default());
+        let outcome = read.records[0].outcome.clone();
         assert_eq!(
-            report.records, swapped_in.records,
-            "the worker scans the new bytes"
+            report.records[0].outcome, outcome,
+            "the worker scans the bytes the supervisor read"
         );
+        assert_eq!(
+            cache.entries(),
+            vec![(hex(&vbadet::scan::cache::sha256(&before)), outcome)],
+            "the cache holds only the read bytes' verdict, under their digest"
+        );
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_same_size_swap_under_the_old_mtime_never_poisons_the_cache() {
+        let _guard = global_guard();
+        let det = tiny_detector();
+        let dir = fresh_dir("same-size-swap");
+
+        // A writer swaps the macro document for as many zero bytes inside
+        // the supervisor's read gap, then puts the old mtime back: no
+        // `(size, mtime)` check could tell the files apart. The verdict
+        // cached under the macro document's digest must still be the macro
+        // document's own.
+        let victim = dir.join("swapped.doc");
+        let original = macro_document();
+        std::fs::write(&victim, &original).unwrap();
+        let mtime = std::fs::metadata(&victim).unwrap().modified().unwrap();
+        let cache = Arc::new(ScanCache::in_memory(64));
+        let policy = ScanPolicy::default()
+            .isolated(worker_config())
+            .with_cache(Arc::clone(&cache));
+
+        configure("cache::digest-read-gap", "sleep(300)@1x1").unwrap();
+        let writer = {
+            let (victim, len) = (victim.clone(), original.len());
+            std::thread::spawn(move || {
+                let deadline = std::time::Instant::now() + Duration::from_secs(30);
+                while hit_count("cache::digest-read-gap") == 0 {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "the supervisor's read never happened"
+                    );
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                std::fs::write(&victim, vec![0u8; len]).unwrap();
+                std::fs::File::options()
+                    .write(true)
+                    .open(&victim)
+                    .and_then(|file| file.set_modified(mtime))
+                    .unwrap();
+            })
+        };
+        scan_paths_with_policy(det, &[&victim], &policy);
+        writer.join().unwrap();
+        let swapped = std::fs::metadata(&victim).unwrap();
+        assert_eq!(
+            (swapped.len(), swapped.modified().unwrap()),
+            (original.len() as u64, mtime)
+        );
+
+        let copy = dir.join("original.doc");
+        std::fs::write(&copy, &original).unwrap();
+        let cached = scan_paths_with_policy(det, &[&copy], &policy);
+        clear();
+        let uncached = scan_paths_with_policy(det, &[&copy], &ScanPolicy::default());
         assert!(
-            cache.is_empty(),
-            "a verdict on swapped-in bytes was cached under the old digest"
+            matches!(&uncached.records[0].outcome, ScanOutcome::Macros(v) if v[0].module_name == "Module1"),
+            "{:?}",
+            uncached.records
         );
+        assert_eq!(cached.records, uncached.records);
 
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -589,13 +658,13 @@ mod faultpoints {
         let dir = fresh_dir("flight-leak");
 
         // Leader: `scan <path>` on an isolated service. Its supervisor
-        // digests the old bytes, and a writer swaps in content of another
-        // size inside the digest-read gap, so the worker scans the new
-        // bytes and the stamp check refuses the insert. While the worker
-        // stalls in its parse, a follower sends the old bytes inline: the
-        // same digest, so it waits on the leader's key. Its answer must be
-        // the old bytes' verdict, never the new bytes' one published under
-        // the old digest.
+        // reads and digests the old bytes, and a writer swaps in content
+        // of another size inside the read gap; the worker scans the bytes
+        // the supervisor read. While the worker stalls in its parse, a
+        // follower sends the old bytes inline: the same digest, so it
+        // waits on the leader's key. Both answers are the old bytes'
+        // verdict, never the new bytes' one published under the old
+        // digest.
         let (old, new) = (macro_document(), clean_document());
         assert_ne!(old.len(), new.len());
         let references: Vec<PathBuf> = [("old.bin", &old), ("new.bin", &new)]
@@ -650,7 +719,7 @@ mod faultpoints {
         );
         assert_eq!(
             reply(&leader).get("outcome"),
-            Some(&expected[1]),
+            Some(&expected[0]),
             "{leader}"
         );
 

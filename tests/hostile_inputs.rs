@@ -163,17 +163,36 @@ fn raw_project_mutant_133_is_salvaged_by_the_raw_bytes_sweep() {
 /// The isolate frame codec under the same mutation discipline: torn,
 /// truncated, oversized and garbage frames must all come back as typed
 /// `io::Error`s — never a panic, never an unchecked allocation from a
-/// hostile length prefix.
+/// hostile length prefix. The mutants start from a JSON frame and from a
+/// `bytes` request frame, which carries a whole document.
 #[test]
 fn mutated_isolate_frames_fail_typed_and_never_panic() {
-    use vbadet::scan::isolate::{read_frame, write_frame, MAX_FRAME_BYTES};
+    use vbadet::scan::isolate::write_frame;
 
-    let mut well_formed = Vec::new();
+    let mut json_frame = Vec::new();
     write_frame(
-        &mut well_formed,
+        &mut json_frame,
         "{\"type\":\"scan\",\"path\":\"/tmp/x.doc\"}",
     )
     .unwrap();
+    let mut b = VbaProjectBuilder::new("P");
+    b.add_module("Module1", "Sub Work()\r\n    x = 1\r\nEnd Sub\r\n");
+    let mut bytes_frame = Vec::new();
+    write_frame(
+        &mut bytes_frame,
+        [&[0x03][..], &b.build().unwrap()].concat(),
+    )
+    .unwrap();
+
+    for well_formed in [json_frame, bytes_frame] {
+        mutate_frames(&well_formed);
+    }
+}
+
+/// Reads 600 seeded mutants of `well_formed` and checks each is a frame,
+/// a clean EOF or a typed error.
+fn mutate_frames(well_formed: &[u8]) {
+    use vbadet::scan::isolate::{read_frame, MAX_FRAME_BYTES};
 
     let mut rng = StdRng::seed_from_u64(0xF4A3E5);
     let mut decoded = 0usize;
@@ -181,9 +200,9 @@ fn mutated_isolate_frames_fail_typed_and_never_panic() {
     for case in 0..600 {
         let mutant: Vec<u8> = match case % 5 {
             // Torn: a clean frame cut mid-payload (or mid-prefix).
-            0 => truncate(&well_formed, &mut rng),
+            0 => truncate(well_formed, &mut rng),
             // Bit-flipped prefix and/or payload.
-            1 => flip_bytes(&well_formed, &mut rng),
+            1 => flip_bytes(well_formed, &mut rng),
             // A length prefix far past the cap with no payload behind it:
             // must be rejected *before* any allocation that size.
             2 => {

@@ -490,6 +490,57 @@ mod faults {
     }
 
     #[test]
+    fn a_document_too_large_for_the_pipe_waits_and_the_heartbeat_still_fires() {
+        let _guard = global_guard();
+        let det = tiny_detector();
+        let dir = fresh_dir("pipe-bound");
+
+        // With a cache, the supervisor sends documents' bytes. 16 inputs
+        // at `jobs 1` are claimed two at a time, so the wedging macro
+        // document shares its claim with a 1 MiB junk document, far more
+        // than a pipe buffer holds. The junk must wait until the wedged
+        // document is answered: written behind it, it would block the
+        // supervisor on a full pipe, and the heartbeat would never fire.
+        let paths: Vec<PathBuf> = (0..16)
+            .map(|i| {
+                let p = dir.join(format!("doc{i:02}.bin"));
+                let bytes = match i {
+                    0 => macro_document(),
+                    1 => vec![b'j'; 1 << 20],
+                    _ => format!("plain junk payload {i}").into_bytes(),
+                };
+                std::fs::write(&p, bytes).unwrap();
+                p
+            })
+            .collect();
+        let config = worker_config()
+            .env("VBADET_FAULTPOINTS", "ovba::decompress=sleep(10000)")
+            .heartbeat(Duration::from_millis(900));
+        let cache = std::sync::Arc::new(vbadet::ScanCache::in_memory(64));
+        let policy = metered(ScanPolicy::default().jobs(1).isolated(config)).with_cache(cache);
+        let start = std::time::Instant::now();
+        let report = scan_paths_with_policy(det, &paths, &policy);
+        let elapsed = start.elapsed();
+
+        match &report.records[0].outcome {
+            ScanOutcome::Failed {
+                class: FailureClass::Fatal,
+                detail,
+            } => assert!(detail.contains("heartbeat"), "detail was {detail:?}"),
+            other => panic!("expected a heartbeat quarantine, got {other:?}"),
+        }
+        let snapshot = report.metrics.as_ref().unwrap();
+        assert_eq!(snapshot.histograms["isolate.heartbeat_kills"].total, 2);
+        assert!(
+            elapsed < Duration::from_secs(8),
+            "the heartbeat waited on a blocked write: {elapsed:?}"
+        );
+        assert_survivors_match_in_process(det, &paths, 0, &report);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn a_wedge_behind_a_finished_claim_mate_is_charged_to_the_wedged_document() {
         let _guard = global_guard();
         let det = tiny_detector();
