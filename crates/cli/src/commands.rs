@@ -400,7 +400,13 @@ pub fn serve(args: &[OsString]) -> Result<ExitCode, Box<dyn Error>> {
     if !flags.has("in-process") {
         let mut isolate = IsolateConfig::current_exe()?;
         if let Some(ms) = flags.values.get("heartbeat-ms") {
-            isolate = isolate.heartbeat(std::time::Duration::from_millis(ms.parse()?));
+            // A zero heartbeat times out every handshake, so every
+            // isolated scan would answer "worker unavailable".
+            let ms: u64 = ms.parse()?;
+            if ms == 0 {
+                return Err("serve: --heartbeat-ms must be at least 1".into());
+            }
+            isolate = isolate.heartbeat(std::time::Duration::from_millis(ms));
         }
         policy = policy.isolated(isolate);
     } else if flags.values.contains_key("heartbeat-ms") {
@@ -988,6 +994,12 @@ mod command_tests {
             .unwrap_err()
             .to_string()
             .contains("unknown limits profile"));
+    }
+
+    #[test]
+    fn serve_rejects_a_zero_heartbeat() {
+        let err = serve(&strs2(&["--heartbeat-ms", "0"])).unwrap_err();
+        assert_eq!(err.to_string(), "serve: --heartbeat-ms must be at least 1");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! An entry is addressed by the triple
 //!
 //! ```text
-//! (SHA-256(document bytes), FNV-1a-64(detector.save()), FNV-1a-64(policy fields))
+//! (SHA-256(document bytes), FNV-1a-64(detector.save()), FNV-1a-64(policy block))
 //! ```
 //!
 //! plus the on-disk schema version. The *content* digest is SHA-256 — the
@@ -21,8 +21,8 @@
 //! detector and policy fingerprints only guard against *operator* drift
 //! (retrained model, changed limits), not an adversary, so the cheap FNV
 //! is enough there. The policy fingerprint hashes exactly the fields that
-//! can change a scan outcome, in the one rendering the isolation
-//! supervisor also ships to its workers in its hello frame, so
+//! can change a scan outcome, in the one fixed-width binary block the
+//! isolation supervisor also ships to its workers in its hello frame, so
 //! execution-shape knobs (`jobs`, `isolate`, metrics, the cache itself)
 //! never fragment the key space.
 //!
@@ -332,11 +332,10 @@ pub(crate) fn detector_fingerprint(detector: &Detector) -> u64 {
     fnv1a64(detector.save().as_bytes())
 }
 
-/// Fingerprint of the outcome-affecting policy fields: FNV over
-/// [`policy_fields`](super::isolate::policy_fields), the rendering the
-/// isolate hello frame carries.
+/// Fingerprint of the outcome-affecting policy fields: FNV over the
+/// policy block the isolate hello frame carries.
 pub(crate) fn policy_fingerprint(policy: &ScanPolicy) -> u64 {
-    fnv1a64(super::isolate::policy_fields(policy).as_bytes())
+    fnv1a64(&super::isolate::policy_block(policy))
 }
 
 /// Whether an outcome is a pure function of `(bytes, detector, policy)`

@@ -43,29 +43,29 @@
 //!
 //! # Frame protocol
 //!
-//! Frames are a `u32` little-endian byte length followed by that many
-//! bytes of payload, over the child's stdin/stdout. The frames sent once
-//! per worker are UTF-8 JSON; the ones sent once per document are binary
-//! (layout and version in `wire`). The conversation:
+//! Length-prefixed binary frames over the child's stdin/stdout; `wire`
+//! holds the framing and the layout of every frame. The conversation:
 //!
 //! ```text
-//! supervisor → worker   {"op":"hello","frame_version":3,"detector":…,…}
-//! worker → supervisor   {"op":"ready","generation":…}
+//! supervisor → worker   hello(layout version, generation, policy, detector)
+//! worker → supervisor   ready(generation)
 //! supervisor → worker   scan(path) or scan(bytes)   (a claim's documents,
 //!                       scan(path) or scan(bytes)    back to back in one
 //!                       …                            write)
 //! worker → supervisor   result(outcome, counters)
 //!                       …                           (one per scan, in order;
 //!                                                   held ones in one write)
-//! supervisor → worker   {"op":"exit"}
+//! supervisor → worker   exit
 //! worker                closes stdout and exits; the supervisor sees the
 //!                       hang-up and reaps it
 //! ```
 //!
 //! The protocol is strictly private to one binary version — both ends are
-//! the same executable — so the encoding favours compactness (the limits
-//! travel as a positional array, counters by index) over
-//! self-description.
+//! the same executable — so the encoding favours compactness (the policy
+//! travels as a fixed-width block, counters by index) over
+//! self-description. A worker refuses a hello of another layout version
+//! and exits without a `ready`, which the supervisor counts as a failed
+//! handshake.
 //!
 //! # Quarantine
 //!
@@ -102,7 +102,7 @@
 
 use std::collections::VecDeque;
 use std::ffi::OsString;
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -115,24 +115,17 @@ use super::{
 };
 use crate::detector::Detector;
 use crate::journal::{JournalReplay, ScanJournal};
-use crate::limits::ScanLimits;
 use vbadet_faultpoint::faultpoint;
-use vbadet_metrics::json::{self, json_str, Json};
 use vbadet_metrics::{MetricsSink, Stage};
-use vbadet_ole::OleLimits;
-use vbadet_ovba::OvbaLimits;
-use vbadet_zip::ZipLimits;
 
 mod wire;
 
+pub(crate) use wire::{policy_block, Hello};
+use wire::{push_frame, read_frame_within, request_cap, whole_frame_buffered, Request};
+pub use wire::{read_frame, write_frame, MAX_FRAME_BYTES};
+
 /// The hidden subcommand a binary embedding [`worker_main`] dispatches on.
 pub const WORKER_SUBCOMMAND: &str = "__worker";
-
-/// Hard cap on one frame's payload; a length prefix past this is treated
-/// as protocol corruption, not an allocation request. A worker takes
-/// request frames up to the larger `request_cap`, since a `bytes`
-/// request carries a whole document.
-pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
 /// Linux's default pipe capacity. The slot writes a request only while
 /// the requests its worker has not answered, this one included, fit in
@@ -140,12 +133,6 @@ pub const MAX_FRAME_BYTES: usize = 64 << 20;
 /// timing; and a cached claim reads documents ahead only until its queued
 /// requests reach it.
 const PIPE_BYTES: usize = 64 << 10;
-
-/// The largest request frame a worker takes: a `bytes` request holds a
-/// tag and at most `max_file_size` bytes of document.
-fn request_cap(max_file_size: u64) -> usize {
-    (max_file_size.saturating_add(1).min(u32::MAX.into()) as usize).max(MAX_FRAME_BYTES)
-}
 
 /// Base delay of the exponential respawn backoff after a worker death or
 /// failed spawn.
@@ -212,198 +199,6 @@ impl IsolateConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Frame codec
-// ---------------------------------------------------------------------------
-
-/// Allocation step for frame payload reads: the buffer grows as bytes
-/// actually arrive, so a lying length prefix costs at most one step of
-/// memory, never the whole claimed length up front.
-const FRAME_READ_CHUNK: usize = 64 << 10;
-
-/// Writes one length-prefixed frame, prefix and payload in a single
-/// `write_all`. Public so the hostile-input fuzz harness can construct
-/// valid frames to mutate; a payload over [`MAX_FRAME_BYTES`] is refused
-/// before a byte is written.
-pub fn write_frame(w: &mut impl Write, payload: impl AsRef<[u8]>) -> io::Result<()> {
-    let payload = payload.as_ref();
-    let mut buf = Vec::with_capacity(4 + payload.len());
-    push_frame(&mut buf, payload, MAX_FRAME_BYTES)?;
-    w.write_all(&buf)?;
-    w.flush()
-}
-
-/// Appends one length-prefixed frame of at most `cap` bytes to `buf`, so
-/// several frames can go out in one write.
-fn push_frame(buf: &mut Vec<u8>, bytes: &[u8], cap: usize) -> io::Result<()> {
-    if bytes.len() > cap {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame too large",
-        ));
-    }
-    buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    buf.extend_from_slice(bytes);
-    Ok(())
-}
-
-/// Reads one frame of at most [`MAX_FRAME_BYTES`]; `Ok(None)` is a clean
-/// EOF at a frame boundary (the peer closed the pipe), anything torn or
-/// oversized is an error.
-///
-/// A corrupt or hostile peer can lie in the length prefix; the payload
-/// buffer therefore grows incrementally as bytes arrive instead of being
-/// allocated up front, so a prefix claiming 64 MiB followed by a closed
-/// pipe costs a typed error, not a 64 MiB allocation.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    read_frame_within(r, MAX_FRAME_BYTES)
-}
-
-/// [`read_frame`] with a payload cap of `cap` bytes, checked against the
-/// length prefix before a payload byte is read.
-fn read_frame_within(r: &mut impl Read, cap: usize) -> io::Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_le_bytes(len) as usize;
-    if len > cap {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame length prefix over the cap",
-        ));
-    }
-    let mut buf = Vec::with_capacity(len.min(FRAME_READ_CHUNK));
-    let mut taken = r.take(len as u64);
-    taken.read_to_end(&mut buf)?;
-    if buf.len() != len {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            format!(
-                "frame truncated: prefix said {len} bytes, got {}",
-                buf.len()
-            ),
-        ));
-    }
-    Ok(Some(buf))
-}
-
-/// Parses a frame sent once per worker (hello, ready, exit), which is
-/// UTF-8 JSON.
-fn json_frame(frame: &[u8]) -> Result<Json, String> {
-    let text = std::str::from_utf8(frame).map_err(|_| "frame is not UTF-8".to_string())?;
-    json::parse(text).map_err(String::from)
-}
-
-// ---------------------------------------------------------------------------
-// Protocol encode / decode
-// ---------------------------------------------------------------------------
-
-fn opt_num(v: Option<u64>) -> String {
-    v.map_or_else(|| "null".to_string(), |n| n.to_string())
-}
-
-/// The policy fields that can change a scan outcome, rendered once as
-/// `"deadline_ms":…,"fuel":…,"max_scan_mem":…,"limits":[…]`: the tail
-/// of the hello frame, which [`decode_hello`] reads back, and the text
-/// the cache's policy fingerprint hashes. Execution-shape knobs (`jobs`,
-/// `isolate`, metrics, drain, the cache handle) are not among them.
-pub(crate) fn policy_fields(policy: &ScanPolicy) -> String {
-    let l = &policy.limits;
-    format!(
-        "\"deadline_ms\":{},\"fuel\":{},\"max_scan_mem\":{},\
-         \"limits\":[{},{},{},{},{},{},{},{},{},{}]",
-        opt_num(policy.deadline_per_doc.map(|d| d.as_millis() as u64)),
-        opt_num(policy.fuel_per_doc),
-        opt_num(policy.max_scan_mem),
-        l.zip.max_entries,
-        l.zip.max_member_bytes,
-        l.ole.max_sectors,
-        l.ole.max_dir_entries,
-        l.ole.max_stream_bytes,
-        l.ole.max_dir_depth,
-        l.ovba.max_modules,
-        l.ovba.max_module_bytes,
-        l.ovba.max_dir_bytes,
-        l.max_file_size,
-    )
-}
-
-/// A worker's hello frame beside the detector generation it carries, so a
-/// spawn knows which generation the worker must echo without re-parsing
-/// the frame and its serialized detector.
-#[derive(Clone)]
-pub(crate) struct Hello {
-    frame: String,
-    generation: u64,
-}
-
-impl Hello {
-    pub(crate) fn new(detector: &Detector, policy: &ScanPolicy, generation: u64) -> Self {
-        let frame = format!(
-            "{{\"op\":\"hello\",\"frame_version\":{},\"generation\":{generation},\
-             \"detector\":{},{}}}",
-            wire::FRAME_VERSION,
-            json_str(&detector.save()),
-            policy_fields(policy),
-        );
-        Hello { frame, generation }
-    }
-}
-
-fn decode_hello(j: &Json) -> Result<(Detector, ScanPolicy, u64), String> {
-    let version = j.get("frame_version").and_then(Json::as_u64);
-    if version != Some(wire::FRAME_VERSION) {
-        return Err(format!(
-            "hello frame version {version:?}, this worker speaks {}",
-            wire::FRAME_VERSION
-        ));
-    }
-    let text = j
-        .get("detector")
-        .and_then(Json::as_str)
-        .ok_or("hello without detector")?;
-    let detector = Detector::load(text).map_err(|e| format!("hello detector: {e:?}"))?;
-    let lim = j
-        .get("limits")
-        .and_then(Json::as_arr)
-        .ok_or("hello without limits")?;
-    if lim.len() != 10 {
-        return Err(format!("hello limits arity {} != 10", lim.len()));
-    }
-    let lv = |i: usize| lim[i].as_u64().ok_or("hello limit is not a number");
-    let limits = ScanLimits {
-        zip: ZipLimits {
-            max_entries: lv(0)? as usize,
-            max_member_bytes: lv(1)? as usize,
-        },
-        ole: OleLimits {
-            max_sectors: lv(2)? as usize,
-            max_dir_entries: lv(3)? as usize,
-            max_stream_bytes: lv(4)? as usize,
-            max_dir_depth: lv(5)? as usize,
-        },
-        ovba: OvbaLimits {
-            max_modules: lv(6)? as usize,
-            max_module_bytes: lv(7)? as usize,
-            max_dir_bytes: lv(8)? as usize,
-        },
-        max_file_size: lv(9)?,
-    };
-    let num = |key: &str| j.get(key).and_then(Json::as_u64);
-    let mut policy = ScanPolicy::with_limits(limits);
-    policy.deadline_per_doc = num("deadline_ms").map(Duration::from_millis);
-    policy.fuel_per_doc = num("fuel");
-    policy.max_scan_mem = num("max_scan_mem");
-    // Detector generation (0 for batch runs that never reload). The
-    // worker echoes it in its ready frame so the supervisor can prove
-    // both ends agree on which detector scores documents.
-    let generation = num("generation").unwrap_or(0);
-    Ok((detector, policy, generation))
-}
-
-// ---------------------------------------------------------------------------
 // Worker side
 // ---------------------------------------------------------------------------
 
@@ -424,25 +219,22 @@ pub fn worker_main() -> i32 {
         Err(e) => return proto_err("stdio", e.to_string()),
     };
     let mut input = BufReader::new(input);
-    let hello = match read_frame(&mut input) {
-        Ok(Some(frame)) => frame,
+    // A hello of another layout, the JSON one of earlier versions
+    // included, ends the worker before it sends `ready`, so the
+    // supervisor sees a failed handshake.
+    let (detector, base, generation) = match read_frame(&mut input) {
+        Ok(Some(frame)) => match wire::decode_hello(&frame) {
+            Ok(hello) => hello,
+            Err(e) => return proto_err("hello", e),
+        },
         Ok(None) => return 0,
         Err(e) => return proto_err("hello read", e.to_string()),
     };
-    let hello = match json_frame(&hello) {
-        Ok(j) => j,
-        Err(e) => return proto_err("hello parse", e),
-    };
-    if hello.get("op").and_then(Json::as_str) != Some("hello") {
-        return proto_err("handshake", "first frame is not hello".to_string());
-    }
-    let (detector, base, generation) = match decode_hello(&hello) {
-        Ok(x) => x,
-        Err(e) => return proto_err("hello decode", e),
-    };
     let held = Held::start(output);
-    let ready = format!("{{\"op\":\"ready\",\"generation\":{generation}}}");
-    if let Err(e) = held.send(ready.as_bytes(), false) {
+    // The generation the hello carried (0 for batch runs that never
+    // reload), echoed so the supervisor can prove both ends agree on
+    // which detector scores documents.
+    if let Err(e) = held.send(&wire::ready(generation), false) {
         return proto_err("ready write", e.to_string());
     }
     // One sink for the worker's life: taking its counters after each
@@ -466,17 +258,12 @@ pub fn worker_main() -> i32 {
         // so a worker request is always a real scan, and one of the bytes
         // the supervisor digested when it sends them.
         let outcome = match wire::decode_request(&frame) {
-            Some(wire::Request::Path(path)) => super::scan_file(&detector, path, &policy, None),
-            Some(wire::Request::Bytes(bytes)) => {
-                super::scan_bytes_with_policy(&detector, bytes, &policy)
-            }
+            Some(Request::Path(path)) => super::scan_file(&detector, path, &policy, None),
+            Some(Request::Bytes(bytes)) => super::scan_bytes_with_policy(&detector, bytes, &policy),
             // The supervisor asks a worker to exit only once it owes
             // nothing it still wants, so held frames may go unwritten.
-            None => match json_frame(&frame) {
-                Ok(j) if j.get("op").and_then(Json::as_str) == Some("exit") => return 0,
-                Ok(j) => return proto_err("request op", format!("{:?}", j.get("op"))),
-                Err(e) => return proto_err("request parse", e),
-            },
+            Some(Request::Exit) => return 0,
+            None => return proto_err("request", "not a request frame".to_string()),
         };
         result.clear();
         wire::encode_result(&mut result, &outcome, &metrics.take_counters());
@@ -486,15 +273,6 @@ pub fn worker_main() -> i32 {
         if let Err(e) = held.send(&result, hold) {
             return proto_err("result write", e.to_string());
         }
-    }
-}
-
-/// Whether `buf` begins with a whole frame: a length prefix and at least
-/// that many payload bytes.
-fn whole_frame_buffered(buf: &[u8]) -> bool {
-    match buf.split_first_chunk::<4>() {
-        Some((len, payload)) => payload.len() >= u32::from_le_bytes(*len) as usize,
-        None => false,
     }
 }
 
@@ -649,7 +427,7 @@ impl Worker {
     /// discarded on the way. A worker that does not hang up in time falls
     /// to the kill-on-drop guarantee.
     fn shutdown(mut self) {
-        if write_frame(&mut self.stdin, b"{\"op\":\"exit\"}").is_err() {
+        if write_frame(&mut self.stdin, wire::EXIT).is_err() {
             return;
         }
         let deadline = Instant::now() + SHUTDOWN_GRACE;
@@ -723,16 +501,10 @@ fn spawn_worker(
     let (tx, rx) = mpsc::channel();
     // The reader owns the child's stdout for its lifetime; it exits on
     // EOF (child died) or when the supervisor drops the receiver.
-    thread::spawn(move || loop {
-        match read_frame(&mut stdout) {
-            Ok(Some(frame)) => {
-                if tx.send(Ok(frame)).is_err() {
-                    break;
-                }
-            }
-            Ok(None) => break,
-            Err(e) => {
-                let _ = tx.send(Err(e));
+    thread::spawn(move || {
+        while let Some(frame) = read_frame(&mut stdout).transpose() {
+            let failed = frame.is_err();
+            if tx.send(frame).is_err() || failed {
                 break;
             }
         }
@@ -746,18 +518,13 @@ fn spawn_worker(
     // documents, and the worker is buried rather than trusted.
     let expected_generation = hello.generation;
     let why = match worker.rx.recv_timeout(heartbeat) {
-        Ok(Ok(frame)) => match json_frame(&frame) {
-            Ok(j) if j.get("op").and_then(Json::as_str) == Some("ready") => {
-                let echoed = j.get("generation").and_then(Json::as_u64).unwrap_or(0);
-                if echoed == expected_generation {
-                    return Ok(worker);
-                }
-                format!(
-                    "worker acknowledged generation {echoed}, \
-                     supervisor sent {expected_generation}"
-                )
-            }
-            other => format!("unexpected reply {other:?}"),
+        Ok(Ok(frame)) => match wire::decode_ready(&frame) {
+            Ok(echoed) if echoed == expected_generation => return Ok(worker),
+            Ok(echoed) => format!(
+                "worker acknowledged generation {echoed}, \
+                 supervisor sent {expected_generation}"
+            ),
+            Err(e) => format!("unexpected reply ({e})"),
         },
         Ok(Err(e)) => e.to_string(),
         Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -1196,171 +963,4 @@ pub(crate) fn scan_paths_isolated(
     run_batch(paths, policy, journal, resume, || {
         Isolated::new(config, hello.clone(), bound.clone(), policy)
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::detector::DetectorConfig;
-    use vbadet_corpus::CorpusSpec;
-
-    #[test]
-    fn frames_round_trip_through_a_buffer() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, "{\"op\":\"ready\"}").unwrap();
-        write_frame(&mut buf, [0x02, 0xFF, 0x00]).unwrap();
-        let mut r = &buf[..];
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"{\"op\":\"ready\"}");
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), [0x02, 0xFF, 0x00]);
-        assert_eq!(read_frame(&mut r).unwrap(), None);
-    }
-
-    #[test]
-    fn torn_frame_is_an_error_not_a_hang() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, "payload").unwrap();
-        buf.truncate(buf.len() - 3);
-        let mut r = &buf[..];
-        assert!(read_frame(&mut r).is_err());
-    }
-
-    #[test]
-    fn oversized_length_prefix_is_rejected_before_allocation() {
-        let buf = u32::MAX.to_le_bytes();
-        let mut r = &buf[..];
-        assert!(read_frame(&mut r).is_err());
-    }
-
-    /// A reader that yields `head` and then fails the test if it is read
-    /// again: a frame refused on its length prefix reads no payload.
-    struct PrefixOnly<'a>(&'a [u8]);
-
-    impl Read for PrefixOnly<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            assert!(!self.0.is_empty(), "read a payload past a refused prefix");
-            let n = self.0.len().min(buf.len());
-            buf[..n].copy_from_slice(&self.0[..n]);
-            self.0 = &self.0[n..];
-            Ok(n)
-        }
-    }
-
-    #[test]
-    fn the_worker_refuses_a_request_prefix_over_its_cap_before_it_allocates() {
-        // The cap follows the hello's file-size limit, never below the
-        // 64 MiB frame cap, and never past what a length prefix can say.
-        assert_eq!(request_cap(1024), MAX_FRAME_BYTES);
-        assert_eq!(request_cap(100 << 20), (100 << 20) + 1);
-        assert_eq!(request_cap(u64::MAX), u32::MAX as usize);
-        for max_file_size in [1024, 100 << 20] {
-            let cap = request_cap(max_file_size);
-            let prefix = (cap as u32 + 1).to_le_bytes();
-            let err = read_frame_within(&mut PrefixOnly(&prefix), cap).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-        }
-        // A prefix at the cap passes it (and the pipe then ends early),
-        // while a result frame keeps the 64 MiB cap.
-        let cap = request_cap(100 << 20);
-        let at_cap = (cap as u32).to_le_bytes();
-        let err = read_frame_within(&mut &at_cap[..], cap).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
-        let err = read_frame(&mut PrefixOnly(&at_cap)).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-    }
-
-    #[test]
-    fn a_whole_frame_is_buffered_only_once_its_last_payload_byte_is() {
-        let mut two = Vec::new();
-        push_frame(&mut two, b"first", MAX_FRAME_BYTES).unwrap();
-        let first_len = two.len();
-        push_frame(&mut two, b"second", MAX_FRAME_BYTES).unwrap();
-        assert!(!whole_frame_buffered(&[]), "empty buffer");
-        assert!(!whole_frame_buffered(&two[..3]), "partial length prefix");
-        assert!(!whole_frame_buffered(&two[..4]), "bare length prefix");
-        assert!(
-            !whole_frame_buffered(&two[..first_len - 1]),
-            "partial payload"
-        );
-        assert!(whole_frame_buffered(&two[..first_len]), "exact frame");
-        assert!(
-            whole_frame_buffered(&two[..first_len + 5]),
-            "a frame followed by part of the next"
-        );
-        assert!(!whole_frame_buffered(&two[first_len..first_len + 5]));
-        // An empty payload is whole with its prefix alone.
-        assert!(whole_frame_buffered(&0u32.to_le_bytes()));
-    }
-
-    #[test]
-    fn hello_round_trips_detector_and_policy() {
-        let detector = Detector::train_on_corpus(
-            &DetectorConfig::default(),
-            &CorpusSpec::paper().scaled(0.02),
-        );
-        let policy = ScanPolicy::with_limits(ScanLimits::strict())
-            .deadline_ms(1234)
-            .fuel(99)
-            .max_scan_mem_bytes(5 << 20);
-        let hello = Hello::new(&detector, &policy, 7);
-        let (loaded, decoded, generation) =
-            decode_hello(&json_frame(hello.frame.as_bytes()).unwrap()).unwrap();
-        assert_eq!((generation, hello.generation), (7, 7));
-        assert_eq!(decoded.limits, policy.limits);
-        assert_eq!(decoded.deadline_per_doc, policy.deadline_per_doc);
-        assert_eq!(decoded.fuel_per_doc, policy.fuel_per_doc);
-        assert_eq!(decoded.max_scan_mem, policy.max_scan_mem);
-        // The detector survives the trip: same verdict on a probe string.
-        let probe = "Sub A()\r\n    x = Chr(1) & Chr(2) & Chr(3)\r\nEnd Sub\r\n";
-        assert_eq!(loaded.is_obfuscated(probe), detector.is_obfuscated(probe));
-    }
-
-    #[test]
-    fn hello_frame_bytes_are_golden() {
-        // Literal bytes around the embedded detector: the policy fields go
-        // out in a fixed order, an unset budget as `null`.
-        let detector = Detector::train_on_corpus(
-            &DetectorConfig::default(),
-            &CorpusSpec::paper().scaled(0.02),
-        );
-        let saved = json_str(&detector.save());
-        let strict = ScanPolicy::with_limits(ScanLimits::strict())
-            .deadline_ms(1234)
-            .fuel(99)
-            .max_scan_mem_bytes(5 << 20);
-        assert_eq!(
-            Hello::new(&detector, &strict, 7).frame,
-            format!(
-                concat!(
-                    r#"{{"op":"hello","frame_version":3,"generation":7,"detector":{},"#,
-                    r#""deadline_ms":1234,"#,
-                    r#""fuel":99,"max_scan_mem":5242880,"limits":[4096,16777216,262144,"#,
-                    r#"4096,16777216,64,256,4194304,1048576,67108864]}}"#
-                ),
-                saved
-            )
-        );
-        assert_eq!(
-            Hello::new(&detector, &ScanPolicy::with_limits(ScanLimits::strict()), 0).frame,
-            format!(
-                concat!(
-                    r#"{{"op":"hello","frame_version":3,"generation":0,"detector":{},"#,
-                    r#""deadline_ms":null,"#,
-                    r#""fuel":null,"max_scan_mem":null,"limits":[4096,16777216,262144,"#,
-                    r#"4096,16777216,64,256,4194304,1048576,67108864]}}"#
-                ),
-                saved
-            )
-        );
-    }
-
-    #[test]
-    fn a_hello_of_another_frame_version_is_refused() {
-        for hello in [
-            r#"{"op":"hello","frame_version":1,"detector":"x"}"#,
-            r#"{"op":"hello","detector":"x"}"#,
-        ] {
-            let err = decode_hello(&json::parse(hello).unwrap()).unwrap_err();
-            assert!(err.contains("frame version"), "{err}");
-        }
-    }
 }

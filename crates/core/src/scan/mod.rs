@@ -207,20 +207,39 @@ pub enum FailureClass {
     Fatal,
 }
 
+/// Every class with its stable label and the per-class failure counter
+/// it increments (`scan.failed.<label>`), in declaration order: a new
+/// class is added here alone. The order is also the class's code on the
+/// isolate wire.
+#[rustfmt::skip]
+const FAILURE_CLASSES: [(FailureClass, &str, Counter); 10] = [
+    (FailureClass::CyclicChain,      "cyclic-chain",      Counter::ScanFailedCyclicChain),
+    (FailureClass::LimitExceeded,    "limit-exceeded",    Counter::ScanFailedLimitExceeded),
+    (FailureClass::Truncated,        "truncated",         Counter::ScanFailedTruncated),
+    (FailureClass::Malformed,        "malformed",         Counter::ScanFailedMalformed),
+    (FailureClass::UnknownContainer, "unknown-container", Counter::ScanFailedUnknownContainer),
+    (FailureClass::NoVbaPart,        "no-vba-part",       Counter::ScanFailedNoVbaPart),
+    (FailureClass::Io,               "io-error",          Counter::ScanFailedIo),
+    (FailureClass::Panic,            "panic",             Counter::ScanFailedPanic),
+    (FailureClass::Timeout,          "timeout",           Counter::ScanFailedTimeout),
+    (FailureClass::Fatal,            "fatal",             Counter::ScanFailedFatal),
+];
+
 impl FailureClass {
     /// Every class, in declaration order.
-    pub const ALL: [FailureClass; 10] = [
-        FailureClass::CyclicChain,
-        FailureClass::LimitExceeded,
-        FailureClass::Truncated,
-        FailureClass::Malformed,
-        FailureClass::UnknownContainer,
-        FailureClass::NoVbaPart,
-        FailureClass::Io,
-        FailureClass::Panic,
-        FailureClass::Timeout,
-        FailureClass::Fatal,
-    ];
+    pub const ALL: [FailureClass; 10] = {
+        let mut all = [FailureClass::Fatal; 10];
+        let mut i = 0;
+        while i < all.len() {
+            assert!(
+                FAILURE_CLASSES[i].0 as usize == i,
+                "FAILURE_CLASSES lists the classes in declaration order"
+            );
+            all[i] = FAILURE_CLASSES[i].0;
+            i += 1;
+        }
+        all
+    };
 
     /// Maps a detection error onto its batch-report class.
     pub fn from_error(e: &DetectError) -> Self {
@@ -262,52 +281,21 @@ impl FailureClass {
 
     /// Stable lowercase label used in reports, journals and CLI output.
     pub fn label(self) -> &'static str {
-        match self {
-            FailureClass::CyclicChain => "cyclic-chain",
-            FailureClass::LimitExceeded => "limit-exceeded",
-            FailureClass::Truncated => "truncated",
-            FailureClass::Malformed => "malformed",
-            FailureClass::UnknownContainer => "unknown-container",
-            FailureClass::NoVbaPart => "no-vba-part",
-            FailureClass::Io => "io-error",
-            FailureClass::Panic => "panic",
-            FailureClass::Timeout => "timeout",
-            FailureClass::Fatal => "fatal",
-        }
+        FAILURE_CLASSES[self as usize].1
     }
 
     /// The per-class failure counter this class increments in a
     /// [`ScanMetrics`] snapshot.
     pub fn counter(self) -> Counter {
-        match self {
-            FailureClass::CyclicChain => Counter::ScanFailedCyclicChain,
-            FailureClass::LimitExceeded => Counter::ScanFailedLimitExceeded,
-            FailureClass::Truncated => Counter::ScanFailedTruncated,
-            FailureClass::Malformed => Counter::ScanFailedMalformed,
-            FailureClass::UnknownContainer => Counter::ScanFailedUnknownContainer,
-            FailureClass::NoVbaPart => Counter::ScanFailedNoVbaPart,
-            FailureClass::Io => Counter::ScanFailedIo,
-            FailureClass::Panic => Counter::ScanFailedPanic,
-            FailureClass::Timeout => Counter::ScanFailedTimeout,
-            FailureClass::Fatal => Counter::ScanFailedFatal,
-        }
+        FAILURE_CLASSES[self as usize].2
     }
 
     /// Inverse of [`label`](Self::label), used when replaying a journal.
     pub fn from_label(label: &str) -> Option<Self> {
-        Some(match label {
-            "cyclic-chain" => FailureClass::CyclicChain,
-            "limit-exceeded" => FailureClass::LimitExceeded,
-            "truncated" => FailureClass::Truncated,
-            "malformed" => FailureClass::Malformed,
-            "unknown-container" => FailureClass::UnknownContainer,
-            "no-vba-part" => FailureClass::NoVbaPart,
-            "io-error" => FailureClass::Io,
-            "panic" => FailureClass::Panic,
-            "timeout" => FailureClass::Timeout,
-            "fatal" => FailureClass::Fatal,
-            _ => return None,
-        })
+        FAILURE_CLASSES
+            .iter()
+            .find(|&&(_, l, _)| l == label)
+            .map(|&(class, ..)| class)
     }
 }
 
@@ -1498,6 +1486,16 @@ mod tests {
         assert_eq!(FailureClass::LimitExceeded.label(), "limit-exceeded");
         assert_eq!(FailureClass::Panic.label(), "panic");
         assert_eq!(FailureClass::Timeout.label(), "timeout");
+    }
+
+    #[test]
+    fn each_failure_counter_is_scan_failed_and_the_label() {
+        for class in FailureClass::ALL {
+            assert_eq!(
+                class.counter().label(),
+                format!("scan.failed.{}", class.label())
+            );
+        }
     }
 
     #[test]

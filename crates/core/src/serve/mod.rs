@@ -623,11 +623,10 @@ fn scan_job(
 fn handle_connection(shared: &Shared<'_>, stream: Box<dyn Stream>, tx: &mpsc::SyncSender<Job>) {
     let _ = stream.set_read_timeout(Some(DRAIN_POLL));
     let mut stream = stream;
-    let mut buf: Vec<u8> = Vec::new();
+    let mut lines = Lines::default();
     let mut chunk = [0u8; 4096];
     loop {
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = buf.drain(..=pos).collect();
+        while let Some(line) = lines.next_line() {
             let line = String::from_utf8_lossy(&line);
             let line = line.trim();
             if line.is_empty() {
@@ -638,7 +637,7 @@ fn handle_connection(shared: &Shared<'_>, stream: Box<dyn Stream>, tx: &mpsc::Sy
                 return;
             }
         }
-        if buf.len() > MAX_REQUEST_LINE_BYTES {
+        if lines.buf.len() > MAX_REQUEST_LINE_BYTES {
             // The line cannot be buffered to completion; answer typed,
             // then hang up (the rest of the line is unframeable).
             let mut responder = Responder::new(&mut *stream, None, &shared.responses);
@@ -647,7 +646,7 @@ fn handle_connection(shared: &Shared<'_>, stream: Box<dyn Stream>, tx: &mpsc::Sy
         }
         match stream.read(&mut chunk) {
             Ok(0) => return,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(n) => lines.buf.extend_from_slice(&chunk[..n]),
             Err(e)
                 if matches!(
                     e.kind(),
@@ -661,6 +660,32 @@ fn handle_connection(shared: &Shared<'_>, stream: Box<dyn Stream>, tx: &mpsc::Sy
                 }
             }
             Err(_) => return,
+        }
+    }
+}
+
+/// A connection's unread bytes, split into lines. Each byte is searched
+/// for the newline once, however many reads a long line takes to arrive.
+#[derive(Default)]
+struct Lines {
+    buf: Vec<u8>,
+    /// How many bytes at the front of `buf` hold no newline.
+    searched: usize,
+}
+
+impl Lines {
+    /// The next whole line, its newline included, if one has arrived.
+    fn next_line(&mut self) -> Option<Vec<u8>> {
+        match self.buf[self.searched..].iter().position(|&b| b == b'\n') {
+            Some(pos) => {
+                let end = self.searched + pos;
+                self.searched = 0;
+                Some(self.buf.drain(..=end).collect())
+            }
+            None => {
+                self.searched = self.buf.len();
+                None
+            }
         }
     }
 }
@@ -962,5 +987,43 @@ mod tests {
         assert!(text.contains("\"error\":\"breaker-open\""), "{text}");
         assert!(text.contains("\"detail\":\"cooling down\""), "{text}");
         assert!(text.contains("\"retry_ms\":250"), "{text}");
+    }
+
+    /// Feeds `input` to a [`Lines`] in chunks of `size` bytes, taking
+    /// every whole line after each.
+    fn lines_in_chunks(input: &[u8], size: usize) -> (Vec<Vec<u8>>, Vec<u8>) {
+        let mut lines = Lines::default();
+        let mut out = Vec::new();
+        for chunk in input.chunks(size) {
+            lines.buf.extend_from_slice(chunk);
+            while let Some(line) = lines.next_line() {
+                out.push(line);
+            }
+        }
+        (out, lines.buf)
+    }
+
+    #[test]
+    fn lines_are_the_same_however_the_bytes_arrive() {
+        let long = format!(
+            "{{\"op\":\"scan\",\"bytes_hex\":\"{}\"}}",
+            "ab".repeat(10_000)
+        );
+        let input = format!("scan /tmp/a.doc\n\n{long}\nmetrics\r\nhealth\nunfinished");
+        let expected: Vec<Vec<u8>> = [
+            "scan /tmp/a.doc\n",
+            "\n",
+            &format!("{long}\n"),
+            "metrics\r\n",
+            "health\n",
+        ]
+        .iter()
+        .map(|l| l.as_bytes().to_vec())
+        .collect();
+        for size in [1, 4096, input.len()] {
+            let (lines, rest) = lines_in_chunks(input.as_bytes(), size);
+            assert_eq!(lines, expected, "chunks of {size}");
+            assert_eq!(rest, b"unfinished", "chunks of {size}");
+        }
     }
 }

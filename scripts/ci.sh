@@ -207,12 +207,15 @@ cache_tests() {
         assert_no_orphan_workers
 }
 
-# The process-isolation suite, then an outside-the-process check of the
-# supervisor's no-orphans guarantee: every worker is reaped on every exit
-# path (clean shutdown, heartbeat kill, supervisor panic), so after the
-# suite no isolation worker may still be running.
+# The process-isolation suite and, by name, the unit tests of the
+# supervisor and of its wire (framing, every frame's layout, the hello's
+# version check), then an outside-the-process check of the supervisor's
+# no-orphans guarantee: every worker is reaped on every exit path (clean
+# shutdown, heartbeat kill, supervisor panic), so after the suite no
+# isolation worker may still be running.
 isolation_tests() {
     cargo test -q --offline --test isolation &&
+        cargo test -q --offline -p vbadet --lib -- scan::isolate:: &&
         cargo test -q --offline --features faultpoints --test isolation &&
         assert_no_orphan_workers
 }

@@ -121,6 +121,33 @@ fn a_missing_worker_binary_is_a_typed_per_document_failure_not_a_hang() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The JSON hello of layout versions 1–3 is not a hello to a worker of
+/// this build: it exits non-zero without a `ready` frame, which the
+/// supervisor counts as a failed handshake.
+#[test]
+fn a_worker_refuses_a_json_hello_without_sending_ready() {
+    use std::process::{Command, Stdio};
+    use vbadet::scan::isolate::{read_frame, write_frame};
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_isolation_worker"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let mut stdin = child.stdin.take().unwrap();
+    let hello = r#"{"op":"hello","frame_version":3,"generation":0,"detector":"x"}"#;
+    write_frame(&mut stdin, hello).unwrap();
+    let mut stdout = child.stdout.take().unwrap();
+    assert_eq!(
+        read_frame(&mut stdout).unwrap(),
+        None,
+        "a frame after a JSON hello"
+    );
+    let status = child.wait().unwrap();
+    assert_eq!(status.code(), Some(2), "{status:?}");
+}
+
 #[test]
 fn the_worker_memory_ceiling_is_a_typed_outcome_not_a_dead_worker() {
     let _guard = global_guard();
