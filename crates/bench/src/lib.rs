@@ -6,11 +6,11 @@
 //! corpus; e.g. `VBADET_SCALE=0.1` for a quick pass) and the fold count
 //! through `VBADET_FOLDS` (default 10, as in §V).
 //!
-//! The benches (`scan_parallel`, `features`, `cache` and `reload` feed the
-//! `scripts/ci.sh` gates; `serve` is recorded only) each write one
-//! `results/BENCH_*.json`. The helpers below are the pieces they share;
-//! their generated inputs are part of what the committed baselines
-//! measured, so changing one changes every baseline that uses it.
+//! The benches (`scan_parallel`, `features`, `cache` and `reload`, which
+//! feed the `scripts/ci.sh` gates) each write one `results/BENCH_*.json`.
+//! The helpers below are the pieces they share; their generated inputs
+//! are part of what the committed baselines measured, so changing one
+//! changes every baseline that uses it.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -120,7 +120,7 @@ pub fn macro_project(i: usize) -> Vec<u8> {
     b.build().unwrap()
 }
 
-/// The one document the service benches send over and over: a module of
+/// The one document the reload bench sends over and over: a module of
 /// ~150 statements.
 pub fn served_macro_project() -> Vec<u8> {
     let mut body = String::new();

@@ -12,41 +12,74 @@ use vbadet_corpus::{generate_macros, CorpusSpec, DocumentFactory};
 
 type CmdResult = Result<(), Box<dyn Error>>;
 
-/// Flags that take a value (`--key value`), across every subcommand.
-const VALUE_FLAGS: &[&str] = &[
-    "breaker-backoff-ms",
-    "breaker-threshold",
-    "cache",
-    "cache-entries",
-    "classifier",
-    "deadline-ms",
-    "folds",
-    "fuel",
-    "heartbeat-ms",
-    "jobs",
-    "journal",
-    "limits",
-    "max-scan-mem-mb",
-    "metrics-json",
-    "model",
-    "out",
-    "queue",
-    "resume",
-    "scale",
-    "seed",
-    "socket",
-    "tcp",
-    "techniques",
+/// The scan policy flags `scan` and `serve` share (`policy_from_flags`).
+const POLICY: &[&str] = &["deadline-ms", "fuel", "limits", "max-scan-mem-mb"];
+
+/// The flags that pick the detector: `--model`, or the training corpus
+/// and classifier (`detector_from_flags`).
+const DETECTOR: &[&str] = &["classifier", "model", "scale", "seed"];
+
+/// A command, the flags it reads that take a value (in groups), and the
+/// bare switches it reads.
+type CommandFlags = (
+    &'static str,
+    &'static [&'static [&'static str]],
+    &'static [&'static str],
+);
+
+/// The flags each command reads. A command takes no flag outside its
+/// entry.
+const COMMANDS: &[CommandFlags] = &[
+    (
+        "scan",
+        &[
+            POLICY,
+            DETECTOR,
+            &[
+                "cache",
+                "cache-entries",
+                "jobs",
+                "journal",
+                "metrics-json",
+                "resume",
+            ],
+        ],
+        &["isolate", "stats"],
+    ),
+    (
+        "serve",
+        &[
+            POLICY,
+            DETECTOR,
+            &[
+                "breaker-backoff-ms",
+                "breaker-threshold",
+                "cache-entries",
+                "heartbeat-ms",
+                "jobs",
+                "journal",
+                "metrics-json",
+                "queue",
+                "socket",
+                "tcp",
+            ],
+        ],
+        &["in-process"],
+    ),
+    ("extract", &[], &[]),
+    ("obfuscate", &[&["seed", "techniques"]], &[]),
+    ("deobfuscate", &[], &[]),
+    ("corpus", &[&["out", "scale", "seed"]], &[]),
+    ("train", &[&["classifier", "out", "scale", "seed"]], &[]),
+    ("evaluate", &[&["folds", "scale", "seed"]], &[]),
 ];
 
-/// Flags that are bare switches (no value follows them).
-const SWITCHES: &[&str] = &["stats", "isolate", "in-process"];
-
 /// Minimal flag parser: `--key value` pairs, bare `--switch` flags, plus
-/// positional arguments. A `--key` in neither list is an error: guessing
-/// that it takes a value would swallow the path after it. Positional
-/// arguments are paths and keep their bytes; a flag or flag value that is
-/// not UTF-8 is an error.
+/// positional arguments, for one command's flags (`COMMANDS`). Any other
+/// `--key` is an error: guessing that it takes a value would swallow the
+/// path after it, and ignoring it would run without what it asked for.
+/// Positional arguments are paths and keep their bytes; a flag or flag
+/// value that is not UTF-8 is an error.
 struct Flags {
     values: std::collections::HashMap<String, String>,
     switches: std::collections::HashSet<String>,
@@ -59,8 +92,23 @@ fn utf8(arg: &OsStr) -> Result<&str, String> {
         .ok_or_else(|| format!("argument {arg:?} is not valid UTF-8"))
 }
 
+/// Whether `command`'s entry in `COMMANDS` lists `key` as a value flag
+/// (`switch` false) or as a switch (`switch` true).
+fn takes(command: &str, key: &str, switch: bool) -> bool {
+    COMMANDS
+        .iter()
+        .filter(|(name, ..)| *name == command)
+        .any(|(_, values, switches)| {
+            if switch {
+                switches.contains(&key)
+            } else {
+                values.iter().any(|group| group.contains(&key))
+            }
+        })
+}
+
 impl Flags {
-    fn parse(args: &[OsString]) -> Result<Self, Box<dyn Error>> {
+    fn parse(command: &str, args: &[OsString]) -> Result<Self, Box<dyn Error>> {
         let mut values = std::collections::HashMap::new();
         let mut switches = std::collections::HashSet::new();
         let mut positional = Vec::new();
@@ -71,17 +119,37 @@ impl Flags {
                 continue;
             }
             let key = &utf8(arg)?[2..];
-            if SWITCHES.contains(&key) {
+            if takes(command, key, true) {
                 switches.insert(key.to_string());
                 continue;
             }
-            if !VALUE_FLAGS.contains(&key) {
-                return Err(format!("unknown flag --{key}").into());
+            if !takes(command, key, false) {
+                let known = COMMANDS
+                    .iter()
+                    .any(|(name, ..)| takes(name, key, false) || takes(name, key, true));
+                return Err(if known {
+                    format!("{command} does not take --{key}")
+                } else {
+                    format!("unknown flag --{key}")
+                }
+                .into());
             }
             let value = iter
                 .next()
                 .ok_or_else(|| format!("--{key} requires a value"))?;
             values.insert(key.to_string(), utf8(value)?.to_string());
+        }
+        // A loaded model ignores the flags that would train one.
+        if values.contains_key("model") {
+            if let Some(key) = ["classifier", "scale", "seed"]
+                .into_iter()
+                .find(|key| values.contains_key(*key))
+            {
+                return Err(format!(
+                    "{command}: --{key} trains a detector, --model loads one: pass one or the other"
+                )
+                .into());
+            }
         }
         Ok(Flags {
             values,
@@ -220,7 +288,7 @@ fn policy_from_flags(cmd: &str, flags: &Flags) -> Result<ScanPolicy, Box<dyn Err
 }
 
 pub fn scan(args: &[OsString]) -> Result<ExitCode, Box<dyn Error>> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("scan", args)?;
     if flags.positional.is_empty() {
         return Err("scan: at least one file required".into());
     }
@@ -389,7 +457,7 @@ pub fn scan(args: &[OsString]) -> Result<ExitCode, Box<dyn Error>> {
 /// metrics, removes the socket file and exits 3 (the same "stopped on
 /// request, work is accounted for" slot as an interrupted batch).
 pub fn serve(args: &[OsString]) -> Result<ExitCode, Box<dyn Error>> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("serve", args)?;
     if let Some(stray) = flags.positional.first() {
         return Err(format!("serve: unexpected positional argument {stray:?}").into());
     }
@@ -510,7 +578,7 @@ pub fn serve(args: &[OsString]) -> Result<ExitCode, Box<dyn Error>> {
 }
 
 pub fn extract(args: &[OsString]) -> CmdResult {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("extract", args)?;
     let path = flags.positional.first().ok_or("extract: file required")?;
     extract_to(Path::new(path), &mut std::io::stdout().lock())
 }
@@ -538,7 +606,7 @@ pub fn obfuscate(args: &[OsString]) -> CmdResult {
     use rand::SeedableRng;
     use vbadet_obfuscate::{Obfuscator, Technique};
 
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("obfuscate", args)?;
     let path = flags
         .positional
         .first()
@@ -574,7 +642,7 @@ pub fn obfuscate(args: &[OsString]) -> CmdResult {
 }
 
 pub fn deobfuscate(args: &[OsString]) -> CmdResult {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("deobfuscate", args)?;
     let path = flags
         .positional
         .first()
@@ -595,7 +663,7 @@ pub fn deobfuscate(args: &[OsString]) -> CmdResult {
 }
 
 pub fn corpus(args: &[OsString]) -> CmdResult {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("corpus", args)?;
     let out: PathBuf = flags
         .values
         .get("out")
@@ -617,7 +685,13 @@ pub fn corpus(args: &[OsString]) -> CmdResult {
     let factory = DocumentFactory::new(&spec, &macros);
     let mut written = 0usize;
     let mut io_error: Option<std::io::Error> = None;
+    // Labels file: name, class, module count.
+    let mut labels = String::from("file,malicious,modules\n");
     factory.for_each(|file| {
+        labels.push_str(&format!(
+            "{},{},{}\n",
+            file.name, file.malicious, file.module_count
+        ));
         if io_error.is_some() {
             return;
         }
@@ -635,16 +709,6 @@ pub fn corpus(args: &[OsString]) -> CmdResult {
     if let Some(e) = io_error {
         return Err(e.into());
     }
-
-    // Labels file: name, class, module count.
-    let mut labels = String::from("file,malicious,modules\n");
-    let factory = DocumentFactory::new(&spec, &macros);
-    factory.for_each(|file| {
-        labels.push_str(&format!(
-            "{},{},{}\n",
-            file.name, file.malicious, file.module_count
-        ));
-    });
     std::fs::write(out.join("labels.csv"), labels)?;
     eprintln!(
         "wrote {written} documents + labels.csv to {}",
@@ -654,7 +718,7 @@ pub fn corpus(args: &[OsString]) -> CmdResult {
 }
 
 pub fn train(args: &[OsString]) -> CmdResult {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("train", args)?;
     let out = flags
         .values
         .get("out")
@@ -670,13 +734,39 @@ pub fn train(args: &[OsString]) -> CmdResult {
     };
     let detector = Detector::train_on_corpus(&config, &spec_at(scale, seed));
     let text = detector.save();
-    std::fs::write(out, &text)?;
+    write_atomically(Path::new(out), text.as_bytes())?;
     eprintln!("saved {} bytes to {out}", text.len());
     Ok(())
 }
 
+/// Writes `bytes` to `path` so that a reader, such as a serve `reload`,
+/// sees the old file or the whole new one, never a torn write: the bytes
+/// go to a temp file in the same directory, which is fsynced and then
+/// renamed over `path`, and the directory is fsynced after the rename.
+fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    use std::io::Write as _;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    let mut name = OsString::from(".");
+    name.push(path.file_name().unwrap_or(path.as_os_str()));
+    name.push(format!(".tmp-{}", std::process::id()));
+    let tmp = dir.join(name);
+    let written = std::fs::File::create(&tmp)
+        .and_then(|mut file| file.write_all(bytes).and_then(|()| file.sync_all()))
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written?;
+    #[cfg(unix)]
+    std::fs::File::open(dir)?.sync_all()?;
+    Ok(())
+}
+
 pub fn evaluate(args: &[OsString]) -> CmdResult {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("evaluate", args)?;
     let scale = flags.get("scale", 1.0)?;
     let folds = flags.get("folds", 10)?;
     let seed = flags.get("seed", 0xD512018)?;
@@ -717,7 +807,11 @@ mod tests {
 
     #[test]
     fn flags_parse_pairs_and_positionals() {
-        let f = Flags::parse(&strs(&["--scale", "0.5", "a.doc", "--seed", "7", "b.doc"])).unwrap();
+        let f = Flags::parse(
+            "scan",
+            &strs(&["--scale", "0.5", "a.doc", "--seed", "7", "b.doc"]),
+        )
+        .unwrap();
         assert_eq!(f.get("scale", 1.0).unwrap(), 0.5);
         assert_eq!(f.get("seed", 0u64).unwrap(), 7);
         assert_eq!(f.positional, strs(&["a.doc", "b.doc"]));
@@ -725,19 +819,19 @@ mod tests {
 
     #[test]
     fn flags_defaults_apply() {
-        let f = Flags::parse(&strs(&["x"])).unwrap();
+        let f = Flags::parse("evaluate", &strs(&["x"])).unwrap();
         assert_eq!(f.get("scale", 0.1).unwrap(), 0.1);
         assert_eq!(f.get("folds", 10usize).unwrap(), 10);
     }
 
     #[test]
     fn missing_flag_value_is_an_error() {
-        assert!(Flags::parse(&strs(&["--scale"])).is_err());
+        assert!(Flags::parse("scan", &strs(&["--scale"])).is_err());
     }
 
     #[test]
     fn switches_parse_without_values() {
-        let f = Flags::parse(&strs(&["--stats", "a.doc"])).unwrap();
+        let f = Flags::parse("scan", &strs(&["--stats", "a.doc"])).unwrap();
         assert!(f.has("stats"));
         assert!(!f.has("isolate"));
         assert_eq!(f.positional, strs(&["a.doc"]));
@@ -754,7 +848,7 @@ mod tests {
                 "--stat",
             ),
         ] {
-            let err = Flags::parse(&strs(args)).err().expect("must fail");
+            let err = Flags::parse("scan", &strs(args)).err().expect("must fail");
             assert_eq!(err.to_string(), format!("unknown flag {flag}"));
         }
     }
@@ -765,11 +859,14 @@ mod tests {
         use std::os::unix::ffi::OsStringExt;
         let name = OsString::from_vec(b"\xff\xfe.doc".to_vec());
         let positional = vec![name.clone()];
-        assert_eq!(Flags::parse(&positional).unwrap().positional, positional);
+        assert_eq!(
+            Flags::parse("scan", &positional).unwrap().positional,
+            positional
+        );
         let mut flag = OsString::from("--");
         flag.push(&name);
         for args in [vec![flag], vec![OsString::from("--model"), name]] {
-            let err = Flags::parse(&args).err().expect("must fail");
+            let err = Flags::parse("scan", &args).err().expect("must fail");
             assert!(err.to_string().contains("not valid UTF-8"), "{err}");
         }
     }
@@ -786,16 +883,106 @@ mod tests {
         named.dedup();
         for flag in &named {
             let args = strs(&[&format!("--{flag}"), "1"]);
-            assert!(Flags::parse(&args).is_ok(), "help names --{flag}");
+            let parsed = COMMANDS
+                .iter()
+                .filter(|(command, ..)| Flags::parse(command, &args).is_ok());
+            assert!(parsed.count() > 0, "help names --{flag}");
         }
-        let mut listed: Vec<&str> = VALUE_FLAGS.iter().chain(SWITCHES).copied().collect();
+        let mut listed: Vec<&str> = COMMANDS
+            .iter()
+            .flat_map(|(_, values, switches)| values.iter().copied().flatten().chain(*switches))
+            .copied()
+            .collect();
         listed.sort_unstable();
+        listed.dedup();
         assert_eq!(named, listed);
     }
 
     #[test]
+    fn a_flag_the_command_does_not_read_is_refused() {
+        for (command, args, want) in [
+            (
+                "scan",
+                &["--model", "m.txt", "--queue", "5", "f.doc"][..],
+                "scan does not take --queue",
+            ),
+            (
+                "scan",
+                &["--breaker-threshold", "9", "f.doc"],
+                "scan does not take --breaker-threshold",
+            ),
+            (
+                "scan",
+                &["--techniques", "o1", "f.doc"],
+                "scan does not take --techniques",
+            ),
+            (
+                "scan",
+                &["--in-process", "f.doc"],
+                "scan does not take --in-process",
+            ),
+            ("serve", &["--stats"], "serve does not take --stats"),
+            ("serve", &["--cache", "d"], "serve does not take --cache"),
+            (
+                "extract",
+                &["--jobs", "3", "f.doc"],
+                "extract does not take --jobs",
+            ),
+            (
+                "extract",
+                &["--cache", "x", "f.doc"],
+                "extract does not take --cache",
+            ),
+            (
+                "deobfuscate",
+                &["--seed", "1", "f.vba"],
+                "deobfuscate does not take --seed",
+            ),
+            (
+                "obfuscate",
+                &["--out", "o", "f.vba"],
+                "obfuscate does not take --out",
+            ),
+            (
+                "corpus",
+                &["--classifier", "lda"],
+                "corpus does not take --classifier",
+            ),
+            (
+                "train",
+                &["--model", "m.txt"],
+                "train does not take --model",
+            ),
+            (
+                "evaluate",
+                &["--isolate"],
+                "evaluate does not take --isolate",
+            ),
+        ] {
+            let err = Flags::parse(command, &strs(args)).err().expect("must fail");
+            assert_eq!(err.to_string(), want);
+        }
+    }
+
+    #[test]
+    fn training_flags_beside_a_model_are_refused() {
+        for command in ["scan", "serve"] {
+            for key in ["classifier", "scale", "seed"] {
+                let args = strs(&["--model", "m.txt", &format!("--{key}"), "1", "f.doc"]);
+                let err = Flags::parse(command, &args).err().expect("must fail");
+                assert_eq!(
+                    err.to_string(),
+                    format!("{command}: --{key} trains a detector, --model loads one: pass one or the other")
+                );
+            }
+            assert!(Flags::parse(command, &strs(&["--model", "m.txt", "--jobs", "2"])).is_ok());
+            assert!(Flags::parse(command, &strs(&["--scale", "0.5", "--seed", "2"])).is_ok());
+        }
+    }
+
+    #[test]
     fn bad_numeric_value_is_an_error() {
-        let f = Flags::parse(&strs(&["--scale", "abc"])).unwrap();
+        let f = Flags::parse("scan", &strs(&["--scale", "abc"])).unwrap();
         assert!(f.get("scale", 1.0).is_err());
     }
 
@@ -808,10 +995,10 @@ mod tests {
             ("lda", ClassifierKind::Lda),
             ("bnb", ClassifierKind::BernoulliNb),
         ] {
-            let flags = Flags::parse(&strs(&["--classifier", name])).unwrap();
+            let flags = Flags::parse("train", &strs(&["--classifier", name])).unwrap();
             assert_eq!(flags.classifier().unwrap(), expected);
         }
-        let flags = Flags::parse(&strs(&["--classifier", "xgboost"])).unwrap();
+        let flags = Flags::parse("train", &strs(&["--classifier", "xgboost"])).unwrap();
         assert!(flags.classifier().is_err());
     }
 
@@ -1074,6 +1261,81 @@ mod command_tests {
         std::fs::write(&path, "Sub A()\r\nEnd Sub\r\n").unwrap();
         let err = obfuscate(&strs2(&["--techniques", "o9", path.to_str().unwrap()]));
         assert!(err.is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_cli_refuses_what_it_would_ignore_before_doing_any_work() {
+        let err = scan(&strs2(&[
+            "--model",
+            "/nonexistent.model",
+            "--classifier",
+            "lda",
+            "f.doc",
+        ]));
+        assert!(err.unwrap_err().to_string().contains("--model loads one"));
+        let err = extract(&strs2(&["--jobs", "3", "--cache", "x", "/nonexistent.doc"]));
+        assert_eq!(err.unwrap_err().to_string(), "extract does not take --jobs");
+    }
+
+    #[test]
+    fn corpus_labels_list_every_document_written() {
+        let dir =
+            std::env::temp_dir().join(format!("vbadet_cli_test_corpus_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        corpus(&strs2(&[
+            "--out",
+            dir.to_str().unwrap(),
+            "--scale",
+            "0.002",
+            "--seed",
+            "7",
+        ]))
+        .unwrap();
+        let labels = std::fs::read_to_string(dir.join("labels.csv")).unwrap();
+        let mut rows = labels.lines();
+        assert_eq!(rows.next(), Some("file,malicious,modules"));
+        let mut count = 0;
+        for row in rows {
+            let fields: Vec<&str> = row.split(',').collect();
+            let class = if fields[1] == "true" {
+                "malicious"
+            } else {
+                "benign"
+            };
+            assert!(dir.join(class).join(fields[0]).is_file(), "{row}");
+            count += 1;
+        }
+        let written = ["benign", "malicious"]
+            .iter()
+            .map(|class| std::fs::read_dir(dir.join(class)).unwrap().count())
+            .sum::<usize>();
+        assert!(count > 0);
+        assert_eq!(count, written);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn train_replaces_its_output_whole_and_leaves_no_temp_file() {
+        let dir =
+            std::env::temp_dir().join(format!("vbadet_cli_test_atomic_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let model = dir.join("model.txt");
+        std::fs::write(&model, "an older model\n").unwrap();
+        train(&strs2(&[
+            "--out",
+            model.to_str().unwrap(),
+            "--scale",
+            "0.004",
+        ]))
+        .unwrap();
+        let text = std::fs::read_to_string(&model).unwrap();
+        assert!(vbadet::Detector::load(&text).is_ok());
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["model.txt"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -97,8 +97,8 @@ fn usage() -> &'static str {
     "vbadet — obfuscated VBA macro detection (DSN 2018 reproduction)
 
 USAGE:
-    vbadet scan [--scale F] [--classifier NAME] [--limits default|strict]
-                [--model FILE] [--deadline-ms N] [--fuel N] [--jobs N]
+    vbadet scan [--scale F] [--classifier NAME] [--seed N] | [--model FILE]
+                [--limits default|strict] [--deadline-ms N] [--fuel N] [--jobs N]
                 [--isolate] [--max-scan-mem-mb N] [--cache DIR]
                 [--journal FILE] [--resume FILE] [--stats]
                 [--metrics-json FILE] <file>...
@@ -110,8 +110,8 @@ USAGE:
     vbadet obfuscate [--techniques o1,o2,o3,o4] [--seed N] <file.vba>
     vbadet deobfuscate <file.vba>
     vbadet corpus --out DIR [--scale F] [--seed N]
-    vbadet train --out MODEL [--scale F] [--classifier NAME]
-    vbadet evaluate [--scale F] [--folds K]
+    vbadet train --out MODEL [--scale F] [--classifier NAME] [--seed N]
+    vbadet evaluate [--scale F] [--folds K] [--seed N]
 
 COMMANDS:
     scan        Extract macros from .doc/.xls/.docm/.xlsm/vbaProject.bin and
@@ -144,7 +144,8 @@ SCAN EXIT CODES:
     2   error, or batch completed with per-file failures
     3   interrupted (Ctrl-C drain); journal is resumable with --resume
 
-OPTIONS:
+OPTIONS (a command takes only the flags its USAGE line names; any other
+is an error):
     --scale F        corpus scale, 0 < F <= 1 (default: 0.1 scan, 1.0 evaluate)
     --classifier N   svm | rf | mlp | lda | bnb (default mlp)
     --techniques T   comma list of o1,o2,o3,o4 (default all)
@@ -165,8 +166,9 @@ OPTIONS:
                      it is FAILED [limit-exceeded] instead of OOM-killed
     --cache DIR      content-addressed result cache: documents whose bytes,
                      detector and policy were already scanned are answered
-                     from DIR without re-scanning (crash-safe JSONL store;
-                     --cache-entries caps the in-memory tier, default 65536)
+                     from DIR without re-scanning (crash-safe JSONL store,
+                     compacted to one segment on open; --cache-entries N
+                     keeps the N most recently used, default 65536)
 
     --journal FILE   checkpoint each document's outcome to FILE (JSONL,
                      crash-safe) as the scan runs
@@ -174,7 +176,8 @@ OPTIONS:
                      are not rescanned, mid-scan ones are re-attempted
     --seed N         RNG seed
     --model FILE     load a detector saved by `vbadet train` instead of
-                     training one
+                     training one (so not with --scale, --classifier or
+                     --seed); a file cut short or damaged is refused
     --stats          print the pipeline metrics snapshot to stderr
     --metrics-json FILE
                      write the pipeline metrics snapshot as JSON
@@ -200,7 +203,7 @@ SERVE OPTIONS:
                      concurrent duplicates share one scan (default 4096,
                      0 disables)
     Scan policy options (--limits, --deadline-ms, --fuel,
-    --max-scan-mem-mb, --model/--scale/--classifier/--seed) apply per
+    --max-scan-mem-mb, --model or --scale/--classifier/--seed) apply per
     request; --metrics-json writes the final service metrics at drain.
 
 SIGNALS:

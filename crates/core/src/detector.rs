@@ -441,29 +441,58 @@ impl std::fmt::Display for LoadError {
 
 impl std::error::Error for LoadError {}
 
+/// The trailer line that ends a saved detector whose text before it is
+/// `body`: the body's length in bytes and its SHA-256.
+fn trailer(body: &str) -> String {
+    let digest = crate::scan::cache::sha256(body.as_bytes());
+    format!(
+        "--end-- {} {}\n",
+        body.len(),
+        vbadet_metrics::json::hex(&digest)
+    )
+}
+
 impl Detector {
-    /// Serializes the trained detector (config, scaler, model) to text.
+    /// Serializes the trained detector (config, scaler, model) to text,
+    /// ending with a trailer line `--end-- LEN SHA256` over the body
+    /// before it, so a file cut short or damaged never loads.
     pub fn save(&self) -> String {
         let feature_tag = match self.config.feature_set {
             FeatureSet::V => "v",
             FeatureSet::J => "j",
         };
-        format!(
+        let body = format!(
             "vbadet-detector v1\nfeatures {feature_tag}\nclassifier {}\nseed {}\n--scaler--\n{}--model--\n{}",
             self.config.classifier.tag(),
             self.config.seed,
             self.scaler.to_text(),
             self.model.save_text(),
-        )
+        );
+        let trailer = trailer(&body);
+        body + &trailer
     }
 
     /// Restores a detector saved by [`Detector::save`].
     ///
     /// # Errors
     ///
-    /// Fails on malformed text or an unknown classifier/feature tag.
+    /// Fails on a missing or mismatched trailer (a file cut short, damaged,
+    /// or saved before the trailer existed), on malformed text, or on an
+    /// unknown classifier/feature tag.
     pub fn load(text: &str) -> Result<Self, LoadError> {
-        let mut lines = text.lines();
+        let body = text
+            .strip_suffix('\n')
+            .and_then(|t| t.rfind('\n'))
+            .map(|end| &text[..end + 1])
+            .filter(|body| trailer(body) == text[body.len()..])
+            .ok_or_else(|| {
+                LoadError(
+                    "no matching `--end--` trailer: the file is cut short, damaged, or from \
+                     an older version; retrain it with `vbadet train`"
+                        .to_string(),
+                )
+            })?;
+        let mut lines = body.lines();
         if lines.next() != Some("vbadet-detector v1") {
             return Err(LoadError("bad header".to_string()));
         }
@@ -483,7 +512,7 @@ impl Detector {
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| LoadError("bad seed line".to_string()))?;
 
-        let rest = text
+        let rest = body
             .split_once("--scaler--\n")
             .ok_or_else(|| LoadError("missing scaler section".to_string()))?
             .1;
@@ -533,6 +562,51 @@ mod persist_tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn every_strict_prefix_and_every_byte_flip_of_a_saved_detector_fails_to_load() {
+        let spec = CorpusSpec::paper().scaled(0.01);
+        for kind in ClassifierKind::ALL {
+            let config = DetectorConfig {
+                classifier: kind,
+                ..DetectorConfig::default()
+            };
+            let text = Detector::train_on_corpus(&config, &spec).save();
+            for cut in 0..text.len() {
+                let err = Detector::load(&text[..cut]).err();
+                assert!(
+                    err.is_some(),
+                    "{kind}: a cut at {cut} of {} loaded",
+                    text.len()
+                );
+            }
+            // Flips spread across the body, and every byte of the trailer.
+            // The text is ASCII, so a flip of the low bit keeps it a str.
+            let trailer_at = text.rfind("--end--").unwrap();
+            let spread = (0..trailer_at).step_by(trailer_at / 300 + 1);
+            let mut bytes = text.clone().into_bytes();
+            for at in spread.chain(trailer_at..text.len()) {
+                bytes[at] ^= 1;
+                let flipped = std::str::from_utf8(&bytes).unwrap();
+                assert!(
+                    Detector::load(flipped).is_err(),
+                    "{kind}: a flip at {at} loaded"
+                );
+                bytes[at] ^= 1;
+            }
+            let err = Detector::load(&text[..text.len() - 1]).unwrap_err();
+            assert!(err.to_string().contains("retrain"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_detector_saved_without_a_trailer_is_refused() {
+        let spec = CorpusSpec::paper().scaled(0.01);
+        let text = Detector::train_on_corpus(&DetectorConfig::default(), &spec).save();
+        let body = &text[..text.rfind("--end--").unwrap()];
+        let err = Detector::load(body).unwrap_err().to_string();
+        assert!(err.contains("retrain it with `vbadet train`"), "{err}");
     }
 
     #[test]

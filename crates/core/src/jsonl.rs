@@ -34,6 +34,9 @@ impl Writer {
         // Append mode: each record lands at the end of the file even if
         // another writer has the same file open.
         let file = OpenOptions::new().create(true).append(true).open(path)?;
+        // An advisory lock, held until the writer drops: the scan cache
+        // deletes no segment whose lock another writer holds.
+        let _ = file.try_lock();
         file.set_len(0)?;
         let mut log = Writer {
             file,

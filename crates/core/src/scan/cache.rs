@@ -28,7 +28,7 @@
 //!
 //! Any fingerprint mismatch is a clean miss: a retrained detector or a
 //! changed limit makes every old entry invisible (never a stale verdict),
-//! while the entries stay on disk for runs that still match.
+//! while the entries stay in the LRU, and on disk, until they are evicted.
 //!
 //! Every engine digests the very buffer it scans: in process, the one
 //! checked read of the file; isolated, the supervisor's read, whose bytes
@@ -37,14 +37,23 @@
 //!
 //! # Tiers
 //!
-//! - **In-memory**: a 16-way sharded LRU, `Mutex` per shard, suitable for
-//!   the resident service where the worker pool hits it concurrently.
-//! - **On-disk** (optional): segment files under a cache directory, one
-//!   new segment per writer run, each a `crate::jsonl` log, the one
-//!   crash-safe log the scan journal also uses. The cache keeps its own
-//!   damage policy: a torn tail or an oversized line ends the segment, a
-//!   line that fails its checksum or schema is skipped, a bad header skips
-//!   the segment. Each line carries an FNV-1a checksum over its canonical
+//! - **In-memory**: one exact LRU under one `Mutex`, which also guards the
+//!   keys in flight (see single-flight below). A recency index keyed by
+//!   use stamp evicts the least recently used entry in O(log n), so a
+//!   cache of capacity N holds at most N entries, for every N ≥ 1.
+//! - **On-disk** (optional): segment files under a cache directory, each
+//!   a `crate::jsonl` log, the one crash-safe log the scan journal also
+//!   uses. Every open compacts: it loads the segments in index order,
+//!   writes the live LRU, oldest first, into one new segment and syncs
+//!   it, then deletes the segments it read (but not one that another open
+//!   cache still writes, which holds a lock on it), and appends the run's
+//!   inserts to the new one. So a directory holds one segment between
+//!   runs. A crash mid-compaction leaves the old segments, the new one,
+//!   or both; the newest entry of a key wins on load, so each loads the
+//!   same hits. The cache keeps its own damage policy: a torn tail or an
+//!   oversized line ends the segment, a line that fails its checksum or
+//!   schema is skipped, a bad header skips the segment and leaves it on
+//!   disk. Each line carries an FNV-1a checksum over its canonical
 //!   content, so a *bitflipped* (not just torn) entry is skipped instead
 //!   of served as a wrong verdict.
 //!
@@ -85,16 +94,17 @@
 //! elsewhere scans it without waiting.
 
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs;
 use std::io;
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::detector::Detector;
 use crate::journal::{decode_outcome, outcome_json};
 use crate::jsonl;
+use vbadet_faultpoint::faultpoint;
 use vbadet_metrics::json::{self, hex, json_str, unhex, Json};
 use vbadet_metrics::{Counter, MetricsSink, Stage};
 
@@ -105,10 +115,6 @@ pub const CACHE_FORMAT: &str = "vbadet-scan-cache";
 /// On-disk schema version. Bumping it orphans (but does not delete) every
 /// existing segment: the loader skips segments with a different version.
 pub const CACHE_VERSION: u64 = 2;
-
-/// Number of in-memory LRU shards. A power of two so shard selection is a
-/// mask on the first digest byte.
-const SHARDS: usize = 16;
 
 /// Hard cap on one serialized entry line. Anything longer on disk is
 /// treated as damage; anything longer at insert time is simply not
@@ -354,42 +360,41 @@ fn cacheable(outcome: &ScanOutcome) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// In-memory tier: sharded stamp-LRU.
+// In-memory tier: one exact LRU and the keys in flight, under one lock.
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Default)]
-struct Shard {
+#[derive(Debug)]
+struct Lru {
+    /// Each entry with its use stamp.
     map: HashMap<Key, (Entry, u64)>,
+    /// The recency index: use stamp to key, least recently used first.
+    order: BTreeMap<u64, Key>,
     clock: u64,
+    capacity: usize,
+    /// Keys whose [`Lead`] is live: being scanned by some thread.
+    flights: HashSet<Key>,
 }
 
-impl Shard {
+impl Lru {
     fn get(&mut self, key: &Key) -> Option<Entry> {
+        let (entry, stamp) = self.map.get_mut(key)?;
+        self.order.remove(stamp);
         self.clock += 1;
-        let clock = self.clock;
-        self.map.get_mut(key).map(|(entry, stamp)| {
-            *stamp = clock;
-            entry.clone()
-        })
+        *stamp = self.clock;
+        self.order.insert(self.clock, *key);
+        Some(entry.clone())
     }
 
     /// Inserts and returns how many entries were evicted to make room.
-    fn put(&mut self, key: Key, entry: Entry, capacity: usize) -> u64 {
+    fn put(&mut self, key: Key, entry: Entry) -> u64 {
         self.clock += 1;
-        self.map.insert(key, (entry, self.clock));
+        self.order.insert(self.clock, key);
+        if let Some((_, stamp)) = self.map.insert(key, (entry, self.clock)) {
+            self.order.remove(&stamp);
+        }
         let mut evicted = 0;
-        while self.map.len() > capacity {
-            // O(n) min-stamp scan: capacity per shard is small (total/16)
-            // and eviction only runs once the shard is full, so this stays
-            // off the hot path. A linked LRU is not worth the unsafe.
-            let Some(oldest) = self
-                .map
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(k, _)| *k)
-            else {
-                break;
-            };
+        while self.map.len() > self.capacity {
+            let (_, oldest) = self.order.pop_first().expect("one stamp per entry");
             self.map.remove(&oldest);
             evicted += 1;
         }
@@ -459,28 +464,22 @@ fn decode_entry(j: &Json) -> Result<(Key, Entry), String> {
     Ok((key, entry))
 }
 
-/// Lists the segment files in `dir`, sorted by name (which sorts by index
-/// thanks to the zero-padded naming scheme).
-fn segment_paths(dir: &Path) -> io::Result<Vec<PathBuf>> {
+/// Lists the segment files in `dir` (`seg-N.jsonl`) with their indices,
+/// in index order.
+fn segment_paths(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     let mut segments = Vec::new();
     for entry in fs::read_dir(dir)? {
         let path = entry?.path();
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if name.starts_with("seg-") && name.ends_with(".jsonl") {
-            segments.push(path);
+        let index = name
+            .strip_prefix("seg-")
+            .and_then(|n| n.strip_suffix(".jsonl"));
+        if let Some(index) = index.and_then(|n| n.parse().ok()) {
+            segments.push((index, path));
         }
     }
     segments.sort();
     Ok(segments)
-}
-
-fn next_segment_path(dir: &Path, existing: &[PathBuf]) -> PathBuf {
-    let max = existing
-        .iter()
-        .filter_map(|p| p.file_stem()?.to_str()?.strip_prefix("seg-")?.parse().ok())
-        .max()
-        .unwrap_or(0u64);
-    dir.join(format!("seg-{:06}.jsonl", max + 1))
 }
 
 // ---------------------------------------------------------------------------
@@ -494,69 +493,94 @@ fn next_segment_path(dir: &Path, existing: &[PathBuf]) -> PathBuf {
 /// (sequential, parallel, isolated, serve) consults it identically.
 #[derive(Debug)]
 pub struct ScanCache {
-    shards: Vec<Mutex<Shard>>,
-    /// Per-shard capacity (total capacity / SHARDS, at least 1).
-    shard_capacity: usize,
-    disk: Option<Mutex<jsonl::Writer>>,
-    load_warnings: Vec<String>,
-    /// Keys whose [`Lead`] is live: being scanned by some thread.
-    flights: Mutex<HashSet<Key>>,
+    lru: Mutex<Lru>,
     /// Signalled whenever a lead is released.
     landed: Condvar,
+    disk: Option<Mutex<jsonl::Writer>>,
+    load_warnings: Vec<String>,
 }
 
 impl ScanCache {
-    /// A purely in-memory cache holding at most ~`capacity` entries
-    /// (rounded up to a multiple of the shard count). For the resident
-    /// service, where the process outlives many requests.
+    /// A purely in-memory cache holding at most `capacity` entries (at
+    /// least one). For the resident service, where the process outlives
+    /// many requests.
     pub fn in_memory(capacity: usize) -> ScanCache {
         ScanCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_capacity: (capacity / SHARDS).max(1),
+            lru: Mutex::new(Lru {
+                map: HashMap::new(),
+                order: BTreeMap::new(),
+                clock: 0,
+                capacity: capacity.max(1),
+                flights: HashSet::new(),
+            }),
+            landed: Condvar::new(),
             disk: None,
             load_warnings: Vec::new(),
-            flights: Mutex::new(HashSet::new()),
-            landed: Condvar::new(),
         }
     }
 
     /// A cache backed by an on-disk segment directory, for batch runs that
     /// want hits across process restarts. Existing segments are loaded
     /// into the in-memory tier (damage is tolerated and reported via
-    /// [`load_warnings`](Self::load_warnings)); new inserts are appended
-    /// to a fresh segment.
+    /// [`load_warnings`](Self::load_warnings)), then compacted into one
+    /// fresh segment, to which new inserts are appended.
     ///
     /// # Errors
     ///
-    /// Only on environmental failure: the directory cannot be created,
-    /// listed, or a fresh segment cannot be opened for append. Damaged
+    /// Only on environmental failure: the directory cannot be created or
+    /// listed, or the fresh segment cannot be written and synced. Damaged
     /// *content* never errors — that is a warning plus a smaller cache.
     pub fn persistent<P: AsRef<Path>>(dir: P, capacity: usize) -> io::Result<ScanCache> {
         let dir = dir.as_ref();
         fs::create_dir_all(dir)?;
         let mut cache = ScanCache::in_memory(capacity);
         let segments = segment_paths(dir)?;
-        for segment in &segments {
-            cache.load_segment(segment);
+        let read: Vec<&Path> = segments
+            .iter()
+            .filter(|(_, path)| cache.load_segment(path))
+            .map(|(_, path)| path.as_path())
+            .collect();
+        let next = segments.last().map_or(1, |(index, _)| index + 1);
+        let fresh = dir.join(format!("seg-{next:06}.jsonl"));
+        let mut log = jsonl::Writer::create(&fresh, CACHE_FORMAT, CACHE_VERSION)?;
+        let lru = cache.lru.get_mut().unwrap_or_else(PoisonError::into_inner);
+        for key in lru.order.values() {
+            log.append(encode_entry_line(key, &lru.map[key].0).trim_end_matches('\n'));
         }
-        let fresh = next_segment_path(dir, &segments);
-        let log = jsonl::Writer::create(&fresh, CACHE_FORMAT, CACHE_VERSION)?;
+        log.sync();
+        log.status()?;
+        // From here on, a crash leaves the old segments beside the new one.
+        faultpoint!("cache::compact-synced");
+        for (i, path) in read.into_iter().enumerate() {
+            if i > 0 {
+                faultpoint!("cache::compact-between-deletes");
+            }
+            // A segment that another open cache still writes is locked.
+            if fs::File::open(path).is_ok_and(|segment| segment.try_lock().is_err()) {
+                continue;
+            }
+            if let Err(e) = fs::remove_file(path) {
+                let warning = format!("{}: not deleted: {e}", path.display());
+                cache.load_warnings.push(warning);
+            }
+        }
         cache.disk = Some(Mutex::new(log));
         Ok(cache)
     }
 
-    /// Loads one segment into the in-memory tier. Total: every class of
-    /// damage degrades to a warning, never an error or a wrong entry —
-    /// a bad header skips the segment, a torn or oversized line stops the
-    /// segment there, a line that fails its checksum or schema is skipped
-    /// and the rest of the segment kept.
-    fn load_segment(&mut self, path: &Path) {
+    /// Loads one segment into the in-memory tier and says whether its
+    /// header was this version's. Total: every class of damage degrades
+    /// to a warning, never an error or a wrong entry — a bad header skips
+    /// the segment, a torn or oversized line stops the segment there, a
+    /// line that fails its checksum or schema is skipped and the rest of
+    /// the segment kept.
+    fn load_segment(&mut self, path: &Path) -> bool {
         let name = path.display();
         let bytes = match fs::read(path) {
             Ok(b) => b,
             Err(e) => {
                 self.load_warnings.push(format!("{name}: unreadable: {e}"));
-                return;
+                return false;
             }
         };
         let lines = match jsonl::read(&bytes, CACHE_FORMAT, CACHE_VERSION) {
@@ -564,9 +588,10 @@ impl ScanCache {
             Err(e) => {
                 self.load_warnings
                     .push(format!("{name}: {e}, segment skipped"));
-                return;
+                return false;
             }
         };
+        let lru = self.lru.get_mut().unwrap_or_else(PoisonError::into_inner);
         for line in lines {
             let lineno = line.number;
             if line.len > MAX_ENTRY_LINE_BYTES {
@@ -575,7 +600,7 @@ impl ScanCache {
                      rest of segment dropped",
                     line.len
                 ));
-                return;
+                break;
             }
             let decoded = line
                 .text
@@ -583,16 +608,14 @@ impl ScanCache {
                 .and_then(|j| decode_entry(&j));
             match decoded {
                 Ok((key, entry)) => {
-                    self.shard(&key)
-                        .lock()
-                        .expect("cache shard lock poisoned")
-                        .put(key, entry, self.shard_capacity);
+                    lru.put(key, entry);
                 }
                 // Line-local damage: skip it and keep loading. (A torn
                 // line is always the last, so skipping it ends the segment.)
                 Err(why) => self.load_warnings.push(format!("{name}:{lineno}: {why}")),
             }
         }
+        true
     }
 
     /// Warnings accumulated while loading on-disk segments: one line per
@@ -604,10 +627,7 @@ impl ScanCache {
 
     /// Number of entries currently resident in memory.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard lock poisoned").map.len())
-            .sum()
+        self.lock().map.len()
     }
 
     /// Whether the in-memory tier is empty.
@@ -620,51 +640,40 @@ impl ScanCache {
     /// -input fuzz asserts that whatever survives a corrupted store is a
     /// subset of what was written, never an altered verdict.
     pub fn entries(&self) -> Vec<(String, ScanOutcome)> {
-        self.shards
+        let lru = self.lock();
+        lru.map
             .iter()
-            .flat_map(|s| {
-                s.lock()
-                    .expect("cache shard lock poisoned")
-                    .map
-                    .iter()
-                    .map(|(k, (entry, _))| (hex(&k.digest), entry.outcome.clone()))
-                    .collect::<Vec<_>>()
-            })
+            .map(|(key, (entry, _))| (hex(&key.digest), entry.outcome.clone()))
             .collect()
     }
 
-    fn shard(&self, key: &Key) -> &Mutex<Shard> {
-        &self.shards[key.digest[0] as usize % SHARDS]
-    }
-
-    fn get(&self, key: &Key) -> Option<Entry> {
-        self.shard(key)
-            .lock()
-            .expect("cache shard lock poisoned")
-            .get(key)
+    /// The one lock. A panic never leaves the LRU half-updated, so a
+    /// poisoned lock is taken as it is.
+    fn lock(&self) -> MutexGuard<'_, Lru> {
+        self.lru.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Looks `key` up under the single-flight rule (see the module docs):
     /// a hit, or a miss that leads the key — unless another thread leads
     /// it, in which case this waits for that lead to land first.
     pub(crate) fn lookup(self: &Arc<Self>, key: Key, metrics: &MetricsSink) -> Lookup {
-        let mut flights = self.flights.lock().expect("cache flight lock poisoned");
+        let mut lru = self.lock();
         loop {
-            if let Some(entry) = self.get(&key) {
-                drop(flights);
+            if let Some(entry) = lru.get(&key) {
+                drop(lru);
                 metrics.record(Stage::CacheHits, 1);
                 return Lookup::Hit(entry.outcome, entry.deltas);
             }
-            let leading = flights.insert(key);
+            let leading = lru.flights.insert(key);
             if leading || LEADS.get() > 0 {
-                drop(flights);
+                drop(lru);
                 metrics.record(Stage::CacheMisses, 1);
                 return Lookup::Miss(Lead::new(Arc::clone(self), key, leading));
             }
-            flights = self
+            lru = self
                 .landed
-                .wait(flights)
-                .expect("cache flight lock poisoned");
+                .wait(lru)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -687,11 +696,7 @@ impl ScanCache {
         let line = encode_entry_line(&key, &entry);
         metrics.record(Stage::CacheInserts, 1);
         metrics.record(Stage::CacheBytes, line.len() as u64);
-        let evicted = self
-            .shard(&key)
-            .lock()
-            .expect("cache shard lock poisoned")
-            .put(key, entry, self.shard_capacity);
+        let evicted = self.lock().put(key, entry);
         if evicted > 0 {
             metrics.record(Stage::CacheEvictions, evicted);
         }
@@ -800,8 +805,7 @@ impl Drop for Lead {
     fn drop(&mut self) {
         if self.leading {
             LEADS.set(LEADS.get() - 1);
-            let mut flights = self.cache.flights.lock().unwrap_or_else(|p| p.into_inner());
-            flights.remove(&self.key);
+            self.cache.lock().flights.remove(&self.key);
             self.cache.landed.notify_all();
         }
     }
@@ -864,6 +868,12 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    impl ScanCache {
+        fn get(&self, key: &Key) -> Option<Entry> {
+            self.lock().get(key)
+        }
     }
 
     fn key(seed: u8) -> Key {
@@ -1036,8 +1046,8 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_oldest_entry_per_shard() {
-        // Capacity below the shard count clamps to one entry per shard:
-        // two keys in the same shard must evict down to the newer one.
+        // A cache of capacity one keeps one entry: the second key evicts
+        // the first.
         let cache = ScanCache::in_memory(1);
         let metrics = MetricsSink::enabled();
         let (mut a, mut b) = (key(1), key(2));
@@ -1050,6 +1060,102 @@ mod tests {
         let snap = metrics.snapshot().unwrap();
         assert_eq!(snap.histograms["cache.evictions"].total, 1);
         assert_eq!(snap.histograms["cache.inserts"].count, 2);
+    }
+
+    #[test]
+    fn capacity_is_exact_and_the_least_recently_used_entry_goes_first() {
+        let metrics = MetricsSink::default();
+        for capacity in [1, 5, 17, 20] {
+            let cache = ScanCache::in_memory(capacity);
+            for seed in 0..40 {
+                cache.insert(key(seed), &ScanOutcome::Clean, &[], &metrics);
+            }
+            assert_eq!(cache.len(), capacity);
+            // The last `capacity` inserts survive. A `get` refreshes the
+            // oldest of them, so the next insert evicts the one after it.
+            let oldest = 40 - capacity as u8;
+            assert!(cache.get(&key(oldest - 1)).is_none(), "{capacity}");
+            assert!(cache.get(&key(oldest)).is_some(), "{capacity}");
+            cache.insert(key(200), &ScanOutcome::Clean, &[], &metrics);
+            assert_eq!(cache.len(), capacity);
+            assert!(cache.get(&key(200)).is_some());
+            if capacity > 1 {
+                assert!(cache.get(&key(oldest)).is_some(), "{capacity}");
+                assert!(cache.get(&key(oldest + 1)).is_none(), "{capacity}");
+            }
+        }
+    }
+
+    #[test]
+    fn fifty_opens_leave_one_segment_and_the_entries_of_one_long_lived_cache() {
+        let dir = tempdir("compact");
+        let metrics = MetricsSink::default();
+        let long_lived = ScanCache::in_memory(8);
+        let sorted = |cache: &ScanCache| {
+            let mut entries = cache.entries();
+            entries.sort_by(|a, b| a.0.cmp(&b.0));
+            entries
+        };
+        for run in 0..50u8 {
+            let cache = ScanCache::persistent(&dir, 8).unwrap();
+            assert_eq!(segment_paths(&dir).unwrap().len(), 1, "open {run}");
+            // A new key and a repeated one, whose newest outcome must win.
+            for seed in [run, run / 3] {
+                let outcome = ScanOutcome::Failed {
+                    class: FailureClass::Truncated,
+                    detail: format!("run {run}"),
+                };
+                cache.insert(key(seed), &outcome, &[], &metrics);
+                long_lived.insert(key(seed), &outcome, &[], &metrics);
+            }
+        }
+        let reopened = ScanCache::persistent(&dir, 8).unwrap();
+        assert!(reopened.load_warnings().is_empty());
+        assert_eq!(segment_paths(&dir).unwrap().len(), 1);
+        assert_eq!(sorted(&reopened), sorted(&long_lived));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_open_leaves_the_segment_another_open_cache_writes() {
+        let dir = tempdir("two-writers");
+        let metrics = MetricsSink::default();
+        let first = ScanCache::persistent(&dir, 8).unwrap();
+        first.insert(key(1), &ScanOutcome::Clean, &[], &metrics);
+        let second = ScanCache::persistent(&dir, 8).unwrap();
+        assert!(second.get(&key(1)).is_some());
+        // The first cache's later inserts still reach its segment.
+        first.insert(key(2), &ScanOutcome::Clean, &[], &metrics);
+        second.insert(key(3), &ScanOutcome::Clean, &[], &metrics);
+        drop((first, second));
+        let reopened = ScanCache::persistent(&dir, 8).unwrap();
+        assert_eq!(reopened.len(), 3);
+        assert_eq!(segment_paths(&dir).unwrap().len(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn segments_load_in_index_order_not_name_order() {
+        // `seg-10` sorts before `seg-9` by name; its entry is the newer.
+        let dir = tempdir("order");
+        let metrics = MetricsSink::default();
+        for (name, detail) in [("seg-9.jsonl", "older"), ("seg-10.jsonl", "newer")] {
+            let cache = ScanCache::in_memory(4);
+            let outcome = ScanOutcome::Failed {
+                class: FailureClass::Truncated,
+                detail: detail.to_string(),
+            };
+            cache.insert(key(1), &outcome, &[], &metrics);
+            let line = encode_entry_line(&key(1), &cache.get(&key(1)).unwrap());
+            let header = format!("{{\"format\":\"{CACHE_FORMAT}\",\"version\":{CACHE_VERSION}}}\n");
+            fs::write(dir.join(name), header + &line).unwrap();
+        }
+        let cache = ScanCache::persistent(&dir, 4).unwrap();
+        let got = cache.get(&key(1)).unwrap().outcome;
+        assert!(matches!(got, ScanOutcome::Failed { detail, .. } if detail == "newer"));
+        let left: Vec<u64> = segment_paths(&dir).unwrap().iter().map(|s| s.0).collect();
+        assert_eq!(left, [11]);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1085,7 +1191,7 @@ mod tests {
             cache.insert(key(1), &ScanOutcome::Clean, &[], &metrics);
             cache.insert(key(2), &macro_outcome(), &[], &metrics);
         }
-        let seg = segment_paths(&dir).unwrap().pop().unwrap();
+        let seg = segment_paths(&dir).unwrap().pop().unwrap().1;
         let mut bytes = fs::read(&seg).unwrap();
         let cut = bytes.len() - 10;
         bytes.truncate(cut);
@@ -1111,7 +1217,7 @@ mod tests {
             cache.insert(key(1), &macro_outcome(), &[], &metrics);
             cache.insert(key(2), &ScanOutcome::Clean, &[], &metrics);
         }
-        let seg = segment_paths(&dir).unwrap().pop().unwrap();
+        let seg = segment_paths(&dir).unwrap().pop().unwrap().1;
         let text = fs::read_to_string(&seg).unwrap();
         // Flip the verdict of the first entry without touching its
         // checksum: the loader must refuse to serve the altered line.

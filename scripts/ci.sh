@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Staged offline CI harness. Run from anywhere; it cds to the repo root.
 #
-#   scripts/ci.sh               full pipeline: fmt -> builds -> tests ->
-#                               paper -> clippy -> bench -> gates
+#   scripts/ci.sh               full pipeline: fmt -> size -> builds ->
+#                               tests -> paper -> clippy -> bench -> gates
 #   scripts/ci.sh --stage NAME  run only the named stage(s); repeatable,
 #                               e.g. --stage serve --stage reload-soak.
 #                               Unselected stages are recorded as skipped
@@ -42,7 +42,7 @@ OVERALL=ok
 
 # Every stage the pipeline knows, in run order — the --stage validator
 # and the skip logic both key off this list.
-KNOWN_STAGES="fmt build doc benchmark-build build-faultpoints test test-faultpoints test-determinism \
+KNOWN_STAGES="fmt size build doc benchmark-build build-faultpoints test test-faultpoints test-determinism \
 cache isolation serve serve-soak reload-soak paper clippy clippy-faultpoints \
 bench bench-features bench-cache bench-reload gates"
 
@@ -512,6 +512,7 @@ TABLE
 fi
 
 stage fmt cargo fmt --all --check
+stage size sh scripts/size.sh
 stage build cargo build --release --offline --workspace
 stage doc doc_stage
 stage benchmark-build benchmark_build

@@ -361,3 +361,89 @@ fn file_growing_past_the_size_cap_between_stat_and_read_is_limit_exceeded() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_cache_open_stopped_mid_compaction_reopens_to_the_same_hits() {
+    use std::sync::Arc;
+    use vbadet::ScanCache;
+    use vbadet_repro::testkit::{clean_doc, macro_doc};
+
+    let _guard = global_guard();
+    let det = tiny_detector();
+    let dir = fresh_dir("compaction");
+    let paths: Vec<_> = (0..6)
+        .map(|i| {
+            let path = dir.join(format!("doc{i}.bin"));
+            let bytes = if i % 2 == 0 {
+                macro_doc(i)
+            } else {
+                clean_doc(i)
+            };
+            std::fs::write(&path, bytes).unwrap();
+            path
+        })
+        .collect();
+    let store = dir.join("store");
+    {
+        let cache = ScanCache::persistent(&store, 64).unwrap();
+        let policy = ScanPolicy::default().with_cache(Arc::new(cache));
+        scan_paths_with_policy(det, &paths, &policy);
+    }
+    let segments = |dir: &std::path::Path| {
+        let mut names: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    };
+    assert_eq!(segments(&store), ["seg-000001.jsonl"]);
+    // A second segment holding the same entries gives the open two
+    // segments to delete, so the stop between deletions is reachable.
+    std::fs::copy(
+        store.join("seg-000001.jsonl"),
+        store.join("seg-000002.jsonl"),
+    )
+    .unwrap();
+    let copy = |tag: &str| {
+        let to = dir.join(tag);
+        std::fs::create_dir_all(&to).unwrap();
+        for name in segments(&store) {
+            std::fs::copy(store.join(&name), to.join(&name)).unwrap();
+        }
+        to
+    };
+    let hits = |cache: &ScanCache| {
+        let mut entries = cache.entries();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        entries
+    };
+    let uninterrupted = hits(&ScanCache::persistent(copy("whole"), 64).unwrap());
+    assert_eq!(uninterrupted.len(), paths.len());
+
+    for (site, left) in [
+        ("cache::compact-synced", 3),
+        ("cache::compact-between-deletes", 2),
+    ] {
+        let stopped = copy(site.trim_start_matches("cache::"));
+        // A panic at the site stops the open there, as a crash would.
+        configure(site, "panic(stopped)").unwrap();
+        let open = std::panic::catch_unwind(|| ScanCache::persistent(&stopped, 64));
+        assert_eq!(hit_count(site), 1, "{site}");
+        clear();
+        assert!(open.is_err(), "{site}: the open must stop at the site");
+        assert_eq!(segments(&stopped).len(), left, "{site}");
+        let reopened = ScanCache::persistent(&stopped, 64).unwrap();
+        assert!(reopened.load_warnings().is_empty(), "{site}");
+        assert_eq!(hits(&reopened), uninterrupted, "{site}");
+        assert_eq!(segments(&stopped), ["seg-000004.jsonl"], "{site}");
+        // And the reopened cache answers every document from its entries.
+        let policy =
+            vbadet_repro::testkit::metered(ScanPolicy::default()).with_cache(Arc::new(reopened));
+        let report = scan_paths_with_policy(det, &paths, &policy);
+        let snapshot = report.metrics.unwrap();
+        assert_eq!(snapshot.histograms["cache.hits"].count, paths.len() as u64);
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

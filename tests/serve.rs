@@ -454,6 +454,50 @@ fn a_malformed_model_is_rejected_typed_and_the_old_generation_serves() {
 }
 
 #[test]
+fn a_reload_of_a_model_cut_short_fails_and_the_old_generation_serves() {
+    let _guard = global_guard();
+    let det = tiny_detector();
+    let dir = fresh_dir("serve-cutmodel");
+    let text = tiny_detector_seeded(9).save();
+    let model = dir.join("next.model");
+    // Cut inside the last record, at the end of the body (the trailer
+    // gone), and one byte short: each is a torn write of the file.
+    let body_end = text.rfind("--end--").unwrap();
+    let cuts = [body_end - 5, body_end, text.len() - 1];
+
+    let config = ServeConfig::new(ScanPolicy::default());
+    let (summary, ()) = with_server(det, &config, |addr| {
+        let mut c = Client::connect(addr);
+        for cut in cuts {
+            std::fs::write(&model, &text[..cut]).unwrap();
+            let rejected = c.roundtrip(&format!("reload {}", model.display()));
+            assert!(
+                rejected.contains("\"error\":\"reload-failed\""),
+                "cut at {cut}: {rejected}"
+            );
+            assert!(rejected.contains("retrain"), "cut at {cut}: {rejected}");
+            let generation = c.roundtrip("model");
+            assert_eq!(reply(&generation).get("generation"), Some(&Json::Int(1)));
+        }
+        // The whole file loads.
+        std::fs::write(&model, &text).unwrap();
+        let swapped = c.roundtrip(&format!("reload {}", model.display()));
+        assert!(swapped.contains("\"ok\":true"), "{swapped}");
+        let generation = c.roundtrip("model");
+        assert_eq!(reply(&generation).get("generation"), Some(&Json::Int(2)));
+    });
+
+    let snapshot = summary.metrics.unwrap();
+    assert_eq!(
+        snapshot.histograms["reload.failed"].total,
+        cuts.len() as u64
+    );
+    assert_eq!(snapshot.histograms["reload.success"].total, 1);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn concurrent_reloads_serialize_and_the_last_swap_wins() {
     let _guard = global_guard();
     let det = tiny_detector();
