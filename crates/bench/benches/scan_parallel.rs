@@ -133,7 +133,7 @@ fn main() {
 
     // The process-isolated engine at the same job count: its overhead is
     // per-document (frame codec) plus per-worker (spawn + detector
-    // reload), and the CI gate holds it within 50% of the thread pool.
+    // reload), and the CI gate holds it to at least 0.6x the thread pool.
     let isolate_policy = ScanPolicy::default()
         .jobs(jobs)
         .isolated(IsolateConfig::new(vec![env!(

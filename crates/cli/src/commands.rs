@@ -424,7 +424,7 @@ pub fn scan(args: &[OsString]) -> Result<ExitCode, Box<dyn Error>> {
             eprint!("{}", metrics.render_text());
         }
         if let Some(path) = &metrics_json {
-            std::fs::write(path, metrics.to_json())?;
+            write_atomically(Path::new(path), metrics.to_json().as_bytes())?;
             eprintln!("wrote pipeline metrics to {path}");
         }
     }
@@ -564,7 +564,7 @@ pub fn serve(args: &[OsString]) -> Result<ExitCode, Box<dyn Error>> {
         let _ = std::fs::remove_file(path);
     }
     if let (Some(metrics), Some(path)) = (&summary.metrics, flags.values.get("metrics-json")) {
-        std::fs::write(path, metrics.to_json())?;
+        write_atomically(Path::new(path), metrics.to_json().as_bytes())?;
         eprintln!("wrote service metrics to {path}");
     }
     eprintln!(
@@ -739,10 +739,11 @@ pub fn train(args: &[OsString]) -> CmdResult {
     Ok(())
 }
 
-/// Writes `bytes` to `path` so that a reader, such as a serve `reload`,
-/// sees the old file or the whole new one, never a torn write: the bytes
-/// go to a temp file in the same directory, which is fsynced and then
-/// renamed over `path`, and the directory is fsynced after the rename.
+/// Writes `bytes` to `path` so that a reader, such as a serve `reload` or
+/// a metrics scraper, sees the old file or the whole new one, never a
+/// torn write: the bytes go to a temp file in the same directory, which
+/// is fsynced and then renamed over `path`, and the directory is fsynced
+/// after the rename.
 fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     use std::io::Write as _;
     let dir = match path.parent() {
@@ -1336,6 +1337,37 @@ mod command_tests {
             .map(|e| e.unwrap().file_name())
             .collect();
         assert_eq!(names, ["model.txt"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn scan_replaces_its_metrics_json_whole_and_leaves_no_temp_file() {
+        let dir =
+            std::env::temp_dir().join(format!("vbadet_cli_test_metrics_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let doc = dir.join("doc.bin");
+        let mut b = vbadet_ovba::VbaProjectBuilder::new("P");
+        b.add_module("Module1", "Sub W()\r\n    x = 1\r\nEnd Sub\r\n");
+        std::fs::write(&doc, b.build().unwrap()).unwrap();
+        let out = dir.join("metrics.json");
+        std::fs::write(&out, "stale metrics from an earlier run\n").unwrap();
+        scan(&strs2(&[
+            "--scale",
+            "0.002",
+            "--metrics-json",
+            out.to_str().unwrap(),
+            doc.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let metrics =
+            vbadet::ScanMetrics::from_json(&std::fs::read_to_string(&out).unwrap()).unwrap();
+        assert_eq!(metrics.counter("scan.docs"), 1);
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["doc.bin", "metrics.json"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -170,10 +170,11 @@ fn extract_from_ole_bytes(
                 status: ExtractionStatus::Parsed,
             })
         }
-        Err(e @ (OvbaError::LimitExceeded { .. } | OvbaError::DeadlineExceeded(_))) => {
-            Err(e.into())
-        }
         Err(e) => {
+            let broken = DetectError::from(e);
+            if !salvageable(&broken) {
+                return Err(broken);
+            }
             let salvaged = {
                 let _t = budget.metrics().time(Stage::OvbaSalvageNs);
                 salvage_modules_from_ole_budgeted(&ole, &limits.ovba, budget)?
@@ -182,7 +183,7 @@ fn extract_from_ole_bytes(
             if salvaged.is_empty() {
                 // No stream that opens holds a module; a module whose
                 // directory entry broke still sits in some sector.
-                return sweep(bytes, e.into(), container, limits, budget);
+                return sweep(bytes, broken, container, limits, budget);
             }
             Ok(tag_salvaged(salvaged, container, budget))
         }
@@ -201,10 +202,7 @@ fn sweep(
     limits: &ScanLimits,
     budget: &Budget,
 ) -> Result<Extraction, DetectError> {
-    if !matches!(
-        FailureClass::from_error(&broken),
-        FailureClass::Malformed | FailureClass::Truncated
-    ) {
+    if !salvageable(&broken) {
         return Err(broken);
     }
     let salvaged = {
@@ -216,6 +214,16 @@ fn sweep(
         return Err(broken);
     }
     Ok(tag_salvaged(salvaged, container, budget))
+}
+
+/// Whether a broken structure is worth a salvage pass: only a malformed
+/// or truncated one. A resource cap, a cyclic chain or a budget trip is
+/// reported as it is.
+fn salvageable(broken: &DetectError) -> bool {
+    matches!(
+        FailureClass::from_error(broken),
+        FailureClass::Malformed | FailureClass::Truncated
+    )
 }
 
 fn tag_salvaged(
@@ -357,6 +365,37 @@ mod tests {
             ),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn a_cyclic_module_stream_is_reported_as_a_cyclic_chain() {
+        // Module1's stream spans several sectors of the mini stream: point
+        // its first miniFAT entry at itself, in the one miniFAT sector the
+        // builder writes.
+        let code: String = (0..40).map(|i| format!("    x{i} = {i}\r\n")).collect();
+        let mut b = VbaProjectBuilder::new("Proj");
+        b.add_module("Module1", &format!("Sub Work()\r\n{code}End Sub\r\n"));
+        let mut bytes = b.build().unwrap();
+        let ole = OleFile::parse(&bytes).unwrap();
+        let start = ole
+            .entries()
+            .iter()
+            .find(|e| e.name == "Module1")
+            .unwrap()
+            .start_sector;
+        let minifat = u32::from_le_bytes(bytes[60..64].try_into().unwrap()) as usize;
+        let at = 512 + 512 * minifat + 4 * start as usize;
+        bytes[at..at + 4].copy_from_slice(&start.to_le_bytes());
+        let err = extract_macros_bounded(&bytes, &ScanLimits::default(), &Budget::unlimited())
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                DetectError::Ovba(OvbaError::Ole(vbadet_ole::OleError::ChainCycle { .. }))
+            ),
+            "{err:?}"
+        );
+        assert_eq!(FailureClass::from_error(&err).label(), "cyclic-chain");
     }
 
     #[test]

@@ -46,16 +46,17 @@
 //!   uses. Every open compacts: it loads the segments in index order,
 //!   writes the live LRU, oldest first, into one new segment and syncs
 //!   it, then deletes the segments it read (but not one that another open
-//!   cache still writes, which holds a lock on it), and appends the run's
-//!   inserts to the new one. So a directory holds one segment between
-//!   runs. A crash mid-compaction leaves the old segments, the new one,
-//!   or both; the newest entry of a key wins on load, so each loads the
-//!   same hits. The cache keeps its own damage policy: a torn tail or an
-//!   oversized line ends the segment, a line that fails its checksum or
-//!   schema is skipped, a bad header skips the segment and leaves it on
-//!   disk. Each line carries an FNV-1a checksum over its canonical
-//!   content, so a *bitflipped* (not just torn) entry is skipped instead
-//!   of served as a wrong verdict.
+//!   cache still writes, which holds a lock on it). The run then appends
+//!   to the new segment each insert and the first hit on each entry it
+//!   loaded, so the next open loads, and evicts, in order of use. A
+//!   directory holds one segment between runs. A crash mid-compaction
+//!   leaves the old segments, the new one, or both; the newest entry of a
+//!   key wins on load, so each loads the same hits. The cache keeps its
+//!   own damage policy: a torn tail or an oversized line ends the
+//!   segment, a line that fails its checksum or schema is skipped, a bad
+//!   header skips the segment and leaves it on disk. Each line carries an
+//!   FNV-1a checksum over its canonical content, so a *bitflipped* (not
+//!   just torn) entry is skipped instead of served as a wrong verdict.
 //!
 //! # Determinism contract
 //!
@@ -365,8 +366,10 @@ fn cacheable(outcome: &ScanOutcome) -> bool {
 
 #[derive(Debug)]
 struct Lru {
-    /// Each entry with its use stamp.
-    map: HashMap<Key, (Entry, u64)>,
+    /// Each entry with its use stamp, and whether this run's segment
+    /// records a use of it yet: an insert is a line there, and so is the
+    /// first hit on an entry loaded from an earlier run.
+    map: HashMap<Key, (Entry, u64, bool)>,
     /// The recency index: use stamp to key, least recently used first.
     order: BTreeMap<u64, Key>,
     clock: u64,
@@ -376,20 +379,22 @@ struct Lru {
 }
 
 impl Lru {
-    fn get(&mut self, key: &Key) -> Option<Entry> {
-        let (entry, stamp) = self.map.get_mut(key)?;
+    /// The entry, and whether this is its first recorded use in the run.
+    fn get(&mut self, key: &Key) -> Option<(Entry, bool)> {
+        let (entry, stamp, recorded) = self.map.get_mut(key)?;
         self.order.remove(stamp);
         self.clock += 1;
         *stamp = self.clock;
         self.order.insert(self.clock, *key);
-        Some(entry.clone())
+        Some((entry.clone(), !std::mem::replace(recorded, true)))
     }
 
     /// Inserts and returns how many entries were evicted to make room.
-    fn put(&mut self, key: Key, entry: Entry) -> u64 {
+    /// `recorded` says whether this run's segment holds the entry's line.
+    fn put(&mut self, key: Key, entry: Entry, recorded: bool) -> u64 {
         self.clock += 1;
         self.order.insert(self.clock, key);
-        if let Some((_, stamp)) = self.map.insert(key, (entry, self.clock)) {
+        if let Some((_, stamp, _)) = self.map.insert(key, (entry, self.clock, recorded)) {
             self.order.remove(&stamp);
         }
         let mut evicted = 0;
@@ -608,7 +613,7 @@ impl ScanCache {
                 .and_then(|j| decode_entry(&j));
             match decoded {
                 Ok((key, entry)) => {
-                    lru.put(key, entry);
+                    lru.put(key, entry, false);
                 }
                 // Line-local damage: skip it and keep loading. (A torn
                 // line is always the last, so skipping it ends the segment.)
@@ -643,7 +648,7 @@ impl ScanCache {
         let lru = self.lock();
         lru.map
             .iter()
-            .map(|(key, (entry, _))| (hex(&key.digest), entry.outcome.clone()))
+            .map(|(key, (entry, ..))| (hex(&key.digest), entry.outcome.clone()))
             .collect()
     }
 
@@ -659,8 +664,13 @@ impl ScanCache {
     pub(crate) fn lookup(self: &Arc<Self>, key: Key, metrics: &MetricsSink) -> Lookup {
         let mut lru = self.lock();
         loop {
-            if let Some(entry) = lru.get(&key) {
+            if let Some((entry, first_use)) = lru.get(&key) {
                 drop(lru);
+                // An entry loaded from an earlier run moves up the next
+                // open's load order by one line, once per run.
+                if first_use && self.disk.is_some() {
+                    self.persist(&encode_entry_line(&key, &entry));
+                }
                 metrics.record(Stage::CacheHits, 1);
                 return Lookup::Hit(entry.outcome, entry.deltas);
             }
@@ -696,10 +706,16 @@ impl ScanCache {
         let line = encode_entry_line(&key, &entry);
         metrics.record(Stage::CacheInserts, 1);
         metrics.record(Stage::CacheBytes, line.len() as u64);
-        let evicted = self.lock().put(key, entry);
+        let evicted = self.lock().put(key, entry, true);
         if evicted > 0 {
             metrics.record(Stage::CacheEvictions, evicted);
         }
+        self.persist(&line);
+    }
+
+    /// Appends one entry line to this run's segment, if the cache has one
+    /// and the line is within the cap.
+    fn persist(&self, line: &str) {
         if line.len() > MAX_ENTRY_LINE_BYTES {
             return;
         }
@@ -872,7 +888,7 @@ mod tests {
 
     impl ScanCache {
         fn get(&self, key: &Key) -> Option<Entry> {
-            self.lock().get(key)
+            self.lock().get(key).map(|(entry, _)| entry)
         }
     }
 
@@ -1155,6 +1171,33 @@ mod tests {
         assert!(matches!(got, ScanOutcome::Failed { detail, .. } if detail == "newer"));
         let left: Vec<u64> = segment_paths(&dir).unwrap().iter().map(|s| s.0).collect();
         assert_eq!(left, [11]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_hit_moves_its_entry_up_the_next_opens_eviction_order() {
+        // The runs A, B, A, C, A at capacity 2: the third run's hit on A
+        // outlives B's insert, so C evicts B and the fifth run hits A.
+        let dir = tempdir("use-order");
+        let metrics = MetricsSink::default();
+        let mut hits = Vec::new();
+        for (run, seed) in [1, 2, 1, 3, 1].into_iter().enumerate() {
+            let cache = Arc::new(ScanCache::persistent(&dir, 2).unwrap());
+            match cache.lookup(key(seed), &metrics) {
+                Lookup::Hit(..) => hits.push(run + 1),
+                Lookup::Miss(lead) => lead.insert(&ScanOutcome::Clean, &[], &metrics),
+            }
+        }
+        assert_eq!(hits, [3, 5]);
+        // Only the first hit in a run writes a line: the header, the two
+        // compacted entries and one hit.
+        let cache = Arc::new(ScanCache::persistent(&dir, 2).unwrap());
+        for _ in 0..3 {
+            assert!(matches!(cache.lookup(key(3), &metrics), Lookup::Hit(..)));
+        }
+        drop(cache);
+        let (_, segment) = segment_paths(&dir).unwrap().pop().unwrap();
+        assert_eq!(fs::read_to_string(segment).unwrap().lines().count(), 4);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -388,11 +388,24 @@ impl OleFile {
     /// # Errors
     ///
     /// Fails when the path does not exist, names a storage, or the underlying
-    /// chains are malformed.
+    /// chains are malformed. A declared size larger than the body (or, for
+    /// a small stream, the mini stream) holds is [`OleError::Truncated`]
+    /// at the first sector past its end, whatever the stream-size cap.
     pub fn open_stream(&self, path: &str) -> Result<Vec<u8>, OleError> {
         let entry = &self.entries[self.resolve(path)? as usize];
         if !entry.is_stream() {
             return Err(OleError::WrongType(path.to_string()));
+        }
+        let mini = entry.size < MINI_STREAM_CUTOFF as u64;
+        let (bytes, unit) = if mini {
+            (&self.mini_stream, MINI_SECTOR_SIZE)
+        } else {
+            (&self.body, self.sector_size)
+        };
+        if entry.size > bytes.len() as u64 {
+            return Err(OleError::Truncated {
+                sector: (bytes.len() / unit) as u32,
+            });
         }
         if entry.size > self.limits.max_stream_bytes as u64 {
             return Err(OleError::LimitExceeded {
@@ -401,14 +414,8 @@ impl OleFile {
             });
         }
         let size = entry.size as usize;
-        if entry.size < MINI_STREAM_CUTOFF as u64 {
-            self.walk(
-                &self.minifat,
-                &self.mini_stream,
-                MINI_SECTOR_SIZE,
-                entry.start_sector,
-                size,
-            )
+        if mini {
+            self.walk(&self.minifat, bytes, unit, entry.start_sector, size)
         } else {
             self.read_chain(entry.start_sector, size)
         }
@@ -534,6 +541,36 @@ mod tests {
                 let _ = OleFile::parse(&data); // must not panic
             }
         }
+    }
+
+    #[test]
+    fn a_declared_size_past_the_body_is_truncation_before_the_cap() {
+        // One regular stream: patch the size field of its directory entry,
+        // in the first directory sector.
+        let mut b = crate::OleBuilder::new();
+        b.add_stream("Big", &[b'x'; 5000]).unwrap();
+        let bytes = b.build();
+        let ole = OleFile::parse(&bytes).unwrap();
+        let id = ole.resolve("Big").unwrap() as usize;
+        let at = 512 + 512 * u32_at(&bytes, 48) as usize + 128 * id + 120;
+        let held = ole.body.len() as u32 / 512;
+        let mut patched = bytes.clone();
+        patched[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let ole = OleFile::parse(&patched).unwrap();
+        assert_eq!(
+            ole.open_stream("Big"),
+            Err(OleError::Truncated { sector: held })
+        );
+        // A size the body holds but the cap refuses is still a cap.
+        let limits = OleLimits {
+            max_stream_bytes: 4096,
+            ..OleLimits::default()
+        };
+        let ole = OleFile::parse_budgeted(&bytes, limits, Budget::unlimited()).unwrap();
+        assert!(matches!(
+            ole.open_stream("Big"),
+            Err(OleError::LimitExceeded { .. })
+        ));
     }
 
     #[test]

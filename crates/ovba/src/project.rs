@@ -5,7 +5,7 @@ use crate::dir::{latin1, DirStream, ModuleRecord, ModuleType};
 use crate::OvbaError;
 use vbadet_faultpoint::Budget;
 use vbadet_metrics::Stage;
-use vbadet_ole::{OleBuilder, OleFile};
+use vbadet_ole::{OleBuilder, OleError, OleFile};
 
 /// Resource caps applied while extracting a VBA project.
 ///
@@ -106,7 +106,9 @@ impl VbaProject {
     }
 
     /// Extracts the VBA project under a specific storage root. Fails when
-    /// the `dir` stream or a module stream is missing or malformed.
+    /// the `dir` stream or a module stream is missing or malformed; a
+    /// stream that exists but cannot be read (a cyclic chain, a declared
+    /// size past the end of the file, a cap) fails as [`OvbaError::Ole`].
     fn from_ole_at_budgeted(
         ole: &OleFile,
         root: &str,
@@ -117,8 +119,8 @@ impl VbaProject {
         let dir_bytes = ole
             .open_stream(&join(root, "VBA/dir"))
             .map_err(|e| match e {
-                vbadet_ole::OleError::DeadlineExceeded(why) => why.into(),
-                _ => OvbaError::NoVbaProject,
+                OleError::NotFound(_) | OleError::WrongType(_) => OvbaError::NoVbaProject,
+                e => e.into(),
             })?;
         let dir = DirStream::parse(&decompress_budgeted(
             &dir_bytes,
@@ -141,8 +143,10 @@ impl VbaProject {
             };
             let stream_path = join(root, &format!("VBA/{stream_name}"));
             let stream = ole.open_stream(&stream_path).map_err(|e| match e {
-                vbadet_ole::OleError::DeadlineExceeded(why) => why.into(),
-                _ => OvbaError::MissingModuleStream(stream_name.clone()),
+                OleError::NotFound(_) | OleError::WrongType(_) => {
+                    OvbaError::MissingModuleStream(stream_name.clone())
+                }
+                e => e.into(),
             })?;
             let offset = record.text_offset as usize;
             if offset > stream.len() {

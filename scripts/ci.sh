@@ -6,9 +6,12 @@
 #   scripts/ci.sh --stage NAME  run only the named stage(s); repeatable,
 #                               e.g. --stage serve --stage reload-soak.
 #                               Unselected stages are recorded as skipped
-#   scripts/ci.sh --gate-test   dry-run: doctor the bench baselines and
-#                               results (and a Table V) and assert the
-#                               gates FAIL on them
+#   scripts/ci.sh --gate-test   dry-run: prove every gate trips — for
+#                               each gate row, doctor a copy of
+#                               results/*.json past that row's bound and
+#                               assert the gate FAILS; likewise a baseline
+#                               key the results lack, and a doctored
+#                               Table V
 #
 # Every stage is timed; the run (pass or fail) is recorded to
 # results/ci-summary.json as machine-readable
@@ -17,10 +20,14 @@
 # written so the driver can see exactly where it died and how long each
 # stage before it took.
 #
-# Bench regression baselines: results/BENCH_baseline.json and
-# results/BENCH_features_baseline.json, compared against the fresh
-# results/BENCH_scan.json and results/BENCH_features.json at a 20%
-# docs/sec tolerance. After an intentional perf change, refresh them with:
+# The bench gates are one table, GATES: one row per gate, each a key of a
+# results/BENCH_*.json file, a comparison and a bound. check_gates runs
+# every row, and the gates stage then runs the --gate-test teeth check on
+# copies of the fresh results, so a gate that stops tripping fails CI.
+# Two rows gate against the regression baselines
+# results/BENCH_baseline.json and results/BENCH_features_baseline.json at
+# a 20% docs/sec tolerance. After an intentional perf change, refresh
+# them with:
 #
 #   scripts/refresh-baseline.sh
 
@@ -30,12 +37,6 @@ cd "$(dirname "$0")/.."
 . scripts/lib.sh
 
 SUMMARY=results/ci-summary.json
-BENCH=results/BENCH_scan.json
-BASELINE=results/BENCH_baseline.json
-CACHE_BENCH=results/BENCH_cache.json
-RELOAD_BENCH=results/BENCH_reload.json
-FEATURES_BENCH=results/BENCH_features.json
-FEATURES_BASELINE=results/BENCH_features_baseline.json
 PAPER_TABLE=results/table5.txt
 STAGES=""
 OVERALL=ok
@@ -275,220 +276,178 @@ paper_stage() {
         check_paper_shape "$PAPER_TABLE"
 }
 
-# gate_check VALUE OP BOUND LABEL — one comparison, with a uniform
-# failure message. OP is ge or le.
-gate_check() {
-    if [ -z "$1" ]; then
-        echo "ci: gate FAIL — $4: value missing from bench output" >&2
-        return 1
-    fi
-    if ! "num_$2" "$1" "$3"; then
-        echo "ci: gate FAIL — $4 ($1 violates $2 $3)" >&2
-        return 1
-    fi
-    echo "ci: gate ok — $4 ($1 within $2 $3)"
-}
+# The acceptance gates over the fresh bench results, one row each:
+#
+#   FILE  KEY  OP  BOUND
+#
+# A row requires KEY of FILE to be OP (ge or le) BOUND, where BOUND is
+#   N            a number;
+#   F*KEY2       F times KEY2 of the same file;
+#   F*BASE.json  F times the same key of the baseline BASE.json, for each
+#                baseline key that matches the glob KEY. A baseline key
+#                FILE lacks fails: the bench no longer measures it, so
+#                refresh the baseline (scripts/refresh-baseline.sh) rather
+#                than quietly gate less. A missing BASE.json skips the row;
+#   core_floor   0.5 for FILE's cores 1 (the pool is pure overhead), 1.0
+#                for 2-3, 2.0 for 4 or more.
+# A missing FILE, KEY or bound input fails.
+#
+# Why the bounds: metrics may cost at most 5% of a scan. Isolate slots
+# send a whole claim's requests ahead, and the lowest of ten bench runs
+# read 0.75x the pool on 2 cores, so its floor sits below that spread.
+# Zero downtime means a model swap every 500 ms may not stall traffic.
+# tests/feature_equivalence.rs proves the fused and reference extractors
+# bit-identical, so their ratio is pure cost. The baselines allow a 20%
+# docs/sec regression, overall or per stage.
+GATES='
+BENCH_scan.json      speedup               ge  core_floor
+BENCH_scan.json      metrics_overhead_pct  le  5.0
+BENCH_scan.json      isolate_docs_per_sec  ge  0.6*parallel_docs_per_sec
+BENCH_cache.json     warm_docs_per_sec     ge  3.0*uncached_docs_per_sec
+BENCH_reload.json    churn_p99_ms          le  2.0*steady_p99_ms
+BENCH_features.json  speedup_vs_reference  ge  1.5
+BENCH_scan.json      *_docs_per_sec        ge  0.8*BENCH_baseline.json
+BENCH_features.json  *_docs_per_sec        ge  0.8*BENCH_features_baseline.json
+'
 
-# baseline_gate BASELINE FRESH LABEL — no >20% docs/sec regression: every
-# *_docs_per_sec key of BASELINE must read at least 0.8x its baseline
-# value in FRESH. A key missing from FRESH fails: the bench no longer
-# measures it (renamed, retired, or for a stage, under the bench's noise
-# floor), so the baseline must be refreshed rather than quietly gate
-# less. A key missing from BASELINE is new, with nothing to regress from.
-baseline_gate() {
-    for key in $(json_num_keys "$1" | grep '_docs_per_sec$'); do
-        base=$(json_num "$1" "$key")
-        fresh=$(json_num "$2" "$key")
-        if [ -z "$fresh" ]; then
-            echo "ci: gate FAIL — $key is in the $3 but missing from $2;" \
-                "refresh with scripts/refresh-baseline.sh" >&2
-            return 1
-        fi
-        min=$(num_mul "$base" 0.8)
-        gate_check "$fresh" ge "$min" \
-            "$key vs $3 $base (>20% regression)" || return 1
+# row_keys FILE GLOB — the numeric keys of FILE that match GLOB.
+row_keys() {
+    for row_key in $(json_num_keys "$1"); do
+        case $row_key in $2) echo "$row_key" ;; esac
     done
 }
 
-# need_file FILE — a gate input that is missing fails the gate.
-need_file() {
-    if [ ! -f "$1" ]; then
-        echo "ci: gate FAIL — $1 missing" >&2
+# gate_value ROW FILE KEY OP BOUND — one comparison, with a uniform
+# message naming its row. An empty value or bound fails.
+gate_value() {
+    value=$(json_num "$2" "$3")
+    if [ -z "$value" ] || [ -z "$5" ]; then
+        echo "ci: gate FAIL — [$1] $3 missing from $2, or an input of its bound is" >&2
+        return 1
+    elif ! "num_$4" "$value" "$5"; then
+        echo "ci: gate FAIL — [$1] $3 $value violates $4 $5" >&2
         return 1
     fi
+    echo "ci: gate ok — [$1] $3 $value $4 $5"
 }
 
-# The acceptance gates over the fresh bench results, one function each so
-# --gate-test can prove each one trips on its own. run_gates runs them in
-# order and stops at the first failure.
-run_gates() {
-    scan_gates && cache_gate && reload_gate && features_speedup_gate &&
-        features_baseline_gate && scan_baseline_gate
-}
-
-# The scan_parallel gates:
-#   1. core-aware parallel speedup floor (2x on 4+ cores, parity on 2-3,
-#      0.5x on a single core where the pool is pure overhead),
-#   2. metrics overhead <= 5%,
-#   3. isolate throughput at least 0.6x the thread pool at the same job
-#      count (process isolation must stay cheap enough to default to in
-#      hostile-input triage; since isolate slots send a whole claim's
-#      requests ahead, the lowest of ten bench runs read 0.75 on 2 cores,
-#      so the floor sits below that spread — absolute isolate regressions
-#      are caught by scan_baseline_gate).
-scan_gates() {
-    need_file "$BENCH" || return 1
-    gates_cores=$(json_num "$BENCH" cores)
-    if [ -z "$gates_cores" ]; then
-        echo "ci: gate FAIL — $BENCH lacks a cores field" >&2
+# check_row DIR FILE KEY OP BOUND — one row of GATES against the bench
+# results in DIR.
+check_row() {
+    row="$2 $3 $4 $5"
+    fresh=$1/$2
+    ref=${5#*\*}
+    if [ ! -f "$fresh" ]; then
+        echo "ci: gate FAIL — [$row] $fresh missing" >&2
         return 1
     fi
-    floor=0.5
-    [ "$gates_cores" -ge 2 ] && floor=1.0
-    [ "$gates_cores" -ge 4 ] && floor=2.0
-    gate_check "$(json_num "$BENCH" speedup)" ge "$floor" \
-        "parallel speedup floor for $gates_cores core(s)" || return 1
-    gate_check "$(json_num "$BENCH" metrics_overhead_pct)" le 5.0 \
-        "metrics overhead pct" || return 1
-    gates_par=$(json_num "$BENCH" parallel_docs_per_sec)
-    gate_check "$(json_num "$BENCH" isolate_docs_per_sec)" ge "$(num_mul "$gates_par" 0.6)" \
-        "isolate throughput >= 0.6x --jobs N ($gates_par docs/s)"
+    case $5 in
+        *.json)
+            if [ ! -f "$1/$ref" ]; then
+                echo "ci: note — [$row] $1/$ref missing; row skipped (scripts/refresh-baseline.sh writes it)" >&2
+                return 0
+            fi
+            row_status=0
+            for base_key in $(row_keys "$1/$ref" "$3"); do
+                gate_value "$row" "$fresh" "$base_key" "$4" \
+                    "$(num_mul "$(json_num "$1/$ref" "$base_key")" "${5%%\**}")" || row_status=1
+            done
+            return $row_status
+            ;;
+        core_floor)
+            cores=$(json_num "$fresh" cores)
+            row_bound=${cores:+$(awk -v c="$cores" 'BEGIN { print (c >= 4 ? "2.0" : c >= 2 ? "1.0" : "0.5") }')}
+            ;;
+        *\**)
+            ref_value=$(json_num "$fresh" "$ref")
+            row_bound=${ref_value:+$(num_mul "$ref_value" "${5%%\**}")}
+            ;;
+        *) row_bound=$5 ;;
+    esac
+    gate_value "$row" "$fresh" "$3" "$4" "$row_bound"
 }
 
-cache_gate() {
-    gates_cache_bench=${CI_CACHE_BENCH:-$CACHE_BENCH}
-    need_file "$gates_cache_bench" || return 1
-    gates_uncached=$(json_num "$gates_cache_bench" uncached_docs_per_sec)
-    gate_check "$(json_num "$gates_cache_bench" warm_docs_per_sec)" ge \
-        "$(num_mul "$gates_uncached" 3.0)" \
-        "warm-cache throughput >= 3x uncached ($gates_uncached docs/s)"
+# check_gates DIR — every row of GATES against the BENCH_*.json files in
+# DIR; every row runs, so one run names every failing gate.
+check_gates() {
+    gates_status=0
+    while read -r gate_file gate_key gate_op gate_bound; do
+        [ -n "$gate_file" ] || continue
+        check_row "$1" "$gate_file" "$gate_key" "$gate_op" "$gate_bound" || gates_status=1
+    done <<EOF
+$GATES
+EOF
+    return $gates_status
 }
 
-# Zero-downtime means the model swap may not stall traffic: under a
-# reload every 500ms, the p99 request latency must stay within 2x the
-# steady-state p99 measured moments earlier on the same machine.
-reload_gate() {
-    gates_reload_bench=${CI_RELOAD_BENCH:-$RELOAD_BENCH}
-    need_file "$gates_reload_bench" || return 1
-    gates_steady=$(json_num "$gates_reload_bench" steady_p99_ms)
-    gate_check "$(json_num "$gates_reload_bench" churn_p99_ms)" le \
-        "$(num_mul "$gates_steady" 2.0)" \
-        "reload-churn p99 <= 2x steady p99 ($gates_steady ms)"
-}
-
-# The allocation-free scoring hot path must stay decisively ahead of
-# the historical extractors it replaced: fused throughput >= 1.5x the
-# reference path, measured fresh every run (the two are proven
-# bit-identical by tests/feature_equivalence.rs, so this is pure cost).
-features_speedup_gate() {
-    gates_features_bench=${CI_FEATURES_BENCH:-$FEATURES_BENCH}
-    need_file "$gates_features_bench" || return 1
-    gate_check "$(json_num "$gates_features_bench" speedup_vs_reference)" ge 1.5 \
-        "fused feature extraction >= 1.5x reference"
-}
-
-features_baseline_gate() {
-    gates_features_bench=${CI_FEATURES_BENCH:-$FEATURES_BENCH}
-    gates_features_baseline=${CI_FEATURES_BASELINE:-$FEATURES_BASELINE}
-    [ -f "$gates_features_baseline" ] || return 0
-    need_file "$gates_features_bench" || return 1
-    baseline_gate "$gates_features_baseline" "$gates_features_bench" "features baseline"
-}
-
-# 4. no >20% docs/sec regression — overall or per stage — against the
-#    committed scan baseline (see baseline_gate).
-scan_baseline_gate() {
-    gates_baseline=${CI_BASELINE:-$BASELINE}
-    if [ ! -f "$gates_baseline" ]; then
-        echo "ci: note — $gates_baseline missing; regression gate skipped." >&2
-        echo "ci: note — refresh with: scripts/refresh-baseline.sh" >&2
-        return 0
-    fi
-    need_file "$BENCH" || return 1
-    baseline_gate "$gates_baseline" "$BENCH" baseline
-}
-
-# scale_key FILE KEY_RE FACTOR FORMAT — prints FILE with the value of
-# every "KEY": pair whose key matches KEY_RE multiplied by FACTOR and
-# printed with the printf FORMAT (e.g. %.2f). Other lines pass unchanged.
-scale_key() {
-    awk -v re="\"$2\"[ \t]*:" -v factor="$3" -v fmt="%s: $4%s\n" '
-        $0 ~ re {
-            split($0, half, ":")
-            value = half[2]
-            trail = (value ~ /,[ \t]*$/) ? "," : ""
-            gsub(/[ \t,]/, "", value)
-            printf fmt, half[1], value * factor, trail
-            next
+# set_keys FILE VALUE KEY... — sets each "KEY": number pair of FILE to
+# VALUE, in place.
+set_keys() {
+    set_file=$1
+    set_value=$2
+    shift 2
+    awk -v value="$set_value" -v keys="$*" '
+        BEGIN { n = split(keys, k, " ") }
+        {
+            for (i = 1; i <= n; i++)
+                gsub("\"" k[i] "\"[ \t]*:[ \t]*-?[0-9][0-9.eE+-]*", "\"" k[i] "\": " value)
+            print
         }
-        { print }
-    ' "$1"
+    ' "$set_file" >"$set_file.new" && mv "$set_file.new" "$set_file"
 }
 
-# gate_must_fail WHAT GATE VAR FILE KEY_RE FACTOR FORMAT — doctors a copy
-# of FILE with scale_key, points VAR at the copy, runs the one gate
-# function GATE and requires that it FAIL.
-gate_must_fail() {
-    scale_key "$4" "$5" "$6" "$7" >"$doctored/$3"
-    if (export "$3=$doctored/$3" && "$2"); then
-        echo "ci: --gate-test FAIL — $1 passed against doctored input" >&2
-        exit 1
+# must_trip DIR ROW FAILURE — check_gates on the doctored copy DIR must
+# fail ROW with FAILURE ("KEY VALUE violates" or "KEY missing"), so the
+# doctored value itself trips the row, not some other fault.
+must_trip() {
+    if check_gates "$1" 2>&1 | grep -qF "gate FAIL — [$2] $3"; then
+        echo "ci: --gate-test ok — [$2] fails: $3"
+    else
+        echo "ci: --gate-test FAIL — [$2] did not fail with: $3" >&2
+        return 1
     fi
-    echo "ci: --gate-test ok — $1 fails against doctored input"
 }
 
-if [ "$GATE_TEST" = 1 ]; then
-    # Prove every gate has teeth: each one must FAIL on doctored input.
-    if [ ! -f "$BENCH" ] || [ ! -f "$CACHE_BENCH" ] || [ ! -f "$RELOAD_BENCH" ] ||
-        [ ! -f "$FEATURES_BENCH" ]; then
-        echo "ci: --gate-test needs $BENCH, $CACHE_BENCH, $RELOAD_BENCH and $FEATURES_BENCH; run the benches first:" >&2
-        echo "ci:   cargo bench --offline -p vbadet-bench --bench scan_parallel --bench features --bench cache --bench reload" >&2
-        exit 1
-    fi
-    doctored=$(mktemp -d)
-    trap 'rm -rf "$doctored"' EXIT
+# gate_teeth DIR — proves every gate row trips. For each row, a copy of
+# DIR/*.json with the row's value set past its bound (0 for ge, 1e9 for
+# le: set, not scaled, so a value that reads 0 can fail too) must fail
+# that row; a baseline row must also fail on a baseline key the fresh
+# file lacks. Then a doctored Table V must fail the paper check.
+gate_teeth() {
+    teeth=$(mktemp -d) || return 1
+    teeth_status=0
+    while read -r file key op bound; do
+        [ -n "$file" ] || continue
+        teeth_row="$file $key $op $bound"
+        if [ ! -f "$1/$file" ]; then
+            echo "ci: --gate-test FAIL — [$teeth_row] needs $1/$file; run the benches first" >&2
+            teeth_status=1
+            continue
+        fi
+        broken=0
+        [ "$op" = le ] && broken=1000000000
+        baseline=${bound#*\*}
+        keys=$key
+        case $bound in *.json) keys=$(row_keys "$1/$baseline" "$key") ;; esac
+        rm -f "$teeth"/*.json
+        cp "$1"/*.json "$teeth"/
+        set_keys "$teeth/$file" "$broken" $keys
+        must_trip "$teeth" "$teeth_row" "${keys%%[!a-z0-9_]*} $broken violates" || teeth_status=1
+        case $bound in
+            *.json)
+                cp "$1/$file" "$teeth/$file"
+                awk 'NR == 1 { print; print "  \"stage_retired_docs_per_sec\": 1.00,"; next } { print }' \
+                    "$1/$baseline" >"$teeth/$baseline"
+                must_trip "$teeth" "$teeth_row" "stage_retired_docs_per_sec missing" || teeth_status=1
+                ;;
+        esac
+    done <<EOF
+$GATES
+EOF
 
-    # The scan regression gate: double every docs/sec figure in a copy of
-    # the fresh results and use that as the baseline — every throughput
-    # then reads as a 50% regression. The features baseline likewise.
-    gate_must_fail "the regression gate" scan_baseline_gate \
-        CI_BASELINE "$BENCH" '[A-Za-z0-9_]*docs_per_sec' 2 %.2f
-    gate_must_fail "the features-baseline regression gate" features_baseline_gate \
-        CI_FEATURES_BASELINE "$FEATURES_BENCH" '[A-Za-z0-9_]*docs_per_sec' 2 %.2f
-
-    # A baseline key the fresh results lack must fail the regression gate
-    # too: the fresh results themselves, plus one retired key, as the
-    # baseline.
-    awk 'NR == 1 { print; print "  \"stage_retired_docs_per_sec\": 1.00,"; next } { print }' \
-        "$BENCH" >"$doctored/CI_BASELINE"
-    if (export CI_BASELINE="$doctored/CI_BASELINE" && scan_baseline_gate); then
-        echo "ci: --gate-test FAIL — the regression gate passed a baseline key missing from $BENCH" >&2
-        exit 1
-    fi
-    echo "ci: --gate-test ok — the regression gate fails on a baseline key missing from $BENCH"
-
-    # The cache gate: inflate the uncached throughput until no real warm
-    # pass could be 3x it. (Halving the warm figure would not do — the
-    # measured warm speedup is far above 3x, so the halved ratio could
-    # still clear the bar.)
-    gate_must_fail "the warm-cache gate" cache_gate \
-        CI_CACHE_BENCH "$CACHE_BENCH" uncached_docs_per_sec 1000 %.2f
-
-    # The reload-latency gate: inflate the churn p99 past any real
-    # 2x-of-steady bound — a hot swap that stalled traffic would look
-    # exactly like this.
-    gate_must_fail "the reload-churn p99 gate" reload_gate \
-        CI_RELOAD_BENCH "$RELOAD_BENCH" churn_p99_ms 100 %.3f
-
-    # The fused-extraction gate: shrink the measured speedup to a tenth —
-    # a hot path that lost its edge over the reference extractors would
-    # look like this.
-    gate_must_fail "the fused-extraction speedup gate" features_speedup_gate \
-        CI_FEATURES_BENCH "$FEATURES_BENCH" speedup_vs_reference 0.1 %.4f
-
-    # And the paper stage: a Table V where J1-J20 wins on one classifier
-    # and LDA on V1-V15 outscores MLP must FAIL the shape check.
-    cat >"$doctored/table5.txt" <<'TABLE'
+    # A Table V where J1-J20 wins on one classifier and LDA on V1-V15
+    # outscores MLP must fail the paper check.
+    cat >"$teeth/table5.txt" <<'TABLE'
 Feature set  Classifier   Accuracy  Precision   Recall       F2     AUC
 ----------------------------------------------------------------------
 V1-V15       SVM             0.900      0.900    0.900    0.814   0.900
@@ -503,12 +462,26 @@ J1-J20       MLP             0.800      0.800    0.800    0.500   0.800
 J1-J20       LDA             0.600      0.600    0.600    0.500   0.600
 J1-J20       BNB             0.600      0.600    0.600    0.500   0.600
 TABLE
-    if check_paper_shape "$doctored/table5.txt"; then
-        echo "ci: --gate-test FAIL — the paper shape check passed on a doctored Table V" >&2
-        exit 1
+    if check_paper_shape "$teeth/table5.txt" 2>/dev/null; then
+        echo "ci: --gate-test FAIL — the paper check passed on a doctored Table V" >&2
+        teeth_status=1
+    else
+        echo "ci: --gate-test ok — the paper check fails on a doctored Table V"
     fi
-    echo "ci: --gate-test ok — the paper shape check fails on a doctored Table V"
-    exit 0
+    rm -rf "$teeth"
+    return $teeth_status
+}
+
+# The gates stage: every row on the fresh results, then the same teeth
+# check --gate-test runs, on copies of them — a gate that stops tripping
+# fails CI.
+run_gates() {
+    check_gates results && gate_teeth results
+}
+
+if [ "$GATE_TEST" = 1 ]; then
+    gate_teeth results
+    exit
 fi
 
 stage fmt cargo fmt --all --check
